@@ -14,12 +14,10 @@ top-level "sidecar" object that consumers strip before hashing.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import csv
 import io
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -316,19 +314,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return _validate(cfg)
 
 
-def thread_budget() -> int:
-    raw = os.environ.get("VORTEXCERT_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError("VORTEXCERT_THREADS: must be an integer") from None
-        if n < 1:
-            raise ConfigError("VORTEXCERT_THREADS: must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
@@ -350,6 +335,16 @@ def _scalar_beta(cfg: dict) -> float:
     if isinstance(cfg["beta"], (list, tuple)):
         raise ConfigError("beta: this command needs a scalar, not a list")
     return float(cfg["beta"])
+
+
+def _rp_specs(cfg: dict, parity: str) -> tuple[RPSampleSpec, RPSampleSpec]:
+    """The (exhaustive, random) RP sample families of one parity."""
+    smp = cfg["samples"]
+    return (
+        RPSampleSpec("exhaustive-monomials", smp["max_degree"], parity=parity),
+        RPSampleSpec("random-polynomials", smp["max_degree"], smp["count"],
+                     cfg["seed"], parity),
+    )
 
 
 def _ground(lat: IslandLattice, lam: float, cfg: dict):
@@ -424,24 +419,13 @@ def cmd_certify(cfg: dict) -> int:
 
     dense_ok = lat.n_modes <= DENSE_DIM_CAP.bit_length() - 1
     spectrum = None
-    smp = cfg["samples"]
     if dense_ok:
-        even = (
-            RPSampleSpec("exhaustive-monomials", smp["max_degree"], parity="even"),
-            RPSampleSpec("random-polynomials", smp["max_degree"], smp["count"],
-                         seed, parity="even"),
-        )
-        odd = tuple(RPSampleSpec(s.mode, s.max_degree, s.count, s.seed, "odd")
-                    for s in even)
         spectrum = dense_spectrum(to_matrix(build_hamiltonian(lat, lam), lat.n_modes))
-        reports.append(check_rp(lat, refl, lam, beta, specs=even,
-                                tol=cfg["tolerances"]["rp"],
-                                spectrum=spectrum, name="rp_even",
-                                seed=seed))
-        reports.append(check_rp(lat, refl, lam, beta, specs=odd,
-                                tol=cfg["tolerances"]["rp"],
-                                spectrum=spectrum, name="rp_odd_observed",
-                                seed=seed))
+        for name, parity in (("rp_even", "even"), ("rp_odd_observed", "odd")):
+            reports.append(check_rp(lat, refl, lam, beta,
+                                    specs=_rp_specs(cfg, parity),
+                                    tol=cfg["tolerances"]["rp"],
+                                    spectrum=spectrum, name=name, seed=seed))
     else:
         for name in ("rp_even", "rp_odd_observed"):
             reports.append(_report(
@@ -588,16 +572,7 @@ def _sweep_row(lat, refl, cfg, lam, beta) -> dict:
             spectrum = dense_spectrum(to_matrix(build_hamiltonian(lat, lam),
                                                 lat.n_modes))
             ground = ground_space(spectrum, gap_tol=cfg["tolerances"]["gap"])
-            rp = check_rp(lat, refl, lam, beta,
-                          specs=(
-                              RPSampleSpec("exhaustive-monomials",
-                                           cfg["samples"]["max_degree"],
-                                           parity="even"),
-                              RPSampleSpec("random-polynomials",
-                                           cfg["samples"]["max_degree"],
-                                           cfg["samples"]["count"],
-                                           cfg["seed"], parity="even"),
-                          ),
+            rp = check_rp(lat, refl, lam, beta, specs=_rp_specs(cfg, "even"),
                           tol=cfg["tolerances"]["rp"], spectrum=spectrum,
                           name="rp_even", seed=cfg["seed"])
             row["min_rp"] = rp.worst["value_re"]
@@ -630,8 +605,7 @@ def cmd_sweep(cfg: dict) -> int:
     if not grid:
         raise ConfigError("lambda/beta: empty sweep grid")
     grid.sort()
-    with concurrent.futures.ThreadPoolExecutor(max_workers=thread_budget()) as pool:
-        rows = list(pool.map(lambda lb: _sweep_row(lat, refl, cfg, *lb), grid))
+    rows = [_sweep_row(lat, refl, cfg, lam, beta) for lam, beta in grid]
 
     if cfg["output"]["format"] == "csv":
         _emit_text(cfg, _rows_to_csv(rows))
@@ -667,11 +641,13 @@ def cmd_spectrum(cfg: dict) -> int:
     cache_dir = cfg["cache"]["dir"]
     cache_path = Path(cache_dir) / f"{key}.f8" if cache_dir else None
 
-    source = None
+    dim = 1 << lat.n_modes
+    values = None
     if cache_path is not None and cache_path.exists():
-        values = load_eigenvalues(cache_path)
+        # a truncated or corrupt file is a miss and gets overwritten
+        values = load_eigenvalues(cache_path, dim)
         source = "cache"
-    else:
+    if values is None:
         op = to_matrix(build_hamiltonian(lat, lam), lat.n_modes)
         if op.dim <= DENSE_DIM_CAP:
             values = dense_spectrum(op).eigenvalues
@@ -694,7 +670,7 @@ def cmd_spectrum(cfg: dict) -> int:
         "lambda": lam,
         "cache_key": key,
         "source": source,
-        "dim": 1 << lat.n_modes,
+        "dim": dim,
         "count": int(len(values)),
         "e0": float(values[0]) if len(values) else None,
         "eigenvalues": [float(v) for v in values],

@@ -20,16 +20,12 @@ matvec of `SparseOperator`.
 
 from __future__ import annotations
 
-import struct
-import threading
-
 import numpy as np
 import scipy.sparse as sp
 
 from .clifford import MajoranaPolynomial, _to_complex
 
 DENSE_DIM_CAP = 4096
-DUMP_FORMAT_VERSION = 1
 
 _PHASES = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
 
@@ -63,36 +59,6 @@ def monomial_action(indices, n_modes: int):
             exp += 1 + 2 * ((state >> k) & 1)
         state ^= np.int64(1 << k)
     return state, exp & 3
-
-
-# Polynomial assembly revisits the same monomial keys constantly (RP
-# sampling alone reuses a few thousand keys hundreds of times), so the
-# per-key permutation/phase arrays are cached behind a byte budget.
-_ACTION_CACHE: dict = {}
-_ACTION_CACHE_BUDGET = 1 << 26
-_action_cache_bytes = 0
-_action_cache_lock = threading.Lock()
-
-
-def _cached_action(key: tuple, n_modes: int):
-    global _action_cache_bytes
-    k = (key, n_modes)
-    hit = _ACTION_CACHE.get(k)
-    if hit is not None:
-        return hit
-    perm, exp = monomial_action(key, n_modes)
-    perm.setflags(write=False)
-    exp.setflags(write=False)
-    size = perm.nbytes + exp.nbytes
-    if size <= _ACTION_CACHE_BUDGET:
-        with _action_cache_lock:
-            while _ACTION_CACHE and _action_cache_bytes + size > _ACTION_CACHE_BUDGET:
-                oldest = next(iter(_ACTION_CACHE))
-                p, e = _ACTION_CACHE.pop(oldest)
-                _action_cache_bytes -= p.nbytes + e.nbytes
-            _ACTION_CACHE[k] = (perm, exp)
-            _action_cache_bytes += size
-    return perm, exp
 
 
 class SparseOperator:
@@ -130,45 +96,6 @@ class SparseOperator:
         d = self.matrix - self.matrix.getH()
         return float(np.abs(d.data).max()) if d.nnz else 0.0
 
-    def dump(self, path) -> None:
-        """Binary dump: '<3q' header (dim, nnz, format version), then
-        row-ordered '<4d' records (row, col, re, im), little endian."""
-        m = self.matrix.tocoo()
-        order = np.lexsort((m.col, m.row))
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<3q", self.dim, m.nnz, DUMP_FORMAT_VERSION))
-            rec = np.empty((m.nnz, 4), dtype="<f8")
-            rec[:, 0] = m.row[order]
-            rec[:, 1] = m.col[order]
-            rec[:, 2] = m.data[order].real
-            rec[:, 3] = m.data[order].imag
-            fh.write(rec.tobytes())
-
-    @classmethod
-    def load(cls, path) -> "SparseOperator":
-        with open(path, "rb") as fh:
-            dim, nnz, version = struct.unpack("<3q", fh.read(24))
-            if version != DUMP_FORMAT_VERSION:
-                raise ValueError(f"unsupported dump format version {version}")
-            rec = np.frombuffer(fh.read(32 * nnz), dtype="<f8").reshape(nnz, 4)
-        n_modes = dim.bit_length() - 1
-        if 1 << n_modes != dim:
-            raise ValueError(f"dump dimension {dim} is not a power of two")
-        data = rec[:, 2] + 1j * rec[:, 3]
-        rows = rec[:, 0].astype(np.int64)
-        cols = rec[:, 1].astype(np.int64)
-        m = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
-        return cls(m, n_modes)
-
-
-def generator_matrix(i: int, n_modes: int) -> SparseOperator:
-    """Signed-permutation matrix of the single generator c_i."""
-    perm, exp = monomial_action((i,), n_modes)
-    dim = 1 << n_modes
-    cols = np.arange(dim, dtype=np.int64)
-    m = sp.coo_matrix((_PHASES[exp], (perm, cols)), shape=(dim, dim))
-    return SparseOperator(m.tocsr(), n_modes)
-
 
 def to_matrix(poly: MajoranaPolynomial, n_modes: int) -> SparseOperator:
     """Sparse matrix of a polynomial; term permutations are summed so
@@ -190,7 +117,7 @@ def to_matrix(poly: MajoranaPolynomial, n_modes: int) -> SparseOperator:
     by_mask: dict[int, np.ndarray] = {}
     perms: dict[int, np.ndarray] = {}
     for key, coeff in terms.items():
-        perm, exp = _cached_action(key, n_modes)
+        perm, exp = monomial_action(key, n_modes)
         mask = int(perm[0])  # perm[n] == n ^ mask
         vals = _to_complex(coeff) * _PHASES[exp]
         if mask in by_mask:
@@ -218,6 +145,6 @@ def apply_polynomial(poly: MajoranaPolynomial, vec: np.ndarray) -> np.ndarray:
         raise ValueError(f"state length {dim} is not a power of two")
     out = np.zeros(dim, dtype=np.complex128)
     for key, coeff in poly.terms().items():
-        perm, exp = _cached_action(key, n_modes)
+        perm, exp = monomial_action(key, n_modes)
         out[perm] += (_to_complex(coeff) * _PHASES[exp]) * vec
     return out

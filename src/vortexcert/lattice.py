@@ -232,10 +232,6 @@ def diamond_lattice() -> IslandLattice:
     return build_lattice(3, 4, "open", islands=((0, 2), (1, 1), (1, 3), (2, 2)))
 
 
-def enumerate_octagons(lat: IslandLattice) -> tuple[Octagon, ...]:
-    return lat.octagons
-
-
 @dataclass(frozen=True)
 class ReflectionData:
     axis: str  # 'x': vertical plane x = coord; 'y': horizontal plane y = coord

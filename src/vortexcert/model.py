@@ -19,7 +19,6 @@ W = A * theta(A); the constructor asserts this identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,23 +34,6 @@ from .lattice import IslandLattice, Octagon, ReflectionData
 
 class ModelError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Scalar knobs of a model run: coupling and inverse temperature."""
-
-    lam: float = 0.1
-    beta: float = 50.0
-
-    def __post_init__(self):
-        if not math.isfinite(float(self.lam)):
-            raise ModelError(f"lambda must be finite, got {self.lam!r}")
-        if not (math.isfinite(float(self.beta)) and float(self.beta) >= 0):
-            raise ModelError(f"beta must be finite and >= 0, got {self.beta!r}")
-
-    def to_json_dict(self) -> dict:
-        return {"lambda": float(self.lam), "beta": float(self.beta)}
 
 
 def _exact_lambda(lam) -> Fraction:

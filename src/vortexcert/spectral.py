@@ -1,6 +1,6 @@
 """Spectra, ground spaces and thermal functionals.
 
-Dense eigendecomposition is used up to DENSE_CAP; above that a
+Dense eigendecomposition is used up to DENSE_DIM_CAP; above that a
 restarted, fully reorthogonalized Lanczos iteration with sequential
 deflation finds the low end of the spectrum.  Ground-space bases are
 made deterministic by re-orthogonalizing coordinate projections in a
@@ -13,19 +13,24 @@ beta can then be large without overflow.
 from __future__ import annotations
 
 import hashlib
+import os
+import uuid
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .clifford import MajoranaPolynomial, multiply, reflect
-from .fock import DENSE_DIM_CAP, SparseOperator, to_matrix
+from .fock import _PHASES, DENSE_DIM_CAP, SparseOperator, monomial_action, to_matrix
 from .lattice import ReflectionData
 
-DENSE_CAP = DENSE_DIM_CAP
 # bump when the Majorana-to-matrix convention changes; keys the eigenvalue cache
 REPRESENTATION_VERSION = 1
 
 HERMITICITY_TOL = 1e-12
+# relative bound on |Gram value - symbolic value| in the RP cross-check;
+# a round-off bound, independent of the verdict tolerance
+GRAM_AGREEMENT_TOL = 1e-10
 
 
 class SpectralError(RuntimeError):
@@ -74,8 +79,8 @@ def default_gap_tol(e0: float) -> float:
 
 
 def dense_spectrum(op: SparseOperator) -> Spectrum:
-    if op.dim > DENSE_CAP:
-        raise DenseCapError(f"dim {op.dim} exceeds the dense cap {DENSE_CAP}")
+    if op.dim > DENSE_DIM_CAP:
+        raise DenseCapError(f"dim {op.dim} exceeds the dense cap {DENSE_DIM_CAP}")
     defect = op.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise NonHermitianError(f"hermiticity defect {defect:.3e}")
@@ -303,6 +308,15 @@ def thermal_expectation(o: SparseOperator, h, beta: float) -> complex:
     return complex((weights * diag).sum() / weights.sum())
 
 
+def _check_left_support(indices, r: ReflectionData) -> None:
+    allowed = set(r.left)
+    stray = sorted(i for i in set(indices) if i not in allowed)
+    if stray:
+        raise ValueError(
+            f"A touches {stray}: not in the Lambda_minus algebra of this mirror"
+        )
+
+
 def rp_functional(a: MajoranaPolynomial, r: ReflectionData, h, beta: float) -> complex:
     """Tr(A theta(A) e^{-beta H}) / Tr(e^{-beta H}).
 
@@ -310,16 +324,51 @@ def rp_functional(a: MajoranaPolynomial, r: ReflectionData, h, beta: float) -> c
     real part is >= 0, and the imaginary part is returned for the caller
     to report rather than assumed to vanish.
     """
-    allowed = set(r.left)
-    stray = [i for i in a.support() if i not in allowed]
-    if stray:
-        raise ValueError(
-            f"A touches {stray}: not in the Lambda_minus algebra of this mirror"
-        )
+    _check_left_support(a.support(), r)
     spec = _as_spectrum(h)
     n_modes = spec.dim.bit_length() - 1
     w_a = multiply(a, reflect(a, r.sigma))
     return thermal_expectation(to_matrix(w_a, n_modes), spec, beta)
+
+
+def rp_gram(keys, r: ReflectionData, h, beta: float) -> np.ndarray:
+    """Gram matrix G_ij = Tr(m_i theta(m_j) rho) of the RP form.
+
+    `keys` are canonical monomial keys on Lambda_minus and rho is the
+    thermal state e^{-beta (H - E0)} / Z.  theta is antilinear, so for
+    A = sum_i a_i m_i the functional of `rp_functional` is y^dagger G y
+    with y = conj(a), and RP on the span of the keys is G >= 0.
+
+    Every monomial and mirrored monomial is a signed permutation
+    n -> n ^ mask, so an entry is one gather over the basis:
+    sum_q phase(q) * rho[q, q ^ a_i ^ b_j], where m_i has mask a_i and
+    theta(m_j) has mask b_j.
+    """
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    _check_left_support([i for k in keys for i in k], r)
+    spec = _as_spectrum(h)
+    dim = spec.dim
+    n_modes = dim.bit_length() - 1
+    weights = np.exp(-beta * (spec.eigenvalues - spec.eigenvalues[0]))
+    vecs = spec.eigenvectors
+    rho = (vecs * (weights / weights.sum())) @ vecs.conj().T
+
+    # theta(m_j) is the mirrored product in the original order; its
+    # coefficient conj(1) = 1, so it needs no recanonicalization here
+    acts = [monomial_action(k, n_modes) for k in keys]
+    mirrored = [monomial_action([r.sigma(i) for i in k], n_modes) for k in keys]
+    mask_m = np.array([int(perm[0]) for perm, _ in acts], dtype=np.int64)
+    mask_t = np.array([int(perm[0]) for perm, _ in mirrored], dtype=np.int64)
+    exp_t = np.array([exp for _, exp in mirrored], dtype=np.int64).reshape(-1, dim)
+
+    q = np.arange(dim, dtype=np.int64)
+    q_t = q[None, :] ^ mask_t[:, None]  # row j: theta(m_j) maps q to q ^ b_j
+    gram = np.empty((len(keys), len(keys)), dtype=np.complex128)
+    for i in range(len(keys)):
+        phase = _PHASES[(acts[i][1][q_t] + exp_t) & 3]
+        gram[i] = (phase * rho[q, q_t ^ mask_m[i]]).sum(axis=1)
+    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +381,27 @@ def spectrum_cache_key(lattice_hash: str, lam: float,
 
 
 def save_eigenvalues(path, values) -> None:
-    np.asarray(values, dtype="<f8").tofile(path)
+    """Write through a temporary file in the target directory and rename
+    it into place, so a reader never sees a partly written file.  The
+    file gets the umask's default mode, as a direct write would."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(np.asarray(values, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def load_eigenvalues(path) -> np.ndarray:
-    return np.fromfile(path, dtype="<f8")
+def load_eigenvalues(path, dim: int) -> np.ndarray | None:
+    """Cached eigenvalues, or None if the file cannot be a full spectrum:
+    wrong length (e.g. a truncated write), a non-finite value, or values
+    out of ascending order."""
+    values = np.fromfile(path, dtype="<f8")
+    if len(values) != dim:
+        return None
+    if not (np.isfinite(values).all() and (np.diff(values) >= 0).all()):
+        return None
+    return values

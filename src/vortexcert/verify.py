@@ -8,11 +8,15 @@ Each check measures one link of the chain
 and returns either a CheckReport (self-contained, re-runnable from its
 witness) or a small result tuple the frontend wraps into one.
 
-Sampling policy for reflection positivity: exhaustive even monomials to
-degree 4 on Lambda_minus plus seeded random even polynomials with
-unit-disk coefficients.  Odd elements are measured in a separate report
-that is never asserted: the positivity literature is written for the
-even case and we refuse to hard-fail on a case left implicit.
+Reflection positivity is decided on a Gram matrix.  The trial elements
+are exhaustive even monomials to degree 4 on Lambda_minus plus seeded
+random even polynomials with unit-disk coefficients; every sample is
+evaluated as y^dagger G y over the span of the samples' monomials, and
+the verdict also demands lambda_min(G) >= -tol, which certifies every
+element of that span, not just the samples.  Odd elements are measured
+in a separate report that is never asserted: the positivity literature
+is written for the even case and we refuse to hard-fail on a case left
+implicit.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .clifford import MajoranaPolynomial, commutator
+from .clifford import MajoranaPolynomial, _to_complex, commutator
 from .fock import SparseOperator, to_matrix
 from .lattice import IslandLattice, ReflectionData
 from .model import (
@@ -34,10 +38,13 @@ from .model import (
     vortex_operator,
 )
 from .spectral import (
+    GRAM_AGREEMENT_TOL,
     GroundSpace,
+    SpectralError,
     Spectrum,
     dense_spectrum,
     rp_functional,
+    rp_gram,
 )
 
 DEFAULT_RP_TOL = 1e-9
@@ -104,14 +111,13 @@ def rp_sample_polynomials(spec: RPSampleSpec, indices,
         return out
     rng = np.random.default_rng(spec.seed)
     for n in range(spec.count):
-        poly = MajoranaPolynomial.zero()
+        terms = {}
         for key in basis:
             # uniform on the complex unit disk
             radius = np.sqrt(rng.uniform())
             angle = 2 * np.pi * rng.uniform()
-            coeff = complex(radius * np.cos(angle), radius * np.sin(angle))
-            poly = poly + MajoranaPolynomial.monomial(key, coeff)
-        out.append((f"r{tag}:{n:04d}", poly))
+            terms[key] = complex(radius * np.cos(angle), radius * np.sin(angle))
+        out.append((f"r{tag}:{n:04d}", MajoranaPolynomial(terms)))
     return out
 
 
@@ -148,11 +154,18 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float,
              specs=None, tol: float = DEFAULT_RP_TOL,
              spectrum: Spectrum | None = None, name: str = "rp",
              seed: int = 0) -> CheckReport:
-    """Sample Tr(A theta(A) e^{-beta H})/Z over A in the Lambda_minus algebra.
+    """Tr(A theta(A) e^{-beta H})/Z over A in the Lambda_minus algebra.
 
-    Pass iff the minimum real part stays above -tol and every imaginary
-    part stays within tol.  The worst sample is serialized in canonical
-    text, so a failure is a standalone regression case.
+    One Gram matrix G over the monomials of all samples gives every
+    sample's value as y^dagger G y (y = conj of its coefficients).  Pass
+    iff the minimum real part stays above -tol, every imaginary part
+    stays within tol, and lambda_min(G) >= -tol, so the whole span is
+    certified.  A failing sample is the witness; if only G fails, the
+    witness is its lowest eigenvector, keyed "g:min".  The reported
+    witness is recomputed through `rp_functional`, and a disagreement
+    beyond round-off (GRAM_AGREEMENT_TOL, independent of tol) raises
+    SpectralError.  Witnesses are serialized in canonical text, so a
+    failure is a standalone regression case.
     """
     t0 = time.perf_counter()
     if specs is None:
@@ -168,15 +181,34 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float,
         samples.extend(rp_sample_polynomials(sp, r.left, tag=str(k) if k else ""))
     samples.sort(key=lambda kv: kv[0])
 
-    values = []
-    for key, a in samples:
-        val = rp_functional(a, r, spectrum, beta)
-        values.append((key, a, val))
+    keys = sorted({key for _, a in samples for key in a.terms()})
+    column = {key: j for j, key in enumerate(keys)}
+    coeffs = np.zeros((len(samples), len(keys)), dtype=np.complex128)
+    for s, (_, a) in enumerate(samples):
+        for key, c in a.terms().items():
+            coeffs[s, column[key]] = _to_complex(c)
+    gram = rp_gram(keys, r, spectrum, beta)
+    # F(A) = sum_ij a_i G_ij conj(a_j) = y^dagger G y with y = conj(a)
+    sample_values = ((coeffs @ gram) * coeffs.conj()).sum(axis=1)
+    values = [(key, a, complex(v)) for (key, a), v in zip(samples, sample_values)]
 
     min_re = min(values, key=lambda kav: kav[2].real)
     max_im = max(values, key=lambda kav: abs(kav[2].imag))
     ok = min_re[2].real >= -tol and abs(max_im[2].imag) <= tol
     worst = min_re if (min_re[2].real < -tol or abs(max_im[2].imag) <= tol) else max_im
+    if ok and keys:
+        lams, vecs = np.linalg.eigh(gram)
+        if lams[0] < -tol:
+            ok = False
+            g_min = MajoranaPolynomial(
+                {key: complex(c) for key, c in zip(keys, vecs[:, 0].conj())})
+            worst = ("g:min", g_min, complex(lams[0]))
+    recheck = rp_functional(worst[1], r, spectrum, beta)
+    if abs(recheck - worst[2]) > GRAM_AGREEMENT_TOL * (1 + abs(recheck)):
+        raise SpectralError(
+            f"{name}: Gram value {worst[2]!r} of {worst[0]} disagrees with "
+            f"the symbolic route {recheck!r}"
+        )
     seeds = [sp.seed for sp in specs if sp.mode == "random-polynomials"]
     return CheckReport(
         check=name,

@@ -8,6 +8,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from vortexcert.cli import (
@@ -17,7 +18,6 @@ from vortexcert.cli import (
     build_parser,
     main,
     resolve_config,
-    thread_budget,
 )
 
 E0_DIAMOND_01 = -4.010037405062517
@@ -102,19 +102,6 @@ def test_usage_and_config_errors_exit_2(tmp_path, capsys):
     assert main(["certify", "--config", str(conf)]) == 2
     # a non-bisecting half-integer plane is a config-level mistake
     assert main(["certify", "--plane-coord", "0.5"] + FAST) == 2
-
-
-def test_thread_budget_env(monkeypatch):
-    monkeypatch.setenv("VORTEXCERT_THREADS", "3")
-    assert thread_budget() == 3
-    monkeypatch.setenv("VORTEXCERT_THREADS", "many")
-    with pytest.raises(ConfigError):
-        thread_budget()
-    monkeypatch.setenv("VORTEXCERT_THREADS", "0")
-    with pytest.raises(ConfigError):
-        thread_budget()
-    monkeypatch.delenv("VORTEXCERT_THREADS")
-    assert thread_budget() >= 1
 
 
 def test_lattice_command_payload(tmp_path):
@@ -218,6 +205,26 @@ def test_spectrum_cache_round_trip(tmp_path):
     assert code == 0
     assert second["source"] == "cache"
     assert second["eigenvalues"] == first["eigenvalues"]
+
+
+def test_spectrum_cache_rejects_truncated_file(tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["spectrum", "--cache.dir", str(cache)]
+    code, first = _run_json(tmp_path, argv, "s1.json")
+    assert code == 0
+    path = cache / f"{first['cache_key']}.f8"
+    full = path.read_bytes()
+    # a write cut short, a non-finite value, values out of order
+    for damaged in (full[: len(full) // 2],
+                    full[:-8] + np.array([np.nan], "<f8").tobytes(),
+                    np.frombuffer(full, "<f8")[::-1].tobytes()):
+        path.write_bytes(damaged)
+        code, again = _run_json(tmp_path, argv, "s2.json")
+        assert code == 0
+        assert again["source"] == "dense"
+        assert again["eigenvalues"] == first["eigenvalues"]
+        assert path.read_bytes() == full  # the miss rewrote the file
+    assert list(cache.iterdir()) == [path]  # no temporary file left over
 
 
 def test_vortex_map_command(tmp_path):

@@ -9,7 +9,6 @@ from vortexcert.fock import (
     DENSE_DIM_CAP,
     SparseOperator,
     apply_polynomial,
-    generator_matrix,
     monomial_action,
     to_matrix,
 )
@@ -20,7 +19,7 @@ from conftest import oracle_majorana, oracle_matrix
 @pytest.mark.parametrize("n_modes", [1, 2, 3])
 def test_generators_match_oracle(n_modes):
     for i in range(2 * n_modes):
-        got = generator_matrix(i, n_modes).to_dense()
+        got = to_matrix(MajoranaPolynomial.generator(i), n_modes).to_dense()
         want = oracle_majorana(i, n_modes)
         np.testing.assert_allclose(got, want, atol=0)
 
@@ -29,7 +28,8 @@ def test_generator_algebra_at_matrix_level():
     n_modes = 3
     dim = 1 << n_modes
     eye = np.eye(dim)
-    mats = [generator_matrix(i, n_modes).to_dense() for i in range(2 * n_modes)]
+    mats = [to_matrix(MajoranaPolynomial.generator(i), n_modes).to_dense()
+            for i in range(2 * n_modes)]
     for i, mi in enumerate(mats):
         np.testing.assert_allclose(mi, mi.conj().T, atol=0)
         np.testing.assert_allclose(mi @ mi, eye, atol=0)
@@ -94,31 +94,6 @@ def test_hermiticity_defect():
     assert h.hermiticity_defect() == 0.0
     skew = to_matrix(MajoranaPolynomial.monomial((0, 1), EXACT_ONE), 1)
     assert skew.hermiticity_defect() > 1.0
-
-
-def test_dump_load_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    p = _random_poly(rng, 6)
-    op = to_matrix(p, 3)
-    path = tmp_path / "op.bin"
-    op.dump(path)
-    back = SparseOperator.load(path)
-    assert back.n_modes == op.n_modes
-    np.testing.assert_allclose(back.to_dense(), op.to_dense(), atol=0)
-
-
-def test_dump_is_byte_deterministic(tmp_path):
-    rng = np.random.default_rng(5)
-    p = _random_poly(rng, 6)
-    op = to_matrix(p, 3)
-    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-    op.dump(a)
-    op.dump(b)
-    assert a.read_bytes() == b.read_bytes()
-    # header is three little-endian int64s: dim, nnz, format version
-    import struct
-    dim, nnz, version = struct.unpack("<3q", a.read_bytes()[:24])
-    assert dim == 8 and nnz == op.nnz and version == 1
 
 
 def _random_poly(rng, n_indices, n_terms=6):

@@ -9,7 +9,6 @@ from vortexcert.lattice import (
     ReflectionError,
     build_lattice,
     diamond_lattice,
-    enumerate_octagons,
     reflection_data,
 )
 
@@ -66,7 +65,6 @@ def test_open_region_octagon_needs_all_four_islands():
     # 2x2 full region has two islands and no octagon
     lat = build_lattice(2, 2, "open")
     assert lat.octagons == ()
-    assert enumerate_octagons(lat) == ()
 
 
 def test_majorana_ids_are_rank_packed():

@@ -10,7 +10,6 @@ from vortexcert.fock import to_matrix
 from vortexcert.lattice import build_lattice, reflection_data
 from vortexcert.model import (
     ModelError,
-    ModelParams,
     bond_term,
     build_hamiltonian,
     island_term,
@@ -22,15 +21,6 @@ from vortexcert.model import (
 )
 
 from conftest import oracle_matrix
-
-
-def test_model_params_validation():
-    p = ModelParams(lam=0.2, beta=10.0)
-    assert p.to_json_dict() == {"lambda": 0.2, "beta": 10.0}
-    with pytest.raises(ModelError):
-        ModelParams(lam=float("nan"))
-    with pytest.raises(ModelError):
-        ModelParams(beta=-1.0)
 
 
 def test_island_term_is_pinned_quartic(diamond):

@@ -1,5 +1,8 @@
 """Spectra, ground spaces, the Lanczos path, and thermal functionals."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -164,6 +167,18 @@ def test_cache_key_and_eigenvalue_files(tmp_path):
     vals = np.array([-4.0, -3.5, 0.25])
     path = tmp_path / "eigs.f8"
     save_eigenvalues(path, vals)
-    np.testing.assert_array_equal(load_eigenvalues(path), vals)
+    np.testing.assert_array_equal(load_eigenvalues(path, len(vals)), vals)
     # on-disk format is raw little-endian float64
     assert path.read_bytes() == vals.astype("<f8").tobytes()
+
+
+def test_eigenvalue_file_has_the_umask_default_mode(tmp_path):
+    # as a direct write would: a cache dir shared between users stays readable
+    path = tmp_path / "eigs.f8"
+    old = os.umask(0o022)
+    try:
+        save_eigenvalues(path, np.array([-1.0, 1.0]))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["eigs.f8"]

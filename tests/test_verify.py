@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from vortexcert.clifford import MajoranaPolynomial
+from vortexcert.clifford import MajoranaPolynomial, _to_complex
 from vortexcert.fock import to_matrix
 from vortexcert.model import build_hamiltonian, vortex_operator
-from vortexcert.spectral import dense_spectrum, ground_space
+from vortexcert.spectral import (
+    SpectralError,
+    dense_spectrum,
+    ground_space,
+    rp_functional,
+    rp_gram,
+)
 from vortexcert.verify import (
     CheckReport,
     RPSampleSpec,
@@ -117,6 +123,78 @@ def test_check_rp_fail_is_reported_not_raised(diamond, diamond_mirror,
                    spectrum=diamond_spectra[0.1], tol=-2.0)
     assert rep.verdict == "fail"
     assert rep.worst["witness"].startswith("m: ")
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1e-18])
+def test_check_rp_strict_tolerance_gives_a_report(diamond, diamond_mirror,
+                                                  diamond_spectra, tol):
+    # round-off between the Gram and symbolic routes is no verdict: a
+    # strict tolerance still yields a report, never a SpectralError
+    spec = RPSampleSpec(mode="exhaustive-monomials", max_degree=2)
+    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, specs=spec,
+                   spectrum=diamond_spectra[0.1], tol=tol)
+    assert rep.verdict in ("pass", "fail")
+    assert rep.worst["value_re"] >= -1e-12  # RP holds up to round-off
+
+
+def test_check_rp_cross_check_ignores_a_loose_tolerance(
+        diamond, diamond_mirror, diamond_spectra, monkeypatch):
+    # a disagreement between the routes is caught whatever the verdict tol
+    import vortexcert.verify as verify
+
+    def off_by_a_micro(*args):
+        return rp_functional(*args) + 1e-6
+
+    monkeypatch.setattr(verify, "rp_functional", off_by_a_micro)
+    spec = RPSampleSpec(mode="exhaustive-monomials", max_degree=2)
+    with pytest.raises(SpectralError, match="disagrees"):
+        check_rp(diamond, diamond_mirror, 0.1, 1.0, specs=spec,
+                 spectrum=diamond_spectra[0.1], tol=1.0)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_rp_gram_matches_rp_functional(diamond, diamond_mirror, parity):
+    exhaustive = rp_sample_polynomials(
+        RPSampleSpec(mode="exhaustive-monomials", max_degree=4, parity=parity),
+        diamond_mirror.left)
+    random_ = rp_sample_polynomials(
+        RPSampleSpec(mode="random-polynomials", max_degree=2, count=3, seed=4,
+                     parity=parity),
+        diamond_mirror.left)
+    keys = [next(iter(a.terms())) for _, a in exhaustive]
+    column = {key: j for j, key in enumerate(keys)}
+    for lam in (0, 0.1, 0.5):
+        spec = dense_spectrum(to_matrix(build_hamiltonian(diamond, lam),
+                                        diamond.n_modes))
+        for beta in (0.5, 5):
+            g = rp_gram(keys, diamond_mirror, spec, beta)
+            assert np.abs(g - g.conj().T).max() <= 1e-12
+            for _, a in exhaustive + random_:
+                y = np.zeros(len(keys), dtype=complex)
+                for key, c in a.terms().items():
+                    y[column[key]] = np.conj(_to_complex(c))
+                want = rp_functional(a, diamond_mirror, spec, beta)
+                assert abs(np.vdot(y, g @ y) - want) <= 1e-12
+
+
+def test_check_rp_gram_failure_beyond_the_samples(diamond, diamond_mirror):
+    # -H is reflection symmetric but not reflection positive; at this
+    # tolerance every monomial sample passes and only G exposes it
+    spec = dense_spectrum(to_matrix(-build_hamiltonian(diamond, 0.5),
+                                    diamond.n_modes))
+    exhaustive = RPSampleSpec(mode="exhaustive-monomials", max_degree=4)
+    rep = check_rp(diamond, diamond_mirror, 0.5, 5.0, specs=exhaustive,
+                   spectrum=spec, tol=1.0)
+    keys = [next(iter(a.terms())) for _, a in
+            rp_sample_polynomials(exhaustive, diamond_mirror.left)]
+    g = rp_gram(keys, diamond_mirror, spec, 5.0)
+    sample_min = g.diagonal().real.min()  # monomial samples are unit vectors
+    lam_min = np.linalg.eigvalsh(g)[0]
+    assert sample_min >= -1.0 > lam_min
+    assert rep.verdict == "fail"
+    assert rep.worst["witness"].startswith("g:min A = ")
+    assert abs(rep.worst["value_re"] - lam_min) <= 1e-12
+    assert rep.worst["value_re"] < sample_min
 
 
 def test_topological_order_verdicts(diamond, diamond_spectra):
