@@ -17,6 +17,7 @@ import argparse
 import copy
 import csv
 import io
+import itertools
 import json
 import sys
 import time
@@ -360,7 +361,13 @@ def _ground(lat: IslandLattice, lam: float, cfg: dict):
     return gs, None
 
 
-def _octagon_checks(lat, refl, ground, cfg):
+def _loop_operators(lat, refl) -> dict:
+    """Each octagon's loop W as a matrix, keyed by centre in octagon order."""
+    return {o.center: to_matrix(vortex_operator(lat, o, refl).W, lat.n_modes)
+            for o in lat.octagons}
+
+
+def _octagon_checks(loops, ground, cfg):
     """Aggregate per-octagon order/positivity into one report each."""
     tol_topo = cfg["tolerances"]["topo"]
     tol_pos = cfg["tolerances"]["pos"]
@@ -368,17 +375,15 @@ def _octagon_checks(lat, refl, ground, cfg):
     pos_worst = None
     alphas = []
     results = []
-    for o in lat.octagons:
-        vl = vortex_operator(lat, o, refl)
-        w_op = to_matrix(vl.W, lat.n_modes)
+    for center, w_op in loops.items():
         topo = check_topological_order(ground, w_op, tol_topo)
         pos = check_ground_positivity(ground, w_op, tol_pos)
         alphas.append(topo.alpha)
-        results.append((o.center, topo, pos))
+        results.append((center, topo, pos))
         if topo_worst is None or topo.deviation > topo_worst[1].deviation:
-            topo_worst = (o.center, topo)
+            topo_worst = (center, topo)
         if pos_worst is None or pos.minimum < pos_worst[1].minimum:
-            pos_worst = (o.center, pos)
+            pos_worst = (center, pos)
     return results, topo_worst, pos_worst, alphas
 
 
@@ -417,10 +422,11 @@ def cmd_certify(cfg: dict) -> int:
 
     reports.append(check_conservation(lat, lam))
 
-    dense_ok = lat.n_modes <= DENSE_DIM_CAP.bit_length() - 1
-    spectrum = None
-    if dense_ok:
-        spectrum = dense_spectrum(to_matrix(build_hamiltonian(lat, lam), lat.n_modes))
+    t0 = time.perf_counter()
+    ground, spectrum = _ground(lat, lam, cfg)
+    timings["ground_space"] = 1e3 * (time.perf_counter() - t0)
+
+    if spectrum is not None:
         for name, parity in (("rp_even", "even"), ("rp_odd_observed", "odd")):
             reports.append(check_rp(lat, refl, lam, beta,
                                     specs=_rp_specs(cfg, parity),
@@ -435,14 +441,8 @@ def cmd_certify(cfg: dict) -> int:
                  "witness": f"dim {1 << lat.n_modes} exceeds dense cap"}, 0.0))
 
     t0 = time.perf_counter()
-    if spectrum is not None:
-        ground = ground_space(spectrum, gap_tol=cfg["tolerances"]["gap"])
-    else:
-        ground, _ = _ground(lat, lam, cfg)
-    timings["ground_space"] = 1e3 * (time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    results, topo_worst, pos_worst, alphas = _octagon_checks(lat, refl, ground, cfg)
+    loops = _loop_operators(lat, refl)
+    results, topo_worst, pos_worst, alphas = _octagon_checks(loops, ground, cfg)
     octagon_ms = 1e3 * (time.perf_counter() - t0)
 
     topo_pass = all(t.verdict == "pass" for _, t, _ in results)
@@ -471,7 +471,7 @@ def cmd_certify(cfg: dict) -> int:
         }, octagon_ms / 2))
 
     t0 = time.perf_counter()
-    vmap = vortex_map(lat, ground)
+    vmap = vortex_map(lat, ground, loops=loops)
     timings["vortex_map"] = 1e3 * (time.perf_counter() - t0)
     free = sum(1 for rec in vmap.values() if rec["classification"] == "vortex-free")
     reports.append(_report(
@@ -504,7 +504,7 @@ def cmd_certify(cfg: dict) -> int:
         "reports": [r.to_dict(include_timing=False) for r in reports],
         "vortex_map": {f"{x},{y}": rec for (x, y), rec in sorted(vmap.items())},
         "chain_violations": violations,
-        "sidecar": _sidecar(timings),
+        "sidecar": _sidecar(timings, ground),
     }
     _emit(cfg, bundle)
 
@@ -532,11 +532,17 @@ def _config_echo(cfg: dict) -> dict:
     return echo
 
 
-def _sidecar(timings: dict) -> dict:
-    return {
+def _sidecar(timings: dict, ground=None) -> dict:
+    out = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "timings_ms": {k: round(v, 3) for k, v in timings.items()},
     }
+    if ground is not None and ground.matvecs:
+        # solver diagnostics vary with BLAS round-off, so they stay here
+        out["lanczos"] = {"eigenvalues": list(ground.eigenvalues),
+                          "residuals": list(ground.residuals),
+                          "matvecs": ground.matvecs}
+    return out
 
 
 SWEEP_COLUMNS = ("lambda", "beta", "e0", "degeneracy", "min_rp",
@@ -561,51 +567,62 @@ def _beta_list(cfg: dict) -> list[float]:
     return [float(beta)]
 
 
-def _sweep_row(lat, refl, cfg, lam, beta) -> dict:
-    row = {"lambda": lam, "beta": beta, "e0": None, "degeneracy": None,
-           "min_rp": None, "alpha_min": None, "alpha_max": None,
-           "topo_deviation": None, "verdicts": ""}
-    verdicts = []
+def _sweep_rows(lat, refl, cfg, lam, betas) -> list[dict]:
+    """The rows of one lambda, in beta order.
+
+    The spectrum, ground space and octagon checks depend on lambda
+    alone, so they are computed once and shared by every beta; only RP
+    is evaluated per beta.  An error fails the rows it reaches.
+    """
+    errors = (SpectralError, ModelError, LatticeError)
+    rows = [{"lambda": lam, "beta": beta, "e0": None, "degeneracy": None,
+             "min_rp": None, "alpha_min": None, "alpha_max": None,
+             "topo_deviation": None, "verdicts": ""} for beta in betas]
     try:
-        dense_ok = lat.n_modes <= DENSE_DIM_CAP.bit_length() - 1
-        if dense_ok:
-            spectrum = dense_spectrum(to_matrix(build_hamiltonian(lat, lam),
-                                                lat.n_modes))
-            ground = ground_space(spectrum, gap_tol=cfg["tolerances"]["gap"])
-            rp = check_rp(lat, refl, lam, beta, specs=_rp_specs(cfg, "even"),
-                          tol=cfg["tolerances"]["rp"], spectrum=spectrum,
-                          name="rp_even", seed=cfg["seed"])
+        ground, spectrum = _ground(lat, lam, cfg)
+        results, topo_worst, _, alphas = _octagon_checks(
+            _loop_operators(lat, refl), ground, cfg)
+    except errors as e:
+        for row in rows:
+            row["verdicts"] = f"error:{e}"
+        return rows
+    shared = {"e0": ground.e0, "degeneracy": ground.n}
+    order_verdicts = []
+    if results:
+        shared.update(alpha_min=min(alphas), alpha_max=max(alphas),
+                      topo_deviation=topo_worst[1].deviation)
+        topo_pass = all(t.verdict == "pass" for _, t, _ in results)
+        pos_pass = all(p.verdict == "pass" for _, _, p in results)
+        order_verdicts = [f"topo:{'pass' if topo_pass else 'fail'}",
+                          f"pos:{'pass' if pos_pass else 'fail'}"]
+    for row in rows:
+        rp_verdict = "rp:skipped"
+        if spectrum is not None:
+            try:
+                rp = check_rp(lat, refl, lam, row["beta"],
+                              specs=_rp_specs(cfg, "even"),
+                              tol=cfg["tolerances"]["rp"], spectrum=spectrum,
+                              name="rp_even", seed=cfg["seed"])
+            except errors as e:
+                row["verdicts"] = f"error:{e}"
+                continue
             row["min_rp"] = rp.worst["value_re"]
-            verdicts.append(f"rp:{rp.verdict}")
-        else:
-            ground, _ = _ground(lat, lam, cfg)
-            verdicts.append("rp:skipped")
-        row["e0"] = ground.e0
-        row["degeneracy"] = ground.n
-        results, topo_worst, pos_worst, alphas = _octagon_checks(
-            lat, refl, ground, cfg)
-        if results:
-            row["alpha_min"] = min(alphas)
-            row["alpha_max"] = max(alphas)
-            row["topo_deviation"] = topo_worst[1].deviation
-            topo_pass = all(t.verdict == "pass" for _, t, _ in results)
-            pos_pass = all(p.verdict == "pass" for _, _, p in results)
-            verdicts.append(f"topo:{'pass' if topo_pass else 'fail'}")
-            verdicts.append(f"pos:{'pass' if pos_pass else 'fail'}")
-        row["verdicts"] = ";".join(verdicts)
-    except (SpectralError, ModelError, LatticeError) as e:
-        row["verdicts"] = f"error:{e}"
-    return row
+            rp_verdict = f"rp:{rp.verdict}"
+        row.update(shared)
+        row["verdicts"] = ";".join([rp_verdict, *order_verdicts])
+    return rows
 
 
 def cmd_sweep(cfg: dict) -> int:
     lat = _build_lattice(cfg)
     refl = reflection_data(lat, cfg["plane"]["axis"], cfg["plane"]["coordinate"])
-    grid = [(lam, beta) for lam in _lambda_grid(cfg) for beta in _beta_list(cfg)]
-    if not grid:
-        raise ConfigError("lambda/beta: empty sweep grid")
-    grid.sort()
-    rows = [_sweep_row(lat, refl, cfg, lam, beta) for lam, beta in grid]
+    # rows in (lambda, beta) order; a lambda the grid repeats (from ==
+    # to) gets each of its beta rows that many times, next to each other
+    betas = _beta_list(cfg)
+    rows = []
+    for lam, same in itertools.groupby(sorted(_lambda_grid(cfg))):
+        rows += _sweep_rows(lat, refl, cfg, lam,
+                            sorted(betas * len(list(same))))
 
     if cfg["output"]["format"] == "csv":
         _emit_text(cfg, _rows_to_csv(rows))
@@ -661,7 +678,7 @@ def cmd_spectrum(cfg: dict) -> int:
             gs = lanczos_ground(op, k=sol["k"], seed=cfg["seed"],
                                 gap_tol=cfg["tolerances"]["gap"],
                                 window=sol["window"])
-            values = np.array([gs.e0] * gs.n)
+            values = np.array(gs.eigenvalues[:gs.n])
             source = "lanczos"
     payload = {
         "tool": "vortexcert",
@@ -690,7 +707,7 @@ def cmd_vortex_map(cfg: dict) -> int:
         "config": _config_echo(cfg),
         "ground": {"e0": ground.e0, "degeneracy": ground.n},
         "octagons": {f"{x},{y}": rec for (x, y), rec in sorted(vmap.items())},
-        "sidecar": _sidecar({}),
+        "sidecar": _sidecar({}, ground),
     }
     _emit(cfg, payload)
     return 0

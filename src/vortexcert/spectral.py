@@ -2,9 +2,14 @@
 
 Dense eigendecomposition is used up to DENSE_DIM_CAP; above that a
 restarted, fully reorthogonalized Lanczos iteration with sequential
-deflation finds the low end of the spectrum.  Ground-space bases are
-made deterministic by re-orthogonalizing coordinate projections in a
-fixed pivot order, so reports do not depend on eigensolver gauge.
+deflation finds the low end of the spectrum.  Its Krylov basis and the
+deflated vectors are stored row-major, one vector per row, so every
+Gram-Schmidt pass is a pair of contiguous matrix-vector products that
+conjugate only the new vector, never the basis.  The Lanczos ground
+space carries its diagnostics: the eigenvalues found, the residual of
+each vector and the matrix-vector products spent.  Ground-space bases
+are made deterministic by re-orthogonalizing coordinate projections in
+a fixed pivot order, so reports do not depend on eigensolver gauge.
 
 Thermal quantities always shift energies by E0 before exponentiating;
 beta can then be large without overflow.
@@ -68,6 +73,12 @@ class GroundSpace:
     e0: float
     basis: np.ndarray  # dim x N orthonormal columns, deterministic gauge
     gap_tol: float
+    # Lanczos diagnostics, empty on the dense route: the k eigenvalues
+    # found (ascending; the cluster is the first n), the residual of each
+    # one's vector and the matrix-vector products spent
+    eigenvalues: tuple[float, ...] = ()
+    residuals: tuple[float, ...] = ()
+    matvecs: int = 0
 
     @property
     def n(self) -> int:
@@ -157,41 +168,54 @@ def ground_space(op, gap_tol: float | None = None) -> GroundSpace:
 # ---------------------------------------------------------------------------
 # Lanczos beyond the dense cap
 
+def _project_out(basis, w):
+    """One classical Gram-Schmidt pass of w against the rows of `basis`.
+
+    Subtracts in place and returns the coefficients <b_i, w>.  Only w is
+    conjugated, so both products are contiguous gemv calls on the
+    row-major basis.
+    """
+    h = (basis @ w.conj()).conj()
+    w -= h @ basis
+    return h
+
+
 def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
-    """One converged lowest eigenpair, orthogonal to `deflate` columns.
+    """One converged lowest eigenpair, orthogonal to the `deflate` vectors.
 
     Thick-restart Lanczos with full reorthogonalization: the small
     projected matrix is accumulated exactly (Rayleigh-Ritz), restarts
     keep the lowest Ritz vectors plus the running residual direction.
+    The Krylov basis is stored row-major, q[j] being the j-th vector.
+    Returns (eigenvalue, vector, residual, matvecs used); the residual
+    is the true ||H y - E y||, except when the Krylov space is exhausted,
+    where it is the Lanczos estimate.
     """
     window = max(8, min(window, dim))
     keep = min(10, window - 2)
-    d = np.column_stack(deflate) if deflate else None
+    d = np.vstack(deflate) if deflate else None
 
     def dproj(w):
         if d is not None:
-            w -= d @ (d.conj().T @ w)
-            w -= d @ (d.conj().T @ w)
+            _project_out(d, w)
+            _project_out(d, w)
         return w
 
-    q = np.empty((dim, window), dtype=np.complex128)
+    q = np.empty((window, dim), dtype=np.complex128)
     t = np.zeros((window, window), dtype=np.complex128)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v = dproj(v)
-    q[:, 0] = v / np.linalg.norm(v)
+    q[0] = v / np.linalg.norm(v)
     j = 1
     matvecs = 0
     best_res = np.inf
 
     while matvecs < max_matvecs:
-        w = apply(q[:, j - 1])
+        w = apply(q[j - 1])
         matvecs += 1
         w = dproj(w)
-        h = q[:, :j].conj().T @ w
-        w = w - q[:, :j] @ h
-        h2 = q[:, :j].conj().T @ w
-        w = w - q[:, :j] @ h2
-        h += h2
+        h = _project_out(q[:j], w)
+        h += _project_out(q[:j], w)
         t[: j, j - 1] = h
         t[j - 1, : j] = h.conj()
         beta = np.linalg.norm(w)
@@ -201,7 +225,7 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
         best_res = min(best_res, res)
         if res <= conv_tol * max(1.0, abs(theta[0])):
             # estimate says converged; accept only if the true residual agrees
-            y = q[:, :j] @ s[:, 0]
+            y = s[:, 0] @ q[:j]
             y = dproj(y)
             y /= np.linalg.norm(y)
             hy = apply(y)
@@ -216,30 +240,29 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
             # vanish exactly, so leaving t untouched is correct)
             v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             v = dproj(v)
-            v -= q[:, :j] @ (q[:, :j].conj().T @ v)
+            _project_out(q[:j], v)
             nrm = np.linalg.norm(v)
             if nrm < 1e-10 or j >= window:
                 # nothing left to explore at this dimension
-                y = q[:, :j] @ s[:, 0]
+                y = s[:, 0] @ q[:j]
                 val = float(theta[0])
-                return val, y, res, matvecs
-            q[:, j] = v / nrm
+                return val, y, float(res), matvecs
+            q[j] = v / nrm
             j += 1
             continue
 
         if j == window:
             # thick restart: lowest `keep` Ritz pairs plus the residual
-            y = q[:, :j] @ s[:, :keep]
-            q[:, :keep] = y
+            q[:keep] = s[:, :keep].T @ q[:j]
             t[:, :] = 0
             t[np.arange(keep), np.arange(keep)] = theta[:keep]
             arrow = beta * s[j - 1, :keep]
             t[keep, :keep] = arrow
             t[:keep, keep] = arrow.conj()
-            q[:, keep] = w / beta
+            q[keep] = w / beta
             j = keep + 1
         else:
-            q[:, j] = w / beta
+            q[j] = w / beta
             j += 1
 
     raise ConvergenceError(
@@ -255,20 +278,24 @@ def lanczos_ground(op: SparseOperator, k: int = 3, seed: int = 0,
     Finds the k lowest eigenpairs one at a time, deflating each
     converged vector, then clusters exactly as ground_space does.  If
     every found eigenvalue fits inside the cluster the degeneracy may
-    exceed k, so that is an error: request a larger k.
+    exceed k, so that is an error: request a larger k.  The k
+    eigenvalues, their residuals and the products spent are returned on
+    the GroundSpace.
     """
     if k < 1 or k > op.dim:
         raise ValueError(f"k must be in 1..{op.dim}")
     rng = np.random.default_rng(seed)
     vals: list[float] = []
     vecs: list[np.ndarray] = []
+    res: list[float] = []
     budget = max_matvecs
     for _ in range(k):
-        val, vec, _res, used = _lowest_eigenpair(
+        val, vec, r, used = _lowest_eigenpair(
             op.apply, op.dim, rng, vecs, conv_tol, budget, window)
         budget -= used
         vals.append(val)
         vecs.append(vec)
+        res.append(r)
     order = np.argsort(vals)
     values = np.array([vals[i] for i in order])
     columns = [vecs[i] for i in order]
@@ -282,7 +309,10 @@ def lanczos_ground(op: SparseOperator, k: int = 3, seed: int = 0,
             f"may be larger, request k > {k}"
         )
     basis = canonical_subspace_basis(np.column_stack(columns[:n]))
-    return GroundSpace(e0=e0, basis=basis, gap_tol=gap_tol)
+    return GroundSpace(e0=e0, basis=basis, gap_tol=gap_tol,
+                       eigenvalues=tuple(float(v) for v in values),
+                       residuals=tuple(res[i] for i in order),
+                       matvecs=max_matvecs - budget)
 
 
 # ---------------------------------------------------------------------------

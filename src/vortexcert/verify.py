@@ -272,11 +272,18 @@ def check_ground_positivity(ground: GroundSpace, w_a: SparseOperator,
 
 
 def vortex_map(lat: IslandLattice, ground: GroundSpace,
-               tol: float = DEFAULT_CLASS_TOL) -> dict:
-    """Classify every octagon by its ground-space vortex expectation."""
+               tol: float = DEFAULT_CLASS_TOL, loops: dict | None = None) -> dict:
+    """Classify every octagon by its ground-space vortex expectation.
+
+    `loops` maps octagon centres to their loop matrices W, for a caller
+    that has built them already; missing, each W is built here.
+    """
     out = {}
     for o in lat.octagons:
-        w = to_matrix(vortex_operator(lat, o).W, lat.n_modes)
+        if loops is not None:
+            w = loops[o.center]
+        else:
+            w = to_matrix(vortex_operator(lat, o).W, lat.n_modes)
         ov = w.matrix @ ground.basis
         diag = np.einsum("ij,ij->j", ground.basis.conj(), ov)
         alpha = float(diag.real.mean())

@@ -7,10 +7,16 @@ tests read files instead of scraping stdout.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vortexcert
+from vortexcert import cli
 from vortexcert.cli import (
     ASSERTED_CHECKS,
     ConfigError,
@@ -19,6 +25,9 @@ from vortexcert.cli import (
     main,
     resolve_config,
 )
+from vortexcert.fock import to_matrix
+from vortexcert.model import build_hamiltonian
+from vortexcert.spectral import dense_spectrum
 
 E0_DIAMOND_01 = -4.010037405062517
 
@@ -225,6 +234,40 @@ def test_spectrum_cache_rejects_truncated_file(tmp_path):
         assert again["eigenvalues"] == first["eigenvalues"]
         assert path.read_bytes() == full  # the miss rewrote the file
     assert list(cache.iterdir()) == [path]  # no temporary file left over
+
+
+def test_lanczos_route_reports_cluster_values_and_diagnostics(
+        tmp_path, monkeypatch, diamond):
+    dense = dense_spectrum(to_matrix(build_hamiltonian(diamond, 0.1),
+                                     diamond.n_modes)).eigenvalues
+    # a lowered dense cap sends the diamond (dim 256) through Lanczos
+    monkeypatch.setattr(cli, "DENSE_DIM_CAP", 128)
+    code, spec = _run_json(tmp_path, ["spectrum", "--solver.k", "9"], "s.json")
+    assert code == 0
+    assert spec["source"] == "lanczos"
+    assert spec["count"] == 8
+    np.testing.assert_allclose(spec["eigenvalues"], dense[:8], rtol=0, atol=1e-9)
+
+    code, bundle = _run_json(tmp_path, ["certify", "--solver.k", "9"] + FAST,
+                             "c.json")
+    assert code == 0
+    assert bundle["ground"]["degeneracy"] == 8
+    lz = bundle["sidecar"]["lanczos"]
+    assert len(lz["eigenvalues"]) == len(lz["residuals"]) == 9
+    assert lz["eigenvalues"][:8] == spec["eigenvalues"]
+    assert max(lz["residuals"]) <= 1e-7 * max(1.0, abs(bundle["ground"]["e0"]))
+    assert lz["matvecs"] > 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(vortexcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-m", "vortexcert", "--version"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == vortexcert.__version__
 
 
 def test_vortex_map_command(tmp_path):

@@ -115,6 +115,39 @@ def test_lanczos_matches_dense_on_diamond(diamond):
     assert angles.max() <= 1e-6
 
 
+# window 16 forces thick restarts on the diamond; 64 converges without
+@pytest.mark.parametrize("window", [64, 16])
+def test_lanczos_eigenvalues_and_residuals_match_dense(diamond, window):
+    op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
+    dense = dense_spectrum(op).eigenvalues
+    k, conv_tol = 9, 1e-9
+    lz = lanczos_ground(op, k=k, seed=0, conv_tol=conv_tol, window=window)
+    np.testing.assert_allclose(lz.eigenvalues, dense[:k], rtol=0, atol=1e-9)
+    assert len(lz.residuals) == k
+    for e, r in zip(lz.eigenvalues, lz.residuals):
+        assert r <= 100 * conv_tol * max(1.0, abs(e))
+    assert lz.matvecs > 0
+    # the dense route has no solver diagnostics
+    gs = ground_space(op)
+    assert gs.eigenvalues == () and gs.residuals == () and gs.matvecs == 0
+
+
+def test_lanczos_degenerate_pair_through_the_invariant_subspace_branch():
+    # three distinct levels: every Krylov space closes after three
+    # vectors, and with conv_tol = 0 no Ritz estimate is ever accepted,
+    # so each pair needs fresh directions injected at beta < 1e-13 until
+    # the 16-dim space (less the deflated vectors) is spanned
+    values = [-1.0, -1.0] + [0.0] * 7 + [1.0] * 7
+    gs = lanczos_ground(_diag_op(values), k=3, seed=0, conv_tol=0.0)
+    assert gs.n == 2
+    assert abs(gs.e0 + 1.0) <= 1e-12
+    np.testing.assert_allclose(gs.eigenvalues, [-1.0, -1.0, 0.0], atol=1e-12)
+    assert max(gs.residuals) <= 1e-12
+    cluster = np.zeros((16, 2))
+    cluster[0, 0] = cluster[1, 1] = 1.0
+    assert scipy.linalg.subspace_angles(gs.basis, cluster).max() <= 1e-8
+
+
 def test_lanczos_insufficient_k_raises(diamond):
     op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
     with pytest.raises(ConvergenceError):
