@@ -504,7 +504,7 @@ def cmd_certify(cfg: dict) -> int:
         "reports": [r.to_dict(include_timing=False) for r in reports],
         "vortex_map": {f"{x},{y}": rec for (x, y), rec in sorted(vmap.items())},
         "chain_violations": violations,
-        "sidecar": _sidecar(timings, ground),
+        "sidecar": _sidecar(timings, ground, reports),
     }
     _emit(cfg, bundle)
 
@@ -532,16 +532,19 @@ def _config_echo(cfg: dict) -> dict:
     return echo
 
 
-def _sidecar(timings: dict, ground=None) -> dict:
+def _sidecar(timings: dict, ground=None, reports=()) -> dict:
     out = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "timings_ms": {k: round(v, 3) for k, v in timings.items()},
     }
+    # solver diagnostics vary with BLAS round-off, so they stay here
     if ground is not None and ground.matvecs:
-        # solver diagnostics vary with BLAS round-off, so they stay here
         out["lanczos"] = {"eigenvalues": list(ground.eigenvalues),
                           "residuals": list(ground.residuals),
                           "matvecs": ground.matvecs}
+    rp = {r.check: r.sidecar for r in reports if r.sidecar is not None}
+    if rp:
+        out["rp"] = rp
     return out
 
 

@@ -57,6 +57,11 @@ class Octagon(NamedTuple):
     ring: dict  # role -> island coordinate, roles west/south/east/north
     octet: tuple[int, ...]  # Majorana ids in circuit order
 
+    def __hash__(self):
+        # the ring is a dict; hash its items so equal octagons, and so
+        # equal lattices, hash equal
+        return hash((self.center, tuple(sorted(self.ring.items())), self.octet))
+
 
 @dataclass(frozen=True)
 class IslandLattice:

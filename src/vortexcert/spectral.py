@@ -25,7 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .clifford import MajoranaPolynomial, multiply, reflect
+# multiply is imported for the benchmark tracer (bench/tracing.py), which
+# wraps it at this name
+from .clifford import MajoranaPolynomial, multiply, reflect  # noqa: F401
 from .fock import _PHASES, DENSE_DIM_CAP, SparseOperator, monomial_action, to_matrix
 from .lattice import ReflectionData
 
@@ -187,9 +189,9 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
     projected matrix is accumulated exactly (Rayleigh-Ritz), restarts
     keep the lowest Ritz vectors plus the running residual direction.
     The Krylov basis is stored row-major, q[j] being the j-th vector.
-    Returns (eigenvalue, vector, residual, matvecs used); the residual
-    is the true ||H y - E y||, except when the Krylov space is exhausted,
-    where it is the Lanczos estimate.
+    Returns (eigenvalue, vector, residual, matvecs used); the vector is
+    projected against the deflated ones and normalized, the eigenvalue
+    is its Rayleigh quotient and the residual the true ||H y - E y||.
     """
     window = max(8, min(window, dim))
     keep = min(10, window - 2)
@@ -200,6 +202,14 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
             _project_out(d, w)
             _project_out(d, w)
         return w
+
+    def rayleigh(y):
+        # one product: (Rayleigh quotient, unit vector, true residual)
+        y = dproj(y)
+        y /= np.linalg.norm(y)
+        hy = apply(y)
+        val = float(np.vdot(y, hy).real)
+        return val, y, float(np.linalg.norm(hy - val * y))
 
     q = np.empty((window, dim), dtype=np.complex128)
     t = np.zeros((window, window), dtype=np.complex128)
@@ -225,13 +235,8 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
         best_res = min(best_res, res)
         if res <= conv_tol * max(1.0, abs(theta[0])):
             # estimate says converged; accept only if the true residual agrees
-            y = s[:, 0] @ q[:j]
-            y = dproj(y)
-            y /= np.linalg.norm(y)
-            hy = apply(y)
+            val, y, true_res = rayleigh(s[:, 0] @ q[:j])
             matvecs += 1
-            val = float(np.vdot(y, hy).real)
-            true_res = float(np.linalg.norm(hy - val * y))
             if true_res <= 100 * conv_tol * max(1.0, abs(val)):
                 return val, y, true_res, matvecs
 
@@ -244,9 +249,8 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
             nrm = np.linalg.norm(v)
             if nrm < 1e-10 or j >= window:
                 # nothing left to explore at this dimension
-                y = s[:, 0] @ q[:j]
-                val = float(theta[0])
-                return val, y, float(res), matvecs
+                val, y, true_res = rayleigh(s[:, 0] @ q[:j])
+                return val, y, true_res, matvecs + 1
             q[j] = v / nrm
             j += 1
             continue
@@ -256,9 +260,8 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
             q[:keep] = s[:, :keep].T @ q[:j]
             t[:, :] = 0
             t[np.arange(keep), np.arange(keep)] = theta[:keep]
-            arrow = beta * s[j - 1, :keep]
-            t[keep, :keep] = arrow
-            t[:keep, keep] = arrow.conj()
+            # the couplings of q[keep] to the kept vectors are filled in by
+            # the next step's full reorthogonalization, before eigh reads t
             q[keep] = w / beta
             j = keep + 1
         else:
@@ -353,12 +356,20 @@ def rp_functional(a: MajoranaPolynomial, r: ReflectionData, h, beta: float) -> c
     A must be supported on Lambda_minus; the theorem under test says the
     real part is >= 0, and the imaginary part is returned for the caller
     to report rather than assumed to vanish.
+
+    theta(A) is formed symbolically (antilinear relabelling), then A and
+    theta(A) are mapped to Fock matrices separately and multiplied there:
+    to_matrix is an algebra homomorphism, so this equals the matrix of the
+    symbolic product A theta(A) while costing 2 * len(A) monomial actions
+    instead of len(A)**2.  It goes through the symbolic reflect and the
+    Fock map, not through the per-entry gather of `rp_gram`, so it is the
+    second route that `check_rp` re-checks its witness on.
     """
     _check_left_support(a.support(), r)
     spec = _as_spectrum(h)
     n_modes = spec.dim.bit_length() - 1
-    w_a = multiply(a, reflect(a, r.sigma))
-    return thermal_expectation(to_matrix(w_a, n_modes), spec, beta)
+    w_a = to_matrix(a, n_modes).matrix @ to_matrix(reflect(a, r.sigma), n_modes).matrix
+    return thermal_expectation(SparseOperator(w_a, n_modes), spec, beta)
 
 
 def rp_gram(keys, r: ReflectionData, h, beta: float) -> np.ndarray:

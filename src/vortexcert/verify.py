@@ -10,13 +10,17 @@ witness) or a small result tuple the frontend wraps into one.
 
 Reflection positivity is decided on a Gram matrix.  The trial elements
 are exhaustive even monomials to degree 4 on Lambda_minus plus seeded
-random even polynomials with unit-disk coefficients; every sample is
+random even polynomials with unit-disk coefficients, held as one
+(samples x monomials) coefficient array: identity rows for the
+monomials, one RNG draw for all random samples.  Every sample is
 evaluated as y^dagger G y over the span of the samples' monomials, and
 the verdict also demands lambda_min(G) >= -tol, which certifies every
-element of that span, not just the samples.  Odd elements are measured
-in a separate report that is never asserted: the positivity literature
-is written for the even case and we refuse to hard-fail on a case left
-implicit.
+element of that span, not just the samples.  Only the reported witness
+becomes a polynomial again; its value is re-checked on a second route,
+the Fock matrices of A and theta(A) multiplied together.  Odd elements
+are measured in a separate report that is never asserted: the
+positivity literature is written for the even case and we refuse to
+hard-fail on a case left implicit.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .clifford import MajoranaPolynomial, _to_complex, commutator
+from .clifford import MajoranaPolynomial, commutator
 from .fock import SparseOperator, to_matrix
 from .lattice import IslandLattice, ReflectionData
 from .model import (
@@ -98,27 +102,39 @@ def _sample_witness(key: str, a) -> str:
     return f"{key} A = {text}"
 
 
+def _sample_rows(spec: RPSampleSpec, indices, tag: str = ""):
+    """Deterministic (labels, keys, coefficients) of one sample spec.
+
+    coefficients[s, j] is sample s's coefficient of monomial keys[j].
+    Exhaustive monomials are identity rows.  Random samples come from one
+    draw of shape (count, len(keys), 2), column 0 the radius draw and
+    column 1 the angle draw of a point uniform on the complex unit disk,
+    so the stream runs radius, angle per key, key by key, sample by
+    sample.
+    """
+    keys = list(_degree_basis(tuple(sorted(indices)), spec.max_degree, spec.parity))
+    if spec.mode == "exhaustive-monomials":
+        labels = ["m{}:{}".format(tag, ",".join(map(str, key))) for key in keys]
+        return labels, keys, np.eye(len(keys), dtype=np.complex128)
+    draws = np.random.default_rng(spec.seed).uniform(size=(spec.count, len(keys), 2))
+    radius = np.sqrt(draws[..., 0])
+    angle = 2 * np.pi * draws[..., 1]
+    coeffs = np.empty((spec.count, len(keys)), dtype=np.complex128)
+    coeffs.real = radius * np.cos(angle)
+    coeffs.imag = radius * np.sin(angle)
+    return [f"r{tag}:{n:04d}" for n in range(spec.count)], keys, coeffs
+
+
+def _polynomial(keys, row) -> MajoranaPolynomial:
+    """The polynomial sum_j row[j] * m_j; zero coefficients drop out."""
+    return MajoranaPolynomial({key: complex(c) for key, c in zip(keys, row)})
+
+
 def rp_sample_polynomials(spec: RPSampleSpec, indices,
                           tag: str = "") -> list[tuple[str, MajoranaPolynomial]]:
-    """Deterministic (key, A) list for one sample spec."""
-    indices = tuple(sorted(indices))
-    basis = list(_degree_basis(indices, spec.max_degree, spec.parity))
-    out = []
-    if spec.mode == "exhaustive-monomials":
-        for key in basis:
-            label = "m{}:{}".format(tag, ",".join(map(str, key)))
-            out.append((label, MajoranaPolynomial.monomial(key, 1.0)))
-        return out
-    rng = np.random.default_rng(spec.seed)
-    for n in range(spec.count):
-        terms = {}
-        for key in basis:
-            # uniform on the complex unit disk
-            radius = np.sqrt(rng.uniform())
-            angle = 2 * np.pi * rng.uniform()
-            terms[key] = complex(radius * np.cos(angle), radius * np.sin(angle))
-        out.append((f"r{tag}:{n:04d}", MajoranaPolynomial(terms)))
-    return out
+    """Deterministic (label, A) list for one sample spec."""
+    labels, keys, coeffs = _sample_rows(spec, indices, tag)
+    return [(label, _polynomial(keys, row)) for label, row in zip(labels, coeffs)]
 
 
 @dataclass(frozen=True)
@@ -131,6 +147,9 @@ class CheckReport:
     worst: dict | None
     timing_ms: float | None
     version: str = __version__
+    # diagnostics for the bundle's sidecar; never part of to_dict, so the
+    # deterministic payload does not depend on round-off in them
+    sidecar: dict | None = None
 
     @property
     def passed(self) -> bool:
@@ -161,11 +180,15 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float,
     iff the minimum real part stays above -tol, every imaginary part
     stays within tol, and lambda_min(G) >= -tol, so the whole span is
     certified.  A failing sample is the witness; if only G fails, the
-    witness is its lowest eigenvector, keyed "g:min".  The reported
-    witness is recomputed through `rp_functional`, and a disagreement
-    beyond round-off (GRAM_AGREEMENT_TOL, independent of tol) raises
+    witness is its lowest eigenvector, keyed "g:min".  The samples are
+    rows of one coefficient array and never become polynomials; only the
+    witness does.  It is recomputed through `rp_functional` (the product
+    of the Fock matrices of A and theta(A)), and a disagreement beyond
+    round-off (GRAM_AGREEMENT_TOL, independent of tol) raises
     SpectralError.  Witnesses are serialized in canonical text, so a
-    failure is a standalone regression case.
+    failure is a standalone regression case.  The report's sidecar holds
+    the Gram size, lambda_min(G) (measured on every run) and the
+    re-check's deviation.
     """
     t0 = time.perf_counter()
     if specs is None:
@@ -176,38 +199,44 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float,
         h = build_hamiltonian(lat, lam)
         spectrum = dense_spectrum(to_matrix(h, lat.n_modes))
 
-    samples: list[tuple[str, MajoranaPolynomial]] = []
-    for k, sp in enumerate(specs):
-        samples.extend(rp_sample_polynomials(sp, r.left, tag=str(k) if k else ""))
-    samples.sort(key=lambda kv: kv[0])
-
-    keys = sorted({key for _, a in samples for key in a.terms()})
+    rows = [_sample_rows(sp, r.left, tag=str(k) if k else "")
+            for k, sp in enumerate(specs)]
+    keys = sorted({key for _, spec_keys, _ in rows for key in spec_keys})
     column = {key: j for j, key in enumerate(keys)}
-    coeffs = np.zeros((len(samples), len(keys)), dtype=np.complex128)
-    for s, (_, a) in enumerate(samples):
-        for key, c in a.terms().items():
-            coeffs[s, column[key]] = _to_complex(c)
+    labels = [label for spec_labels, _, _ in rows for label in spec_labels]
+    coeffs = np.zeros((len(labels), len(keys)), dtype=np.complex128)
+    start = 0
+    for spec_labels, spec_keys, block in rows:
+        cols = [column[key] for key in spec_keys]
+        coeffs[start:start + len(spec_labels), cols] = block
+        start += len(spec_labels)
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    labels = [labels[i] for i in order]
+    coeffs = coeffs[order]
+
     gram = rp_gram(keys, r, spectrum, beta)
     # F(A) = sum_ij a_i G_ij conj(a_j) = y^dagger G y with y = conj(a)
-    sample_values = ((coeffs @ gram) * coeffs.conj()).sum(axis=1)
-    values = [(key, a, complex(v)) for (key, a), v in zip(samples, sample_values)]
+    values = [complex(v) for v in ((coeffs @ gram) * coeffs.conj()).sum(axis=1)]
 
-    min_re = min(values, key=lambda kav: kav[2].real)
-    max_im = max(values, key=lambda kav: abs(kav[2].imag))
-    ok = min_re[2].real >= -tol and abs(max_im[2].imag) <= tol
-    worst = min_re if (min_re[2].real < -tol or abs(max_im[2].imag) <= tol) else max_im
-    if ok and keys:
+    min_re = min(range(len(values)), key=lambda i: values[i].real)
+    max_im = max(range(len(values)), key=lambda i: abs(values[i].imag))
+    im_ok = abs(values[max_im].imag) <= tol
+    ok = values[min_re].real >= -tol and im_ok
+    i = min_re if (values[min_re].real < -tol or im_ok) else max_im
+    worst = (labels[i], _polynomial(keys, coeffs[i]), values[i])
+    lam_min = None
+    if keys:
         lams, vecs = np.linalg.eigh(gram)
-        if lams[0] < -tol:
+        lam_min = float(lams[0])
+        if ok and lam_min < -tol:
             ok = False
-            g_min = MajoranaPolynomial(
-                {key: complex(c) for key, c in zip(keys, vecs[:, 0].conj())})
-            worst = ("g:min", g_min, complex(lams[0]))
+            worst = ("g:min", _polynomial(keys, vecs[:, 0].conj()), complex(lams[0]))
     recheck = rp_functional(worst[1], r, spectrum, beta)
-    if abs(recheck - worst[2]) > GRAM_AGREEMENT_TOL * (1 + abs(recheck)):
+    deviation = abs(recheck - worst[2])
+    if deviation > GRAM_AGREEMENT_TOL * (1 + abs(recheck)):
         raise SpectralError(
             f"{name}: Gram value {worst[2]!r} of {worst[0]} disagrees with "
-            f"the symbolic route {recheck!r}"
+            f"the Fock-matrix route {recheck!r}"
         )
     seeds = [sp.seed for sp in specs if sp.mode == "random-polynomials"]
     return CheckReport(
@@ -224,6 +253,8 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float,
         },
         timing_ms=1e3 * (time.perf_counter() - t0),
         version=__version__,
+        sidecar={"gram_size": len(keys), "lambda_min": lam_min,
+                 "recheck_deviation": deviation},
     )
 
 

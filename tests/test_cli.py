@@ -140,6 +140,20 @@ def test_certify_bundle_and_exit(tmp_path):
     assert "output" not in bundle["config"] and "expect_fail" not in bundle["config"]
 
 
+def test_certify_sidecar_carries_the_rp_gram_diagnostics(tmp_path):
+    code, bundle = _run_json(tmp_path, ["certify"] + FAST)
+    assert code == 0
+    rp = bundle["sidecar"]["rp"]
+    assert set(rp) == {"rp_even", "rp_odd_observed"}
+    # degree <= 2 on the 8 Majoranas of one half: 1 + 28 even, 8 odd
+    assert rp["rp_even"]["gram_size"] == 29
+    assert rp["rp_odd_observed"]["gram_size"] == 8
+    for diag in rp.values():
+        assert diag["lambda_min"] >= -1e-9
+        assert 0 <= diag["recheck_deviation"] <= 1e-10
+    assert all("sidecar" not in r for r in bundle["reports"])
+
+
 def test_certify_repeats_byte_identical(tmp_path):
     texts = []
     for name in ("a.json", "b.json"):

@@ -110,6 +110,20 @@ def test_json_round_trip_and_hash_stability():
     assert lat.content_hash() != build_lattice(4, 4, "periodic").content_hash()
 
 
+def test_lattices_are_hashable():
+    # octagons hold their ring as a dict; equal lattices must still hash
+    # equal, so a lattice can key a dict or sit in a set
+    a, b = diamond_lattice(), diamond_lattice()
+    torus = build_lattice(4, 4, "periodic")
+    assert a == b and hash(a) == hash(b)
+    assert hash(a.octagons[0]) == hash(b.octagons[0])
+    assert len({a, b, torus, build_lattice(4, 4, "periodic")}) == 2
+    assert {a: "diamond"}[b] == "diamond"
+    # hashing leaves the serialized form and its digest alone
+    assert a.content_hash() == (
+        "654c0257476532085026a821dd02c9822aec5b5f5b6996382fe7cfad00cc36d9")
+
+
 def test_reflection_splits_halves(diamond, diamond_mirror):
     r = diamond_mirror
     assert r.axis == "x" and r.coord == 1

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from vortexcert import spectral
 from vortexcert.fock import SparseOperator, to_matrix
 from vortexcert.model import build_hamiltonian, vortex_operator
 from vortexcert.spectral import (
@@ -132,13 +133,24 @@ def test_lanczos_eigenvalues_and_residuals_match_dense(diamond, window):
     assert gs.eigenvalues == () and gs.residuals == () and gs.matvecs == 0
 
 
-def test_lanczos_degenerate_pair_through_the_invariant_subspace_branch():
+def test_lanczos_degenerate_pair_through_the_invariant_subspace_branch(
+        monkeypatch):
     # three distinct levels: every Krylov space closes after three
     # vectors, and with conv_tol = 0 no Ritz estimate is ever accepted,
     # so each pair needs fresh directions injected at beta < 1e-13 until
-    # the 16-dim space (less the deflated vectors) is spanned
-    values = [-1.0, -1.0] + [0.0] * 7 + [1.0] * 7
-    gs = lanczos_ground(_diag_op(values), k=3, seed=0, conv_tol=0.0)
+    # the 16-dim space (less the deflated vectors) is spanned, and leaves
+    # through the exhausted-Krylov exit
+    found = []
+    lowest = spectral._lowest_eigenpair
+
+    def recording(*args):
+        out = lowest(*args)
+        found.append(out)
+        return out
+
+    monkeypatch.setattr(spectral, "_lowest_eigenpair", recording)
+    op = _diag_op([-1.0, -1.0] + [0.0] * 7 + [1.0] * 7)
+    gs = lanczos_ground(op, k=3, seed=0, conv_tol=0.0)
     assert gs.n == 2
     assert abs(gs.e0 + 1.0) <= 1e-12
     np.testing.assert_allclose(gs.eigenvalues, [-1.0, -1.0, 0.0], atol=1e-12)
@@ -146,6 +158,17 @@ def test_lanczos_degenerate_pair_through_the_invariant_subspace_branch():
     cluster = np.zeros((16, 2))
     cluster[0, 0] = cluster[1, 1] = 1.0
     assert scipy.linalg.subspace_angles(gs.basis, cluster).max() <= 1e-8
+    # every reported residual is the true one of its returned vector (a
+    # Lanczos estimate reads orders of magnitude below any true residual)
+    # and the vectors are orthonormal
+    assert len(found) == 3
+    vecs = np.column_stack([y for _, y, _, _ in found])
+    for val, y, res, _ in found:
+        true_res = np.linalg.norm(op.apply(y) - val * y)
+        assert abs(res - true_res) <= 1e-12
+        assert res == pytest.approx(true_res, rel=1e-6, abs=1e-300)
+    assert np.abs(vecs.conj().T @ vecs - np.eye(3)).max() <= 1e-12
+    assert sorted(gs.residuals) == sorted(res for _, _, res, _ in found)
 
 
 def test_lanczos_insufficient_k_raises(diamond):

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from vortexcert.clifford import MajoranaPolynomial, _to_complex
-from vortexcert.fock import to_matrix
+from vortexcert.clifford import MajoranaPolynomial, _to_complex, multiply, reflect
+from vortexcert.fock import SparseOperator, to_matrix
 from vortexcert.model import build_hamiltonian, vortex_operator
 from vortexcert.spectral import (
     SpectralError,
@@ -12,6 +13,7 @@ from vortexcert.spectral import (
     ground_space,
     rp_functional,
     rp_gram,
+    thermal_expectation,
 )
 from vortexcert.verify import (
     CheckReport,
@@ -25,7 +27,7 @@ from vortexcert.verify import (
     theorem_chain_violations,
     vortex_map,
 )
-from vortexcert.verify import _sample_witness
+from vortexcert.verify import _degree_basis, _sample_rows, _sample_witness
 
 
 @pytest.fixture(scope="module")
@@ -123,12 +125,18 @@ def test_check_rp_fail_is_reported_not_raised(diamond, diamond_mirror,
                    spectrum=diamond_spectra[0.1], tol=-2.0)
     assert rep.verdict == "fail"
     assert rep.worst["witness"].startswith("m: ")
+    # the Gram diagnostics are measured on a failing run too, and stay
+    # out of the serialized report
+    assert rep.sidecar["gram_size"] == 1
+    assert abs(rep.sidecar["lambda_min"] - 1.0) <= 1e-12  # <1 theta(1)> = 1
+    assert rep.sidecar["recheck_deviation"] <= 1e-12
+    assert "sidecar" not in rep.to_dict()
 
 
 @pytest.mark.parametrize("tol", [1e-16, 1e-18])
 def test_check_rp_strict_tolerance_gives_a_report(diamond, diamond_mirror,
                                                   diamond_spectra, tol):
-    # round-off between the Gram and symbolic routes is no verdict: a
+    # round-off between the Gram and Fock-matrix routes is no verdict: a
     # strict tolerance still yields a report, never a SpectralError
     spec = RPSampleSpec(mode="exhaustive-monomials", max_degree=2)
     rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, specs=spec,
@@ -271,3 +279,71 @@ def test_report_serialization(diamond):
     assert quiet["timing_ms"] is None
     quiet.pop("timing_ms"), d.pop("timing_ms")
     assert quiet == d
+
+
+def _random_polynomial(rng, indices, parity, max_degree=4):
+    terms = {}
+    for deg in range(1 if parity == "odd" else 0, max_degree + 1, 2):
+        for _ in range(4):
+            key = tuple(int(i) for i in rng.choice(indices, size=deg, replace=False))
+            terms[key] = complex(*rng.standard_normal(2))
+    return MajoranaPolynomial(terms)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_rp_functional_matches_the_symbolic_product(diamond, diamond_mirror,
+                                                    diamond_spectra, parity):
+    # rp_functional multiplies the Fock matrices of A and theta(A); the
+    # symbolic product A theta(A) mapped once must give the same value.
+    # Odd values vanish to round-off in the diamond's thermal state, so a
+    # generic Hermitian matrix stands in as a second "Hamiltonian".
+    rng = np.random.default_rng(11)
+    dim = 1 << diamond.n_modes
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    generic = dense_spectrum(SparseOperator(sp.csr_matrix(x + x.conj().T),
+                                            diamond.n_modes))
+    left = np.array(diamond_mirror.left)
+    for _ in range(5):
+        a = _random_polynomial(rng, left, parity)
+        w = to_matrix(multiply(a, reflect(a, diamond_mirror.sigma)),
+                      diamond.n_modes)
+        for spec in (diamond_spectra[0.1], generic):
+            for beta in (0.5, 5):
+                want = thermal_expectation(w, spec, beta)
+                got = rp_functional(a, diamond_mirror, spec, beta)
+                assert abs(got - want) <= 1e-12
+
+
+def _scalar_draws(spec, indices):
+    """The one-key-at-a-time sample loop that the array draw replaced."""
+    basis = list(_degree_basis(tuple(sorted(indices)), spec.max_degree,
+                               spec.parity))
+    rng = np.random.default_rng(spec.seed)
+    out = []
+    for n in range(spec.count):
+        terms = {}
+        for key in basis:
+            radius = np.sqrt(rng.uniform())
+            angle = 2 * np.pi * rng.uniform()
+            terms[key] = complex(radius * np.cos(angle), radius * np.sin(angle))
+        out.append((f"r:{n:04d}", terms))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 3, 12345])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("max_degree", [2, 4])
+def test_sample_rows_match_the_scalar_draws(diamond_mirror, seed, parity,
+                                            max_degree):
+    spec = RPSampleSpec(mode="random-polynomials", max_degree=max_degree,
+                        count=20, seed=seed, parity=parity)
+    want = _scalar_draws(spec, diamond_mirror.left)
+    labels, keys, coeffs = _sample_rows(spec, diamond_mirror.left)
+    polys = rp_sample_polynomials(spec, diamond_mirror.left)
+    assert labels == [label for label, _ in want] == [label for label, _ in polys]
+    for (_, terms), row, (_, a) in zip(want, coeffs, polys):
+        expect = np.array([terms[key] for key in keys])
+        assert row.tobytes() == expect.tobytes()
+        got = np.array([_to_complex(a.terms()[key]) for key in keys])
+        assert got.tobytes() == expect.tobytes()
+        assert set(a.terms()) == set(terms)
