@@ -504,7 +504,9 @@ def cmd_certify(cfg: dict) -> int:
         "reports": [r.to_dict(include_timing=False) for r in reports],
         "vortex_map": {f"{x},{y}": rec for (x, y), rec in sorted(vmap.items())},
         "chain_violations": violations,
-        "sidecar": _sidecar(timings, ground, reports),
+        "sidecar": _sidecar(timings, ground,
+                            {r.check: r.sidecar for r in reports
+                             if r.sidecar is not None}),
     }
     _emit(cfg, bundle)
 
@@ -532,17 +534,24 @@ def _config_echo(cfg: dict) -> dict:
     return echo
 
 
-def _sidecar(timings: dict, ground=None, reports=()) -> dict:
+def _round_ms(timings: dict) -> dict:
+    return {k: _round_ms(v) if isinstance(v, dict) else round(v, 3)
+            for k, v in timings.items()}
+
+
+def _sidecar(timings: dict, ground=None, rp=None) -> dict:
+    """Timestamp, timings (ms, nested dicts allowed), the Lanczos
+    diagnostics of `ground` and the RP diagnostics `rp`, if any."""
     out = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "timings_ms": {k: round(v, 3) for k, v in timings.items()},
+        "timings_ms": _round_ms(timings),
     }
     # solver diagnostics vary with BLAS round-off, so they stay here
     if ground is not None and ground.matvecs:
         out["lanczos"] = {"eigenvalues": list(ground.eigenvalues),
                           "residuals": list(ground.residuals),
+                          "parities": list(ground.parities),
                           "matvecs": ground.matvecs}
-    rp = {r.check: r.sidecar for r in reports if r.sidecar is not None}
     if rp:
         out["rp"] = rp
     return out
@@ -570,25 +579,32 @@ def _beta_list(cfg: dict) -> list[float]:
     return [float(beta)]
 
 
-def _sweep_rows(lat, refl, cfg, lam, betas) -> list[dict]:
-    """The rows of one lambda, in beta order.
+def _sweep_rows(lat, refl, cfg, lam, betas):
+    """The rows of one lambda, in beta order, with their sidecar data.
 
     The spectrum, ground space and octagon checks depend on lambda
     alone, so they are computed once and shared by every beta; only RP
-    is evaluated per beta.  An error fails the rows it reaches.
+    is evaluated per beta.  An error fails the rows it reaches.  Returns
+    (rows, the RP diagnostics of each row or None, stage timings in ms).
     """
     errors = (SpectralError, ModelError, LatticeError)
     rows = [{"lambda": lam, "beta": beta, "e0": None, "degeneracy": None,
              "min_rp": None, "alpha_min": None, "alpha_max": None,
              "topo_deviation": None, "verdicts": ""} for beta in betas]
+    diagnostics = [None] * len(rows)
+    timings = {}
     try:
+        t0 = time.perf_counter()
         ground, spectrum = _ground(lat, lam, cfg)
+        timings["ground_space"] = 1e3 * (time.perf_counter() - t0)
+        t0 = time.perf_counter()
         results, topo_worst, _, alphas = _octagon_checks(
             _loop_operators(lat, refl), ground, cfg)
+        timings["octagon_checks"] = 1e3 * (time.perf_counter() - t0)
     except errors as e:
         for row in rows:
             row["verdicts"] = f"error:{e}"
-        return rows
+        return rows, diagnostics, timings
     shared = {"e0": ground.e0, "degeneracy": ground.n}
     order_verdicts = []
     if results:
@@ -598,7 +614,8 @@ def _sweep_rows(lat, refl, cfg, lam, betas) -> list[dict]:
         pos_pass = all(p.verdict == "pass" for _, _, p in results)
         order_verdicts = [f"topo:{'pass' if topo_pass else 'fail'}",
                           f"pos:{'pass' if pos_pass else 'fail'}"]
-    for row in rows:
+    t0 = time.perf_counter()
+    for i, row in enumerate(rows):
         rp_verdict = "rp:skipped"
         if spectrum is not None:
             try:
@@ -611,9 +628,11 @@ def _sweep_rows(lat, refl, cfg, lam, betas) -> list[dict]:
                 continue
             row["min_rp"] = rp.worst["value_re"]
             rp_verdict = f"rp:{rp.verdict}"
+            diagnostics[i] = rp.sidecar
         row.update(shared)
         row["verdicts"] = ";".join([rp_verdict, *order_verdicts])
-    return rows
+    timings["rp"] = 1e3 * (time.perf_counter() - t0)
+    return rows, diagnostics, timings
 
 
 def cmd_sweep(cfg: dict) -> int:
@@ -622,10 +641,12 @@ def cmd_sweep(cfg: dict) -> int:
     # rows in (lambda, beta) order; a lambda the grid repeats (from ==
     # to) gets each of its beta rows that many times, next to each other
     betas = _beta_list(cfg)
-    rows = []
+    rows, diagnostics, timings = [], [], {}
     for lam, same in itertools.groupby(sorted(_lambda_grid(cfg))):
-        rows += _sweep_rows(lat, refl, cfg, lam,
-                            sorted(betas * len(list(same))))
+        lam_rows, lam_diagnostics, timings[repr(lam)] = _sweep_rows(
+            lat, refl, cfg, lam, sorted(betas * len(list(same))))
+        rows += lam_rows
+        diagnostics += lam_diagnostics
 
     if cfg["output"]["format"] == "csv":
         _emit_text(cfg, _rows_to_csv(rows))
@@ -636,7 +657,8 @@ def cmd_sweep(cfg: dict) -> int:
             "config": _config_echo(cfg),
             "lattice": lat.to_json_dict(),
             "rows": rows,
-            "sidecar": _sidecar({}),
+            # timings keyed by repr(lambda); RP diagnostics one per row
+            "sidecar": _sidecar(timings, rp=diagnostics),
         }
         _emit(cfg, payload)
     errored = any(r["verdicts"].startswith("error:") for r in rows)
@@ -702,15 +724,20 @@ def cmd_spectrum(cfg: dict) -> int:
 def cmd_vortex_map(cfg: dict) -> int:
     lat = _build_lattice(cfg)
     lam = _scalar_lambda(cfg)
+    timings = {}
+    t0 = time.perf_counter()
     ground, _ = _ground(lat, lam, cfg)
+    timings["ground_space"] = 1e3 * (time.perf_counter() - t0)
+    t0 = time.perf_counter()
     vmap = vortex_map(lat, ground)
+    timings["vortex_map"] = 1e3 * (time.perf_counter() - t0)
     payload = {
         "tool": "vortexcert",
         "version": __version__,
         "config": _config_echo(cfg),
         "ground": {"e0": ground.e0, "degeneracy": ground.n},
         "octagons": {f"{x},{y}": rec for (x, y), rec in sorted(vmap.items())},
-        "sidecar": _sidecar({}, ground),
+        "sidecar": _sidecar(timings, ground),
     }
     _emit(cfg, payload)
     return 0

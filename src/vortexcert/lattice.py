@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .clifford import ReflectionMap
@@ -86,12 +87,15 @@ class IslandLattice:
 
     def island_rank(self, island: tuple[int, int]) -> int:
         try:
-            return self._rank()[island]
+            return self._rank[island]
         except KeyError:
             raise LatticeError(f"no island at {island}") from None
 
+    @cached_property
     def _rank(self) -> dict:
-        # islands tuple is stored sorted, so rank = position
+        # islands tuple is stored sorted, so rank = position; built once
+        # per lattice and kept outside the fields, so equality, hashing
+        # and the JSON do not see it
         return {p: r for r, p in enumerate(self.islands)}
 
     def majorana_id(self, island: tuple[int, int], corner: str) -> int:

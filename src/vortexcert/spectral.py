@@ -5,9 +5,15 @@ restarted, fully reorthogonalized Lanczos iteration with sequential
 deflation finds the low end of the spectrum.  Its Krylov basis and the
 deflated vectors are stored row-major, one vector per row, so every
 Gram-Schmidt pass is a pair of contiguous matrix-vector products that
-conjugate only the new vector, never the basis.  The Lanczos ground
-space carries its diagnostics: the eigenvalues found, the residual of
-each vector and the matrix-vector products spent.  Ground-space bases
+conjugate only the new vector, never the basis.  An even Hamiltonian
+commutes with the fermion parity (-1)^N, which is diagonal in the Fock
+basis, so when no stored non-zero couples the two parities the
+iteration runs in the even and odd blocks separately (half-length
+vectors, half the non-zeros per product) and merges their eigenpairs;
+otherwise the whole space is the one block.  The Lanczos ground space
+carries its diagnostics: the eigenvalues found, the residual of each
+vector, the parity of the block each came from and the matrix-vector
+products spent.  Ground-space bases
 are made deterministic by re-orthogonalizing coordinate projections in
 a fixed pivot order, so reports do not depend on eigensolver gauge.
 
@@ -28,7 +34,14 @@ import numpy as np
 # multiply is imported for the benchmark tracer (bench/tracing.py), which
 # wraps it at this name
 from .clifford import MajoranaPolynomial, multiply, reflect  # noqa: F401
-from .fock import _PHASES, DENSE_DIM_CAP, SparseOperator, monomial_action, to_matrix
+from .fock import (
+    _PHASES,
+    DENSE_DIM_CAP,
+    SparseOperator,
+    _bit_parity,
+    monomial_action,
+    to_matrix,
+)
 from .lattice import ReflectionData
 
 # bump when the Majorana-to-matrix convention changes; keys the eigenvalue cache
@@ -81,6 +94,9 @@ class GroundSpace:
     eigenvalues: tuple[float, ...] = ()
     residuals: tuple[float, ...] = ()
     matvecs: int = 0
+    # fermion parity (0 even, 1 odd) of each eigenvalue's block; empty
+    # when the operator couples the parities and Lanczos ran unblocked
+    parities: tuple[int, ...] = ()
 
     @property
     def n(self) -> int:
@@ -273,35 +289,74 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
     )
 
 
+def _parity_blocks(op: SparseOperator) -> list[np.ndarray]:
+    """Basis indices of the diagonal blocks the Lanczos runs in.
+
+    The fermion parity P = (-1)^N is diagonal in the Fock basis: state r
+    has parity popcount(r) mod 2.  If no non-zero of the matrix couples
+    the two parities, H commutes with P and the even and odd index sets
+    are exact invariant blocks; otherwise the whole space is one block.
+    The test is structural, on the stored non-zeros, so it is exact.
+    """
+    full = np.arange(op.dim, dtype=np.int64)
+    if op.n_modes < 1:
+        return [full]
+    m = op.matrix
+    par = _bit_parity(full)
+    rows = np.repeat(par, np.diff(m.indptr))
+    if ((rows != par[m.indices]) & (m.data != 0)).any():
+        return [full]
+    return [np.flatnonzero(par == p) for p in (0, 1)]
+
+
 def lanczos_ground(op: SparseOperator, k: int = 3, seed: int = 0,
                    gap_tol: float | None = None, conv_tol: float = 1e-9,
                    max_matvecs: int = 60000, window: int = 64) -> GroundSpace:
     """Ground cluster via deflated Lanczos; k must exceed the degeneracy.
 
-    Finds the k lowest eigenpairs one at a time, deflating each
-    converged vector, then clusters exactly as ground_space does.  If
-    every found eigenvalue fits inside the cluster the degeneracy may
-    exceed k, so that is an error: request a larger k.  The k
-    eigenvalues, their residuals and the products spent are returned on
-    the GroundSpace.
+    Runs inside the fermion-parity blocks of `_parity_blocks` (one block
+    if the operator couples the parities).  Each step finds one more
+    eigenpair, deflated against the earlier ones of its block, in the
+    block whose last-found eigenvalue is lowest (ties in block order);
+    a block's later eigenvalues lie above its last-found one, so the
+    search stops once the k-th smallest value found is <= that of every
+    block with states left.  One RNG and one matvec budget are shared in
+    that fixed order, so results are deterministic.  The k smallest are
+    then clustered exactly as ground_space does.  If every reported
+    eigenvalue fits inside the cluster the degeneracy may exceed k, so
+    that is an error: request a larger k.  The k eigenvalues, their true
+    residuals, their block parities (none with a single block) and the
+    products spent are returned on the GroundSpace.
     """
     if k < 1 or k > op.dim:
         raise ValueError(f"k must be in 1..{op.dim}")
     rng = np.random.default_rng(seed)
-    vals: list[float] = []
-    vecs: list[np.ndarray] = []
-    res: list[float] = []
+    blocks = _parity_blocks(op)
+    if len(blocks) == 1:
+        ops = [op]
+    else:
+        ops = [SparseOperator(op.matrix[idx][:, idx], op.n_modes - 1)
+               for idx in blocks]
+    found: list[list[tuple[float, np.ndarray, float]]] = [[] for _ in blocks]
     budget = max_matvecs
-    for _ in range(k):
+    while True:
+        vals = sorted(val for pairs in found for val, _, _ in pairs)
+        open_ = [b for b, idx in enumerate(blocks) if len(found[b]) < len(idx)]
+        # a block with nothing found yet has no lower bound: visit it
+        last = [found[b][-1][0] if found[b] else -np.inf for b in open_]
+        if len(vals) >= k and (not open_ or vals[k - 1] <= min(last)):
+            break
+        b = open_[int(np.argmin(last))]
         val, vec, r, used = _lowest_eigenpair(
-            op.apply, op.dim, rng, vecs, conv_tol, budget, window)
+            ops[b].apply, len(blocks[b]), rng, [v for _, v, _ in found[b]],
+            conv_tol, budget, window)
         budget -= used
-        vals.append(val)
-        vecs.append(vec)
-        res.append(r)
-    order = np.argsort(vals)
-    values = np.array([vals[i] for i in order])
-    columns = [vecs[i] for i in order]
+        found[b].append((val, vec, r))
+
+    pairs = [(val, b, vec, r) for b, block in enumerate(found)
+             for val, vec, r in block]
+    pairs = sorted(pairs, key=lambda p: p[0])[:k]
+    values = np.array([val for val, _, _, _ in pairs])
     e0 = float(values[0])
     if gap_tol is None:
         gap_tol = default_gap_tol(e0)
@@ -311,10 +366,17 @@ def lanczos_ground(op: SparseOperator, k: int = 3, seed: int = 0,
             f"all {k} eigenvalues fall in the ground cluster; the degeneracy "
             f"may be larger, request k > {k}"
         )
-    basis = canonical_subspace_basis(np.column_stack(columns[:n]))
+    columns = []
+    for _, b, vec, _ in pairs[:n]:
+        full = np.zeros(op.dim, dtype=np.complex128)
+        full[blocks[b]] = vec
+        columns.append(full)
+    basis = canonical_subspace_basis(np.column_stack(columns))
     return GroundSpace(e0=e0, basis=basis, gap_tol=gap_tol,
                        eigenvalues=tuple(float(v) for v in values),
-                       residuals=tuple(res[i] for i in order),
+                       residuals=tuple(r for _, _, _, r in pairs),
+                       parities=() if len(blocks) == 1 else
+                       tuple(b for _, b, _, _ in pairs),
                        matvecs=max_matvecs - budget)
 
 

@@ -215,6 +215,36 @@ def test_sweep_rows_survive_row_errors(tmp_path):
     assert rows[1][2] == ""  # no e0 claimed for a failed row
 
 
+def test_sweep_sidecar_carries_rp_diagnostics_and_timings(tmp_path):
+    argv = ["sweep", "--lambda.from", "0", "--lambda.to", "0.25",
+            "--lambda.steps", "2", "--beta", "1,0.5"] + FAST
+    code, payload = _run_json(tmp_path, argv)
+    assert code == 0
+    side = payload["sidecar"]
+    # one RP entry per row, in row order
+    assert len(side["rp"]) == len(payload["rows"]) == 4
+    for diag in side["rp"]:
+        assert diag["gram_size"] == 29
+        assert diag["lambda_min"] >= -1e-9
+        assert 0 <= diag["recheck_deviation"] <= 1e-10
+    # stage timings of each lambda, keyed by its repr
+    assert set(side["timings_ms"]) == {"0.0", "0.25"}
+    for stages in side["timings_ms"].values():
+        assert set(stages) == {"ground_space", "octagon_checks", "rp"}
+        assert all(ms >= 0 for ms in stages.values())
+    # the rows themselves carry none of it
+    assert all(set(row) == set(SWEEP_COLUMNS) for row in payload["rows"])
+
+
+def test_sweep_sidecar_of_an_error_row(tmp_path):
+    code, payload = _run_json(tmp_path, [
+        "sweep", "--lambda", "0.1", "--beta", "1", "--gap-tol", "6.228e-5"]
+        + FAST)
+    assert code == 1
+    assert payload["sidecar"]["rp"] == [None]
+    assert payload["sidecar"]["timings_ms"] == {"0.1": {}}
+
+
 def test_spectrum_cache_round_trip(tmp_path):
     cache = tmp_path / "cache"
     argv = ["spectrum", "--cache.dir", str(cache)]
@@ -271,6 +301,13 @@ def test_lanczos_route_reports_cluster_values_and_diagnostics(
     assert lz["eigenvalues"][:8] == spec["eigenvalues"]
     assert max(lz["residuals"]) <= 1e-7 * max(1.0, abs(bundle["ground"]["e0"]))
     assert lz["matvecs"] > 0
+    # the diamond Hamiltonian is even, so Lanczos ran in the parity blocks
+    assert len(lz["parities"]) == 9 and set(lz["parities"]) <= {0, 1}
+
+    code, vmap = _run_json(tmp_path, ["vortex-map", "--solver.k", "9"],
+                           "v.json")
+    assert code == 0
+    assert vmap["sidecar"]["lanczos"] == lz
 
 
 def test_python_dash_m_runs_the_cli():
@@ -291,3 +328,4 @@ def test_vortex_map_command(tmp_path):
     rec = payload["octagons"]["1,2"]
     assert rec["classification"] == "vortex-free"
     assert rec["alpha"] >= 1 - 1e-6
+    assert set(payload["sidecar"]["timings_ms"]) == {"ground_space", "vortex_map"}

@@ -124,6 +124,18 @@ def test_lattices_are_hashable():
         "654c0257476532085026a821dd02c9822aec5b5f5b6996382fe7cfad00cc36d9")
 
 
+def test_island_rank_map_is_built_once():
+    a, b = diamond_lattice(), diamond_lattice()
+    ranks = [a.island_rank(p) for p in a.islands]
+    assert ranks == list(range(a.n_islands))
+    assert a._rank is a._rank
+    # the cached map changes neither equality, the hash nor the JSON
+    assert a == b and hash(a) == hash(b)
+    assert a.to_json() == b.to_json() and a.content_hash() == b.content_hash()
+    with pytest.raises(LatticeError):
+        a.island_rank((0, 0))
+
+
 def test_reflection_splits_halves(diamond, diamond_mirror):
     r = diamond_mirror
     assert r.axis == "x" and r.coord == 1

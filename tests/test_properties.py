@@ -10,7 +10,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortexcert.clifford import MajoranaPolynomial, ReflectionMap, multiply, reflect
+from vortexcert.clifford import (
+    MajoranaPolynomial,
+    ReflectionMap,
+    adjoint,
+    multiply,
+    reflect,
+)
 from vortexcert.fock import to_matrix
 
 from conftest import oracle_matrix
@@ -74,3 +80,27 @@ def test_reflection_is_an_antilinear_involution(case):
     assert np.allclose(oracle_matrix(both, n_modes),
                        oracle_matrix(reflect(p, theta), n_modes)
                        @ oracle_matrix(reflect(q, theta), n_modes), atol=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.data())
+def test_multiply_is_associative(case, data):
+    n_modes, p, q, _, _ = case
+    r = data.draw(polynomials(n_modes))
+    left = multiply(multiply(p, q), r)
+    assert left == multiply(p, multiply(q, r))
+    oracle = (oracle_matrix(p, n_modes) @ oracle_matrix(q, n_modes)
+              @ oracle_matrix(r, n_modes))
+    assert np.allclose(to_matrix(left, n_modes).to_dense(), oracle, atol=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_adjoint_is_the_anti_multiplicative_involution(case):
+    n_modes, p, q, _, c = case
+    assert adjoint(adjoint(p)) == p
+    assert adjoint(multiply(p, q)) == multiply(adjoint(q), adjoint(p))
+    assert adjoint(c * p + q) == c.conjugate() * adjoint(p) + adjoint(q)
+    mp = oracle_matrix(p, n_modes)
+    assert np.allclose(to_matrix(adjoint(p), n_modes).to_dense(),
+                       mp.conj().T, atol=1e-12)

@@ -9,6 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from vortexcert import spectral
+from vortexcert.clifford import MajoranaPolynomial
 from vortexcert.fock import SparseOperator, to_matrix
 from vortexcert.model import build_hamiltonian, vortex_operator
 from vortexcert.spectral import (
@@ -135,17 +136,19 @@ def test_lanczos_eigenvalues_and_residuals_match_dense(diamond, window):
 
 def test_lanczos_degenerate_pair_through_the_invariant_subspace_branch(
         monkeypatch):
-    # three distinct levels: every Krylov space closes after three
-    # vectors, and with conv_tol = 0 no Ritz estimate is ever accepted,
-    # so each pair needs fresh directions injected at beta < 1e-13 until
-    # the 16-dim space (less the deflated vectors) is spanned, and leaves
-    # through the exhausted-Krylov exit
+    # a diagonal operator keeps parity, so Lanczos runs in the two 8-dim
+    # parity blocks: even holds -1, 0 x3, 1 x4 and odd -1, 0 x4, 1 x3.
+    # Three distinct levels per block: every Krylov space closes after
+    # three vectors, and with conv_tol = 0 no Ritz estimate is ever
+    # accepted, so each pair needs fresh directions injected at
+    # beta < 1e-13 until the block (less the deflated vectors) is
+    # spanned, and leaves through the exhausted-Krylov exit
     found = []
     lowest = spectral._lowest_eigenpair
 
-    def recording(*args):
-        out = lowest(*args)
-        found.append(out)
+    def recording(apply, *args):
+        out = lowest(apply, *args)
+        found.append((apply.__self__, out))
         return out
 
     monkeypatch.setattr(spectral, "_lowest_eigenpair", recording)
@@ -158,17 +161,124 @@ def test_lanczos_degenerate_pair_through_the_invariant_subspace_branch(
     cluster = np.zeros((16, 2))
     cluster[0, 0] = cluster[1, 1] = 1.0
     assert scipy.linalg.subspace_angles(gs.basis, cluster).max() <= 1e-8
-    # every reported residual is the true one of its returned vector (a
-    # Lanczos estimate reads orders of magnitude below any true residual)
-    # and the vectors are orthonormal
-    assert len(found) == 3
-    vecs = np.column_stack([y for _, y, _, _ in found])
-    for val, y, res, _ in found:
-        true_res = np.linalg.norm(op.apply(y) - val * y)
+    # the merge: even -1, odd -1, even 0, then odd 0 (until then the odd
+    # block's last value -1 lies below the third smallest, 0)
+    blocks = [block for block, _ in found]
+    assert len(found) == 4
+    assert blocks[0] is blocks[2] and blocks[1] is blocks[3]
+    assert blocks[0] is not blocks[1]
+    assert all(block.dim == 8 for block in blocks)
+    # every reported residual is the true one of its returned vector
+    # against its block operator (a Lanczos estimate reads orders of
+    # magnitude below any true residual), and the vectors of each block
+    # are orthonormal
+    for block, (val, y, res, _) in found:
+        true_res = np.linalg.norm(block.apply(y) - val * y)
         assert abs(res - true_res) <= 1e-12
         assert res == pytest.approx(true_res, rel=1e-6, abs=1e-300)
-    assert np.abs(vecs.conj().T @ vecs - np.eye(3)).max() <= 1e-12
-    assert sorted(gs.residuals) == sorted(res for _, _, res, _ in found)
+    for block in blocks[:2]:
+        vecs = np.column_stack([y for b, (_, y, _, _) in found if b is block])
+        assert np.abs(vecs.conj().T @ vecs - np.eye(2)).max() <= 1e-12
+    # the k smallest of the four are reported, with their own residuals
+    merged = sorted(((val, res) for _, (val, _, res, _) in found),
+                    key=lambda p: p[0])[:3]
+    assert gs.residuals == tuple(res for _, res in merged)
+    assert sorted(gs.parities[:2]) == [0, 1]
+
+
+def _parity(dim):
+    return np.array([bin(r).count("1") % 2 for r in range(dim)])
+
+
+def _assert_definite_parity(basis):
+    """Each column lives on one parity; returns the parity of each."""
+    par = _parity(basis.shape[0])
+    out = []
+    for col in basis.T:
+        even = np.linalg.norm(col[par == 0])
+        odd = np.linalg.norm(col[par == 1])
+        assert min(even, odd) <= 1e-12, (even, odd)
+        out.append(int(odd > even))
+    return out
+
+
+def test_lanczos_takes_one_block_when_the_operator_couples_parities(
+        diamond):
+    # i c_0 c_1 c_2 is odd and Hermitian ((c_0 c_1 c_2)^dagger =
+    # -c_0 c_1 c_2), so it couples the parity blocks and the whole
+    # space is the single block
+    odd = MajoranaPolynomial.monomial((0, 1, 2), 0.3j)
+    op = to_matrix(build_hamiltonian(diamond, 0.1) + odd, diamond.n_modes)
+    assert op.hermiticity_defect() <= 1e-12
+    assert len(spectral._parity_blocks(op)) == 1
+    dense = dense_spectrum(op)
+    k = 9  # an 8-fold ground level
+    lz = lanczos_ground(op, k=k, seed=0)
+    np.testing.assert_allclose(lz.eigenvalues, dense.eigenvalues[:k],
+                               rtol=0, atol=1e-9)
+    assert lz.parities == ()
+    ref = ground_space(dense)
+    assert lz.n == ref.n == 8
+    assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-6
+    # the even Hamiltonian alone splits into the two blocks
+    even = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
+    blocks = spectral._parity_blocks(even)
+    assert [len(b) for b in blocks] == [128, 128]
+    np.testing.assert_array_equal(_parity(256)[blocks[1]], 1)
+
+
+def test_lanczos_cluster_split_over_both_blocks():
+    # i c_1 c_2 has eigenvalues -1 and 1, eight-fold each; the -1 level
+    # has four even and four odd states, so the cluster is merged from
+    # both blocks
+    op = to_matrix(MajoranaPolynomial.monomial((1, 2), 1j), 4)
+    dense = dense_spectrum(op)
+    lz = lanczos_ground(op, k=9, seed=0)
+    np.testing.assert_allclose(lz.eigenvalues, dense.eigenvalues[:9],
+                               rtol=0, atol=1e-9)
+    assert lz.n == 8
+    assert sorted(lz.parities[:8]) == [0] * 4 + [1] * 4
+    ref = ground_space(dense)
+    assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-6
+    assert sorted(_assert_definite_parity(lz.basis)) == [0] * 4 + [1] * 4
+    for e, r in zip(lz.eigenvalues, lz.residuals):
+        assert r <= 100 * 1e-9 * max(1.0, abs(e))
+
+
+def test_lanczos_vectors_have_definite_parity(diamond, monkeypatch):
+    found = []
+    lowest = spectral._lowest_eigenpair
+
+    def recording(apply, *args):
+        out = lowest(apply, *args)
+        found.append(out[1])
+        return out
+
+    monkeypatch.setattr(spectral, "_lowest_eigenpair", recording)
+    op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
+    lz = lanczos_ground(op, k=9, seed=0)
+    # the solver sees half-length block vectors only
+    assert {len(y) for y in found} == {128}
+    # the reported cluster carries its block parities, and each basis
+    # column lies in one parity sector
+    parities = _assert_definite_parity(lz.basis)
+    assert sorted(parities) == sorted(lz.parities[:lz.n])
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_lanczos_k_equal_to_a_block_dimension(k):
+    # every even state lies below every odd one: the even block (dim 4)
+    # is exhausted at k = 4, and then stops bounding the odd block
+    dim = 8
+    par = _parity(dim)
+    values = np.empty(dim)
+    values[par == 0] = [-4.0, -3.0, -2.0, -1.0]
+    values[par == 1] = [1.0, 2.0, 3.0, 4.0]
+    lz = lanczos_ground(_diag_op(values), k=k, seed=0)
+    np.testing.assert_allclose(lz.eigenvalues, np.sort(values)[:k], atol=1e-12)
+    assert lz.parities == (0,) * 4 + (1,) * (k - 4)
+    assert lz.n == 1
+    assert max(lz.residuals) <= 1e-9
 
 
 def test_lanczos_insufficient_k_raises(diamond):
