@@ -1,11 +1,14 @@
 """Command-line frontend.
 
 Configuration comes from defaults, then an optional JSON config file,
-then flag overrides; every config value has a flag of the same dotted
-name (plus short aliases for the common ones).  Exit codes: 0 all
-asserted checks passed, 1 a check failed or a computation broke, 2 bad
-usage or configuration.
+then flag overrides.  Each config value is one row of `FIELDS` (dotted
+path, default, flag spellings, kind, check); the defaults, the flags and
+the checks of file and flag values all come from it.  A boolean is not a
+number, and a number must be finite.  Exit codes: 0 all asserted checks
+passed, 1 a check failed or a computation broke, 2 bad usage or
+configuration.
 
+`certify`, `sweep` and `vortex-map` format the result of one `evaluate`.
 Reports are deterministic byte-for-byte given the same config and seed:
 anything wall-clock dependent (timestamp, per-check timings) lives in a
 top-level "sidecar" object that consumers strip before hashing.
@@ -19,10 +22,12 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +48,9 @@ from .model import (
 )
 from .spectral import (
     DenseCapError,
+    GroundSpace,
     SpectralError,
+    Spectrum,
     dense_spectrum,
     ground_space,
     lanczos_ground,
@@ -53,11 +60,13 @@ from .spectral import (
 )
 from .verify import (
     CheckReport,
-    RPSampleSpec,
+    PositivityResult,
+    TopoResult,
     check_conservation,
     check_ground_positivity,
     check_rp,
     check_topological_order,
+    default_rp_samples,
     theorem_chain_violations,
     vortex_map,
 )
@@ -67,22 +76,6 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULTS = {
-    # default lattice is the bundled four-island diamond; an explicit
-    # --lx/--ly without an islands list means the full even sublattice
-    "lattice": {"lx": 3, "ly": 4, "boundary": "open",
-                "islands": [[0, 2], [1, 1], [1, 3], [2, 2]]},
-    "plane": {"axis": "x", "coordinate": 1},
-    "lambda": 0.1,
-    "beta": 1.0,
-    "seed": 0,
-    "tolerances": {"rp": 1e-9, "topo": 1e-8, "pos": 1e-8, "gap": None},
-    "samples": {"count": 100, "max_degree": 4},
-    "solver": {"k": 4, "window": 64},
-    "cache": {"dir": None},
-    "output": {"path": None, "format": "json"},
-}
-
 ASSERTED_CHECKS = (
     "reflection_symmetry",
     "conservation",
@@ -90,90 +83,67 @@ ASSERTED_CHECKS = (
     "topological_order",
     "ground_positivity",
 )
-OBSERVATIONAL_CHECKS = ("rp_odd_observed", "vortex_map")
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
-
-def _deep_merge(base: dict, extra: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in extra.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
-
+# config table
 
 def _require(cond: bool, field: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{field}: {message}")
 
 
-def _validate(cfg: dict) -> dict:
-    lat = cfg["lattice"]
-    for side in ("lx", "ly"):
-        _require(isinstance(lat.get(side), int) and not isinstance(lat[side], bool),
-                 f"lattice.{side}", "must be an integer")
-        _require(lat[side] >= 2, f"lattice.{side}", "region too small (need >= 2)")
-    _require(lat.get("boundary") in ("open", "periodic"),
-             "lattice.boundary", "must be 'open' or 'periodic'")
-    if lat.get("islands") is not None:
-        _require(isinstance(lat["islands"], (list, tuple)),
-                 "lattice.islands", "must be a list of [x, y] pairs")
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
-    plane = cfg["plane"]
-    _require(plane.get("axis") in ("x", "y"), "plane.axis", "must be 'x' or 'y'")
-    _require(isinstance(plane.get("coordinate"), (int, float)),
-             "plane.coordinate", "must be a number")
 
-    lam = cfg["lambda"]
-    if isinstance(lam, dict):
-        for key in ("from", "to", "steps"):
-            _require(key in lam, f"lambda.{key}", "missing from sweep range")
-        _require(isinstance(lam["steps"], int) and lam["steps"] >= 1,
-                 "lambda.steps", "must be an integer >= 1")
-        _require(float(lam["to"]) >= float(lam["from"]),
-                 "lambda.to", "must be >= lambda.from")
-    else:
-        _require(isinstance(lam, (int, float)), "lambda", "must be a number")
+def _is_number(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
-    beta = cfg["beta"]
+
+def _rule(test, message: str):
+    """The check that `test(value)` holds."""
+    def check(path, v):
+        _require(test(v), path, message)
+    return check
+
+
+def _at_least(low: int):
+    return _rule(lambda v: _is_int(v) and v >= low, f"must be an integer >= {low}")
+
+
+def _region(path, v):
+    _require(_is_int(v), path, "must be an integer")
+    _require(v >= 2, path, "region too small (need >= 2)")
+
+
+def _islands(path, islands):
+    # null: the full even sublattice of the region
+    _require(islands is None or isinstance(islands, (list, tuple)) and all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_int, p))
+        for p in islands), path, "must be a list of [x, y] pairs")
+
+
+def _lambda(path, lam):
+    """A number, or a sweep range: every piece present, an integer step
+    count >= 1, then numeric ends in order."""
+    if not isinstance(lam, dict):
+        return _require(_is_number(lam), path, "must be a number")
+    for key in ("from", "to", "steps"):
+        _require(key in lam, f"lambda.{key}", "missing from sweep range")
+    _at_least(1)("lambda.steps", lam["steps"])
+    for key in ("from", "to"):
+        _require(_is_number(lam[key]), f"lambda.{key}", "must be a number")
+    _require(lam["to"] >= lam["from"], "lambda.to", "must be >= lambda.from")
+
+
+def _beta(path, beta):
     if isinstance(beta, (list, tuple)):
-        _require(len(beta) > 0, "beta", "empty list")
+        _require(len(beta) > 0, path, "empty list")
         for b in beta:
-            _require(isinstance(b, (int, float)) and b >= 0,
-                     "beta", "entries must be numbers >= 0")
+            _require(_is_number(b) and b >= 0, path, "entries must be numbers >= 0")
     else:
-        _require(isinstance(beta, (int, float)) and beta >= 0,
-                 "beta", "must be a number >= 0")
-
-    _require(isinstance(cfg["seed"], int), "seed", "must be an integer")
-
-    tol = cfg["tolerances"]
-    for name in ("rp", "topo", "pos"):
-        _require(isinstance(tol.get(name), (int, float)) and tol[name] > 0,
-                 f"tolerances.{name}", "must be > 0")
-    if tol.get("gap") is not None:
-        _require(isinstance(tol["gap"], (int, float)) and tol["gap"] > 0,
-                 "tolerances.gap", "must be > 0 (or null for the default rule)")
-
-    smp = cfg["samples"]
-    _require(isinstance(smp.get("count"), int) and smp["count"] >= 0,
-             "samples.count", "must be an integer >= 0")
-    _require(isinstance(smp.get("max_degree"), int) and smp["max_degree"] >= 0,
-             "samples.max_degree", "must be an integer >= 0")
-
-    sol = cfg["solver"]
-    _require(isinstance(sol.get("k"), int) and sol["k"] >= 1,
-             "solver.k", "must be an integer >= 1")
-    _require(isinstance(sol.get("window"), int) and sol["window"] >= 8,
-             "solver.window", "must be an integer >= 8")
-
-    _require(cfg["output"].get("format") in ("json", "csv"),
-             "output.format", "must be 'json' or 'csv'")
-    return cfg
+        _require(_is_number(beta) and beta >= 0, path, "must be a number >= 0")
 
 
 def _parse_beta_flag(text: str):
@@ -187,6 +157,106 @@ def _parse_beta_flag(text: str):
     return values[0] if len(values) == 1 else values
 
 
+class Field(NamedTuple):
+    """One config value.  `kind` is what its flags parse with: int, float,
+    Path, a parse function, or a tuple of choices, which is then also its
+    check.  `check(path, value)` raises ConfigError; a value whose
+    default is null may always be null.  `pieces` are the (key, kind)
+    of the value's dict form, each with its own flag --<path>.<key>."""
+    path: str
+    default: object
+    flags: tuple[str, ...]  # () for a value only a config file sets
+    kind: object
+    check: object = None
+    help: str | None = None
+    pieces: tuple = ()
+
+
+_positive = _rule(lambda v: _is_number(v) and v > 0, "must be > 0")
+_string = _rule(lambda v: isinstance(v, str), "must be a string (or null)")
+
+# in validation order, which is also the parser's flag order
+FIELDS = (
+    # default lattice is the bundled four-island diamond; an explicit
+    # --lx/--ly without an islands list means the full even sublattice
+    Field("lattice.lx", 3, ("--lx", "--lattice.lx"), int, _region),
+    Field("lattice.ly", 4, ("--ly", "--lattice.ly"), int, _region),
+    Field("lattice.boundary", "open", ("--boundary", "--lattice.boundary"),
+          ("open", "periodic")),
+    Field("lattice.islands", [[0, 2], [1, 1], [1, 3], [2, 2]], (), None, _islands),
+    Field("plane.axis", "x", ("--plane-axis", "--plane.axis"), ("x", "y")),
+    Field("plane.coordinate", 1, ("--plane-coord", "--plane.coordinate"), float,
+          _rule(_is_number, "must be a number")),
+    Field("lambda", 0.1, ("--lambda", "--lam"), float, _lambda,
+          pieces=(("from", float), ("to", float), ("steps", int))),
+    Field("beta", 1.0, ("--beta",), _parse_beta_flag, _beta,
+          help="number or comma list"),
+    Field("seed", 0, ("--seed",), int, _rule(_is_int, "must be an integer")),
+    Field("tolerances.rp", 1e-9, ("--tol-rp", "--tolerances.rp"), float, _positive),
+    Field("tolerances.topo", 1e-8, ("--tol-topo", "--tolerances.topo"), float,
+          _positive),
+    Field("tolerances.pos", 1e-8, ("--tol-pos", "--tolerances.pos"), float,
+          _positive),
+    Field("tolerances.gap", None, ("--gap-tol", "--tolerances.gap"), float,
+          _rule(lambda v: _is_number(v) and v > 0,
+                "must be > 0 (or null for the default rule)")),
+    Field("samples.count", 100, ("--samples", "--samples.count"), int, _at_least(0)),
+    Field("samples.max_degree", 4, ("--max-degree", "--samples.max_degree"), int,
+          _at_least(0)),
+    Field("solver.k", 4, ("--solver.k",), int, _at_least(1)),
+    Field("solver.window", 64, ("--solver.window",), int, _at_least(8)),
+    Field("cache.dir", None, ("--cache.dir",), Path, _string),
+    Field("output.path", None, ("--out", "--output.path"), Path, _string),
+    Field("output.format", "json", ("--format", "--output.format"), ("json", "csv")),
+)
+
+
+def _slot(cfg: dict, path: str) -> tuple[dict, str]:
+    """The dict that holds `path` (its section made if missing) and the
+    key there."""
+    section, _, key = path.rpartition(".")
+    return (cfg.setdefault(section, {}) if section else cfg), key
+
+
+def _dest(path: str) -> str:
+    """A row's argparse name; usage lines show it as the metavar."""
+    return path.replace("lambda", "lam").replace("tolerances", "tol").replace(".", "_")
+
+
+def _defaults() -> dict:
+    out: dict = {}
+    for field in FIELDS:
+        node, key = _slot(out, field.path)
+        node[key] = field.default
+    return out
+
+
+DEFAULTS = _defaults()
+
+
+def _deep_merge(base: dict, extra: dict) -> dict:
+    out = copy.deepcopy(base)
+    for key, val in extra.items():
+        if isinstance(val, dict) and isinstance(out.get(key), dict):
+            out[key] = _deep_merge(out[key], val)
+        else:
+            out[key] = copy.deepcopy(val)
+    return out
+
+
+def _validate(cfg: dict) -> None:
+    for field in FIELDS:
+        node, key = _slot(cfg, field.path)
+        value = node.get(key)
+        if value is None and field.default is None:
+            continue
+        if isinstance(field.kind, tuple):
+            _require(value in field.kind, field.path,
+                     "must be " + " or ".join(map(repr, field.kind)))
+        else:
+            field.check(field.path, value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vortexcert",
@@ -195,71 +265,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name in ("lattice", "certify", "sweep", "spectrum", "vortex-map"):
+        p = sub.add_parser(name)
         p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--lx", "--lattice.lx", dest="lattice_lx", type=int)
-        p.add_argument("--ly", "--lattice.ly", dest="lattice_ly", type=int)
-        p.add_argument("--boundary", "--lattice.boundary", dest="lattice_boundary",
-                       choices=("open", "periodic"))
-        p.add_argument("--plane-axis", "--plane.axis", dest="plane_axis",
-                       choices=("x", "y"))
-        p.add_argument("--plane-coord", "--plane.coordinate", dest="plane_coordinate",
-                       type=float)
-        p.add_argument("--lambda", "--lam", dest="lam", type=float)
-        p.add_argument("--lambda.from", dest="lam_from", type=float)
-        p.add_argument("--lambda.to", dest="lam_to", type=float)
-        p.add_argument("--lambda.steps", dest="lam_steps", type=int)
-        p.add_argument("--beta", dest="beta", type=_parse_beta_flag,
-                       help="number or comma list")
-        p.add_argument("--seed", dest="seed", type=int)
-        p.add_argument("--tol-rp", "--tolerances.rp", dest="tol_rp", type=float)
-        p.add_argument("--tol-topo", "--tolerances.topo", dest="tol_topo", type=float)
-        p.add_argument("--tol-pos", "--tolerances.pos", dest="tol_pos", type=float)
-        p.add_argument("--gap-tol", "--tolerances.gap", dest="tol_gap", type=float)
-        p.add_argument("--samples", "--samples.count", dest="samples_count", type=int)
-        p.add_argument("--max-degree", "--samples.max_degree",
-                       dest="samples_max_degree", type=int)
-        p.add_argument("--solver.k", dest="solver_k", type=int)
-        p.add_argument("--solver.window", dest="solver_window", type=int)
-        p.add_argument("--cache.dir", dest="cache_dir", type=Path)
-        p.add_argument("--out", "--output.path", dest="output_path", type=Path)
-        p.add_argument("--format", "--output.format", dest="output_format",
-                       choices=("json", "csv"))
+        for field in FIELDS:
+            if field.flags:
+                parse = ({"choices": field.kind} if isinstance(field.kind, tuple)
+                         else {"type": field.kind})
+                p.add_argument(*field.flags, dest=_dest(field.path),
+                               help=field.help, **parse)
+            for key, kind in field.pieces:
+                piece = f"{field.path}.{key}"
+                p.add_argument(f"--{piece}", dest=_dest(piece), type=kind)
         p.add_argument("--expect-fail", dest="expect_fail", action="append",
                        default=None, metavar="CHECK",
                        help="assert that exactly these checks fail (repeatable)")
-
-    for name in ("lattice", "certify", "sweep", "spectrum", "vortex-map"):
-        add_common(sub.add_parser(name))
     return parser
-
-
-_FLAG_PATHS = {
-    "lattice_lx": ("lattice", "lx"),
-    "lattice_ly": ("lattice", "ly"),
-    "lattice_boundary": ("lattice", "boundary"),
-    "plane_axis": ("plane", "axis"),
-    "plane_coordinate": ("plane", "coordinate"),
-    "lam": ("lambda",),
-    "beta": ("beta",),
-    "seed": ("seed",),
-    "tol_rp": ("tolerances", "rp"),
-    "tol_topo": ("tolerances", "topo"),
-    "tol_pos": ("tolerances", "pos"),
-    "tol_gap": ("tolerances", "gap"),
-    "samples_count": ("samples", "count"),
-    "samples_max_degree": ("samples", "max_degree"),
-    "solver_k": ("solver", "k"),
-    "solver_window": ("solver", "window"),
-    "cache_dir": ("cache", "dir"),
-    "output_path": ("output", "path"),
-    "output_format": ("output", "format"),
-}
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
+    file_islands = None
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -272,51 +298,49 @@ def resolve_config(args: argparse.Namespace) -> dict:
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"config: unknown keys {sorted(unknown)}")
+        for key, val in loaded.items():
+            _require(isinstance(val, dict) or not isinstance(DEFAULTS[key], dict),
+                     key, "must be an object")
         cfg = _deep_merge(cfg, loaded)
+        file_islands = loaded.get("lattice", {}).get("islands")
 
     # region flags supersede the bundled island list: an explicit size
     # request means the full even sublattice unless a config file says
     # otherwise
-    file_islands = None
-    if args.config is not None:
-        file_islands = (loaded.get("lattice") or {}).get("islands")
     if (getattr(args, "lattice_lx", None) is not None
             or getattr(args, "lattice_ly", None) is not None):
         cfg["lattice"]["islands"] = file_islands
 
-    for attr, path in _FLAG_PATHS.items():
-        val = getattr(args, attr, None)
-        if val is None:
-            continue
-        node = cfg
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = val
+    for field in FIELDS:
+        node, key = _slot(cfg, field.path)
+        val = getattr(args, _dest(field.path), None)
+        if val is not None:
+            node[key] = str(val) if isinstance(val, Path) else val
+        pieces = {k: getattr(args, _dest(f"{field.path}.{k}"), None)
+                  for k, _ in field.pieces}
+        if any(v is not None for v in pieces.values()):
+            # piece flags compose a range, over the file's range if any
+            base = node[key] if isinstance(node[key], dict) else {}
+            node[key] = {k: base.get(k) if v is None else v
+                         for k, v in pieces.items()}
 
-    # sweep-range pieces compose a lambda grid
-    pieces = {k: getattr(args, k, None) for k in ("lam_from", "lam_to", "lam_steps")}
-    if any(v is not None for v in pieces.values()):
-        base = cfg["lambda"] if isinstance(cfg["lambda"], dict) else {}
-        grid = {
-            "from": pieces["lam_from"] if pieces["lam_from"] is not None else base.get("from"),
-            "to": pieces["lam_to"] if pieces["lam_to"] is not None else base.get("to"),
-            "steps": pieces["lam_steps"] if pieces["lam_steps"] is not None else base.get("steps"),
-        }
-        cfg["lambda"] = grid
-
+    _validate(cfg)
     # plane coordinate: keep integers as int so JSON round-trips cleanly
     coord = cfg["plane"]["coordinate"]
     if isinstance(coord, float) and coord == int(coord):
         cfg["plane"]["coordinate"] = int(coord)
-    if isinstance(cfg["output"].get("path"), Path):
-        cfg["output"]["path"] = str(cfg["output"]["path"])
-    if isinstance(cfg["cache"].get("dir"), Path):
-        cfg["cache"]["dir"] = str(cfg["cache"]["dir"])
-    return _validate(cfg)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
-# shared pipeline pieces
+# the evaluation pipeline
+
+# RP report of each sample parity; only the even one is asserted
+RP_CHECKS = {"even": "rp_even", "odd": "rp_odd_observed"}
+
+# the errors a sweep reports in its rows instead of stopping
+_ROW_ERRORS = (SpectralError, ModelError, LatticeError)
+
 
 def _build_lattice(cfg: dict) -> IslandLattice:
     lat = cfg["lattice"]
@@ -338,59 +362,113 @@ def _scalar_beta(cfg: dict) -> float:
     return float(cfg["beta"])
 
 
-def _rp_specs(cfg: dict, parity: str) -> tuple[RPSampleSpec, RPSampleSpec]:
-    """The (exhaustive, random) RP sample families of one parity."""
-    smp = cfg["samples"]
-    return (
-        RPSampleSpec("exhaustive-monomials", smp["max_degree"], parity=parity),
-        RPSampleSpec("random-polynomials", smp["max_degree"], smp["count"],
-                     cfg["seed"], parity),
-    )
-
-
-def _ground(lat: IslandLattice, lam: float, cfg: dict):
-    """(ground space, dense Spectrum or None) by dimension."""
-    op = to_matrix(build_hamiltonian(lat, lam), lat.n_modes)
-    gap = cfg["tolerances"]["gap"]
-    if op.dim <= DENSE_DIM_CAP:
-        spectrum = dense_spectrum(op)
-        return ground_space(spectrum, gap_tol=gap), spectrum
-    sol = cfg["solver"]
-    gs = lanczos_ground(op, k=sol["k"], seed=cfg["seed"], gap_tol=gap,
-                        window=sol["window"])
-    return gs, None
-
-
-def _loop_operators(lat, refl) -> dict:
-    """Each octagon's loop W as a matrix, keyed by centre in octagon order."""
-    return {o.center: to_matrix(vortex_operator(lat, o, refl).W, lat.n_modes)
-            for o in lat.octagons}
-
-
-def _octagon_checks(loops, ground, cfg):
-    """Aggregate per-octagon order/positivity into one report each."""
-    tol_topo = cfg["tolerances"]["topo"]
-    tol_pos = cfg["tolerances"]["pos"]
-    topo_worst = None
-    pos_worst = None
-    alphas = []
-    results = []
-    for center, w_op in loops.items():
-        topo = check_topological_order(ground, w_op, tol_topo)
-        pos = check_ground_positivity(ground, w_op, tol_pos)
-        alphas.append(topo.alpha)
-        results.append((center, topo, pos))
-        if topo_worst is None or topo.deviation > topo_worst[1].deviation:
-            topo_worst = (center, topo)
-        if pos_worst is None or pos.minimum < pos_worst[1].minimum:
-            pos_worst = (center, pos)
-    return results, topo_worst, pos_worst, alphas
-
-
 def _report(check, lat, params, tolerances, verdict, worst, ms) -> CheckReport:
     return CheckReport(check=check, lattice=lat.content_hash(), params=params,
                        tolerances=tolerances, verdict=verdict, worst=worst,
                        timing_ms=ms, version=__version__)
+
+
+def _solve(lat: IslandLattice, lam: float, cfg: dict):
+    """(dense Spectrum, None) up to the dense cap, else (None, Lanczos
+    GroundSpace): the one place a Hamiltonian is diagonalized."""
+    op = to_matrix(build_hamiltonian(lat, lam), lat.n_modes)
+    if op.dim <= DENSE_DIM_CAP:
+        return dense_spectrum(op), None
+    sol = cfg["solver"]
+    return None, lanczos_ground(op, k=sol["k"], seed=cfg["seed"],
+                                gap_tol=cfg["tolerances"]["gap"],
+                                window=sol["window"])
+
+
+class Evaluation(NamedTuple):
+    """What `evaluate` computed at one lambda."""
+    ground: GroundSpace
+    spectrum: Spectrum | None  # the dense route only
+    loops: dict  # octagon centre -> loop matrix W, in octagon order
+    octagons: list  # (centre, TopoResult, PositivityResult) per octagon
+    worst_topo: TopoResult | None  # largest deviation; None without octagons
+    worst_pos: PositivityResult | None  # smallest minimum
+    order: tuple  # the topological_order and ground_positivity reports
+    rp: dict  # (beta, parity) -> CheckReport, or the error its check raised
+    timings: dict  # stage -> ms
+
+
+def evaluate(lat: IslandLattice, refl, lam: float, cfg: dict,
+             betas=(), parities=()) -> Evaluation:
+    """Ground space, octagon order and positivity, then RP at each beta
+    and sample parity, at one lambda (`refl` None: no RP).
+
+    An error in the ground space or the octagon checks propagates; one in
+    an RP check takes the place of its report.  Beyond the dense cap
+    every RP report is "skipped".
+    """
+    tol, smp, seed = cfg["tolerances"], cfg["samples"], cfg["seed"]
+    timings = {}
+    t0 = time.perf_counter()
+    spectrum, ground = _solve(lat, lam, cfg)
+    if ground is None:
+        ground = ground_space(spectrum, gap_tol=tol["gap"])
+    timings["ground_space"] = 1e3 * (time.perf_counter() - t0)
+
+    t0 = time.perf_counter()
+    loops = {o.center: to_matrix(vortex_operator(lat, o, refl).W, lat.n_modes)
+             for o in lat.octagons}
+    octagons = [(center, check_topological_order(ground, w, tol["topo"]),
+                 check_ground_positivity(ground, w, tol["pos"]))
+                for center, w in loops.items()]
+    # the first of equals is the witness
+    topo = max(octagons, key=lambda o: o[1].deviation, default=None)
+    pos = min(octagons, key=lambda o: o[2].minimum, default=None)
+    timings["octagon_checks"] = 1e3 * (time.perf_counter() - t0)
+    params = {"lambda": lam, "beta": None, "seed": seed}
+    order = (
+        _report("topological_order", lat, params, {"topo": tol["topo"]},
+                _all_pass(t for _, t, _ in octagons),
+                None if topo is None else {
+                    "value_re": topo[1].deviation,
+                    "value_im": 0.0,
+                    "witness": f"octagon {topo[0]}: alpha={topo[1].alpha!r}, "
+                               f"deviation={topo[1].deviation!r}",
+                }, timings["octagon_checks"] / 2),
+        _report("ground_positivity", lat, params, {"pos": tol["pos"]},
+                _all_pass(p for _, _, p in octagons),
+                None if pos is None else {
+                    "value_re": pos[2].minimum,
+                    "value_im": pos[2].max_imag,
+                    "witness": f"octagon {pos[0]}: min={pos[2].minimum!r}, "
+                               f"spread={pos[2].spread!r}",
+                }, timings["octagon_checks"] / 2),
+    )
+
+    rp = {}
+    t0 = time.perf_counter()
+    for beta, parity in itertools.product(betas, parities):
+        if (beta, parity) in rp:  # a repeated beta shares its report
+            continue
+        if spectrum is None:
+            rp[beta, parity] = _report(
+                RP_CHECKS[parity], lat, {"lambda": lam, "beta": beta, "seed": seed},
+                {"rp": tol["rp"]}, "skipped",
+                {"value_re": 0.0, "value_im": 0.0,
+                 "witness": f"dim {1 << lat.n_modes} exceeds dense cap"}, 0.0)
+            continue
+        specs = default_rp_samples(seed, parity=parity, count=smp["count"],
+                                   max_degree=smp["max_degree"])
+        try:
+            rp[beta, parity] = check_rp(lat, refl, lam, beta, specs=specs,
+                                        tol=tol["rp"], spectrum=spectrum,
+                                        name=RP_CHECKS[parity], seed=seed)
+        except _ROW_ERRORS as e:
+            rp[beta, parity] = e
+    if rp:
+        timings["rp"] = 1e3 * (time.perf_counter() - t0)
+    return Evaluation(ground, spectrum, loops, octagons,
+                      None if topo is None else topo[1],
+                      None if pos is None else pos[2], order, rp, timings)
+
+
+def _all_pass(results) -> str:
+    return "pass" if all(r.verdict == "pass" for r in results) else "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -406,87 +484,40 @@ def cmd_certify(cfg: dict) -> int:
     lat = _build_lattice(cfg)
     lam = _scalar_lambda(cfg)
     beta = _scalar_beta(cfg)
-    seed = cfg["seed"]
     refl = reflection_data(lat, cfg["plane"]["axis"], cfg["plane"]["coordinate"])
-    reports: list[CheckReport] = []
-    timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
     ok, dev = verify_reflection_symmetry(build_hamiltonian(lat, lam, exact=True), refl)
-    reports.append(_report(
+    symmetry = _report(
         "reflection_symmetry", lat,
         {"lambda": lam, "beta": None, "seed": None}, {},
         "pass" if ok else "fail",
         {"value_re": float(dev), "value_im": 0.0, "witness": "theta(H) - H"},
-        1e3 * (time.perf_counter() - t0)))
+        1e3 * (time.perf_counter() - t0))
+    conservation = check_conservation(lat, lam)
 
-    reports.append(check_conservation(lat, lam))
-
+    ev = evaluate(lat, refl, lam, cfg, [beta], RP_CHECKS)
+    rp = [ev.rp[beta, parity] for parity in RP_CHECKS]
+    for report in rp:
+        if isinstance(report, Exception):
+            raise report
+    timings = dict(ev.timings)
     t0 = time.perf_counter()
-    ground, spectrum = _ground(lat, lam, cfg)
-    timings["ground_space"] = 1e3 * (time.perf_counter() - t0)
-
-    if spectrum is not None:
-        for name, parity in (("rp_even", "even"), ("rp_odd_observed", "odd")):
-            reports.append(check_rp(lat, refl, lam, beta,
-                                    specs=_rp_specs(cfg, parity),
-                                    tol=cfg["tolerances"]["rp"],
-                                    spectrum=spectrum, name=name, seed=seed))
-    else:
-        for name in ("rp_even", "rp_odd_observed"):
-            reports.append(_report(
-                name, lat, {"lambda": lam, "beta": beta, "seed": seed},
-                {"rp": cfg["tolerances"]["rp"]}, "skipped",
-                {"value_re": 0.0, "value_im": 0.0,
-                 "witness": f"dim {1 << lat.n_modes} exceeds dense cap"}, 0.0))
-
-    t0 = time.perf_counter()
-    loops = _loop_operators(lat, refl)
-    results, topo_worst, pos_worst, alphas = _octagon_checks(loops, ground, cfg)
-    octagon_ms = 1e3 * (time.perf_counter() - t0)
-
-    topo_pass = all(t.verdict == "pass" for _, t, _ in results)
-    pos_pass = all(p.verdict == "pass" for _, _, p in results)
-    reports.append(_report(
-        "topological_order", lat,
-        {"lambda": lam, "beta": None, "seed": seed},
-        {"topo": cfg["tolerances"]["topo"]},
-        "pass" if topo_pass else "fail",
-        None if topo_worst is None else {
-            "value_re": topo_worst[1].deviation,
-            "value_im": 0.0,
-            "witness": f"octagon {topo_worst[0]}: alpha={topo_worst[1].alpha!r}, "
-                       f"deviation={topo_worst[1].deviation!r}",
-        }, octagon_ms / 2))
-    reports.append(_report(
-        "ground_positivity", lat,
-        {"lambda": lam, "beta": None, "seed": seed},
-        {"pos": cfg["tolerances"]["pos"]},
-        "pass" if pos_pass else "fail",
-        None if pos_worst is None else {
-            "value_re": pos_worst[1].minimum,
-            "value_im": pos_worst[1].max_imag,
-            "witness": f"octagon {pos_worst[0]}: min={pos_worst[1].minimum!r}, "
-                       f"spread={pos_worst[1].spread!r}",
-        }, octagon_ms / 2))
-
-    t0 = time.perf_counter()
-    vmap = vortex_map(lat, ground, loops=loops)
+    vmap = vortex_map(lat, ev.ground, loops=ev.loops)
     timings["vortex_map"] = 1e3 * (time.perf_counter() - t0)
     free = sum(1 for rec in vmap.values() if rec["classification"] == "vortex-free")
-    reports.append(_report(
-        "vortex_map", lat, {"lambda": lam, "beta": None, "seed": seed}, {},
+    vortex = _report(
+        "vortex_map", lat, {"lambda": lam, "beta": None, "seed": cfg["seed"]}, {},
         "pass",
         {"value_re": float(free), "value_im": 0.0,
-         "witness": f"{free}/{len(vmap)} octagons vortex-free"}, None))
+         "witness": f"{free}/{len(vmap)} octagons vortex-free"}, None)
+    reports = [symmetry, conservation, *rp, *ev.order, vortex]
 
-    by_name = {r.check: r for r in reports}
-    rp_state = by_name["rp_even"]
     violations = theorem_chain_violations(
-        rp_passed=None if rp_state.verdict == "skipped" else rp_state.passed,
-        conservation_passed=by_name["conservation"].passed,
-        topo=None if topo_worst is None else topo_worst[1],
-        pos=None if pos_worst is None else pos_worst[1],
+        rp_passed=None if rp[0].verdict == "skipped" else rp[0].passed,
+        conservation_passed=conservation.passed,
+        topo=ev.worst_topo,
+        pos=ev.worst_pos,
         topo_tol=cfg["tolerances"]["topo"],
         pos_tol=cfg["tolerances"]["pos"],
     )
@@ -499,14 +530,14 @@ def cmd_certify(cfg: dict) -> int:
         "version": __version__,
         "config": _config_echo(cfg),
         "manifest": model_manifest(lat, lam),
-        "ground": {"e0": ground.e0, "degeneracy": ground.n,
-                   "gap_tol": ground.gap_tol},
+        "ground": {"e0": ev.ground.e0, "degeneracy": ev.ground.n,
+                   "gap_tol": ev.ground.gap_tol},
         "reports": [r.to_dict(include_timing=False) for r in reports],
         "vortex_map": {f"{x},{y}": rec for (x, y), rec in sorted(vmap.items())},
         "chain_violations": violations,
-        "sidecar": _sidecar(timings, ground,
-                            {r.check: r.sidecar for r in reports
-                             if r.sidecar is not None}),
+        "sidecar": _sidecar(timings, ev.ground,
+                            rp={r.check: r.sidecar for r in reports
+                                if r.sidecar is not None}),
     }
     _emit(cfg, bundle)
 
@@ -539,9 +570,10 @@ def _round_ms(timings: dict) -> dict:
             for k, v in timings.items()}
 
 
-def _sidecar(timings: dict, ground=None, rp=None) -> dict:
+def _sidecar(timings: dict, ground=None, **extra) -> dict:
     """Timestamp, timings (ms, nested dicts allowed), the Lanczos
-    diagnostics of `ground` and the RP diagnostics `rp`, if any."""
+    diagnostics of `ground`, if any, and every non-empty `extra` entry
+    (RP diagnostics, cache state)."""
     out = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "timings_ms": _round_ms(timings),
@@ -552,8 +584,7 @@ def _sidecar(timings: dict, ground=None, rp=None) -> dict:
                           "residuals": list(ground.residuals),
                           "parities": list(ground.parities),
                           "matvecs": ground.matvecs}
-    if rp:
-        out["rp"] = rp
+    out.update((key, val) for key, val in extra.items() if val)
     return out
 
 
@@ -579,74 +610,48 @@ def _beta_list(cfg: dict) -> list[float]:
     return [float(beta)]
 
 
-def _sweep_rows(lat, refl, cfg, lam, betas):
-    """The rows of one lambda, in beta order, with their sidecar data.
-
-    The spectrum, ground space and octagon checks depend on lambda
-    alone, so they are computed once and shared by every beta; only RP
-    is evaluated per beta.  An error fails the rows it reaches.  Returns
-    (rows, the RP diagnostics of each row or None, stage timings in ms).
-    """
-    errors = (SpectralError, ModelError, LatticeError)
-    rows = [{"lambda": lam, "beta": beta, "e0": None, "degeneracy": None,
-             "min_rp": None, "alpha_min": None, "alpha_max": None,
-             "topo_deviation": None, "verdicts": ""} for beta in betas]
-    diagnostics = [None] * len(rows)
-    timings = {}
-    try:
-        t0 = time.perf_counter()
-        ground, spectrum = _ground(lat, lam, cfg)
-        timings["ground_space"] = 1e3 * (time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        results, topo_worst, _, alphas = _octagon_checks(
-            _loop_operators(lat, refl), ground, cfg)
-        timings["octagon_checks"] = 1e3 * (time.perf_counter() - t0)
-    except errors as e:
-        for row in rows:
-            row["verdicts"] = f"error:{e}"
-        return rows, diagnostics, timings
-    shared = {"e0": ground.e0, "degeneracy": ground.n}
-    order_verdicts = []
-    if results:
-        shared.update(alpha_min=min(alphas), alpha_max=max(alphas),
-                      topo_deviation=topo_worst[1].deviation)
-        topo_pass = all(t.verdict == "pass" for _, t, _ in results)
-        pos_pass = all(p.verdict == "pass" for _, _, p in results)
-        order_verdicts = [f"topo:{'pass' if topo_pass else 'fail'}",
-                          f"pos:{'pass' if pos_pass else 'fail'}"]
-    t0 = time.perf_counter()
-    for i, row in enumerate(rows):
-        rp_verdict = "rp:skipped"
-        if spectrum is not None:
-            try:
-                rp = check_rp(lat, refl, lam, row["beta"],
-                              specs=_rp_specs(cfg, "even"),
-                              tol=cfg["tolerances"]["rp"], spectrum=spectrum,
-                              name="rp_even", seed=cfg["seed"])
-            except errors as e:
-                row["verdicts"] = f"error:{e}"
-                continue
-            row["min_rp"] = rp.worst["value_re"]
-            rp_verdict = f"rp:{rp.verdict}"
-            diagnostics[i] = rp.sidecar
-        row.update(shared)
-        row["verdicts"] = ";".join([rp_verdict, *order_verdicts])
-    timings["rp"] = 1e3 * (time.perf_counter() - t0)
-    return rows, diagnostics, timings
-
-
 def cmd_sweep(cfg: dict) -> int:
     lat = _build_lattice(cfg)
     refl = reflection_data(lat, cfg["plane"]["axis"], cfg["plane"]["coordinate"])
     # rows in (lambda, beta) order; a lambda the grid repeats (from ==
-    # to) gets each of its beta rows that many times, next to each other
-    betas = _beta_list(cfg)
+    # to) gets each of its beta rows that many times, next to each other.
+    # One evaluate serves all rows of a lambda: an error in its ground
+    # space or octagon checks fails them all, one in RP only its own row
     rows, diagnostics, timings = [], [], {}
     for lam, same in itertools.groupby(sorted(_lambda_grid(cfg))):
-        lam_rows, lam_diagnostics, timings[repr(lam)] = _sweep_rows(
-            lat, refl, cfg, lam, sorted(betas * len(list(same))))
+        betas = sorted(_beta_list(cfg) * len(list(same)))
+        lam_rows = [dict.fromkeys(SWEEP_COLUMNS) | {"lambda": lam, "beta": beta}
+                    for beta in betas]
         rows += lam_rows
-        diagnostics += lam_diagnostics
+        try:
+            ev = evaluate(lat, refl, lam, cfg, betas, ["even"])
+        except _ROW_ERRORS as e:
+            for row in lam_rows:
+                row["verdicts"] = f"error:{e}"
+            diagnostics += [None] * len(lam_rows)
+            timings[repr(lam)] = {}
+            continue
+        timings[repr(lam)] = ev.timings
+        shared = {"e0": ev.ground.e0, "degeneracy": ev.ground.n}
+        order_verdicts = []
+        if ev.octagons:
+            alphas = [t.alpha for _, t, _ in ev.octagons]
+            shared.update(alpha_min=min(alphas), alpha_max=max(alphas),
+                          topo_deviation=ev.worst_topo.deviation)
+            order_verdicts = [f"topo:{ev.order[0].verdict}",
+                              f"pos:{ev.order[1].verdict}"]
+        for row in lam_rows:
+            rp = ev.rp[row["beta"], "even"]
+            if isinstance(rp, Exception):
+                diagnostics.append(None)
+                row["verdicts"] = f"error:{rp}"
+                continue
+            diagnostics.append(rp.sidecar)
+            if rp.verdict != "skipped":
+                row["min_rp"] = rp.worst["value_re"]
+            row.update(shared)
+            row["verdicts"] = ";".join([f"rp:{rp.verdict}", *order_verdicts])
+        del ev  # one lambda's spectrum at a time
 
     if cfg["output"]["format"] == "csv":
         _emit_text(cfg, _rows_to_csv(rows))
@@ -684,27 +689,26 @@ def cmd_spectrum(cfg: dict) -> int:
     cache_path = Path(cache_dir) / f"{key}.f8" if cache_dir else None
 
     dim = 1 << lat.n_modes
-    values = None
-    if cache_path is not None and cache_path.exists():
-        # a truncated or corrupt file is a miss and gets overwritten
-        values = load_eigenvalues(cache_path, dim)
-        source = "cache"
+    t0 = time.perf_counter()
+    values, ground, cache = None, None, "off"
+    if cache_path is not None:
+        cache = "miss"
+        if cache_path.exists():
+            # a truncated or corrupt file is rejected and gets overwritten
+            values, reason = load_eigenvalues(cache_path, dim)
+            cache = "hit" if reason is None else f"rejected: {reason}"
+            source = "cache"
     if values is None:
-        op = to_matrix(build_hamiltonian(lat, lam), lat.n_modes)
-        if op.dim <= DENSE_DIM_CAP:
-            values = dense_spectrum(op).eigenvalues
-            source = "dense"
+        # no clustering here: the dense route reports every eigenvalue
+        spectrum, ground = _solve(lat, lam, cfg)
+        if spectrum is not None:
+            values, source = spectrum.eigenvalues, "dense"
             if cache_path is not None:
                 cache_path.parent.mkdir(parents=True, exist_ok=True)
                 save_eigenvalues(cache_path, values)
         else:
             # partial spectra are not cached: the cache format means "full"
-            sol = cfg["solver"]
-            gs = lanczos_ground(op, k=sol["k"], seed=cfg["seed"],
-                                gap_tol=cfg["tolerances"]["gap"],
-                                window=sol["window"])
-            values = np.array(gs.eigenvalues[:gs.n])
-            source = "lanczos"
+            values, source = np.array(ground.eigenvalues[:ground.n]), "lanczos"
     payload = {
         "tool": "vortexcert",
         "version": __version__,
@@ -716,6 +720,8 @@ def cmd_spectrum(cfg: dict) -> int:
         "count": int(len(values)),
         "e0": float(values[0]) if len(values) else None,
         "eigenvalues": [float(v) for v in values],
+        "sidecar": _sidecar({"spectrum": 1e3 * (time.perf_counter() - t0)},
+                            ground, cache=cache),
     }
     _emit(cfg, payload)
     return 0
@@ -723,21 +729,18 @@ def cmd_spectrum(cfg: dict) -> int:
 
 def cmd_vortex_map(cfg: dict) -> int:
     lat = _build_lattice(cfg)
-    lam = _scalar_lambda(cfg)
-    timings = {}
+    ev = evaluate(lat, None, _scalar_lambda(cfg), cfg)
+    timings = dict(ev.timings)
     t0 = time.perf_counter()
-    ground, _ = _ground(lat, lam, cfg)
-    timings["ground_space"] = 1e3 * (time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    vmap = vortex_map(lat, ground)
+    vmap = vortex_map(lat, ev.ground, loops=ev.loops)
     timings["vortex_map"] = 1e3 * (time.perf_counter() - t0)
     payload = {
         "tool": "vortexcert",
         "version": __version__,
         "config": _config_echo(cfg),
-        "ground": {"e0": ground.e0, "degeneracy": ground.n},
+        "ground": {"e0": ev.ground.e0, "degeneracy": ev.ground.n},
         "octagons": {f"{x},{y}": rec for (x, y), rec in sorted(vmap.items())},
-        "sidecar": _sidecar(timings, ground),
+        "sidecar": _sidecar(timings, ev.ground),
     }
     _emit(cfg, payload)
     return 0
@@ -783,10 +786,7 @@ def main(argv=None) -> int:
                 f"asserted checks are {list(ASSERTED_CHECKS)}")
         cfg["expect_fail"] = expected
         return COMMANDS[args.command](cfg)
-    except (ConfigError, LatticeError, ModelError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DenseCapError as e:
+    except (ConfigError, LatticeError, ModelError, DenseCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SpectralError as e:

@@ -14,8 +14,7 @@ coefficient.  Matrices are assembled by composing bit-flip/phase maps
 column by column, never by generic sparse-sparse products.
 
 Dense arrays are only materialized up to ``DENSE_DIM_CAP``; beyond that
-callers get matrix-free application (`apply_polynomial`) and the sparse
-matvec of `SparseOperator`.
+callers get the sparse matvec of `SparseOperator`.
 """
 
 from __future__ import annotations
@@ -129,22 +128,8 @@ def to_matrix(poly: MajoranaPolynomial, n_modes: int) -> SparseOperator:
     vals = np.concatenate(list(by_mask.values()))
     m = sp.coo_matrix(
         (vals, (rows, np.tile(cols, len(by_mask)))), shape=(dim, dim)
-    )
-    return SparseOperator(m.tocsr(), n_modes)
+    ).tocsr()
+    # terms of one mask that cancel leave zeros; no product should carry them
+    m.eliminate_zeros()
+    return SparseOperator(m, n_modes)
 
-
-def apply_polynomial(poly: MajoranaPolynomial, vec: np.ndarray) -> np.ndarray:
-    """Matrix-free action of a polynomial on a state vector.
-
-    Each monomial is a phase-decorated XOR permutation of the basis, so
-    the action costs O(terms * dim) with no matrix ever formed.
-    """
-    dim = len(vec)
-    n_modes = dim.bit_length() - 1
-    if 1 << n_modes != dim:
-        raise ValueError(f"state length {dim} is not a power of two")
-    out = np.zeros(dim, dtype=np.complex128)
-    for key, coeff in poly.terms().items():
-        perm, exp = monomial_action(key, n_modes)
-        out[perm] += (_to_complex(coeff) * _PHASES[exp]) * vec
-    return out

@@ -293,10 +293,12 @@ def _parity_blocks(op: SparseOperator) -> list[np.ndarray]:
     """Basis indices of the diagonal blocks the Lanczos runs in.
 
     The fermion parity P = (-1)^N is diagonal in the Fock basis: state r
-    has parity popcount(r) mod 2.  If no non-zero of the matrix couples
-    the two parities, H commutes with P and the even and odd index sets
-    are exact invariant blocks; otherwise the whole space is one block.
-    The test is structural, on the stored non-zeros, so it is exact.
+    has parity popcount(r) mod 2.  If no stored entry of the matrix
+    couples the two parities, H commutes with P and the even and odd
+    index sets are exact invariant blocks; otherwise the whole space is
+    one block.  The test is structural, so it is exact: `to_matrix`
+    stores no zeros, and an operator built elsewhere that stores a zero
+    coupling entry only falls back to the one block.
     """
     full = np.arange(op.dim, dtype=np.int64)
     if op.n_modes < 1:
@@ -304,7 +306,7 @@ def _parity_blocks(op: SparseOperator) -> list[np.ndarray]:
     m = op.matrix
     par = _bit_parity(full)
     rows = np.repeat(par, np.diff(m.indptr))
-    if ((rows != par[m.indices]) & (m.data != 0)).any():
+    if (rows != par[m.indices]).any():
         return [full]
     return [np.flatnonzero(par == p) for p in (0, 1)]
 
@@ -498,13 +500,15 @@ def save_eigenvalues(path, values) -> None:
         raise
 
 
-def load_eigenvalues(path, dim: int) -> np.ndarray | None:
-    """Cached eigenvalues, or None if the file cannot be a full spectrum:
-    wrong length (e.g. a truncated write), a non-finite value, or values
-    out of ascending order."""
+def load_eigenvalues(path, dim: int) -> tuple[np.ndarray | None, str | None]:
+    """(cached eigenvalues, None), or (None, why the file cannot be a full
+    spectrum): wrong length (e.g. a truncated write), a non-finite value,
+    or values out of ascending order."""
     values = np.fromfile(path, dtype="<f8")
     if len(values) != dim:
-        return None
-    if not (np.isfinite(values).all() and (np.diff(values) >= 0).all()):
-        return None
-    return values
+        return None, f"wrong length ({len(values)} values, need {dim})"
+    if not np.isfinite(values).all():
+        return None, "non-finite"
+    if not (np.diff(values) >= 0).all():
+        return None, "out of order"
+    return values, None

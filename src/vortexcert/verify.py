@@ -76,11 +76,13 @@ class RPSampleSpec:
             raise ValueError("max_degree and count must be >= 0")
 
 
-def default_rp_samples(seed: int = 0) -> tuple[RPSampleSpec, RPSampleSpec]:
+def default_rp_samples(seed: int = 0, *, parity: str = "even", max_degree: int = 4,
+                       count: int = 100) -> tuple[RPSampleSpec, RPSampleSpec]:
+    """The (exhaustive, random) sample families of one parity."""
     return (
-        RPSampleSpec(mode="exhaustive-monomials", max_degree=4, parity="even"),
-        RPSampleSpec(mode="random-polynomials", max_degree=4, count=100,
-                     seed=seed, parity="even"),
+        RPSampleSpec(mode="exhaustive-monomials", max_degree=max_degree, parity=parity),
+        RPSampleSpec(mode="random-polynomials", max_degree=max_degree, count=count,
+                     seed=seed, parity=parity),
     )
 
 

@@ -26,3 +26,31 @@ def test_traced_sites_resolve():
     for path in paths:
         owner, attr = tracing.owner_of(path)
         assert callable(getattr(owner, attr, None)), path
+
+
+def test_the_cli_calls_every_traced_cli_site(tmp_path, monkeypatch):
+    # only the sites looked up through vortexcert.cli are wrapped, so a
+    # span is recorded only for a call that goes through cli's own name;
+    # one that goes around it would leave its per-layer metric at 0
+    from vortexcert import cli
+
+    tracing = _load_tracing()
+    sites = [(name, tuple(p for p in paths if p.startswith("vortexcert.cli:")), count)
+             for name, paths, count in tracing.SITES]
+    monkeypatch.setattr(tracing, "SITES", [site for site in sites if site[1]])
+    fast = ["--samples", "2", "--max-degree", "2"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["certify", *fast, "--out", str(tmp_path / "c.json")]) == 0
+        assert cli.main(["sweep", "--lambda.from", "0.1", "--lambda.to", "0.2",
+                         "--lambda.steps", "2", "--beta", "1", *fast,
+                         "--out", str(tmp_path / "s.json")]) == 0
+        # a lowered dense cap sends the diamond through Lanczos
+        monkeypatch.setattr(cli, "DENSE_DIM_CAP", 128)
+        assert cli.main(["certify", "--solver.k", "9", *fast,
+                         "--out", str(tmp_path / "l.json")]) == 0
+    finally:
+        tracer.restore()
+    recorded = {span[0] for span in tracer.spans}
+    assert {name for name, _, _ in tracing.SITES} - recorded == set()

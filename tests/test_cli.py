@@ -69,6 +69,99 @@ def test_dotted_aliases_hit_the_same_paths():
     assert a["tolerances"]["rp"] == 1e-7 and a["samples"]["count"] == 5
 
 
+# every flag spelling of the parser, the config path it sets, a value and
+# the value it resolves to
+FLAG_PATHS = [
+    (("--lx", "--lattice.lx"), "lattice.lx", "5", 5),
+    (("--ly", "--lattice.ly"), "lattice.ly", "6", 6),
+    (("--boundary", "--lattice.boundary"), "lattice.boundary", "periodic", "periodic"),
+    (("--plane-axis", "--plane.axis"), "plane.axis", "y", "y"),
+    (("--plane-coord", "--plane.coordinate"), "plane.coordinate", "2", 2),
+    (("--lambda", "--lam"), "lambda", "0.3", 0.3),
+    (("--beta",), "beta", "2.5", 2.5),
+    (("--seed",), "seed", "7", 7),
+    (("--tol-rp", "--tolerances.rp"), "tolerances.rp", "1e-7", 1e-7),
+    (("--tol-topo", "--tolerances.topo"), "tolerances.topo", "1e-6", 1e-6),
+    (("--tol-pos", "--tolerances.pos"), "tolerances.pos", "1e-5", 1e-5),
+    (("--gap-tol", "--tolerances.gap"), "tolerances.gap", "0.5", 0.5),
+    (("--samples", "--samples.count"), "samples.count", "3", 3),
+    (("--max-degree", "--samples.max_degree"), "samples.max_degree", "2", 2),
+    (("--solver.k",), "solver.k", "6", 6),
+    (("--solver.window",), "solver.window", "16", 16),
+    (("--cache.dir",), "cache.dir", "cdir", "cdir"),
+    (("--out", "--output.path"), "output.path", "o.json", "o.json"),
+    (("--format", "--output.format"), "output.format", "csv", "csv"),
+]
+
+
+@pytest.mark.parametrize("flags,path,text,value", FLAG_PATHS,
+                         ids=[row[1] for row in FLAG_PATHS])
+def test_every_flag_spelling_sets_its_path(flags, path, text, value):
+    for flag in flags:
+        node = _resolve(["certify", flag, text])
+        for key in path.split("."):
+            node = node[key]
+        assert node == value, flag
+
+
+# a config file breaking one check, and the error it gets: every rule of
+# the checks, then values that used to slip through or crash
+CONFIG_ERRORS = [
+    ({"lattice": {"lx": "3"}}, "lattice.lx: must be an integer"),
+    ({"lattice": {"ly": True}}, "lattice.ly: must be an integer"),
+    ({"lattice": {"lx": 1}}, "lattice.lx: region too small (need >= 2)"),
+    ({"lattice": {"ly": 1}}, "lattice.ly: region too small (need >= 2)"),
+    ({"lattice": {"boundary": "torus"}}, "lattice.boundary: must be 'open' or 'periodic'"),
+    ({"lattice": {"islands": "abc"}}, "lattice.islands: must be a list of [x, y] pairs"),
+    ({"plane": {"axis": "z"}}, "plane.axis: must be 'x' or 'y'"),
+    ({"plane": {"coordinate": "1"}}, "plane.coordinate: must be a number"),
+    ({"lambda": {"to": 1, "steps": 2}}, "lambda.from: missing from sweep range"),
+    ({"lambda": {"from": 0, "steps": 2}}, "lambda.to: missing from sweep range"),
+    ({"lambda": {"from": 0, "to": 1}}, "lambda.steps: missing from sweep range"),
+    ({"lambda": {"from": 0, "to": 1, "steps": 0}}, "lambda.steps: must be an integer >= 1"),
+    ({"lambda": {"from": 1, "to": 0, "steps": 2}}, "lambda.to: must be >= lambda.from"),
+    ({"lambda": "0.1"}, "lambda: must be a number"),
+    ({"beta": []}, "beta: empty list"),
+    ({"beta": [1, -1]}, "beta: entries must be numbers >= 0"),
+    ({"beta": -1}, "beta: must be a number >= 0"),
+    ({"seed": 1.5}, "seed: must be an integer"),
+    ({"tolerances": {"rp": 0}}, "tolerances.rp: must be > 0"),
+    ({"tolerances": {"topo": "x"}}, "tolerances.topo: must be > 0"),
+    ({"tolerances": {"pos": -1}}, "tolerances.pos: must be > 0"),
+    ({"tolerances": {"gap": 0}},
+     "tolerances.gap: must be > 0 (or null for the default rule)"),
+    ({"samples": {"count": -1}}, "samples.count: must be an integer >= 0"),
+    ({"samples": {"max_degree": 1.0}}, "samples.max_degree: must be an integer >= 0"),
+    ({"solver": {"k": 0}}, "solver.k: must be an integer >= 1"),
+    ({"solver": {"window": 7}}, "solver.window: must be an integer >= 8"),
+    ({"output": {"format": "xml"}}, "output.format: must be 'json' or 'csv'"),
+    # formerly a traceback or a silent run
+    ({"lambda": {"from": "a", "to": 1, "steps": 2}}, "lambda.from: must be a number"),
+    ({"lattice": {"islands": [[0]]}}, "lattice.islands: must be a list of [x, y] pairs"),
+    ({"cache": {"dir": 5}}, "cache.dir: must be a string (or null)"),
+    ({"samples": {"count": True, "max_degree": 2}},
+     "samples.count: must be an integer >= 0"),
+    ({"seed": True}, "seed: must be an integer"),
+    ({"lambda": {"from": 0, "to": 1, "steps": True}},
+     "lambda.steps: must be an integer >= 1"),
+    ({"beta": [True]}, "beta: entries must be numbers >= 0"),
+    ({"tolerances": {"rp": float("inf")}}, "tolerances.rp: must be > 0"),
+    ({"plane": {"coordinate": float("nan")}}, "plane.coordinate: must be a number"),
+    ({"lattice": 5}, "lattice: must be an object"),
+]
+
+
+@pytest.mark.parametrize("data,message", CONFIG_ERRORS,
+                         ids=[m.split(":")[0] + f"-{i}"
+                              for i, (_, m) in enumerate(CONFIG_ERRORS)])
+def test_config_file_errors_exit_2_with_the_field(tmp_path, capsys, data, message):
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps(data))
+    command = "spectrum" if "cache" in data else "certify"
+    assert main([command, "--config", str(conf)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unknown_config_key_rejected(tmp_path):
     conf = tmp_path / "c.json"
     conf.write_text(json.dumps({"lambada": 0.2}))
@@ -251,12 +344,14 @@ def test_spectrum_cache_round_trip(tmp_path):
     code, first = _run_json(tmp_path, argv, "s1.json")
     assert code == 0
     assert first["source"] == "dense"
+    assert first["sidecar"]["cache"] == "miss"
     assert first["count"] == 256 and first["dim"] == 256
     assert abs(first["e0"] - E0_DIAMOND_01) <= 1e-12
     assert list(cache.glob("*.f8")) == [cache / f"{first['cache_key']}.f8"]
     code, second = _run_json(tmp_path, argv, "s2.json")
     assert code == 0
     assert second["source"] == "cache"
+    assert second["sidecar"]["cache"] == "hit"
     assert second["eigenvalues"] == first["eigenvalues"]
 
 
@@ -268,12 +363,14 @@ def test_spectrum_cache_rejects_truncated_file(tmp_path):
     path = cache / f"{first['cache_key']}.f8"
     full = path.read_bytes()
     # a write cut short, a non-finite value, values out of order
-    for damaged in (full[: len(full) // 2],
-                    full[:-8] + np.array([np.nan], "<f8").tobytes(),
-                    np.frombuffer(full, "<f8")[::-1].tobytes()):
+    for damaged, reason in (
+            (full[: len(full) // 2], "wrong length (128 values, need 256)"),
+            (full[:-8] + np.array([np.nan], "<f8").tobytes(), "non-finite"),
+            (np.frombuffer(full, "<f8")[::-1].tobytes(), "out of order")):
         path.write_bytes(damaged)
         code, again = _run_json(tmp_path, argv, "s2.json")
         assert code == 0
+        assert again["sidecar"]["cache"] == f"rejected: {reason}"
         assert again["source"] == "dense"
         assert again["eigenvalues"] == first["eigenvalues"]
         assert path.read_bytes() == full  # the miss rewrote the file
@@ -289,6 +386,7 @@ def test_lanczos_route_reports_cluster_values_and_diagnostics(
     code, spec = _run_json(tmp_path, ["spectrum", "--solver.k", "9"], "s.json")
     assert code == 0
     assert spec["source"] == "lanczos"
+    assert spec["sidecar"]["cache"] == "off"
     assert spec["count"] == 8
     np.testing.assert_allclose(spec["eigenvalues"], dense[:8], rtol=0, atol=1e-9)
 
@@ -304,10 +402,19 @@ def test_lanczos_route_reports_cluster_values_and_diagnostics(
     # the diamond Hamiltonian is even, so Lanczos ran in the parity blocks
     assert len(lz["parities"]) == 9 and set(lz["parities"]) <= {0, 1}
 
+    # beyond the cap RP is skipped: a sweep row says so and claims no min_rp
+    code, sweep = _run_json(tmp_path, ["sweep", "--solver.k", "9", "--beta", "1,2"]
+                            + FAST, "w.json")
+    assert code == 0
+    assert [row["verdicts"] for row in sweep["rows"]] == [
+        "rp:skipped;topo:pass;pos:pass"] * 2
+    assert [row["min_rp"] for row in sweep["rows"]] == [None, None]
+    assert sweep["sidecar"]["rp"] == [None, None]
+
     code, vmap = _run_json(tmp_path, ["vortex-map", "--solver.k", "9"],
                            "v.json")
     assert code == 0
-    assert vmap["sidecar"]["lanczos"] == lz
+    assert vmap["sidecar"]["lanczos"] == spec["sidecar"]["lanczos"] == lz
 
 
 def test_python_dash_m_runs_the_cli():
@@ -328,4 +435,5 @@ def test_vortex_map_command(tmp_path):
     rec = payload["octagons"]["1,2"]
     assert rec["classification"] == "vortex-free"
     assert rec["alpha"] >= 1 - 1e-6
-    assert set(payload["sidecar"]["timings_ms"]) == {"ground_space", "vortex_map"}
+    assert set(payload["sidecar"]["timings_ms"]) == {"ground_space", "octagon_checks",
+                                                     "vortex_map"}

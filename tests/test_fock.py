@@ -8,7 +8,6 @@ from vortexcert.clifford import EXACT_I, EXACT_ONE, MajoranaPolynomial
 from vortexcert.fock import (
     DENSE_DIM_CAP,
     SparseOperator,
-    apply_polynomial,
     monomial_action,
     to_matrix,
 )
@@ -59,20 +58,10 @@ def test_coincident_masks_accumulate():
          + MajoranaPolynomial.identity())
     got = to_matrix(p, 2).to_dense()
     np.testing.assert_allclose(got, oracle_matrix(p, 2), atol=0)
-
-
-def test_apply_polynomial_matches_matrix():
-    rng = np.random.default_rng(23)
-    n_modes = 3
-    dim = 1 << n_modes
-    for _ in range(10):
-        p = _random_poly(rng, 2 * n_modes)
-        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        np.testing.assert_allclose(
-            apply_polynomial(p, vec),
-            to_matrix(p, n_modes).to_dense() @ vec,
-            atol=1e-12,
-        )
+    # on one mode 1 + i c0 c1 = diag(0, 2): the cancelled entry is not stored
+    one = to_matrix(p, 1)
+    assert one.nnz == 1
+    np.testing.assert_array_equal(one.to_dense(), np.diag([0, 2]))
 
 
 def test_to_matrix_rejects_out_of_range_generators():

@@ -333,7 +333,9 @@ def test_cache_key_and_eigenvalue_files(tmp_path):
     vals = np.array([-4.0, -3.5, 0.25])
     path = tmp_path / "eigs.f8"
     save_eigenvalues(path, vals)
-    np.testing.assert_array_equal(load_eigenvalues(path, len(vals)), vals)
+    got, reason = load_eigenvalues(path, len(vals))
+    np.testing.assert_array_equal(got, vals)
+    assert reason is None
     # on-disk format is raw little-endian float64
     assert path.read_bytes() == vals.astype("<f8").tobytes()
 
