@@ -232,6 +232,9 @@ def _defaults() -> dict:
 
 
 DEFAULTS = _defaults()
+# every dotted path a config file may set: the values and the range pieces
+_KNOWN_PATHS = {field.path for field in FIELDS} | {
+    f"{field.path}.{key}" for field in FIELDS for key, _ in field.pieces}
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
@@ -288,14 +291,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
     file_islands = None
     if args.config is not None:
         try:
-            loaded = json.loads(Path(args.config).read_text())
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except OSError as e:
             raise ConfigError(f"config: cannot read {args.config}: {e}") from None
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"config: invalid JSON in {args.config}: {e}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config: top level must be a JSON object")
-        unknown = set(loaded) - set(DEFAULTS)
+        # a key inside an object (a section or a sweep range) is named by
+        # its dotted path
+        unknown = [key for key in loaded if key not in DEFAULTS] + [
+            f"{key}.{sub}" for key, val in loaded.items()
+            if key in DEFAULTS and isinstance(val, dict)
+            for sub in val if f"{key}.{sub}" not in _KNOWN_PATHS]
         if unknown:
             raise ConfigError(f"config: unknown keys {sorted(unknown)}")
         for key, val in loaded.items():
@@ -316,13 +324,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, _dest(field.path), None)
         if val is not None:
             node[key] = str(val) if isinstance(val, Path) else val
-        pieces = {k: getattr(args, _dest(f"{field.path}.{k}"), None)
-                  for k, _ in field.pieces}
-        if any(v is not None for v in pieces.values()):
-            # piece flags compose a range, over the file's range if any
-            base = node[key] if isinstance(node[key], dict) else {}
-            node[key] = {k: base.get(k) if v is None else v
-                         for k, v in pieces.items()}
+        given = {k: getattr(args, _dest(f"{field.path}.{k}"), None)
+                 for k, _ in field.pieces}
+        given = {k: v for k, v in given.items() if v is not None}
+        if given:
+            # piece flags compose a range, over the file's range if any; a
+            # piece set nowhere stays absent, for the check to name
+            merged = {**(node[key] if isinstance(node[key], dict) else {}), **given}
+            node[key] = {k: merged[k] for k, _ in field.pieces if k in merged}
 
     _validate(cfg)
     # plane coordinate: keep integers as int so JSON round-trips cleanly
@@ -583,6 +592,8 @@ def _sidecar(timings: dict, ground=None, **extra) -> dict:
         out["lanczos"] = {"eigenvalues": list(ground.eigenvalues),
                           "residuals": list(ground.residuals),
                           "parities": list(ground.parities),
+                          "blocks": {"count": ground.blocks[0],
+                                     "dim": ground.blocks[1]},
                           "matvecs": ground.matvecs}
     out.update((key, val) for key, val in extra.items() if val)
     return out

@@ -5,17 +5,20 @@ restarted, fully reorthogonalized Lanczos iteration with sequential
 deflation finds the low end of the spectrum.  Its Krylov basis and the
 deflated vectors are stored row-major, one vector per row, so every
 Gram-Schmidt pass is a pair of contiguous matrix-vector products that
-conjugate only the new vector, never the basis.  An even Hamiltonian
-commutes with the fermion parity (-1)^N, which is diagonal in the Fock
-basis, so when no stored non-zero couples the two parities the
-iteration runs in the even and odd blocks separately (half-length
-vectors, half the non-zeros per product) and merges their eigenpairs;
-otherwise the whole space is the one block.  The Lanczos ground space
-carries its diagnostics: the eigenvalues found, the residual of each
-vector, the parity of the block each came from and the matrix-vector
-products spent.  Ground-space bases
-are made deterministic by re-orthogonalizing coordinate projections in
-a fixed pivot order, so reports do not depend on eigensolver gauge.
+conjugate only the new vector, never the basis.  The iteration runs in
+exact symmetry blocks: diagonal Z-strings (-1)^popcount(n & g) that
+commute with H, found by GF(2) elimination of the bit masks of the
+stored entries.  The fermion parity (-1)^N is the first split, and
+further strings halve the blocks while each keeps SYMMETRY_BLOCK_FLOOR
+states (16 blocks of 4,096 on the 4x4 torus: short vectors, a Krylov
+basis that fits in cache); the eigenpairs of the blocks are merged.  An
+operator that couples the parities is the one block.  The Lanczos
+ground space carries its diagnostics: the eigenvalues found, the
+residual of each vector, the parity of the block each came from, the
+block count and dimension and the matrix-vector products spent.
+Ground-space bases are made deterministic by re-orthogonalizing
+coordinate projections in a fixed pivot order, so reports do not depend
+on eigensolver gauge.
 
 Thermal quantities always shift energies by E0 before exponentiating;
 beta can then be large without overflow.
@@ -94,9 +97,12 @@ class GroundSpace:
     eigenvalues: tuple[float, ...] = ()
     residuals: tuple[float, ...] = ()
     matvecs: int = 0
-    # fermion parity (0 even, 1 odd) of each eigenvalue's block; empty
-    # when the operator couples the parities and Lanczos ran unblocked
+    # fermion parity (0 even, 1 odd) of each eigenvalue's symmetry block,
+    # which has a definite parity; empty when the operator couples the
+    # parities and Lanczos ran unblocked
     parities: tuple[int, ...] = ()
+    # (count, dimension) of the symmetry blocks Lanczos ran in
+    blocks: tuple[int, int] = ()
 
     @property
     def n(self) -> int:
@@ -289,26 +295,71 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
     )
 
 
-def _parity_blocks(op: SparseOperator) -> list[np.ndarray]:
-    """Basis indices of the diagonal blocks the Lanczos runs in.
+# a symmetry block is halved again only while the halves keep at least
+# this many states: at lambda = 0 the torus Hamiltonian is diagonal and
+# would split into one-state blocks, and blocks much below this size cost
+# more Lanczos runs than their shorter products save
+SYMMETRY_BLOCK_FLOOR = 4096
 
-    The fermion parity P = (-1)^N is diagonal in the Fock basis: state r
-    has parity popcount(r) mod 2.  If no stored entry of the matrix
-    couples the two parities, H commutes with P and the even and odd
-    index sets are exact invariant blocks; otherwise the whole space is
+
+def _echelon_insert(rows: dict, v: int) -> bool:
+    """Add v to `rows`, a reduced echelon basis over GF(2) (pivot bit ->
+    row, each row clear at every other pivot); False if v is in its span."""
+    for p, r in rows.items():
+        if v >> p & 1:
+            v ^= r
+    if not v:
+        return False
+    p = v.bit_length() - 1
+    for q in list(rows):
+        if rows[q] >> p & 1:
+            rows[q] ^= v
+    rows[p] = v
+    return True
+
+
+def _symmetry_blocks(op: SparseOperator) -> np.ndarray:
+    """Basis indices of the diagonal blocks the Lanczos runs in, one row
+    per block.
+
+    Every stored entry of the matrix sits at (n, n ^ s) for a bit mask s.
+    A Z-string (-1)^popcount(n & g) is diagonal in the Fock basis and
+    commutes with H exactly when popcount(g & s) is even for every stored
+    mask s, i.e. when g lies in the annihilator of their span; the joint
+    eigenspaces of such strings are exact invariant blocks.  The
+    annihilator comes from GF(2) elimination of the distinct masks.  The
+    fermion parity (-1)^N (g all ones) is the first split; the
+    annihilator's generators follow, lowest free bit first, while every
+    block keeps SYMMETRY_BLOCK_FLOOR states, so each block has 2^m states
+    and a definite parity.  An operator that couples the parities is the
     one block.  The test is structural, so it is exact: `to_matrix`
     stores no zeros, and an operator built elsewhere that stores a zero
-    coupling entry only falls back to the one block.
+    entry only splits less.
     """
     full = np.arange(op.dim, dtype=np.int64)
-    if op.n_modes < 1:
-        return [full]
     m = op.matrix
-    par = _bit_parity(full)
-    rows = np.repeat(par, np.diff(m.indptr))
-    if (rows != par[m.indices]).any():
-        return [full]
-    return [np.flatnonzero(par == p) for p in (0, 1)]
+    rows = np.repeat(full, np.diff(m.indptr))
+    masks = np.flatnonzero(np.bincount(rows ^ m.indices, minlength=op.dim))
+    if op.n_modes < 1 or _bit_parity(masks).any():
+        return full[None, :]
+    span: dict = {}
+    for s in masks.tolist():
+        _echelon_insert(span, s)
+    # one annihilator generator per free bit f: e_f plus the pivots of
+    # the rows that hold f, so it meets every row in two bits or none
+    free = [f for f in range(op.n_modes) if f not in span]
+    annihilator = [(1 << f) | sum(1 << p for p, r in span.items() if r >> f & 1)
+                   for f in free]
+    gens = [op.dim - 1]  # the parity string: every mode
+    chosen: dict = {}
+    _echelon_insert(chosen, gens[0])
+    for g in annihilator:
+        if op.dim >> (len(gens) + 1) < SYMMETRY_BLOCK_FLOOR:
+            break
+        if _echelon_insert(chosen, g):
+            gens.append(g)
+    labels = sum(_bit_parity(full & g) << i for i, g in enumerate(gens))
+    return np.argsort(labels, kind="stable").reshape(1 << len(gens), -1)
 
 
 def lanczos_ground(op: SparseOperator, k: int = 3, seed: int = 0,
@@ -316,41 +367,45 @@ def lanczos_ground(op: SparseOperator, k: int = 3, seed: int = 0,
                    max_matvecs: int = 60000, window: int = 64) -> GroundSpace:
     """Ground cluster via deflated Lanczos; k must exceed the degeneracy.
 
-    Runs inside the fermion-parity blocks of `_parity_blocks` (one block
-    if the operator couples the parities).  Each step finds one more
-    eigenpair, deflated against the earlier ones of its block, in the
-    block whose last-found eigenvalue is lowest (ties in block order);
-    a block's later eigenvalues lie above its last-found one, so the
-    search stops once the k-th smallest value found is <= that of every
-    block with states left.  One RNG and one matvec budget are shared in
-    that fixed order, so results are deterministic.  The k smallest are
-    then clustered exactly as ground_space does.  If every reported
-    eigenvalue fits inside the cluster the degeneracy may exceed k, so
-    that is an error: request a larger k.  The k eigenvalues, their true
-    residuals, their block parities (none with a single block) and the
-    products spent are returned on the GroundSpace.
+    Runs inside the Z-string symmetry blocks of `_symmetry_blocks`: the
+    two fermion-parity blocks, split further while the blocks stay at
+    least SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the 4x4
+    torus), or one block if the operator couples the parities.  Each
+    step finds one more eigenpair, deflated against the earlier ones of
+    its block, in the block whose last-found eigenvalue is lowest (ties
+    in block order); a block's later eigenvalues lie above its last-found
+    one, so the search stops once the k-th smallest value found is <=
+    that of every block with states left.  One RNG and one matvec budget
+    are shared in that fixed order, so results are deterministic.  The k
+    smallest are then clustered exactly as ground_space does.  If every
+    reported eigenvalue fits inside the cluster the degeneracy may exceed
+    k, so that is an error: request a larger k.  The k eigenvalues, their
+    true residuals, their block parities (none with a single block), the
+    block count and dimension and the block-length products spent are
+    returned on the GroundSpace.
     """
     if k < 1 or k > op.dim:
         raise ValueError(f"k must be in 1..{op.dim}")
     rng = np.random.default_rng(seed)
-    blocks = _parity_blocks(op)
+    blocks = _symmetry_blocks(op)
+    size = blocks.shape[1]
     if len(blocks) == 1:
         ops = [op]
     else:
-        ops = [SparseOperator(op.matrix[idx][:, idx], op.n_modes - 1)
+        ops = [SparseOperator(op.matrix[idx][:, idx], size.bit_length() - 1)
                for idx in blocks]
     found: list[list[tuple[float, np.ndarray, float]]] = [[] for _ in blocks]
     budget = max_matvecs
     while True:
         vals = sorted(val for pairs in found for val, _, _ in pairs)
-        open_ = [b for b, idx in enumerate(blocks) if len(found[b]) < len(idx)]
+        open_ = [b for b in range(len(blocks)) if len(found[b]) < size]
         # a block with nothing found yet has no lower bound: visit it
         last = [found[b][-1][0] if found[b] else -np.inf for b in open_]
         if len(vals) >= k and (not open_ or vals[k - 1] <= min(last)):
             break
         b = open_[int(np.argmin(last))]
         val, vec, r, used = _lowest_eigenpair(
-            ops[b].apply, len(blocks[b]), rng, [v for _, v, _ in found[b]],
+            ops[b].apply, size, rng, [v for _, v, _ in found[b]],
             conv_tol, budget, window)
         budget -= used
         found[b].append((val, vec, r))
@@ -374,11 +429,13 @@ def lanczos_ground(op: SparseOperator, k: int = 3, seed: int = 0,
         full[blocks[b]] = vec
         columns.append(full)
     basis = canonical_subspace_basis(np.column_stack(columns))
+    parity = _bit_parity(blocks[:, 0])
     return GroundSpace(e0=e0, basis=basis, gap_tol=gap_tol,
                        eigenvalues=tuple(float(v) for v in values),
                        residuals=tuple(r for _, _, _, r in pairs),
                        parities=() if len(blocks) == 1 else
-                       tuple(b for _, b, _, _ in pairs),
+                       tuple(int(parity[b]) for _, b, _, _ in pairs),
+                       blocks=(len(blocks), size),
                        matvecs=max_matvecs - budget)
 
 

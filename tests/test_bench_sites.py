@@ -3,11 +3,14 @@
 bench/tracing.py patches functions at the module attributes their callers
 look them up by; a refactor that renames or drops one of those imports
 would make every traced benchmark invocation fail.  This resolves each
-path in its SITES table without running anything.
+path in its SITES table, and checks that the calls the per-layer metrics
+count really go through the wrapped names.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -54,3 +57,28 @@ def test_the_cli_calls_every_traced_cli_site(tmp_path, monkeypatch):
         tracer.restore()
     recorded = {span[0] for span in tracer.spans}
     assert {name for name, _, _ in tracing.SITES} - recorded == set()
+
+
+@pytest.mark.parametrize("floor", [None, 16])
+def test_every_lanczos_product_is_a_traced_matvec(monkeypatch, diamond, floor):
+    # fock.matvec wraps SparseOperator.apply; a block operator whose
+    # products went around it would leave that metric below the count
+    # the solver reports
+    from vortexcert import spectral
+    from vortexcert.fock import to_matrix
+    from vortexcert.model import build_hamiltonian
+
+    if floor is not None:  # more, smaller blocks than the two parities
+        monkeypatch.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", floor)
+    tracing = _load_tracing()
+    monkeypatch.setattr(tracing, "SITES", [
+        site for site in tracing.SITES if site[0] == "fock.matvec"])
+    op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        ground = spectral.lanczos_ground(op, k=9, seed=0)
+    finally:
+        tracer.restore()
+    assert ground.blocks == ((2, 128) if floor is None else (16, 16))
+    assert len(tracer.spans) == ground.matvecs > 0

@@ -162,6 +162,32 @@ def test_config_file_errors_exit_2_with_the_field(tmp_path, capsys, data, messag
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# inputs that used to run, crash or name the wrong piece: (command line,
+# config file bytes or None, start of the error)
+BAD_INPUTS = [
+    (["certify"], b'{"lattice": {"lxx": 5}}', "config: unknown keys ['lattice.lxx']"),
+    (["sweep"], b'{"lambda": {"from": 0, "to": 1, "steps": 2, "step": 1}}',
+     "config: unknown keys ['lambda.step']"),
+    (["lattice"], b"\xff\xfe\x00", "config: invalid JSON in "),
+    (["sweep", "--lambda.to", "1"], None, "lambda.from: missing from sweep range"),
+    (["sweep", "--lambda.from", "0", "--lambda.to", "1"], None,
+     "lambda.steps: missing from sweep range"),
+]
+
+
+@pytest.mark.parametrize("argv,content,message", BAD_INPUTS,
+                         ids=["section-key", "range-key", "non-utf8",
+                              "range-to-only", "range-no-steps"])
+def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, content, message):
+    if content is not None:
+        conf = tmp_path / "c.json"
+        conf.write_bytes(content)
+        argv = [*argv, "--config", str(conf)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
 def test_unknown_config_key_rejected(tmp_path):
     conf = tmp_path / "c.json"
     conf.write_text(json.dumps({"lambada": 0.2}))
@@ -401,6 +427,7 @@ def test_lanczos_route_reports_cluster_values_and_diagnostics(
     assert lz["matvecs"] > 0
     # the diamond Hamiltonian is even, so Lanczos ran in the parity blocks
     assert len(lz["parities"]) == 9 and set(lz["parities"]) <= {0, 1}
+    assert lz["blocks"] == {"count": 2, "dim": 128}
 
     # beyond the cap RP is skipped: a sweep row says so and claims no min_rp
     code, sweep = _run_json(tmp_path, ["sweep", "--solver.k", "9", "--beta", "1,2"]

@@ -1,4 +1,5 @@
-"""Property tests of the Majorana algebra against the Kronecker oracle.
+"""Property tests of the Majorana algebra and of the Lanczos symmetry
+blocks against the Kronecker oracle.
 
 Polynomials, mode counts and mirror maps are drawn by Hypothesis with a
 derandomized search, so every run checks the same cases.  Coefficients
@@ -7,9 +8,11 @@ identity exact and leaves only the matrix products to round-off.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortexcert import spectral
 from vortexcert.clifford import (
     MajoranaPolynomial,
     ReflectionMap,
@@ -104,3 +107,37 @@ def test_adjoint_is_the_anti_multiplicative_involution(case):
     mp = oracle_matrix(p, n_modes)
     assert np.allclose(to_matrix(adjoint(p), n_modes).to_dense(),
                        mp.conj().T, atol=1e-12)
+
+
+@st.composite
+def even_cases(draw):
+    """An even polynomial on up to six modes: every key has even length."""
+    n_modes = draw(st.integers(1, 6))
+    index = st.integers(0, 2 * n_modes - 1)
+    key = st.integers(0, 2).flatmap(
+        lambda half: st.lists(index, min_size=2 * half, max_size=2 * half))
+    terms = draw(st.dictionaries(key.map(tuple), _coefficients, max_size=6))
+    return n_modes, MajoranaPolynomial(terms)
+
+
+@PROPERTY_SETTINGS
+@given(even_cases())
+def test_symmetry_blocks_split_fully_and_are_invariant(case):
+    n_modes, p = case
+    dim = 1 << n_modes
+    # without the floor every commuting Z-string splits the blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 1)
+        blocks = spectral._symmetry_blocks(to_matrix(p, n_modes))
+    np.testing.assert_array_equal(np.sort(blocks.ravel()), np.arange(dim))
+    label = np.empty(dim, dtype=np.int64)
+    label[blocks] = np.arange(len(blocks))[:, None]
+    # the oracle matrix joins no two blocks
+    m = oracle_matrix(p, n_modes)
+    assert not m[label[:, None] != label[None, :]].any()
+    # every Z-string (-1)^popcount(n & g) that commutes with it, the
+    # parity among them, is constant on each block
+    for g in range(dim):
+        z = np.array([(-1) ** bin(n & g).count("1") for n in range(dim)])
+        if np.array_equal(z[:, None] * m, m * z[None, :]):
+            assert (z[blocks] == z[blocks[:, :1]]).all(), g

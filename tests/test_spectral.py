@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
-from vortexcert import spectral
+from vortexcert import build_lattice, spectral
 from vortexcert.clifford import MajoranaPolynomial
 from vortexcert.fock import SparseOperator, to_matrix
 from vortexcert.model import build_hamiltonian, vortex_operator
@@ -210,7 +211,7 @@ def test_lanczos_takes_one_block_when_the_operator_couples_parities(
     odd = MajoranaPolynomial.monomial((0, 1, 2), 0.3j)
     op = to_matrix(build_hamiltonian(diamond, 0.1) + odd, diamond.n_modes)
     assert op.hermiticity_defect() <= 1e-12
-    assert len(spectral._parity_blocks(op)) == 1
+    assert len(spectral._symmetry_blocks(op)) == 1
     dense = dense_spectrum(op)
     k = 9  # an 8-fold ground level
     lz = lanczos_ground(op, k=k, seed=0)
@@ -222,7 +223,7 @@ def test_lanczos_takes_one_block_when_the_operator_couples_parities(
     assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-6
     # the even Hamiltonian alone splits into the two blocks
     even = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
-    blocks = spectral._parity_blocks(even)
+    blocks = spectral._symmetry_blocks(even)
     assert [len(b) for b in blocks] == [128, 128]
     np.testing.assert_array_equal(_parity(256)[blocks[1]], 1)
 
@@ -279,6 +280,48 @@ def test_lanczos_k_equal_to_a_block_dimension(k):
     assert lz.parities == (0,) * 4 + (1,) * (k - 4)
     assert lz.n == 1
     assert max(lz.residuals) <= 1e-9
+
+
+@pytest.mark.parametrize("boundary,lam,count", [
+    ("periodic", 0.0, 16), ("periodic", 0.1, 16), ("open", 0.1, 16)])
+def test_symmetry_blocks_are_invariant_and_floored(boundary, lam, count):
+    lat = build_lattice(4, 4, boundary)
+    op = to_matrix(build_hamiltonian(lat, lam), lat.n_modes)
+    blocks = spectral._symmetry_blocks(op)
+    assert len(blocks) == count
+    # the blocks partition the index set
+    np.testing.assert_array_equal(np.sort(blocks.ravel()), np.arange(op.dim))
+    size = blocks.shape[1]
+    assert size & (size - 1) == 0 and size >= spectral.SYMMETRY_BLOCK_FLOOR
+    # no stored entry couples two blocks
+    label = np.empty(op.dim, dtype=np.int64)
+    label[blocks] = np.arange(len(blocks))[:, None]
+    coo = op.matrix.tocoo()
+    assert (label[coo.row] == label[coo.col]).all()
+    # every block has a definite parity
+    par = _parity(op.dim)[blocks]
+    assert (par == par[:, :1]).all()
+
+
+def test_torus_lanczos_levels_match_eigsh(torus_4x4):
+    # ARPACK from one start vector resolves each distinct level once, so
+    # the distinct levels are compared both ways: no level below the
+    # largest reported value is missed, and none reported is spurious
+    op = to_matrix(build_hamiltonian(torus_4x4, 0.1), torus_4x4.n_modes)
+    conv_tol = 1e-9
+    lz = lanczos_ground(op, k=4, seed=0, conv_tol=conv_tol)
+    assert lz.blocks == (16, 4096)
+    assert lz.n == 1
+    ref = scipy.sparse.linalg.eigsh(op.matrix, k=3, which="SA", tol=1e-10,
+                                    v0=np.ones(op.dim), return_eigenvectors=False)
+    ref = np.sort(ref)
+    assert ref[-1] > max(lz.eigenvalues)
+    for v in lz.eigenvalues:
+        assert np.abs(ref - v).min() <= 1e-9, v
+    for v in ref[ref <= max(lz.eigenvalues) + 1e-9]:
+        assert np.abs(np.array(lz.eigenvalues) - v).min() <= 1e-9, v
+    for e, r in zip(lz.eigenvalues, lz.residuals):
+        assert r <= 100 * conv_tol * max(1.0, abs(e))
 
 
 def test_lanczos_insufficient_k_raises(diamond):
