@@ -496,7 +496,7 @@ def cmd_certify(cfg: dict) -> int:
     refl = reflection_data(lat, cfg["plane"]["axis"], cfg["plane"]["coordinate"])
 
     t0 = time.perf_counter()
-    ok, dev = verify_reflection_symmetry(build_hamiltonian(lat, lam, exact=True), refl)
+    ok, dev = verify_reflection_symmetry(build_hamiltonian(lat, lam), refl)
     symmetry = _report(
         "reflection_symmetry", lat,
         {"lambda": lam, "beta": None, "seed": None}, {},
@@ -715,8 +715,12 @@ def cmd_spectrum(cfg: dict) -> int:
         if spectrum is not None:
             values, source = spectrum.eigenvalues, "dense"
             if cache_path is not None:
-                cache_path.parent.mkdir(parents=True, exist_ok=True)
-                save_eigenvalues(cache_path, values)
+                try:
+                    cache_path.parent.mkdir(parents=True, exist_ok=True)
+                    save_eigenvalues(cache_path, values)
+                except OSError as e:
+                    raise ConfigError(f"cache.dir: cannot write {cache_path}: "
+                                      f"{e.strerror or e}") from None
         else:
             # partial spectra are not cached: the cache format means "full"
             values, source = np.array(ground.eigenvalues[:ground.n]), "lanczos"
@@ -766,10 +770,14 @@ def _emit(cfg: dict, payload: dict) -> None:
 
 def _emit_text(cfg: dict, text: str) -> None:
     path = cfg["output"]["path"]
-    if path:
-        Path(path).write_text(text)
-    else:
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise ConfigError(f"output.path: cannot write {path}: "
+                          f"{e.strerror or e}") from None
 
 
 COMMANDS = {

@@ -3,26 +3,36 @@
 Generators c_0, c_1, ... satisfy c_i = c_i^dagger, c_i^2 = 1 and
 {c_i, c_j} = 2 delta_ij.  A monomial is an ascending product of distinct
 generators with a scalar coefficient; a polynomial is a finite sum of
-monomials keyed by their index tuple.  Two coefficient modes coexist:
+monomials keyed by their index tuple.
 
-* float mode: python complex, terms pruned when |coeff| <= 1e-14;
-* exact mode: Gaussian rationals (`GaussianRational`), pruned only at
-  exact zero, so statements like "this commutator vanishes" carry no
-  floating-point caveat.
-
-Mixing modes in one operation silently degrades the result to float
-mode; nothing ever upgrades float coefficients to exact ones.
+Every coefficient is a Gaussian rational (`GaussianRational`), so
+statements like "this commutator vanishes" or "theta(H) = H" carry no
+floating-point caveat, and terms are pruned only at exact zero.  Inputs
+are converted exactly: ints and Fractions as they are, and every finite
+float or complex (numpy scalars included) as the binary rational it
+already is.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-FLOAT_PRUNE_TOL = 1e-14
-FLOAT_COMM_TOL = 1e-12
+
+def _rational(x) -> Fraction:
+    """The exact value of a real scalar; NaN and infinities raise."""
+    if isinstance(x, (int, Fraction)):
+        return x if type(x) is Fraction else Fraction(x)
+    if isinstance(x, numbers.Integral):
+        return Fraction(int(x))
+    x = float(x)  # Fraction() refuses numpy's float32
+    if not math.isfinite(x):
+        raise ValueError(f"coefficient part {x!r} is not finite")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -33,8 +43,8 @@ class GaussianRational:
     im: Fraction
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", _rational(re))
+        object.__setattr__(self, "im", _rational(im))
 
     def __add__(self, other):
         other = _as_exact_scalar(other)
@@ -82,58 +92,33 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
+
+    to_complex = __complex__
 
 
 EXACT_ONE = GaussianRational(1)
 EXACT_I = GaussianRational(0, 1)
 
 
-def _as_exact_scalar(z):
+def _as_exact_scalar(z) -> GaussianRational | None:
+    """The exact value of a scalar, or None for a non-scalar."""
     if isinstance(z, GaussianRational):
         return z
-    if isinstance(z, (int, Fraction)):
+    if isinstance(z, numbers.Real):
         return GaussianRational(z)
+    if isinstance(z, numbers.Complex):
+        z = complex(z)
+        return GaussianRational(z.real, z.imag)
     return None
 
 
-def is_exact_coeff(z) -> bool:
-    return _as_exact_scalar(z) is not None
-
-
-def _to_complex(z) -> complex:
-    if isinstance(z, GaussianRational):
-        return z.to_complex()
-    return complex(z)
-
-
-def _coeff_mul(a, b):
-    ea, eb = _as_exact_scalar(a), _as_exact_scalar(b)
-    if ea is not None and eb is not None:
-        return ea * eb
-    return _to_complex(a) * _to_complex(b)
-
-
-def _coeff_add(a, b):
-    ea, eb = _as_exact_scalar(a), _as_exact_scalar(b)
-    if ea is not None and eb is not None:
-        return ea + eb
-    return _to_complex(a) + _to_complex(b)
-
-
-def _coeff_conj(a):
-    ea = _as_exact_scalar(a)
-    if ea is not None:
-        return ea.conjugate()
-    return _to_complex(a).conjugate()
-
-
-def _coeff_is_null(a) -> bool:
-    ea = _as_exact_scalar(a)
-    if ea is not None:
-        return not ea
-    return abs(_to_complex(a)) <= FLOAT_PRUNE_TOL
+def _coefficient(z) -> GaussianRational:
+    exact = _as_exact_scalar(z)
+    if exact is None:
+        raise TypeError(f"coefficient must be a number, got {z!r}")
+    return exact
 
 
 @lru_cache(maxsize=1 << 18)
@@ -183,21 +168,16 @@ def canonicalize(indices: Iterable[int], coeff=1):
 
 
 class ReflectionMap:
-    """Involutive index map i -> sigma(i) with an orientation flag.
+    """Involutive index map i -> sigma(i)."""
 
-    The flag records which spatial axis the mirror plane is normal to;
-    the algebra only uses the index involution itself.
-    """
+    __slots__ = ("_map",)
 
-    __slots__ = ("_map", "axis")
-
-    def __init__(self, mapping: Mapping[int, int], axis: str = "x"):
+    def __init__(self, mapping: Mapping[int, int]):
         m = dict(mapping)
         for i, j in m.items():
             if j not in m or m[j] != i:
                 raise ValueError(f"mapping is not an involution at index {i}")
         self._map = m
-        self.axis = axis
 
     def __call__(self, i: int) -> int:
         try:
@@ -205,54 +185,42 @@ class ReflectionMap:
         except KeyError:
             raise KeyError(f"index {i} not covered by the reflection") from None
 
-    def __contains__(self, i: int) -> bool:
-        return i in self._map
-
-    def __len__(self) -> int:
-        return len(self._map)
-
     def items(self):
         return self._map.items()
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self._map)
 
 
 class MajoranaPolynomial:
     """Finite sum of canonical Majorana monomials.
 
     Immutable by convention: all operations return new polynomials.
-    Terms are held as {ascending index tuple: coefficient} with the
+    Terms are held as {ascending index tuple: GaussianRational} with the
     empty tuple denoting the identity.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple, object] | None = None):
-        acc: dict[tuple, object] = {}
+        acc: dict[tuple, GaussianRational] = {}
         if terms:
             for key, coeff in terms.items():
-                k, c = canonicalize(key, coeff)
-                if k in acc:
-                    acc[k] = _coeff_add(acc[k], c)
-                else:
-                    acc[k] = c
-        self._terms = {k: c for k, c in acc.items() if not _coeff_is_null(c)}
+                k, c = canonicalize(key, _coefficient(coeff))
+                acc[k] = acc[k] + c if k in acc else c
+        self._terms = {k: c for k, c in acc.items() if c}
 
     @classmethod
     def _from_canonical(cls, terms: dict) -> "MajoranaPolynomial":
         p = cls.__new__(cls)
-        p._terms = {k: c for k, c in terms.items() if not _coeff_is_null(c)}
+        p._terms = {k: c for k, c in terms.items() if c}
         return p
 
     @classmethod
     def monomial(cls, indices: Iterable[int], coeff=1) -> "MajoranaPolynomial":
-        k, c = canonicalize(indices, coeff)
+        k, c = canonicalize(indices, _coefficient(coeff))
         return cls._from_canonical({k: c})
 
     @classmethod
     def identity(cls, coeff=1) -> "MajoranaPolynomial":
-        return cls._from_canonical({(): coeff})
+        return cls._from_canonical({(): _coefficient(coeff)})
 
     @classmethod
     def generator(cls, i: int) -> "MajoranaPolynomial":
@@ -262,15 +230,15 @@ class MajoranaPolynomial:
     def zero(cls) -> "MajoranaPolynomial":
         return cls._from_canonical({})
 
-    def terms(self) -> dict[tuple, object]:
+    def terms(self) -> dict[tuple, GaussianRational]:
         return dict(self._terms)
 
-    def coefficient(self, indices: Iterable[int]):
+    def coefficient(self, indices: Iterable[int]) -> GaussianRational | None:
         key, sign = canonicalize(indices, 1)
         c = self._terms.get(key)
         if c is None:
             return None
-        return _coeff_mul(c, sign) if sign != 1 else c
+        return c if sign == 1 else -c
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(sorted(self._terms))
@@ -281,10 +249,6 @@ class MajoranaPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact_coeff(c) for c in self._terms.values())
 
     def support(self) -> frozenset[int]:
         out: set[int] = set()
@@ -300,19 +264,14 @@ class MajoranaPolynomial:
         return frozenset(len(k) % 2 for k in self._terms)
 
     def max_abs_coeff(self) -> float:
-        return max((abs(_to_complex(c)) for c in self._terms.values()), default=0.0)
-
-    def to_float(self) -> "MajoranaPolynomial":
-        return MajoranaPolynomial._from_canonical(
-            {k: _to_complex(c) for k, c in self._terms.items()}
-        )
+        return max((abs(complex(c)) for c in self._terms.values()), default=0.0)
 
     def __add__(self, other):
         if not isinstance(other, MajoranaPolynomial):
             return NotImplemented
         acc = dict(self._terms)
         for k, c in other._terms.items():
-            acc[k] = _coeff_add(acc[k], c) if k in acc else c
+            acc[k] = acc[k] + c if k in acc else c
         return MajoranaPolynomial._from_canonical(acc)
 
     def __sub__(self, other):
@@ -322,20 +281,19 @@ class MajoranaPolynomial:
 
     def __neg__(self):
         return MajoranaPolynomial._from_canonical(
-            {k: -c if is_exact_coeff(c) else -_to_complex(c) for k, c in self._terms.items()}
-        )
+            {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, MajoranaPolynomial):
-            acc: dict[tuple, object] = {}
+            acc: dict[tuple, GaussianRational] = {}
             core = _canonical_core
             for k1, c1 in self._terms.items():
                 for k2, c2 in other._terms.items():
                     k, sign = core(k1 + k2)
-                    c = _coeff_mul(c1, c2)
+                    c = c1 * c2
                     if sign < 0:
                         c = -c
-                    acc[k] = _coeff_add(acc[k], c) if k in acc else c
+                    acc[k] = acc[k] + c if k in acc else c
             return MajoranaPolynomial._from_canonical(acc)
         return self._scaled(other)
 
@@ -344,54 +302,43 @@ class MajoranaPolynomial:
         return self._scaled(other)
 
     def _scaled(self, scalar):
-        if not (is_exact_coeff(scalar) or isinstance(scalar, (float, complex))):
+        scalar = _as_exact_scalar(scalar)
+        if scalar is None:
             return NotImplemented
         return MajoranaPolynomial._from_canonical(
-            {k: _coeff_mul(c, scalar) for k, c in self._terms.items()}
-        )
+            {k: c * scalar for k, c in self._terms.items()})
 
     def adjoint(self) -> "MajoranaPolynomial":
         """Hermitian adjoint: reverse each product, conjugate each coefficient."""
         out = {}
         for k, c in self._terms.items():
             n = len(k)
-            c = _coeff_conj(c)
+            c = c.conjugate()
             if (n * (n - 1) // 2) % 2:  # parity of reversing n factors
-                c = -c if is_exact_coeff(c) else -_to_complex(c)
+                c = -c
             out[k] = c
         return MajoranaPolynomial._from_canonical(out)
 
     def reflect(self, rmap: ReflectionMap) -> "MajoranaPolynomial":
         """Anti-unitary mirror image: conjugate the coefficient and relabel
         indices in place (order preserved), then recanonicalize."""
-        acc: dict[tuple, object] = {}
+        acc: dict[tuple, GaussianRational] = {}
         for k, c in self._terms.items():
-            key, coeff = canonicalize([rmap(i) for i in k], _coeff_conj(c))
-            acc[key] = _coeff_add(acc[key], coeff) if key in acc else coeff
+            key, coeff = canonicalize([rmap(i) for i in k], c.conjugate())
+            acc[key] = acc[key] + coeff if key in acc else coeff
         return MajoranaPolynomial._from_canonical(acc)
 
-    def is_hermitian(self, tol: float = FLOAT_COMM_TOL) -> bool:
-        diff = self - self.adjoint()
-        if diff.is_exact:
-            return diff.is_zero
-        return diff.max_abs_coeff() <= tol
+    def is_hermitian(self) -> bool:
+        return self == self.adjoint()
 
-    def isclose(self, other: "MajoranaPolynomial", tol: float = FLOAT_COMM_TOL) -> bool:
+    def isclose(self, other: "MajoranaPolynomial", tol: float) -> bool:
+        """Is every coefficient of self - other at most `tol` in modulus?"""
         return (self - other).max_abs_coeff() <= tol
 
     def __eq__(self, other):
         if not isinstance(other, MajoranaPolynomial):
             return NotImplemented
-        if set(self._terms) != set(other._terms):
-            return False
-        for k, c in self._terms.items():
-            d = other._terms[k]
-            if is_exact_coeff(c) and is_exact_coeff(d):
-                if _as_exact_scalar(c) != _as_exact_scalar(d):
-                    return False
-            elif _to_complex(c) != _to_complex(d):
-                return False
-        return True
+        return self._terms == other._terms
 
     __hash__ = None  # mutable-dict backed; not hashable
 
@@ -400,21 +347,20 @@ class MajoranaPolynomial:
 
         Terms are sorted by index tuple; each renders as
         ``(<re>,<im>)*c<i1>*c<i2>*...`` with the identity as
-        ``(<re>,<im>)*1``.  Coefficients render as floats.
+        ``(<re>,<im>)*1``.  Coefficients render as the nearest floats.
         """
         if not self._terms:
             return "(0.0,0.0)*1"
         parts = []
         for k in sorted(self._terms):
-            z = _to_complex(self._terms[k])
+            z = complex(self._terms[k])
             re, im = z.real + 0.0, z.imag + 0.0  # normalize -0.0
             body = "*".join(f"c{i}" for i in k) if k else "1"
             parts.append(f"({re!r},{im!r})*{body}")
         return " + ".join(parts)
 
     def __repr__(self):
-        mode = "exact" if self.is_exact else "float"
-        return f"<MajoranaPolynomial {len(self._terms)} terms, {mode}>"
+        return f"<MajoranaPolynomial {len(self._terms)} terms>"
 
 
 def multiply(p: MajoranaPolynomial, q: MajoranaPolynomial) -> MajoranaPolynomial:
@@ -435,16 +381,3 @@ def commutator(p: MajoranaPolynomial, q: MajoranaPolynomial) -> MajoranaPolynomi
 
 def anticommutator(p: MajoranaPolynomial, q: MajoranaPolynomial) -> MajoranaPolynomial:
     return p * q + q * p
-
-
-def commutator_is_zero(p: MajoranaPolynomial, q: MajoranaPolynomial,
-                       tol: float = FLOAT_COMM_TOL) -> bool:
-    """Decide [p, q] = 0.
-
-    Exact-coefficient operands get an exact decision (no tolerance);
-    float operands compare the largest surviving coefficient to `tol`.
-    """
-    diff = commutator(p, q)
-    if p.is_exact and q.is_exact:
-        return diff.is_zero
-    return diff.max_abs_coeff() <= tol

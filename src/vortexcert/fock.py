@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .clifford import MajoranaPolynomial, _to_complex
+from .clifford import MajoranaPolynomial
 
 DENSE_DIM_CAP = 4096
 
@@ -118,7 +118,7 @@ def to_matrix(poly: MajoranaPolynomial, n_modes: int) -> SparseOperator:
     for key, coeff in terms.items():
         perm, exp = monomial_action(key, n_modes)
         mask = int(perm[0])  # perm[n] == n ^ mask
-        vals = _to_complex(coeff) * _PHASES[exp]
+        vals = complex(coeff) * _PHASES[exp]
         if mask in by_mask:
             by_mask[mask] += vals
         else:

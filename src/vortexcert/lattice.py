@@ -309,7 +309,7 @@ def reflection_data(lat: IslandLattice, axis: str = "x", coord: int = 0) -> Refl
     for p in lat.islands:
         for c in CORNERS:
             smap[lat.majorana_id(p, c)] = lat.majorana_id(imap[p], cmirror[c])
-    sigma = ReflectionMap(smap, axis=axis)
+    sigma = ReflectionMap(smap)
 
     # side assignment from doubled-coordinate positions
     doubled_plane = 2 * coord

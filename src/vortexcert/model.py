@@ -7,7 +7,9 @@ The model on an island lattice with coupling lambda:
 with bonds taken in their stored direction.  The island coefficient is
 pinned at -1: together with the bond direction convention this puts the
 terms bisected by a mirror plane into the -B*theta(B) shape that the
-positivity machinery expects.
+positivity machinery expects.  All coefficients are exact Gaussian
+rationals; lambda enters as the decimal it is written as (0.1 is 1/10),
+so theta(H) = H and [W, H] = 0 are decided exactly for every lambda.
 
 Loop operators over an ordered site circuit (i1 .. i_2l) carry the
 phase i^l, which makes them Hermitian involutions for every half
@@ -22,13 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import (
-    EXACT_I,
-    GaussianRational,
-    MajoranaPolynomial,
-    multiply,
-    reflect,
-)
+from .clifford import EXACT_I, MajoranaPolynomial, multiply, reflect
 from .lattice import IslandLattice, Octagon, ReflectionData
 
 
@@ -37,61 +33,50 @@ class ModelError(ValueError):
 
 
 def _exact_lambda(lam) -> Fraction:
-    # Fraction(str(...)) so 0.1 means 1/10, not the binary float
-    if isinstance(lam, Fraction):
-        return lam
-    if isinstance(lam, int):
+    """lambda as the decimal it is written as: 0.1 means 1/10, not the
+    binary float, and float() of the result gives lam back."""
+    if isinstance(lam, (int, Fraction)):
         return Fraction(lam)
-    return Fraction(str(lam))
+    return Fraction(repr(float(lam)))
 
 
-def island_term(lat: IslandLattice, island: tuple[int, int],
-                exact: bool = False) -> MajoranaPolynomial:
+def island_term(lat: IslandLattice, island: tuple[int, int]) -> MajoranaPolynomial:
     """-c_a c_b c_c c_d on one island."""
     base = 4 * lat.island_rank(island)
-    coeff = GaussianRational(-1, 0) if exact else -1.0
-    return MajoranaPolynomial.monomial(range(base, base + 4), coeff)
+    return MajoranaPolynomial.monomial(range(base, base + 4), -1)
 
 
-def bond_term(lat: IslandLattice, bond: tuple[int, int],
-              exact: bool = False) -> MajoranaPolynomial:
+def bond_term(lat: IslandLattice, bond: tuple[int, int]) -> MajoranaPolynomial:
     """i c_u c_v for a directed lattice bond (u, v)."""
     if tuple(bond) not in set(lat.bonds):
         raise ModelError(f"{bond} is not a directed bond of this lattice")
     u, v = bond
-    coeff = EXACT_I if exact else 1j
-    return MajoranaPolynomial.monomial((u, v), coeff)
+    return MajoranaPolynomial.monomial((u, v), EXACT_I)
 
 
-def build_hamiltonian(lat: IslandLattice, lam,
-                      exact: bool = False) -> MajoranaPolynomial:
+def build_hamiltonian(lat: IslandLattice, lam) -> MajoranaPolynomial:
     """Sum of island terms plus lambda times the bond terms.
 
-    With exact=True (or an int/Fraction lambda) all coefficients are
-    Gaussian rationals, so symbolic identities like [W, H] = 0 and
-    theta(H) = H can be decided exactly.
+    Every coefficient is an exact Gaussian rational, with lambda read
+    through its decimal text, so symbolic identities like [W, H] = 0 and
+    theta(H) = H are decided exactly, and the nearest floats of the
+    coefficients are the float lambda's own.
     """
-    exact = exact or isinstance(lam, (int, Fraction))
     h = MajoranaPolynomial.zero()
     for p in lat.islands:
-        h = h + island_term(lat, p, exact=exact)
-    if exact:
-        lam_c = GaussianRational(_exact_lambda(lam), 0)
-    else:
-        lam_c = float(lam)
+        h = h + island_term(lat, p)
+    lam_c = _exact_lambda(lam)
     for b in lat.bonds:
-        h = h + bond_term(lat, b, exact=exact) * lam_c
+        h = h + bond_term(lat, b) * lam_c
     return h
 
 
-def verify_reflection_symmetry(h: MajoranaPolynomial, r: ReflectionData,
-                               tol: float = 1e-12) -> tuple[bool, float]:
-    """Is theta(H) = H?  Returns (verdict, max coefficient deviation)."""
+def verify_reflection_symmetry(h: MajoranaPolynomial,
+                               r: ReflectionData) -> tuple[bool, float]:
+    """Is theta(H) = H, exactly?  Returns (verdict, max coefficient
+    deviation)."""
     d = reflect(h, r.sigma) - h
-    if d.is_zero:
-        return True, 0.0
-    dev = d.max_abs_coeff()
-    return dev <= tol, dev
+    return d.is_zero, d.max_abs_coeff()
 
 
 def loop_operator(lat: IslandLattice, sites) -> MajoranaPolynomial:
@@ -172,7 +157,7 @@ def _bisected_factor(o: Octagon, r: ReflectionData) -> MajoranaPolynomial | None
         return None
     s = starts[0]
     run = tuple(o.octet[(s + t) % 8] for t in range(4))
-    return MajoranaPolynomial.monomial(run, GaussianRational(1, 0))
+    return MajoranaPolynomial.monomial(run)
 
 
 def parity_operator(lat: IslandLattice) -> MajoranaPolynomial:

@@ -65,12 +65,12 @@ class RPSampleSpec:
     max_degree: int = 4
     count: int = 100
     seed: int = 0
-    parity: str = "even"  # even | odd | both
+    parity: str = "even"  # even | odd
 
     def __post_init__(self):
         if self.mode not in ("exhaustive-monomials", "random-polynomials"):
             raise ValueError(f"unknown sample mode {self.mode!r}")
-        if self.parity not in ("even", "odd", "both"):
+        if self.parity not in ("even", "odd"):
             raise ValueError(f"unknown parity filter {self.parity!r}")
         if self.max_degree < 0 or self.count < 0:
             raise ValueError("max_degree and count must be >= 0")
@@ -87,11 +87,8 @@ def default_rp_samples(seed: int = 0, *, parity: str = "even", max_degree: int =
 
 
 def _degree_basis(indices: tuple[int, ...], max_degree: int, parity: str):
-    """All monomial keys over `indices` passing the degree parity filter."""
-    want = {"even": 0, "odd": 1}.get(parity)
-    for deg in range(max_degree + 1):
-        if want is not None and deg % 2 != want:
-            continue
+    """All monomial keys over `indices` of the given degree parity."""
+    for deg in range(1 if parity == "odd" else 0, max_degree + 1, 2):
         yield from itertools.combinations(sorted(indices), deg)
 
 
@@ -343,7 +340,7 @@ def check_conservation(lat: IslandLattice, lam) -> CheckReport:
     "parity"; it commutes for the same structural reason.
     """
     t0 = time.perf_counter()
-    h = build_hamiltonian(lat, lam, exact=True)
+    h = build_hamiltonian(lat, lam)
     worst = None
     for o in lat.octagons:
         w = vortex_operator(lat, o).W

@@ -95,7 +95,7 @@ def test_criterion_02_reflection_symmetry():
         for lat, axis, coord in cases:
             r = reflection_data(lat, axis, coord)
             for lam in (0, Fraction(1, 10), Fraction(1, 2)):
-                h = build_hamiltonian(lat, lam, exact=True)
+                h = build_hamiltonian(lat, lam)
                 ok, dev = verify_reflection_symmetry(h, r)
                 assert ok and dev == 0
 
@@ -103,7 +103,7 @@ def test_criterion_02_reflection_symmetry():
 def test_criterion_03_loop_conservation():
     with budget(1):
         for lat in (diamond_lattice(), build_lattice(4, 4, "periodic")):
-            h = build_hamiltonian(lat, Fraction(1, 10), exact=True)
+            h = build_hamiltonian(lat, Fraction(1, 10))
             for o in lat.octagons:
                 w = vortex_operator(lat, o).W
                 assert commutator(w, h).is_zero

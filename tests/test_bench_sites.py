@@ -1,12 +1,16 @@
-"""Every attribute the benchmark's tracer wraps still exists.
+"""Every attribute the benchmark's tracer wraps still exists, and the
+benchmark's reference route still runs.
 
 bench/tracing.py patches functions at the module attributes their callers
 look them up by; a refactor that renames or drops one of those imports
 would make every traced benchmark invocation fail.  This resolves each
 path in its SITES table, and checks that the calls the per-layer metrics
-count really go through the wrapped names.
+count really go through the wrapped names.  bench/reference.py reads the
+model's Hamiltonian term by term, so a change to its coefficient type
+shows up here.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -82,3 +86,18 @@ def test_every_lanczos_product_is_a_traced_matvec(monkeypatch, diamond, floor):
         tracer.restore()
     assert ground.blocks == ((2, 128) if floor is None else (16, 16))
     assert len(tracer.spans) == ground.matvecs > 0
+
+
+def test_reference_agrees_with_ground_space(monkeypatch, diamond):
+    from vortexcert.fock import to_matrix
+    from vortexcert.model import build_hamiltonian
+    from vortexcert.spectral import ground_space
+
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    reference = importlib.import_module("reference")
+    out = reference.main({"argv": ["certify", "--lambda", "0.1"], "seed": 0})
+    [(lam, e0, degeneracy, octagons)] = out["references"]
+    ground = ground_space(to_matrix(build_hamiltonian(diamond, 0.1),
+                                    diamond.n_modes))
+    assert (lam, octagons) == (0.1, len(diamond.octagons))
+    assert abs(e0 - ground.e0) <= 1e-9 and degeneracy == ground.n

@@ -172,13 +172,21 @@ BAD_INPUTS = [
     (["sweep", "--lambda.to", "1"], None, "lambda.from: missing from sweep range"),
     (["sweep", "--lambda.from", "0", "--lambda.to", "1"], None,
      "lambda.steps: missing from sweep range"),
+    # paths are relative to the test's working directory
+    (["certify", "--samples", "2", "--max-degree", "2", "--out", "missing/x.json"],
+     None, "output.path: cannot write missing/x.json: "),
+    (["spectrum", "--cache.dir", "c.json"], b"{}",
+     "cache.dir: cannot write c.json/"),
 ]
 
 
 @pytest.mark.parametrize("argv,content,message", BAD_INPUTS,
                          ids=["section-key", "range-key", "non-utf8",
-                              "range-to-only", "range-no-steps"])
-def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, content, message):
+                              "range-to-only", "range-no-steps",
+                              "out-dir-missing", "cache-dir-is-a-file"])
+def test_bad_input_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv,
+                                     content, message):
+    monkeypatch.chdir(tmp_path)
     if content is not None:
         conf = tmp_path / "c.json"
         conf.write_bytes(content)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vortexcert.clifford import EXACT_I, commutator, multiply, reflect
+from vortexcert.clifford import GaussianRational, commutator, multiply, reflect
 from vortexcert.fock import to_matrix
 from vortexcert.lattice import build_lattice, reflection_data
 from vortexcert.model import (
@@ -24,7 +24,7 @@ from conftest import oracle_matrix
 
 
 def test_island_term_is_pinned_quartic(diamond):
-    t = island_term(diamond, (0, 2), exact=True)
+    t = island_term(diamond, (0, 2))
     assert list(t.terms()) == [(0, 1, 2, 3)]
     assert t.coefficient((0, 1, 2, 3)).to_complex() == -1
     assert t.is_hermitian()
@@ -32,7 +32,7 @@ def test_island_term_is_pinned_quartic(diamond):
 
 def test_bond_term_is_quadratic_imaginary(diamond):
     bond = diamond.bonds[0]
-    t = bond_term(diamond, bond, exact=True)
+    t = bond_term(diamond, bond)
     assert t.is_hermitian()
     assert t.degree() == 2
     with pytest.raises(ModelError):
@@ -51,14 +51,13 @@ def test_hamiltonian_term_count_and_hermiticity(diamond):
 def test_lambda_zero_drops_bond_terms(diamond):
     h = build_hamiltonian(diamond, 0)
     assert len(h) == 4
-    assert h.is_exact
+    assert all(isinstance(c, GaussianRational) for c in h.terms().values())
 
 
 def test_exact_mode_with_fraction_lambda(diamond):
-    h = build_hamiltonian(diamond, Fraction(1, 10), exact=True)
-    assert h.is_exact
+    h = build_hamiltonian(diamond, Fraction(1, 10))
     hf = build_hamiltonian(diamond, 0.1)
-    assert h.to_float().isclose(hf, 1e-15)
+    assert h == hf
 
 
 def test_hamiltonian_matches_oracle(diamond):
@@ -69,14 +68,14 @@ def test_hamiltonian_matches_oracle(diamond):
 
 @pytest.mark.parametrize("lam", [0, 0.1, 0.5])
 def test_reflection_symmetry_exact(diamond, diamond_mirror, lam):
-    h = build_hamiltonian(diamond, lam, exact=True)
+    h = build_hamiltonian(diamond, lam)
     ok, dev = verify_reflection_symmetry(h, diamond_mirror)
     assert ok and dev == 0
 
 
 def test_reflection_symmetry_detects_breaking(diamond, diamond_mirror):
-    h = build_hamiltonian(diamond, 0.1, exact=True)
-    h = h + island_term(diamond, (0, 2), exact=True)  # doubles one island only
+    h = build_hamiltonian(diamond, 0.1)
+    h = h + island_term(diamond, (0, 2))  # doubles one island only
     ok, dev = verify_reflection_symmetry(h, diamond_mirror)
     assert not ok and dev > 0.5
 
@@ -109,7 +108,7 @@ def test_two_site_loop_is_bond_like(diamond):
 
 
 def test_vortex_operator_commutes_with_hamiltonian(diamond):
-    h = build_hamiltonian(diamond, Fraction(1, 2), exact=True)
+    h = build_hamiltonian(diamond, Fraction(1, 2))
     vl = vortex_operator(diamond, diamond.octagons[0])
     assert commutator(vl.W, h).is_zero
 
@@ -152,7 +151,7 @@ def test_horizontal_bisection_also_factorizes(diamond):
 
 def test_parity_commutes_and_squares(diamond):
     p = parity_operator(diamond)
-    h = build_hamiltonian(diamond, Fraction(1, 10), exact=True)
+    h = build_hamiltonian(diamond, Fraction(1, 10))
     assert commutator(p, h).is_zero
     assert multiply(p, p) == type(p).identity()
     assert p.is_hermitian()

@@ -1,11 +1,14 @@
-"""Property tests of the Majorana algebra and of the Lanczos symmetry
-blocks against the Kronecker oracle.
+"""Property tests of the Majorana algebra, its exact coefficient
+conversion and the Lanczos symmetry blocks, against the Kronecker oracle.
 
 Polynomials, mode counts and mirror maps are drawn by Hypothesis with a
 derandomized search, so every run checks the same cases.  Coefficients
-are small Gaussian integers stored as floats, which keeps every symbolic
-identity exact and leaves only the matrix products to round-off.
+are small Gaussian integers drawn as Python complex numbers and stored
+exactly, which leaves only the matrix products to round-off.
 """
+
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from vortexcert import spectral
 from vortexcert.clifford import (
+    GaussianRational,
     MajoranaPolynomial,
     ReflectionMap,
     adjoint,
@@ -21,6 +25,7 @@ from vortexcert.clifford import (
     reflect,
 )
 from vortexcert.fock import to_matrix
+from vortexcert.model import build_hamiltonian
 
 from conftest import oracle_matrix
 
@@ -141,3 +146,56 @@ def test_symmetry_blocks_split_fully_and_are_invariant(case):
         z = np.array([(-1) ** bin(n & g).count("1") for n in range(dim)])
         if np.array_equal(z[:, None] * m, m * z[None, :]):
             assert (z[blocks] == z[blocks[:, :1]]).all(), g
+
+
+_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    # the edges of the double range: signed zeros, the smallest subnormal,
+    # the smallest normal and the largest finite value
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     sys.float_info.max, -sys.float_info.max]))
+_finite_scalars = st.one_of(
+    _doubles,
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    _doubles.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.builds(complex, _doubles, _doubles).map(np.complex128))
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+_non_finite_scalars = st.one_of(
+    _non_finite, _non_finite.map(np.float64), _non_finite.map(np.float32),
+    st.builds(complex, _doubles, _non_finite),
+    st.builds(complex, _non_finite, _doubles).map(np.complex128))
+
+
+def _coefficient_routes(z):
+    """c0 c1 with coefficient z through each input a polynomial takes."""
+    c01 = MajoranaPolynomial.generator(0) * MajoranaPolynomial.generator(1)
+    return (lambda: MajoranaPolynomial({(0, 1): z}),
+            lambda: MajoranaPolynomial.monomial((0, 1), z),
+            lambda: MajoranaPolynomial.identity(z) * c01,
+            lambda: c01 * z)
+
+
+@PROPERTY_SETTINGS
+@given(_finite_scalars)
+def test_coefficient_conversion_is_exact(z):
+    for route in _coefficient_routes(z):
+        c = route().coefficient((0, 1))
+        if c is None:  # only an exact zero is pruned
+            assert z == 0
+            continue
+        assert isinstance(c, GaussianRational)
+        assert complex(c) == complex(z)
+
+
+@PROPERTY_SETTINGS
+@given(_non_finite_scalars)
+def test_non_finite_coefficients_raise(z):
+    for route in _coefficient_routes(z):
+        with pytest.raises(ValueError):
+            route()
+
+
+def test_hamiltonian_coefficients_are_exact(diamond):
+    terms = build_hamiltonian(diamond, 0.1).terms()
+    assert terms and all(isinstance(c, GaussianRational) for c in terms.values())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vortexcert.clifford import MajoranaPolynomial, _to_complex, multiply, reflect
+from vortexcert.clifford import MajoranaPolynomial, multiply, reflect
 from vortexcert.fock import SparseOperator, to_matrix
 from vortexcert.model import build_hamiltonian, vortex_operator
 from vortexcert.spectral import (
@@ -44,6 +44,8 @@ def test_sample_spec_validation():
         RPSampleSpec(mode="cunning-guesses")
     with pytest.raises(ValueError):
         RPSampleSpec(mode="random-polynomials", parity="mixed")
+    with pytest.raises(ValueError):
+        RPSampleSpec(mode="random-polynomials", parity="both")
     with pytest.raises(ValueError):
         RPSampleSpec(mode="random-polynomials", count=-1)
 
@@ -180,7 +182,7 @@ def test_rp_gram_matches_rp_functional(diamond, diamond_mirror, parity):
             for _, a in exhaustive + random_:
                 y = np.zeros(len(keys), dtype=complex)
                 for key, c in a.terms().items():
-                    y[column[key]] = np.conj(_to_complex(c))
+                    y[column[key]] = np.conj(complex(c))
                 want = rp_functional(a, diamond_mirror, spec, beta)
                 assert abs(np.vdot(y, g @ y) - want) <= 1e-12
 
@@ -344,6 +346,6 @@ def test_sample_rows_match_the_scalar_draws(diamond_mirror, seed, parity,
     for (_, terms), row, (_, a) in zip(want, coeffs, polys):
         expect = np.array([terms[key] for key in keys])
         assert row.tobytes() == expect.tobytes()
-        got = np.array([_to_complex(a.terms()[key]) for key in keys])
+        got = np.array([complex(a.terms()[key]) for key in keys])
         assert got.tobytes() == expect.tobytes()
         assert set(a.terms()) == set(terms)
