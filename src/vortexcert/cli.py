@@ -29,8 +29,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .fock import DENSE_DIM_CAP, to_matrix
 from .lattice import (
@@ -54,9 +52,6 @@ from .spectral import (
     dense_spectrum,
     ground_space,
     lanczos_ground,
-    load_eigenvalues,
-    save_eigenvalues,
-    spectrum_cache_key,
 )
 from .verify import (
     CheckReport,
@@ -203,9 +198,6 @@ FIELDS = (
     Field("samples.count", 100, ("--samples", "--samples.count"), int, _at_least(0)),
     Field("samples.max_degree", 4, ("--max-degree", "--samples.max_degree"), int,
           _at_least(0)),
-    Field("solver.k", 4, ("--solver.k",), int, _at_least(1)),
-    Field("solver.window", 64, ("--solver.window",), int, _at_least(8)),
-    Field("cache.dir", None, ("--cache.dir",), Path, _string),
     Field("output.path", None, ("--out", "--output.path"), Path, _string),
     Field("output.format", "json", ("--format", "--output.format"), ("json", "csv")),
 )
@@ -383,10 +375,8 @@ def _solve(lat: IslandLattice, lam: float, cfg: dict):
     op = to_matrix(build_hamiltonian(lat, lam), lat.n_modes)
     if op.dim <= DENSE_DIM_CAP:
         return dense_spectrum(op), None
-    sol = cfg["solver"]
-    return None, lanczos_ground(op, k=sol["k"], seed=cfg["seed"],
-                                gap_tol=cfg["tolerances"]["gap"],
-                                window=sol["window"])
+    return None, lanczos_ground(op, seed=cfg["seed"],
+                                gap_tol=cfg["tolerances"]["gap"])
 
 
 class Evaluation(NamedTuple):
@@ -582,7 +572,7 @@ def _round_ms(timings: dict) -> dict:
 def _sidecar(timings: dict, ground=None, **extra) -> dict:
     """Timestamp, timings (ms, nested dicts allowed), the Lanczos
     diagnostics of `ground`, if any, and every non-empty `extra` entry
-    (RP diagnostics, cache state)."""
+    (RP diagnostics)."""
     out = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "timings_ms": _round_ms(timings),
@@ -695,48 +685,25 @@ def _rows_to_csv(rows: list[dict]) -> str:
 def cmd_spectrum(cfg: dict) -> int:
     lat = _build_lattice(cfg)
     lam = _scalar_lambda(cfg)
-    key = spectrum_cache_key(lat.content_hash(), lam)
-    cache_dir = cfg["cache"]["dir"]
-    cache_path = Path(cache_dir) / f"{key}.f8" if cache_dir else None
-
-    dim = 1 << lat.n_modes
     t0 = time.perf_counter()
-    values, ground, cache = None, None, "off"
-    if cache_path is not None:
-        cache = "miss"
-        if cache_path.exists():
-            # a truncated or corrupt file is rejected and gets overwritten
-            values, reason = load_eigenvalues(cache_path, dim)
-            cache = "hit" if reason is None else f"rejected: {reason}"
-            source = "cache"
-    if values is None:
-        # no clustering here: the dense route reports every eigenvalue
-        spectrum, ground = _solve(lat, lam, cfg)
-        if spectrum is not None:
-            values, source = spectrum.eigenvalues, "dense"
-            if cache_path is not None:
-                try:
-                    cache_path.parent.mkdir(parents=True, exist_ok=True)
-                    save_eigenvalues(cache_path, values)
-                except OSError as e:
-                    raise ConfigError(f"cache.dir: cannot write {cache_path}: "
-                                      f"{e.strerror or e}") from None
-        else:
-            # partial spectra are not cached: the cache format means "full"
-            values, source = np.array(ground.eigenvalues[:ground.n]), "lanczos"
+    # no clustering here: the dense route reports every eigenvalue
+    spectrum, ground = _solve(lat, lam, cfg)
+    if spectrum is not None:
+        values, source = spectrum.eigenvalues, "dense"
+    else:
+        values, source = ground.eigenvalues[:ground.n], "lanczos"
     payload = {
         "tool": "vortexcert",
         "version": __version__,
         "lattice_hash": lat.content_hash(),
         "lambda": lam,
-        "cache_key": key,
         "source": source,
-        "dim": dim,
-        "count": int(len(values)),
-        "e0": float(values[0]) if len(values) else None,
+        "dim": 1 << lat.n_modes,
+        "count": len(values),
+        "e0": float(values[0]),
         "eigenvalues": [float(v) for v in values],
         "sidecar": _sidecar({"spectrum": 1e3 * (time.perf_counter() - t0)},
-                            ground, cache=cache),
+                            ground),
     }
     _emit(cfg, payload)
     return 0

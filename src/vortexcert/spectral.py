@@ -2,18 +2,18 @@
 
 Dense eigendecomposition is used up to DENSE_DIM_CAP; above that a
 restarted, fully reorthogonalized Lanczos iteration with sequential
-deflation finds the low end of the spectrum.  Its Krylov basis and the
-deflated vectors are stored row-major, one vector per row, so every
-Gram-Schmidt pass is a pair of contiguous matrix-vector products that
-conjugate only the new vector, never the basis.  The iteration runs in
-exact symmetry blocks: diagonal Z-strings (-1)^popcount(n & g) that
-commute with H, found by GF(2) elimination of the bit masks of the
-stored entries.  The fermion parity (-1)^N is the first split, and
+deflation finds the low end of the spectrum, up to the first level
+above the ground cluster.  Its Krylov basis and the deflated vectors
+are stored row-major, one vector per row, so every Gram-Schmidt pass is
+a pair of contiguous matrix-vector products that conjugate only the new
+vector, never the basis.  The iteration runs in exact symmetry blocks:
+diagonal Z-strings (-1)^popcount(n & g) that commute with H, found by
+GF(2) elimination of the bit masks of the stored entries.  The fermion parity (-1)^N is the first split, and
 further strings halve the blocks while each keeps SYMMETRY_BLOCK_FLOOR
 states (16 blocks of 4,096 on the 4x4 torus: short vectors, a Krylov
 basis that fits in cache); the eigenpairs of the blocks are merged.  An
 operator that couples the parities is the one block.  The Lanczos
-ground space carries its diagnostics: the eigenvalues found, the
+ground space carries its diagnostics: the eigenvalues reported, the
 residual of each vector, the parity of the block each came from, the
 block count and dimension and the matrix-vector products spent.
 Ground-space bases are made deterministic by re-orthogonalizing
@@ -26,11 +26,7 @@ beta can then be large without overflow.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import uuid
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -46,9 +42,6 @@ from .fock import (
     to_matrix,
 )
 from .lattice import ReflectionData
-
-# bump when the Majorana-to-matrix convention changes; keys the eigenvalue cache
-REPRESENTATION_VERSION = 1
 
 HERMITICITY_TOL = 1e-12
 # relative bound on |Gram value - symbolic value| in the RP cross-check;
@@ -91,9 +84,10 @@ class GroundSpace:
     e0: float
     basis: np.ndarray  # dim x N orthonormal columns, deterministic gauge
     gap_tol: float
-    # Lanczos diagnostics, empty on the dense route: the k eigenvalues
-    # found (ascending; the cluster is the first n), the residual of each
-    # one's vector and the matrix-vector products spent
+    # Lanczos diagnostics, empty on the dense route: the certified
+    # eigenvalues (ascending; the cluster is the first n, then the first
+    # value above it, at least lanczos_ground's k in all), the residual of
+    # each one's vector and the matrix-vector products spent
     eigenvalues: tuple[float, ...] = ()
     residuals: tuple[float, ...] = ()
     matvecs: int = 0
@@ -362,10 +356,10 @@ def _symmetry_blocks(op: SparseOperator) -> np.ndarray:
     return np.argsort(labels, kind="stable").reshape(1 << len(gens), -1)
 
 
-def lanczos_ground(op: SparseOperator, k: int = 3, seed: int = 0,
+def lanczos_ground(op: SparseOperator, k: int = 1, seed: int = 0,
                    gap_tol: float | None = None, conv_tol: float = 1e-9,
                    max_matvecs: int = 60000, window: int = 64) -> GroundSpace:
-    """Ground cluster via deflated Lanczos; k must exceed the degeneracy.
+    """Ground cluster via deflated Lanczos, closed by the solver itself.
 
     Runs inside the Z-string symmetry blocks of `_symmetry_blocks`: the
     two fermion-parity blocks, split further while the blocks stay at
@@ -374,15 +368,17 @@ def lanczos_ground(op: SparseOperator, k: int = 3, seed: int = 0,
     step finds one more eigenpair, deflated against the earlier ones of
     its block, in the block whose last-found eigenvalue is lowest (ties
     in block order); a block's later eigenvalues lie above its last-found
-    one, so the search stops once the k-th smallest value found is <=
-    that of every block with states left.  One RNG and one matvec budget
-    are shared in that fixed order, so results are deterministic.  The k
-    smallest are then clustered exactly as ground_space does.  If every
-    reported eigenvalue fits inside the cluster the degeneracy may exceed
-    k, so that is an error: request a larger k.  The k eigenvalues, their
-    true residuals, their block parities (none with a single block), the
-    block count and dimension and the block-length products spent are
-    returned on the GroundSpace.
+    one, so a value found is certified once it is <= that of every block
+    with states left.  The search stops once at least k values are
+    certified and one of them lies above the cluster cut (E0 + gap_tol,
+    clustered exactly as ground_space does), or once every state is
+    found; k is only a floor.  One RNG and one matvec budget are shared
+    in that fixed order, so results are deterministic.  The reported
+    eigenvalues are the shortest certified prefix that meets the rule,
+    max(k, n + 1) of them for a cluster of n: the cluster and the first
+    value above it.  They come with their true residuals, their block
+    parities (none with a single block), the block count and dimension
+    and the block-length products spent.
     """
     if k < 1 or k > op.dim:
         raise ValueError(f"k must be in 1..{op.dim}")
@@ -397,12 +393,18 @@ def lanczos_ground(op: SparseOperator, k: int = 3, seed: int = 0,
     found: list[list[tuple[float, np.ndarray, float]]] = [[] for _ in blocks]
     budget = max_matvecs
     while True:
-        vals = sorted(val for pairs in found for val, _, _ in pairs)
         open_ = [b for b in range(len(blocks)) if len(found[b]) < size]
         # a block with nothing found yet has no lower bound: visit it
         last = [found[b][-1][0] if found[b] else -np.inf for b in open_]
-        if len(vals) >= k and (not open_ or vals[k - 1] <= min(last)):
+        bound = min(last, default=np.inf)
+        certified = sorted(val for pairs in found for val, _, _ in pairs
+                           if val <= bound)
+        if not open_:
             break
+        if len(certified) >= k:
+            tol = default_gap_tol(certified[0]) if gap_tol is None else gap_tol
+            if certified[-1] - certified[0] > tol:
+                break
         b = open_[int(np.argmin(last))]
         val, vec, r, used = _lowest_eigenpair(
             ops[b].apply, size, rng, [v for _, v, _ in found[b]],
@@ -410,19 +412,13 @@ def lanczos_ground(op: SparseOperator, k: int = 3, seed: int = 0,
         budget -= used
         found[b].append((val, vec, r))
 
-    pairs = [(val, b, vec, r) for b, block in enumerate(found)
-             for val, vec, r in block]
-    pairs = sorted(pairs, key=lambda p: p[0])[:k]
-    values = np.array([val for val, _, _, _ in pairs])
-    e0 = float(values[0])
+    pairs = sorted(((val, b, vec, r) for b, block in enumerate(found)
+                    for val, vec, r in block), key=lambda p: p[0])
+    e0 = certified[0]
     if gap_tol is None:
         gap_tol = default_gap_tol(e0)
-    n = _cluster_count(values, gap_tol)
-    if n == k and k < op.dim:
-        raise ConvergenceError(
-            f"all {k} eigenvalues fall in the ground cluster; the degeneracy "
-            f"may be larger, request k > {k}"
-        )
+    n = _cluster_count(np.array(certified), gap_tol)
+    pairs = pairs[:max(k, n + 1)]
     columns = []
     for _, b, vec, _ in pairs[:n]:
         full = np.zeros(op.dim, dtype=np.complex128)
@@ -431,7 +427,7 @@ def lanczos_ground(op: SparseOperator, k: int = 3, seed: int = 0,
     basis = canonical_subspace_basis(np.column_stack(columns))
     parity = _bit_parity(blocks[:, 0])
     return GroundSpace(e0=e0, basis=basis, gap_tol=gap_tol,
-                       eigenvalues=tuple(float(v) for v in values),
+                       eigenvalues=tuple(float(val) for val, _, _, _ in pairs),
                        residuals=tuple(r for _, _, _, r in pairs),
                        parities=() if len(blocks) == 1 else
                        tuple(int(parity[b]) for _, b, _, _ in pairs),
@@ -531,41 +527,3 @@ def rp_gram(keys, r: ReflectionData, h, beta: float) -> np.ndarray:
         phase = _PHASES[(acts[i][1][q_t] + exp_t) & 3]
         gram[i] = (phase * rho[q, q_t ^ mask_m[i]]).sum(axis=1)
     return gram
-
-
-# ---------------------------------------------------------------------------
-# Eigenvalue cache plumbing
-
-def spectrum_cache_key(lattice_hash: str, lam: float,
-                       version: int = REPRESENTATION_VERSION) -> str:
-    payload = f"{lattice_hash}:{float(lam)!r}:{version}"
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def save_eigenvalues(path, values) -> None:
-    """Write through a temporary file in the target directory and rename
-    it into place, so a reader never sees a partly written file.  The
-    file gets the umask's default mode, as a direct write would."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(np.asarray(values, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def load_eigenvalues(path, dim: int) -> tuple[np.ndarray | None, str | None]:
-    """(cached eigenvalues, None), or (None, why the file cannot be a full
-    spectrum): wrong length (e.g. a truncated write), a non-finite value,
-    or values out of ascending order."""
-    values = np.fromfile(path, dtype="<f8")
-    if len(values) != dim:
-        return None, f"wrong length ({len(values)} values, need {dim})"
-    if not np.isfinite(values).all():
-        return None, "non-finite"
-    if not (np.diff(values) >= 0).all():
-        return None, "out of order"
-    return values, None

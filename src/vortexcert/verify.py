@@ -187,7 +187,8 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float,
     SpectralError.  Witnesses are serialized in canonical text, so a
     failure is a standalone regression case.  The report's sidecar holds
     the Gram size, lambda_min(G) (measured on every run) and the
-    re-check's deviation.
+    re-check's deviation.  A trial span with no monomials (odd elements
+    at max_degree 0) is "skipped", its witness naming parity and degree.
     """
     t0 = time.perf_counter()
     if specs is None:
@@ -201,6 +202,20 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float,
     rows = [_sample_rows(sp, r.left, tag=str(k) if k else "")
             for k, sp in enumerate(specs)]
     keys = sorted({key for _, spec_keys, _ in rows for key in spec_keys})
+    seeds = [sp.seed for sp in specs if sp.mode == "random-polynomials"]
+    params = {"lambda": float(lam), "beta": float(beta),
+              "seed": seeds[0] if seeds else None}
+    if not keys:
+        parities = "/".join(sorted({sp.parity for sp in specs}))
+        degree = max((sp.max_degree for sp in specs), default=0)
+        return CheckReport(
+            check=name, lattice=lat.content_hash(), params=params,
+            tolerances={"rp": tol}, verdict="skipped",
+            worst={"value_re": 0.0, "value_im": 0.0,
+                   "witness": f"no {parities} monomials of degree <= {degree} "
+                              f"on Lambda_minus"},
+            timing_ms=1e3 * (time.perf_counter() - t0), version=__version__)
+
     column = {key: j for j, key in enumerate(keys)}
     labels = [label for spec_labels, _, _ in rows for label in spec_labels]
     coeffs = np.zeros((len(labels), len(keys)), dtype=np.complex128)
@@ -223,13 +238,11 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float,
     ok = values[min_re].real >= -tol and im_ok
     i = min_re if (values[min_re].real < -tol or im_ok) else max_im
     worst = (labels[i], _polynomial(keys, coeffs[i]), values[i])
-    lam_min = None
-    if keys:
-        lams, vecs = np.linalg.eigh(gram)
-        lam_min = float(lams[0])
-        if ok and lam_min < -tol:
-            ok = False
-            worst = ("g:min", _polynomial(keys, vecs[:, 0].conj()), complex(lams[0]))
+    lams, vecs = np.linalg.eigh(gram)
+    lam_min = float(lams[0])
+    if ok and lam_min < -tol:
+        ok = False
+        worst = ("g:min", _polynomial(keys, vecs[:, 0].conj()), complex(lams[0]))
     recheck = rp_functional(worst[1], r, spectrum, beta)
     deviation = abs(recheck - worst[2])
     if deviation > GRAM_AGREEMENT_TOL * (1 + abs(recheck)):
@@ -237,12 +250,10 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float,
             f"{name}: Gram value {worst[2]!r} of {worst[0]} disagrees with "
             f"the Fock-matrix route {recheck!r}"
         )
-    seeds = [sp.seed for sp in specs if sp.mode == "random-polynomials"]
     return CheckReport(
         check=name,
         lattice=lat.content_hash(),
-        params={"lambda": float(lam), "beta": float(beta),
-                "seed": seeds[0] if seeds else None},
+        params=params,
         tolerances={"rp": tol},
         verdict="pass" if ok else "fail",
         worst={

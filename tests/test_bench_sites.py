@@ -55,7 +55,7 @@ def test_the_cli_calls_every_traced_cli_site(tmp_path, monkeypatch):
                          "--out", str(tmp_path / "s.json")]) == 0
         # a lowered dense cap sends the diamond through Lanczos
         monkeypatch.setattr(cli, "DENSE_DIM_CAP", 128)
-        assert cli.main(["certify", "--solver.k", "9", *fast,
+        assert cli.main(["certify", *fast,
                          "--out", str(tmp_path / "l.json")]) == 0
     finally:
         tracer.restore()

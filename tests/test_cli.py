@@ -86,9 +86,6 @@ FLAG_PATHS = [
     (("--gap-tol", "--tolerances.gap"), "tolerances.gap", "0.5", 0.5),
     (("--samples", "--samples.count"), "samples.count", "3", 3),
     (("--max-degree", "--samples.max_degree"), "samples.max_degree", "2", 2),
-    (("--solver.k",), "solver.k", "6", 6),
-    (("--solver.window",), "solver.window", "16", 16),
-    (("--cache.dir",), "cache.dir", "cdir", "cdir"),
     (("--out", "--output.path"), "output.path", "o.json", "o.json"),
     (("--format", "--output.format"), "output.format", "csv", "csv"),
 ]
@@ -132,13 +129,14 @@ CONFIG_ERRORS = [
      "tolerances.gap: must be > 0 (or null for the default rule)"),
     ({"samples": {"count": -1}}, "samples.count: must be an integer >= 0"),
     ({"samples": {"max_degree": 1.0}}, "samples.max_degree: must be an integer >= 0"),
-    ({"solver": {"k": 0}}, "solver.k: must be an integer >= 1"),
-    ({"solver": {"window": 7}}, "solver.window: must be an integer >= 8"),
+    # sections FIELDS has no rows for, even holding their old defaults
+    ({"solver": {"k": 4}}, "config: unknown keys ['solver']"),
+    ({"solver": {"window": 64}}, "config: unknown keys ['solver']"),
     ({"output": {"format": "xml"}}, "output.format: must be 'json' or 'csv'"),
     # formerly a traceback or a silent run
     ({"lambda": {"from": "a", "to": 1, "steps": 2}}, "lambda.from: must be a number"),
     ({"lattice": {"islands": [[0]]}}, "lattice.islands: must be a list of [x, y] pairs"),
-    ({"cache": {"dir": 5}}, "cache.dir: must be a string (or null)"),
+    ({"cache": {"dir": None}}, "config: unknown keys ['cache']"),
     ({"samples": {"count": True, "max_degree": 2}},
      "samples.count: must be an integer >= 0"),
     ({"seed": True}, "seed: must be an integer"),
@@ -157,8 +155,7 @@ CONFIG_ERRORS = [
 def test_config_file_errors_exit_2_with_the_field(tmp_path, capsys, data, message):
     conf = tmp_path / "c.json"
     conf.write_text(json.dumps(data))
-    command = "spectrum" if "cache" in data else "certify"
-    assert main([command, "--config", str(conf)]) == 2
+    assert main(["certify", "--config", str(conf)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -175,15 +172,15 @@ BAD_INPUTS = [
     # paths are relative to the test's working directory
     (["certify", "--samples", "2", "--max-degree", "2", "--out", "missing/x.json"],
      None, "output.path: cannot write missing/x.json: "),
-    (["spectrum", "--cache.dir", "c.json"], b"{}",
-     "cache.dir: cannot write c.json/"),
+    (["spectrum"], b'{"cache": {"dir": "d"}, "solver": {"k": 9}}',
+     "config: unknown keys ['cache', 'solver']"),
 ]
 
 
 @pytest.mark.parametrize("argv,content,message", BAD_INPUTS,
                          ids=["section-key", "range-key", "non-utf8",
                               "range-to-only", "range-no-steps",
-                              "out-dir-missing", "cache-dir-is-a-file"])
+                              "out-dir-missing", "removed-sections"])
 def test_bad_input_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv,
                                      content, message):
     monkeypatch.chdir(tmp_path)
@@ -233,6 +230,10 @@ def test_usage_and_config_errors_exit_2(tmp_path, capsys):
     assert main(["certify", "--boundary", "torus"]) == 2  # bad choice
     assert main(["certify", "--lx", "1", "--ly", "4"]) == 2
     assert "lattice.lx" in capsys.readouterr().err
+    # no flag sets a Lanczos cluster size, a Krylov window or a cache
+    for flag in ("--solver.k", "--solver.window", "--cache.dir"):
+        assert main(["spectrum", flag, "9"]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     conf = tmp_path / "c.json"
     conf.write_text("{not json")
     assert main(["certify", "--config", str(conf)]) == 2
@@ -372,60 +373,20 @@ def test_sweep_sidecar_of_an_error_row(tmp_path):
     assert payload["sidecar"]["timings_ms"] == {"0.1": {}}
 
 
-def test_spectrum_cache_round_trip(tmp_path):
-    cache = tmp_path / "cache"
-    argv = ["spectrum", "--cache.dir", str(cache)]
-    code, first = _run_json(tmp_path, argv, "s1.json")
-    assert code == 0
-    assert first["source"] == "dense"
-    assert first["sidecar"]["cache"] == "miss"
-    assert first["count"] == 256 and first["dim"] == 256
-    assert abs(first["e0"] - E0_DIAMOND_01) <= 1e-12
-    assert list(cache.glob("*.f8")) == [cache / f"{first['cache_key']}.f8"]
-    code, second = _run_json(tmp_path, argv, "s2.json")
-    assert code == 0
-    assert second["source"] == "cache"
-    assert second["sidecar"]["cache"] == "hit"
-    assert second["eigenvalues"] == first["eigenvalues"]
-
-
-def test_spectrum_cache_rejects_truncated_file(tmp_path):
-    cache = tmp_path / "cache"
-    argv = ["spectrum", "--cache.dir", str(cache)]
-    code, first = _run_json(tmp_path, argv, "s1.json")
-    assert code == 0
-    path = cache / f"{first['cache_key']}.f8"
-    full = path.read_bytes()
-    # a write cut short, a non-finite value, values out of order
-    for damaged, reason in (
-            (full[: len(full) // 2], "wrong length (128 values, need 256)"),
-            (full[:-8] + np.array([np.nan], "<f8").tobytes(), "non-finite"),
-            (np.frombuffer(full, "<f8")[::-1].tobytes(), "out of order")):
-        path.write_bytes(damaged)
-        code, again = _run_json(tmp_path, argv, "s2.json")
-        assert code == 0
-        assert again["sidecar"]["cache"] == f"rejected: {reason}"
-        assert again["source"] == "dense"
-        assert again["eigenvalues"] == first["eigenvalues"]
-        assert path.read_bytes() == full  # the miss rewrote the file
-    assert list(cache.iterdir()) == [path]  # no temporary file left over
-
-
 def test_lanczos_route_reports_cluster_values_and_diagnostics(
         tmp_path, monkeypatch, diamond):
     dense = dense_spectrum(to_matrix(build_hamiltonian(diamond, 0.1),
                                      diamond.n_modes)).eigenvalues
     # a lowered dense cap sends the diamond (dim 256) through Lanczos
     monkeypatch.setattr(cli, "DENSE_DIM_CAP", 128)
-    code, spec = _run_json(tmp_path, ["spectrum", "--solver.k", "9"], "s.json")
+    code, spec = _run_json(tmp_path, ["spectrum"], "s.json")
     assert code == 0
     assert spec["source"] == "lanczos"
-    assert spec["sidecar"]["cache"] == "off"
+    assert "cache" not in spec["sidecar"] and "cache_key" not in spec
     assert spec["count"] == 8
     np.testing.assert_allclose(spec["eigenvalues"], dense[:8], rtol=0, atol=1e-9)
 
-    code, bundle = _run_json(tmp_path, ["certify", "--solver.k", "9"] + FAST,
-                             "c.json")
+    code, bundle = _run_json(tmp_path, ["certify"] + FAST, "c.json")
     assert code == 0
     assert bundle["ground"]["degeneracy"] == 8
     lz = bundle["sidecar"]["lanczos"]
@@ -438,18 +399,49 @@ def test_lanczos_route_reports_cluster_values_and_diagnostics(
     assert lz["blocks"] == {"count": 2, "dim": 128}
 
     # beyond the cap RP is skipped: a sweep row says so and claims no min_rp
-    code, sweep = _run_json(tmp_path, ["sweep", "--solver.k", "9", "--beta", "1,2"]
-                            + FAST, "w.json")
+    code, sweep = _run_json(tmp_path, ["sweep", "--beta", "1,2"] + FAST,
+                            "w.json")
     assert code == 0
     assert [row["verdicts"] for row in sweep["rows"]] == [
         "rp:skipped;topo:pass;pos:pass"] * 2
     assert [row["min_rp"] for row in sweep["rows"]] == [None, None]
     assert sweep["sidecar"]["rp"] == [None, None]
 
-    code, vmap = _run_json(tmp_path, ["vortex-map", "--solver.k", "9"],
-                           "v.json")
+    code, vmap = _run_json(tmp_path, ["vortex-map"], "v.json")
     assert code == 0
     assert vmap["sidecar"]["lanczos"] == spec["sidecar"]["lanczos"] == lz
+
+
+def test_lanczos_route_closes_the_degenerate_control(tmp_path, monkeypatch):
+    # lambda = 0 through Lanczos: the solver finds all 16 ground states by
+    # itself, so the negative control fails only topological order
+    monkeypatch.setattr(cli, "DENSE_DIM_CAP", 128)
+    code, bundle = _run_json(tmp_path, ["certify", "--lambda", "0",
+                                        "--expect-fail", "topological_order"]
+                             + FAST)
+    assert code == 0
+    assert bundle["ground"]["degeneracy"] == 16
+    assert len(bundle["sidecar"]["lanczos"]["eigenvalues"]) == 17
+
+
+def test_certify_with_no_odd_trial_monomials(tmp_path):
+    # degree 0 holds only the identity, which is even: the odd RP report
+    # has nothing to measure and says so instead of crashing
+    code, bundle = _run_json(tmp_path, ["certify", "--samples", "0",
+                                        "--max-degree", "0"])
+    assert code == 0
+    reports = {r["check"]: r for r in bundle["reports"]}
+    assert reports["rp_even"]["verdict"] == "pass"
+    odd = reports["rp_odd_observed"]
+    assert odd["verdict"] == "skipped"
+    assert odd["worst"]["witness"] == "no odd monomials of degree <= 0 on Lambda_minus"
+    assert set(bundle["sidecar"]["rp"]) == {"rp_even"}
+
+
+def test_readme_config_example_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("Default config:\n\n```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(example) == cli.DEFAULTS
 
 
 def test_python_dash_m_runs_the_cli():

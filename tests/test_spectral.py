@@ -1,8 +1,5 @@
 """Spectra, ground spaces, the Lanczos path, and thermal functionals."""
 
-import os
-import stat
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +11,6 @@ from vortexcert.clifford import MajoranaPolynomial
 from vortexcert.fock import SparseOperator, to_matrix
 from vortexcert.model import build_hamiltonian, vortex_operator
 from vortexcert.spectral import (
-    ConvergenceError,
     DenseCapError,
     IllSeparatedError,
     NonHermitianError,
@@ -23,10 +19,7 @@ from vortexcert.spectral import (
     dense_spectrum,
     ground_space,
     lanczos_ground,
-    load_eigenvalues,
     rp_functional,
-    save_eigenvalues,
-    spectrum_cache_key,
     thermal_expectation,
 )
 
@@ -324,10 +317,45 @@ def test_torus_lanczos_levels_match_eigsh(torus_4x4):
         assert r <= 100 * conv_tol * max(1.0, abs(e))
 
 
-def test_lanczos_insufficient_k_raises(diamond):
+def test_lanczos_k_1_closes_the_ground_cluster(diamond):
+    # k is only a floor: the solver keeps going until a certified value
+    # lies above the cut, so the whole 8-fold cluster comes back
     op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
-    with pytest.raises(ConvergenceError):
-        lanczos_ground(op, k=1, seed=0)  # ground cluster has 8 states
+    dense = dense_spectrum(op)
+    ref = ground_space(dense)
+    lz = lanczos_ground(op, k=1, seed=0)
+    assert lz.n == ref.n == 8
+    assert len(lz.eigenvalues) == 9  # the cluster and the first level above
+    np.testing.assert_allclose(lz.eigenvalues, dense.eigenvalues[:9],
+                               rtol=0, atol=1e-9)
+    assert np.abs(lz.basis @ lz.basis.conj().T
+                  - ref.basis @ ref.basis.conj().T).max() <= 1e-6
+
+
+def test_lanczos_closes_a_cluster_that_fills_whole_blocks(diamond):
+    # at lambda = 0 the diamond's ground level is 16-fold
+    op = to_matrix(build_hamiltonian(diamond, 0.0), diamond.n_modes)
+    ref = ground_space(op)
+    lz = lanczos_ground(op, seed=0)
+    assert lz.n == ref.n == 16
+    assert abs(lz.e0 - ref.e0) <= 1e-9
+    assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-6
+
+
+def test_lanczos_k_beyond_the_cluster_is_a_floor(diamond):
+    # k above the cluster size still reports k certified values
+    op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
+    dense = dense_spectrum(op).eigenvalues
+    lz = lanczos_ground(op, k=12, seed=0)
+    assert lz.n == 8
+    np.testing.assert_allclose(lz.eigenvalues, dense[:12], rtol=0, atol=1e-9)
+
+
+def test_lanczos_stops_when_every_state_is_in_the_cluster():
+    # nothing lies above the cut: the search ends with every block spent
+    lz = lanczos_ground(_diag_op([2.0] * 8), seed=0)
+    assert lz.n == 8 and len(lz.eigenvalues) == 8
+    assert abs(lz.e0 - 2.0) <= 1e-12
 
 
 def test_thermal_expectation_limits(diamond):
@@ -366,30 +394,3 @@ def test_rp_functional_checks_support(diamond, diamond_mirror):
     val = rp_functional(good, diamond_mirror, spec, 1.0)
     assert val.real >= -1e-9
     assert abs(val.imag) <= 1e-9
-
-
-def test_cache_key_and_eigenvalue_files(tmp_path):
-    k1 = spectrum_cache_key("abc", 0.1)
-    k2 = spectrum_cache_key("abc", 0.1)
-    k3 = spectrum_cache_key("abc", 0.2)
-    assert k1 == k2 != k3
-    vals = np.array([-4.0, -3.5, 0.25])
-    path = tmp_path / "eigs.f8"
-    save_eigenvalues(path, vals)
-    got, reason = load_eigenvalues(path, len(vals))
-    np.testing.assert_array_equal(got, vals)
-    assert reason is None
-    # on-disk format is raw little-endian float64
-    assert path.read_bytes() == vals.astype("<f8").tobytes()
-
-
-def test_eigenvalue_file_has_the_umask_default_mode(tmp_path):
-    # as a direct write would: a cache dir shared between users stays readable
-    path = tmp_path / "eigs.f8"
-    old = os.umask(0o022)
-    try:
-        save_eigenvalues(path, np.array([-1.0, 1.0]))
-    finally:
-        os.umask(old)
-    assert stat.S_IMODE(path.stat().st_mode) == 0o644
-    assert [p.name for p in tmp_path.iterdir()] == ["eigs.f8"]

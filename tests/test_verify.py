@@ -135,6 +135,20 @@ def test_check_rp_fail_is_reported_not_raised(diamond, diamond_mirror,
     assert "sidecar" not in rep.to_dict()
 
 
+def test_check_rp_with_an_empty_trial_span_is_skipped(diamond, diamond_mirror,
+                                                    diamond_spectra):
+    # odd monomials start at degree 1, so degree 0 leaves no odd trial
+    # element even when random samples are asked for
+    specs = default_rp_samples(3, parity="odd", max_degree=0, count=5)
+    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, specs=specs,
+                   spectrum=diamond_spectra[0.1])
+    assert rep.verdict == "skipped" and not rep.passed
+    assert rep.worst == {"value_re": 0.0, "value_im": 0.0,
+                         "witness": "no odd monomials of degree <= 0 on Lambda_minus"}
+    assert rep.params == {"lambda": 0.1, "beta": 1.0, "seed": 3}
+    assert rep.sidecar is None
+
+
 @pytest.mark.parametrize("tol", [1e-16, 1e-18])
 def test_check_rp_strict_tolerance_gives_a_report(diamond, diamond_mirror,
                                                   diamond_spectra, tol):
