@@ -8,14 +8,17 @@ are stored row-major, one vector per row, so every Gram-Schmidt pass is
 a pair of contiguous matrix-vector products that conjugate only the new
 vector, never the basis.  The iteration runs in exact symmetry blocks:
 diagonal Z-strings (-1)^popcount(n & g) that commute with H, found by
-GF(2) elimination of the bit masks of the stored entries.  The fermion parity (-1)^N is the first split, and
-further strings halve the blocks while each keeps SYMMETRY_BLOCK_FLOOR
-states (16 blocks of 4,096 on the 4x4 torus: short vectors, a Krylov
-basis that fits in cache); the eigenpairs of the blocks are merged.  An
-operator that couples the parities is the one block.  The Lanczos
-ground space carries its diagnostics: the eigenvalues reported, the
-residual of each vector, the parity of the block each came from, the
-block count and dimension and the matrix-vector products spent.
+GF(2) elimination of the bit masks of the stored entries.  Each block
+is the `SparseOperator.block` of H, so its products are the same numpy
+gathers as the full operator's.  The fermion parity (-1)^N is the first
+split, and further strings halve the blocks while each keeps
+SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the 4x4 torus: short
+vectors, a Krylov basis that fits in cache); the eigenpairs of the
+blocks are merged.  An operator that couples the parities is the one
+block.  The Lanczos ground space carries its diagnostics: the
+eigenvalues reported, the residual of each vector, the parity of the
+block each came from, the block count and dimension and the
+matrix-vector products spent.
 Ground-space bases are made deterministic by re-orthogonalizing
 coordinate projections in a fixed pivot order, so reports do not depend
 on eigensolver gauge.
@@ -141,13 +144,15 @@ def canonical_subspace_basis(basis: np.ndarray) -> np.ndarray:
     Gram-Schmidts them in that fixed order, keeps the ones with
     non-negligible residual, and fixes each phase by making the lowest
     non-negligible amplitude real positive.  Depends only on the
-    subspace, not on the gauge of the input columns.
+    subspace, not on the gauge of the input columns.  A coordinate whose
+    projection is already negligible cannot leave a larger residual, so
+    those rows are dropped in one pass before the loop.
     """
     q, _ = np.linalg.qr(basis)
-    dim, n = q.shape
+    n = q.shape[1]
     coeffs: list[np.ndarray] = []
     out: list[np.ndarray] = []
-    for i in range(dim):
+    for i in np.flatnonzero(np.linalg.norm(q, axis=1) > 1e-8):
         c = q[i, :].conj().copy()
         for a in coeffs:
             c -= a * (a.conj() @ c)
@@ -326,14 +331,12 @@ def _symmetry_blocks(op: SparseOperator) -> np.ndarray:
     annihilator's generators follow, lowest free bit first, while every
     block keeps SYMMETRY_BLOCK_FLOOR states, so each block has 2^m states
     and a definite parity.  An operator that couples the parities is the
-    one block.  The test is structural, so it is exact: `to_matrix`
-    stores no zeros, and an operator built elsewhere that stores a zero
-    entry only splits less.
+    one block.  The test is structural, so it is exact: zero slots are
+    padding and are not read.
     """
     full = np.arange(op.dim, dtype=np.int64)
-    m = op.matrix
-    rows = np.repeat(full, np.diff(m.indptr))
-    masks = np.flatnonzero(np.bincount(rows ^ m.indices, minlength=op.dim))
+    stored = (op.cols ^ full)[op.values != 0]
+    masks = np.flatnonzero(np.bincount(stored, minlength=op.dim))
     if op.n_modes < 1 or _bit_parity(masks).any():
         return full[None, :]
     span: dict = {}
@@ -388,8 +391,7 @@ def lanczos_ground(op: SparseOperator, k: int = 1, seed: int = 0,
     if len(blocks) == 1:
         ops = [op]
     else:
-        ops = [SparseOperator(op.matrix[idx][:, idx], size.bit_length() - 1)
-               for idx in blocks]
+        ops = [op.block(idx) for idx in blocks]
     found: list[list[tuple[float, np.ndarray, float]]] = [[] for _ in blocks]
     budget = max_matvecs
     while True:
@@ -445,15 +447,22 @@ def _as_spectrum(h) -> Spectrum:
     return dense_spectrum(h)
 
 
-def thermal_expectation(o: SparseOperator, h, beta: float) -> complex:
-    """<O> in the thermal state e^{-beta H} / Z, energies shifted by E0."""
+def thermal_expectation(o, h, beta: float) -> complex:
+    """<O> in the thermal state e^{-beta H} / Z, energies shifted by E0.
+
+    `o` is a SparseOperator, or a sequence of them standing for their
+    product (applied right to left, never multiplied out).
+    """
     if beta < 0:
         raise ValueError("beta must be >= 0")
     spec = _as_spectrum(h)
-    if o.dim != spec.dim:
+    factors = o if isinstance(o, (list, tuple)) else (o,)
+    if any(f.dim != spec.dim for f in factors):
         raise ValueError("operator and Hamiltonian dimensions differ")
     weights = np.exp(-beta * (spec.eigenvalues - spec.eigenvalues[0]))
-    ov = o.matrix @ spec.eigenvectors
+    ov = spec.eigenvectors
+    for f in reversed(factors):
+        ov = f.apply(ov)
     diag = np.einsum("ij,ij->j", spec.eigenvectors.conj(), ov)
     return complex((weights * diag).sum() / weights.sum())
 
@@ -475,18 +484,18 @@ def rp_functional(a: MajoranaPolynomial, r: ReflectionData, h, beta: float) -> c
     to report rather than assumed to vanish.
 
     theta(A) is formed symbolically (antilinear relabelling), then A and
-    theta(A) are mapped to Fock matrices separately and multiplied there:
-    to_matrix is an algebra homomorphism, so this equals the matrix of the
-    symbolic product A theta(A) while costing 2 * len(A) monomial actions
-    instead of len(A)**2.  It goes through the symbolic reflect and the
-    Fock map, not through the per-entry gather of `rp_gram`, so it is the
-    second route that `check_rp` re-checks its witness on.
+    theta(A) are mapped to Fock operators separately and applied in turn:
+    to_matrix is an algebra homomorphism, so this equals the operator of
+    the symbolic product A theta(A) while costing 2 * len(A) monomial
+    actions instead of len(A)**2.  It goes through the symbolic reflect
+    and the Fock map, not through the per-entry gather of `rp_gram`, so
+    it is the second route that `check_rp` re-checks its witness on.
     """
     _check_left_support(a.support(), r)
     spec = _as_spectrum(h)
     n_modes = spec.dim.bit_length() - 1
-    w_a = to_matrix(a, n_modes).matrix @ to_matrix(reflect(a, r.sigma), n_modes).matrix
-    return thermal_expectation(SparseOperator(w_a, n_modes), spec, beta)
+    w_a = (to_matrix(a, n_modes), to_matrix(reflect(a, r.sigma), n_modes))
+    return thermal_expectation(w_a, spec, beta)
 
 
 def rp_gram(keys, r: ReflectionData, h, beta: float) -> np.ndarray:

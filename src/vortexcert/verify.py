@@ -17,7 +17,7 @@ evaluated as y^dagger G y over the span of the samples' monomials, and
 the verdict also demands lambda_min(G) >= -tol, which certifies every
 element of that span, not just the samples.  Only the reported witness
 becomes a polynomial again; its value is re-checked on a second route,
-the Fock matrices of A and theta(A) multiplied together.  Odd elements
+the Fock operators of theta(A) and A applied in turn.  Odd elements
 are measured in a separate report that is never asserted: the
 positivity literature is written for the even case and we refuse to
 hard-fail on a case left implicit.
@@ -179,10 +179,12 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float,
     iff the minimum real part stays above -tol, every imaginary part
     stays within tol, and lambda_min(G) >= -tol, so the whole span is
     certified.  A failing sample is the witness; if only G fails, the
-    witness is its lowest eigenvector, keyed "g:min".  The samples are
-    rows of one coefficient array and never become polynomials; only the
-    witness does.  It is recomputed through `rp_functional` (the product
-    of the Fock matrices of A and theta(A)), and a disagreement beyond
+    witness is its lowest eigenvector, keyed "g:min".  With monomials but
+    no samples lambda_min(G) alone decides, with the "g:min" witness.
+    The samples are rows of one coefficient array and never become
+    polynomials; only the witness does.  It is recomputed through
+    `rp_functional` (the Fock operators of theta(A), then A, applied to
+    the thermal eigenvectors), and a disagreement beyond
     round-off (GRAM_AGREEMENT_TOL, independent of tol) raises
     SpectralError.  Witnesses are serialized in canonical text, so a
     failure is a standalone regression case.  The report's sidecar holds
@@ -232,16 +234,18 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float,
     # F(A) = sum_ij a_i G_ij conj(a_j) = y^dagger G y with y = conj(a)
     values = [complex(v) for v in ((coeffs @ gram) * coeffs.conj()).sum(axis=1)]
 
-    min_re = min(range(len(values)), key=lambda i: values[i].real)
-    max_im = max(range(len(values)), key=lambda i: abs(values[i].imag))
-    im_ok = abs(values[max_im].imag) <= tol
-    ok = values[min_re].real >= -tol and im_ok
-    i = min_re if (values[min_re].real < -tol or im_ok) else max_im
-    worst = (labels[i], _polynomial(keys, coeffs[i]), values[i])
+    ok, worst = True, None
+    if values:
+        min_re = min(range(len(values)), key=lambda i: values[i].real)
+        max_im = max(range(len(values)), key=lambda i: abs(values[i].imag))
+        im_ok = abs(values[max_im].imag) <= tol
+        ok = values[min_re].real >= -tol and im_ok
+        i = min_re if (values[min_re].real < -tol or im_ok) else max_im
+        worst = (labels[i], _polynomial(keys, coeffs[i]), values[i])
     lams, vecs = np.linalg.eigh(gram)
     lam_min = float(lams[0])
-    if ok and lam_min < -tol:
-        ok = False
+    if worst is None or (ok and lam_min < -tol):
+        ok = lam_min >= -tol
         worst = ("g:min", _polynomial(keys, vecs[:, 0].conj()), complex(lams[0]))
     recheck = rp_functional(worst[1], r, spectrum, beta)
     deviation = abs(recheck - worst[2])
@@ -281,7 +285,7 @@ def check_topological_order(ground: GroundSpace, w: SparseOperator,
     alpha is the mean diagonal expectation; the deviation is the
     Frobenius norm of <mu|W|nu> - alpha*delta over the ground basis.
     """
-    m = ground.basis.conj().T @ (w.matrix @ ground.basis)
+    m = ground.basis.conj().T @ w.apply(ground.basis)
     n = ground.n
     alpha = float(np.trace(m).real) / n
     deviation = float(np.linalg.norm(m - alpha * np.eye(n)))
@@ -303,7 +307,7 @@ def check_ground_positivity(ground: GroundSpace, w_a: SparseOperator,
     Pass iff the minimum real part is >= -tol.  The spread max-min is
     reported as well: under topological order it should vanish.
     """
-    ov = w_a.matrix @ ground.basis
+    ov = w_a.apply(ground.basis)
     diag = np.einsum("ij,ij->j", ground.basis.conj(), ov)
     minimum = float(diag.real.min())
     spread = float(diag.real.max() - diag.real.min())
@@ -325,7 +329,7 @@ def vortex_map(lat: IslandLattice, ground: GroundSpace,
             w = loops[o.center]
         else:
             w = to_matrix(vortex_operator(lat, o).W, lat.n_modes)
-        ov = w.matrix @ ground.basis
+        ov = w.apply(ground.basis)
         diag = np.einsum("ij,ij->j", ground.basis.conj(), ov)
         alpha = float(diag.real.mean())
         out[o.center] = {"alpha": alpha, "classification": _classify(alpha, tol)}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from vortexcert import build_lattice, diamond_lattice, reflection_data
+from vortexcert.fock import SparseOperator
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -52,6 +53,19 @@ def oracle_matrix(poly, n_modes: int) -> np.ndarray:
             c = complex(float(coeff))
         acc += c * term
     return acc
+
+
+def dense_operator(m) -> SparseOperator:
+    """The ELL operator of a dense matrix: slot j of row i holds m[i, j]."""
+    m = np.asarray(m, dtype=complex)
+    cols = np.broadcast_to(np.arange(len(m))[:, None], m.shape)
+    return SparseOperator(cols, m.T)
+
+
+def diagonal_operator(values) -> SparseOperator:
+    """The ELL operator of diag(values), one slot per row."""
+    values = np.asarray(values, dtype=complex)
+    return SparseOperator(np.arange(len(values))[None, :], values[None, :])
 
 
 @pytest.fixture(scope="session")

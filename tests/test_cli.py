@@ -455,6 +455,33 @@ def test_python_dash_m_runs_the_cli():
     assert res.stdout.strip() == vortexcert.__version__
 
 
+_NO_SCIPY = """
+import sys
+from vortexcert import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(loaded)
+sys.exit(code or bool(loaded))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify"],
+    ["certify", "--lx", "4", "--ly", "4", "--boundary", "periodic"]])
+def test_certify_runs_without_importing_scipy(tmp_path, argv):
+    # numpy is the only runtime dependency: neither the dense route nor
+    # Lanczos may load scipy, which costs more to import than the run
+    src = str(Path(vortexcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, *argv, "--out", str(tmp_path / "c.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, (res.stdout, res.stderr)
+    assert res.stdout.strip() == "[]"
+
+
 def test_vortex_map_command(tmp_path):
     code, payload = _run_json(tmp_path, ["vortex-map"])
     assert code == 0

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from vortexcert.clifford import EXACT_I, EXACT_ONE, MajoranaPolynomial
 from vortexcert.fock import (
@@ -12,7 +11,7 @@ from vortexcert.fock import (
     to_matrix,
 )
 
-from conftest import oracle_majorana, oracle_matrix
+from conftest import diagonal_operator, oracle_majorana, oracle_matrix
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3])
@@ -71,9 +70,7 @@ def test_to_matrix_rejects_out_of_range_generators():
 
 
 def test_dense_cap_refusal():
-    dim = 2 * DENSE_DIM_CAP
-    big = SparseOperator(sp.identity(dim, format="csr", dtype=complex),
-                         dim.bit_length() - 1)
+    big = diagonal_operator(np.ones(2 * DENSE_DIM_CAP))
     with pytest.raises(ValueError):
         big.to_dense()
 

@@ -148,6 +148,59 @@ def test_symmetry_blocks_split_fully_and_are_invariant(case):
             assert (z[blocks] == z[blocks[:, :1]]).all(), g
 
 
+@PROPERTY_SETTINGS
+@given(cases(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_apply_is_the_oracle_product(case, n, seed):
+    n_modes, p, _, _, _ = case
+    op, m = to_matrix(p, n_modes), oracle_matrix(p, n_modes)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((op.dim, n)) + 1j * rng.standard_normal((op.dim, n))
+    assert np.allclose(op.apply(x), m @ x, atol=1e-9)
+    assert np.allclose(op.apply(x[:, 0]), m @ x[:, 0], atol=1e-9)
+    assert np.allclose(op.apply(x), op.to_dense() @ x, atol=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(even_cases())
+def test_block_is_the_oracle_submatrix(case):
+    n_modes, p = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 1)
+        op = to_matrix(p, n_modes)
+        blocks = spectral._symmetry_blocks(op)
+    m = oracle_matrix(p, n_modes)
+    for idx in blocks:
+        assert np.allclose(op.block(idx).to_dense(), m[np.ix_(idx, idx)],
+                           atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_hermiticity_defect_is_the_oracle_defect(case):
+    n_modes, p, _, _, _ = case
+    m = oracle_matrix(p, n_modes)
+    want = np.abs(m - m.conj().T).max()
+    assert abs(to_matrix(p, n_modes).hermiticity_defect() - want) <= 1e-12
+    hermitian = p + adjoint(p)
+    assert to_matrix(hermitian, n_modes).hermiticity_defect() == 0.0
+    skew = p - adjoint(p)
+    assert (to_matrix(skew, n_modes).hermiticity_defect() > 0) == (not skew.is_zero)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
+def test_block_is_the_submatrix_on_the_diamond(monkeypatch, diamond, lam):
+    monkeypatch.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 16)
+    h = build_hamiltonian(diamond, lam)
+    op = to_matrix(h, diamond.n_modes)
+    assert op.hermiticity_defect() == 0.0
+    blocks = spectral._symmetry_blocks(op)
+    assert blocks.shape == (16, 16)
+    m = oracle_matrix(h, diamond.n_modes)
+    for idx in blocks:
+        assert np.allclose(op.block(idx).to_dense(), m[np.ix_(idx, idx)],
+                           atol=1e-12)
+
+
 _doubles = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     # the edges of the double range: signed zeros, the smallest subnormal,

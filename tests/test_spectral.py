@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from vortexcert import build_lattice, spectral
 from vortexcert.clifford import MajoranaPolynomial
-from vortexcert.fock import SparseOperator, to_matrix
+from vortexcert.fock import to_matrix
 from vortexcert.model import build_hamiltonian, vortex_operator
 from vortexcert.spectral import (
     DenseCapError,
@@ -23,15 +22,11 @@ from vortexcert.spectral import (
     thermal_expectation,
 )
 
+from conftest import dense_operator, diagonal_operator
+
 # dense-oracle regression values for the diamond lattice
 E0_DIAMOND_01 = -4.010037405062517
 E0_DIAMOND_05 = -4.2715584101397175
-
-
-def _diag_op(values):
-    m = sp.diags(np.asarray(values, dtype=complex), format="csr")
-    n_modes = len(values).bit_length() - 1
-    return SparseOperator(m, n_modes)
 
 
 def test_dense_spectrum_sorted_and_trace_consistent(diamond):
@@ -43,13 +38,13 @@ def test_dense_spectrum_sorted_and_trace_consistent(diamond):
 
 
 def test_dense_spectrum_rejects_non_hermitian():
-    m = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    m = dense_operator([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NonHermitianError):
-        dense_spectrum(SparseOperator(m, 1))
+        dense_spectrum(m)
 
 
 def test_dense_spectrum_refuses_beyond_cap():
-    big = SparseOperator(sp.identity(8192, format="csr", dtype=complex), 13)
+    big = diagonal_operator(np.ones(8192))
     with pytest.raises(DenseCapError):
         dense_spectrum(big)
 
@@ -95,10 +90,10 @@ def test_ill_separated_cluster_raises():
     # second level sits inside the ambiguous decade around gap_tol
     vals = [0.0, 5e-8] + [1.0] * 14
     with pytest.raises(IllSeparatedError):
-        ground_space(_diag_op(vals), gap_tol=1e-8)
+        ground_space(diagonal_operator(vals), gap_tol=1e-8)
     # clearly inside and clearly outside are both fine
-    assert ground_space(_diag_op([0.0, 1e-10] + [1.0] * 14), gap_tol=1e-8).n == 2
-    assert ground_space(_diag_op([0.0, 1e-6] + [1.0] * 14), gap_tol=1e-8).n == 1
+    assert ground_space(diagonal_operator([0.0, 1e-10] + [1.0] * 14), gap_tol=1e-8).n == 2
+    assert ground_space(diagonal_operator([0.0, 1e-6] + [1.0] * 14), gap_tol=1e-8).n == 1
 
 
 def test_lanczos_matches_dense_on_diamond(diamond):
@@ -146,7 +141,7 @@ def test_lanczos_degenerate_pair_through_the_invariant_subspace_branch(
         return out
 
     monkeypatch.setattr(spectral, "_lowest_eigenpair", recording)
-    op = _diag_op([-1.0, -1.0] + [0.0] * 7 + [1.0] * 7)
+    op = diagonal_operator([-1.0, -1.0] + [0.0] * 7 + [1.0] * 7)
     gs = lanczos_ground(op, k=3, seed=0, conv_tol=0.0)
     assert gs.n == 2
     assert abs(gs.e0 + 1.0) <= 1e-12
@@ -268,7 +263,7 @@ def test_lanczos_k_equal_to_a_block_dimension(k):
     values = np.empty(dim)
     values[par == 0] = [-4.0, -3.0, -2.0, -1.0]
     values[par == 1] = [1.0, 2.0, 3.0, 4.0]
-    lz = lanczos_ground(_diag_op(values), k=k, seed=0)
+    lz = lanczos_ground(diagonal_operator(values), k=k, seed=0)
     np.testing.assert_allclose(lz.eigenvalues, np.sort(values)[:k], atol=1e-12)
     assert lz.parities == (0,) * 4 + (1,) * (k - 4)
     assert lz.n == 1
@@ -289,8 +284,9 @@ def test_symmetry_blocks_are_invariant_and_floored(boundary, lam, count):
     # no stored entry couples two blocks
     label = np.empty(op.dim, dtype=np.int64)
     label[blocks] = np.arange(len(blocks))[:, None]
-    coo = op.matrix.tocoo()
-    assert (label[coo.row] == label[coo.col]).all()
+    stored = op.values != 0
+    rows = np.broadcast_to(np.arange(op.dim), op.cols.shape)
+    assert (label[rows[stored]] == label[op.cols[stored]]).all()
     # every block has a definite parity
     par = _parity(op.dim)[blocks]
     assert (par == par[:, :1]).all()
@@ -305,7 +301,9 @@ def test_torus_lanczos_levels_match_eigsh(torus_4x4):
     lz = lanczos_ground(op, k=4, seed=0, conv_tol=conv_tol)
     assert lz.blocks == (16, 4096)
     assert lz.n == 1
-    ref = scipy.sparse.linalg.eigsh(op.matrix, k=3, which="SA", tol=1e-10,
+    h = scipy.sparse.linalg.LinearOperator((op.dim, op.dim), matvec=op.apply,
+                                           dtype=complex)
+    ref = scipy.sparse.linalg.eigsh(h, k=3, which="SA", tol=1e-10,
                                     v0=np.ones(op.dim), return_eigenvectors=False)
     ref = np.sort(ref)
     assert ref[-1] > max(lz.eigenvalues)
@@ -353,7 +351,7 @@ def test_lanczos_k_beyond_the_cluster_is_a_floor(diamond):
 
 def test_lanczos_stops_when_every_state_is_in_the_cluster():
     # nothing lies above the cut: the search ends with every block spent
-    lz = lanczos_ground(_diag_op([2.0] * 8), seed=0)
+    lz = lanczos_ground(diagonal_operator([2.0] * 8), seed=0)
     assert lz.n == 8 and len(lz.eigenvalues) == 8
     assert abs(lz.e0 - 2.0) <= 1e-12
 
@@ -368,7 +366,7 @@ def test_thermal_expectation_limits(diamond):
     gs = ground_space(spec)
     beta_large = thermal_expectation(w, spec, 4e5).real
     ground_avg = np.mean(np.einsum("ij,ij->j", gs.basis.conj(),
-                                   w.matrix @ gs.basis)).real
+                                   w.apply(gs.basis))).real
     assert abs(beta_large - ground_avg) <= 1e-6
 
 

@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from vortexcert.clifford import MajoranaPolynomial, multiply, reflect
-from vortexcert.fock import SparseOperator, to_matrix
+from vortexcert.fock import to_matrix
 from vortexcert.model import build_hamiltonian, vortex_operator
 from vortexcert.spectral import (
     SpectralError,
@@ -28,6 +27,8 @@ from vortexcert.verify import (
     vortex_map,
 )
 from vortexcert.verify import _degree_basis, _sample_rows, _sample_witness
+
+from conftest import dense_operator
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +148,26 @@ def test_check_rp_with_an_empty_trial_span_is_skipped(diamond, diamond_mirror,
                          "witness": "no odd monomials of degree <= 0 on Lambda_minus"}
     assert rep.params == {"lambda": 0.1, "beta": 1.0, "seed": 3}
     assert rep.sidecar is None
+
+
+def test_check_rp_with_monomials_but_no_samples(diamond, diamond_mirror,
+                                                diamond_spectra):
+    # a random family of zero samples still spans the degree-2 monomials:
+    # lambda_min(G) alone decides, witnessed by its eigenvector
+    empty = RPSampleSpec(mode="random-polynomials", count=0, max_degree=2)
+    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, specs=empty,
+                   spectrum=diamond_spectra[0.1])
+    assert rep.verdict == "pass"
+    assert rep.worst["witness"].startswith("g:min A = ")
+    assert rep.worst["value_re"] == rep.sidecar["lambda_min"] >= -1e-9
+    assert rep.sidecar["recheck_deviation"] <= 1e-12
+    # -H is not reflection positive, and G exposes it without a sample
+    minus = dense_spectrum(to_matrix(-build_hamiltonian(diamond, 0.5),
+                                     diamond.n_modes))
+    rep = check_rp(diamond, diamond_mirror, 0.5, 5.0, specs=empty, spectrum=minus)
+    assert rep.verdict == "fail"
+    assert rep.worst["witness"].startswith("g:min A = ")
+    assert rep.worst["value_re"] == rep.sidecar["lambda_min"] < -1e-9
 
 
 @pytest.mark.parametrize("tol", [1e-16, 1e-18])
@@ -316,8 +337,7 @@ def test_rp_functional_matches_the_symbolic_product(diamond, diamond_mirror,
     rng = np.random.default_rng(11)
     dim = 1 << diamond.n_modes
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    generic = dense_spectrum(SparseOperator(sp.csr_matrix(x + x.conj().T),
-                                            diamond.n_modes))
+    generic = dense_spectrum(dense_operator(x + x.conj().T))
     left = np.array(diamond_mirror.left)
     for _ in range(5):
         a = _random_polynomial(rng, left, parity)
