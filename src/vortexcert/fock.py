@@ -100,14 +100,10 @@ class SparseOperator:
         if x.ndim == 1:
             return (self.values * x[self.cols]).sum(axis=0, initial=0)
         x = np.asarray(x, dtype=np.complex128)
-        if not len(self.cols):
-            return np.zeros_like(x)
+        out = np.zeros_like(x)
+        term = np.empty_like(x)
         # slot row by slot row: gathering all k at once would hold k blocks
-        out = np.take(x, self.cols[0], axis=0, mode="clip")
-        out *= self.values[0][:, None]
-        out += 0  # the sum starts from 0 (a -0.0 term leaves +0.0)
-        term = np.empty_like(out)
-        for cols, values in zip(self.cols[1:], self.values[1:]):
+        for cols, values in zip(self.cols, self.values):
             np.take(x, cols, axis=0, out=term, mode="clip")
             term *= values[:, None]
             out += term

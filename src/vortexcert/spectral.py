@@ -388,10 +388,7 @@ def lanczos_ground(op: SparseOperator, k: int = 1, seed: int = 0,
     rng = np.random.default_rng(seed)
     blocks = _symmetry_blocks(op)
     size = blocks.shape[1]
-    if len(blocks) == 1:
-        ops = [op]
-    else:
-        ops = [op.block(idx) for idx in blocks]
+    ops = [op.block(idx) for idx in blocks]
     found: list[list[tuple[float, np.ndarray, float]]] = [[] for _ in blocks]
     budget = max_matvecs
     while True:

@@ -157,6 +157,7 @@ def test_apply_is_the_oracle_product(case, n, seed):
     x = rng.standard_normal((op.dim, n)) + 1j * rng.standard_normal((op.dim, n))
     assert np.allclose(op.apply(x), m @ x, atol=1e-9)
     assert np.allclose(op.apply(x[:, 0]), m @ x[:, 0], atol=1e-9)
+    assert np.allclose(op.apply(x.real), m @ x.real, atol=1e-9)
     assert np.allclose(op.apply(x), op.to_dense() @ x, atol=1e-9)
 
 
