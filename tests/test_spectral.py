@@ -92,8 +92,10 @@ def test_ill_separated_cluster_raises():
     with pytest.raises(IllSeparatedError):
         ground_space(diagonal_operator(vals), gap_tol=1e-8)
     # clearly inside and clearly outside are both fine
-    assert ground_space(diagonal_operator([0.0, 1e-10] + [1.0] * 14), gap_tol=1e-8).n == 2
-    assert ground_space(diagonal_operator([0.0, 1e-6] + [1.0] * 14), gap_tol=1e-8).n == 1
+    inside = diagonal_operator([0.0, 1e-10] + [1.0] * 14)
+    outside = diagonal_operator([0.0, 1e-6] + [1.0] * 14)
+    assert ground_space(inside, gap_tol=1e-8).n == 2
+    assert ground_space(outside, gap_tol=1e-8).n == 1
 
 
 def test_lanczos_matches_dense_on_diamond(diamond):
