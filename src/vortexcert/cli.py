@@ -584,6 +584,7 @@ def _sidecar(timings: dict, ground=None, **extra) -> dict:
                           "parities": list(ground.parities),
                           "blocks": {"count": ground.blocks[0],
                                      "dim": ground.blocks[1]},
+                          "closed_by_bound": ground.closed_by_bound,
                           "matvecs": ground.matvecs}
     out.update((key, val) for key, val in extra.items() if val)
     return out

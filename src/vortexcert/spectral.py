@@ -15,10 +15,13 @@ split, and further strings halve the blocks while each keeps
 SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the 4x4 torus: short
 vectors, a Krylov basis that fits in cache); the eigenpairs of the
 blocks are merged.  An operator that couples the parities is the one
-block.  The Lanczos ground space carries its diagnostics: the
+block.  Every block starts with a Gershgorin floor, a rigorous lower
+bound on its spectrum from one pass over the stored entries, so a block
+whose floor lies above the values already certified is closed without a
+solve.  The Lanczos ground space carries its diagnostics: the
 eigenvalues reported, the residual of each vector, the parity of the
-block each came from, the block count and dimension and the
-matrix-vector products spent.
+block each came from, the block count and dimension, the blocks closed
+by their floor and the matrix-vector products spent.
 Ground-space bases are made deterministic by re-orthogonalizing
 coordinate projections in a fixed pivot order, so reports do not depend
 on eigensolver gauge.
@@ -100,6 +103,8 @@ class GroundSpace:
     parities: tuple[int, ...] = ()
     # (count, dimension) of the symmetry blocks Lanczos ran in
     blocks: tuple[int, int] = ()
+    # blocks closed by their Gershgorin floor without a solve
+    closed_by_bound: int = 0
 
     @property
     def n(self) -> int:
@@ -203,12 +208,20 @@ def _project_out(basis, w):
     return h
 
 
+# the projected matrix is diagonalized (the Ritz check) only at every
+# RITZ_STRIDE-th Krylov dimension, and at every restart or invariant
+# subspace, where the Ritz pairs are needed anyway: a per-step eigh costs
+# more than the few products a later acceptance adds
+RITZ_STRIDE = 4
+
+
 def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
     """One converged lowest eigenpair, orthogonal to the `deflate` vectors.
 
     Thick-restart Lanczos with full reorthogonalization: the small
     projected matrix is accumulated exactly (Rayleigh-Ritz), restarts
     keep the lowest Ritz vectors plus the running residual direction.
+    The Ritz check runs at every RITZ_STRIDE-th Krylov dimension.
     The Krylov basis is stored row-major, q[j] being the j-th vector.
     Returns (eigenvalue, vector, residual, matvecs used); the vector is
     projected against the deflated ones and normalized, the eigenvalue
@@ -251,15 +264,17 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
         t[j - 1, : j] = h.conj()
         beta = np.linalg.norm(w)
 
-        theta, s = np.linalg.eigh(t[:j, :j])
-        res = beta * abs(s[j - 1, 0])
-        best_res = min(best_res, res)
-        if res <= conv_tol * max(1.0, abs(theta[0])):
-            # estimate says converged; accept only if the true residual agrees
-            val, y, true_res = rayleigh(s[:, 0] @ q[:j])
-            matvecs += 1
-            if true_res <= 100 * conv_tol * max(1.0, abs(val)):
-                return val, y, true_res, matvecs
+        if j % RITZ_STRIDE == 0 or j == window or beta < 1e-13:
+            theta, s = np.linalg.eigh(t[:j, :j])
+            res = beta * abs(s[j - 1, 0])
+            best_res = min(best_res, res)
+            if res <= conv_tol * max(1.0, abs(theta[0])):
+                # estimate says converged; accept only if the true
+                # residual agrees
+                val, y, true_res = rayleigh(s[:, 0] @ q[:j])
+                matvecs += 1
+                if true_res <= 100 * conv_tol * max(1.0, abs(val)):
+                    return val, y, true_res, matvecs
 
         if beta < 1e-13:
             # invariant subspace; inject a fresh direction (couplings to it
@@ -359,6 +374,23 @@ def _symmetry_blocks(op: SparseOperator) -> np.ndarray:
     return np.argsort(labels, kind="stable").reshape(1 << len(gens), -1)
 
 
+def _row_floors(op: SparseOperator) -> np.ndarray:
+    """Lower end of each row's Gershgorin disc, Re H_ii - sum |H_ij|.
+
+    The diagonal is the slot whose column is the row itself, and zero
+    padding adds nothing.  Every eigenvalue of a Hermitian block lies in
+    the union of its rows' discs, so the least floor over an invariant
+    block's rows bounds its spectrum from below.  Each floor is lowered by
+    (k + 2) eps times its row's absolute sum, which covers the round-off
+    of the k-term sums.
+    """
+    diag = op.cols == np.arange(op.dim)
+    centre = np.where(diag, op.values.real, 0).sum(axis=0)
+    radius = np.where(diag, 0, np.abs(op.values)).sum(axis=0)
+    slack = (len(op.cols) + 2) * np.finfo(float).eps * (np.abs(centre) + radius)
+    return centre - radius - slack
+
+
 def lanczos_ground(op: SparseOperator, k: int = 1, seed: int = 0,
                    gap_tol: float | None = None, conv_tol: float = 1e-9,
                    max_matvecs: int = 60000, window: int = 64) -> GroundSpace:
@@ -368,33 +400,37 @@ def lanczos_ground(op: SparseOperator, k: int = 1, seed: int = 0,
     two fermion-parity blocks, split further while the blocks stay at
     least SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the 4x4
     torus), or one block if the operator couples the parities.  Each
-    step finds one more eigenpair, deflated against the earlier ones of
-    its block, in the block whose last-found eigenvalue is lowest (ties
-    in block order); a block's later eigenvalues lie above its last-found
-    one, so a value found is certified once it is <= that of every block
-    with states left.  The search stops once at least k values are
-    certified and one of them lies above the cluster cut (E0 + gap_tol,
-    clustered exactly as ground_space does), or once every state is
-    found; k is only a floor.  One RNG and one matvec budget are shared
-    in that fixed order, so results are deterministic.  The reported
-    eigenvalues are the shortest certified prefix that meets the rule,
-    max(k, n + 1) of them for a cluster of n: the cluster and the first
-    value above it.  They come with their true residuals, their block
-    parities (none with a single block), the block count and dimension
-    and the block-length products spent.
+    block has a lower bound: its last-found eigenvalue, since its later
+    ones lie above it, or before its first solve its Gershgorin floor
+    (`_row_floors`).  Each step finds one more eigenpair, deflated
+    against the earlier ones of its block, in the block whose bound is
+    lowest (ties in block order), and a value found is certified once it
+    is <= the bound of every block with states left.  The search stops
+    once at least k values are certified and one of them lies above the
+    cluster cut (E0 + gap_tol, clustered exactly as ground_space does),
+    or once every state is found; k is only a floor.  A block whose floor
+    lies above that certified prefix is closed without a solve, and its
+    block operator is never built.  One RNG and one matvec budget are
+    shared in that fixed order, so results are deterministic.  The
+    reported eigenvalues are the shortest certified prefix that meets
+    the rule, max(k, n + 1) of them for a cluster of n: the cluster and
+    the first value above it.  They come with their true residuals,
+    their block parities (none with a single block), the block count and
+    dimension, the count of blocks closed by their floor and the
+    block-length products spent.
     """
     if k < 1 or k > op.dim:
         raise ValueError(f"k must be in 1..{op.dim}")
     rng = np.random.default_rng(seed)
     blocks = _symmetry_blocks(op)
     size = blocks.shape[1]
-    ops = [op.block(idx) for idx in blocks]
+    floors = _row_floors(op)[blocks].min(axis=1)
+    ops: dict[int, SparseOperator] = {}
     found: list[list[tuple[float, np.ndarray, float]]] = [[] for _ in blocks]
     budget = max_matvecs
     while True:
         open_ = [b for b in range(len(blocks)) if len(found[b]) < size]
-        # a block with nothing found yet has no lower bound: visit it
-        last = [found[b][-1][0] if found[b] else -np.inf for b in open_]
+        last = [found[b][-1][0] if found[b] else floors[b] for b in open_]
         bound = min(last, default=np.inf)
         certified = sorted(val for pairs in found for val, _, _ in pairs
                            if val <= bound)
@@ -405,6 +441,8 @@ def lanczos_ground(op: SparseOperator, k: int = 1, seed: int = 0,
             if certified[-1] - certified[0] > tol:
                 break
         b = open_[int(np.argmin(last))]
+        if b not in ops:
+            ops[b] = op.block(blocks[b])
         val, vec, r, used = _lowest_eigenpair(
             ops[b].apply, size, rng, [v for _, v, _ in found[b]],
             conv_tol, budget, window)
@@ -431,6 +469,7 @@ def lanczos_ground(op: SparseOperator, k: int = 1, seed: int = 0,
                        parities=() if len(blocks) == 1 else
                        tuple(int(parity[b]) for _, b, _, _ in pairs),
                        blocks=(len(blocks), size),
+                       closed_by_bound=len(blocks) - len(ops),
                        matvecs=max_matvecs - budget)
 
 

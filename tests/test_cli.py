@@ -397,6 +397,8 @@ def test_lanczos_route_reports_cluster_values_and_diagnostics(
     # the diamond Hamiltonian is even, so Lanczos ran in the parity blocks
     assert len(lz["parities"]) == 9 and set(lz["parities"]) <= {0, 1}
     assert lz["blocks"] == {"count": 2, "dim": 128}
+    # the odd block's floor lies above the cluster: it is never solved
+    assert lz["closed_by_bound"] == 1
 
     # beyond the cap RP is skipped: a sweep row says so and claims no min_rp
     code, sweep = _run_json(tmp_path, ["sweep", "--beta", "1,2"] + FAST,

@@ -115,9 +115,10 @@ def test_adjoint_is_the_anti_multiplicative_involution(case):
 
 
 @st.composite
-def even_cases(draw):
-    """An even polynomial on up to six modes: every key has even length."""
-    n_modes = draw(st.integers(1, 6))
+def even_cases(draw, max_modes=6):
+    """An even polynomial on up to `max_modes` modes: every key has even
+    length."""
+    n_modes = draw(st.integers(1, max_modes))
     index = st.integers(0, 2 * n_modes - 1)
     key = st.integers(0, 2).flatmap(
         lambda half: st.lists(index, min_size=2 * half, max_size=2 * half))
@@ -200,6 +201,49 @@ def test_block_is_the_submatrix_on_the_diamond(monkeypatch, diamond, lam):
     for idx in blocks:
         assert np.allclose(op.block(idx).to_dense(), m[np.ix_(idx, idx)],
                            atol=1e-12)
+
+
+def _floors_bound_the_blocks(row_floors, h, n_modes):
+    """Whether every symmetry block's least row floor is at or below the
+    smallest eigenvalue of the block's oracle submatrix."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 1)
+        op = to_matrix(h, n_modes)
+        blocks = spectral._symmetry_blocks(op)
+    m = oracle_matrix(h, n_modes)
+    lowest = [np.linalg.eigvalsh(m[np.ix_(idx, idx)])[0] for idx in blocks]
+    return bool((row_floors(op)[blocks].min(axis=1) <= lowest).all())
+
+
+@PROPERTY_SETTINGS
+@given(even_cases(max_modes=5))
+def test_gershgorin_floors_bound_every_block(case):
+    n_modes, p = case
+    assert _floors_bound_the_blocks(spectral._row_floors, p + adjoint(p),
+                                    n_modes)
+
+
+_DIAMOND_LAMBDAS = [0.0, 0.1, 0.5]
+
+
+@pytest.mark.parametrize("lam", _DIAMOND_LAMBDAS)
+def test_gershgorin_floors_bound_the_diamond_blocks(diamond, lam):
+    assert _floors_bound_the_blocks(spectral._row_floors,
+                                    build_hamiltonian(diamond, lam),
+                                    diamond.n_modes)
+
+
+def test_a_floor_without_the_off_diagonal_sum_fails(diamond):
+    # the diagonal alone is no bound once the islands couple: the check
+    # above must be able to tell
+    def centres(op):
+        diag = op.cols == np.arange(op.dim)
+        return np.where(diag, op.values.real, 0).sum(axis=0)
+
+    held = [_floors_bound_the_blocks(centres, build_hamiltonian(diamond, lam),
+                                     diamond.n_modes)
+            for lam in _DIAMOND_LAMBDAS]
+    assert not all(held)
 
 
 _doubles = st.one_of(

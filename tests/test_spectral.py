@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 
 from vortexcert import build_lattice, spectral
 from vortexcert.clifford import MajoranaPolynomial
-from vortexcert.fock import to_matrix
+from vortexcert.fock import SparseOperator, to_matrix
 from vortexcert.model import build_hamiltonian, vortex_operator
 from vortexcert.spectral import (
     DenseCapError,
@@ -315,6 +315,56 @@ def test_torus_lanczos_levels_match_eigsh(torus_4x4):
         assert np.abs(np.array(lz.eigenvalues) - v).min() <= 1e-9, v
     for e, r in zip(lz.eigenvalues, lz.residuals):
         assert r <= 100 * conv_tol * max(1.0, abs(e))
+
+
+def test_torus_odd_blocks_close_by_their_floors(torus_4x4, monkeypatch):
+    # at lambda = 0.1 every odd block's Gershgorin floor (-7.6) lies above
+    # the ground cluster and the first level after it (-8.04), so only
+    # even blocks are built and solved; a scheduler that solved every
+    # block again would spend about twice the products pinned here
+    built = []
+    block = SparseOperator.block
+
+    def recording_block(self, idx):
+        out = block(self, idx)
+        built.append((out, idx))
+        return out
+
+    solved = []
+    lowest = spectral._lowest_eigenpair
+
+    def recording(apply, *args):
+        solved.append(apply.__self__)
+        return lowest(apply, *args)
+
+    monkeypatch.setattr(SparseOperator, "block", recording_block)
+    monkeypatch.setattr(spectral, "_lowest_eigenpair", recording)
+    op = to_matrix(build_hamiltonian(torus_4x4, 0.1), torus_4x4.n_modes)
+    lz = lanczos_ground(op, seed=0)
+    assert lz.blocks == (16, 4096)
+    assert len(built) == 8 and lz.closed_by_bound == 8
+    assert _parity(op.dim)[[idx[0] for _, idx in built]].tolist() == [0] * 8
+    assert len(solved) == 9
+    assert all(any(b is out for out, _ in built) for b in solved)
+    assert lz.matvecs <= 500
+    monkeypatch.undo()
+    e0s = [lanczos_ground(op, seed=s).e0 for s in range(1, 5)]
+    assert max(abs(e - lz.e0) for e in e0s) <= 1e-8
+
+
+def test_lanczos_with_loose_floors_visits_every_block(monkeypatch, diamond):
+    # at lambda = 1 every floor lies below the ground level, so no block
+    # is closed unsolved and the merge alone decides the reported values
+    monkeypatch.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 16)
+    op = to_matrix(build_hamiltonian(diamond, 1.0), diamond.n_modes)
+    dense = dense_spectrum(op)
+    lz = lanczos_ground(op, k=9, seed=0)
+    assert lz.blocks == (16, 16) and lz.closed_by_bound == 0
+    np.testing.assert_allclose(lz.eigenvalues, dense.eigenvalues[:9],
+                               rtol=0, atol=1e-9)
+    ref = ground_space(dense)
+    assert lz.n == ref.n
+    assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-6
 
 
 def test_lanczos_k_1_closes_the_ground_cluster(diamond):
