@@ -375,14 +375,14 @@ def _symmetry_blocks(op: SparseOperator) -> np.ndarray:
 
 
 def _row_floors(op: SparseOperator) -> np.ndarray:
-    """Lower end of each row's Gershgorin disc, Re H_ii - sum |H_ij|.
+    """Lower end of each row's Gershgorin disc, Re H_ii - sum_{j != i} |H_ij|.
 
     The diagonal is the slot whose column is the row itself, and zero
     padding adds nothing.  Every eigenvalue of a Hermitian block lies in
     the union of its rows' discs, so the least floor over an invariant
     block's rows bounds its spectrum from below.  Each floor is lowered by
-    (k + 2) eps times its row's absolute sum, which covers the round-off
-    of the k-term sums.
+    (k + 2) eps times its row's absolute sum, for k slots per row, which
+    covers the round-off of the sums.
     """
     diag = op.cols == np.arange(op.dim)
     centre = np.where(diag, op.values.real, 0).sum(axis=0)
