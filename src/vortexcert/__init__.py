@@ -63,13 +63,11 @@ from .spectral import (
 from .verify import (
     CheckReport,
     PositivityResult,
-    RPSampleSpec,
     TopoResult,
     check_conservation,
     check_ground_positivity,
     check_rp,
     check_topological_order,
-    default_rp_samples,
     rp_sample_polynomials,
     theorem_chain_violations,
     vortex_map,
@@ -122,13 +120,11 @@ __all__ = [
     "thermal_expectation",
     "CheckReport",
     "PositivityResult",
-    "RPSampleSpec",
     "TopoResult",
     "check_conservation",
     "check_ground_positivity",
     "check_rp",
     "check_topological_order",
-    "default_rp_samples",
     "rp_sample_polynomials",
     "theorem_chain_violations",
     "vortex_map",

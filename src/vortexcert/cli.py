@@ -61,7 +61,6 @@ from .verify import (
     check_ground_positivity,
     check_rp,
     check_topological_order,
-    default_rp_samples,
     theorem_chain_violations,
     vortex_map,
 )
@@ -186,7 +185,7 @@ FIELDS = (
           pieces=(("from", float), ("to", float), ("steps", int))),
     Field("beta", 1.0, ("--beta",), _parse_beta_flag, _beta,
           help="number or comma list"),
-    Field("seed", 0, ("--seed",), int, _rule(_is_int, "must be an integer")),
+    Field("seed", 0, ("--seed",), int, _at_least(0)),
     Field("tolerances.rp", 1e-9, ("--tol-rp", "--tolerances.rp"), float, _positive),
     Field("tolerances.topo", 1e-8, ("--tol-topo", "--tolerances.topo"), float,
           _positive),
@@ -372,6 +371,9 @@ def _report(check, lat, params, tolerances, verdict, worst, ms) -> CheckReport:
 def _solve(lat: IslandLattice, lam: float, cfg: dict):
     """(dense Spectrum, None) up to the dense cap, else (None, Lanczos
     GroundSpace): the one place a Hamiltonian is diagonalized."""
+    # Fock basis indices are int64, so 2**n_modes must fit one
+    _require(lat.n_modes <= 62, "lattice",
+             f"{lat.n_modes} modes exceed the 62 an int64 Fock index allows")
     op = to_matrix(build_hamiltonian(lat, lam), lat.n_modes)
     if op.dim <= DENSE_DIM_CAP:
         return dense_spectrum(op), None
@@ -451,12 +453,11 @@ def evaluate(lat: IslandLattice, refl, lam: float, cfg: dict,
                 {"value_re": 0.0, "value_im": 0.0,
                  "witness": f"dim {1 << lat.n_modes} exceeds dense cap"}, 0.0)
             continue
-        specs = default_rp_samples(seed, parity=parity, count=smp["count"],
-                                   max_degree=smp["max_degree"])
         try:
-            rp[beta, parity] = check_rp(lat, refl, lam, beta, specs=specs,
-                                        tol=tol["rp"], spectrum=spectrum,
-                                        name=RP_CHECKS[parity], seed=seed)
+            rp[beta, parity] = check_rp(
+                lat, refl, lam, beta, spectrum=spectrum, parity=parity,
+                max_degree=smp["max_degree"], count=smp["count"], seed=seed,
+                tol=tol["rp"], name=RP_CHECKS[parity])
         except _ROW_ERRORS as e:
             rp[beta, parity] = e
     if rp:
@@ -772,11 +773,13 @@ def main(argv=None) -> int:
                 f"expect-fail: unknown or non-asserted checks {bad}; "
                 f"asserted checks are {list(ASSERTED_CHECKS)}")
         cfg["expect_fail"] = expected
+        _require(args.command == "sweep" or cfg["output"]["format"] == "json",
+                 "output.format", f"{args.command} writes json only")
         return COMMANDS[args.command](cfg)
     except (ConfigError, LatticeError, ModelError, DenseCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except SpectralError as e:
+    except (SpectralError, MemoryError) as e:
         print(f"computation failed: {e}", file=sys.stderr)
         return 1
 

@@ -8,19 +8,19 @@ Each check measures one link of the chain
 and returns either a CheckReport (self-contained, re-runnable from its
 witness) or a small result tuple the frontend wraps into one.
 
-Reflection positivity is decided on a Gram matrix.  The trial elements
-are exhaustive even monomials to degree 4 on Lambda_minus plus seeded
-random even polynomials with unit-disk coefficients, held as one
-(samples x monomials) coefficient array: identity rows for the
-monomials, one RNG draw for all random samples.  Every sample is
-evaluated as y^dagger G y over the span of the samples' monomials, and
-the verdict also demands lambda_min(G) >= -tol, which certifies every
-element of that span, not just the samples.  Only the reported witness
-becomes a polynomial again; its value is re-checked on a second route,
-the Fock operators of theta(A) and A applied in turn.  Odd elements
-are measured in a separate report that is never asserted: the
-positivity literature is written for the even case and we refuse to
-hard-fail on a case left implicit.
+Reflection positivity is decided on a Gram matrix.  The trial span of
+one parity is every monomial of degree <= max_degree (default 4) on
+Lambda_minus plus `count` (default 100) seeded random polynomials with
+unit-disk coefficients, held as one (samples x monomials) coefficient
+array: identity rows for the monomials, one RNG draw for all random
+samples.  Every sample is evaluated as y^dagger G y over the span's
+monomials, and the verdict also demands lambda_min(G) >= -tol, which
+certifies every element of that span, not just the samples.  Only the
+reported witness becomes a polynomial again; its value is re-checked on
+a second route, the Fock operators of theta(A) and A applied in turn.
+Odd elements are measured in a separate report that is never asserted:
+the positivity literature is written for the even case and we refuse
+to hard-fail on a case left implicit.
 """
 
 from __future__ import annotations
@@ -46,7 +46,9 @@ from .spectral import (
     GroundSpace,
     SpectralError,
     Spectrum,
-    dense_spectrum,
+    # imported for the benchmark tracer (bench/tracing.py), which wraps
+    # it at this name
+    dense_spectrum,  # noqa: F401
     rp_functional,
     rp_gram,
 )
@@ -55,35 +57,6 @@ DEFAULT_RP_TOL = 1e-9
 DEFAULT_TOPO_TOL = 1e-8
 DEFAULT_POS_TOL = 1e-8
 DEFAULT_CLASS_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class RPSampleSpec:
-    """One family of trial elements A drawn from the Lambda_minus algebra."""
-
-    mode: str  # "exhaustive-monomials" | "random-polynomials"
-    max_degree: int = 4
-    count: int = 100
-    seed: int = 0
-    parity: str = "even"  # even | odd
-
-    def __post_init__(self):
-        if self.mode not in ("exhaustive-monomials", "random-polynomials"):
-            raise ValueError(f"unknown sample mode {self.mode!r}")
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"unknown parity filter {self.parity!r}")
-        if self.max_degree < 0 or self.count < 0:
-            raise ValueError("max_degree and count must be >= 0")
-
-
-def default_rp_samples(seed: int = 0, *, parity: str = "even", max_degree: int = 4,
-                       count: int = 100) -> tuple[RPSampleSpec, RPSampleSpec]:
-    """The (exhaustive, random) sample families of one parity."""
-    return (
-        RPSampleSpec(mode="exhaustive-monomials", max_degree=max_degree, parity=parity),
-        RPSampleSpec(mode="random-polynomials", max_degree=max_degree, count=count,
-                     seed=seed, parity=parity),
-    )
 
 
 def _degree_basis(indices: tuple[int, ...], max_degree: int, parity: str):
@@ -101,27 +74,36 @@ def _sample_witness(key: str, a) -> str:
     return f"{key} A = {text}"
 
 
-def _sample_rows(spec: RPSampleSpec, indices, tag: str = ""):
-    """Deterministic (labels, keys, coefficients) of one sample spec.
+def _sample_rows(indices, parity: str, max_degree: int, count: int, seed: int):
+    """Deterministic (labels, keys, coefficients) of the RP trial span.
 
     coefficients[s, j] is sample s's coefficient of monomial keys[j].
-    Exhaustive monomials are identity rows.  Random samples come from one
-    draw of shape (count, len(keys), 2), column 0 the radius draw and
-    column 1 the angle draw of a point uniform on the complex unit disk,
-    so the stream runs radius, angle per key, key by key, sample by
-    sample.
+    The span is every monomial of `_degree_basis` (identity rows,
+    labelled "m:<indices>") plus `count` random polynomials (labelled
+    "r1:<n>") from one draw of shape (count, len(keys), 2): column 0 the
+    radius draw and column 1 the angle draw of a point uniform on the
+    complex unit disk, so the stream runs radius, angle per key in basis
+    order, key by key, sample by sample.  Columns are in sorted key order
+    and rows in label order.
     """
-    keys = list(_degree_basis(tuple(sorted(indices)), spec.max_degree, spec.parity))
-    if spec.mode == "exhaustive-monomials":
-        labels = ["m{}:{}".format(tag, ",".join(map(str, key))) for key in keys]
-        return labels, keys, np.eye(len(keys), dtype=np.complex128)
-    draws = np.random.default_rng(spec.seed).uniform(size=(spec.count, len(keys), 2))
+    if parity not in ("even", "odd"):
+        raise ValueError(f"unknown parity filter {parity!r}")
+    if max_degree < 0 or count < 0:
+        raise ValueError("max_degree and count must be >= 0")
+    basis = list(_degree_basis(tuple(sorted(indices)), max_degree, parity))
+    draws = np.random.default_rng(seed).uniform(size=(count, len(basis), 2))
     radius = np.sqrt(draws[..., 0])
     angle = 2 * np.pi * draws[..., 1]
-    coeffs = np.empty((spec.count, len(keys)), dtype=np.complex128)
-    coeffs.real = radius * np.cos(angle)
-    coeffs.imag = radius * np.sin(angle)
-    return [f"r{tag}:{n:04d}" for n in range(spec.count)], keys, coeffs
+    coeffs = np.empty((len(basis) + count, len(basis)), dtype=np.complex128)
+    coeffs[:len(basis)] = np.eye(len(basis))
+    coeffs[len(basis):].real = radius * np.cos(angle)
+    coeffs[len(basis):].imag = radius * np.sin(angle)
+    labels = ["m:" + ",".join(map(str, key)) for key in basis]
+    labels += [f"r1:{n:04d}" for n in range(count)]
+    columns = sorted(range(len(basis)), key=basis.__getitem__)
+    rows = sorted(range(len(labels)), key=labels.__getitem__)
+    return ([labels[i] for i in rows], [basis[j] for j in columns],
+            coeffs[np.ix_(rows, columns)])
 
 
 def _polynomial(keys, row) -> MajoranaPolynomial:
@@ -129,10 +111,11 @@ def _polynomial(keys, row) -> MajoranaPolynomial:
     return MajoranaPolynomial({key: complex(c) for key, c in zip(keys, row)})
 
 
-def rp_sample_polynomials(spec: RPSampleSpec, indices,
-                          tag: str = "") -> list[tuple[str, MajoranaPolynomial]]:
-    """Deterministic (label, A) list for one sample spec."""
-    labels, keys, coeffs = _sample_rows(spec, indices, tag)
+def rp_sample_polynomials(indices, *, parity: str = "even", max_degree: int = 4,
+                          count: int = 100,
+                          seed: int = 0) -> list[tuple[str, MajoranaPolynomial]]:
+    """The (label, A) rows that `check_rp` evaluates, in its order."""
+    labels, keys, coeffs = _sample_rows(indices, parity, max_degree, count, seed)
     return [(label, _polynomial(keys, row)) for label, row in zip(labels, coeffs)]
 
 
@@ -168,84 +151,57 @@ class CheckReport:
         return d
 
 
-def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float,
-             specs=None, tol: float = DEFAULT_RP_TOL,
-             spectrum: Spectrum | None = None, name: str = "rp",
-             seed: int = 0) -> CheckReport:
+def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float, *,
+             spectrum: Spectrum, parity: str = "even", max_degree: int = 4,
+             count: int = 100, seed: int = 0, tol: float = DEFAULT_RP_TOL,
+             name: str = "rp") -> CheckReport:
     """Tr(A theta(A) e^{-beta H})/Z over A in the Lambda_minus algebra.
 
-    One Gram matrix G over the monomials of all samples gives every
+    The trial span is every `parity` monomial of degree <= max_degree on
+    Lambda_minus plus `count` random polynomials drawn from `seed` (see
+    `_sample_rows`).  One Gram matrix G over those monomials gives every
     sample's value as y^dagger G y (y = conj of its coefficients).  Pass
     iff the minimum real part stays above -tol, every imaginary part
     stays within tol, and lambda_min(G) >= -tol, so the whole span is
     certified.  A failing sample is the witness; if only G fails, the
-    witness is its lowest eigenvector, keyed "g:min".  With monomials but
-    no samples lambda_min(G) alone decides, with the "g:min" witness.
-    The samples are rows of one coefficient array and never become
-    polynomials; only the witness does.  It is recomputed through
-    `rp_functional` (the Fock operators of theta(A), then A, applied to
-    the thermal eigenvectors), and a disagreement beyond
-    round-off (GRAM_AGREEMENT_TOL, independent of tol) raises
-    SpectralError.  Witnesses are serialized in canonical text, so a
-    failure is a standalone regression case.  The report's sidecar holds
-    the Gram size, lambda_min(G) (measured on every run) and the
-    re-check's deviation.  A trial span with no monomials (odd elements
-    at max_degree 0) is "skipped", its witness naming parity and degree.
+    witness is its lowest eigenvector, keyed "g:min".  The samples are
+    rows of one coefficient array and never become polynomials; only the
+    witness does.  It is recomputed through `rp_functional` (the Fock
+    operators of theta(A), then A, applied to the thermal eigenvectors),
+    and a disagreement beyond round-off (GRAM_AGREEMENT_TOL, independent
+    of tol) raises SpectralError.  Witnesses are serialized in canonical
+    text, so a failure is a standalone regression case.  The report's
+    sidecar holds the Gram size, lambda_min(G) (measured on every run)
+    and the re-check's deviation.  A trial span with no monomials (odd
+    elements at max_degree 0) is "skipped", its witness naming parity and
+    degree.
     """
     t0 = time.perf_counter()
-    if specs is None:
-        specs = default_rp_samples(seed)
-    if isinstance(specs, RPSampleSpec):
-        specs = (specs,)
-    if spectrum is None:
-        h = build_hamiltonian(lat, lam)
-        spectrum = dense_spectrum(to_matrix(h, lat.n_modes))
-
-    rows = [_sample_rows(sp, r.left, tag=str(k) if k else "")
-            for k, sp in enumerate(specs)]
-    keys = sorted({key for _, spec_keys, _ in rows for key in spec_keys})
-    seeds = [sp.seed for sp in specs if sp.mode == "random-polynomials"]
-    params = {"lambda": float(lam), "beta": float(beta),
-              "seed": seeds[0] if seeds else None}
+    labels, keys, coeffs = _sample_rows(r.left, parity, max_degree, count, seed)
+    params = {"lambda": float(lam), "beta": float(beta), "seed": seed}
     if not keys:
-        parities = "/".join(sorted({sp.parity for sp in specs}))
-        degree = max((sp.max_degree for sp in specs), default=0)
         return CheckReport(
             check=name, lattice=lat.content_hash(), params=params,
             tolerances={"rp": tol}, verdict="skipped",
             worst={"value_re": 0.0, "value_im": 0.0,
-                   "witness": f"no {parities} monomials of degree <= {degree} "
+                   "witness": f"no {parity} monomials of degree <= {max_degree} "
                               f"on Lambda_minus"},
             timing_ms=1e3 * (time.perf_counter() - t0), version=__version__)
-
-    column = {key: j for j, key in enumerate(keys)}
-    labels = [label for spec_labels, _, _ in rows for label in spec_labels]
-    coeffs = np.zeros((len(labels), len(keys)), dtype=np.complex128)
-    start = 0
-    for spec_labels, spec_keys, block in rows:
-        cols = [column[key] for key in spec_keys]
-        coeffs[start:start + len(spec_labels), cols] = block
-        start += len(spec_labels)
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    labels = [labels[i] for i in order]
-    coeffs = coeffs[order]
 
     gram = rp_gram(keys, r, spectrum, beta)
     # F(A) = sum_ij a_i G_ij conj(a_j) = y^dagger G y with y = conj(a)
     values = [complex(v) for v in ((coeffs @ gram) * coeffs.conj()).sum(axis=1)]
 
-    ok, worst = True, None
-    if values:
-        min_re = min(range(len(values)), key=lambda i: values[i].real)
-        max_im = max(range(len(values)), key=lambda i: abs(values[i].imag))
-        im_ok = abs(values[max_im].imag) <= tol
-        ok = values[min_re].real >= -tol and im_ok
-        i = min_re if (values[min_re].real < -tol or im_ok) else max_im
-        worst = (labels[i], _polynomial(keys, coeffs[i]), values[i])
+    min_re = min(range(len(values)), key=lambda i: values[i].real)
+    max_im = max(range(len(values)), key=lambda i: abs(values[i].imag))
+    im_ok = abs(values[max_im].imag) <= tol
+    ok = values[min_re].real >= -tol and im_ok
+    i = min_re if (values[min_re].real < -tol or im_ok) else max_im
+    worst = (labels[i], _polynomial(keys, coeffs[i]), values[i])
     lams, vecs = np.linalg.eigh(gram)
     lam_min = float(lams[0])
-    if worst is None or (ok and lam_min < -tol):
-        ok = lam_min >= -tol
+    if ok and lam_min < -tol:
+        ok = False
         worst = ("g:min", _polynomial(keys, vecs[:, 0].conj()), complex(lams[0]))
     recheck = rp_functional(worst[1], r, spectrum, beta)
     deviation = abs(recheck - worst[2])

@@ -45,7 +45,6 @@ from vortexcert.verify import (
     check_ground_positivity,
     check_rp,
     check_topological_order,
-    default_rp_samples,
     vortex_map,
 )
 
@@ -131,8 +130,7 @@ def test_criterion_05_reflection_positivity():
             spectrum = dense_spectrum(to_matrix(build_hamiltonian(lat, lam),
                                                 lat.n_modes))
             for beta in (0.5, 1, 5):
-                rep = check_rp(lat, r, lam, beta, specs=default_rp_samples(0),
-                               tol=1e-9, spectrum=spectrum)
+                rep = check_rp(lat, r, lam, beta, tol=1e-9, spectrum=spectrum)
                 assert rep.verdict == "pass", rep.worst
                 assert rep.worst["value_re"] >= -1e-9
 

@@ -121,7 +121,7 @@ CONFIG_ERRORS = [
     ({"beta": []}, "beta: empty list"),
     ({"beta": [1, -1]}, "beta: entries must be numbers >= 0"),
     ({"beta": -1}, "beta: must be a number >= 0"),
-    ({"seed": 1.5}, "seed: must be an integer"),
+    ({"seed": 1.5}, "seed: must be an integer >= 0"),
     ({"tolerances": {"rp": 0}}, "tolerances.rp: must be > 0"),
     ({"tolerances": {"topo": "x"}}, "tolerances.topo: must be > 0"),
     ({"tolerances": {"pos": -1}}, "tolerances.pos: must be > 0"),
@@ -139,7 +139,7 @@ CONFIG_ERRORS = [
     ({"cache": {"dir": None}}, "config: unknown keys ['cache']"),
     ({"samples": {"count": True, "max_degree": 2}},
      "samples.count: must be an integer >= 0"),
-    ({"seed": True}, "seed: must be an integer"),
+    ({"seed": True}, "seed: must be an integer >= 0"),
     ({"lambda": {"from": 0, "to": 1, "steps": True}},
      "lambda.steps: must be an integer >= 1"),
     ({"beta": [True]}, "beta: entries must be numbers >= 0"),
@@ -174,13 +174,33 @@ BAD_INPUTS = [
      None, "output.path: cannot write missing/x.json: "),
     (["spectrum"], b'{"cache": {"dir": "d"}, "solver": {"k": 9}}',
      "config: unknown keys ['cache', 'solver']"),
+    # a negative seed reached np.random.default_rng
+    (["certify", "--seed", "-1"], None, "seed: must be an integer >= 0"),
+    (["sweep", "--lambda", "0.1", "--beta", "1", "--seed", "-2"], None,
+     "seed: must be an integer >= 0"),
+    (["spectrum", "--lx", "4", "--ly", "4", "--boundary", "periodic",
+      "--seed", "-3"], None, "seed: must be an integer >= 0"),
+    # only sweep writes csv; the others printed json anyway
+    (["certify", "--format", "csv"], None, "output.format: certify writes json only"),
+    (["lattice"], b'{"output": {"format": "csv"}}',
+     "output.format: lattice writes json only"),
+    (["spectrum", "--format", "csv"], None,
+     "output.format: spectrum writes json only"),
+    (["vortex-map", "--format", "csv"], None,
+     "output.format: vortex-map writes json only"),
+    # 2**64 Fock indices overflow int64; refused before anything is built
+    (["certify", "--lx", "8", "--ly", "8", "--boundary", "periodic"], None,
+     "lattice: 64 modes exceed the 62 an int64 Fock index allows"),
 ]
 
 
 @pytest.mark.parametrize("argv,content,message", BAD_INPUTS,
                          ids=["section-key", "range-key", "non-utf8",
                               "range-to-only", "range-no-steps",
-                              "out-dir-missing", "removed-sections"])
+                              "out-dir-missing", "removed-sections",
+                              "seed-certify", "seed-sweep", "seed-spectrum",
+                              "csv-certify", "csv-lattice-config", "csv-spectrum",
+                              "csv-vortex-map", "modes-beyond-int64"])
 def test_bad_input_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv,
                                      content, message):
     monkeypatch.chdir(tmp_path)
@@ -191,6 +211,18 @@ def test_bad_input_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+def test_memory_error_is_a_failed_computation(monkeypatch, capsys):
+    # an allocation numpy refuses is reported, not a traceback; the
+    # refusal is simulated, nothing large is allocated
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 512. GiB")
+
+    monkeypatch.setattr(cli, "to_matrix", refuse)
+    assert main(["spectrum"]) == 1
+    assert capsys.readouterr().err == (
+        "computation failed: Unable to allocate 512. GiB\n")
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -446,6 +478,15 @@ def test_readme_config_example_is_the_defaults():
     assert json.loads(example) == cli.DEFAULTS
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    verdict, topo = capsys.readouterr().out.splitlines()
+    assert verdict == "pass"
+    assert topo.startswith("TopoResult(") and "verdict='pass'" in topo
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(vortexcert.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -455,6 +496,12 @@ def test_python_dash_m_runs_the_cli():
                          capture_output=True, text=True, env=env, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == vortexcert.__version__
+
+
+def test_every_exported_name_resolves():
+    assert len(set(vortexcert.__all__)) == len(vortexcert.__all__)
+    for name in vortexcert.__all__:
+        assert hasattr(vortexcert, name), name
 
 
 _NO_SCIPY = """

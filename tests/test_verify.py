@@ -16,12 +16,10 @@ from vortexcert.spectral import (
 )
 from vortexcert.verify import (
     CheckReport,
-    RPSampleSpec,
     check_conservation,
     check_ground_positivity,
     check_rp,
     check_topological_order,
-    default_rp_samples,
     rp_sample_polynomials,
     theorem_chain_violations,
     vortex_map,
@@ -40,56 +38,44 @@ def diamond_spectra(diamond):
     return out
 
 
-def test_sample_spec_validation():
+def test_sample_spec_validation(diamond, diamond_mirror, diamond_spectra):
     with pytest.raises(ValueError):
-        RPSampleSpec(mode="cunning-guesses")
+        rp_sample_polynomials((0, 1), parity="mixed")
     with pytest.raises(ValueError):
-        RPSampleSpec(mode="random-polynomials", parity="mixed")
+        rp_sample_polynomials((0, 1), parity="both")
     with pytest.raises(ValueError):
-        RPSampleSpec(mode="random-polynomials", parity="both")
+        rp_sample_polynomials((0, 1), count=-1)
     with pytest.raises(ValueError):
-        RPSampleSpec(mode="random-polynomials", count=-1)
-
-
-def test_default_samples_shape():
-    exhaustive, random_ = default_rp_samples(seed=7)
-    assert exhaustive.mode == "exhaustive-monomials"
-    assert exhaustive.parity == random_.parity == "even"
-    assert exhaustive.max_degree == random_.max_degree == 4
-    assert random_.count == 100
-    assert random_.seed == 7
+        rp_sample_polynomials((0, 1), max_degree=-1)
+    with pytest.raises(ValueError):
+        check_rp(diamond, diamond_mirror, 0.1, 1.0, parity="both",
+                 spectrum=diamond_spectra[0.1])
 
 
 def test_exhaustive_monomial_enumeration():
-    spec = RPSampleSpec(mode="exhaustive-monomials", max_degree=2)
-    samples = rp_sample_polynomials(spec, (5, 0, 2))
+    samples = rp_sample_polynomials((5, 0, 2), max_degree=2, count=0)
     keys = [k for k, _ in samples]
     assert keys == ["m:", "m:0,2", "m:0,5", "m:2,5"]
     for _, a in samples:
         assert len(a) == 1 and a.degree() in (0, 2)
-    odd = rp_sample_polynomials(
-        RPSampleSpec(mode="exhaustive-monomials", max_degree=2, parity="odd"),
-        (5, 0, 2))
+    odd = rp_sample_polynomials((5, 0, 2), parity="odd", max_degree=2, count=0)
     assert [k for k, _ in odd] == ["m:0", "m:2", "m:5"]
 
 
 def test_even_basis_size_on_half_lattice(diamond_mirror):
     # 8 indices: C(8,0) + C(8,2) + C(8,4) even monomials through degree 4
-    spec = RPSampleSpec(mode="exhaustive-monomials", max_degree=4)
-    samples = rp_sample_polynomials(spec, diamond_mirror.left)
+    samples = rp_sample_polynomials(diamond_mirror.left, max_degree=4, count=0)
     assert len(samples) == 1 + 28 + 70
 
 
 def test_random_samples_deterministic_in_seed():
-    spec = RPSampleSpec(mode="random-polynomials", max_degree=2, count=3, seed=9)
-    a = rp_sample_polynomials(spec, (0, 1, 2, 3))
-    b = rp_sample_polynomials(spec, (0, 1, 2, 3))
-    assert [k for k, _ in a] == ["r:0000", "r:0001", "r:0002"]
+    # the random rows follow the monomial rows
+    a = rp_sample_polynomials((0, 1, 2, 3), max_degree=2, count=3, seed=9)[-3:]
+    b = rp_sample_polynomials((0, 1, 2, 3), max_degree=2, count=3, seed=9)[-3:]
+    assert [k for k, _ in a] == ["r1:0000", "r1:0001", "r1:0002"]
     for (ka, pa), (kb, pb) in zip(a, b):
         assert ka == kb and pa.isclose(pb, tol=0.0)
-    other = rp_sample_polynomials(
-        RPSampleSpec(mode="random-polynomials", max_degree=2, count=3, seed=10),
-        (0, 1, 2, 3))
+    other = rp_sample_polynomials((0, 1, 2, 3), max_degree=2, count=3, seed=10)[-3:]
     assert not a[0][1].isclose(other[0][1], tol=1e-6)
 
 
@@ -106,12 +92,8 @@ def test_witness_rendering_is_bounded():
 
 
 def test_check_rp_passes_on_diamond(diamond, diamond_mirror, diamond_spectra):
-    specs = (
-        RPSampleSpec(mode="exhaustive-monomials", max_degree=2),
-        RPSampleSpec(mode="random-polynomials", max_degree=2, count=3, seed=1),
-    )
-    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, specs=specs,
-                   spectrum=diamond_spectra[0.1])
+    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, max_degree=2, count=3,
+                   seed=1, spectrum=diamond_spectra[0.1])
     assert rep.verdict == "pass" and rep.passed
     assert rep.worst["value_re"] >= -1e-9
     assert abs(rep.worst["value_im"]) <= 1e-9
@@ -123,8 +105,7 @@ def test_check_rp_passes_on_diamond(diamond, diamond_mirror, diamond_spectra):
 def test_check_rp_fail_is_reported_not_raised(diamond, diamond_mirror,
                                               diamond_spectra):
     # an impossible tolerance forces the fail path without faking data
-    spec = RPSampleSpec(mode="exhaustive-monomials", max_degree=0)
-    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, specs=spec,
+    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, max_degree=0, count=0,
                    spectrum=diamond_spectra[0.1], tol=-2.0)
     assert rep.verdict == "fail"
     assert rep.worst["witness"].startswith("m: ")
@@ -140,9 +121,8 @@ def test_check_rp_with_an_empty_trial_span_is_skipped(diamond, diamond_mirror,
                                                     diamond_spectra):
     # odd monomials start at degree 1, so degree 0 leaves no odd trial
     # element even when random samples are asked for
-    specs = default_rp_samples(3, parity="odd", max_degree=0, count=5)
-    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, specs=specs,
-                   spectrum=diamond_spectra[0.1])
+    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, parity="odd",
+                   max_degree=0, count=5, seed=3, spectrum=diamond_spectra[0.1])
     assert rep.verdict == "skipped" and not rep.passed
     assert rep.worst == {"value_re": 0.0, "value_im": 0.0,
                          "witness": "no odd monomials of degree <= 0 on Lambda_minus"}
@@ -150,33 +130,12 @@ def test_check_rp_with_an_empty_trial_span_is_skipped(diamond, diamond_mirror,
     assert rep.sidecar is None
 
 
-def test_check_rp_with_monomials_but_no_samples(diamond, diamond_mirror,
-                                                diamond_spectra):
-    # a random family of zero samples still spans the degree-2 monomials:
-    # lambda_min(G) alone decides, witnessed by its eigenvector
-    empty = RPSampleSpec(mode="random-polynomials", count=0, max_degree=2)
-    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, specs=empty,
-                   spectrum=diamond_spectra[0.1])
-    assert rep.verdict == "pass"
-    assert rep.worst["witness"].startswith("g:min A = ")
-    assert rep.worst["value_re"] == rep.sidecar["lambda_min"] >= -1e-9
-    assert rep.sidecar["recheck_deviation"] <= 1e-12
-    # -H is not reflection positive, and G exposes it without a sample
-    minus = dense_spectrum(to_matrix(-build_hamiltonian(diamond, 0.5),
-                                     diamond.n_modes))
-    rep = check_rp(diamond, diamond_mirror, 0.5, 5.0, specs=empty, spectrum=minus)
-    assert rep.verdict == "fail"
-    assert rep.worst["witness"].startswith("g:min A = ")
-    assert rep.worst["value_re"] == rep.sidecar["lambda_min"] < -1e-9
-
-
 @pytest.mark.parametrize("tol", [1e-16, 1e-18])
 def test_check_rp_strict_tolerance_gives_a_report(diamond, diamond_mirror,
                                                   diamond_spectra, tol):
     # round-off between the Gram and Fock-matrix routes is no verdict: a
     # strict tolerance still yields a report, never a SpectralError
-    spec = RPSampleSpec(mode="exhaustive-monomials", max_degree=2)
-    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, specs=spec,
+    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, max_degree=2, count=0,
                    spectrum=diamond_spectra[0.1], tol=tol)
     assert rep.verdict in ("pass", "fail")
     assert rep.worst["value_re"] >= -1e-12  # RP holds up to round-off
@@ -191,21 +150,17 @@ def test_check_rp_cross_check_ignores_a_loose_tolerance(
         return rp_functional(*args) + 1e-6
 
     monkeypatch.setattr(verify, "rp_functional", off_by_a_micro)
-    spec = RPSampleSpec(mode="exhaustive-monomials", max_degree=2)
     with pytest.raises(SpectralError, match="disagrees"):
-        check_rp(diamond, diamond_mirror, 0.1, 1.0, specs=spec,
+        check_rp(diamond, diamond_mirror, 0.1, 1.0, max_degree=2, count=0,
                  spectrum=diamond_spectra[0.1], tol=1.0)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_rp_gram_matches_rp_functional(diamond, diamond_mirror, parity):
-    exhaustive = rp_sample_polynomials(
-        RPSampleSpec(mode="exhaustive-monomials", max_degree=4, parity=parity),
-        diamond_mirror.left)
-    random_ = rp_sample_polynomials(
-        RPSampleSpec(mode="random-polynomials", max_degree=2, count=3, seed=4,
-                     parity=parity),
-        diamond_mirror.left)
+    exhaustive = rp_sample_polynomials(diamond_mirror.left, parity=parity,
+                                       max_degree=4, count=0)
+    random_ = rp_sample_polynomials(diamond_mirror.left, parity=parity,
+                                    max_degree=2, count=3, seed=4)[-3:]
     keys = [next(iter(a.terms())) for _, a in exhaustive]
     column = {key: j for j, key in enumerate(keys)}
     for lam in (0, 0.1, 0.5):
@@ -227,11 +182,10 @@ def test_check_rp_gram_failure_beyond_the_samples(diamond, diamond_mirror):
     # tolerance every monomial sample passes and only G exposes it
     spec = dense_spectrum(to_matrix(-build_hamiltonian(diamond, 0.5),
                                     diamond.n_modes))
-    exhaustive = RPSampleSpec(mode="exhaustive-monomials", max_degree=4)
-    rep = check_rp(diamond, diamond_mirror, 0.5, 5.0, specs=exhaustive,
+    rep = check_rp(diamond, diamond_mirror, 0.5, 5.0, max_degree=4, count=0,
                    spectrum=spec, tol=1.0)
     keys = [next(iter(a.terms())) for _, a in
-            rp_sample_polynomials(exhaustive, diamond_mirror.left)]
+            rp_sample_polynomials(diamond_mirror.left, max_degree=4, count=0)]
     g = rp_gram(keys, diamond_mirror, spec, 5.0)
     sample_min = g.diagonal().real.min()  # monomial samples are unit vectors
     lam_min = np.linalg.eigvalsh(g)[0]
@@ -350,19 +304,18 @@ def test_rp_functional_matches_the_symbolic_product(diamond, diamond_mirror,
                 assert abs(got - want) <= 1e-12
 
 
-def _scalar_draws(spec, indices):
+def _scalar_draws(indices, parity, max_degree, count, seed):
     """The one-key-at-a-time sample loop that the array draw replaced."""
-    basis = list(_degree_basis(tuple(sorted(indices)), spec.max_degree,
-                               spec.parity))
-    rng = np.random.default_rng(spec.seed)
+    basis = list(_degree_basis(tuple(sorted(indices)), max_degree, parity))
+    rng = np.random.default_rng(seed)
     out = []
-    for n in range(spec.count):
+    for n in range(count):
         terms = {}
         for key in basis:
             radius = np.sqrt(rng.uniform())
             angle = 2 * np.pi * rng.uniform()
             terms[key] = complex(radius * np.cos(angle), radius * np.sin(angle))
-        out.append((f"r:{n:04d}", terms))
+        out.append((f"r1:{n:04d}", terms))
     return out
 
 
@@ -371,11 +324,13 @@ def _scalar_draws(spec, indices):
 @pytest.mark.parametrize("max_degree", [2, 4])
 def test_sample_rows_match_the_scalar_draws(diamond_mirror, seed, parity,
                                             max_degree):
-    spec = RPSampleSpec(mode="random-polynomials", max_degree=max_degree,
-                        count=20, seed=seed, parity=parity)
-    want = _scalar_draws(spec, diamond_mirror.left)
-    labels, keys, coeffs = _sample_rows(spec, diamond_mirror.left)
-    polys = rp_sample_polynomials(spec, diamond_mirror.left)
+    span = (diamond_mirror.left, parity, max_degree, 20, seed)
+    want = _scalar_draws(*span)
+    # the 20 random rows follow the monomial rows
+    labels, keys, coeffs = _sample_rows(*span)
+    labels, coeffs = labels[-20:], coeffs[-20:]
+    polys = rp_sample_polynomials(diamond_mirror.left, parity=parity,
+                                  max_degree=max_degree, count=20, seed=seed)[-20:]
     assert labels == [label for label, _ in want] == [label for label, _ in polys]
     for (_, terms), row, (_, a) in zip(want, coeffs, polys):
         expect = np.array([terms[key] for key in keys])
