@@ -8,8 +8,10 @@ length 2**n_modes.  The encoding is the usual string construction
     c_{2k}   = Z_0 ... Z_{k-1} X_k,
     c_{2k+1} = Z_0 ... Z_{k-1} Y_k,
 
-so every generator, and hence every monomial, is a signed permutation:
-exactly one entry per row and column, values in {+-1, +-i} times the
+so every monomial is a Pauli string i^c X^x Z^z, kept as the integers
+(x, z, c) of `monomial_pauli`: it sends basis state n to n ^ x with
+amplitude i^c (-1)^popcount(n & z), a signed permutation with exactly
+one entry per row and column, values in {+-1, +-i} times the
 coefficient.  Operators are assembled by composing bit-flip/phase maps
 column by column, never by generic sparse-sparse products, and kept as
 numpy arrays of fixed-width rows, one slot per bit-flip mask
@@ -38,27 +40,37 @@ def _bit_parity(x: np.ndarray) -> np.ndarray:
     return x & 1
 
 
+def monomial_pauli(indices, n_modes: int) -> tuple[int, int, int]:
+    """Pauli string i^c X^x Z^z of the ordered product of generators
+    `indices`, as the integers (x, z, c) with c in 0..3.
+
+    Generator 2k is X_k Z_{<k} and 2k+1 is i X_k Z_k Z_{<k} (Y = iXZ).
+    A factor (x_g, z_g, c_g) acting on the left of (x, z, c) gives
+    (x_g ^ x, z_g ^ z, c_g + c + 2 popcount(z_g & x)): its Z string
+    passes the X string with sign (-1)^popcount(z_g & x).
+    """
+    x = z = c = 0
+    for i in reversed(list(indices)):  # rightmost factor acts first
+        if not 0 <= i < 2 * n_modes:
+            raise ValueError(f"generator index {i} outside 0..{2 * n_modes - 1}")
+        k, odd = divmod(int(i), 2)
+        z_g = (1 << k) - 1 | odd << k
+        c += odd + 2 * (z_g & x).bit_count()
+        x ^= 1 << k
+        z ^= z_g
+    return x, z, c & 3
+
+
 def monomial_action(indices, n_modes: int):
     """Column action of the ordered product of generators `indices`.
 
     Returns (perm, phase_exp): basis column n maps to row perm[n] with
     amplitude i**phase_exp[n].  Phases are tracked as exact quarter-turn
-    exponents mod 4.
+    exponents mod 4, read off the Pauli string of `monomial_pauli`.
     """
-    dim = 1 << n_modes
-    state = np.arange(dim, dtype=np.int64)
-    exp = np.zeros(dim, dtype=np.int64)
-    for i in reversed(list(indices)):  # rightmost factor acts first
-        if not 0 <= i < 2 * n_modes:
-            raise ValueError(f"generator index {i} outside 0..{2 * n_modes - 1}")
-        k, odd = divmod(i, 2)
-        low = np.int64((1 << k) - 1)
-        exp += 2 * _bit_parity(state & low)  # Z string on modes < k
-        if odd:
-            # Y_k: |0> -> i|1>, |1> -> -i|0>
-            exp += 1 + 2 * ((state >> k) & 1)
-        state ^= np.int64(1 << k)
-    return state, exp & 3
+    x, z, c = monomial_pauli(indices, n_modes)
+    n = np.arange(1 << n_modes, dtype=np.int64)
+    return n ^ x, (c + 2 * _bit_parity(n & z)) & 3
 
 
 class SparseOperator:

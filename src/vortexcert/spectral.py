@@ -44,7 +44,7 @@ from .fock import (
     DENSE_DIM_CAP,
     SparseOperator,
     _bit_parity,
-    monomial_action,
+    monomial_pauli,
     to_matrix,
 )
 from .lattice import ReflectionData
@@ -524,14 +524,30 @@ def rp_functional(a: MajoranaPolynomial, r: ReflectionData, h, beta: float) -> c
     to_matrix is an algebra homomorphism, so this equals the operator of
     the symbolic product A theta(A) while costing 2 * len(A) monomial
     actions instead of len(A)**2.  It goes through the symbolic reflect
-    and the Fock map, not through the per-entry gather of `rp_gram`, so
-    it is the second route that `check_rp` re-checks its witness on.
+    and the Fock map, not through the Pauli table of `rp_gram`, so it is
+    the second route that `check_rp` re-checks its witness on.
     """
     _check_left_support(a.support(), r)
     spec = _as_spectrum(h)
     n_modes = spec.dim.bit_length() - 1
     w_a = (to_matrix(a, n_modes), to_matrix(reflect(a, r.sigma), n_modes))
     return thermal_expectation(w_a, spec, beta)
+
+
+def _walsh_hadamard(a: np.ndarray) -> None:
+    """a[z] <- sum_q (-1)^popcount(q & z) a[q] over axis 0, in place.
+
+    Each butterfly turns the pair (u, v) into (u + v, u - v) as
+    u += v, v *= -2, v += u, so no stage allocates."""
+    n = len(a)
+    h = 1
+    while h < n:
+        pairs = a.reshape(n // (2 * h), 2, h, -1)
+        u, v = pairs[:, 0], pairs[:, 1]
+        u += v
+        v *= -2
+        v += u
+        h *= 2
 
 
 def rp_gram(keys, r: ReflectionData, h, beta: float) -> np.ndarray:
@@ -542,10 +558,17 @@ def rp_gram(keys, r: ReflectionData, h, beta: float) -> np.ndarray:
     A = sum_i a_i m_i the functional of `rp_functional` is y^dagger G y
     with y = conj(a), and RP on the span of the keys is G >= 0.
 
-    Every monomial and mirrored monomial is a signed permutation
-    n -> n ^ mask, so an entry is one gather over the basis:
-    sum_q phase(q) * rho[q, q ^ a_i ^ b_j], where m_i has mask a_i and
-    theta(m_j) has mask b_j.
+    Every monomial is a Pauli string i^c X^x Z^z (`monomial_pauli`), and
+    Tr(i^c X^x Z^z rho) = i^c P[x, z] reads the Pauli table of rho,
+
+        P[x, z] = sum_q (-1)^popcount(q & z) rho[q, q ^ x],
+
+    the Walsh-Hadamard transform over q of the x-bands of rho.  With
+    m_i = (x_i, z_i, c_i) and theta(m_j) = (x'_j, z'_j, c'_j), the
+    product m_i theta(m_j) is again a Pauli string, so the whole Gram is
+    one lookup:
+
+        G_ij = i^(c_i + c'_j + 2 popcount(z_i & x'_j)) P[x_i ^ x'_j, z_i ^ z'_j].
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -555,20 +578,22 @@ def rp_gram(keys, r: ReflectionData, h, beta: float) -> np.ndarray:
     n_modes = dim.bit_length() - 1
     weights = np.exp(-beta * (spec.eigenvalues - spec.eigenvalues[0]))
     vecs = spec.eigenvectors
-    rho = (vecs * (weights / weights.sum())) @ vecs.conj().T
+    table = (vecs * (weights / weights.sum())) @ vecs.conj().T  # rho
+
+    # row by row in place, table[q, x] = rho[q, q ^ x]: the x-bands of rho,
+    # one row in flight; after the transform over q, table[z, x] = P[x, z]
+    q = np.arange(dim, dtype=np.int64)
+    for row in range(dim):
+        table[row] = table[row].take(q ^ row)
+    _walsh_hadamard(table)
 
     # theta(m_j) is the mirrored product in the original order; its
     # coefficient conj(1) = 1, so it needs no recanonicalization here
-    acts = [monomial_action(k, n_modes) for k in keys]
-    mirrored = [monomial_action([r.sigma(i) for i in k], n_modes) for k in keys]
-    mask_m = np.array([int(perm[0]) for perm, _ in acts], dtype=np.int64)
-    mask_t = np.array([int(perm[0]) for perm, _ in mirrored], dtype=np.int64)
-    exp_t = np.array([exp for _, exp in mirrored], dtype=np.int64).reshape(-1, dim)
-
-    q = np.arange(dim, dtype=np.int64)
-    q_t = q[None, :] ^ mask_t[:, None]  # row j: theta(m_j) maps q to q ^ b_j
-    gram = np.empty((len(keys), len(keys)), dtype=np.complex128)
-    for i in range(len(keys)):
-        phase = _PHASES[(acts[i][1][q_t] + exp_t) & 3]
-        gram[i] = (phase * rho[q, q_t ^ mask_m[i]]).sum(axis=1)
-    return gram
+    m = np.array([monomial_pauli(k, n_modes) for k in keys],
+                 dtype=np.int64).reshape(-1, 3)
+    t = np.array([monomial_pauli([r.sigma(i) for i in k], n_modes) for k in keys],
+                 dtype=np.int64).reshape(-1, 3)
+    x, z, c = m.T[:, :, None]  # m_i down the rows
+    x_t, z_t, c_t = t.T[:, None, :]  # theta(m_j) across the columns
+    phase = _PHASES[(c + c_t + 2 * _bit_parity(z & x_t)) & 3]
+    return phase * table[z ^ z_t, x ^ x_t]

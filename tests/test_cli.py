@@ -102,56 +102,75 @@ def test_every_flag_spelling_sets_its_path(flags, path, text, value):
 
 
 # a config file breaking one check, and the error it gets: every rule of
-# the checks, then values that used to slip through or crash
+# the checks, then values that used to slip through or crash.  Each row
+# names its own test id, so a row added anywhere renames no other test;
+# the number in an id is only the row's original position.
 CONFIG_ERRORS = [
-    ({"lattice": {"lx": "3"}}, "lattice.lx: must be an integer"),
-    ({"lattice": {"ly": True}}, "lattice.ly: must be an integer"),
-    ({"lattice": {"lx": 1}}, "lattice.lx: region too small (need >= 2)"),
-    ({"lattice": {"ly": 1}}, "lattice.ly: region too small (need >= 2)"),
-    ({"lattice": {"boundary": "torus"}}, "lattice.boundary: must be 'open' or 'periodic'"),
-    ({"lattice": {"islands": "abc"}}, "lattice.islands: must be a list of [x, y] pairs"),
-    ({"plane": {"axis": "z"}}, "plane.axis: must be 'x' or 'y'"),
-    ({"plane": {"coordinate": "1"}}, "plane.coordinate: must be a number"),
-    ({"lambda": {"to": 1, "steps": 2}}, "lambda.from: missing from sweep range"),
-    ({"lambda": {"from": 0, "steps": 2}}, "lambda.to: missing from sweep range"),
-    ({"lambda": {"from": 0, "to": 1}}, "lambda.steps: missing from sweep range"),
-    ({"lambda": {"from": 0, "to": 1, "steps": 0}}, "lambda.steps: must be an integer >= 1"),
-    ({"lambda": {"from": 1, "to": 0, "steps": 2}}, "lambda.to: must be >= lambda.from"),
-    ({"lambda": "0.1"}, "lambda: must be a number"),
-    ({"beta": []}, "beta: empty list"),
-    ({"beta": [1, -1]}, "beta: entries must be numbers >= 0"),
-    ({"beta": -1}, "beta: must be a number >= 0"),
-    ({"seed": 1.5}, "seed: must be an integer >= 0"),
-    ({"tolerances": {"rp": 0}}, "tolerances.rp: must be > 0"),
-    ({"tolerances": {"topo": "x"}}, "tolerances.topo: must be > 0"),
-    ({"tolerances": {"pos": -1}}, "tolerances.pos: must be > 0"),
-    ({"tolerances": {"gap": 0}},
-     "tolerances.gap: must be > 0 (or null for the default rule)"),
-    ({"samples": {"count": -1}}, "samples.count: must be an integer >= 0"),
-    ({"samples": {"max_degree": 1.0}}, "samples.max_degree: must be an integer >= 0"),
-    # sections FIELDS has no rows for, even holding their old defaults
-    ({"solver": {"k": 4}}, "config: unknown keys ['solver']"),
-    ({"solver": {"window": 64}}, "config: unknown keys ['solver']"),
-    ({"output": {"format": "xml"}}, "output.format: must be 'json' or 'csv'"),
-    # formerly a traceback or a silent run
-    ({"lambda": {"from": "a", "to": 1, "steps": 2}}, "lambda.from: must be a number"),
-    ({"lattice": {"islands": [[0]]}}, "lattice.islands: must be a list of [x, y] pairs"),
-    ({"cache": {"dir": None}}, "config: unknown keys ['cache']"),
-    ({"samples": {"count": True, "max_degree": 2}},
-     "samples.count: must be an integer >= 0"),
-    ({"seed": True}, "seed: must be an integer >= 0"),
-    ({"lambda": {"from": 0, "to": 1, "steps": True}},
+    ("lattice.lx-0", {"lattice": {"lx": "3"}}, "lattice.lx: must be an integer"),
+    ("lattice.ly-1", {"lattice": {"ly": True}}, "lattice.ly: must be an integer"),
+    ("lattice.lx-2", {"lattice": {"lx": 1}},
+     "lattice.lx: region too small (need >= 2)"),
+    ("lattice.ly-3", {"lattice": {"ly": 1}},
+     "lattice.ly: region too small (need >= 2)"),
+    ("lattice.boundary-4", {"lattice": {"boundary": "torus"}},
+     "lattice.boundary: must be 'open' or 'periodic'"),
+    ("lattice.islands-5", {"lattice": {"islands": "abc"}},
+     "lattice.islands: must be a list of [x, y] pairs"),
+    ("plane.axis-6", {"plane": {"axis": "z"}}, "plane.axis: must be 'x' or 'y'"),
+    ("plane.coordinate-7", {"plane": {"coordinate": "1"}},
+     "plane.coordinate: must be a number"),
+    ("lambda.from-8", {"lambda": {"to": 1, "steps": 2}},
+     "lambda.from: missing from sweep range"),
+    ("lambda.to-9", {"lambda": {"from": 0, "steps": 2}},
+     "lambda.to: missing from sweep range"),
+    ("lambda.steps-10", {"lambda": {"from": 0, "to": 1}},
+     "lambda.steps: missing from sweep range"),
+    ("lambda.steps-11", {"lambda": {"from": 0, "to": 1, "steps": 0}},
      "lambda.steps: must be an integer >= 1"),
-    ({"beta": [True]}, "beta: entries must be numbers >= 0"),
-    ({"tolerances": {"rp": float("inf")}}, "tolerances.rp: must be > 0"),
-    ({"plane": {"coordinate": float("nan")}}, "plane.coordinate: must be a number"),
-    ({"lattice": 5}, "lattice: must be an object"),
+    ("lambda.to-12", {"lambda": {"from": 1, "to": 0, "steps": 2}},
+     "lambda.to: must be >= lambda.from"),
+    ("lambda-13", {"lambda": "0.1"}, "lambda: must be a number"),
+    ("beta-14", {"beta": []}, "beta: empty list"),
+    ("beta-15", {"beta": [1, -1]}, "beta: entries must be numbers >= 0"),
+    ("beta-16", {"beta": -1}, "beta: must be a number >= 0"),
+    ("seed-17", {"seed": 1.5}, "seed: must be an integer >= 0"),
+    ("tolerances.rp-18", {"tolerances": {"rp": 0}}, "tolerances.rp: must be > 0"),
+    ("tolerances.topo-19", {"tolerances": {"topo": "x"}},
+     "tolerances.topo: must be > 0"),
+    ("tolerances.pos-20", {"tolerances": {"pos": -1}}, "tolerances.pos: must be > 0"),
+    ("tolerances.gap-21", {"tolerances": {"gap": 0}},
+     "tolerances.gap: must be > 0 (or null for the default rule)"),
+    ("samples.count-22", {"samples": {"count": -1}},
+     "samples.count: must be an integer >= 0"),
+    ("samples.max_degree-23", {"samples": {"max_degree": 1.0}},
+     "samples.max_degree: must be an integer >= 0"),
+    # sections FIELDS has no rows for, even holding their old defaults
+    ("config-24", {"solver": {"k": 4}}, "config: unknown keys ['solver']"),
+    ("config-25", {"solver": {"window": 64}}, "config: unknown keys ['solver']"),
+    ("output.format-26", {"output": {"format": "xml"}},
+     "output.format: must be 'json' or 'csv'"),
+    # formerly a traceback or a silent run
+    ("lambda.from-27", {"lambda": {"from": "a", "to": 1, "steps": 2}},
+     "lambda.from: must be a number"),
+    ("lattice.islands-28", {"lattice": {"islands": [[0]]}},
+     "lattice.islands: must be a list of [x, y] pairs"),
+    ("config-29", {"cache": {"dir": None}}, "config: unknown keys ['cache']"),
+    ("samples.count-30", {"samples": {"count": True, "max_degree": 2}},
+     "samples.count: must be an integer >= 0"),
+    ("seed-31", {"seed": True}, "seed: must be an integer >= 0"),
+    ("lambda.steps-32", {"lambda": {"from": 0, "to": 1, "steps": True}},
+     "lambda.steps: must be an integer >= 1"),
+    ("beta-33", {"beta": [True]}, "beta: entries must be numbers >= 0"),
+    ("tolerances.rp-34", {"tolerances": {"rp": float("inf")}},
+     "tolerances.rp: must be > 0"),
+    ("plane.coordinate-35", {"plane": {"coordinate": float("nan")}},
+     "plane.coordinate: must be a number"),
+    ("lattice-36", {"lattice": 5}, "lattice: must be an object"),
 ]
 
 
-@pytest.mark.parametrize("data,message", CONFIG_ERRORS,
-                         ids=[m.split(":")[0] + f"-{i}"
-                              for i, (_, m) in enumerate(CONFIG_ERRORS)])
+@pytest.mark.parametrize("data,message",
+                         [pytest.param(d, m, id=i) for i, d, m in CONFIG_ERRORS])
 def test_config_file_errors_exit_2_with_the_field(tmp_path, capsys, data, message):
     conf = tmp_path / "c.json"
     conf.write_text(json.dumps(data))

@@ -1,5 +1,7 @@
 """Fock-space representation against the independent Kronecker oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from vortexcert.fock import (
     DENSE_DIM_CAP,
     SparseOperator,
     monomial_action,
+    monomial_pauli,
     to_matrix,
 )
 
@@ -40,6 +43,50 @@ def test_monomial_action_phases():
     perm, exp = monomial_action((1,), 1)
     assert perm.tolist() == [1, 0]
     assert exp.tolist() == [1, 3]
+
+
+def _pauli_strings(n_modes):
+    """{(x, z): X^x Z^z} as Kronecker chains, mode 0 in the last factor."""
+    factors = {(0, 0): np.eye(2), (1, 0): np.array([[0, 1], [1, 0]]),
+               (0, 1): np.diag([1, -1])}
+    factors[1, 1] = factors[1, 0] @ factors[0, 1]
+    out = {}
+    for x, z in itertools.product(range(1 << n_modes), repeat=2):
+        op = np.eye(1, dtype=complex)
+        for k in range(n_modes - 1, -1, -1):
+            op = np.kron(op, factors[x >> k & 1, z >> k & 1])
+        out[x, z] = op
+    return out
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+def test_monomial_pauli_matches_action_and_oracle(n_modes):
+    # every ordered key of degree <= 4, repeated generators included;
+    # the oracle matrix of each canonical monomial is built once
+    dim = 1 << n_modes
+    strings = _pauli_strings(n_modes)
+    oracle = {}
+    phases = np.array([1, 1j, -1, -1j])
+    for degree in range(5):
+        for key in itertools.product(range(2 * n_modes), repeat=degree):
+            [(canonical, coeff)] = MajoranaPolynomial.monomial(key).terms().items()
+            if canonical not in oracle:
+                oracle[canonical] = oracle_matrix(
+                    MajoranaPolynomial.monomial(canonical), n_modes)
+            want = complex(coeff) * oracle[canonical]
+            x, z, c = monomial_pauli(key, n_modes)
+            assert 0 <= c <= 3
+            assert np.array_equal(phases[c] * strings[x, z], want), key
+            perm, exp = monomial_action(key, n_modes)
+            action = np.zeros((dim, dim), dtype=complex)
+            action[perm, np.arange(dim)] = phases[exp]
+            assert np.array_equal(action, want), key
+
+
+@pytest.mark.parametrize("key", [(4,), (0, -1), (1, 9, 0)])
+def test_monomial_pauli_rejects_a_generator_out_of_range(key):
+    with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+        monomial_pauli(key, 2)
 
 
 def test_polynomial_matrix_matches_oracle():

@@ -5,6 +5,7 @@ import pytest
 
 from vortexcert.clifford import MajoranaPolynomial, multiply, reflect
 from vortexcert.fock import to_matrix
+from vortexcert.lattice import build_lattice, reflection_data
 from vortexcert.model import build_hamiltonian, vortex_operator
 from vortexcert.spectral import (
     SpectralError,
@@ -26,7 +27,7 @@ from vortexcert.verify import (
 )
 from vortexcert.verify import _degree_basis, _sample_rows, _sample_witness
 
-from conftest import dense_operator
+from conftest import dense_operator, oracle_matrix
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,56 @@ def test_rp_gram_matches_rp_functional(diamond, diamond_mirror, parity):
                     y[column[key]] = np.conj(complex(c))
                 want = rp_functional(a, diamond_mirror, spec, beta)
                 assert abs(np.vdot(y, g @ y) - want) <= 1e-12
+
+
+def _monomial_keys(r, parity, max_degree):
+    return [next(iter(a.terms())) for _, a in
+            rp_sample_polynomials(r.left, parity=parity, max_degree=max_degree,
+                                  count=0)]
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_rp_gram_at_beta_zero_is_the_normalized_trace(parity):
+    # rho = 1 / 2^n at beta = 0, so G_ij = Tr(m_i theta(m_j)) / 2^n; theta
+    # goes through the symbolic reflect and both sides through the oracle.
+    # The plane x = 1 of the 3x2 lattice cuts islands, so some modes have
+    # one generator on each side.
+    lat = build_lattice(3, 2, "open")
+    r = reflection_data(lat, "x", 1)
+    n_modes = lat.n_modes
+    keys = _monomial_keys(r, parity, 4)
+    left = np.array([oracle_matrix(MajoranaPolynomial.monomial(k), n_modes)
+                     for k in keys])
+    right = np.array([oracle_matrix(reflect(MajoranaPolynomial.monomial(k),
+                                            r.sigma), n_modes)
+                      for k in keys])
+    want = np.einsum("iab,jba->ij", left, right) / (1 << n_modes)
+    spec = dense_spectrum(to_matrix(build_hamiltonian(lat, 0.1), n_modes))
+    got = rp_gram(keys, r, spec, 0.0)
+    # only m_i = theta(m_j) = 1 has a nonzero trace
+    assert np.count_nonzero(want) == (parity == "even")
+    assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_rp_gram_matches_rp_functional_on_the_failing_mirror(diamond, parity):
+    # the plane y = 2 breaks RP: the even Gram has negative values, and
+    # they must agree with the Fock route as well as the positive ones
+    r = reflection_data(diamond, "y", 2)
+    keys = _monomial_keys(r, parity, 4)
+    samples = [a for _, a in rp_sample_polynomials(r.left, parity=parity,
+                                                   max_degree=4, count=3, seed=4)]
+    spec = dense_spectrum(to_matrix(build_hamiltonian(diamond, 0.1),
+                                    diamond.n_modes))
+    values = []
+    for beta in (0.5, 5):
+        g = rp_gram(keys, r, spec, beta)
+        for a in samples:
+            y = np.array([np.conj(complex(a.coefficient(k) or 0)) for k in keys])
+            want = rp_functional(a, r, spec, beta)
+            assert abs(np.vdot(y, g @ y) - want) <= 1e-12
+            values.append(want.real)
+    assert (min(values) < -0.4) == (parity == "even")
 
 
 def test_check_rp_gram_failure_beyond_the_samples(diamond, diamond_mirror):
