@@ -52,6 +52,7 @@ from .spectral import (
     dense_spectrum,
     ground_space,
     lanczos_ground,
+    pauli_table,
 )
 from .verify import (
     CheckReport,
@@ -397,7 +398,8 @@ class Evaluation(NamedTuple):
 def evaluate(lat: IslandLattice, refl, lam: float, cfg: dict,
              betas=(), parities=()) -> Evaluation:
     """Ground space, octagon order and positivity, then RP at each beta
-    and sample parity, at one lambda (`refl` None: no RP).
+    and sample parity, at one lambda (`refl` None: no RP).  The parities
+    of one beta share its `pauli_table`.
 
     An error in the ground space or the octagon checks propagates; one in
     an RP check takes the place of its report.  Beyond the dense cap
@@ -443,23 +445,26 @@ def evaluate(lat: IslandLattice, refl, lam: float, cfg: dict,
 
     rp = {}
     t0 = time.perf_counter()
-    for beta, parity in itertools.product(betas, parities):
-        if (beta, parity) in rp:  # a repeated beta shares its report
-            continue
+    for beta in dict.fromkeys(betas):  # a repeated beta shares its reports
         if spectrum is None:
-            rp[beta, parity] = _report(
-                RP_CHECKS[parity], lat, {"lambda": lam, "beta": beta, "seed": seed},
-                {"rp": tol["rp"]}, "skipped",
-                {"value_re": 0.0, "value_im": 0.0,
-                 "witness": f"dim {1 << lat.n_modes} exceeds dense cap"}, 0.0)
+            for parity in parities:
+                rp[beta, parity] = _report(
+                    RP_CHECKS[parity], lat,
+                    {"lambda": lam, "beta": beta, "seed": seed},
+                    {"rp": tol["rp"]}, "skipped",
+                    {"value_re": 0.0, "value_im": 0.0,
+                     "witness": f"dim {1 << lat.n_modes} exceeds dense cap"}, 0.0)
             continue
-        try:
-            rp[beta, parity] = check_rp(
-                lat, refl, lam, beta, spectrum=spectrum, parity=parity,
-                max_degree=smp["max_degree"], count=smp["count"], seed=seed,
-                tol=tol["rp"], name=RP_CHECKS[parity])
-        except _ROW_ERRORS as e:
-            rp[beta, parity] = e
+        table = pauli_table(spectrum, beta)
+        for parity in parities:
+            try:
+                rp[beta, parity] = check_rp(
+                    lat, refl, lam, beta, spectrum=spectrum, table=table,
+                    parity=parity, max_degree=smp["max_degree"],
+                    count=smp["count"], seed=seed, tol=tol["rp"],
+                    name=RP_CHECKS[parity])
+            except _ROW_ERRORS as e:
+                rp[beta, parity] = e
     if rp:
         timings["rp"] = 1e3 * (time.perf_counter() - t0)
     return Evaluation(ground, spectrum, loops, octagons,
@@ -535,7 +540,7 @@ def cmd_certify(cfg: dict) -> int:
         "reports": [r.to_dict(include_timing=False) for r in reports],
         "vortex_map": {f"{x},{y}": rec for (x, y), rec in sorted(vmap.items())},
         "chain_violations": violations,
-        "sidecar": _sidecar(timings, ev.ground,
+        "sidecar": _sidecar(timings, ev.ground, ev.spectrum,
                             rp={r.check: r.sidecar for r in reports
                                 if r.sidecar is not None}),
     }
@@ -570,10 +575,11 @@ def _round_ms(timings: dict) -> dict:
             for k, v in timings.items()}
 
 
-def _sidecar(timings: dict, ground=None, **extra) -> dict:
+def _sidecar(timings: dict, ground=None, spectrum=None, **extra) -> dict:
     """Timestamp, timings (ms, nested dicts allowed), the Lanczos
-    diagnostics of `ground`, if any, and every non-empty `extra` entry
-    (RP diagnostics)."""
+    diagnostics of `ground`, if any, the symmetry blocks of a dense
+    `spectrum`, if any, and every non-empty `extra` entry (RP
+    diagnostics)."""
     out = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "timings_ms": _round_ms(timings),
@@ -587,6 +593,9 @@ def _sidecar(timings: dict, ground=None, **extra) -> dict:
                                      "dim": ground.blocks[1]},
                           "closed_by_bound": ground.closed_by_bound,
                           "matvecs": ground.matvecs}
+    if spectrum is not None:
+        count, dim = spectrum.blocks.shape
+        out["dense"] = {"blocks": {"count": count, "dim": dim}}
     out.update((key, val) for key, val in extra.items() if val)
     return out
 
@@ -705,7 +714,7 @@ def cmd_spectrum(cfg: dict) -> int:
         "e0": float(values[0]),
         "eigenvalues": [float(v) for v in values],
         "sidecar": _sidecar({"spectrum": 1e3 * (time.perf_counter() - t0)},
-                            ground),
+                            ground, spectrum),
     }
     _emit(cfg, payload)
     return 0
@@ -724,7 +733,7 @@ def cmd_vortex_map(cfg: dict) -> int:
         "config": _config_echo(cfg),
         "ground": {"e0": ev.ground.e0, "degeneracy": ev.ground.n},
         "octagons": {f"{x},{y}": rec for (x, y), rec in sorted(vmap.items())},
-        "sidecar": _sidecar(timings, ev.ground),
+        "sidecar": _sidecar(timings, ev.ground, ev.spectrum),
     }
     _emit(cfg, payload)
     return 0

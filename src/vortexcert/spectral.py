@@ -1,27 +1,38 @@
 """Spectra, ground spaces and thermal functionals.
 
-Dense eigendecomposition is used up to DENSE_DIM_CAP; above that a
-restarted, fully reorthogonalized Lanczos iteration with sequential
-deflation finds the low end of the spectrum, up to the first level
-above the ground cluster.  Its Krylov basis and the deflated vectors
-are stored row-major, one vector per row, so every Gram-Schmidt pass is
-a pair of contiguous matrix-vector products that conjugate only the new
-vector, never the basis.  The iteration runs in exact symmetry blocks:
-diagonal Z-strings (-1)^popcount(n & g) that commute with H, found by
-GF(2) elimination of the bit masks of the stored entries.  Each block
-is the `SparseOperator.block` of H, so its products are the same numpy
-gathers as the full operator's.  The fermion parity (-1)^N is the first
-split, and further strings halve the blocks while each keeps
-SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the 4x4 torus: short
-vectors, a Krylov basis that fits in cache); the eigenpairs of the
-blocks are merged.  An operator that couples the parities is the one
-block.  Every block starts with a Gershgorin floor, a rigorous lower
-bound on its spectrum from one pass over the stored entries, so a block
-whose floor lies above the values already certified is closed without a
-solve.  The Lanczos ground space carries its diagnostics: the
-eigenvalues reported, the residual of each vector, the parity of the
-block each came from, the block count and dimension, the blocks closed
-by their floor and the matrix-vector products spent.
+Up to DENSE_DIM_CAP the whole spectrum is computed, in exact symmetry
+blocks: diagonal Z-strings (-1)^popcount(n & g) that commute with H,
+found by GF(2) elimination of the bit masks of the stored entries.  The
+dense route splits by every such string, so each block is as small as
+the symmetry allows (16 blocks of 16 on the diamond, 256 blocks of one
+state at lambda = 0), fills one (blocks, s, s) stack straight from the
+stored entries and diagonalizes it with one batched `eigh`; the full
+dim x dim matrix is never built.  A `Spectrum` keeps the block index
+rows with each block's eigenvalues and eigenvectors.  The thermal state
+is block-diagonal too, so the Pauli table that the RP Gram reads has
+only the |span| = s columns x of the masks' span: every other column is
+exactly zero.
+
+Above the cap a restarted, fully reorthogonalized Lanczos iteration
+with sequential deflation finds the low end of the spectrum, up to the
+first level above the ground cluster.  Its Krylov basis and the
+deflated vectors are stored row-major, one vector per row, so every
+Gram-Schmidt pass is a pair of contiguous matrix-vector products that
+conjugate only the new vector, never the basis.  It runs in the same
+Z-string blocks, each the `SparseOperator.block` of H, so its products
+are the same numpy gathers as the full operator's.  The fermion parity
+(-1)^N is the first split, and further strings halve the blocks only
+while each keeps SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the
+4x4 torus: short vectors, a Krylov basis that fits in cache); the
+eigenpairs of the blocks are merged.  An operator that couples the
+parities is the one block, on both routes.  Every Lanczos block starts
+with a Gershgorin floor, a rigorous lower bound on its spectrum from one
+pass over the stored entries, so a block whose floor lies above the
+values already certified is closed without a solve.  The Lanczos ground
+space carries its diagnostics: the eigenvalues reported, the residual
+of each vector, the parity of the block each came from, the block count
+and dimension, the blocks closed by their floor and the matrix-vector
+products spent.
 Ground-space bases are made deterministic by re-orthogonalizing
 coordinate projections in a fixed pivot order, so reports do not depend
 on eigensolver gauge.
@@ -77,12 +88,33 @@ class ConvergenceError(SpectralError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    eigenvalues: np.ndarray  # ascending, real
-    eigenvectors: np.ndarray  # orthonormal columns
+    """Every eigenpair of a Hermitian operator, block by block.
+
+    Block b holds the Fock states blocks[b] (ascending); its eigenvalues
+    values[b] ascend, and column k of vectors[b] is the eigenvector of
+    values[b, k] in the coordinates of blocks[b].  The flat index
+    b * s + k names one eigenpair (`embed`).
+    """
+    blocks: np.ndarray  # (count, s) Fock indices of each Z-string block
+    values: np.ndarray  # (count, s) ascending within each block, real
+    vectors: np.ndarray  # (count, s, s) orthonormal columns per block
 
     @property
     def dim(self) -> int:
-        return self.eigenvectors.shape[0]
+        return self.blocks.size
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The sorted union of the block spectra."""
+        return np.sort(self.values, axis=None)
+
+    def embed(self, which: np.ndarray) -> np.ndarray:
+        """The eigenvectors of the flat indices `which` as (dim, len(which))
+        full-space columns, zero outside their block."""
+        b, k = np.divmod(which, self.blocks.shape[1])
+        out = np.zeros((self.dim, len(which)), dtype=np.complex128)
+        out[self.blocks[b].T, np.arange(len(which))] = self.vectors[b, :, k].T
+        return out
 
 
 @dataclass(frozen=True)
@@ -116,13 +148,37 @@ def default_gap_tol(e0: float) -> float:
 
 
 def dense_spectrum(op: SparseOperator) -> Spectrum:
+    """Every eigenpair, from one batched `eigh` of the Z-string blocks.
+
+    The split uses every diagonal Z-string that commutes with H
+    (`_symmetry_blocks` with no floor), and the (count, s, s) stack is
+    filled from the stored entries.  A non-zero entry whose row and
+    column lie in different blocks raises SpectralError: the split
+    would otherwise drop it.  DENSE_DIM_CAP bounds the full dimension.
+    """
     if op.dim > DENSE_DIM_CAP:
         raise DenseCapError(f"dim {op.dim} exceeds the dense cap {DENSE_DIM_CAP}")
     defect = op.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise NonHermitianError(f"hermiticity defect {defect:.3e}")
-    w, v = np.linalg.eigh(op.to_dense())
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+    blocks = _symmetry_blocks(op, floor=1)
+    count, size = blocks.shape
+    label = np.empty(op.dim, dtype=np.int64)  # block of each state
+    label[blocks] = np.arange(count)[:, None]
+    pos = np.empty(op.dim, dtype=np.int64)  # its place in that block
+    pos[blocks] = np.arange(size)
+    stored = op.values != 0
+    rows = np.broadcast_to(np.arange(op.dim), op.cols.shape)[stored]
+    cols = op.cols[stored]
+    leaks = label[rows] != label[cols]
+    if leaks.any():
+        r, c = int(rows[leaks][0]), int(cols[leaks][0])
+        raise SpectralError(f"entry ({r}, {c}) couples symmetry blocks "
+                            f"{label[r]} and {label[c]}")
+    stack = np.zeros((count, size, size), dtype=np.complex128)
+    np.add.at(stack, (label[rows], pos[rows], pos[cols]), op.values[stored])
+    w, v = np.linalg.eigh(stack)
+    return Spectrum(blocks=blocks, values=w, vectors=v)
 
 
 def _cluster_count(values: np.ndarray, gap_tol: float) -> int:
@@ -151,12 +207,13 @@ def canonical_subspace_basis(basis: np.ndarray) -> np.ndarray:
     non-negligible amplitude real positive.  Depends only on the
     subspace, not on the gauge of the input columns.  A coordinate whose
     projection is already negligible cannot leave a larger residual, so
-    those rows are dropped in one pass before the loop.
+    those rows are dropped in one pass before the loop.  The pivot loop
+    works on the n-dimensional coefficients only; the basis is one
+    product q @ C after it.
     """
     q, _ = np.linalg.qr(basis)
     n = q.shape[1]
     coeffs: list[np.ndarray] = []
-    out: list[np.ndarray] = []
     for i in np.flatnonzero(np.linalg.norm(q, axis=1) > 1e-8):
         c = q[i, :].conj().copy()
         for a in coeffs:
@@ -164,17 +221,16 @@ def canonical_subspace_basis(basis: np.ndarray) -> np.ndarray:
         nrm = np.linalg.norm(c)
         if nrm <= 1e-8:
             continue
-        c /= nrm
-        coeffs.append(c)
-        v = q @ c
-        j = int(np.argmax(np.abs(v) > 1e-10))
-        v *= v[j].conjugate() / abs(v[j])
-        out.append(v)
-        if len(out) == n:
+        coeffs.append(c / nrm)
+        if len(coeffs) == n:
             break
-    if len(out) != n:
+    if len(coeffs) != n:
         raise SpectralError("could not pivot a full basis; subspace degenerate?")
-    return np.column_stack(out)
+    out = q @ np.column_stack(coeffs)
+    j = np.argmax(np.abs(out) > 1e-10, axis=0)
+    lead = out[j, np.arange(n)]
+    out *= lead.conj() / np.abs(lead)
+    return out
 
 
 def ground_space(op, gap_tol: float | None = None) -> GroundSpace:
@@ -185,11 +241,13 @@ def ground_space(op, gap_tol: float | None = None) -> GroundSpace:
     the cut raises IllSeparatedError rather than guessing.
     """
     spec = op if isinstance(op, Spectrum) else dense_spectrum(op)
-    e0 = float(spec.eigenvalues[0])
+    order = np.argsort(spec.values, axis=None, kind="stable")
+    values = spec.values.ravel()[order]
+    e0 = float(values[0])
     if gap_tol is None:
         gap_tol = default_gap_tol(e0)
-    n = _cluster_count(spec.eigenvalues, gap_tol)
-    basis = canonical_subspace_basis(spec.eigenvectors[:, :n])
+    n = _cluster_count(values, gap_tol)
+    basis = canonical_subspace_basis(spec.embed(order[:n]))
     return GroundSpace(e0=e0, basis=basis, gap_tol=gap_tol)
 
 
@@ -332,9 +390,8 @@ def _echelon_insert(rows: dict, v: int) -> bool:
     return True
 
 
-def _symmetry_blocks(op: SparseOperator) -> np.ndarray:
-    """Basis indices of the diagonal blocks the Lanczos runs in, one row
-    per block.
+def _symmetry_blocks(op: SparseOperator, floor: int | None = None) -> np.ndarray:
+    """Basis indices of the diagonal symmetry blocks, one row per block.
 
     Every stored entry of the matrix sits at (n, n ^ s) for a bit mask s.
     A Z-string (-1)^popcount(n & g) is diagonal in the Fock basis and
@@ -344,10 +401,12 @@ def _symmetry_blocks(op: SparseOperator) -> np.ndarray:
     annihilator comes from GF(2) elimination of the distinct masks.  The
     fermion parity (-1)^N (g all ones) is the first split; the
     annihilator's generators follow, lowest free bit first, while every
-    block keeps SYMMETRY_BLOCK_FLOOR states, so each block has 2^m states
-    and a definite parity.  An operator that couples the parities is the
-    one block.  The test is structural, so it is exact: zero slots are
-    padding and are not read.
+    block keeps `floor` states (default SYMMETRY_BLOCK_FLOOR, for
+    Lanczos; the dense route passes 1 and splits by the whole
+    annihilator, so its block of state 0 is the span of the masks), so
+    each block has 2^m states and a definite parity.  An operator that
+    couples the parities is the one block.  The test is structural, so
+    it is exact: zero slots are padding and are not read.
     """
     full = np.arange(op.dim, dtype=np.int64)
     stored = (op.cols ^ full)[op.values != 0]
@@ -362,11 +421,13 @@ def _symmetry_blocks(op: SparseOperator) -> np.ndarray:
     free = [f for f in range(op.n_modes) if f not in span]
     annihilator = [(1 << f) | sum(1 << p for p, r in span.items() if r >> f & 1)
                    for f in free]
+    if floor is None:
+        floor = SYMMETRY_BLOCK_FLOOR
     gens = [op.dim - 1]  # the parity string: every mode
     chosen: dict = {}
     _echelon_insert(chosen, gens[0])
     for g in annihilator:
-        if op.dim >> (len(gens) + 1) < SYMMETRY_BLOCK_FLOOR:
+        if op.dim >> (len(gens) + 1) < floor:
             break
         if _echelon_insert(chosen, g):
             gens.append(g)
@@ -495,11 +556,14 @@ def thermal_expectation(o, h, beta: float) -> complex:
     factors = o if isinstance(o, (list, tuple)) else (o,)
     if any(f.dim != spec.dim for f in factors):
         raise ValueError("operator and Hamiltonian dimensions differ")
-    weights = np.exp(-beta * (spec.eigenvalues - spec.eigenvalues[0]))
-    ov = spec.eigenvectors
+    values = spec.values.ravel()
+    weights = np.exp(-beta * (values - values.min()))
+    # every eigenvector embedded once, so the factors are one apply each
+    vecs = spec.embed(np.arange(spec.dim))
+    ov = vecs
     for f in reversed(factors):
         ov = f.apply(ov)
-    diag = np.einsum("ij,ij->j", spec.eigenvectors.conj(), ov)
+    diag = np.einsum("ij,ij->j", vecs.conj(), ov)
     return complex((weights * diag).sum() / weights.sum())
 
 
@@ -550,42 +614,78 @@ def _walsh_hadamard(a: np.ndarray) -> None:
         h *= 2
 
 
+@dataclass(frozen=True)
+class PauliTable:
+    """Pauli table of a thermal state on the span of H's masks.
+
+    table[z, column[x]] = P[x, z] = sum_q (-1)^popcount(q & z) rho[q, q ^ x]
+    for the s strings x of the span; column[x] is -1 off the span, where
+    P[x, z] is exactly zero.
+    """
+    beta: float
+    table: np.ndarray  # (dim, s) complex
+    column: np.ndarray  # (dim,) column of each x string, -1 off the span
+
+
+def pauli_table(h, beta: float) -> PauliTable:
+    """The Pauli table of rho = e^{-beta (H - E0)} / Z, built block by block.
+
+    rho is V_b diag(w_b) V_b^dagger in each Z-string block, one batched
+    product.  It is block-diagonal, so rho[q, q ^ x] vanishes unless q and
+    q ^ x share a block.  The blocks are the cosets of the block of state
+    0, so that holds for every q exactly when x lies in the block of
+    state 0, which `dense_spectrum`'s full split makes the span of H's
+    masks.  Only those s columns are gathered, each row from its own
+    block, and transformed (Walsh-Hadamard over q): a dim x s table
+    instead of dim x dim.
+    """
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    spec = _as_spectrum(h)
+    size = spec.blocks.shape[1]
+    weights = np.exp(-beta * (spec.values - spec.values.min()))
+    weights /= weights.sum()
+    v = spec.vectors
+    rho = (v * weights[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    span = spec.blocks[0]
+    pos = np.empty(spec.dim, dtype=np.int64)  # place of each state in its block
+    pos[spec.blocks] = np.arange(size)
+    # table[q, c] = rho[q, q ^ span[c]], gathered within q's block
+    table = np.empty((spec.dim, size), dtype=np.complex128)
+    table[spec.blocks] = np.take_along_axis(
+        rho, pos[spec.blocks[:, :, None] ^ span], axis=2)
+    _walsh_hadamard(table)
+    column = np.full(spec.dim, -1, dtype=np.int64)
+    column[span] = np.arange(size)
+    return PauliTable(beta=beta, table=table, column=column)
+
+
 def rp_gram(keys, r: ReflectionData, h, beta: float) -> np.ndarray:
     """Gram matrix G_ij = Tr(m_i theta(m_j) rho) of the RP form.
 
     `keys` are canonical monomial keys on Lambda_minus and rho is the
     thermal state e^{-beta (H - E0)} / Z.  theta is antilinear, so for
     A = sum_i a_i m_i the functional of `rp_functional` is y^dagger G y
-    with y = conj(a), and RP on the span of the keys is G >= 0.
+    with y = conj(a), and RP on the span of the keys is G >= 0.  `h` is
+    an operator, its Spectrum, or its `pauli_table` at this beta, which
+    one caller can share between spans.
 
     Every monomial is a Pauli string i^c X^x Z^z (`monomial_pauli`), and
-    Tr(i^c X^x Z^z rho) = i^c P[x, z] reads the Pauli table of rho,
-
-        P[x, z] = sum_q (-1)^popcount(q & z) rho[q, q ^ x],
-
-    the Walsh-Hadamard transform over q of the x-bands of rho.  With
+    Tr(i^c X^x Z^z rho) = i^c P[x, z] reads the Pauli table of rho.  With
     m_i = (x_i, z_i, c_i) and theta(m_j) = (x'_j, z'_j, c'_j), the
     product m_i theta(m_j) is again a Pauli string, so the whole Gram is
     one lookup:
 
         G_ij = i^(c_i + c'_j + 2 popcount(z_i & x'_j)) P[x_i ^ x'_j, z_i ^ z'_j].
-    """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    _check_left_support([i for k in keys for i in k], r)
-    spec = _as_spectrum(h)
-    dim = spec.dim
-    n_modes = dim.bit_length() - 1
-    weights = np.exp(-beta * (spec.eigenvalues - spec.eigenvalues[0]))
-    vecs = spec.eigenvectors
-    table = (vecs * (weights / weights.sum())) @ vecs.conj().T  # rho
 
-    # row by row in place, table[q, x] = rho[q, q ^ x]: the x-bands of rho,
-    # one row in flight; after the transform over q, table[z, x] = P[x, z]
-    q = np.arange(dim, dtype=np.int64)
-    for row in range(dim):
-        table[row] = table[row].take(q ^ row)
-    _walsh_hadamard(table)
+    An entry whose x_i ^ x'_j lies off the span of H's masks is an exact
+    zero (see `pauli_table`).
+    """
+    _check_left_support([i for k in keys for i in k], r)
+    tab = h if isinstance(h, PauliTable) else pauli_table(h, beta)
+    if tab.beta != beta:
+        raise ValueError(f"Pauli table built at beta {tab.beta}, not {beta}")
+    n_modes = len(tab.column).bit_length() - 1
 
     # theta(m_j) is the mirrored product in the original order; its
     # coefficient conj(1) = 1, so it needs no recanonicalization here
@@ -596,4 +696,5 @@ def rp_gram(keys, r: ReflectionData, h, beta: float) -> np.ndarray:
     x, z, c = m.T[:, :, None]  # m_i down the rows
     x_t, z_t, c_t = t.T[:, None, :]  # theta(m_j) across the columns
     phase = _PHASES[(c + c_t + 2 * _bit_parity(z & x_t)) & 3]
-    return phase * table[z ^ z_t, x ^ x_t]
+    column = tab.column[x ^ x_t]
+    return np.where(column >= 0, phase * tab.table[z ^ z_t, column], 0)

@@ -44,6 +44,7 @@ from .model import (
 from .spectral import (
     GRAM_AGREEMENT_TOL,
     GroundSpace,
+    PauliTable,
     SpectralError,
     Spectrum,
     # imported for the benchmark tracer (bench/tracing.py), which wraps
@@ -152,8 +153,9 @@ class CheckReport:
 
 
 def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float, *,
-             spectrum: Spectrum, parity: str = "even", max_degree: int = 4,
-             count: int = 100, seed: int = 0, tol: float = DEFAULT_RP_TOL,
+             spectrum: Spectrum, table: PauliTable | None = None,
+             parity: str = "even", max_degree: int = 4, count: int = 100,
+             seed: int = 0, tol: float = DEFAULT_RP_TOL,
              name: str = "rp") -> CheckReport:
     """Tr(A theta(A) e^{-beta H})/Z over A in the Lambda_minus algebra.
 
@@ -164,7 +166,10 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float, *,
     iff the minimum real part stays above -tol, every imaginary part
     stays within tol, and lambda_min(G) >= -tol, so the whole span is
     certified.  A failing sample is the witness; if only G fails, the
-    witness is its lowest eigenvector, keyed "g:min".  The samples are
+    witness is its lowest eigenvector, keyed "g:min" (eigenvectors are
+    computed only then).  G is read from `table`, the `pauli_table` of
+    the spectrum at this beta, when the caller shares one between
+    parities, else from the spectrum.  The samples are
     rows of one coefficient array and never become polynomials; only the
     witness does.  It is recomputed through `rp_functional` (the Fock
     operators of theta(A), then A, applied to the thermal eigenvectors),
@@ -188,7 +193,7 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float, *,
                               f"on Lambda_minus"},
             timing_ms=1e3 * (time.perf_counter() - t0), version=__version__)
 
-    gram = rp_gram(keys, r, spectrum, beta)
+    gram = rp_gram(keys, r, spectrum if table is None else table, beta)
     # F(A) = sum_ij a_i G_ij conj(a_j) = y^dagger G y with y = conj(a)
     values = [complex(v) for v in ((coeffs @ gram) * coeffs.conj()).sum(axis=1)]
 
@@ -198,10 +203,10 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float, *,
     ok = values[min_re].real >= -tol and im_ok
     i = min_re if (values[min_re].real < -tol or im_ok) else max_im
     worst = (labels[i], _polynomial(keys, coeffs[i]), values[i])
-    lams, vecs = np.linalg.eigh(gram)
-    lam_min = float(lams[0])
+    lam_min = float(np.linalg.eigvalsh(gram)[0])
     if ok and lam_min < -tol:
         ok = False
+        lams, vecs = np.linalg.eigh(gram)
         worst = ("g:min", _polynomial(keys, vecs[:, 0].conj()), complex(lams[0]))
     recheck = rp_functional(worst[1], r, spectrum, beta)
     deviation = abs(recheck - worst[2])

@@ -333,6 +333,35 @@ def test_certify_sidecar_carries_the_rp_gram_diagnostics(tmp_path):
     assert all("sidecar" not in r for r in bundle["reports"])
 
 
+def test_dense_route_reports_its_blocks_in_the_sidecar(tmp_path):
+    # the diamond at lambda = 0.1 splits into 16 Z-string blocks of 16
+    blocks = {"blocks": {"count": 16, "dim": 16}}
+    for argv in (["certify"] + FAST, ["vortex-map"], ["spectrum"]):
+        code, payload = _run_json(tmp_path, argv)
+        assert code == 0
+        assert payload["sidecar"]["dense"] == blocks
+        assert "lanczos" not in payload["sidecar"]
+    code, payload = _run_json(tmp_path, ["spectrum", "--lambda", "0"])
+    assert payload["sidecar"]["dense"] == {"blocks": {"count": 256, "dim": 1}}
+
+
+def test_evaluate_builds_one_pauli_table_per_beta(monkeypatch, diamond):
+    built = []
+    real = cli.pauli_table
+
+    def recording(spectrum, beta):
+        built.append(beta)
+        return real(spectrum, beta)
+
+    monkeypatch.setattr(cli, "pauli_table", recording)
+    cfg = _resolve(["certify"] + FAST)
+    refl = cli.reflection_data(diamond, "x", 1)
+    ev = cli.evaluate(diamond, refl, 0.1, cfg, [1.0, 5.0, 1.0], cli.RP_CHECKS)
+    assert built == [1.0, 5.0]
+    assert sorted(ev.rp) == [(1.0, "even"), (1.0, "odd"),
+                             (5.0, "even"), (5.0, "odd")]
+
+
 def test_certify_repeats_byte_identical(tmp_path):
     texts = []
     for name in ("a.json", "b.json"):

@@ -49,6 +49,124 @@ def test_dense_spectrum_refuses_beyond_cap():
         dense_spectrum(big)
 
 
+@pytest.mark.parametrize("lam,blocks", [(0, (256, 1)), (0.1, (16, 16)),
+                                        (0.5, (16, 16))])
+def test_block_spectrum_is_the_full_spectrum_on_the_diamond(diamond, lam, blocks):
+    op = to_matrix(build_hamiltonian(diamond, lam), diamond.n_modes)
+    spec = dense_spectrum(op)
+    assert spec.blocks.shape == blocks
+    np.testing.assert_array_equal(np.sort(spec.blocks, axis=None),
+                                  np.arange(op.dim))
+    full = np.linalg.eigvalsh(op.to_dense())
+    assert np.abs(spec.eigenvalues - full).max() <= 1e-12
+
+
+def test_block_spectrum_is_the_full_spectrum_on_the_open_3x4_lattice():
+    # dim 4096, the dense cap: 64 blocks of 64 against one full eigvalsh
+    lat = build_lattice(3, 4, "open")
+    op = to_matrix(build_hamiltonian(lat, 0.1), lat.n_modes)
+    spec = dense_spectrum(op)
+    assert spec.blocks.shape == (64, 64)
+    full = np.linalg.eigvalsh(op.to_dense())
+    assert np.abs(spec.eigenvalues - full).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0, 0.1, 0.5])
+def test_block_ground_projector_is_the_full_one(diamond, lam):
+    op = to_matrix(build_hamiltonian(diamond, lam), diamond.n_modes)
+    gs = ground_space(op)
+    w, v = np.linalg.eigh(op.to_dense())
+    n = int((w - w[0] <= gs.gap_tol).sum())
+    assert gs.n == n
+    want = v[:, :n] @ v[:, :n].conj().T
+    # round-off turns the projector by about eps ||H|| / gap (Davis-Kahan);
+    # the gap above the cluster is 6.2e-5 at lambda = 0.1
+    tol = max(1e-12, 1e-13 / (w[n] - w[n - 1]))
+    assert np.abs(gs.basis @ gs.basis.conj().T - want).max() <= tol
+
+
+def test_block_eigenvectors_solve_the_full_operator(diamond):
+    op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
+    spec = dense_spectrum(op)
+    vecs = spec.embed(np.arange(op.dim))
+    assert np.abs(vecs.conj().T @ vecs - np.eye(op.dim)).max() <= 1e-12
+    residual = op.apply(vecs) - vecs * spec.values.ravel()
+    assert np.abs(residual).max() <= 1e-12
+
+
+def test_dense_spectrum_rejects_a_split_that_breaks_h(monkeypatch, diamond):
+    # a commuting Z-string minus one pivot bit of the masks' span
+    # anticommutes with some term, so a split by it would drop entries
+    op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
+    full = np.arange(op.dim)
+    masks = np.unique((op.cols ^ full)[op.values != 0])
+    span: dict = {}
+    for s in masks.tolist():
+        spectral._echelon_insert(span, s)
+    parity = op.dim - 1
+    gen = next(g for g in range(1, parity) if g & sum(1 << p for p in span)
+               and not spectral._bit_parity(masks & g).any())
+    bad = gen ^ 1 << next(p for p in sorted(span) if gen >> p & 1)
+
+    def split_by(g):
+        labels = spectral._bit_parity(full & parity) | spectral._bit_parity(
+            full & g) << 1
+        return np.argsort(labels, kind="stable").reshape(4, -1)
+
+    monkeypatch.setattr(spectral, "_symmetry_blocks", lambda op, floor: split_by(gen))
+    np.testing.assert_allclose(dense_spectrum(op).eigenvalues,
+                               np.linalg.eigvalsh(op.to_dense()), atol=1e-12)
+    monkeypatch.setattr(spectral, "_symmetry_blocks", lambda op, floor: split_by(bad))
+    with pytest.raises(spectral.SpectralError, match="couples symmetry blocks"):
+        dense_spectrum(op)
+
+
+def test_dense_route_keeps_one_block_when_the_operator_couples_parities(diamond):
+    # i c_0 c_1 c_2 is odd: no Z-string split survives, not even parity
+    odd = MajoranaPolynomial.monomial((0, 1, 2), 0.3j)
+    op = to_matrix(build_hamiltonian(diamond, 0.1) + odd, diamond.n_modes)
+    spec = dense_spectrum(op)
+    assert spec.blocks.shape == (1, op.dim)
+    np.testing.assert_array_equal(spec.blocks[0], np.arange(op.dim))
+    assert np.abs(spec.eigenvalues
+                  - np.linalg.eigvalsh(op.to_dense())).max() <= 1e-12
+
+
+def _canonical_per_pivot(basis):
+    """canonical_subspace_basis as it was before the one product q @ C:
+    one q @ c over all of q per pivot, phase fixed column by column."""
+    q, _ = np.linalg.qr(basis)
+    coeffs, out = [], []
+    for i in np.flatnonzero(np.linalg.norm(q, axis=1) > 1e-8):
+        c = q[i, :].conj().copy()
+        for a in coeffs:
+            c -= a * (a.conj() @ c)
+        nrm = np.linalg.norm(c)
+        if nrm <= 1e-8:
+            continue
+        c /= nrm
+        coeffs.append(c)
+        v = q @ c
+        j = int(np.argmax(np.abs(v) > 1e-10))
+        v *= v[j].conjugate() / abs(v[j])
+        out.append(v)
+        if len(out) == q.shape[1]:
+            break
+    return np.column_stack(out)
+
+
+@pytest.mark.parametrize("lam", [0, 0.1])
+def test_canonical_basis_matches_the_per_pivot_products(diamond, lam):
+    rng = np.random.default_rng(5)
+    op = to_matrix(build_hamiltonian(diamond, lam), diamond.n_modes)
+    b = ground_space(op).basis
+    q, _ = np.linalg.qr(rng.normal(size=(b.shape[1],) * 2)
+                        + 1j * rng.normal(size=(b.shape[1],) * 2))
+    mixed = b @ q
+    assert np.abs(canonical_subspace_basis(mixed)
+                  - _canonical_per_pivot(mixed)).max() <= 1e-13
+
+
 def test_ground_space_regression_lambda_01(diamond):
     op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
     gs = ground_space(op)

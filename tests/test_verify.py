@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from vortexcert.clifford import MajoranaPolynomial, multiply, reflect
-from vortexcert.fock import to_matrix
+from vortexcert.fock import monomial_pauli, to_matrix
 from vortexcert.lattice import build_lattice, reflection_data
 from vortexcert.model import build_hamiltonian, vortex_operator
 from vortexcert.spectral import (
     SpectralError,
     dense_spectrum,
     ground_space,
+    pauli_table,
     rp_functional,
     rp_gram,
     thermal_expectation,
@@ -245,6 +246,109 @@ def test_check_rp_gram_failure_beyond_the_samples(diamond, diamond_mirror):
     assert rep.worst["witness"].startswith("g:min A = ")
     assert abs(rep.worst["value_re"] - lam_min) <= 1e-12
     assert rep.worst["value_re"] < sample_min
+
+
+def _full_space_gram(keys, r, op, beta):
+    """G_ij = Tr(m_i theta(m_j) rho) with rho from one full-space eigh and
+    both monomials as Fock operators: no blocks, no Pauli table."""
+    w, v = np.linalg.eigh(op.to_dense())
+    weights = np.exp(-beta * (w - w[0]))
+    rho = (v * (weights / weights.sum())) @ v.conj().T
+    n_modes = op.n_modes
+    rows = np.arange(op.dim)
+    gram = np.empty((len(keys), len(keys)), dtype=complex)
+    left = [to_matrix(MajoranaPolynomial.monomial(k), n_modes) for k in keys]
+    for j, key in enumerate(keys):
+        # theta(m_j) rho, then Tr(m_i X) over the one slot of the signed
+        # permutation m_i
+        x = to_matrix(reflect(MajoranaPolynomial.monomial(key), r.sigma),
+                      n_modes).apply(rho)
+        gram[:, j] = [(m.values[0] * x[m.cols[0], rows]).sum() for m in left]
+    return gram
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("mirror", [("x", 1), ("y", 2)])
+def test_block_rp_gram_is_the_full_space_gram(diamond, parity, mirror):
+    r = reflection_data(diamond, *mirror)
+    keys = _monomial_keys(r, parity, 4)
+    op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
+    spec = dense_spectrum(op)
+    span = {0}
+    for s in np.unique((op.cols ^ np.arange(op.dim))[op.values != 0]).tolist():
+        span |= {v ^ s for v in span}
+    x = [monomial_pauli(k, op.n_modes)[0] for k in keys]
+    x_t = [monomial_pauli([r.sigma(i) for i in k], op.n_modes)[0] for k in keys]
+    off = np.array([[a ^ b not in span for b in x_t] for a in x])
+    for beta in (0, 1, 5):
+        g = rp_gram(keys, r, spec, beta)
+        want = _full_space_gram(keys, r, op, beta)
+        assert np.abs(g - want).max() <= 1e-13
+        # an entry whose x strings differ off the span of H's masks is an
+        # exact zero of the block table
+        assert off.any() and (g[off] == 0).all()
+
+
+def test_rp_gram_reads_a_shared_pauli_table(diamond, diamond_mirror):
+    spec = dense_spectrum(to_matrix(build_hamiltonian(diamond, 0.1),
+                                    diamond.n_modes))
+    table = pauli_table(spec, 1.0)
+    assert table.table.shape == (256, 16)  # dim x |span|
+    for parity in ("even", "odd"):
+        keys = _monomial_keys(diamond_mirror, parity, 4)
+        np.testing.assert_array_equal(rp_gram(keys, diamond_mirror, table, 1.0),
+                                      rp_gram(keys, diamond_mirror, spec, 1.0))
+        shared = check_rp(diamond, diamond_mirror, 0.1, 1.0, parity=parity,
+                          spectrum=spec, table=table)
+        alone = check_rp(diamond, diamond_mirror, 0.1, 1.0, parity=parity,
+                         spectrum=spec)
+        assert shared.to_dict(False) == alone.to_dict(False)
+        assert shared.sidecar == alone.sidecar
+    with pytest.raises(ValueError, match="beta"):
+        rp_gram(keys, diamond_mirror, table, 5.0)
+
+
+def test_check_rp_computes_gram_eigenvectors_only_for_a_failing_gram(
+        diamond, diamond_mirror, diamond_spectra, monkeypatch):
+    # -H at beta = 5 fails on G alone (see above)
+    failing = dense_spectrum(to_matrix(-build_hamiltonian(diamond, 0.5),
+                                       diamond.n_modes))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, count=0,
+                   spectrum=diamond_spectra[0.1])
+    assert rep.verdict == "pass" and calls == []
+    keys = _monomial_keys(diamond_mirror, "even", 4)
+    lam_min = np.linalg.eigvalsh(rp_gram(keys, diamond_mirror,
+                                         diamond_spectra[0.1], 1.0))[0]
+    assert abs(rep.sidecar["lambda_min"] - lam_min) <= 1e-14
+    rep = check_rp(diamond, diamond_mirror, 0.5, 5.0, count=0,
+                   spectrum=failing, tol=1.0)
+    assert rep.worst["witness"].startswith("g:min") and calls == [(99, 99)]
+
+
+def test_diamond_certify_never_densifies_the_full_operator(tmp_path, monkeypatch,
+                                                           diamond):
+    from vortexcert import cli
+    from vortexcert.fock import SparseOperator
+
+    dims = []
+    to_dense = SparseOperator.to_dense
+
+    def recording(self):
+        dims.append(self.dim)
+        return to_dense(self)
+
+    monkeypatch.setattr(SparseOperator, "to_dense", recording)
+    out = tmp_path / "c.json"
+    assert cli.main(["certify", "--out", str(out)]) == 0
+    assert 1 << diamond.n_modes not in dims
 
 
 def test_topological_order_verdicts(diamond, diamond_spectra):
