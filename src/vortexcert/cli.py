@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .fock import DENSE_DIM_CAP, to_matrix
+from .fock import DENSE_DIM_CAP, PauliSum, to_matrix
 from .lattice import (
     IslandLattice,
     LatticeError,
@@ -371,14 +371,15 @@ def _report(check, lat, params, tolerances, verdict, worst, ms) -> CheckReport:
 
 def _solve(lat: IslandLattice, lam: float, cfg: dict):
     """(dense Spectrum, None) up to the dense cap, else (None, Lanczos
-    GroundSpace): the one place a Hamiltonian is diagonalized."""
+    GroundSpace): the one place a Hamiltonian is diagonalized.  Lanczos
+    builds only the blocks it solves, from H's Pauli strings."""
     # Fock basis indices are int64, so 2**n_modes must fit one
     _require(lat.n_modes <= 62, "lattice",
              f"{lat.n_modes} modes exceed the 62 an int64 Fock index allows")
-    op = to_matrix(build_hamiltonian(lat, lam), lat.n_modes)
-    if op.dim <= DENSE_DIM_CAP:
-        return dense_spectrum(op), None
-    return None, lanczos_ground(op, seed=cfg["seed"],
+    h = build_hamiltonian(lat, lam)
+    if 1 << lat.n_modes <= DENSE_DIM_CAP:
+        return dense_spectrum(to_matrix(h, lat.n_modes)), None
+    return None, lanczos_ground(PauliSum(h, lat.n_modes), seed=cfg["seed"],
                                 gap_tol=cfg["tolerances"]["gap"])
 
 
@@ -576,13 +577,18 @@ def _round_ms(timings: dict) -> dict:
 
 
 def _sidecar(timings: dict, ground=None, spectrum=None, **extra) -> dict:
-    """Timestamp, timings (ms, nested dicts allowed), the Lanczos
-    diagnostics of `ground`, if any, the symmetry blocks of a dense
-    `spectrum`, if any, and every non-empty `extra` entry (RP
-    diagnostics)."""
+    """Timestamp, timings (ms, nested dicts allowed), the process's peak
+    resident set so far (MB), the Lanczos diagnostics of `ground`, if
+    any, the symmetry blocks of a dense `spectrum`, if any, and every
+    non-empty `extra` entry (RP diagnostics)."""
+    # imported once the work is done, so that it adds nothing to the peak
+    from resource import RUSAGE_SELF, getrusage
+
     out = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "timings_ms": _round_ms(timings),
+        # ru_maxrss counts KB on Linux
+        "peak_rss_mb": round(getrusage(RUSAGE_SELF).ru_maxrss / 1024, 3),
     }
     # solver diagnostics vary with BLAS round-off, so they stay here
     if ground is not None and ground.matvecs:

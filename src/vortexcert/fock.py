@@ -12,10 +12,11 @@ so every monomial is a Pauli string i^c X^x Z^z, kept as the integers
 (x, z, c) of `monomial_pauli`: it sends basis state n to n ^ x with
 amplitude i^c (-1)^popcount(n & z), a signed permutation with exactly
 one entry per row and column, values in {+-1, +-i} times the
-coefficient.  Operators are assembled by composing bit-flip/phase maps
-column by column, never by generic sparse-sparse products, and kept as
-numpy arrays of fixed-width rows, one slot per bit-flip mask
-(`SparseOperator`).
+coefficient.  A `PauliSum` groups a polynomial's strings by bit-flip
+mask and builds operators from them on any set of states every mask
+maps to itself (the whole space in `to_matrix`, or a symmetry block),
+row chunk by row chunk, never by generic sparse-sparse products, as
+numpy arrays of fixed-width rows, one slot per mask (`SparseOperator`).
 
 Dense arrays are only materialized up to ``DENSE_DIM_CAP``; beyond that
 callers get the gather product of `SparseOperator`.
@@ -28,6 +29,8 @@ import numpy as np
 from .clifford import MajoranaPolynomial
 
 DENSE_DIM_CAP = 4096
+# rows a PauliSum builds at once: its slot arrays are (masks, ROW_CHUNK)
+ROW_CHUNK = 4096
 
 _PHASES = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
 
@@ -73,6 +76,24 @@ def monomial_action(indices, n_modes: int):
     return n ^ x, (c + 2 * _bit_parity(n & z)) & 3
 
 
+def _row_floors(cols: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Lower end of each row's Gershgorin disc, Re H_ii - sum_{j != i} |H_ij|,
+    from the (k, len(rows)) slots of `rows` in any order.
+
+    The diagonal is the slot whose column is the row itself, and zero
+    padding adds nothing.  Every eigenvalue of a Hermitian block lies in
+    the union of its rows' discs, so the least floor over an invariant
+    block's rows bounds its spectrum from below.  Each floor is lowered by
+    (k + 2) eps times its row's absolute sum, which covers the round-off
+    of the sums in any order.
+    """
+    diag = cols == rows
+    centre = np.where(diag, values.real, 0).sum(axis=0)
+    radius = np.where(diag, 0, np.abs(values)).sum(axis=0)
+    slack = (len(cols) + 2) * np.finfo(float).eps * (np.abs(centre) + radius)
+    return centre - radius - slack
+
+
 class SparseOperator:
     """Fixed-width-row (ELL) operator on the Fock space of n modes.
 
@@ -105,6 +126,17 @@ class SparseOperator:
     @property
     def nnz(self) -> int:
         return int(np.count_nonzero(self.values))
+
+    @property
+    def masks(self) -> np.ndarray:
+        """The distinct bit masks row ^ column of the non-zero entries,
+        ascending; zero slots are padding and are not read."""
+        stored = (self.cols ^ np.arange(self.dim, dtype=np.int64))[self.values != 0]
+        return np.flatnonzero(np.bincount(stored, minlength=self.dim))
+
+    def floors(self) -> np.ndarray:
+        """Each row's Gershgorin floor (`_row_floors`)."""
+        return _row_floors(self.cols, self.values, np.arange(self.dim))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """O x for a vector or a (dim, n) block of columns.  Every row's
@@ -155,37 +187,79 @@ class SparseOperator:
                               np.where(inside, self.values[:, idx], 0))
 
 
+class PauliSum:
+    """A polynomial's Pauli strings grouped by bit-flip mask: `terms` maps
+    each mask x to the (z, c, coefficient) of its strings i^c X^x Z^z
+    (`monomial_pauli`), in term order.  Row i of an operator built from
+    them has one slot per mask, in column i ^ x.  The strings of a mask
+    have distinct Z characters, which cannot cancel everywhere, so a mask
+    has a slot unless all its coefficients round to zero.
+    """
+
+    __slots__ = ("poly", "n_modes", "dim", "terms")
+
+    def __init__(self, poly: MajoranaPolynomial, n_modes: int):
+        terms: dict[int, list] = {}
+        for key, coeff in poly.terms().items():
+            x, z, c = monomial_pauli(key, n_modes)
+            terms.setdefault(x, []).append((z, c, complex(coeff)))
+        self.poly, self.n_modes, self.dim = poly, n_modes, 1 << n_modes
+        self.terms = {x: t for x, t in terms.items() if any(a for _, _, a in t)}
+
+    @property
+    def masks(self) -> np.ndarray:
+        return np.array(sorted(self.terms), dtype=np.int64)
+
+    def hermiticity_defect(self) -> float:
+        """The largest coefficient of p - p^dagger: 0 exactly if Hermitian."""
+        return (self.poly - self.poly.adjoint()).max_abs_coeff()
+
+    def _slots(self, rows: np.ndarray):
+        """(cols, values) of `rows`, one slot row per mask; in each mask
+        the first string assigns and the later ones add, in term order."""
+        cols = rows ^ np.array(list(self.terms), dtype=np.int64).reshape(-1, 1)
+        values = np.empty(cols.shape, dtype=np.complex128)
+        for col, out, strings in zip(cols, values, self.terms.values()):
+            for j, (z, c, a) in enumerate(strings):
+                entry = a * _PHASES[(c + 2 * _bit_parity(col & z)) & 3]
+                out[:] = out + entry if j else entry
+        return cols, values
+
+    def floors(self) -> np.ndarray:
+        """Every state's Gershgorin floor (`_row_floors`), from the slots
+        of ROW_CHUNK rows at a time, each dropped once read."""
+        rows = np.arange(self.dim, dtype=np.int64)
+        chunks = np.split(rows, range(ROW_CHUNK, self.dim, ROW_CHUNK))
+        return np.concatenate([_row_floors(*self._slots(r), r) for r in chunks])
+
+    def block(self, rows: np.ndarray) -> SparseOperator:
+        """The operator on the Fock states `rows` (ascending, 2**m of them)
+        in their own coordinates, each row's slots in column order, built
+        ROW_CHUNK rows at a time.  An entry leaving `rows` raises ValueError."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.empty((len(self.terms), len(rows)), dtype=np.int64)
+        values = np.empty(cols.shape, dtype=np.complex128)
+        for start in range(0, len(rows), ROW_CHUNK):
+            part = slice(start, start + ROW_CHUNK)
+            c, v = self._slots(rows[part])
+            # ascending columns in every row: a product sums each row in
+            # column order, whatever order the terms came in
+            order = np.argsort(c, axis=0, kind="stable")
+            c = np.take_along_axis(c, order, axis=0)
+            if len(rows) < self.dim:  # on every state a column is its own place
+                local = np.searchsorted(rows, c)
+                leaves = rows.take(local, mode="clip") != c
+                if leaves.any():
+                    j, i = np.argwhere(leaves)[0]
+                    raise ValueError(f"entry ({rows[part][i]}, {c[j, i]}) leaves "
+                                     f"the {len(rows)} rows of the block")
+                c = local
+            cols[:, part] = c
+            values[:, part] = np.take_along_axis(v, order, axis=0)
+        return SparseOperator(cols, values)
+
+
 def to_matrix(poly: MajoranaPolynomial, n_modes: int) -> SparseOperator:
-    """ELL operator of a polynomial: each row has one slot per bit-flip
-    mask of its terms; terms that share a mask are summed, so coincident
-    entries accumulate exactly once."""
-    dim = 1 << n_modes
-    support = poly.support()
-    if support and max(support) >= 2 * n_modes:
-        raise ValueError(
-            f"polynomial touches generator {max(support)}; only {2 * n_modes} exist"
-        )
-    # every monomial with the same mask s shares its permutation
-    # n -> n ^ s, so its values fold into one array
-    by_mask: dict[int, np.ndarray] = {}
-    for key, coeff in poly.terms().items():
-        perm, exp = monomial_action(key, n_modes)
-        mask = int(perm[0])  # perm[n] == n ^ mask
-        vals = complex(coeff) * _PHASES[exp]
-        if mask in by_mask:
-            by_mask[mask] += vals
-        else:
-            by_mask[mask] = vals
-    # terms of one mask that cancel everywhere leave no slot row
-    masks = [m for m, vals in by_mask.items() if vals.any()]
-    rows = np.arange(dim, dtype=np.int64)
-    cols = rows[None, :] ^ np.array(masks, dtype=np.int64).reshape(-1, 1)
-    # the values are in column form: row i of mask s reads column i ^ s
-    values = np.array([by_mask[m] for m in masks],
-                      dtype=np.complex128).reshape(-1, dim)
-    values = np.take_along_axis(values, cols, axis=1)
-    # ascending columns in every row: a product sums each row in column
-    # order, whatever order the terms came in
-    order = np.argsort(cols, axis=0, kind="stable")
-    return SparseOperator(np.take_along_axis(cols, order, axis=0),
-                          np.take_along_axis(values, order, axis=0))
+    """ELL operator of a polynomial on the whole Fock space: one slot per
+    bit-flip mask, the terms of a mask summed once (`PauliSum.block`)."""
+    return PauliSum(poly, n_modes).block(np.arange(1 << n_modes, dtype=np.int64))

@@ -19,8 +19,9 @@ first level above the ground cluster.  Its Krylov basis and the
 deflated vectors are stored row-major, one vector per row, so every
 Gram-Schmidt pass is a pair of contiguous matrix-vector products that
 conjugate only the new vector, never the basis.  It runs in the same
-Z-string blocks, each the `SparseOperator.block` of H, so its products
-are the same numpy gathers as the full operator's.  The fermion parity
+Z-string blocks, and builds the operator of a block, a `SparseOperator`
+of numpy gathers, only when it first solves there: from a `PauliSum`
+the full-space operator is never built.  The fermion parity
 (-1)^N is the first split, and further strings halve the blocks only
 while each keeps SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the
 4x4 torus: short vectors, a Krylov basis that fits in cache); the
@@ -53,6 +54,7 @@ from .clifford import MajoranaPolynomial, multiply, reflect  # noqa: F401
 from .fock import (
     _PHASES,
     DENSE_DIM_CAP,
+    PauliSum,
     SparseOperator,
     _bit_parity,
     monomial_pauli,
@@ -147,6 +149,12 @@ def default_gap_tol(e0: float) -> float:
     return 1e-8 * max(1.0, abs(e0))
 
 
+def _require_hermitian(op) -> None:
+    defect = op.hermiticity_defect()
+    if defect > HERMITICITY_TOL:
+        raise NonHermitianError(f"hermiticity defect {defect:.3e}")
+
+
 def dense_spectrum(op: SparseOperator) -> Spectrum:
     """Every eigenpair, from one batched `eigh` of the Z-string blocks.
 
@@ -158,9 +166,7 @@ def dense_spectrum(op: SparseOperator) -> Spectrum:
     """
     if op.dim > DENSE_DIM_CAP:
         raise DenseCapError(f"dim {op.dim} exceeds the dense cap {DENSE_DIM_CAP}")
-    defect = op.hermiticity_defect()
-    if defect > HERMITICITY_TOL:
-        raise NonHermitianError(f"hermiticity defect {defect:.3e}")
+    _require_hermitian(op)
     blocks = _symmetry_blocks(op, floor=1)
     count, size = blocks.shape
     label = np.empty(op.dim, dtype=np.int64)  # block of each state
@@ -390,7 +396,8 @@ def _echelon_insert(rows: dict, v: int) -> bool:
     return True
 
 
-def _symmetry_blocks(op: SparseOperator, floor: int | None = None) -> np.ndarray:
+def _symmetry_blocks(op: SparseOperator | PauliSum,
+                     floor: int | None = None) -> np.ndarray:
     """Basis indices of the diagonal symmetry blocks, one row per block.
 
     Every stored entry of the matrix sits at (n, n ^ s) for a bit mask s.
@@ -406,11 +413,10 @@ def _symmetry_blocks(op: SparseOperator, floor: int | None = None) -> np.ndarray
     annihilator, so its block of state 0 is the span of the masks), so
     each block has 2^m states and a definite parity.  An operator that
     couples the parities is the one block.  The test is structural, so
-    it is exact: zero slots are padding and are not read.
+    it is exact: it reads only `op.masks`.
     """
     full = np.arange(op.dim, dtype=np.int64)
-    stored = (op.cols ^ full)[op.values != 0]
-    masks = np.flatnonzero(np.bincount(stored, minlength=op.dim))
+    masks = op.masks
     if op.n_modes < 1 or _bit_parity(masks).any():
         return full[None, :]
     span: dict = {}
@@ -435,35 +441,21 @@ def _symmetry_blocks(op: SparseOperator, floor: int | None = None) -> np.ndarray
     return np.argsort(labels, kind="stable").reshape(1 << len(gens), -1)
 
 
-def _row_floors(op: SparseOperator) -> np.ndarray:
-    """Lower end of each row's Gershgorin disc, Re H_ii - sum_{j != i} |H_ij|.
-
-    The diagonal is the slot whose column is the row itself, and zero
-    padding adds nothing.  Every eigenvalue of a Hermitian block lies in
-    the union of its rows' discs, so the least floor over an invariant
-    block's rows bounds its spectrum from below.  Each floor is lowered by
-    (k + 2) eps times its row's absolute sum, for k slots per row, which
-    covers the round-off of the sums.
-    """
-    diag = op.cols == np.arange(op.dim)
-    centre = np.where(diag, op.values.real, 0).sum(axis=0)
-    radius = np.where(diag, 0, np.abs(op.values)).sum(axis=0)
-    slack = (len(op.cols) + 2) * np.finfo(float).eps * (np.abs(centre) + radius)
-    return centre - radius - slack
-
-
-def lanczos_ground(op: SparseOperator, k: int = 1, seed: int = 0,
+def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
                    gap_tol: float | None = None, conv_tol: float = 1e-9,
                    max_matvecs: int = 60000, window: int = 64) -> GroundSpace:
     """Ground cluster via deflated Lanczos, closed by the solver itself.
 
-    Runs inside the Z-string symmetry blocks of `_symmetry_blocks`: the
-    two fermion-parity blocks, split further while the blocks stay at
+    Reads only the `dim`, `masks`, row `floors`, Hermiticity defect
+    (NonHermitianError above HERMITICITY_TOL) and block operators
+    (`block`) of `op`, a SparseOperator or a PauliSum.  Runs inside the
+    Z-string symmetry blocks of `_symmetry_blocks`: the two fermion-parity
+    blocks, split further while the blocks stay at
     least SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the 4x4
     torus), or one block if the operator couples the parities.  Each
     block has a lower bound: its last-found eigenvalue, since its later
     ones lie above it, or before its first solve its Gershgorin floor
-    (`_row_floors`).  Each step finds one more eigenpair, deflated
+    (`op.floors()`).  Each step finds one more eigenpair, deflated
     against the earlier ones of its block, in the block whose bound is
     lowest (ties in block order), and a value found is certified once it
     is <= the bound of every block with states left.  The search stops
@@ -471,7 +463,7 @@ def lanczos_ground(op: SparseOperator, k: int = 1, seed: int = 0,
     cluster cut (E0 + gap_tol, clustered exactly as ground_space does),
     or once every state is found; k is only a floor.  A block whose floor
     lies above that certified prefix is closed without a solve, and its
-    block operator is never built.  One RNG and one matvec budget are
+    operator is never built.  One RNG and one matvec budget are
     shared in that fixed order, so results are deterministic.  The
     reported eigenvalues are the shortest certified prefix that meets
     the rule, max(k, n + 1) of them for a cluster of n: the cluster and
@@ -482,10 +474,11 @@ def lanczos_ground(op: SparseOperator, k: int = 1, seed: int = 0,
     """
     if k < 1 or k > op.dim:
         raise ValueError(f"k must be in 1..{op.dim}")
+    _require_hermitian(op)
     rng = np.random.default_rng(seed)
     blocks = _symmetry_blocks(op)
     size = blocks.shape[1]
-    floors = _row_floors(op)[blocks].min(axis=1)
+    floors = op.floors()[blocks].min(axis=1)
     ops: dict[int, SparseOperator] = {}
     found: list[list[tuple[float, np.ndarray, float]]] = [[] for _ in blocks]
     budget = max_matvecs

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vortexcert import build_lattice, diamond_lattice, reflection_data
-from vortexcert.fock import SparseOperator
+from vortexcert.fock import _PHASES, SparseOperator, monomial_action
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -53,6 +53,40 @@ def oracle_matrix(poly, n_modes: int) -> np.ndarray:
             c = complex(float(coeff))
         acc += c * term
     return acc
+
+
+def column_form_to_matrix(poly, n_modes: int) -> SparseOperator:
+    """The ELL operator of a polynomial as `to_matrix` built it before it
+    read Pauli strings row by row: each mask's values over the whole space
+    in column form, then gathered into rows and sorted by column.  Kept as
+    the reference the row-chunked build must match bit for bit."""
+    dim = 1 << n_modes
+    by_mask: dict[int, np.ndarray] = {}
+    for key, coeff in poly.terms().items():
+        perm, exp = monomial_action(key, n_modes)
+        mask = int(perm[0])  # perm[n] == n ^ mask
+        vals = complex(coeff) * _PHASES[exp]
+        if mask in by_mask:
+            by_mask[mask] += vals
+        else:
+            by_mask[mask] = vals
+    masks = [m for m, vals in by_mask.items() if vals.any()]
+    rows = np.arange(dim, dtype=np.int64)
+    cols = rows[None, :] ^ np.array(masks, dtype=np.int64).reshape(-1, 1)
+    values = np.array([by_mask[m] for m in masks],
+                      dtype=np.complex128).reshape(-1, dim)
+    values = np.take_along_axis(values, cols, axis=1)
+    order = np.argsort(cols, axis=0, kind="stable")
+    return SparseOperator(np.take_along_axis(cols, order, axis=0),
+                          np.take_along_axis(values, order, axis=0))
+
+
+def assert_same_operator(a: SparseOperator, b: SparseOperator) -> None:
+    """Equal slots, bit for bit: columns, values and the signs of zeros."""
+    assert np.array_equal(a.cols, b.cols)
+    assert np.array_equal(a.values, b.values)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(a.values)), np.signbit(part(b.values)))
 
 
 def dense_operator(m) -> SparseOperator:

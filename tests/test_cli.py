@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from vortexcert.cli import (
     main,
     resolve_config,
 )
-from vortexcert.fock import to_matrix
+from vortexcert.fock import SparseOperator, to_matrix
 from vortexcert.model import build_hamiltonian
 from vortexcert.spectral import dense_spectrum
 
@@ -374,6 +375,53 @@ def test_certify_repeats_byte_identical(tmp_path):
         d.pop("sidecar")
         stripped.append(json.dumps(d, indent=2, sort_keys=True))
     assert stripped[0] == stripped[1]
+
+
+def test_every_json_sidecar_reports_the_peak_resident_set(tmp_path):
+    # like the timings it varies from run to run, so it lives in the
+    # sidecar only and the stripped payload repeats byte for byte
+    for argv in (["certify", *FAST], ["vortex-map"], ["spectrum"],
+                 ["sweep", "--beta", "1", *FAST]):
+        stripped = []
+        for name in ("a.json", "b.json"):
+            code, payload = _run_json(tmp_path, argv, name)
+            assert code == 0
+            assert payload.pop("sidecar")["peak_rss_mb"] > 0
+            stripped.append(json.dumps(payload, sort_keys=True))
+        assert "peak_rss_mb" not in stripped[0]
+        assert stripped[0] == stripped[1], argv
+
+
+TORUS = ["--lx", "4", "--ly", "4", "--boundary", "periodic"]
+
+
+def test_torus_solve_stays_within_its_memory_budget(torus_4x4):
+    # the operator on all 65,536 states would hold 27 MB of slots alone;
+    # Lanczos builds only the blocks it solves (about 20 MB at the peak)
+    cfg = _resolve(["certify", *TORUS])
+    tracemalloc.start()
+    try:
+        cli._solve(torus_4x4, 0.1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_torus_certify_builds_no_full_space_hamiltonian(tmp_path, monkeypatch):
+    # the only operators on all 65,536 states are the one-slot loops
+    shapes = []
+    init = SparseOperator.__init__
+
+    def recording(self, cols, values):
+        init(self, cols, values)
+        shapes.append(self.cols.shape)
+
+    monkeypatch.setattr(SparseOperator, "__init__", recording)
+    code, _ = _run_json(tmp_path, ["certify", *TORUS])
+    assert code == 0
+    full = [slots for slots, dim in shapes if dim == 1 << 16]
+    assert full and max(full) == 1
 
 
 def test_expect_fail_set_semantics(tmp_path):

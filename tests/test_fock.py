@@ -1,20 +1,35 @@
 """Fock-space representation against the independent Kronecker oracle."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vortexcert.clifford import EXACT_I, EXACT_ONE, MajoranaPolynomial
+from vortexcert import build_lattice, diamond_lattice
+from vortexcert.clifford import (
+    EXACT_I,
+    EXACT_ONE,
+    GaussianRational,
+    MajoranaPolynomial,
+)
 from vortexcert.fock import (
     DENSE_DIM_CAP,
+    PauliSum,
     SparseOperator,
     monomial_action,
     monomial_pauli,
     to_matrix,
 )
+from vortexcert.model import build_hamiltonian, vortex_operator
 
-from conftest import diagonal_operator, oracle_majorana, oracle_matrix
+from conftest import (
+    assert_same_operator,
+    column_form_to_matrix,
+    diagonal_operator,
+    oracle_majorana,
+    oracle_matrix,
+)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3])
@@ -108,6 +123,50 @@ def test_coincident_masks_accumulate():
     one = to_matrix(p, 1)
     assert one.nnz == 1
     np.testing.assert_array_equal(one.to_dense(), np.diag([0, 2]))
+
+
+_LATTICES = {"diamond": diamond_lattice(),
+             "open-3x4": build_lattice(3, 4, "open"),
+             "torus-4x4": build_lattice(4, 4, "periodic")}
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("name", list(_LATTICES))
+def test_to_matrix_is_the_column_form_build(name, lam):
+    lat = _LATTICES[name]
+    h = build_hamiltonian(lat, lam)
+    assert_same_operator(to_matrix(h, lat.n_modes),
+                         column_form_to_matrix(h, lat.n_modes))
+
+
+@pytest.mark.parametrize("name", list(_LATTICES))
+def test_loop_operators_are_the_column_form_build(name):
+    lat = _LATTICES[name]
+    for o in lat.octagons:
+        w = vortex_operator(lat, o).W
+        assert_same_operator(to_matrix(w, lat.n_modes),
+                             column_form_to_matrix(w, lat.n_modes))
+
+
+def test_a_mask_whose_coefficients_round_to_zero_has_no_slot_row():
+    # 1 and i c0 c1 share the zero mask; at 10**-400 both coefficients
+    # round to 0.0, so that mask's values vanish everywhere
+    tiny = Fraction(1, 10**400)
+    p = MajoranaPolynomial({(): tiny, (0, 1): GaussianRational(0, tiny), (0,): 1})
+    assert len(p) == 3
+    op = to_matrix(p, 2)
+    assert len(op.cols) == 1
+    assert_same_operator(op, column_form_to_matrix(p, 2))
+    np.testing.assert_array_equal(PauliSum(p, 2).masks, [1])
+
+
+def test_block_refuses_rows_a_mask_leaves():
+    # c0 flips mode 0, so {0, 2} is not closed: state 0 reaches state 1
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) leaves the 2 rows"):
+        PauliSum(MajoranaPolynomial.generator(0), 2).block(np.array([0, 2]))
+    # the modes it does not flip close it
+    op = PauliSum(MajoranaPolynomial.generator(2), 2).block(np.array([0, 2]))
+    np.testing.assert_array_equal(op.to_dense(), [[0, 1], [1, 0]])
 
 
 def test_to_matrix_rejects_out_of_range_generators():

@@ -24,10 +24,10 @@ from vortexcert.clifford import (
     multiply,
     reflect,
 )
-from vortexcert.fock import to_matrix
+from vortexcert.fock import PauliSum, SparseOperator, to_matrix
 from vortexcert.model import build_hamiltonian
 
-from conftest import oracle_matrix
+from conftest import assert_same_operator, column_form_to_matrix, oracle_matrix
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
                              database=None)
@@ -73,6 +73,14 @@ def test_to_matrix_is_a_homomorphism(case):
     assert np.allclose(product, mp @ mq, atol=1e-9)
     total = to_matrix(c * p + q, n_modes).to_dense()
     assert np.allclose(total, c * mp + mq, atol=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), polynomials(n))))
+def test_to_matrix_is_the_column_form_build(case):
+    n_modes, p = case
+    assert_same_operator(to_matrix(p, n_modes), column_form_to_matrix(p, n_modes))
 
 
 @PROPERTY_SETTINGS
@@ -219,8 +227,10 @@ def _floors_bound_the_blocks(row_floors, h, n_modes):
 @given(even_cases(max_modes=5))
 def test_gershgorin_floors_bound_every_block(case):
     n_modes, p = case
-    assert _floors_bound_the_blocks(spectral._row_floors, p + adjoint(p),
-                                    n_modes)
+    h = p + adjoint(p)
+    assert _floors_bound_the_blocks(SparseOperator.floors, h, n_modes)
+    assert _floors_bound_the_blocks(
+        lambda op: PauliSum(h, n_modes).floors(), h, n_modes)
 
 
 _DIAMOND_LAMBDAS = [0.0, 0.1, 0.5]
@@ -228,9 +238,10 @@ _DIAMOND_LAMBDAS = [0.0, 0.1, 0.5]
 
 @pytest.mark.parametrize("lam", _DIAMOND_LAMBDAS)
 def test_gershgorin_floors_bound_the_diamond_blocks(diamond, lam):
-    assert _floors_bound_the_blocks(spectral._row_floors,
-                                    build_hamiltonian(diamond, lam),
-                                    diamond.n_modes)
+    h, n_modes = build_hamiltonian(diamond, lam), diamond.n_modes
+    assert _floors_bound_the_blocks(SparseOperator.floors, h, n_modes)
+    assert _floors_bound_the_blocks(
+        lambda op: PauliSum(h, n_modes).floors(), h, n_modes)
 
 
 def test_a_floor_without_the_off_diagonal_sum_fails(diamond):

@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 
 from vortexcert import build_lattice, spectral
 from vortexcert.clifford import MajoranaPolynomial
-from vortexcert.fock import SparseOperator, to_matrix
+from vortexcert.fock import PauliSum, SparseOperator, to_matrix
 from vortexcert.model import build_hamiltonian, vortex_operator
 from vortexcert.spectral import (
     DenseCapError,
@@ -22,7 +22,7 @@ from vortexcert.spectral import (
     thermal_expectation,
 )
 
-from conftest import dense_operator, diagonal_operator
+from conftest import assert_same_operator, dense_operator, diagonal_operator
 
 # dense-oracle regression values for the diamond lattice
 E0_DIAMOND_01 = -4.010037405062517
@@ -435,13 +435,14 @@ def test_torus_lanczos_levels_match_eigsh(torus_4x4):
         assert r <= 100 * conv_tol * max(1.0, abs(e))
 
 
-def test_torus_odd_blocks_close_by_their_floors(torus_4x4, monkeypatch):
-    # at lambda = 0.1 every odd block's Gershgorin floor (-7.6) lies above
-    # the ground cluster and the first level after it (-8.04), so only
-    # even blocks are built and solved; a scheduler that solved every
-    # block again would spend about twice the products pinned here
+def _only_even_torus_blocks_are_built(monkeypatch, op):
+    """Lanczos on the 4x4 torus at lambda = 0.1 from `op`, a SparseOperator
+    or a PauliSum: every odd block's Gershgorin floor (-7.6) lies above
+    the ground cluster and the first level after it (-8.04), so only even
+    blocks are built and solved; a scheduler that solved every block again
+    would spend about twice the products pinned here."""
     built = []
-    block = SparseOperator.block
+    block = type(op).block
 
     def recording_block(self, idx):
         out = block(self, idx)
@@ -455,9 +456,8 @@ def test_torus_odd_blocks_close_by_their_floors(torus_4x4, monkeypatch):
         solved.append(apply.__self__)
         return lowest(apply, *args)
 
-    monkeypatch.setattr(SparseOperator, "block", recording_block)
+    monkeypatch.setattr(type(op), "block", recording_block)
     monkeypatch.setattr(spectral, "_lowest_eigenpair", recording)
-    op = to_matrix(build_hamiltonian(torus_4x4, 0.1), torus_4x4.n_modes)
     lz = lanczos_ground(op, seed=0)
     assert lz.blocks == (16, 4096)
     assert len(built) == 8 and lz.closed_by_bound == 8
@@ -466,8 +466,56 @@ def test_torus_odd_blocks_close_by_their_floors(torus_4x4, monkeypatch):
     assert all(any(b is out for out, _ in built) for b in solved)
     assert lz.matvecs <= 500
     monkeypatch.undo()
+    return lz
+
+
+def test_torus_odd_blocks_close_by_their_floors(torus_4x4, monkeypatch):
+    op = to_matrix(build_hamiltonian(torus_4x4, 0.1), torus_4x4.n_modes)
+    lz = _only_even_torus_blocks_are_built(monkeypatch, op)
     e0s = [lanczos_ground(op, seed=s).e0 for s in range(1, 5)]
     assert max(abs(e - lz.e0) for e in e0s) <= 1e-8
+
+
+def test_torus_odd_blocks_close_by_their_floors_from_pauli_strings(
+        torus_4x4, monkeypatch):
+    # from the Hamiltonian's Pauli strings only the eight solved blocks
+    # are ever built, never the operator on all 65,536 states
+    _only_even_torus_blocks_are_built(
+        monkeypatch, PauliSum(build_hamiltonian(torus_4x4, 0.1),
+                              torus_4x4.n_modes))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
+def test_pauli_sum_blocks_are_the_operator_blocks_on_the_torus(torus_4x4, lam):
+    h = build_hamiltonian(torus_4x4, lam)
+    strings, op = PauliSum(h, torus_4x4.n_modes), to_matrix(h, torus_4x4.n_modes)
+    np.testing.assert_array_equal(strings.masks, op.masks)
+    blocks = spectral._symmetry_blocks(strings)
+    np.testing.assert_array_equal(blocks, spectral._symmetry_blocks(op))
+    for idx in blocks:
+        assert_same_operator(strings.block(idx), op.block(idx))
+
+
+def test_lanczos_from_pauli_strings_is_lanczos_from_the_operator(torus_4x4):
+    h = build_hamiltonian(torus_4x4, 0.1)
+    a = lanczos_ground(PauliSum(h, torus_4x4.n_modes), seed=0)
+    b = lanczos_ground(to_matrix(h, torus_4x4.n_modes), seed=0)
+    assert (a.e0, a.eigenvalues, a.residuals, a.matvecs, a.closed_by_bound,
+            a.parities, a.blocks) == (b.e0, b.eigenvalues, b.residuals,
+                                      b.matvecs, b.closed_by_bound,
+                                      b.parities, b.blocks)
+    assert np.array_equal(a.basis, b.basis)
+
+
+def test_an_anti_hermitian_operator_is_refused_on_every_route():
+    # (c0 c1)^dagger = c1 c0 = -c0 c1
+    p = MajoranaPolynomial.monomial((0, 1))
+    assert PauliSum(p, 2).hermiticity_defect() == 2.0
+    for solve in (lambda: lanczos_ground(PauliSum(p, 2)),
+                  lambda: lanczos_ground(to_matrix(p, 2)),
+                  lambda: dense_spectrum(to_matrix(p, 2))):
+        with pytest.raises(NonHermitianError, match="hermiticity defect"):
+            solve()
 
 
 def test_lanczos_with_loose_floors_visits_every_block(monkeypatch, diamond):
