@@ -36,6 +36,7 @@ from .lattice import (
     LatticeError,
     build_lattice,
     reflection_data,
+    translations,
 )
 from .model import (
     ModelError,
@@ -372,7 +373,8 @@ def _report(check, lat, params, tolerances, verdict, worst, ms) -> CheckReport:
 def _solve(lat: IslandLattice, lam: float, cfg: dict):
     """(dense Spectrum, None) up to the dense cap, else (None, Lanczos
     GroundSpace): the one place a Hamiltonian is diagonalized.  Lanczos
-    builds only the blocks it solves, from H's Pauli strings."""
+    builds only the blocks it solves, from H's Pauli strings, and solves
+    one block per orbit of the lattice translations."""
     # Fock basis indices are int64, so 2**n_modes must fit one
     _require(lat.n_modes <= 62, "lattice",
              f"{lat.n_modes} modes exceed the 62 an int64 Fock index allows")
@@ -380,7 +382,8 @@ def _solve(lat: IslandLattice, lam: float, cfg: dict):
     if 1 << lat.n_modes <= DENSE_DIM_CAP:
         return dense_spectrum(to_matrix(h, lat.n_modes)), None
     return None, lanczos_ground(PauliSum(h, lat.n_modes), seed=cfg["seed"],
-                                gap_tol=cfg["tolerances"]["gap"])
+                                gap_tol=cfg["tolerances"]["gap"],
+                                symmetries=translations(lat))
 
 
 class Evaluation(NamedTuple):
@@ -596,7 +599,8 @@ def _sidecar(timings: dict, ground=None, spectrum=None, **extra) -> dict:
                           "residuals": list(ground.residuals),
                           "parities": list(ground.parities),
                           "blocks": {"count": ground.blocks[0],
-                                     "dim": ground.blocks[1]},
+                                     "dim": ground.blocks[1],
+                                     "orbits": ground.orbits},
                           "closed_by_bound": ground.closed_by_bound,
                           "matvecs": ground.matvecs}
     if spectrum is not None:

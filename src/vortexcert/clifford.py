@@ -319,12 +319,22 @@ class MajoranaPolynomial:
             out[k] = c
         return MajoranaPolynomial._from_canonical(out)
 
+    def relabel(self, perm) -> "MajoranaPolynomial":
+        """Linear relabelling c_i -> c_perm[i]: each product's indices are
+        replaced in place (order preserved), then recanonicalized.  `perm`
+        is any sequence or mapping indexed by generator."""
+        return self._mapped(perm.__getitem__, conjugate=False)
+
     def reflect(self, rmap: ReflectionMap) -> "MajoranaPolynomial":
-        """Anti-unitary mirror image: conjugate the coefficient and relabel
-        indices in place (order preserved), then recanonicalize."""
+        """Anti-unitary mirror image: the relabelling by `rmap` with every
+        coefficient conjugated."""
+        return self._mapped(rmap, conjugate=True)
+
+    def _mapped(self, image, conjugate: bool) -> "MajoranaPolynomial":
         acc: dict[tuple, GaussianRational] = {}
         for k, c in self._terms.items():
-            key, coeff = canonicalize([rmap(i) for i in k], c.conjugate())
+            key, coeff = canonicalize([image(i) for i in k],
+                                      c.conjugate() if conjugate else c)
             acc[key] = acc[key] + coeff if key in acc else coeff
         return MajoranaPolynomial._from_canonical(acc)
 

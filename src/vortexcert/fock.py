@@ -134,9 +134,11 @@ class SparseOperator:
         stored = (self.cols ^ np.arange(self.dim, dtype=np.int64))[self.values != 0]
         return np.flatnonzero(np.bincount(stored, minlength=self.dim))
 
-    def floors(self) -> np.ndarray:
-        """Each row's Gershgorin floor (`_row_floors`)."""
-        return _row_floors(self.cols, self.values, np.arange(self.dim))
+    def floors(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The Gershgorin floor (`_row_floors`) of each of `rows`, in their
+        order (default every row)."""
+        rows = np.arange(self.dim) if rows is None else rows
+        return _row_floors(self.cols[:, rows], self.values[:, rows], rows)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """O x for a vector or a (dim, n) block of columns.  Every row's
@@ -225,11 +227,13 @@ class PauliSum:
                 out[:] = out + entry if j else entry
         return cols, values
 
-    def floors(self) -> np.ndarray:
-        """Every state's Gershgorin floor (`_row_floors`), from the slots
-        of ROW_CHUNK rows at a time, each dropped once read."""
-        rows = np.arange(self.dim, dtype=np.int64)
-        chunks = np.split(rows, range(ROW_CHUNK, self.dim, ROW_CHUNK))
+    def floors(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The Gershgorin floor (`_row_floors`) of each of the states
+        `rows`, in their order (default every state), from the slots of
+        ROW_CHUNK rows at a time, each dropped once read."""
+        rows = (np.arange(self.dim, dtype=np.int64) if rows is None
+                else np.asarray(rows, dtype=np.int64))
+        chunks = np.split(rows, range(ROW_CHUNK, len(rows), ROW_CHUNK))
         return np.concatenate([_row_floors(*self._slots(r), r) for r in chunks])
 
     def block(self, rows: np.ndarray) -> SparseOperator:

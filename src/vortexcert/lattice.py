@@ -231,6 +231,31 @@ def _check_octet_bonds(lat: IslandLattice) -> None:
             )
 
 
+def translations(lat: IslandLattice) -> list[tuple[int, ...]]:
+    """Majorana maps of the nonzero lattice translations of a periodic
+    lattice that map its island set onto itself.
+
+    A translation (tx, ty) with tx + ty even keeps the island sublattice;
+    it moves every island, and keeps each corner, so its map sends
+    Majorana 4 r + c to 4 r' + c for the island r' that r moves to, and
+    a bond to the bond of the same direction.  The map is a tuple
+    indexed by Majorana id.  An open lattice has none: [].
+    """
+    if lat.boundary != "periodic":
+        return []
+    maps, islands = [], set(lat.islands)
+    for tx in range(lat.lx):
+        for ty in range(lat.ly):
+            if (tx + ty) % 2 or (tx, ty) == (0, 0):
+                continue
+            moved = [((x + tx) % lat.lx, (y + ty) % lat.ly) for x, y in lat.islands]
+            if set(moved) != islands:
+                continue
+            maps.append(tuple(4 * lat.island_rank(q) + c
+                              for q in moved for c in range(len(CORNERS))))
+    return maps
+
+
 def diamond_lattice() -> IslandLattice:
     """The four-island diamond: one octagon, open boundary, 16 Majoranas.
 

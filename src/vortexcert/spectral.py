@@ -26,14 +26,19 @@ the full-space operator is never built.  The fermion parity
 while each keeps SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the
 4x4 torus: short vectors, a Krylov basis that fits in cache); the
 eigenpairs of the blocks are merged.  An operator that couples the
-parities is the one block, on both routes.  Every Lanczos block starts
-with a Gershgorin floor, a rigorous lower bound on its spectrum from one
-pass over the stored entries, so a block whose floor lies above the
-values already certified is closed without a solve.  The Lanczos ground
-space carries its diagnostics: the eigenvalues reported, the residual
-of each vector, the parity of the block each came from, the block count
-and dimension, the blocks closed by their floor and the matrix-vector
-products spent.
+parities is the one block, on both routes.  Lattice translations that
+are exact symmetries of H (checked on its polynomial, never assumed) map
+blocks onto blocks of the same spectrum, so Lanczos solves one block
+per orbit and gives the others its values, and its cluster vectors
+through the signed permutation of the translated modes (6 orbits of the
+16 torus blocks at lambda > 0).  Every solved block starts with a
+Gershgorin floor, a rigorous lower bound on its spectrum from one pass
+over its stored entries, so a block whose floor lies above the values
+already certified is closed without a solve.  The Lanczos ground space
+carries its diagnostics: the eigenvalues reported, the residual of each
+vector, the parity of the block each came from, the block count,
+dimension and orbit count, the blocks closed by their floor and the
+matrix-vector products spent.
 Ground-space bases are made deterministic by re-orthogonalizing
 coordinate projections in a fixed pivot order, so reports do not depend
 on eigensolver gauge.
@@ -137,6 +142,9 @@ class GroundSpace:
     parities: tuple[int, ...] = ()
     # (count, dimension) of the symmetry blocks Lanczos ran in
     blocks: tuple[int, int] = ()
+    # orbits of those blocks under the symmetries passed, one solved per
+    # orbit; the block count when none applies
+    orbits: int = 0
     # blocks closed by their Gershgorin floor without a solve
     closed_by_bound: int = 0
 
@@ -380,12 +388,20 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
 SYMMETRY_BLOCK_FLOOR = 4096
 
 
-def _echelon_insert(rows: dict, v: int) -> bool:
-    """Add v to `rows`, a reduced echelon basis over GF(2) (pivot bit ->
-    row, each row clear at every other pivot); False if v is in its span."""
+def _reduce(rows: dict, v: int) -> int:
+    """v reduced by `rows`, a reduced echelon basis over GF(2) (pivot bit
+    -> row, each row clear at every other pivot): 0 exactly if v lies in
+    their span."""
     for p, r in rows.items():
         if v >> p & 1:
             v ^= r
+    return v
+
+
+def _echelon_insert(rows: dict, v: int) -> bool:
+    """Add v to the reduced echelon basis `rows`; False if v is in its
+    span."""
+    v = _reduce(rows, v)
     if not v:
         return False
     p = v.bit_length() - 1
@@ -398,7 +414,28 @@ def _echelon_insert(rows: dict, v: int) -> bool:
 
 def _symmetry_blocks(op: SparseOperator | PauliSum,
                      floor: int | None = None) -> np.ndarray:
-    """Basis indices of the diagonal symmetry blocks, one row per block.
+    """Basis indices of the diagonal symmetry blocks of `op`, one row per
+    block: the split by `_symmetry_generators` (`_split`)."""
+    return _split(op.dim, _symmetry_generators(op, floor))
+
+
+def _labels(states: np.ndarray, gens: list[int]) -> np.ndarray:
+    """The block of each Fock state under the Z-strings `gens`: bit i is
+    popcount(n & gens[i]) mod 2."""
+    return sum((_bit_parity(states & g) << i for i, g in enumerate(gens)),
+               np.zeros_like(states))
+
+
+def _split(dim: int, gens: list[int]) -> np.ndarray:
+    """The Fock states 0..dim-1 split by the independent Z-strings `gens`:
+    row b holds, ascending, the states of label b (`_labels`)."""
+    labels = _labels(np.arange(dim, dtype=np.int64), gens)
+    return np.argsort(labels, kind="stable").reshape(1 << len(gens), -1)
+
+
+def _symmetry_generators(op: SparseOperator | PauliSum,
+                         floor: int | None = None) -> list[int]:
+    """The Z-strings that split `op` into its diagonal symmetry blocks.
 
     Every stored entry of the matrix sits at (n, n ^ s) for a bit mask s.
     A Z-string (-1)^popcount(n & g) is diagonal in the Fock basis and
@@ -415,10 +452,9 @@ def _symmetry_blocks(op: SparseOperator | PauliSum,
     couples the parities is the one block.  The test is structural, so
     it is exact: it reads only `op.masks`.
     """
-    full = np.arange(op.dim, dtype=np.int64)
     masks = op.masks
     if op.n_modes < 1 or _bit_parity(masks).any():
-        return full[None, :]
+        return []
     span: dict = {}
     for s in masks.tolist():
         _echelon_insert(span, s)
@@ -437,13 +473,99 @@ def _symmetry_blocks(op: SparseOperator | PauliSum,
             break
         if _echelon_insert(chosen, g):
             gens.append(g)
-    labels = sum(_bit_parity(full & g) << i for i, g in enumerate(gens))
-    return np.argsort(labels, kind="stable").reshape(1 << len(gens), -1)
+    return gens
+
+
+def _mode_permutations(op, symmetries) -> list[np.ndarray]:
+    """The mode permutations of `symmetries`, Majorana maps checked to be
+    exact symmetries of the polynomial of `op`, a PauliSum.
+
+    A map s must permute the generators, take each mode's pair
+    (2k, 2k + 1) to a pair (2 pi(k), 2 pi(k) + 1) in order, and leave H
+    unchanged: op.poly.relabel(s) == op.poly, exactly.  Then the Fock
+    unitary U of `_signed_permutation` has U c_i U^dagger = c_s(i) and
+    U H U^dagger = H.  Any failure raises SpectralError: a claim is
+    checked, not trusted.  Returns each pi as an array, pi[k] = pi(k).
+    """
+    if symmetries and not isinstance(op, PauliSum):
+        raise SpectralError("symmetries are checked on the polynomial of a "
+                            "PauliSum; this operator has none")
+    perms = []
+    for s in symmetries:
+        s = np.asarray(s, dtype=np.int64)
+        pairs = s.reshape(-1, 2) if s.shape == (2 * op.n_modes,) else None
+        if (pairs is None or (np.sort(s) != np.arange(len(s))).any()
+                or (pairs[:, 0] % 2).any() or (pairs[:, 1] != pairs[:, 0] + 1).any()):
+            raise SpectralError(f"{s.tolist()} does not permute the "
+                                f"{op.n_modes} modes' generator pairs in order")
+        if op.poly.relabel(s.tolist()) != op.poly:
+            raise SpectralError(f"{s.tolist()} is not a symmetry of H")
+        perms.append(pairs[:, 0] // 2)
+    return perms
+
+
+def _moved(states, pi: np.ndarray):
+    """The bit masks `states` (an int or an int64 array) with bit k moved
+    to bit pi[k]."""
+    return sum((states >> k & 1) << int(p) for k, p in enumerate(pi))
+
+
+def _signed_permutation(states: np.ndarray, pi: np.ndarray):
+    """(pi(n), eps(n)) for the Fock states n: the unitary U of the mode
+    permutation pi, U c_2k U^dagger = c_2pi(k) and U c_2k+1 U^dagger =
+    c_2pi(k)+1, sends |n> to eps(n) |pi(n)>.
+
+    |n> is a^dagger_k1 ... a^dagger_km |0> over its occupied modes
+    k1 < ... < km, so U|n> is a^dagger_pi(k1) ... a^dagger_pi(km) |0>, and
+    reordering those creators gives eps(n) = (-1)^(number of occupied
+    pairs k < l with pi(k) > pi(l)).
+    """
+    inversions = np.zeros_like(states)
+    for k, p in enumerate(pi):
+        below = sum(1 << l for l in range(k + 1, len(pi)) if pi[l] < p)
+        inversions ^= states >> k & _bit_parity(states & below)
+    return _moved(states, pi), 1 - 2 * inversions
+
+
+def _block_orbits(blocks: np.ndarray, gens: list[int], perms: list[np.ndarray]):
+    """Orbits of the blocks of `_split(dim, gens)` under the symmetry mode
+    permutations `perms`.
+
+    A mode permutation pi sends the Z-string g to pi(g).  When pi(g) lies
+    in the span of `gens` for every generator, it sends each block onto
+    one block, the one of pi(n) for any state n of it, and the two have
+    the same spectrum.  A pi that moves some generator out of the span
+    (the split stopped at the block floor part-way) mixes blocks and is
+    skipped.  Returns, for each block, its orbit's representative (the
+    least block of the orbit) and the mode permutation that carries the
+    representative onto it (the identity for a representative).
+    """
+    span: dict = {}
+    for g in gens:
+        _echelon_insert(span, g)
+    usable = [pi for pi in perms
+              if not any(_reduce(span, _moved(g, pi)) for g in gens)]
+    rep = [-1] * len(blocks)
+    carry: list = [None] * len(blocks)
+    for b in range(len(blocks)):
+        if rep[b] >= 0:
+            continue
+        rep[b], carry[b] = b, np.arange(blocks.size.bit_length() - 1)
+        reached = [b]
+        while reached:
+            a = reached.pop()
+            for pi in usable:
+                c = int(_labels(_moved(blocks[a, :1], pi), gens)[0])
+                if rep[c] < 0:
+                    rep[c], carry[c] = b, pi[carry[a]]
+                    reached.append(c)
+    return rep, carry
 
 
 def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
                    gap_tol: float | None = None, conv_tol: float = 1e-9,
-                   max_matvecs: int = 60000, window: int = 64) -> GroundSpace:
+                   max_matvecs: int = 60000, window: int = 64,
+                   symmetries=()) -> GroundSpace:
     """Ground cluster via deflated Lanczos, closed by the solver itself.
 
     Reads only the `dim`, `masks`, row `floors`, Hermiticity defect
@@ -452,59 +574,79 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
     Z-string symmetry blocks of `_symmetry_blocks`: the two fermion-parity
     blocks, split further while the blocks stay at
     least SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the 4x4
-    torus), or one block if the operator couples the parities.  Each
-    block has a lower bound: its last-found eigenvalue, since its later
-    ones lie above it, or before its first solve its Gershgorin floor
-    (`op.floors()`).  Each step finds one more eigenpair, deflated
-    against the earlier ones of its block, in the block whose bound is
-    lowest (ties in block order), and a value found is certified once it
-    is <= the bound of every block with states left.  The search stops
-    once at least k values are certified and one of them lies above the
-    cluster cut (E0 + gap_tol, clustered exactly as ground_space does),
-    or once every state is found; k is only a floor.  A block whose floor
-    lies above that certified prefix is closed without a solve, and its
-    operator is never built.  One RNG and one matvec budget are
+    torus), or one block if the operator couples the parities.
+
+    `symmetries` are Majorana maps (`lattice.translations`) claimed to
+    leave H unchanged; each is checked exactly on the polynomial of a
+    PauliSum (`_mode_permutations`, SpectralError otherwise).  Blocks that
+    they map onto each other form an orbit of equal spectra
+    (`_block_orbits`), and only its representative is solved: each of its
+    values, with its residual, counts once for every block of the orbit,
+    and a cluster vector in another block is the representative's carried
+    by the signed permutation (`_signed_permutation`).  Without
+    symmetries every block is its own orbit.
+
+    Each representative has a lower bound: its last-found eigenvalue,
+    since its later ones lie above it, or before its first solve its
+    Gershgorin floor (`op.floors`, read on its rows only).  Each step
+    finds one more eigenpair, deflated against the earlier ones of its
+    block, in the representative whose bound is lowest (ties in block
+    order), and a value found is certified once it is <= the bound of
+    every representative with states left.  The search stops once at
+    least k values are certified and one of them lies above the cluster
+    cut (E0 + gap_tol, clustered exactly as ground_space does), or once
+    every state is found; k is only a floor.  A representative whose
+    floor lies above that certified prefix is closed without a solve,
+    and its operator is never built.  One RNG and one matvec budget are
     shared in that fixed order, so results are deterministic.  The
     reported eigenvalues are the shortest certified prefix that meets
     the rule, max(k, n + 1) of them for a cluster of n: the cluster and
     the first value above it.  They come with their true residuals,
-    their block parities (none with a single block), the block count and
-    dimension, the count of blocks closed by their floor and the
-    block-length products spent.
+    their block parities (none with a single block), the block count,
+    dimension and orbit count, the count of blocks closed by their
+    floor and the block-length products spent.
     """
     if k < 1 or k > op.dim:
         raise ValueError(f"k must be in 1..{op.dim}")
     _require_hermitian(op)
+    perms = _mode_permutations(op, symmetries)
     rng = np.random.default_rng(seed)
-    blocks = _symmetry_blocks(op)
+    gens = _symmetry_generators(op)
+    blocks = _split(op.dim, gens)
     size = blocks.shape[1]
-    floors = op.floors()[blocks].min(axis=1)
+    rep, carry = _block_orbits(blocks, gens, perms)
+    reps = sorted(set(rep))
+    orbit = [rep.count(b) for b in reps]  # blocks in each representative's orbit
+    floors = op.floors(blocks[reps].ravel()).reshape(len(reps), size).min(axis=1)
     ops: dict[int, SparseOperator] = {}
-    found: list[list[tuple[float, np.ndarray, float]]] = [[] for _ in blocks]
+    found: list[list[tuple[float, np.ndarray, float]]] = [[] for _ in reps]
     budget = max_matvecs
     while True:
-        open_ = [b for b in range(len(blocks)) if len(found[b]) < size]
-        last = [found[b][-1][0] if found[b] else floors[b] for b in open_]
+        open_ = [i for i in range(len(reps)) if len(found[i]) < size]
+        last = [found[i][-1][0] if found[i] else floors[i] for i in open_]
         bound = min(last, default=np.inf)
-        certified = sorted(val for pairs in found for val, _, _ in pairs
-                           if val <= bound)
+        certified = sorted(val for i, pairs in enumerate(found)
+                           for val, _, _ in pairs if val <= bound
+                           for _ in range(orbit[i]))
         if not open_:
             break
         if len(certified) >= k:
             tol = default_gap_tol(certified[0]) if gap_tol is None else gap_tol
             if certified[-1] - certified[0] > tol:
                 break
-        b = open_[int(np.argmin(last))]
-        if b not in ops:
-            ops[b] = op.block(blocks[b])
+        i = open_[int(np.argmin(last))]
+        if i not in ops:
+            ops[i] = op.block(blocks[reps[i]])
         val, vec, r, used = _lowest_eigenpair(
-            ops[b].apply, size, rng, [v for _, v, _ in found[b]],
+            ops[i].apply, size, rng, [v for _, v, _ in found[i]],
             conv_tol, budget, window)
         budget -= used
-        found[b].append((val, vec, r))
+        found[i].append((val, vec, r))
 
-    pairs = sorted(((val, b, vec, r) for b, block in enumerate(found)
-                    for val, vec, r in block), key=lambda p: p[0])
+    # every block's values are its representative's, in block order
+    pairs = sorted(((val, b, vec, r) for b in range(len(blocks))
+                    for val, vec, r in found[reps.index(rep[b])]),
+                   key=lambda p: p[0])
     e0 = certified[0]
     if gap_tol is None:
         gap_tol = default_gap_tol(e0)
@@ -513,7 +655,11 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
     columns = []
     for _, b, vec, _ in pairs[:n]:
         full = np.zeros(op.dim, dtype=np.complex128)
-        full[blocks[b]] = vec
+        if rep[b] == b:
+            full[blocks[b]] = vec
+        else:
+            states, sign = _signed_permutation(blocks[rep[b]], carry[b])
+            full[states] = sign * vec
         columns.append(full)
     basis = canonical_subspace_basis(np.column_stack(columns))
     parity = _bit_parity(blocks[:, 0])
@@ -522,8 +668,9 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
                        residuals=tuple(r for _, _, _, r in pairs),
                        parities=() if len(blocks) == 1 else
                        tuple(int(parity[b]) for _, b, _, _ in pairs),
-                       blocks=(len(blocks), size),
-                       closed_by_bound=len(blocks) - len(ops),
+                       blocks=(len(blocks), size), orbits=len(reps),
+                       closed_by_bound=sum(orbit[i] for i in range(len(reps))
+                                           if i not in ops),
                        matvecs=max_matvecs - budget)
 
 

@@ -424,6 +424,28 @@ def test_torus_certify_builds_no_full_space_hamiltonian(tmp_path, monkeypatch):
     assert full and max(full) == 1
 
 
+def test_torus_lanczos_solves_one_block_per_translation_orbit(torus_4x4):
+    # the 16 blocks fall into 6 orbits of the lattice translations; every
+    # block closed by its floor still counts, mates of a closed one too
+    cfg = _resolve(["certify", *TORUS])
+    spectrum, ground = cli._solve(torus_4x4, 0.1, cfg)
+    assert spectrum is None and ground.closed_by_bound == 8
+    lz = cli._sidecar({}, ground=ground)["lanczos"]
+    assert lz["blocks"] == {"count": 16, "dim": 4096, "orbits": 6}
+    assert lz["closed_by_bound"] == 8
+
+
+def test_dense_route_reads_no_translations(monkeypatch):
+    # the 4x2 torus (dim 256) is periodic but below the dense cap
+    def refused(lat):
+        raise AssertionError("translations called on the dense route")
+
+    monkeypatch.setattr(cli, "translations", refused)
+    lat = cli.build_lattice(4, 2, "periodic")
+    spectrum, ground = cli._solve(lat, 0.1, _resolve(["certify"]))
+    assert spectrum is not None and ground is None
+
+
 def test_expect_fail_set_semantics(tmp_path):
     # lambda = 0: sixteenfold degeneracy, no order, but RP and positivity hold
     base = ["certify", "--lambda", "0"] + FAST
@@ -524,7 +546,7 @@ def test_lanczos_route_reports_cluster_values_and_diagnostics(
     assert lz["matvecs"] > 0
     # the diamond Hamiltonian is even, so Lanczos ran in the parity blocks
     assert len(lz["parities"]) == 9 and set(lz["parities"]) <= {0, 1}
-    assert lz["blocks"] == {"count": 2, "dim": 128}
+    assert lz["blocks"] == {"count": 2, "dim": 128, "orbits": 2}
     # the odd block's floor lies above the cluster: it is never solved
     assert lz["closed_by_bound"] == 1
 

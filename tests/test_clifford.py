@@ -199,3 +199,34 @@ def test_product_matches_float_and_exact_routes():
         pe = multiply(exact, exact)
         pf = multiply(floaty, floaty)
         assert pe == pf
+
+
+def _conjugated(p):
+    return MajoranaPolynomial({k: c.conjugate() for k, c in p.terms().items()})
+
+
+def test_relabel_with_conjugated_coefficients_is_reflect():
+    # reflect is the linear relabelling composed with conjugation
+    sigma = ReflectionMap({i: i + 4 for i in range(4)} | {i + 4: i for i in range(4)})
+    perm = [sigma(i) for i in range(8)]
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        p = _random_poly(rng, 8)
+        assert _conjugated(p).relabel(perm) == p.reflect(sigma)
+        assert _conjugated(p.relabel(perm)) == p.reflect(sigma)
+
+
+def test_relabel_is_linear_and_keeps_products():
+    # a cyclic relabelling, not an involution: the map need not be a
+    # ReflectionMap, and a mapping works as well as a sequence
+    perm = [1, 2, 3, 4, 5, 0]
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        p, q = _random_poly(rng, 6), _random_poly(rng, 6)
+        assert (EXACT_I * p).relabel(perm) == EXACT_I * p.relabel(perm)
+        assert multiply(p, q).relabel(perm) == multiply(p.relabel(perm),
+                                                        q.relabel(perm))
+        assert p.relabel(dict(enumerate(perm))) == p.relabel(perm)
+    # c0 c5 -> c1 c0 = -c0 c1: the order is kept, then recanonicalized
+    assert (MajoranaPolynomial.monomial((0, 5)).relabel(perm)
+            == MajoranaPolynomial.monomial((0, 1), -1))

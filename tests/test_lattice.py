@@ -10,6 +10,7 @@ from vortexcert.lattice import (
     build_lattice,
     diamond_lattice,
     reflection_data,
+    translations,
 )
 
 
@@ -187,3 +188,27 @@ def test_horizontal_reflection(diamond):
     m = dict(r.island_map)
     assert m[(1, 1)] == (1, 3)
     assert m[(0, 2)] == (0, 2)
+
+
+@pytest.mark.parametrize("lx, ly, count", [(4, 4, 7), (4, 2, 3), (6, 2, 5)])
+def test_torus_translations_keep_corners_and_bonds(lx, ly, count):
+    # every nonzero (tx, ty) with tx + ty even, mod (lx, ly)
+    lat = build_lattice(lx, ly, "periodic")
+    maps = translations(lat)
+    assert len(maps) == len(set(maps)) == count
+    for s in maps:
+        assert sorted(s) == list(range(lat.n_majoranas))
+        assert all(s[m] % 4 == m % 4 for m in range(lat.n_majoranas))
+        assert {(s[u], s[v]) for u, v in lat.bonds} == set(lat.bonds)
+        assert any(s[m] != m for m in range(lat.n_majoranas))
+
+
+def test_translations_must_map_the_island_set_onto_itself():
+    # two islands on the 4x4 torus: only (2, 2) swaps them
+    lat = build_lattice(4, 4, "periodic", islands=((0, 0), (2, 2)))
+    assert translations(lat) == [(4, 5, 6, 7, 0, 1, 2, 3)]
+
+
+def test_open_lattices_have_no_translations(diamond):
+    assert translations(diamond) == []
+    assert translations(build_lattice(4, 4, "open")) == []

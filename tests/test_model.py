@@ -7,7 +7,7 @@ import pytest
 
 from vortexcert.clifford import GaussianRational, commutator, multiply, reflect
 from vortexcert.fock import to_matrix
-from vortexcert.lattice import build_lattice, reflection_data
+from vortexcert.lattice import build_lattice, reflection_data, translations
 from vortexcert.model import (
     ModelError,
     bond_term,
@@ -172,3 +172,12 @@ def test_model_manifest_shape(diamond):
     assert man["octagons"] == 1
     assert len(man["terms"]) == 8
     assert man["lattice_hash"] == diamond.content_hash()
+
+
+@pytest.mark.parametrize("lx, ly", [(4, 4), (4, 2)])
+@pytest.mark.parametrize("lam", [0, 0.1, 0.5])
+def test_torus_hamiltonian_is_exactly_invariant_under_translations(lx, ly, lam):
+    lat = build_lattice(lx, ly, "periodic")
+    h = build_hamiltonian(lat, lam)
+    maps = translations(lat)
+    assert maps and all(h.relabel(s) == h for s in maps)

@@ -1,18 +1,27 @@
 """Spectra, ground spaces, the Lanczos path, and thermal functionals."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from vortexcert import build_lattice, spectral
+from vortexcert import build_lattice, fock, spectral
 from vortexcert.clifford import MajoranaPolynomial
 from vortexcert.fock import PauliSum, SparseOperator, to_matrix
-from vortexcert.model import build_hamiltonian, vortex_operator
+from vortexcert.lattice import translations
+from vortexcert.model import (
+    bond_term,
+    build_hamiltonian,
+    parity_operator,
+    vortex_operator,
+)
 from vortexcert.spectral import (
     DenseCapError,
     IllSeparatedError,
     NonHermitianError,
+    SpectralError,
     canonical_subspace_basis,
     default_gap_tol,
     dense_spectrum,
@@ -483,6 +492,178 @@ def test_torus_odd_blocks_close_by_their_floors_from_pauli_strings(
     _only_even_torus_blocks_are_built(
         monkeypatch, PauliSum(build_hamiltonian(torus_4x4, 0.1),
                               torus_4x4.n_modes))
+
+
+def _torus_orbits(lat, lam):
+    """(PauliSum of H, its blocks, representative and carrying mode
+    permutation of each block) under the lattice translations."""
+    op = PauliSum(build_hamiltonian(lat, lam), lat.n_modes)
+    gens = spectral._symmetry_generators(op)
+    blocks = spectral._split(op.dim, gens)
+    perms = spectral._mode_permutations(op, translations(lat))
+    return (op, blocks, *spectral._block_orbits(blocks, gens, perms))
+
+
+def test_torus_translations_solve_one_block_per_orbit(torus_4x4, monkeypatch):
+    """At lambda = 0.1 the translations group the 16 blocks into 6 orbits:
+    only the 4 even representatives (0, 2, 4, 14) are built, and 5 solves
+    replace the 9 of `_only_even_torus_blocks_are_built`; the Gershgorin
+    floors are read on the 6 representatives' rows only."""
+    op, blocks, rep, _ = _torus_orbits(torus_4x4, 0.1)
+    assert rep == [0, 1, 2, 1, 4, 1, 2, 7, 2, 1, 4, 7, 2, 7, 14, 7]
+    built, solved, read = [], [], []
+    block, floors = PauliSum.block, PauliSum.floors
+    lowest = spectral._lowest_eigenpair
+
+    def recording_block(self, idx):
+        built.append(int(np.flatnonzero(blocks[:, 0] == idx[0])[0]))
+        return block(self, idx)
+
+    def recording_floors(self, rows=None):
+        read.append(len(rows))
+        return floors(self, rows)
+
+    def recording(apply, *args):
+        solved.append(apply.__self__)
+        return lowest(apply, *args)
+
+    monkeypatch.setattr(PauliSum, "block", recording_block)
+    monkeypatch.setattr(PauliSum, "floors", recording_floors)
+    monkeypatch.setattr(spectral, "_lowest_eigenpair", recording)
+    lz = lanczos_ground(op, seed=0, symmetries=translations(torus_4x4))
+    assert lz.blocks == (16, 4096) and lz.orbits == 6
+    assert sorted(built) == [0, 2, 4, 14] and len(solved) == 5
+    # the odd orbits {1, 3, 5, 9} and {7, 11, 13, 15} close by their floor
+    assert lz.closed_by_bound == 8
+    assert read == [6 * 4096]
+    assert lz.matvecs <= 300
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.5])
+def test_torus_orbit_route_matches_the_block_route(torus_4x4, lam):
+    op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
+    plain = lanczos_ground(op, seed=1)
+    orbit = lanczos_ground(op, seed=1, symmetries=translations(torus_4x4))
+    assert (plain.orbits, orbit.orbits) == (16, 6)
+    assert orbit.n == plain.n and abs(orbit.e0 - plain.e0) <= 1e-10
+    assert len(orbit.eigenvalues) == len(plain.eigenvalues)
+    np.testing.assert_allclose(orbit.eigenvalues, plain.eigenvalues,
+                               rtol=0, atol=1e-9)
+    assert scipy.linalg.subspace_angles(orbit.basis, plain.basis).max() <= 1e-6
+    assert orbit.matvecs < plain.matvecs
+
+
+def test_orbits_are_trivial_when_the_split_stops_part_way(torus_4x4):
+    # at lambda = 0 the block floor stops the split at 3 single-mode
+    # strings besides the parity; a translation moves them out of their
+    # span, so it maps no block onto a block and is skipped
+    op, blocks, rep, carry = _torus_orbits(torus_4x4, 0.0)
+    assert blocks.shape == (16, 4096)
+    assert rep == list(range(16))
+    assert all((pi == np.arange(op.n_modes)).all() for pi in carry)
+
+
+def test_a_carried_eigenvector_solves_the_mate_block(torus_4x4):
+    # U|n> = eps(n)|pi(n)> takes the lowest vector of block 1 into each of
+    # its mates 3, 5 and 9 with the same residual; unsigned it fails there
+    op, blocks, rep, carry = _torus_orbits(torus_4x4, 0.1)
+    val, vec, res, _ = spectral._lowest_eigenpair(
+        op.block(blocks[1]).apply, blocks.shape[1], np.random.default_rng(0),
+        [], 1e-9, 5000, 64)
+    assert [b for b in range(16) if rep[b] == 1] == [1, 3, 5, 9]
+    for b in (3, 5, 9):
+        states, sign = spectral._signed_permutation(blocks[1], carry[b])
+        np.testing.assert_array_equal(np.sort(states), blocks[b])
+        place = np.searchsorted(blocks[b], states)
+        moved = np.empty_like(vec)
+        moved[place] = sign * vec
+        mate = op.block(blocks[b])
+        assert abs(np.linalg.norm(mate.apply(moved) - val * moved) - res) <= 1e-12
+        moved[place] = vec
+        assert np.linalg.norm(mate.apply(moved) - val * moved) > 0.1
+
+
+def test_translation_unitaries_are_signed_permutations():
+    # on the 4x2 torus (dim 256): U c_i U^dagger = c_s(i) for every
+    # generator, and U H U^dagger = H exactly
+    lat = build_lattice(4, 2, "periodic")
+    n = lat.n_modes
+    states = np.arange(1 << n)
+    gens = [to_matrix(MajoranaPolynomial.generator(i), n).to_dense()
+            for i in range(2 * n)]
+    h = to_matrix(build_hamiltonian(lat, 0.1), n).to_dense()
+    maps = translations(lat)
+    assert len(maps) == 3
+    for s in maps:
+        image, sign = spectral._signed_permutation(states, np.array(s[::2]) // 2)
+        u = np.zeros((len(states), len(states)))
+        u[image, states] = sign
+        for i in range(2 * n):
+            np.testing.assert_array_equal(u @ gens[i] @ u.T, gens[s[i]])
+        np.testing.assert_array_equal(u @ h @ u.T, h)
+
+
+def test_the_sign_formula_holds_for_any_mode_permutation():
+    n = 5
+    states = np.arange(1 << n)
+    gens = [to_matrix(MajoranaPolynomial.generator(i), n).to_dense()
+            for i in range(2 * n)]
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        pi = rng.permutation(n)
+        image, sign = spectral._signed_permutation(states, pi)
+        u = np.zeros((len(states), len(states)))
+        u[image, states] = sign
+        for k in range(n):
+            for j in (0, 1):
+                np.testing.assert_array_equal(u @ gens[2 * k + j] @ u.T,
+                                              gens[2 * pi[k] + j])
+
+
+def test_cluster_vectors_carried_into_a_mate_block(monkeypatch):
+    # fully split, the 4x2 torus at lambda = 1 plus 2 (-1)^N has its
+    # 8-fold ground level in block 1 and its mate 3, 4 states each: half
+    # of the cluster is carried, and it spans the dense ground space
+    monkeypatch.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 1)
+    lat = build_lattice(4, 2, "periodic")
+    h = build_hamiltonian(lat, 1.0) + parity_operator(lat) * 2
+    lz = lanczos_ground(PauliSum(h, lat.n_modes), seed=0,
+                        symmetries=translations(lat))
+    ref = ground_space(dense_spectrum(to_matrix(h, lat.n_modes)))
+    assert lz.blocks == (4, 64) and lz.orbits == 3
+    assert lz.n == ref.n == 8 and abs(lz.e0 - ref.e0) <= 1e-10
+    assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-6
+
+
+def test_a_symmetry_claim_is_checked_not_trusted():
+    lat = build_lattice(4, 2, "periodic")
+    h = build_hamiltonian(lat, 0.1)
+    maps = translations(lat)
+    assert lanczos_ground(PauliSum(h, lat.n_modes), symmetries=maps).orbits == 2
+    # one bond coefficient changed: no translation fixes H any more
+    bent = h + bond_term(lat, lat.bonds[0]) * Fraction(1, 100)
+    with pytest.raises(SpectralError, match="not a symmetry of H"):
+        lanczos_ground(PauliSum(bent, lat.n_modes), symmetries=maps)
+    # a SparseOperator has no polynomial to check the claim on
+    with pytest.raises(SpectralError, match="PauliSum"):
+        lanczos_ground(to_matrix(h, lat.n_modes), symmetries=maps)
+    # swapping the two generators of a mode, or dropping one, is no mode
+    # permutation, whatever it does to H
+    swap = (1, 0, *range(2, lat.n_majoranas))
+    for s in (swap, maps[0][:-1]):
+        with pytest.raises(SpectralError, match="generator pairs"):
+            lanczos_ground(PauliSum(h, lat.n_modes), symmetries=[s])
+
+
+@pytest.mark.parametrize("strings", [False, True])
+def test_floors_of_given_rows_are_those_rows_of_every_floor(
+        diamond, strings, monkeypatch):
+    # chunks of 32 rows, so a PauliSum reads the rows in four chunks
+    monkeypatch.setattr(fock, "ROW_CHUNK", 32)
+    h = build_hamiltonian(diamond, 0.1)
+    op = PauliSum(h, diamond.n_modes) if strings else to_matrix(h, diamond.n_modes)
+    rows = np.random.default_rng(4).permutation(op.dim)[:100]
+    np.testing.assert_array_equal(op.floors(rows), op.floors()[rows])
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
