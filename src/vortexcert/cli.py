@@ -600,7 +600,8 @@ def _sidecar(timings: dict, ground=None, spectrum=None, **extra) -> dict:
                           "parities": list(ground.parities),
                           "blocks": {"count": ground.blocks[0],
                                      "dim": ground.blocks[1],
-                                     "orbits": ground.orbits},
+                                     "orbits": ground.orbits,
+                                     "real": ground.real_blocks},
                           "closed_by_bound": ground.closed_by_bound,
                           "matvecs": ground.matvecs}
     if spectrum is not None:

@@ -100,14 +100,18 @@ class SparseOperator:
     `cols` and `values` are (k, dim) arrays: row i of the matrix holds the
     entries values[j, i] in columns cols[j, i], so
     (O x)[i] = sum_j values[j, i] * x[cols[j, i]].  A slot whose value
-    is zero is padding and contributes nothing.
+    is zero is padding and contributes nothing.  float64 values stay
+    real, so a real vector's product is a real gather; any other values
+    are stored as complex128.
     """
 
     __slots__ = ("cols", "values")
 
     def __init__(self, cols: np.ndarray, values: np.ndarray):
         self.cols = np.ascontiguousarray(cols, dtype=np.int64)
-        self.values = np.ascontiguousarray(values, dtype=np.complex128)
+        values = np.asarray(values)
+        self.values = np.ascontiguousarray(
+            values, dtype=np.float64 if values.dtype == np.float64 else np.complex128)
         if (self.cols.ndim != 2 or self.values.shape != self.cols.shape
                 or not self.dim or self.dim & (self.dim - 1)):
             raise ValueError(
@@ -246,10 +250,12 @@ class PauliSum:
         for start in range(0, len(rows), ROW_CHUNK):
             part = slice(start, start + ROW_CHUNK)
             c, v = self._slots(rows[part])
-            # ascending columns in every row: a product sums each row in
-            # column order, whatever order the terms came in
-            order = np.argsort(c, axis=0, kind="stable")
-            c = np.take_along_axis(c, order, axis=0)
+            if len(c) > 1:
+                # ascending columns in every row: a product sums each row
+                # in column order, whatever order the terms came in
+                order = np.argsort(c, axis=0, kind="stable")
+                c = np.take_along_axis(c, order, axis=0)
+                v = np.take_along_axis(v, order, axis=0)
             if len(rows) < self.dim:  # on every state a column is its own place
                 local = np.searchsorted(rows, c)
                 leaves = rows.take(local, mode="clip") != c
@@ -259,7 +265,7 @@ class PauliSum:
                                      f"the {len(rows)} rows of the block")
                 c = local
             cols[:, part] = c
-            values[:, part] = np.take_along_axis(v, order, axis=0)
+            values[:, part] = v
         return SparseOperator(cols, values)
 
 

@@ -21,7 +21,15 @@ Gram-Schmidt pass is a pair of contiguous matrix-vector products that
 conjugate only the new vector, never the basis.  It runs in the same
 Z-string blocks, and builds the operator of a block, a `SparseOperator`
 of numpy gathers, only when it first solves there: from a `PauliSum`
-the full-space operator is never built.  The fermion parity
+the full-space operator is never built.  A block whose bit-flip masks
+each carry only real or only imaginary entries is real up to a diagonal
+phase d_n = i^parity(n & y), for a Z-string y found by GF(2)
+elimination; Lanczos solves the gauged block D^dagger B D in float64
+(half the bytes per product and per Gram-Schmidt pass) when every
+imaginary part of it is exactly zero, which the exact products by 1 and
++-i make an exact test, and multiplies its vectors back by d.  A second
+Gram-Schmidt pass runs only when the first cancelled most of the vector
+(the DGKS rule).  The fermion parity
 (-1)^N is the first split, and further strings halve the blocks only
 while each keeps SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the
 4x4 torus: short vectors, a Krylov basis that fits in cache); the
@@ -147,6 +155,9 @@ class GroundSpace:
     orbits: int = 0
     # blocks closed by their Gershgorin floor without a solve
     closed_by_bound: int = 0
+    # solved representative blocks that a Z-string phase gauge made real,
+    # so that Lanczos ran there in float64
+    real_blocks: int = 0
 
     @property
     def n(self) -> int:
@@ -287,7 +298,8 @@ def _project_out(basis, w):
 RITZ_STRIDE = 4
 
 
-def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
+def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window,
+                      dtype=np.complex128):
     """One converged lowest eigenpair, orthogonal to the `deflate` vectors.
 
     Thick-restart Lanczos with full reorthogonalization: the small
@@ -295,6 +307,11 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
     keep the lowest Ritz vectors plus the running residual direction.
     The Ritz check runs at every RITZ_STRIDE-th Krylov dimension.
     The Krylov basis is stored row-major, q[j] being the j-th vector.
+    A second Gram-Schmidt pass against it runs only when the first left
+    less than 1/sqrt(2) of the vector's norm (the DGKS rule): otherwise
+    the first pass already reaches working precision.  The basis, the
+    projected matrix and the random start vectors are of `dtype`, the
+    operator's: a real block runs in real arithmetic throughout.
     Returns (eigenvalue, vector, residual, matvecs used); the vector is
     projected against the deflated ones and normalized, the eigenvalue
     is its Rayleigh quotient and the residual the true ||H y - E y||.
@@ -309,6 +326,12 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
             _project_out(d, w)
         return w
 
+    def start():
+        v = rng.standard_normal(dim)
+        if dtype == np.complex128:
+            v = v + 1j * rng.standard_normal(dim)
+        return dproj(v)
+
     def rayleigh(y):
         # one product: (Rayleigh quotient, unit vector, true residual)
         y = dproj(y)
@@ -317,10 +340,9 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
         val = float(np.vdot(y, hy).real)
         return val, y, float(np.linalg.norm(hy - val * y))
 
-    q = np.empty((window, dim), dtype=np.complex128)
-    t = np.zeros((window, window), dtype=np.complex128)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v = dproj(v)
+    q = np.empty((window, dim), dtype=dtype)
+    t = np.zeros((window, window), dtype=dtype)
+    v = start()
     q[0] = v / np.linalg.norm(v)
     j = 1
     matvecs = 0
@@ -330,11 +352,14 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
         w = apply(q[j - 1])
         matvecs += 1
         w = dproj(w)
+        before = np.linalg.norm(w)
         h = _project_out(q[:j], w)
-        h += _project_out(q[:j], w)
+        beta = np.linalg.norm(w)
+        if beta < before / np.sqrt(2):
+            h += _project_out(q[:j], w)
+            beta = np.linalg.norm(w)
         t[: j, j - 1] = h
         t[j - 1, : j] = h.conj()
-        beta = np.linalg.norm(w)
 
         if j % RITZ_STRIDE == 0 or j == window or beta < 1e-13:
             theta, s = np.linalg.eigh(t[:j, :j])
@@ -351,8 +376,7 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window):
         if beta < 1e-13:
             # invariant subspace; inject a fresh direction (couplings to it
             # vanish exactly, so leaving t untouched is correct)
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            v = dproj(v)
+            v = start()
             _project_out(q[:j], v)
             nrm = np.linalg.norm(v)
             if nrm < 1e-10 or j >= window:
@@ -554,12 +578,60 @@ def _block_orbits(blocks: np.ndarray, gens: list[int], perms: list[np.ndarray]):
         reached = [b]
         while reached:
             a = reached.pop()
+            n = int(blocks[a, 0])
             for pi in usable:
-                c = int(_labels(_moved(blocks[a, :1], pi), gens)[0])
+                moved = _moved(n, pi)
+                c = sum(((moved & g).bit_count() & 1) << i
+                        for i, g in enumerate(gens))
                 if rep[c] < 0:
                     rep[c], carry[c] = b, pi[carry[a]]
                     reached.append(c)
     return rep, carry
+
+
+def _gauge_string(block: SparseOperator, rows: np.ndarray) -> int | None:
+    """A Z-string y whose phase gauge d_n = i^parity(n & y) makes the
+    block on the Fock states `rows` real, or None if there is none.
+
+    With real coefficients every entry is one times +-1 or +-i, and on
+    the lattices here the entries of one bit-flip mask x are all real
+    (f(x) = 0) or all imaginary (f(x) = 1).  conj(d_n) H_nm d_m is H_nm times i^(+-1) when
+    popcount(x & y) is odd and H_nm otherwise, so every entry turns real
+    exactly when x . y = f(x) over GF(2) for every stored mask x: a
+    linear system, solved by echelon elimination of the rows x << 1 | f.
+    A row that reduces to the lone right-hand bit (pivot 0) makes it
+    inconsistent; so does a mask with a complex entry, or one that mixes
+    real and imaginary entries.  Free bits of y are set to 0.
+    """
+    stored = block.values != 0
+    masks = (rows ^ rows[block.cols])[stored]
+    values = block.values[stored]
+    imaginary = values.real == 0
+    if not (imaginary | (values.imag == 0)).all():
+        return None
+    # the distinct rows, sorted by hand: np.unique would import numpy.ma
+    keys = np.sort(masks << 1 | imaginary)
+    system: dict = {}
+    for v in keys[np.diff(keys, prepend=-1) != 0].tolist():
+        _echelon_insert(system, v)
+    if 0 in system:
+        return None
+    return sum(1 << (p - 1) for p, r in system.items() if r & 1)
+
+
+def _real_gauge(block: SparseOperator, rows: np.ndarray, y: int | None):
+    """(D^dagger B D as a float64 SparseOperator, d) for the gauge
+    d_n = i^parity(n & y) of the block B on the Fock states `rows`, or
+    (B, None) if y is None or leaves any imaginary part non-zero.  Each
+    d_n is 1 or i, so the products are exact and so is the test that the
+    result is real."""
+    if y is None:
+        return block, None
+    d = _PHASES[_bit_parity(rows & y)]
+    gauged = block.values * d[block.cols] * d.conj()
+    if (gauged.imag != 0).any():
+        return block, None
+    return SparseOperator(block.cols, gauged.real), d
 
 
 def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
@@ -597,14 +669,18 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
     cut (E0 + gap_tol, clustered exactly as ground_space does), or once
     every state is found; k is only a floor.  A representative whose
     floor lies above that certified prefix is closed without a solve,
-    and its operator is never built.  One RNG and one matvec budget are
+    and its operator is never built.  A built block that a Z-string phase
+    gauge makes exactly real (`_gauge_string`, `_real_gauge`) is solved
+    in float64, and its cluster vectors are multiplied back by the gauge
+    before they are embedded or carried.  One RNG and one matvec budget are
     shared in that fixed order, so results are deterministic.  The
     reported eigenvalues are the shortest certified prefix that meets
     the rule, max(k, n + 1) of them for a cluster of n: the cluster and
     the first value above it.  They come with their true residuals,
     their block parities (none with a single block), the block count,
     dimension and orbit count, the count of blocks closed by their
-    floor and the block-length products spent.
+    floor, the count of solved blocks that ran real and the block-length
+    products spent.
     """
     if k < 1 or k > op.dim:
         raise ValueError(f"k must be in 1..{op.dim}")
@@ -636,10 +712,13 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
                 break
         i = open_[int(np.argmin(last))]
         if i not in ops:
-            ops[i] = op.block(blocks[reps[i]])
+            rows = blocks[reps[i]]
+            block = op.block(rows)
+            ops[i] = _real_gauge(block, rows, _gauge_string(block, rows))
+        solve = ops[i][0]
         val, vec, r, used = _lowest_eigenpair(
-            ops[i].apply, size, rng, [v for _, v, _ in found[i]],
-            conv_tol, budget, window)
+            solve.apply, size, rng, [v for _, v, _ in found[i]],
+            conv_tol, budget, window, solve.values.dtype)
         budget -= used
         found[i].append((val, vec, r))
 
@@ -654,6 +733,9 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
     pairs = pairs[:max(k, n + 1)]
     columns = []
     for _, b, vec, _ in pairs[:n]:
+        gauge = ops[reps.index(rep[b])][1]
+        if gauge is not None:  # back from the real gauge to the block's basis
+            vec = gauge * vec
         full = np.zeros(op.dim, dtype=np.complex128)
         if rep[b] == b:
             full[blocks[b]] = vec
@@ -671,6 +753,7 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
                        blocks=(len(blocks), size), orbits=len(reps),
                        closed_by_bound=sum(orbit[i] for i in range(len(reps))
                                            if i not in ops),
+                       real_blocks=sum(g is not None for _, g in ops.values()),
                        matvecs=max_matvecs - budget)
 
 

@@ -431,7 +431,8 @@ def test_torus_lanczos_solves_one_block_per_translation_orbit(torus_4x4):
     spectrum, ground = cli._solve(torus_4x4, 0.1, cfg)
     assert spectrum is None and ground.closed_by_bound == 8
     lz = cli._sidecar({}, ground=ground)["lanczos"]
-    assert lz["blocks"] == {"count": 16, "dim": 4096, "orbits": 6}
+    # every solved representative ran in its real gauge
+    assert lz["blocks"] == {"count": 16, "dim": 4096, "orbits": 6, "real": 4}
     assert lz["closed_by_bound"] == 8
 
 
@@ -546,7 +547,7 @@ def test_lanczos_route_reports_cluster_values_and_diagnostics(
     assert lz["matvecs"] > 0
     # the diamond Hamiltonian is even, so Lanczos ran in the parity blocks
     assert len(lz["parities"]) == 9 and set(lz["parities"]) <= {0, 1}
-    assert lz["blocks"] == {"count": 2, "dim": 128, "orbits": 2}
+    assert lz["blocks"] == {"count": 2, "dim": 128, "orbits": 2, "real": 1}
     # the odd block's floor lies above the cluster: it is never solved
     assert lz["closed_by_bound"] == 1
 

@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg as scipy_linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -231,6 +232,29 @@ def test_gershgorin_floors_bound_every_block(case):
     assert _floors_bound_the_blocks(SparseOperator.floors, h, n_modes)
     assert _floors_bound_the_blocks(
         lambda op: PauliSum(h, n_modes).floors(), h, n_modes)
+
+
+@PROPERTY_SETTINGS
+@given(even_cases(max_modes=5), st.booleans())
+def test_lanczos_matches_the_dense_route_with_or_without_a_real_gauge(
+        case, ungaugeable):
+    # i c0 c2 + i c1 c2 puts entries -1 +- i on one mask, so no block of
+    # H has a real gauge; Gaussian-integer coefficients give both kinds
+    n_modes, p = case
+    h = p + adjoint(p)
+    if ungaugeable and n_modes >= 2:
+        c = MajoranaPolynomial.generator
+        h = h + c(0) * c(2) * 1j + c(1) * c(2) * 1j
+    try:
+        ref = spectral.ground_space(to_matrix(h, n_modes))
+    except spectral.IllSeparatedError:
+        return
+    lz = spectral.lanczos_ground(PauliSum(h, n_modes), seed=0)
+    if ungaugeable and n_modes >= 2:
+        assert lz.real_blocks == 0
+    assert lz.n == ref.n and abs(lz.e0 - ref.e0) <= 1e-10 * max(1.0, abs(ref.e0))
+    angles = scipy_linalg.subspace_angles(lz.basis, ref.basis)
+    assert angles.max() <= 1e-8
 
 
 _DIAMOND_LAMBDAS = [0.0, 0.1, 0.5]

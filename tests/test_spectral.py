@@ -444,6 +444,11 @@ def test_torus_lanczos_levels_match_eigsh(torus_4x4):
         assert r <= 100 * conv_tol * max(1.0, abs(e))
 
 
+def _gauge(rows, y):
+    """The phases d_n = i^parity(n & y) of the Fock states `rows`."""
+    return np.array([1j ** ((int(n) & y).bit_count() & 1) for n in rows])
+
+
 def _only_even_torus_blocks_are_built(monkeypatch, op):
     """Lanczos on the 4x4 torus at lambda = 0.1 from `op`, a SparseOperator
     or a PauliSum: every odd block's Gershgorin floor (-7.6) lies above
@@ -472,7 +477,15 @@ def _only_even_torus_blocks_are_built(monkeypatch, op):
     assert len(built) == 8 and lz.closed_by_bound == 8
     assert _parity(op.dim)[[idx[0] for _, idx in built]].tolist() == [0] * 8
     assert len(solved) == 9
-    assert all(any(b is out for out, _ in built) for b in solved)
+    # each solved operator is a built block in its real gauge: the block's
+    # own cols, and its values times d_n = i^parity(n & y) on both sides
+    gauged = []
+    for out, idx in built:
+        d = _gauge(idx, spectral._gauge_string(out, idx))
+        gauged.append((out.cols, (out.values * d[out.cols] * d.conj()).real))
+    assert all(any(b.cols is cols and np.array_equal(b.values, values)
+                   for cols, values in gauged) for b in solved)
+    assert lz.real_blocks == 8
     assert lz.matvecs <= 500
     monkeypatch.undo()
     return lz
@@ -686,6 +699,104 @@ def test_lanczos_from_pauli_strings_is_lanczos_from_the_operator(torus_4x4):
                                       b.matvecs, b.closed_by_bound,
                                       b.parities, b.blocks)
     assert np.array_equal(a.basis, b.basis)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
+def test_every_torus_block_has_an_exact_real_gauge(torus_4x4, lam):
+    op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
+    for rows in spectral._symmetry_blocks(op):
+        block = op.block(rows)
+        y = spectral._gauge_string(block, rows)
+        assert y is not None
+        gauged, d = spectral._real_gauge(block, rows, y)
+        assert gauged.values.dtype == np.float64 and gauged.cols is block.cols
+        np.testing.assert_array_equal(d, _gauge(rows, y))
+        # D^dagger B D, entry for entry: every imaginary part exactly 0
+        expected = block.values * d[block.cols] * d.conj()
+        assert not expected.imag.any()
+        np.testing.assert_array_equal(gauged.values, expected.real)
+
+
+def test_a_flipped_gauge_bit_is_refused_by_the_exact_check(torus_4x4):
+    op = PauliSum(build_hamiltonian(torus_4x4, 0.1), torus_4x4.n_modes)
+    rows = spectral._symmetry_blocks(op)[0]
+    block = op.block(rows)
+    y = spectral._gauge_string(block, rows)
+    for bit in range(op.n_modes):
+        wrong, d = spectral._real_gauge(block, rows, y ^ 1 << bit)
+        assert wrong is block and d is None
+
+
+def test_a_mask_with_complex_entries_has_no_gauge():
+    # i c0 c2 + i c1 c2 = i X0 Z0 X1 - X0 X1: one mask, entries -1 +- i
+    c = MajoranaPolynomial.generator
+    op = PauliSum(c(0) * c(2) * 1j + c(1) * c(2) * 1j, 2)
+    rows = np.arange(4)
+    block = op.block(rows)
+    assert set(block.values[block.values != 0].tolist()) == {-1 + 1j, -1 - 1j}
+    assert spectral._gauge_string(block, rows) is None
+    assert spectral._real_gauge(block, rows, None) == (block, None)
+
+
+def test_lanczos_without_a_gauge_matches_the_dense_route():
+    # the mask of i c0 c2 + i c1 c2 leaves every block complex; the rest
+    # of this even Hermitian H alone would have a gauge
+    c = MajoranaPolynomial.generator
+    gaugeable = (c(0) * c(1) * 1j + c(2) * c(3) * 2j + c(4) * c(5) * 1j
+                 + c(1) * c(2) * c(3) * c(4) + c(0) * c(5) * 1j)
+    complex_mask = c(0) * c(2) * 1j + c(1) * c(2) * 1j
+    for h, real in ((gaugeable, 2), (gaugeable + complex_mask, 0)):
+        lz = lanczos_ground(PauliSum(h, 3), seed=0)
+        ref = ground_space(to_matrix(h, 3))
+        assert lz.real_blocks == real
+        assert lz.n == ref.n and abs(lz.e0 - ref.e0) <= 1e-10
+        assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-8
+
+
+def test_the_4x2_torus_in_its_real_gauge_is_the_dense_route():
+    lat = build_lattice(4, 2, "periodic")
+    h = build_hamiltonian(lat, 0.1)
+    lz = lanczos_ground(PauliSum(h, lat.n_modes), seed=0,
+                        symmetries=translations(lat))
+    ref = ground_space(to_matrix(h, lat.n_modes))
+    assert lz.real_blocks > 0
+    assert lz.n == ref.n and abs(lz.e0 - ref.e0) <= 1e-10
+    assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-8
+
+
+@pytest.mark.parametrize("lam,real", [(0.1, 4), (0.5, 6)])
+def test_ungauged_cluster_vectors_solve_the_complex_block(torus_4x4, lam, real):
+    # the cluster comes back from the real gauge into the Fock basis: its
+    # true residual under the complex block meets the acceptance rule;
+    # every solved representative ran real
+    op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
+    lz = lanczos_ground(op, seed=0, symmetries=translations(torus_4x4))
+    assert lz.real_blocks == real
+    blocks = spectral._symmetry_blocks(op)
+    for v in lz.basis.T:
+        rows = next(b for b in blocks if np.linalg.norm(v[b]) > 0.5)
+        assert np.iscomplexobj(op.block(rows).values)
+        y = v[rows]
+        r = np.linalg.norm(op.block(rows).apply(y) - lz.e0 * y)
+        assert r <= 100 * 1e-9 * max(1.0, abs(lz.e0))
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.5])
+def test_krylov_basis_stays_orthonormal_with_the_dgks_rule(
+        torus_4x4, lam, monkeypatch):
+    # a second Gram-Schmidt pass runs only when the first cancelled most of
+    # the vector; every basis a pass projects against stays orthonormal
+    worst = []
+    project = spectral._project_out
+
+    def recording(basis, w):
+        worst.append(np.abs(basis @ basis.conj().T - np.eye(len(basis))).max())
+        return project(basis, w)
+
+    monkeypatch.setattr(spectral, "_project_out", recording)
+    op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
+    lanczos_ground(op, seed=0, symmetries=translations(torus_4x4))
+    assert max(worst) <= 1e-13
 
 
 def test_an_anti_hermitian_operator_is_refused_on_every_route():
