@@ -595,22 +595,23 @@ def _gauge_string(block: SparseOperator, rows: np.ndarray) -> int | None:
 
     With real coefficients every entry is one times +-1 or +-i, and on
     the lattices here the entries of one bit-flip mask x are all real
-    (f(x) = 0) or all imaginary (f(x) = 1).  conj(d_n) H_nm d_m is H_nm times i^(+-1) when
-    popcount(x & y) is odd and H_nm otherwise, so every entry turns real
-    exactly when x . y = f(x) over GF(2) for every stored mask x: a
-    linear system, solved by echelon elimination of the rows x << 1 | f.
-    A row that reduces to the lone right-hand bit (pivot 0) makes it
-    inconsistent; so does a mask with a complex entry, or one that mixes
-    real and imaginary entries.  Free bits of y are set to 0.
+    (f(x) = 0) or all imaginary (f(x) = 1).  conj(d_n) H_nm d_m is H_nm
+    times i^(+-1) when popcount(x & y) is odd and H_nm otherwise, so
+    every entry turns real exactly when x . y = f(x) over GF(2) for every
+    stored mask x: a linear system, solved by echelon elimination of the
+    rows x << 1 | f.  A row that reduces to the lone right-hand bit
+    (pivot 0) makes it inconsistent; so does a mask with a complex entry,
+    or one that mixes real and imaginary entries.  Free bits of y are
+    set to 0.
     """
-    stored = block.values != 0
-    masks = (rows ^ rows[block.cols])[stored]
-    values = block.values[stored]
+    values = block.values
     imaginary = values.real == 0
-    if not (imaginary | (values.imag == 0)).all():
+    if ((values.imag != 0) & ~imaginary).any():
         return None
-    # the distinct rows, sorted by hand: np.unique would import numpy.ma
-    keys = np.sort(masks << 1 | imaginary)
+    # zero slots are padding and constrain nothing; the distinct rows are
+    # found by hand, since np.unique would import numpy.ma
+    keys = ((rows ^ rows[block.cols]) << 1 | imaginary)[values != 0]
+    keys.sort()
     system: dict = {}
     for v in keys[np.diff(keys, prepend=-1) != 0].tolist():
         _echelon_insert(system, v)
@@ -621,17 +622,21 @@ def _gauge_string(block: SparseOperator, rows: np.ndarray) -> int | None:
 
 def _real_gauge(block: SparseOperator, rows: np.ndarray, y: int | None):
     """(D^dagger B D as a float64 SparseOperator, d) for the gauge
-    d_n = i^parity(n & y) of the block B on the Fock states `rows`, or
-    (B, None) if y is None or leaves any imaginary part non-zero.  Each
-    d_n is 1 or i, so the products are exact and so is the test that the
-    result is real."""
+    d_n = i^a_n, a_n = parity(n & y), of the block B on the Fock states
+    `rows`, or (B, None) if y is None or leaves any imaginary part
+    non-zero.  Entry (n, m) is i^e B_nm with e = a_m - a_n: B_nm itself
+    where e = 0, and -e Im B_nm + i e Re B_nm where e = +-1, so the result
+    and the test that it is real are exact."""
     if y is None:
         return block, None
-    d = _PHASES[_bit_parity(rows & y)]
-    gauged = block.values * d[block.cols] * d.conj()
-    if (gauged.imag != 0).any():
+    a = _bit_parity(rows & y)
+    e = a[block.cols] - a
+    turned = e != 0
+    values = block.values
+    if np.where(turned, values.real, values.imag).any():
         return block, None
-    return SparseOperator(block.cols, gauged.real), d
+    gauged = np.where(turned, -e * values.imag, values.real)
+    return SparseOperator(block.cols, gauged), _PHASES[a]
 
 
 def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
@@ -731,19 +736,17 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
         gap_tol = default_gap_tol(e0)
     n = _cluster_count(np.array(certified), gap_tol)
     pairs = pairs[:max(k, n + 1)]
-    columns = []
-    for _, b, vec, _ in pairs[:n]:
+    cluster = np.zeros((op.dim, n), dtype=np.complex128)
+    for col, (_, b, vec, _) in enumerate(pairs[:n]):
         gauge = ops[reps.index(rep[b])][1]
         if gauge is not None:  # back from the real gauge to the block's basis
             vec = gauge * vec
-        full = np.zeros(op.dim, dtype=np.complex128)
         if rep[b] == b:
-            full[blocks[b]] = vec
+            cluster[blocks[b], col] = vec
         else:
             states, sign = _signed_permutation(blocks[rep[b]], carry[b])
-            full[states] = sign * vec
-        columns.append(full)
-    basis = canonical_subspace_basis(np.column_stack(columns))
+            cluster[states, col] = sign * vec
+    basis = canonical_subspace_basis(cluster)
     parity = _bit_parity(blocks[:, 0])
     return GroundSpace(e0=e0, basis=basis, gap_tol=gap_tol,
                        eigenvalues=tuple(float(val) for val, _, _, _ in pairs),
