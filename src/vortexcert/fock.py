@@ -18,6 +18,14 @@ maps to itself (the whole space in `to_matrix`, or a symmetry block),
 row chunk by row chunk, never by generic sparse-sparse products, as
 numpy arrays of fixed-width rows, one slot per mask (`SparseOperator`).
 
+A phase gauge d_n = i^parity(n & y), for a Z-string y, turns an entry
+at (n, n ^ x) into conj(d_n) O_nm d_m, itself times i^(+-1) when
+popcount(x & y) is odd and itself otherwise.  So when the entries of
+every mask x are all real (f(x) = 0) or all imaginary (f(x) = 1), the
+y with x . y = f(x) over GF(2) for every mask makes the operator real
+(`_solve_gauge`; `gauge` on either operator type), and its blocks can
+be built and solved in float64.
+
 Dense arrays are only materialized up to ``DENSE_DIM_CAP``; beyond that
 callers get the gather product of `SparseOperator`.
 """
@@ -36,11 +44,45 @@ _PHASES = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
 
 
 def _bit_parity(x: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each (non-negative int64) entry."""
-    x = x.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        x ^= x >> shift
-    return x & 1
+    """Parity of the set bits of each (non-negative int64) entry, as int64
+    (in uint8, 1 - 2 * parity would wrap to 255)."""
+    return (np.bitwise_count(x) & 1).astype(np.int64)
+
+
+def _reduce(rows: dict, v: int) -> int:
+    """v reduced by `rows`, a reduced echelon basis over GF(2) (pivot bit
+    -> row, each row clear at every other pivot): 0 exactly if v lies in
+    their span."""
+    for p, r in rows.items():
+        if v >> p & 1:
+            v ^= r
+    return v
+
+
+def _echelon_insert(rows: dict, v: int) -> bool:
+    """Add v to the reduced echelon basis `rows`; False if v is in its
+    span."""
+    v = _reduce(rows, v)
+    if not v:
+        return False
+    p = v.bit_length() - 1
+    for q in list(rows):
+        if rows[q] >> p & 1:
+            rows[q] ^= v
+    rows[p] = v
+    return True
+
+
+def _solve_gauge(keys) -> int | None:
+    """The Z-string y with x . y = f over GF(2) for every key x << 1 | f,
+    free bits 0, or None if the system is inconsistent (a row reduces to
+    the lone right-hand bit, pivot 0)."""
+    system: dict = {}
+    for v in keys:
+        _echelon_insert(system, v)
+    if 0 in system:
+        return None
+    return sum(1 << (p - 1) for p, r in system.items() if r & 1)
 
 
 def monomial_pauli(indices, n_modes: int) -> tuple[int, int, int]:
@@ -182,15 +224,61 @@ class SparseOperator:
         partner = table[np.arange(len(masks))[:, None], rows ^ masks[:, None]]
         return float(np.abs(table - partner.conj()).max(initial=0.0))
 
-    def block(self, idx: np.ndarray) -> SparseOperator:
-        """The submatrix on rows and columns `idx` (ascending, 2**m of
-        them); entries leaving the block become zero padding."""
+    def gauge(self) -> int | None:
+        """The Z-string y of a phase gauge that makes the operator real,
+        read off the stored entries, or None: a complex entry, or a mask
+        with entries of both kinds, leaves none.  The distinct rows come
+        from a sort, since np.unique would import numpy.ma."""
+        values = self.values
+        imaginary = values.real == 0
+        if ((values.imag != 0) & ~imaginary).any():
+            return None
+        # zero slots are padding and constrain nothing
+        keys = ((self.cols ^ np.arange(self.dim)) << 1 | imaginary)[values != 0]
+        keys.sort()
+        return _solve_gauge(keys[np.diff(keys, prepend=-1) != 0].tolist())
+
+    def block(self, idx: np.ndarray, y: int | None = None) -> SparseOperator:
+        """The submatrix B on rows and columns `idx` (ascending, 2**m of
+        them); entries leaving the block become zero padding.  With a
+        gauge y (`gauge`), D^dagger B D in float64 for d_n =
+        i^parity(n & y): entry (n, m) is i^e B_nm with e = a_m - a_n, so
+        B_nm where e = 0 and -e Im B_nm where e = +-1.  Products by 1 and
+        +-i are exact, so an entry the gauge leaves complex raises
+        ValueError."""
         pos = np.full(self.dim, -1, dtype=np.int64)
         pos[idx] = np.arange(len(idx))
         cols = pos[self.cols[:, idx]]
         inside = cols >= 0
-        return SparseOperator(np.where(inside, cols, 0),
-                              np.where(inside, self.values[:, idx], 0))
+        cols = np.where(inside, cols, 0)
+        values = np.where(inside, self.values[:, idx], 0)
+        if y is None:
+            return SparseOperator(cols, values)
+        a = _bit_parity(idx & y)
+        e = a[cols] - a
+        turned = e != 0
+        if np.where(turned, values.real, values.imag).any():
+            raise ValueError(f"the gauge {y} leaves a complex entry in the block")
+        return SparseOperator(cols, np.where(turned, -e * values.imag, values.real))
+
+
+def _mask_values(col: np.ndarray, strings, real: bool) -> np.ndarray:
+    """One mask's slot values in the columns `col`: its strings
+    (`PauliSum._strings`) summed in term order, the first assigning;
+    float64 for gauged strings (`real`), else complex."""
+    out = None
+    for string in strings:
+        if real:
+            z, r = string
+            entry = np.where(np.bitwise_count(col & z) & 1, -r, r)
+        else:
+            z, c, a = string
+            entry = a * _PHASES[(c + 2 * _bit_parity(col & z)) & 3]
+        if out is None:
+            out = entry
+        else:
+            out += entry
+    return out
 
 
 class PauliSum:
@@ -199,7 +287,9 @@ class PauliSum:
     (`monomial_pauli`), in term order.  Row i of an operator built from
     them has one slot per mask, in column i ^ x.  The strings of a mask
     have distinct Z characters, which cannot cancel everywhere, so a mask
-    has a slot unless all its coefficients round to zero.
+    has a slot unless all its coefficients round to zero.  A block is
+    built complex, or straight in float64 in a phase gauge (`gauge`) that
+    makes it real.
     """
 
     __slots__ = ("poly", "n_modes", "dim", "terms")
@@ -220,47 +310,102 @@ class PauliSum:
         """The largest coefficient of p - p^dagger: 0 exactly if Hermitian."""
         return (self.poly - self.poly.adjoint()).max_abs_coeff()
 
-    def _slots(self, rows: np.ndarray):
-        """(cols, values) of `rows`, one slot row per mask; in each mask
-        the first string assigns and the later ones add, in term order."""
-        cols = rows ^ np.array(list(self.terms), dtype=np.int64).reshape(-1, 1)
-        values = np.empty(cols.shape, dtype=np.complex128)
-        for col, out, strings in zip(cols, values, self.terms.values()):
-            for j, (z, c, a) in enumerate(strings):
-                entry = a * _PHASES[(c + 2 * _bit_parity(col & z)) & 3]
-                out[:] = out + entry if j else entry
-        return cols, values
+    def gauge(self) -> int | None:
+        """The Z-string y of a phase gauge that makes every block real, or
+        None.  String i^c a X^x Z^z has the entries
+        (-1)^popcount(m & z) i^c a, real or imaginary with i^c a, and so is
+        a mask whose non-zero strings are all of one kind; a complex
+        i^c a, or a mask that mixes the kinds, leaves no gauge."""
+        keys = set()
+        for x, strings in self.terms.items():
+            for _, c, a in strings:
+                v = complex(a * _PHASES[c])
+                if v.real and v.imag:
+                    return None
+                if v:
+                    keys.add(x << 1 | (v.real == 0))
+        return _solve_gauge(sorted(keys))
+
+    def _strings(self, y: int | None) -> list:
+        """Each mask's strings, in `terms` order, as what they add to its
+        slot in column m: (z, c, a) for a i^c (-1)^popcount(m & z), or,
+        in the gauge y, (z', r) for r (-1)^popcount(m & z') in
+        D^dagger H D.  On a mask even under y, r = Re i^c a and z' = z; on
+        an odd one the gauge turns i Im into -e Im (`SparseOperator.block`)
+        with -e = (-1)^popcount(m & y), so r = Im i^c a and z' = z ^ y.
+        A part that y would drop being non-zero raises ValueError."""
+        if y is None:
+            return list(self.terms.values())
+        out = []
+        for x, strings in self.terms.items():
+            odd = (x & y).bit_count() & 1
+            gauged = []
+            for z, c, a in strings:
+                v = complex(a * _PHASES[c])
+                if v.real if odd else v.imag:
+                    raise ValueError(f"the gauge {y} leaves mask {x} complex")
+                gauged.append((z ^ y, v.imag) if odd else (z, v.real))
+            out.append(gauged)
+        return out
 
     def floors(self, rows: np.ndarray | None = None) -> np.ndarray:
         """The Gershgorin floor (`_row_floors`) of each of the states
-        `rows`, in their order (default every state), from the slots of
-        ROW_CHUNK rows at a time, each dropped once read."""
+        `rows`, in their order (default every state), ROW_CHUNK rows at a
+        time, summed mask by mask in the order `_row_floors` sums its
+        slots: the centre is the diagonal mask's real part and the radius
+        adds |H_nm| over the other masks.  Where a gauge exists the slots
+        are computed real; the gauge changes no |H_nm| and no diagonal."""
         rows = (np.arange(self.dim, dtype=np.int64) if rows is None
                 else np.asarray(rows, dtype=np.int64))
-        chunks = np.split(rows, range(ROW_CHUNK, len(rows), ROW_CHUNK))
-        return np.concatenate([_row_floors(*self._slots(r), r) for r in chunks])
+        y = self.gauge()
+        strings = self._strings(y)
+        slack = (len(self.terms) + 2) * np.finfo(float).eps
+        out = np.empty(len(rows))
+        for start in range(0, len(rows), ROW_CHUNK):
+            part = rows[start:start + ROW_CHUNK]
+            centre = np.zeros(len(part))
+            radius = np.zeros(len(part))
+            for x, s in zip(self.terms, strings):
+                v = _mask_values(part ^ x, s, y is not None)
+                if x:
+                    radius += np.abs(v)
+                else:
+                    centre += v.real
+            out[start:start + ROW_CHUNK] = (
+                centre - radius - slack * (np.abs(centre) + radius))
+        return out
 
-    def block(self, rows: np.ndarray) -> SparseOperator:
+    def block(self, rows: np.ndarray, y: int | None = None) -> SparseOperator:
         """The operator on the Fock states `rows` (ascending, 2**m of them)
         in their own coordinates, each row's slots in column order, built
-        ROW_CHUNK rows at a time.  An entry leaving `rows` raises ValueError."""
+        ROW_CHUNK rows at a time: complex, or with a gauge y (`gauge`)
+        D^dagger H D in float64, written straight from the strings.  An
+        entry leaving `rows` raises ValueError."""
         rows = np.asarray(rows, dtype=np.int64)
-        cols = np.empty((len(self.terms), len(rows)), dtype=np.int64)
-        values = np.empty(cols.shape, dtype=np.complex128)
+        strings = self._strings(y)
+        masks = np.array(list(self.terms), dtype=np.int64).reshape(-1, 1)
+        cols = np.empty((len(masks), len(rows)), dtype=np.int64)
+        values = np.empty(cols.shape,
+                          dtype=np.complex128 if y is None else np.float64)
+        if len(rows) < self.dim:  # on every state a column is its own place
+            place = np.full(self.dim, -1, dtype=np.int64)
+            place[rows] = np.arange(len(rows))
         for start in range(0, len(rows), ROW_CHUNK):
             part = slice(start, start + ROW_CHUNK)
-            c, v = self._slots(rows[part])
+            c = rows[part] ^ masks
+            v = np.empty(c.shape, dtype=values.dtype)
+            for out, col, s in zip(v, c, strings):
+                out[:] = _mask_values(col, s, y is not None)
             if len(c) > 1:
                 # ascending columns in every row: a product sums each row
                 # in column order, whatever order the terms came in
                 order = np.argsort(c, axis=0, kind="stable")
                 c = np.take_along_axis(c, order, axis=0)
                 v = np.take_along_axis(v, order, axis=0)
-            if len(rows) < self.dim:  # on every state a column is its own place
-                local = np.searchsorted(rows, c)
-                leaves = rows.take(local, mode="clip") != c
-                if leaves.any():
-                    j, i = np.argwhere(leaves)[0]
+            if len(rows) < self.dim:
+                local = place[c]
+                if (local < 0).any():
+                    j, i = np.argwhere(local < 0)[0]
                     raise ValueError(f"entry ({rows[part][i]}, {c[j, i]}) leaves "
                                      f"the {len(rows)} rows of the block")
                 c = local

@@ -21,13 +21,14 @@ Gram-Schmidt pass is a pair of contiguous matrix-vector products that
 conjugate only the new vector, never the basis.  It runs in the same
 Z-string blocks, and builds the operator of a block, a `SparseOperator`
 of numpy gathers, only when it first solves there: from a `PauliSum`
-the full-space operator is never built.  A block whose bit-flip masks
-each carry only real or only imaginary entries is real up to a diagonal
-phase d_n = i^parity(n & y), for a Z-string y found by GF(2)
-elimination; Lanczos solves the gauged block D^dagger B D in float64
-(half the bytes per product and per Gram-Schmidt pass) when every
-imaginary part of it is exactly zero, which the exact products by 1 and
-+-i make an exact test, and multiplies its vectors back by d.  A second
+the full-space operator is never built.  An operator whose bit-flip
+masks each carry only real or only imaginary entries is real up to a
+diagonal phase d_n = i^parity(n & y), for a Z-string y found once by
+GF(2) elimination of the masks (`gauge`); Lanczos then builds every
+block as D^dagger B D in float64 (a PauliSum writes it straight from its
+strings, a SparseOperator checks exactly that no imaginary part is
+left), solves it in real arithmetic (half the bytes per product and per
+Gram-Schmidt pass) and multiplies its vectors back by d.  A second
 Gram-Schmidt pass runs only when the first cancelled most of the vector
 (the DGKS rule).  The fermion parity
 (-1)^N is the first split, and further strings halve the blocks only
@@ -57,6 +58,7 @@ beta can then be large without overflow.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +72,17 @@ from .fock import (
     PauliSum,
     SparseOperator,
     _bit_parity,
+    _echelon_insert,
+    _reduce,
     monomial_pauli,
     to_matrix,
 )
 from .lattice import ReflectionData
 
 HERMITICITY_TOL = 1e-12
+# largest max |B^H B - I| that canonical_subspace_basis takes for round-off:
+# its callers hand it eigenvectors of eigh and deflated Lanczos vectors
+ORTHONORMALITY_TOL = 1e-10
 # relative bound on |Gram value - symbolic value| in the RP cross-check;
 # a round-off bound, independent of the verdict tolerance
 GRAM_AGREEMENT_TOL = 1e-10
@@ -158,6 +165,10 @@ class GroundSpace:
     # solved representative blocks that a Z-string phase gauge made real,
     # so that Lanczos ran there in float64
     real_blocks: int = 0
+    # wall time of the split, the floors and the block builds, and of the
+    # eigenpair solves
+    build_ms: float = 0.0
+    solve_ms: float = 0.0
 
     @property
     def n(self) -> int:
@@ -224,19 +235,31 @@ def _cluster_count(values: np.ndarray, gap_tol: float) -> int:
 
 
 def canonical_subspace_basis(basis: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of span(columns).
+    """Deterministic orthonormal basis of the span of orthonormal columns.
 
-    Projects coordinate vectors e_0, e_1, ... into the subspace,
-    Gram-Schmidts them in that fixed order, keeps the ones with
-    non-negligible residual, and fixes each phase by making the lowest
-    non-negligible amplitude real positive.  Depends only on the
-    subspace, not on the gauge of the input columns.  A coordinate whose
-    projection is already negligible cannot leave a larger residual, so
-    those rows are dropped in one pass before the loop.  The pivot loop
-    works on the n-dimensional coefficients only; the basis is one
-    product q @ C after it.
+    The columns are checked, not trusted: their Gram matrix G = B^H B
+    must lie within ORTHONORMALITY_TOL of the identity (SpectralError
+    otherwise), and one symmetric step, q = B G^-1/2 from `eigh` of the
+    n x n G, takes them the rest of the way to orthonormal (the same
+    LAPACK routine as the spectra, where a Cholesky factor and its
+    inverse would load about 0.3 MB more library code into a diamond
+    run).  Then projects coordinate
+    vectors e_0, e_1, ... into the subspace, Gram-Schmidts them in that
+    fixed order, keeps the ones with non-negligible residual, and fixes
+    each phase by making the lowest non-negligible amplitude real
+    positive.  Depends only on the subspace, not on the gauge of the
+    input columns.  A coordinate whose projection is already negligible
+    cannot leave a larger residual, so those rows are dropped in one
+    pass before the loop.  The pivot loop works on the n-dimensional
+    coefficients only; the basis is one product q @ C after it.
     """
-    q, _ = np.linalg.qr(basis)
+    gram = basis.conj().T @ basis
+    defect = float(np.abs(gram - np.eye(len(gram))).max(initial=0.0))
+    if defect > ORTHONORMALITY_TOL:
+        raise SpectralError(f"basis columns are not orthonormal: "
+                            f"max |B^H B - I| = {defect:.3e}")
+    w, v = np.linalg.eigh(gram)
+    q = basis @ ((v / np.sqrt(w)) @ v.conj().T)
     n = q.shape[1]
     coeffs: list[np.ndarray] = []
     for i in np.flatnonzero(np.linalg.norm(q, axis=1) > 1e-8):
@@ -412,30 +435,6 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window,
 SYMMETRY_BLOCK_FLOOR = 4096
 
 
-def _reduce(rows: dict, v: int) -> int:
-    """v reduced by `rows`, a reduced echelon basis over GF(2) (pivot bit
-    -> row, each row clear at every other pivot): 0 exactly if v lies in
-    their span."""
-    for p, r in rows.items():
-        if v >> p & 1:
-            v ^= r
-    return v
-
-
-def _echelon_insert(rows: dict, v: int) -> bool:
-    """Add v to the reduced echelon basis `rows`; False if v is in its
-    span."""
-    v = _reduce(rows, v)
-    if not v:
-        return False
-    p = v.bit_length() - 1
-    for q in list(rows):
-        if rows[q] >> p & 1:
-            rows[q] ^= v
-    rows[p] = v
-    return True
-
-
 def _symmetry_blocks(op: SparseOperator | PauliSum,
                      floor: int | None = None) -> np.ndarray:
     """Basis indices of the diagonal symmetry blocks of `op`, one row per
@@ -443,17 +442,16 @@ def _symmetry_blocks(op: SparseOperator | PauliSum,
     return _split(op.dim, _symmetry_generators(op, floor))
 
 
-def _labels(states: np.ndarray, gens: list[int]) -> np.ndarray:
-    """The block of each Fock state under the Z-strings `gens`: bit i is
-    popcount(n & gens[i]) mod 2."""
-    return sum((_bit_parity(states & g) << i for i, g in enumerate(gens)),
-               np.zeros_like(states))
-
-
 def _split(dim: int, gens: list[int]) -> np.ndarray:
     """The Fock states 0..dim-1 split by the independent Z-strings `gens`:
-    row b holds, ascending, the states of label b (`_labels`)."""
-    labels = _labels(np.arange(dim, dtype=np.int64), gens)
+    row b holds, ascending, the states of label b, whose bit i is
+    popcount(n & gens[i]) mod 2.  The labels are kept in the narrowest
+    unsigned type (uint8 up to 8 strings), where the stable sort is a
+    radix sort."""
+    states = np.arange(dim, dtype=np.int64)
+    labels = np.zeros(dim, dtype=np.min_scalar_type((1 << len(gens)) - 1))
+    for i, g in enumerate(gens):
+        labels |= (np.bitwise_count(states & g) & 1).astype(labels.dtype) << i
     return np.argsort(labels, kind="stable").reshape(1 << len(gens), -1)
 
 
@@ -589,56 +587,6 @@ def _block_orbits(blocks: np.ndarray, gens: list[int], perms: list[np.ndarray]):
     return rep, carry
 
 
-def _gauge_string(block: SparseOperator, rows: np.ndarray) -> int | None:
-    """A Z-string y whose phase gauge d_n = i^parity(n & y) makes the
-    block on the Fock states `rows` real, or None if there is none.
-
-    With real coefficients every entry is one times +-1 or +-i, and on
-    the lattices here the entries of one bit-flip mask x are all real
-    (f(x) = 0) or all imaginary (f(x) = 1).  conj(d_n) H_nm d_m is H_nm
-    times i^(+-1) when popcount(x & y) is odd and H_nm otherwise, so
-    every entry turns real exactly when x . y = f(x) over GF(2) for every
-    stored mask x: a linear system, solved by echelon elimination of the
-    rows x << 1 | f.  A row that reduces to the lone right-hand bit
-    (pivot 0) makes it inconsistent; so does a mask with a complex entry,
-    or one that mixes real and imaginary entries.  Free bits of y are
-    set to 0.
-    """
-    values = block.values
-    imaginary = values.real == 0
-    if ((values.imag != 0) & ~imaginary).any():
-        return None
-    # zero slots are padding and constrain nothing; the distinct rows are
-    # found by hand, since np.unique would import numpy.ma
-    keys = ((rows ^ rows[block.cols]) << 1 | imaginary)[values != 0]
-    keys.sort()
-    system: dict = {}
-    for v in keys[np.diff(keys, prepend=-1) != 0].tolist():
-        _echelon_insert(system, v)
-    if 0 in system:
-        return None
-    return sum(1 << (p - 1) for p, r in system.items() if r & 1)
-
-
-def _real_gauge(block: SparseOperator, rows: np.ndarray, y: int | None):
-    """(D^dagger B D as a float64 SparseOperator, d) for the gauge
-    d_n = i^a_n, a_n = parity(n & y), of the block B on the Fock states
-    `rows`, or (B, None) if y is None or leaves any imaginary part
-    non-zero.  Entry (n, m) is i^e B_nm with e = a_m - a_n: B_nm itself
-    where e = 0, and -e Im B_nm + i e Re B_nm where e = +-1, so the result
-    and the test that it is real are exact."""
-    if y is None:
-        return block, None
-    a = _bit_parity(rows & y)
-    e = a[block.cols] - a
-    turned = e != 0
-    values = block.values
-    if np.where(turned, values.real, values.imag).any():
-        return block, None
-    gauged = np.where(turned, -e * values.imag, values.real)
-    return SparseOperator(block.cols, gauged), _PHASES[a]
-
-
 def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
                    gap_tol: float | None = None, conv_tol: float = 1e-9,
                    max_matvecs: int = 60000, window: int = 64,
@@ -646,12 +594,12 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
     """Ground cluster via deflated Lanczos, closed by the solver itself.
 
     Reads only the `dim`, `masks`, row `floors`, Hermiticity defect
-    (NonHermitianError above HERMITICITY_TOL) and block operators
-    (`block`) of `op`, a SparseOperator or a PauliSum.  Runs inside the
-    Z-string symmetry blocks of `_symmetry_blocks`: the two fermion-parity
-    blocks, split further while the blocks stay at
-    least SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the 4x4
-    torus), or one block if the operator couples the parities.
+    (NonHermitianError above HERMITICITY_TOL), phase `gauge` and block
+    operators (`block`) of `op`, a SparseOperator or a PauliSum.  Runs
+    inside the Z-string symmetry blocks of `_symmetry_blocks`: the two
+    fermion-parity blocks, split further while the blocks stay at least
+    SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the 4x4 torus), or
+    one block if the operator couples the parities.
 
     `symmetries` are Majorana maps (`lattice.translations`) claimed to
     leave H unchanged; each is checked exactly on the polynomial of a
@@ -674,18 +622,20 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
     cut (E0 + gap_tol, clustered exactly as ground_space does), or once
     every state is found; k is only a floor.  A representative whose
     floor lies above that certified prefix is closed without a solve,
-    and its operator is never built.  A built block that a Z-string phase
-    gauge makes exactly real (`_gauge_string`, `_real_gauge`) is solved
-    in float64, and its cluster vectors are multiplied back by the gauge
-    before they are embedded or carried.  One RNG and one matvec budget are
-    shared in that fixed order, so results are deterministic.  The
+    and its operator is never built.  When a Z-string phase gauge makes
+    the operator real (`op.gauge()`, solved once), every block is built
+    in it and solved in float64, and its cluster vectors are multiplied
+    back by the gauge before they are embedded or carried.  One RNG and
+    one matvec budget are shared in that fixed order, so results are
+    deterministic.  The
     reported eigenvalues are the shortest certified prefix that meets
     the rule, max(k, n + 1) of them for a cluster of n: the cluster and
     the first value above it.  They come with their true residuals,
     their block parities (none with a single block), the block count,
     dimension and orbit count, the count of blocks closed by their
-    floor, the count of solved blocks that ran real and the block-length
-    products spent.
+    floor, the count of solved blocks that ran real, the block-length
+    products spent, and the wall time of the split, floors and block
+    builds and that of the solves.
     """
     if k < 1 or k > op.dim:
         raise ValueError(f"k must be in 1..{op.dim}")
@@ -693,12 +643,16 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
     perms = _mode_permutations(op, symmetries)
     rng = np.random.default_rng(seed)
     gens = _symmetry_generators(op)
+    t0 = time.perf_counter()
     blocks = _split(op.dim, gens)
     size = blocks.shape[1]
     rep, carry = _block_orbits(blocks, gens, perms)
     reps = sorted(set(rep))
     orbit = [rep.count(b) for b in reps]  # blocks in each representative's orbit
     floors = op.floors(blocks[reps].ravel()).reshape(len(reps), size).min(axis=1)
+    y = op.gauge()
+    build = time.perf_counter() - t0
+    solve = 0.0
     ops: dict[int, SparseOperator] = {}
     found: list[list[tuple[float, np.ndarray, float]]] = [[] for _ in reps]
     budget = max_matvecs
@@ -716,14 +670,15 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
             if certified[-1] - certified[0] > tol:
                 break
         i = open_[int(np.argmin(last))]
+        t0 = time.perf_counter()
         if i not in ops:
-            rows = blocks[reps[i]]
-            block = op.block(rows)
-            ops[i] = _real_gauge(block, rows, _gauge_string(block, rows))
-        solve = ops[i][0]
+            ops[i] = op.block(blocks[reps[i]], y)
+        t1 = time.perf_counter()
         val, vec, r, used = _lowest_eigenpair(
-            solve.apply, size, rng, [v for _, v, _ in found[i]],
-            conv_tol, budget, window, solve.values.dtype)
+            ops[i].apply, size, rng, [v for _, v, _ in found[i]],
+            conv_tol, budget, window, ops[i].values.dtype)
+        build += t1 - t0
+        solve += time.perf_counter() - t1
         budget -= used
         found[i].append((val, vec, r))
 
@@ -738,9 +693,8 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
     pairs = pairs[:max(k, n + 1)]
     cluster = np.zeros((op.dim, n), dtype=np.complex128)
     for col, (_, b, vec, _) in enumerate(pairs[:n]):
-        gauge = ops[reps.index(rep[b])][1]
-        if gauge is not None:  # back from the real gauge to the block's basis
-            vec = gauge * vec
+        if y is not None:  # back from the real gauge to the block's basis
+            vec = _PHASES[_bit_parity(blocks[rep[b]] & y)] * vec
         if rep[b] == b:
             cluster[blocks[b], col] = vec
         else:
@@ -756,8 +710,9 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
                        blocks=(len(blocks), size), orbits=len(reps),
                        closed_by_bound=sum(orbit[i] for i in range(len(reps))
                                            if i not in ops),
-                       real_blocks=sum(g is not None for _, g in ops.values()),
-                       matvecs=max_matvecs - budget)
+                       real_blocks=0 if y is None else len(ops),
+                       matvecs=max_matvecs - budget,
+                       build_ms=1e3 * build, solve_ms=1e3 * solve)
 
 
 # ---------------------------------------------------------------------------

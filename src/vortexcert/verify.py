@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .clifford import MajoranaPolynomial, commutator
-from .fock import SparseOperator, to_matrix
+from .fock import to_matrix  # noqa: F401  (wrapped here by bench/tracing.py)
 from .lattice import IslandLattice, ReflectionData
 from .model import (
     build_hamiltonian,
@@ -239,14 +239,15 @@ class TopoResult(NamedTuple):
     verdict: str
 
 
-def check_topological_order(ground: GroundSpace, w: SparseOperator,
+def check_topological_order(ground: GroundSpace, wb: np.ndarray,
                             tol: float = DEFAULT_TOPO_TOL) -> TopoResult:
     """Is P W P a scalar multiple of P on the ground projector?
 
-    alpha is the mean diagonal expectation; the deviation is the
-    Frobenius norm of <mu|W|nu> - alpha*delta over the ground basis.
+    `wb` is the loop product W B (`w.apply(ground.basis)`).  alpha is the
+    mean diagonal expectation; the deviation is the Frobenius norm of
+    B^dagger W B - alpha*I.
     """
-    m = ground.basis.conj().T @ w.apply(ground.basis)
+    m = ground.basis.conj().T @ wb
     n = ground.n
     alpha = float(np.trace(m).real) / n
     deviation = float(np.linalg.norm(m - alpha * np.eye(n)))
@@ -261,15 +262,19 @@ class PositivityResult(NamedTuple):
     verdict: str
 
 
-def check_ground_positivity(ground: GroundSpace, w_a: SparseOperator,
+def loop_expectations(ground: GroundSpace, wb: np.ndarray) -> np.ndarray:
+    """<Omega^mu, W Omega^mu> for every ground basis vector, from the loop
+    product W B (`check_topological_order`)."""
+    return np.einsum("ij,ij->j", ground.basis.conj(), wb)
+
+
+def check_ground_positivity(diag: np.ndarray,
                             tol: float = DEFAULT_POS_TOL) -> PositivityResult:
-    """Minimum of <Omega^mu, W_A Omega^mu> over the ground basis.
+    """Minimum of <Omega^mu, W_A Omega^mu> (`loop_expectations`).
 
     Pass iff the minimum real part is >= -tol.  The spread max-min is
     reported as well: under topological order it should vanish.
     """
-    ov = w_a.apply(ground.basis)
-    diag = np.einsum("ij,ij->j", ground.basis.conj(), ov)
     minimum = float(diag.real.min())
     spread = float(diag.real.max() - diag.real.min())
     max_imag = float(np.abs(diag.imag).max())
@@ -277,23 +282,16 @@ def check_ground_positivity(ground: GroundSpace, w_a: SparseOperator,
                             verdict="pass" if minimum >= -tol else "fail")
 
 
-def vortex_map(lat: IslandLattice, ground: GroundSpace,
-               tol: float = DEFAULT_CLASS_TOL, loops: dict | None = None) -> dict:
+def vortex_map(expectations: dict, tol: float = DEFAULT_CLASS_TOL) -> dict:
     """Classify every octagon by its ground-space vortex expectation.
 
-    `loops` maps octagon centres to their loop matrices W, for a caller
-    that has built them already; missing, each W is built here.
+    `expectations` maps each octagon centre to the `loop_expectations` of
+    its loop; alpha is their mean.
     """
     out = {}
-    for o in lat.octagons:
-        if loops is not None:
-            w = loops[o.center]
-        else:
-            w = to_matrix(vortex_operator(lat, o).W, lat.n_modes)
-        ov = w.apply(ground.basis)
-        diag = np.einsum("ij,ij->j", ground.basis.conj(), ov)
+    for center, diag in expectations.items():
         alpha = float(diag.real.mean())
-        out[o.center] = {"alpha": alpha, "classification": _classify(alpha, tol)}
+        out[center] = {"alpha": alpha, "classification": _classify(alpha, tol)}
     return out
 
 
@@ -309,8 +307,29 @@ def _classify(alpha: float, tol: float) -> str:
     return "undetermined"
 
 
+def _commutator_witness(m: MajoranaPolynomial, h: MajoranaPolynomial,
+                        name: str) -> dict | None:
+    """None if the monomial m commutes with h, else the witness [m, h].
+
+    Monomials on the index sets A and B commute up to the sign
+    (-1)^(|A||B| - |A & B|), so each term of h commutes or anticommutes
+    with m, read off from its indices alone.  The products of m with
+    distinct terms are distinct monomials, so nothing in [m, h] can
+    cancel: it vanishes exactly when every term commutes.  The symbolic
+    commutator is built only to render a failing witness.
+    """
+    [key] = m.terms()
+    b = set(key)
+    if not any((len(a) * len(b) - len(b.intersection(a))) % 2 for a in h.terms()):
+        return None
+    c = commutator(m, h)
+    return {"value_re": c.max_abs_coeff(), "value_im": 0.0,
+            "witness": f"{name} = {c.render()}"}
+
+
 def check_conservation(lat: IslandLattice, lam) -> CheckReport:
-    """[W, H] = 0 for every octagon, decided in exact arithmetic.
+    """[W, H] = 0 for every octagon, decided exactly from the commutation
+    signs of H's terms with the loop monomial W (`_commutator_witness`).
 
     The total fermion parity is checked alongside under the witness key
     "parity"; it commutes for the same structural reason.
@@ -319,23 +338,12 @@ def check_conservation(lat: IslandLattice, lam) -> CheckReport:
     h = build_hamiltonian(lat, lam)
     worst = None
     for o in lat.octagons:
-        w = vortex_operator(lat, o).W
-        c = commutator(w, h)
-        if not c.is_zero:
-            worst = {
-                "value_re": c.max_abs_coeff(),
-                "value_im": 0.0,
-                "witness": f"octagon {o.center}: [W,H] = {c.render()}",
-            }
+        worst = _commutator_witness(vortex_operator(lat, o).W, h,
+                                    f"octagon {o.center}: [W,H]")
+        if worst is not None:
             break
     if worst is None:
-        c = commutator(parity_operator(lat), h)
-        if not c.is_zero:
-            worst = {
-                "value_re": c.max_abs_coeff(),
-                "value_im": 0.0,
-                "witness": f"parity: [P,H] = {c.render()}",
-            }
+        worst = _commutator_witness(parity_operator(lat), h, "parity: [P,H]")
     return CheckReport(
         check="conservation",
         lattice=lat.content_hash(),

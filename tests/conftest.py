@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from vortexcert import build_lattice, diamond_lattice, reflection_data
-from vortexcert.fock import _PHASES, SparseOperator, monomial_action
+from vortexcert.fock import (
+    _PHASES,
+    SparseOperator,
+    _bit_parity,
+    _echelon_insert,
+    monomial_action,
+)
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -79,6 +85,44 @@ def column_form_to_matrix(poly, n_modes: int) -> SparseOperator:
     order = np.argsort(cols, axis=0, kind="stable")
     return SparseOperator(np.take_along_axis(cols, order, axis=0),
                           np.take_along_axis(values, order, axis=0))
+
+
+def reference_gauge_string(block: SparseOperator, rows: np.ndarray):
+    """The Z-string y of a real phase gauge of one complex block, solved
+    from that block's own entries, as Lanczos found it before the gauge was
+    solved once per operator: each stored entry is real (f = 0) or
+    imaginary (f = 1) by its mask x = row ^ column, and x . y = f(x) is
+    solved by echelon elimination of the rows x << 1 | f.  None for a
+    complex entry or an inconsistent system."""
+    values = block.values
+    imaginary = values.real == 0
+    if ((values.imag != 0) & ~imaginary).any():
+        return None
+    keys = ((rows ^ rows[block.cols]) << 1 | imaginary)[values != 0]
+    system: dict = {}
+    for v in sorted(set(keys.tolist())):
+        _echelon_insert(system, v)
+    if 0 in system:
+        return None
+    return sum(1 << (p - 1) for p, r in system.items() if r & 1)
+
+
+def reference_real_gauge(block: SparseOperator, rows: np.ndarray, y):
+    """(D^dagger B D as a float64 SparseOperator, d) for d_n =
+    i^parity(n & y), formed from the complex block: entry (n, m) is B_nm
+    where e = a_m - a_n = 0 and -e Im B_nm where e = +-1; (B, None) if y
+    is None or leaves an imaginary part.  The reference the blocks built
+    straight in their gauge must match."""
+    if y is None:
+        return block, None
+    a = _bit_parity(rows & y)
+    e = a[block.cols] - a
+    turned = e != 0
+    values = block.values
+    if np.where(turned, values.real, values.imag).any():
+        return block, None
+    gauged = np.where(turned, -e * values.imag, values.real)
+    return SparseOperator(block.cols, gauged), _PHASES[a]
 
 
 def assert_same_operator(a: SparseOperator, b: SparseOperator) -> None:

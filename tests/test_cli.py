@@ -408,6 +408,27 @@ def test_torus_solve_stays_within_its_memory_budget(torus_4x4):
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_torus_octagon_stage_holds_one_loop_operator_at_a_time(
+        torus_4x4, monkeypatch):
+    # each octagon's W (1.5 MB on 65,536 states) and its product with the
+    # one-column ground basis (1 MB, plus a 1 MB term) are dropped before
+    # the next octagon: about 3.5 MB at the peak, where keeping all eight
+    # W would hold 12 MB
+    cfg = _resolve(["certify", *TORUS])
+    solved = cli._solve(torus_4x4, 0.1, cfg)
+    assert solved[1].n == 1
+    monkeypatch.setattr(cli, "_solve", lambda *args: solved)
+    refl = cli.reflection_data(torus_4x4, "x", 1)
+    tracemalloc.start()
+    try:
+        ev = cli.evaluate(torus_4x4, refl, 0.1, cfg, [1.0], cli.RP_CHECKS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ev.octagons) == len(ev.expectations) == 8
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_torus_certify_builds_no_full_space_hamiltonian(tmp_path, monkeypatch):
     # the only operators on all 65,536 states are the one-slot loops
     shapes = []
@@ -562,7 +583,11 @@ def test_lanczos_route_reports_cluster_values_and_diagnostics(
 
     code, vmap = _run_json(tmp_path, ["vortex-map"], "v.json")
     assert code == 0
-    assert vmap["sidecar"]["lanczos"] == spec["sidecar"]["lanczos"] == lz
+    # the same solve each time; only its wall times differ between runs
+    runs = [vmap["sidecar"]["lanczos"], spec["sidecar"]["lanczos"], lz]
+    for run in runs:
+        assert run.pop("build_ms") > 0 and run.pop("solve_ms") > 0
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_lanczos_route_closes_the_degenerate_control(tmp_path, monkeypatch):
@@ -601,9 +626,10 @@ def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
     exec(compile(example, "README.md", "exec"), {})
-    verdict, topo = capsys.readouterr().out.splitlines()
+    verdict, topo, pos = capsys.readouterr().out.splitlines()
     assert verdict == "pass"
     assert topo.startswith("TopoResult(") and "verdict='pass'" in topo
+    assert pos.startswith("PositivityResult(") and "verdict='pass'" in pos
 
 
 def test_python_dash_m_runs_the_cli():

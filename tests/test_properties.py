@@ -28,7 +28,13 @@ from vortexcert.clifford import (
 from vortexcert.fock import PauliSum, SparseOperator, to_matrix
 from vortexcert.model import build_hamiltonian
 
-from conftest import assert_same_operator, column_form_to_matrix, oracle_matrix
+from conftest import (
+    assert_same_operator,
+    column_form_to_matrix,
+    oracle_matrix,
+    reference_gauge_string,
+    reference_real_gauge,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
                              database=None)
@@ -255,6 +261,55 @@ def test_lanczos_matches_the_dense_route_with_or_without_a_real_gauge(
     assert lz.n == ref.n and abs(lz.e0 - ref.e0) <= 1e-10 * max(1.0, abs(ref.e0))
     angles = scipy_linalg.subspace_angles(lz.basis, ref.basis)
     assert angles.max() <= 1e-8
+
+
+@PROPERTY_SETTINGS
+@given(even_cases(max_modes=5))
+def test_blocks_built_in_the_operator_gauge_are_the_reference(case):
+    # where the strings give an operator gauge, every block built in it is
+    # exactly real and is the complex block gauged after the fact
+    n_modes, p = case
+    h = p + adjoint(p)
+    strings = PauliSum(h, n_modes)
+    y = strings.gauge()
+    if y is None:
+        return
+    op = to_matrix(h, n_modes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 1)
+        blocks = spectral._symmetry_blocks(strings)
+    for rows in blocks:
+        ref, d = reference_real_gauge(strings.block(rows), rows, y)
+        assert d is not None
+        for built in (strings.block(rows, y), op.block(rows, y)):
+            assert built.values.dtype == np.float64
+            assert np.array_equal(built.cols, ref.cols)
+            assert np.array_equal(built.values, ref.values)
+        # the gauge on the operator solves the system of every block
+        plain = strings.block(rows)
+        if plain.values.any():
+            assert reference_gauge_string(plain, rows) is not None
+
+
+@PROPERTY_SETTINGS
+@given(even_cases(max_modes=5).filter(lambda case: case[0] >= 2))
+def test_a_mask_mixing_real_and_imaginary_strings_has_no_gauge(case):
+    # 7i c0 c2 = 7i X0 Z0 X1 and 7i c1 c2 = -7 X0 X1 share the mask 0b11,
+    # one imaginary and one real; no coefficient of p + p^dagger (at most
+    # 6 in size) cancels either, so every solve stays complex
+    n_modes, p = case
+    c = MajoranaPolynomial.generator
+    h = p + adjoint(p) + c(0) * c(2) * 7j + c(1) * c(2) * 7j
+    strings = PauliSum(h, n_modes)
+    assert strings.gauge() is None
+    assert to_matrix(h, n_modes).gauge() is None
+    try:
+        ref = spectral.ground_space(to_matrix(h, n_modes))
+    except spectral.IllSeparatedError:
+        return
+    lz = spectral.lanczos_ground(strings, seed=0)
+    assert lz.real_blocks == 0
+    assert lz.n == ref.n and abs(lz.e0 - ref.e0) <= 1e-10 * max(1.0, abs(ref.e0))
 
 
 _DIAMOND_LAMBDAS = [0.0, 0.1, 0.5]

@@ -31,7 +31,13 @@ from vortexcert.spectral import (
     thermal_expectation,
 )
 
-from conftest import assert_same_operator, dense_operator, diagonal_operator
+from conftest import (
+    assert_same_operator,
+    dense_operator,
+    diagonal_operator,
+    reference_gauge_string,
+    reference_real_gauge,
+)
 
 # dense-oracle regression values for the diamond lattice
 E0_DIAMOND_01 = -4.010037405062517
@@ -143,8 +149,11 @@ def test_dense_route_keeps_one_block_when_the_operator_couples_parities(diamond)
 
 def _canonical_per_pivot(basis):
     """canonical_subspace_basis as it was before the one product q @ C:
-    one q @ c over all of q per pivot, phase fixed column by column."""
-    q, _ = np.linalg.qr(basis)
+    one q @ c over all of q per pivot, phase fixed column by column.  The
+    columns are orthonormalized by the same symmetric step, so that only
+    the products differ."""
+    w, v = np.linalg.eigh(basis.conj().T @ basis)
+    q = basis @ ((v / np.sqrt(w)) @ v.conj().T)
     coeffs, out = [], []
     for i in np.flatnonzero(np.linalg.norm(q, axis=1) > 1e-8):
         c = q[i, :].conj().copy()
@@ -174,6 +183,22 @@ def test_canonical_basis_matches_the_per_pivot_products(diamond, lam):
     mixed = b @ q
     assert np.abs(canonical_subspace_basis(mixed)
                   - _canonical_per_pivot(mixed)).max() <= 1e-13
+
+
+def test_canonical_basis_checks_its_columns_are_orthonormal(diamond):
+    b = ground_space(to_matrix(build_hamiltonian(diamond, 0.1),
+                               diamond.n_modes)).basis
+    # round-off is taken and corrected; a Gram matrix further from the
+    # identity than ORTHONORMALITY_TOL is refused
+    near = b * (1 + 1e-12)
+    np.testing.assert_allclose(canonical_subspace_basis(near),
+                               canonical_subspace_basis(b), rtol=0, atol=1e-12)
+    with pytest.raises(SpectralError, match="not orthonormal"):
+        canonical_subspace_basis(b * (1 + 1e-9))
+    skew = b.copy()
+    skew[:, 1] += 1e-6 * b[:, 0]
+    with pytest.raises(SpectralError, match="not orthonormal"):
+        canonical_subspace_basis(skew)
 
 
 def test_ground_space_regression_lambda_01(diamond):
@@ -458,8 +483,8 @@ def _only_even_torus_blocks_are_built(monkeypatch, op):
     built = []
     block = type(op).block
 
-    def recording_block(self, idx):
-        out = block(self, idx)
+    def recording_block(self, idx, y=None):
+        out = block(self, idx, y)
         built.append((out, idx))
         return out
 
@@ -477,14 +502,16 @@ def _only_even_torus_blocks_are_built(monkeypatch, op):
     assert len(built) == 8 and lz.closed_by_bound == 8
     assert _parity(op.dim)[[idx[0] for _, idx in built]].tolist() == [0] * 8
     assert len(solved) == 9
-    # each solved operator is a built block in its real gauge: the block's
-    # own cols, and its values times d_n = i^parity(n & y) on both sides
-    gauged = []
+    # each solved operator is a built block, built in its real gauge: the
+    # complex block's cols, and its values times d_n = i^parity(n & y) on
+    # both sides
+    assert all(any(b is out for out, _ in built) for b in solved)
     for out, idx in built:
-        d = _gauge(idx, spectral._gauge_string(out, idx))
-        gauged.append((out.cols, (out.values * d[out.cols] * d.conj()).real))
-    assert all(any(b.cols is cols and np.array_equal(b.values, values)
-                   for cols, values in gauged) for b in solved)
+        plain = block(op, idx)
+        d = _gauge(idx, reference_gauge_string(plain, idx))
+        assert np.array_equal(out.cols, plain.cols)
+        assert np.array_equal(out.values,
+                              (plain.values * d[plain.cols] * d.conj()).real)
     assert lz.real_blocks == 8
     assert lz.matvecs <= 500
     monkeypatch.undo()
@@ -528,9 +555,9 @@ def test_torus_translations_solve_one_block_per_orbit(torus_4x4, monkeypatch):
     block, floors = PauliSum.block, PauliSum.floors
     lowest = spectral._lowest_eigenpair
 
-    def recording_block(self, idx):
+    def recording_block(self, idx, y=None):
         built.append(int(np.flatnonzero(blocks[:, 0] == idx[0])[0]))
-        return block(self, idx)
+        return block(self, idx, y)
 
     def recording_floors(self, rows=None):
         read.append(len(rows))
@@ -668,6 +695,20 @@ def test_a_symmetry_claim_is_checked_not_trusted():
             lanczos_ground(PauliSum(h, lat.n_modes), symmetries=[s])
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
+def test_pauli_sum_floors_are_the_slot_floors_bit_for_bit(torus_4x4, lam):
+    # summed mask by mask, in the gauge's real arithmetic, the floors are
+    # those of the complex (masks, rows) slots in mask order
+    op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
+    assert op.gauge() is not None
+    rows = spectral._symmetry_blocks(op)[[0, 1, 7]].ravel()
+    cols = rows ^ np.array(list(op.terms)).reshape(-1, 1)
+    values = np.array([fock._mask_values(col, strings, False)
+                       for col, strings in zip(cols, op._strings(None))])
+    np.testing.assert_array_equal(op.floors(rows),
+                                  fock._row_floors(cols, values, rows))
+
+
 @pytest.mark.parametrize("strings", [False, True])
 def test_floors_of_given_rows_are_those_rows_of_every_floor(
         diamond, strings, monkeypatch):
@@ -701,41 +742,72 @@ def test_lanczos_from_pauli_strings_is_lanczos_from_the_operator(torus_4x4):
     assert np.array_equal(a.basis, b.basis)
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
-def test_every_torus_block_has_an_exact_real_gauge(torus_4x4, lam):
-    op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
-    for rows in spectral._symmetry_blocks(op):
-        block = op.block(rows)
-        y = spectral._gauge_string(block, rows)
-        assert y is not None
-        gauged, d = spectral._real_gauge(block, rows, y)
-        assert gauged.values.dtype == np.float64 and gauged.cols is block.cols
+def _assert_blocks_built_in_the_reference_gauge(h, n_modes):
+    """Every Lanczos block of h, built straight in the operator's gauge
+    from its Pauli strings and from its SparseOperator, is the reference
+    route's: the complex block, its own gauge string (the operator's), and
+    D^dagger B D formed from it, slot for slot."""
+    strings, op = PauliSum(h, n_modes), to_matrix(h, n_modes)
+    y = strings.gauge()
+    assert y is not None and op.gauge() == y
+    for rows in spectral._symmetry_blocks(strings):
+        plain = strings.block(rows)
+        assert reference_gauge_string(plain, rows) == y
+        ref, d = reference_real_gauge(plain, rows, y)
+        assert d is not None
         np.testing.assert_array_equal(d, _gauge(rows, y))
         # D^dagger B D, entry for entry: every imaginary part exactly 0
-        expected = block.values * d[block.cols] * d.conj()
+        expected = plain.values * d[plain.cols] * d.conj()
         assert not expected.imag.any()
-        np.testing.assert_array_equal(gauged.values, expected.real)
+        np.testing.assert_array_equal(ref.values, expected.real)
+        for built in (strings.block(rows, y), op.block(rows, y)):
+            assert built.values.dtype == np.float64
+            assert np.array_equal(built.cols, ref.cols)
+            assert np.array_equal(built.values, ref.values)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
+def test_every_torus_block_has_an_exact_real_gauge(torus_4x4, lam):
+    _assert_blocks_built_in_the_reference_gauge(
+        build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
+
+
+def test_diamond_lanczos_blocks_are_built_in_the_reference_gauge(
+        diamond, monkeypatch):
+    # the blocks of the lowered-cap Lanczos route: the two parities
+    assert spectral._symmetry_blocks(PauliSum(
+        build_hamiltonian(diamond, 0.1), diamond.n_modes)).shape == (2, 128)
+    _assert_blocks_built_in_the_reference_gauge(
+        build_hamiltonian(diamond, 0.1), diamond.n_modes)
 
 
 def test_a_flipped_gauge_bit_is_refused_by_the_exact_check(torus_4x4):
-    op = PauliSum(build_hamiltonian(torus_4x4, 0.1), torus_4x4.n_modes)
-    rows = spectral._symmetry_blocks(op)[0]
-    block = op.block(rows)
-    y = spectral._gauge_string(block, rows)
-    for bit in range(op.n_modes):
-        wrong, d = spectral._real_gauge(block, rows, y ^ 1 << bit)
+    h = build_hamiltonian(torus_4x4, 0.1)
+    strings, op = PauliSum(h, torus_4x4.n_modes), to_matrix(h, torus_4x4.n_modes)
+    rows = spectral._symmetry_blocks(strings)[0]
+    block = strings.block(rows)
+    y = strings.gauge()
+    for bit in range(strings.n_modes):
+        wrong, d = reference_real_gauge(block, rows, y ^ 1 << bit)
         assert wrong is block and d is None
+        for built in (strings, op):
+            with pytest.raises(ValueError, match="complex"):
+                built.block(rows, y ^ 1 << bit)
 
 
 def test_a_mask_with_complex_entries_has_no_gauge():
     # i c0 c2 + i c1 c2 = i X0 Z0 X1 - X0 X1: one mask, entries -1 +- i
     c = MajoranaPolynomial.generator
-    op = PauliSum(c(0) * c(2) * 1j + c(1) * c(2) * 1j, 2)
+    h = c(0) * c(2) * 1j + c(1) * c(2) * 1j
+    op = PauliSum(h, 2)
     rows = np.arange(4)
     block = op.block(rows)
     assert set(block.values[block.values != 0].tolist()) == {-1 + 1j, -1 - 1j}
-    assert spectral._gauge_string(block, rows) is None
-    assert spectral._real_gauge(block, rows, None) == (block, None)
+    assert op.gauge() is None and to_matrix(h, 2).gauge() is None
+    assert reference_gauge_string(block, rows) is None
+    # (1 + i) c0 c1 = (i - 1) Z0: one string, itself complex
+    skew = c(0) * c(1) * (1 + 1j)
+    assert PauliSum(skew, 1).gauge() is None and to_matrix(skew, 1).gauge() is None
 
 
 def test_lanczos_without_a_gauge_matches_the_dense_route():

@@ -6,7 +6,7 @@ import pytest
 from vortexcert.clifford import MajoranaPolynomial, multiply, reflect
 from vortexcert.fock import monomial_pauli, to_matrix
 from vortexcert.lattice import build_lattice, reflection_data
-from vortexcert.model import build_hamiltonian, vortex_operator
+from vortexcert.model import build_hamiltonian, parity_operator, vortex_operator
 from vortexcert.spectral import (
     SpectralError,
     dense_spectrum,
@@ -22,6 +22,7 @@ from vortexcert.verify import (
     check_ground_positivity,
     check_rp,
     check_topological_order,
+    loop_expectations,
     rp_sample_polynomials,
     theorem_chain_violations,
     vortex_map,
@@ -353,11 +354,13 @@ def test_diamond_certify_never_densifies_the_full_operator(tmp_path, monkeypatch
 
 def test_topological_order_verdicts(diamond, diamond_spectra):
     w = to_matrix(vortex_operator(diamond, (1, 2)).W, diamond.n_modes)
-    ordered = check_topological_order(ground_space(diamond_spectra[0.1]), w)
+    ground = ground_space(diamond_spectra[0.1])
+    ordered = check_topological_order(ground, w.apply(ground.basis))
     assert ordered.verdict == "pass"
     assert abs(ordered.alpha - 1.0) <= 1e-8
     assert ordered.deviation <= 1e-8
-    degenerate = check_topological_order(ground_space(diamond_spectra[0]), w)
+    ground = ground_space(diamond_spectra[0])
+    degenerate = check_topological_order(ground, w.apply(ground.basis))
     assert degenerate.verdict == "fail"
     assert abs(degenerate.alpha) <= 1e-12
     assert abs(degenerate.deviation - 4.0) <= 1e-10
@@ -366,19 +369,27 @@ def test_topological_order_verdicts(diamond, diamond_spectra):
 def test_ground_positivity(diamond, diamond_mirror, diamond_spectra):
     v = vortex_operator(diamond, (1, 2), r=diamond_mirror)
     w = to_matrix(v.W, diamond.n_modes)
-    res = check_ground_positivity(ground_space(diamond_spectra[0.1]), w)
+    ground = ground_space(diamond_spectra[0.1])
+    res = check_ground_positivity(loop_expectations(ground, w.apply(ground.basis)))
     assert res.verdict == "pass"
     assert res.minimum >= 1 - 1e-8  # all eight states sit at +1
     assert res.spread <= 1e-8 and res.max_imag <= 1e-12
 
 
+def _expectations(lat, ground):
+    """Each octagon's `loop_expectations` in the ground space."""
+    return {o.center: loop_expectations(ground, to_matrix(
+        vortex_operator(lat, o).W, lat.n_modes).apply(ground.basis))
+        for o in lat.octagons}
+
+
 def test_vortex_map_classifications(diamond, diamond_spectra, torus_4x4):
-    m = vortex_map(diamond, ground_space(diamond_spectra[0.1]))
+    m = vortex_map(_expectations(diamond, ground_space(diamond_spectra[0.1])))
     assert set(m) == {(1, 2)}
     assert m[(1, 2)]["classification"] == "vortex-free"
     assert m[(1, 2)]["alpha"] >= 1 - 1e-6
     # at lambda = 0 the loop averages to zero over the degenerate space
-    m0 = vortex_map(diamond, ground_space(diamond_spectra[0]))
+    m0 = vortex_map(_expectations(diamond, ground_space(diamond_spectra[0])))
     assert m0[(1, 2)]["classification"] == "undetermined"
     assert abs(m0[(1, 2)]["alpha"]) <= 1e-6
 
@@ -388,6 +399,44 @@ def test_conservation_is_exact(diamond):
     assert rep.verdict == "pass"
     assert rep.worst is None
     assert rep.tolerances == {}
+
+
+def _bent_conservation(lat, monkeypatch, bend):
+    """check_conservation on H + bend(H), with the witness [m, H] that the
+    symbolic commutator gives for the monomial m it names."""
+    from vortexcert import verify
+    from vortexcert.clifford import commutator
+
+    h = build_hamiltonian(lat, 0.1) + bend
+    monkeypatch.setattr(verify, "build_hamiltonian", lambda lat, lam: h)
+    return check_conservation(lat, 0.1), h, commutator
+
+
+def test_conservation_names_an_anticommuting_term(diamond, monkeypatch):
+    # the bond i c2 c4 of the loop moved onto c6, off it: the moved term
+    # shares one index with the octet, so it anticommutes with W, and the
+    # witness is the whole symbolic commutator, as rendered before the
+    # decision read commutation signs
+    c = MajoranaPolynomial.generator
+    bend = (c(2) * c(6) - c(2) * c(4)) * 0.1j
+    rep, h, commutator = _bent_conservation(diamond, monkeypatch, bend)
+    w = vortex_operator(diamond, (1, 2)).W
+    expected = commutator(w, h)
+    assert rep.verdict == "fail"
+    assert rep.worst == {"value_re": expected.max_abs_coeff(), "value_im": 0.0,
+                         "witness": f"octagon (1, 2): [W,H] = {expected.render()}"}
+    assert rep.worst["witness"] == (
+        "octagon (1, 2): [W,H] = (0.0,0.2)*c1*c4*c5*c6*c10*c11*c12*c15")
+
+
+def test_conservation_names_a_parity_odd_term(diamond, monkeypatch):
+    # c3 lies off the loop, so it commutes with W but not with the parity
+    c = MajoranaPolynomial.generator
+    rep, h, commutator = _bent_conservation(diamond, monkeypatch, c(3))
+    expected = commutator(parity_operator(diamond), h)
+    assert rep.verdict == "fail"
+    assert rep.worst["witness"] == f"parity: [P,H] = {expected.render()}"
+    assert rep.worst["value_re"] == expected.max_abs_coeff()
 
 
 def test_chain_cross_checks():
