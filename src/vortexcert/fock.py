@@ -210,17 +210,28 @@ class SparseOperator:
         np.add.at(out, (np.arange(self.dim), self.cols), self.values)
         return out
 
+    def by_mask(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored entries grouped by bit mask s = row ^ column: the
+        distinct masks of the non-zero entries, ascending, and a complex
+        (masks, dim) table whose row j holds entry (i, i ^ masks[j]) at
+        index i, zero where row i has none.  Zero slots are padding and
+        are not read."""
+        rows = np.broadcast_to(np.arange(self.dim, dtype=np.int64), self.cols.shape)
+        stored = self.values != 0
+        masks, slot = np.unique((self.cols ^ rows)[stored], return_inverse=True)
+        table = np.zeros((len(masks), self.dim), dtype=np.complex128)
+        np.add.at(table, (slot, rows[stored]), self.values[stored])
+        return masks, table
+
     def hermiticity_defect(self) -> float:
         """max |O[i, c] - conj(O[c, i])| over the stored entries.
 
         An entry (i, c) and its transpose partner (c, i) share the bit
-        mask s = i ^ c.  Scattered into a table with one row per distinct
-        mask, indexed by matrix row, the partner of (s, i) is (s, i ^ s).
+        mask s = i ^ c.  In the table of `by_mask` the partner of (s, i)
+        is (s, i ^ s).
         """
+        masks, table = self.by_mask()
         rows = np.arange(self.dim, dtype=np.int64)
-        masks, slot = np.unique(self.cols ^ rows, return_inverse=True)
-        table = np.zeros((len(masks), self.dim), dtype=np.complex128)
-        np.add.at(table, (slot.reshape(self.cols.shape), rows), self.values)
         partner = table[np.arange(len(masks))[:, None], rows ^ masks[:, None]]
         return float(np.abs(table - partner.conj()).max(initial=0.0))
 

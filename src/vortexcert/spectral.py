@@ -11,7 +11,10 @@ dim x dim matrix is never built.  A `Spectrum` keeps the block index
 rows with each block's eigenvalues and eigenvectors.  The thermal state
 is block-diagonal too, so the Pauli table that the RP Gram reads has
 only the |span| = s columns x of the masks' span: every other column is
-exactly zero.
+exactly zero.  The blocks are the cosets of that span, so an operator's
+slots of one bit mask send a block onto one other block, and thermal
+expectations carry the eigenvectors through an operator in (blocks, s,
+s) stacks, never as dim x dim columns.
 
 Above the cap a restarted, fully reorthogonalized Lanczos iteration
 with sequential deflation finds the low end of the spectrum, up to the
@@ -717,7 +720,9 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
 
 # ---------------------------------------------------------------------------
 # Thermal functionals (dense only: positivity must be resolved to 1e-9,
-# which stochastic trace estimators cannot do at desk effort)
+# which stochastic trace estimators cannot do at desk effort), block by
+# block over the Spectrum: an operator's slots of one bit mask send a
+# Z-string block onto one other block, so no dim x dim array is formed
 
 def _as_spectrum(h) -> Spectrum:
     if isinstance(h, Spectrum):
@@ -725,11 +730,42 @@ def _as_spectrum(h) -> Spectrum:
     return dense_spectrum(h)
 
 
+def _mask_slots(f: SparseOperator, spec: Spectrum, label: np.ndarray,
+                pos: np.ndarray):
+    """The slots of f on the blocks of `spec`, one row per bit mask m of f
+    (`SparseOperator.by_mask`): (onto, src, weight) with onto[j, c] the
+    block that m sends block c onto, src[j, c] the places of the rows of
+    c ^ m in that block, and weight[j, c] the entries (row, row ^ m) of
+    the rows of c.  SpectralError where the rows of a block ^ m are not
+    exactly one block."""
+    masks, table = f.by_mask()
+    moved = spec.blocks ^ masks[:, None, None]  # (masks, count, s)
+    onto = label[moved]
+    split = (onto != onto[:, :, :1]).any(axis=2)
+    if split.any():
+        j, c = np.argwhere(split)[0]
+        raise SpectralError(f"mask {masks[j]} splits block {c} over blocks "
+                            f"{sorted(set(onto[j, c].tolist()))}")
+    return onto[:, :, 0], pos[moved], table[:, spec.blocks]
+
+
 def thermal_expectation(o, h, beta: float) -> complex:
     """<O> in the thermal state e^{-beta H} / Z, energies shifted by E0.
 
     `o` is a SparseOperator, or a sequence of them standing for their
     product (applied right to left, never multiplied out).
+
+    Runs in the blocks of the Spectrum.  The slots of one bit mask m send
+    the states of block c onto c's rows ^ m, which must be exactly one
+    block (`_mask_slots`; on the cosets of the span of H's masks, which
+    `dense_spectrum` splits by, it holds for every m).  The eigenvectors
+    pass through the factors, right to left, as (count, s, s) stacks of
+    parts, part b lying in one block for each eigenvector block b.  A
+    factor's masks that send every part to the same blocks add into one
+    stack, which passes on to the next factor before the next stack is
+    formed, so only one stack per factor is held.  At the last factor
+    only the masks that return part b to block b are applied, and
+    <v|O|v> is one einsum against the eigenvectors.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -737,15 +773,46 @@ def thermal_expectation(o, h, beta: float) -> complex:
     factors = o if isinstance(o, (list, tuple)) else (o,)
     if any(f.dim != spec.dim for f in factors):
         raise ValueError("operator and Hamiltonian dimensions differ")
+    count, size = spec.blocks.shape
+    label = np.empty(spec.dim, dtype=np.int64)  # block of each state
+    label[spec.blocks] = np.arange(count)[:, None]
+    pos = np.empty(spec.dim, dtype=np.int64)  # its place in that block
+    pos[spec.blocks] = np.arange(size)
+    slots = [_mask_slots(f, spec, label, pos) for f in reversed(factors)]
+    own = np.arange(count)
+    ov = np.zeros(spec.vectors.shape, dtype=np.complex128) if slots else spec.vectors
+
+    def carry(depth, lies, u):
+        # u[b] is the part of block b's eigenvectors on the rows of lies[b]
+        onto, src, weight = slots[depth]
+        dests = onto[:, lies]  # the block each mask sends each part onto
+        if depth == len(slots) - 1:
+            back = dests == own
+            for j in np.flatnonzero(back.any(axis=1)):
+                b = np.flatnonzero(back[j])
+                term = u[b[:, None], src[j, b]]
+                term *= weight[j, b, :, None]
+                ov[b] += term
+            return
+        groups: dict = {}
+        for j, dest in enumerate(dests):
+            groups.setdefault(dest.tobytes(), []).append(j)
+        for js in groups.values():
+            dest = dests[js[0]]
+            part = np.zeros(u.shape, dtype=np.complex128)
+            for j in js:
+                # the rows of blocks dest, read from blocks lies of u
+                term = u[own[:, None], src[j, dest]]
+                term *= weight[j, dest, :, None]
+                part += term
+            carry(depth + 1, dest, part)
+
+    if slots:
+        carry(0, own, spec.vectors.astype(np.complex128, copy=False))
+    diag = np.einsum("bpk,bpk->bk", spec.vectors.conj(), ov)
     values = spec.values.ravel()
     weights = np.exp(-beta * (values - values.min()))
-    # every eigenvector embedded once, so the factors are one apply each
-    vecs = spec.embed(np.arange(spec.dim))
-    ov = vecs
-    for f in reversed(factors):
-        ov = f.apply(ov)
-    diag = np.einsum("ij,ij->j", vecs.conj(), ov)
-    return complex((weights * diag).sum() / weights.sum())
+    return complex((weights * diag.ravel()).sum() / weights.sum())
 
 
 def _check_left_support(indices, r: ReflectionData) -> None:

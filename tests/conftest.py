@@ -159,3 +159,21 @@ def diamond_mirror(diamond):
 @pytest.fixture(scope="session")
 def torus_4x4():
     return build_lattice(4, 4, "periodic")
+
+
+def reference_thermal_expectation(o, spec, beta: float, chunk: int = 512) -> complex:
+    """<O> in e^{-beta H} / Z as `thermal_expectation` computed it before
+    it ran in blocks: the eigenvectors embedded as full-space columns
+    (`Spectrum.embed`, `chunk` of them at a time, so the 4,096-state
+    lattices stay small) and the factors applied right to left to them."""
+    factors = o if isinstance(o, (list, tuple)) else (o,)
+    values = spec.values.ravel()
+    weights = np.exp(-beta * (values - values.min()))
+    diag = np.empty(spec.dim, dtype=np.complex128)
+    for start in range(0, spec.dim, chunk):
+        vecs = spec.embed(np.arange(start, min(start + chunk, spec.dim)))
+        ov = vecs
+        for f in reversed(factors):
+            ov = f.apply(ov)
+        diag[start:start + chunk] = np.einsum("ij,ij->j", vecs.conj(), ov)
+    return complex((weights * diag).sum() / weights.sum())

@@ -331,6 +331,8 @@ def test_certify_sidecar_carries_the_rp_gram_diagnostics(tmp_path):
     for diag in rp.values():
         assert diag["lambda_min"] >= -1e-9
         assert 0 <= diag["recheck_deviation"] <= 1e-10
+        assert diag["recheck_ms"] > 0
+        assert 1 <= diag["gram_blocks"]["largest"] <= diag["gram_size"]
     assert all("sidecar" not in r for r in bundle["reports"])
 
 

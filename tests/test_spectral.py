@@ -7,8 +7,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from vortexcert import build_lattice, fock, spectral
-from vortexcert.clifford import MajoranaPolynomial
+from vortexcert import build_lattice, fock, reflection_data, spectral
+from vortexcert.clifford import MajoranaPolynomial, reflect
 from vortexcert.fock import PauliSum, SparseOperator, to_matrix
 from vortexcert.lattice import translations
 from vortexcert.model import (
@@ -22,6 +22,7 @@ from vortexcert.spectral import (
     IllSeparatedError,
     NonHermitianError,
     SpectralError,
+    Spectrum,
     canonical_subspace_basis,
     default_gap_tol,
     dense_spectrum,
@@ -37,6 +38,7 @@ from conftest import (
     diagonal_operator,
     reference_gauge_string,
     reference_real_gauge,
+    reference_thermal_expectation,
 )
 
 # dense-oracle regression values for the diamond lattice
@@ -959,6 +961,98 @@ def test_thermal_tail_is_monotone(diamond):
     w = to_matrix(vortex_operator(diamond, (1, 2)).W, diamond.n_modes)
     vals = [thermal_expectation(w, spec, b).real for b in (5, 10, 20, 50)]
     assert all(b - a >= -1e-9 for a, b in zip(vals, vals[1:]))
+
+
+def _assert_block_route_is_the_embedding_route(o, spec, betas):
+    """thermal_expectation against the embedding route, to 1e-14 of the
+    product of the factors' normalized Frobenius norms ||F||_F / sqrt(dim),
+    the scale of <O> (|a|^2 for A theta(A), 1 for a loop operator), so
+    values that vanish in the thermal state are held to it too."""
+    factors = o if isinstance(o, tuple) else (o,)
+    scale = np.prod([np.sqrt((np.abs(f.values) ** 2).sum() / f.dim)
+                     for f in factors])
+    for beta in betas:
+        want = reference_thermal_expectation(o, spec, beta)
+        got = thermal_expectation(o, spec, beta)
+        assert abs(got - want) <= 1e-14 * scale, (beta, got, want)
+
+
+@pytest.mark.parametrize("plane", [("x", 1), ("y", 2)])
+@pytest.mark.parametrize("lam", [0, 0.1, 0.5])
+def test_block_thermal_expectation_is_the_embedding_route(diamond, lam, plane):
+    # lambda = 0 splits the diamond into 256 one-state blocks, lambda > 0
+    # into 16 of 16; the y = 2 mirror fails RP, so its values are negative
+    from vortexcert.verify import rp_sample_polynomials
+
+    n = diamond.n_modes
+    r = reflection_data(diamond, *plane)
+    spec = dense_spectrum(to_matrix(build_hamiltonian(diamond, lam), n))
+    betas = (0, 1, 5, 4e5)
+    w = to_matrix(vortex_operator(diamond, (1, 2)).W, n)
+    _assert_block_route_is_the_embedding_route(w, spec, betas)
+    for parity in ("even", "odd"):
+        rows = rp_sample_polynomials(r.left, parity=parity, max_degree=4,
+                                     count=2, seed=7)
+        # monomials sort before the random polynomials
+        witnesses = [rows[0], rows[(len(rows) - 2) // 2], rows[-3], *rows[-2:]]
+        assert [label[:2] for label, _ in witnesses] == ["m:"] * 3 + ["r1"] * 2
+        for _, a in witnesses:
+            fa = (to_matrix(a, n), to_matrix(reflect(a, r.sigma), n))
+            _assert_block_route_is_the_embedding_route(fa, spec, betas)
+            _assert_block_route_is_the_embedding_route((fa[0], w, fa[1]),
+                                                       spec, betas)
+
+
+def test_block_thermal_expectation_on_the_open_3x4_lattice():
+    # 64 blocks of 64 at the dense cap; the mirror x = 1 cuts islands
+    lat = build_lattice(3, 4, "open")
+    r = reflection_data(lat, "x", 1)
+    spec = dense_spectrum(to_matrix(build_hamiltonian(lat, 0.1), lat.n_modes))
+    a = MajoranaPolynomial.monomial(tuple(r.left[:4]))
+    fa = (to_matrix(a, lat.n_modes), to_matrix(reflect(a, r.sigma), lat.n_modes))
+    _assert_block_route_is_the_embedding_route(fa, spec, (1,))
+
+
+def test_thermal_expectation_rejects_blocks_that_are_not_cosets():
+    # {2, 4} is no coset of {0, 1}: bit mask 2 sends the block {0, 1} onto
+    # {2, 3}, half of block 1 and half of block 2
+    spec = Spectrum(blocks=np.array([[0, 1], [2, 4], [3, 5], [6, 7]]),
+                    values=np.zeros((4, 2)),
+                    vectors=np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)))
+    flip = SparseOperator(np.arange(8)[None, :] ^ 2, np.ones((1, 8)))
+    with pytest.raises(SpectralError, match="mask 2 splits block 0"):
+        thermal_expectation(flip, spec, 1.0)
+    # a mask that maps every block onto one block is applied
+    swap = SparseOperator(np.arange(8)[None, :] ^ 1, np.ones((1, 8)))
+    assert thermal_expectation(swap, spec, 1.0) == 0
+
+
+@pytest.mark.parametrize("blocks,masks", [
+    # masks 2 and 3 both send block 0 onto block 1, but block 2 onto
+    # blocks 2 and 3 in turn: each part is carried with its own block's map
+    ([[0, 1], [2, 3], [4, 6], [5, 7]], [1, 2, 3]),
+    # mask 14 sends the places 0, 1, 2, 3 of block 0 to 2, 3, 1, 0 of block
+    # 3, no involution: a row is read from the place of row ^ 14
+    ([[0, 1, 2, 4], [3, 5, 6, 7], [8, 9, 11, 13], [10, 12, 14, 15]], [0, 14]),
+])
+def test_thermal_expectation_where_blocks_are_not_cosets(blocks, masks):
+    # every mask sends each block onto one block, as on cosets, but the
+    # blocks are none, so the embedding route is the only oracle
+    rng = np.random.default_rng(5)
+    blocks = np.array(blocks)
+    count, size = blocks.shape
+    vectors = np.linalg.qr(rng.standard_normal((count, size, size))
+                           + 1j * rng.standard_normal((count, size, size)))[0]
+    spec = Spectrum(blocks=blocks, values=rng.standard_normal((count, size)),
+                    vectors=vectors)
+    cols = np.arange(blocks.size)[None, :] ^ np.array(masks)[:, None]
+    factors = tuple(SparseOperator(cols, rng.standard_normal(cols.shape)
+                                   + 1j * rng.standard_normal(cols.shape))
+                    for _ in range(3))
+    for o in (factors[0], factors[:2], factors):
+        for beta in (0, 1):
+            want = reference_thermal_expectation(o, spec, beta)
+            assert abs(thermal_expectation(o, spec, beta) - want) <= 1e-14
 
 
 def test_rp_functional_checks_support(diamond, diamond_mirror):

@@ -27,7 +27,12 @@ from vortexcert.verify import (
     theorem_chain_violations,
     vortex_map,
 )
-from vortexcert.verify import _degree_basis, _sample_rows, _sample_witness
+from vortexcert.verify import (
+    _degree_basis,
+    _gram_floor,
+    _sample_rows,
+    _sample_witness,
+)
 
 from conftest import dense_operator, oracle_matrix
 
@@ -116,7 +121,9 @@ def test_check_rp_fail_is_reported_not_raised(diamond, diamond_mirror,
     # out of the serialized report
     assert rep.sidecar["gram_size"] == 1
     assert abs(rep.sidecar["lambda_min"] - 1.0) <= 1e-12  # <1 theta(1)> = 1
+    assert rep.sidecar["gram_blocks"] == {"count": 1, "largest": 1}
     assert rep.sidecar["recheck_deviation"] <= 1e-12
+    assert rep.sidecar["recheck_ms"] > 0
     assert "sidecar" not in rep.to_dict()
 
 
@@ -304,6 +311,9 @@ def test_rp_gram_reads_a_shared_pauli_table(diamond, diamond_mirror):
         alone = check_rp(diamond, diamond_mirror, 0.1, 1.0, parity=parity,
                          spectrum=spec)
         assert shared.to_dict(False) == alone.to_dict(False)
+        # every sidecar diagnostic but the re-check's wall time
+        timed = [rep.sidecar.pop("recheck_ms") for rep in (shared, alone)]
+        assert min(timed) > 0
         assert shared.sidecar == alone.sidecar
     with pytest.raises(ValueError, match="beta"):
         rp_gram(keys, diamond_mirror, table, 5.0)
@@ -332,6 +342,69 @@ def test_check_rp_computes_gram_eigenvectors_only_for_a_failing_gram(
     rep = check_rp(diamond, diamond_mirror, 0.5, 5.0, count=0,
                    spectrum=failing, tol=1.0)
     assert rep.worst["witness"].startswith("g:min") and calls == [(99, 99)]
+
+
+@pytest.mark.parametrize("plane", [("x", 1), ("y", 2)])
+def test_gram_floor_per_zero_block_is_the_full_eigvalsh(diamond, plane):
+    # the criterion-05 grid, on the mirror that passes and the one that
+    # fails; on the y = 2 mirror G is not Hermitian, and both routes read
+    # its lower triangle
+    r = reflection_data(diamond, *plane)
+    for lam in (0, 0.1, 0.5):
+        spec = dense_spectrum(to_matrix(build_hamiltonian(diamond, lam),
+                                        diamond.n_modes))
+        for parity in ("even", "odd"):
+            keys = _monomial_keys(r, parity, 4)
+            for beta in (0.5, 1, 5):
+                gram = rp_gram(keys, r, spec, beta)
+                floor, count, largest = _gram_floor(gram)
+                assert abs(floor - np.linalg.eigvalsh(gram)[0]) <= 1e-14
+                assert 1 < count and largest < len(keys)
+                if plane == ("x", 1) and lam == 0.1:
+                    # the selection-rule zeros: 8 blocks on both parities
+                    assert (count, largest) == (8, 16 if parity == "even" else 13)
+
+
+def test_gram_floor_blocks_follow_the_lower_triangle():
+    # the only coupling of keys 0 and 2 sits in the upper triangle, which
+    # eigvalsh does not read: two blocks, {0, 1} and {2}
+    gram = np.array([[1.0, 0.5, 3.0], [0.5, 1.0, 0.0], [0.0, 0.0, -2.0]])
+    floor, count, largest = _gram_floor(gram)
+    assert (count, largest) == (2, 2)
+    assert floor == np.linalg.eigvalsh(gram)[0] == -2.0
+    # a chain 4 - 0 - 3 - 1 - 2 joins every key through its neighbours
+    chain = (np.diag(np.full(5, 2.0)) + np.diag(np.full(4, -1.0), -1)
+             + np.diag(np.full(4, -1.0), 1))
+    order = [4, 0, 3, 1, 2]
+    floor, count, largest = _gram_floor(chain[np.ix_(order, order)])
+    assert (count, largest) == (1, 5)
+    assert abs(floor - np.linalg.eigvalsh(chain)[0]) <= 1e-15
+
+
+def test_rp_recheck_forms_no_dense_eigenvector_array(diamond, diamond_mirror,
+                                                     diamond_spectra):
+    # the re-check runs in the 16 blocks of 16: a monomial witness holds no
+    # dim x dim array at all, a random one (64 or 99 terms) less than two,
+    # where an embedding route holds four at once (the embedded
+    # eigenvectors, two products and a conjugated copy)
+    import tracemalloc
+
+    spec = diamond_spectra[0.1]
+    dense = spec.dim ** 2 * 16  # bytes of one dim x dim complex array
+    rows = {parity: rp_sample_polynomials(diamond_mirror.left, parity=parity,
+                                          max_degree=4, count=1, seed=1)
+            for parity in ("even", "odd")}
+    for (_, a), limit in [(rows["even"][1], dense / 2),
+                          (rows["even"][-1], 2 * dense),
+                          (rows["odd"][-1], 2 * dense)]:
+        rp_functional(a, diamond_mirror, spec, 1.0)  # warm the imports
+        tracemalloc.start()
+        try:
+            rp_functional(a, diamond_mirror, spec, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (len(a), peak)
 
 
 def test_diamond_certify_never_densifies_the_full_operator(tmp_path, monkeypatch,
