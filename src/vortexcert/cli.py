@@ -274,9 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
             for key, kind in field.pieces:
                 piece = f"{field.path}.{key}"
                 p.add_argument(f"--{piece}", dest=_dest(piece), type=kind)
-        p.add_argument("--expect-fail", dest="expect_fail", action="append",
-                       default=None, metavar="CHECK",
-                       help="assert that exactly these checks fail (repeatable)")
+        if name == "certify":  # the one command whose exit reads the checks
+            p.add_argument("--expect-fail", dest="expect_fail", action="append",
+                           default=None, metavar="CHECK",
+                           help="assert that exactly these checks fail (repeatable)")
     return parser
 
 
@@ -793,7 +794,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         cfg = resolve_config(args)
-        expected = args.expect_fail or []
+        expected = getattr(args, "expect_fail", None) or []
         bad = [c for c in expected if c not in ASSERTED_CHECKS]
         if bad:
             raise ConfigError(

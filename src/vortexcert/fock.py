@@ -23,8 +23,7 @@ at (n, n ^ x) into conj(d_n) O_nm d_m, itself times i^(+-1) when
 popcount(x & y) is odd and itself otherwise.  So when the entries of
 every mask x are all real (f(x) = 0) or all imaginary (f(x) = 1), the
 y with x . y = f(x) over GF(2) for every mask makes the operator real
-(`_solve_gauge`; `gauge` on either operator type), and its blocks can
-be built and solved in float64.
+(`PauliSum.gauge`), and its blocks can be built and solved in float64.
 
 Dense arrays are only materialized up to ``DENSE_DIM_CAP``; beyond that
 callers get the gather product of `SparseOperator`.
@@ -73,18 +72,6 @@ def _echelon_insert(rows: dict, v: int) -> bool:
     return True
 
 
-def _solve_gauge(keys) -> int | None:
-    """The Z-string y with x . y = f over GF(2) for every key x << 1 | f,
-    free bits 0, or None if the system is inconsistent (a row reduces to
-    the lone right-hand bit, pivot 0)."""
-    system: dict = {}
-    for v in keys:
-        _echelon_insert(system, v)
-    if 0 in system:
-        return None
-    return sum(1 << (p - 1) for p, r in system.items() if r & 1)
-
-
 def monomial_pauli(indices, n_modes: int) -> tuple[int, int, int]:
     """Pauli string i^c X^x Z^z of the ordered product of generators
     `indices`, as the integers (x, z, c) with c in 0..3.
@@ -118,24 +105,6 @@ def monomial_action(indices, n_modes: int):
     return n ^ x, (c + 2 * _bit_parity(n & z)) & 3
 
 
-def _row_floors(cols: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Lower end of each row's Gershgorin disc, Re H_ii - sum_{j != i} |H_ij|,
-    from the (k, len(rows)) slots of `rows` in any order.
-
-    The diagonal is the slot whose column is the row itself, and zero
-    padding adds nothing.  Every eigenvalue of a Hermitian block lies in
-    the union of its rows' discs, so the least floor over an invariant
-    block's rows bounds its spectrum from below.  Each floor is lowered by
-    (k + 2) eps times its row's absolute sum, which covers the round-off
-    of the sums in any order.
-    """
-    diag = cols == rows
-    centre = np.where(diag, values.real, 0).sum(axis=0)
-    radius = np.where(diag, 0, np.abs(values)).sum(axis=0)
-    slack = (len(cols) + 2) * np.finfo(float).eps * (np.abs(centre) + radius)
-    return centre - radius - slack
-
-
 class SparseOperator:
     """Fixed-width-row (ELL) operator on the Fock space of n modes.
 
@@ -144,7 +113,7 @@ class SparseOperator:
     (O x)[i] = sum_j values[j, i] * x[cols[j, i]].  A slot whose value
     is zero is padding and contributes nothing.  float64 values stay
     real, so a real vector's product is a real gather; any other values
-    are stored as complex128.
+    are stored as complex128.  Built by `PauliSum.block` (`to_matrix`).
     """
 
     __slots__ = ("cols", "values")
@@ -179,12 +148,6 @@ class SparseOperator:
         ascending; zero slots are padding and are not read."""
         stored = (self.cols ^ np.arange(self.dim, dtype=np.int64))[self.values != 0]
         return np.flatnonzero(np.bincount(stored, minlength=self.dim))
-
-    def floors(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """The Gershgorin floor (`_row_floors`) of each of `rows`, in their
-        order (default every row)."""
-        rows = np.arange(self.dim) if rows is None else rows
-        return _row_floors(self.cols[:, rows], self.values[:, rows], rows)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """O x for a vector or a (dim, n) block of columns.  Every row's
@@ -234,43 +197,6 @@ class SparseOperator:
         rows = np.arange(self.dim, dtype=np.int64)
         partner = table[np.arange(len(masks))[:, None], rows ^ masks[:, None]]
         return float(np.abs(table - partner.conj()).max(initial=0.0))
-
-    def gauge(self) -> int | None:
-        """The Z-string y of a phase gauge that makes the operator real,
-        read off the stored entries, or None: a complex entry, or a mask
-        with entries of both kinds, leaves none.  The distinct rows come
-        from a sort, since np.unique would import numpy.ma."""
-        values = self.values
-        imaginary = values.real == 0
-        if ((values.imag != 0) & ~imaginary).any():
-            return None
-        # zero slots are padding and constrain nothing
-        keys = ((self.cols ^ np.arange(self.dim)) << 1 | imaginary)[values != 0]
-        keys.sort()
-        return _solve_gauge(keys[np.diff(keys, prepend=-1) != 0].tolist())
-
-    def block(self, idx: np.ndarray, y: int | None = None) -> SparseOperator:
-        """The submatrix B on rows and columns `idx` (ascending, 2**m of
-        them); entries leaving the block become zero padding.  With a
-        gauge y (`gauge`), D^dagger B D in float64 for d_n =
-        i^parity(n & y): entry (n, m) is i^e B_nm with e = a_m - a_n, so
-        B_nm where e = 0 and -e Im B_nm where e = +-1.  Products by 1 and
-        +-i are exact, so an entry the gauge leaves complex raises
-        ValueError."""
-        pos = np.full(self.dim, -1, dtype=np.int64)
-        pos[idx] = np.arange(len(idx))
-        cols = pos[self.cols[:, idx]]
-        inside = cols >= 0
-        cols = np.where(inside, cols, 0)
-        values = np.where(inside, self.values[:, idx], 0)
-        if y is None:
-            return SparseOperator(cols, values)
-        a = _bit_parity(idx & y)
-        e = a[cols] - a
-        turned = e != 0
-        if np.where(turned, values.real, values.imag).any():
-            raise ValueError(f"the gauge {y} leaves a complex entry in the block")
-        return SparseOperator(cols, np.where(turned, -e * values.imag, values.real))
 
 
 def _mask_values(col: np.ndarray, strings, real: bool) -> np.ndarray:
@@ -326,7 +252,10 @@ class PauliSum:
         None.  String i^c a X^x Z^z has the entries
         (-1)^popcount(m & z) i^c a, real or imaginary with i^c a, and so is
         a mask whose non-zero strings are all of one kind; a complex
-        i^c a, or a mask that mixes the kinds, leaves no gauge."""
+        i^c a, or a mask that mixes the kinds, leaves no gauge.  y solves
+        x . y = f over GF(2) for every key x << 1 | f (f = 1 imaginary),
+        free bits 0; the system is inconsistent when a row reduces to the
+        lone right-hand bit, pivot 0."""
         keys = set()
         for x, strings in self.terms.items():
             for _, c, a in strings:
@@ -335,16 +264,22 @@ class PauliSum:
                     return None
                 if v:
                     keys.add(x << 1 | (v.real == 0))
-        return _solve_gauge(sorted(keys))
+        system: dict = {}
+        for v in sorted(keys):
+            _echelon_insert(system, v)
+        if 0 in system:
+            return None
+        return sum(1 << (p - 1) for p, r in system.items() if r & 1)
 
     def _strings(self, y: int | None) -> list:
         """Each mask's strings, in `terms` order, as what they add to its
         slot in column m: (z, c, a) for a i^c (-1)^popcount(m & z), or,
         in the gauge y, (z', r) for r (-1)^popcount(m & z') in
-        D^dagger H D.  On a mask even under y, r = Re i^c a and z' = z; on
-        an odd one the gauge turns i Im into -e Im (`SparseOperator.block`)
-        with -e = (-1)^popcount(m & y), so r = Im i^c a and z' = z ^ y.
-        A part that y would drop being non-zero raises ValueError."""
+        D^dagger H D, whose entry (n, m) is i^e H_nm for e = a_m - a_n,
+        a_n = parity(n & y).  On a mask even under y, e = 0, so
+        r = Re i^c a and z' = z; on an odd one i Im becomes -e Im with
+        -e = (-1)^popcount(m & y), so r = Im i^c a and z' = z ^ y.  A
+        part that y would drop being non-zero raises ValueError."""
         if y is None:
             return list(self.terms.values())
         out = []
@@ -360,12 +295,15 @@ class PauliSum:
         return out
 
     def floors(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """The Gershgorin floor (`_row_floors`) of each of the states
-        `rows`, in their order (default every state), ROW_CHUNK rows at a
-        time, summed mask by mask in the order `_row_floors` sums its
-        slots: the centre is the diagonal mask's real part and the radius
-        adds |H_nm| over the other masks.  Where a gauge exists the slots
-        are computed real; the gauge changes no |H_nm| and no diagonal."""
+        """The Gershgorin floor Re H_nn - sum_{m != n} |H_nm| of each of the
+        states `rows`, in their order (default every state), ROW_CHUNK rows
+        at a time, summed mask by mask in `terms` order.  Every eigenvalue
+        of a Hermitian block lies in the union of its rows' discs, so the
+        least floor over an invariant block's rows bounds its spectrum
+        from below.  Each floor is lowered by (masks + 2) eps times its
+        row's absolute sum, which covers the round-off of the sums.  Where
+        a gauge exists the slots are computed real; the gauge changes no
+        |H_nm| and no diagonal."""
         rows = (np.arange(self.dim, dtype=np.int64) if rows is None
                 else np.asarray(rows, dtype=np.int64))
         y = self.gauge()
@@ -388,10 +326,10 @@ class PauliSum:
 
     def block(self, rows: np.ndarray, y: int | None = None) -> SparseOperator:
         """The operator on the Fock states `rows` (ascending, 2**m of them)
-        in their own coordinates, each row's slots in column order, built
-        ROW_CHUNK rows at a time: complex, or with a gauge y (`gauge`)
-        D^dagger H D in float64, written straight from the strings.  An
-        entry leaving `rows` raises ValueError."""
+        in their own coordinates, each row's slots in mask (`terms`)
+        order, built ROW_CHUNK rows at a time: complex, or with a gauge y
+        (`gauge`) D^dagger H D in float64, written straight from the
+        strings.  An entry leaving `rows` raises ValueError."""
         rows = np.asarray(rows, dtype=np.int64)
         strings = self._strings(y)
         masks = np.array(list(self.terms), dtype=np.int64).reshape(-1, 1)
@@ -404,15 +342,8 @@ class PauliSum:
         for start in range(0, len(rows), ROW_CHUNK):
             part = slice(start, start + ROW_CHUNK)
             c = rows[part] ^ masks
-            v = np.empty(c.shape, dtype=values.dtype)
-            for out, col, s in zip(v, c, strings):
+            for out, col, s in zip(values[:, part], c, strings):
                 out[:] = _mask_values(col, s, y is not None)
-            if len(c) > 1:
-                # ascending columns in every row: a product sums each row
-                # in column order, whatever order the terms came in
-                order = np.argsort(c, axis=0, kind="stable")
-                c = np.take_along_axis(c, order, axis=0)
-                v = np.take_along_axis(v, order, axis=0)
             if len(rows) < self.dim:
                 local = place[c]
                 if (local < 0).any():
@@ -421,11 +352,11 @@ class PauliSum:
                                      f"the {len(rows)} rows of the block")
                 c = local
             cols[:, part] = c
-            values[:, part] = v
         return SparseOperator(cols, values)
 
 
 def to_matrix(poly: MajoranaPolynomial, n_modes: int) -> SparseOperator:
     """ELL operator of a polynomial on the whole Fock space: one slot per
-    bit-flip mask, the terms of a mask summed once (`PauliSum.block`)."""
+    bit-flip mask, in mask order, the terms of a mask summed once
+    (`PauliSum.block`)."""
     return PauliSum(poly, n_modes).block(np.arange(1 << n_modes, dtype=np.int64))

@@ -22,16 +22,15 @@ first level above the ground cluster.  Its Krylov basis and the
 deflated vectors are stored row-major, one vector per row, so every
 Gram-Schmidt pass is a pair of contiguous matrix-vector products that
 conjugate only the new vector, never the basis.  It runs in the same
-Z-string blocks, and builds the operator of a block, a `SparseOperator`
-of numpy gathers, only when it first solves there: from a `PauliSum`
-the full-space operator is never built.  An operator whose bit-flip
-masks each carry only real or only imaginary entries is real up to a
-diagonal phase d_n = i^parity(n & y), for a Z-string y found once by
-GF(2) elimination of the masks (`gauge`); Lanczos then builds every
-block as D^dagger B D in float64 (a PauliSum writes it straight from its
-strings, a SparseOperator checks exactly that no imaginary part is
-left), solves it in real arithmetic (half the bytes per product and per
-Gram-Schmidt pass) and multiplies its vectors back by d.  A second
+Z-string blocks of a `PauliSum`, and builds the operator of a block, a
+`SparseOperator` of numpy gathers, from its strings only when it first
+solves there: the full-space operator is never built.  An operator
+whose bit-flip masks each carry only real or only imaginary entries is
+real up to a diagonal phase d_n = i^parity(n & y), for a Z-string y
+found once by GF(2) elimination of the masks (`gauge`); Lanczos then
+builds every block straight from the strings as D^dagger B D in
+float64, solves it in real arithmetic (half the bytes per product and
+per Gram-Schmidt pass) and multiplies its vectors back by d.  A second
 Gram-Schmidt pass runs only when the first cancelled most of the vector
 (the DGKS rule).  The fermion parity
 (-1)^N is the first split, and further strings halve the blocks only
@@ -63,6 +62,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,7 +118,8 @@ class Spectrum:
     Block b holds the Fock states blocks[b] (ascending); its eigenvalues
     values[b] ascend, and column k of vectors[b] is the eigenvector of
     values[b, k] in the coordinates of blocks[b].  The flat index
-    b * s + k names one eigenpair (`embed`).
+    b * s + k names one eigenpair (`embed`).  `label` and `pos` map each
+    Fock state to its block and to its place there.
     """
     blocks: np.ndarray  # (count, s) Fock indices of each Z-string block
     values: np.ndarray  # (count, s) ascending within each block, real
@@ -127,6 +128,20 @@ class Spectrum:
     @property
     def dim(self) -> int:
         return self.blocks.size
+
+    @cached_property
+    def label(self) -> np.ndarray:
+        """The block of each Fock state."""
+        out = np.empty(self.dim, dtype=np.int64)
+        out[self.blocks] = np.arange(len(self.blocks))[:, None]
+        return out
+
+    @cached_property
+    def pos(self) -> np.ndarray:
+        """The place of each Fock state in its block."""
+        out = np.empty(self.dim, dtype=np.int64)
+        out[self.blocks] = np.arange(self.blocks.shape[1])
+        return out
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -202,10 +217,11 @@ def dense_spectrum(op: SparseOperator) -> Spectrum:
     _require_hermitian(op)
     blocks = _symmetry_blocks(op, floor=1)
     count, size = blocks.shape
-    label = np.empty(op.dim, dtype=np.int64)  # block of each state
-    label[blocks] = np.arange(count)[:, None]
-    pos = np.empty(op.dim, dtype=np.int64)  # its place in that block
-    pos[blocks] = np.arange(size)
+    # the stack is filled in the vectors' place, so the Spectrum keeps
+    # the block maps that place the stored entries
+    spec = Spectrum(blocks=blocks, values=np.empty(blocks.shape),
+                    vectors=np.zeros((count, size, size), dtype=np.complex128))
+    label, pos = spec.label, spec.pos
     stored = op.values != 0
     rows = np.broadcast_to(np.arange(op.dim), op.cols.shape)[stored]
     cols = op.cols[stored]
@@ -214,10 +230,10 @@ def dense_spectrum(op: SparseOperator) -> Spectrum:
         r, c = int(rows[leaks][0]), int(cols[leaks][0])
         raise SpectralError(f"entry ({r}, {c}) couples symmetry blocks "
                             f"{label[r]} and {label[c]}")
-    stack = np.zeros((count, size, size), dtype=np.complex128)
-    np.add.at(stack, (label[rows], pos[rows], pos[cols]), op.values[stored])
-    w, v = np.linalg.eigh(stack)
-    return Spectrum(blocks=blocks, values=w, vectors=v)
+    np.add.at(spec.vectors, (label[rows], pos[rows], pos[cols]),
+              op.values[stored])
+    spec.values[:], spec.vectors[:] = np.linalg.eigh(spec.vectors)
+    return spec
 
 
 def _cluster_count(values: np.ndarray, gap_tol: float) -> int:
@@ -503,7 +519,7 @@ def _symmetry_generators(op: SparseOperator | PauliSum,
 
 def _mode_permutations(op, symmetries) -> list[np.ndarray]:
     """The mode permutations of `symmetries`, Majorana maps checked to be
-    exact symmetries of the polynomial of `op`, a PauliSum.
+    exact symmetries of the polynomial of the PauliSum `op`.
 
     A map s must permute the generators, take each mode's pair
     (2k, 2k + 1) to a pair (2 pi(k), 2 pi(k) + 1) in order, and leave H
@@ -512,9 +528,6 @@ def _mode_permutations(op, symmetries) -> list[np.ndarray]:
     U H U^dagger = H.  Any failure raises SpectralError: a claim is
     checked, not trusted.  Returns each pi as an array, pi[k] = pi(k).
     """
-    if symmetries and not isinstance(op, PauliSum):
-        raise SpectralError("symmetries are checked on the polynomial of a "
-                            "PauliSum; this operator has none")
     perms = []
     for s in symmetries:
         s = np.asarray(s, dtype=np.int64)
@@ -590,7 +603,7 @@ def _block_orbits(blocks: np.ndarray, gens: list[int], perms: list[np.ndarray]):
     return rep, carry
 
 
-def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
+def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
                    gap_tol: float | None = None, conv_tol: float = 1e-9,
                    max_matvecs: int = 60000, window: int = 64,
                    symmetries=()) -> GroundSpace:
@@ -598,15 +611,15 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
 
     Reads only the `dim`, `masks`, row `floors`, Hermiticity defect
     (NonHermitianError above HERMITICITY_TOL), phase `gauge` and block
-    operators (`block`) of `op`, a SparseOperator or a PauliSum.  Runs
+    operators (`block`) of `op`, a PauliSum (TypeError otherwise).  Runs
     inside the Z-string symmetry blocks of `_symmetry_blocks`: the two
     fermion-parity blocks, split further while the blocks stay at least
     SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the 4x4 torus), or
     one block if the operator couples the parities.
 
     `symmetries` are Majorana maps (`lattice.translations`) claimed to
-    leave H unchanged; each is checked exactly on the polynomial of a
-    PauliSum (`_mode_permutations`, SpectralError otherwise).  Blocks that
+    leave H unchanged; each is checked exactly on the polynomial of
+    `op` (`_mode_permutations`, SpectralError otherwise).  Blocks that
     they map onto each other form an orbit of equal spectra
     (`_block_orbits`), and only its representative is solved: each of its
     values, with its residual, counts once for every block of the orbit,
@@ -640,6 +653,8 @@ def lanczos_ground(op: SparseOperator | PauliSum, k: int = 1, seed: int = 0,
     products spent, and the wall time of the split, floors and block
     builds and that of the solves.
     """
+    if not isinstance(op, PauliSum):
+        raise TypeError(f"lanczos_ground reads a PauliSum, not {type(op).__name__}")
     if k < 1 or k > op.dim:
         raise ValueError(f"k must be in 1..{op.dim}")
     _require_hermitian(op)
@@ -730,8 +745,7 @@ def _as_spectrum(h) -> Spectrum:
     return dense_spectrum(h)
 
 
-def _mask_slots(f: SparseOperator, spec: Spectrum, label: np.ndarray,
-                pos: np.ndarray):
+def _mask_slots(f: SparseOperator, spec: Spectrum):
     """The slots of f on the blocks of `spec`, one row per bit mask m of f
     (`SparseOperator.by_mask`): (onto, src, weight) with onto[j, c] the
     block that m sends block c onto, src[j, c] the places of the rows of
@@ -740,13 +754,13 @@ def _mask_slots(f: SparseOperator, spec: Spectrum, label: np.ndarray,
     exactly one block."""
     masks, table = f.by_mask()
     moved = spec.blocks ^ masks[:, None, None]  # (masks, count, s)
-    onto = label[moved]
+    onto = spec.label[moved]
     split = (onto != onto[:, :, :1]).any(axis=2)
     if split.any():
         j, c = np.argwhere(split)[0]
         raise SpectralError(f"mask {masks[j]} splits block {c} over blocks "
                             f"{sorted(set(onto[j, c].tolist()))}")
-    return onto[:, :, 0], pos[moved], table[:, spec.blocks]
+    return onto[:, :, 0], spec.pos[moved], table[:, spec.blocks]
 
 
 def thermal_expectation(o, h, beta: float) -> complex:
@@ -773,13 +787,8 @@ def thermal_expectation(o, h, beta: float) -> complex:
     factors = o if isinstance(o, (list, tuple)) else (o,)
     if any(f.dim != spec.dim for f in factors):
         raise ValueError("operator and Hamiltonian dimensions differ")
-    count, size = spec.blocks.shape
-    label = np.empty(spec.dim, dtype=np.int64)  # block of each state
-    label[spec.blocks] = np.arange(count)[:, None]
-    pos = np.empty(spec.dim, dtype=np.int64)  # its place in that block
-    pos[spec.blocks] = np.arange(size)
-    slots = [_mask_slots(f, spec, label, pos) for f in reversed(factors)]
-    own = np.arange(count)
+    slots = [_mask_slots(f, spec) for f in reversed(factors)]
+    own = np.arange(len(spec.blocks))
     ov = np.zeros(spec.vectors.shape, dtype=np.complex128) if slots else spec.vectors
 
     def carry(depth, lies, u):
@@ -896,12 +905,10 @@ def pauli_table(h, beta: float) -> PauliTable:
     v = spec.vectors
     rho = (v * weights[:, None, :]) @ v.conj().transpose(0, 2, 1)
     span = spec.blocks[0]
-    pos = np.empty(spec.dim, dtype=np.int64)  # place of each state in its block
-    pos[spec.blocks] = np.arange(size)
     # table[q, c] = rho[q, q ^ span[c]], gathered within q's block
     table = np.empty((spec.dim, size), dtype=np.complex128)
     table[spec.blocks] = np.take_along_axis(
-        rho, pos[spec.blocks[:, :, None] ^ span], axis=2)
+        rho, spec.pos[spec.blocks[:, :, None] ^ span], axis=2)
     _walsh_hadamard(table)
     column = np.full(spec.dim, -1, dtype=np.int64)
     column[span] = np.arange(size)

@@ -5,10 +5,13 @@ sharing no code with the package's column-permutation construction, so
 matrix comparisons in the tests are genuinely two-route.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from vortexcert import build_lattice, diamond_lattice, reflection_data
+from vortexcert.clifford import GaussianRational, MajoranaPolynomial
 from vortexcert.fock import (
     _PHASES,
     SparseOperator,
@@ -64,8 +67,9 @@ def oracle_matrix(poly, n_modes: int) -> np.ndarray:
 def column_form_to_matrix(poly, n_modes: int) -> SparseOperator:
     """The ELL operator of a polynomial as `to_matrix` built it before it
     read Pauli strings row by row: each mask's values over the whole space
-    in column form, then gathered into rows and sorted by column.  Kept as
-    the reference the row-chunked build must match bit for bit."""
+    in column form, then gathered into rows, one slot per mask in order of
+    first appearance.  Kept as the reference the row-chunked build must
+    match bit for bit."""
     dim = 1 << n_modes
     by_mask: dict[int, np.ndarray] = {}
     for key, coeff in poly.terms().items():
@@ -81,10 +85,32 @@ def column_form_to_matrix(poly, n_modes: int) -> SparseOperator:
     cols = rows[None, :] ^ np.array(masks, dtype=np.int64).reshape(-1, 1)
     values = np.array([by_mask[m] for m in masks],
                       dtype=np.complex128).reshape(-1, dim)
-    values = np.take_along_axis(values, cols, axis=1)
-    order = np.argsort(cols, axis=0, kind="stable")
-    return SparseOperator(np.take_along_axis(cols, order, axis=0),
-                          np.take_along_axis(values, order, axis=0))
+    return SparseOperator(cols, np.take_along_axis(values, cols, axis=1))
+
+
+def row_floors(cols: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Lower end of each row's Gershgorin disc, Re H_ii - sum_{j != i} |H_ij|,
+    from the (k, len(rows)) slots of `rows` in any order, lowered by
+    (k + 2) eps times the row's absolute sum.  The diagonal is the slot
+    whose column is the row itself, and zero padding adds nothing.  The
+    second floor provider that `PauliSum.floors` must match."""
+    diag = cols == rows
+    centre = np.where(diag, values.real, 0).sum(axis=0)
+    radius = np.where(diag, 0, np.abs(values)).sum(axis=0)
+    slack = (len(cols) + 2) * np.finfo(float).eps * (np.abs(centre) + radius)
+    return centre - radius - slack
+
+
+def operator_block(op: SparseOperator, idx: np.ndarray) -> SparseOperator:
+    """The submatrix of `op` on rows and columns `idx` (ascending, 2**m of
+    them), restricted slot by slot; entries leaving the block become zero
+    padding.  The reference the blocks built from Pauli strings match."""
+    pos = np.full(op.dim, -1, dtype=np.int64)
+    pos[idx] = np.arange(len(idx))
+    cols = pos[op.cols[:, idx]]
+    inside = cols >= 0
+    return SparseOperator(np.where(inside, cols, 0),
+                          np.where(inside, op.values[:, idx], 0))
 
 
 def reference_gauge_string(block: SparseOperator, rows: np.ndarray):
@@ -144,6 +170,26 @@ def diagonal_operator(values) -> SparseOperator:
     """The ELL operator of diag(values), one slot per row."""
     values = np.asarray(values, dtype=complex)
     return SparseOperator(np.arange(len(values))[None, :], values[None, :])
+
+
+def diagonal_polynomial(values) -> MajoranaPolynomial:
+    """The polynomial of diag(values) on 2**n states, as Z-strings:
+    sum_z a_z Z^z with a_z = 2^-n sum_m (-1)^popcount(m & z) values[m]
+    (Walsh-Hadamard), Z^z the product of Z_k = -i c_2k c_2k+1 over the
+    bits k of z.  The coefficients are exact rationals, so integer values
+    come back exactly."""
+    values = [Fraction(v) for v in values]
+    dim = len(values)
+    terms = {}
+    for z in range(dim):
+        a = sum(v if (m & z).bit_count() % 2 == 0 else -v
+                for m, v in enumerate(values)) / dim
+        bits = [k for k in range(dim.bit_length() - 1) if z >> k & 1]
+        # (-i)^len(bits) times a, exactly
+        phase = [(a, 0), (0, -a), (-a, 0), (0, a)][len(bits) % 4]
+        terms[tuple(i for k in bits for i in (2 * k, 2 * k + 1))] = (
+            GaussianRational(*phase))
+    return MajoranaPolynomial(terms)
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from vortexcert.clifford import (
     reflect,
 )
 from vortexcert.cli import main
-from vortexcert.fock import to_matrix
+from vortexcert.fock import PauliSum, to_matrix
 from vortexcert.lattice import build_lattice, diamond_lattice, reflection_data
 from vortexcert.model import (
     build_hamiltonian,
@@ -206,7 +206,7 @@ def test_thermal_limit_far_tail_supplement():
 def test_criterion_09_lanczos_scale_step():
     with budget(600):
         lat = build_lattice(4, 4, "periodic")
-        op = to_matrix(build_hamiltonian(lat, 0.1), lat.n_modes)
+        op = PauliSum(build_hamiltonian(lat, 0.1), lat.n_modes)
         ground = lanczos_ground(op, k=3, seed=0)
         assert ground.n == 1
         e0s = [ground.e0]

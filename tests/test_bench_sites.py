@@ -69,7 +69,7 @@ def test_every_lanczos_product_is_a_traced_matvec(monkeypatch, diamond, floor):
     # products went around it would leave that metric below the count
     # the solver reports
     from vortexcert import spectral
-    from vortexcert.fock import to_matrix
+    from vortexcert.fock import PauliSum
     from vortexcert.model import build_hamiltonian
 
     if floor is not None:  # more, smaller blocks than the two parities
@@ -77,7 +77,7 @@ def test_every_lanczos_product_is_a_traced_matvec(monkeypatch, diamond, floor):
     tracing = _load_tracing()
     monkeypatch.setattr(tracing, "SITES", [
         site for site in tracing.SITES if site[0] == "fock.matvec"])
-    op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
+    op = PauliSum(build_hamiltonian(diamond, 0.1), diamond.n_modes)
     tracer = tracing.Tracer()
     tracer.install()
     try:

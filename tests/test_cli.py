@@ -286,6 +286,15 @@ def test_usage_and_config_errors_exit_2(tmp_path, capsys):
     for flag in ("--solver.k", "--solver.window", "--cache.dir"):
         assert main(["spectrum", flag, "9"]) == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    # only certify's exit reads the checks; the other commands refuse
+    # --expect-fail rather than exit 0 whatever fails
+    for argv in (["sweep", "--lambda", "0", "--beta", "1", "--format", "csv",
+                  "--expect-fail", "ground_positivity"],
+                 ["vortex-map", "--lambda", "0", "--expect-fail", "rp_even"],
+                 ["spectrum", "--expect-fail", "rp_even"],
+                 ["lattice", "--expect-fail", "rp_even"]):
+        assert main(argv) == 2
+        assert "unrecognized arguments: --expect-fail" in capsys.readouterr().err
     conf = tmp_path / "c.json"
     conf.write_text("{not json")
     assert main(["certify", "--config", str(conf)]) == 2

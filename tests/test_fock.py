@@ -27,6 +27,7 @@ from conftest import (
     assert_same_operator,
     column_form_to_matrix,
     diagonal_operator,
+    diagonal_polynomial,
     oracle_majorana,
     oracle_matrix,
 )
@@ -146,6 +147,15 @@ def test_loop_operators_are_the_column_form_build(name):
         w = vortex_operator(lat, o).W
         assert_same_operator(to_matrix(w, lat.n_modes),
                              column_form_to_matrix(w, lat.n_modes))
+
+
+@pytest.mark.parametrize("values", [
+    [-1, -1] + [0] * 7 + [1] * 7, [2] * 8, [-4, 1, 2, -3, 3, -2, -1, 4], [5, -7]])
+def test_diagonal_polynomial_is_the_diagonal_matrix(values):
+    n_modes = len(values).bit_length() - 1
+    np.testing.assert_array_equal(
+        to_matrix(diagonal_polynomial(values), n_modes).to_dense(),
+        np.diag(np.array(values, dtype=complex)))
 
 
 def test_a_mask_whose_coefficients_round_to_zero_has_no_slot_row():

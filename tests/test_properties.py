@@ -25,7 +25,7 @@ from vortexcert.clifford import (
     multiply,
     reflect,
 )
-from vortexcert.fock import PauliSum, SparseOperator, to_matrix
+from vortexcert.fock import PauliSum, to_matrix
 from vortexcert.model import build_hamiltonian
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     oracle_matrix,
     reference_gauge_string,
     reference_real_gauge,
+    row_floors,
 )
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
@@ -183,7 +184,7 @@ def test_block_is_the_oracle_submatrix(case):
     n_modes, p = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 1)
-        op = to_matrix(p, n_modes)
+        op = PauliSum(p, n_modes)
         blocks = spectral._symmetry_blocks(op)
     m = oracle_matrix(p, n_modes)
     for idx in blocks:
@@ -208,7 +209,7 @@ def test_hermiticity_defect_is_the_oracle_defect(case):
 def test_block_is_the_submatrix_on_the_diamond(monkeypatch, diamond, lam):
     monkeypatch.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 16)
     h = build_hamiltonian(diamond, lam)
-    op = to_matrix(h, diamond.n_modes)
+    op = PauliSum(h, diamond.n_modes)
     assert op.hermiticity_defect() == 0.0
     blocks = spectral._symmetry_blocks(op)
     assert blocks.shape == (16, 16)
@@ -218,7 +219,12 @@ def test_block_is_the_submatrix_on_the_diamond(monkeypatch, diamond, lam):
                            atol=1e-12)
 
 
-def _floors_bound_the_blocks(row_floors, h, n_modes):
+def _slot_floors(op):
+    """The reference floors of every row of a SparseOperator's slots."""
+    return row_floors(op.cols, op.values, np.arange(op.dim))
+
+
+def _floors_bound_the_blocks(floors, h, n_modes):
     """Whether every symmetry block's least row floor is at or below the
     smallest eigenvalue of the block's oracle submatrix."""
     with pytest.MonkeyPatch.context() as mp:
@@ -227,7 +233,7 @@ def _floors_bound_the_blocks(row_floors, h, n_modes):
         blocks = spectral._symmetry_blocks(op)
     m = oracle_matrix(h, n_modes)
     lowest = [np.linalg.eigvalsh(m[np.ix_(idx, idx)])[0] for idx in blocks]
-    return bool((row_floors(op)[blocks].min(axis=1) <= lowest).all())
+    return bool((floors(op)[blocks].min(axis=1) <= lowest).all())
 
 
 @PROPERTY_SETTINGS
@@ -235,7 +241,7 @@ def _floors_bound_the_blocks(row_floors, h, n_modes):
 def test_gershgorin_floors_bound_every_block(case):
     n_modes, p = case
     h = p + adjoint(p)
-    assert _floors_bound_the_blocks(SparseOperator.floors, h, n_modes)
+    assert _floors_bound_the_blocks(_slot_floors, h, n_modes)
     assert _floors_bound_the_blocks(
         lambda op: PauliSum(h, n_modes).floors(), h, n_modes)
 
@@ -274,17 +280,16 @@ def test_blocks_built_in_the_operator_gauge_are_the_reference(case):
     y = strings.gauge()
     if y is None:
         return
-    op = to_matrix(h, n_modes)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 1)
         blocks = spectral._symmetry_blocks(strings)
     for rows in blocks:
         ref, d = reference_real_gauge(strings.block(rows), rows, y)
         assert d is not None
-        for built in (strings.block(rows, y), op.block(rows, y)):
-            assert built.values.dtype == np.float64
-            assert np.array_equal(built.cols, ref.cols)
-            assert np.array_equal(built.values, ref.values)
+        built = strings.block(rows, y)
+        assert built.values.dtype == np.float64
+        assert np.array_equal(built.cols, ref.cols)
+        assert np.array_equal(built.values, ref.values)
         # the gauge on the operator solves the system of every block
         plain = strings.block(rows)
         if plain.values.any():
@@ -302,7 +307,8 @@ def test_a_mask_mixing_real_and_imaginary_strings_has_no_gauge(case):
     h = p + adjoint(p) + c(0) * c(2) * 7j + c(1) * c(2) * 7j
     strings = PauliSum(h, n_modes)
     assert strings.gauge() is None
-    assert to_matrix(h, n_modes).gauge() is None
+    assert reference_gauge_string(to_matrix(h, n_modes),
+                                  np.arange(1 << n_modes)) is None
     try:
         ref = spectral.ground_space(to_matrix(h, n_modes))
     except spectral.IllSeparatedError:
@@ -318,7 +324,7 @@ _DIAMOND_LAMBDAS = [0.0, 0.1, 0.5]
 @pytest.mark.parametrize("lam", _DIAMOND_LAMBDAS)
 def test_gershgorin_floors_bound_the_diamond_blocks(diamond, lam):
     h, n_modes = build_hamiltonian(diamond, lam), diamond.n_modes
-    assert _floors_bound_the_blocks(SparseOperator.floors, h, n_modes)
+    assert _floors_bound_the_blocks(_slot_floors, h, n_modes)
     assert _floors_bound_the_blocks(
         lambda op: PauliSum(h, n_modes).floors(), h, n_modes)
 
