@@ -64,6 +64,7 @@ from .verify import (
     check_rp,
     check_topological_order,
     loop_expectations,
+    loop_product,
     theorem_chain_violations,
     vortex_map,
 )
@@ -404,10 +405,11 @@ class Evaluation(NamedTuple):
 def evaluate(lat: IslandLattice, refl, lam: float, cfg: dict,
              betas=(), parities=()) -> Evaluation:
     """Ground space, octagon order and positivity, then RP at each beta
-    and sample parity, at one lambda (`refl` None: no RP).  Each loop
-    operator W and its product W B with the ground basis are formed once,
-    for all three octagon checks.  The parities of one beta share its
-    `pauli_table`.
+    and sample parity, at one lambda (`refl` None: no RP).  Each octagon's
+    loop W is one Pauli string, so its B^dagger W B is formed once, block
+    by block through a gather (`loop_product`), for all three octagon
+    checks; no loop operator is built.  The parities of one beta share
+    its `pauli_table`.
 
     An error in the ground space or the octagon checks propagates; one in
     an RP check takes the place of its report.  Beyond the dense cap
@@ -423,12 +425,11 @@ def evaluate(lat: IslandLattice, refl, lam: float, cfg: dict,
 
     t0 = time.perf_counter()
     expectations, octagons = {}, []
-    for o in lat.octagons:  # one W and one W B alive at a time
-        wb = to_matrix(vortex_operator(lat, o, refl).W, lat.n_modes).apply(ground.basis)
-        expectations[o.center] = diag = loop_expectations(ground, wb)
-        octagons.append((o.center, check_topological_order(ground, wb, tol["topo"]),
+    for o in lat.octagons:
+        m = loop_product(ground, vortex_operator(lat, o, refl).W)
+        expectations[o.center] = diag = loop_expectations(m)
+        octagons.append((o.center, check_topological_order(m, tol["topo"]),
                          check_ground_positivity(diag, tol["pos"])))
-        del wb
     # the first of equals is the witness
     topo = max(octagons, key=lambda o: o[1].deviation, default=None)
     pos = min(octagons, key=lambda o: o[2].minimum, default=None)
@@ -587,9 +588,10 @@ def _round_ms(timings: dict) -> dict:
 
 def _sidecar(timings: dict, ground=None, spectrum=None, **extra) -> dict:
     """Timestamp, timings (ms, nested dicts allowed), the process's peak
-    resident set so far (MB), the Lanczos diagnostics of `ground`, if
-    any, the symmetry blocks of a dense `spectrum`, if any, and every
-    non-empty `extra` entry (RP diagnostics)."""
+    resident set so far (MB), the cluster's block count and gap and the
+    Lanczos diagnostics of `ground`, if any, the symmetry blocks of a
+    dense `spectrum`, if any, and every non-empty `extra` entry (RP
+    diagnostics)."""
     # imported once the work is done, so that it adds nothing to the peak
     from resource import RUSAGE_SELF, getrusage
 
@@ -600,6 +602,8 @@ def _sidecar(timings: dict, ground=None, spectrum=None, **extra) -> dict:
         "peak_rss_mb": round(getrusage(RUSAGE_SELF).ru_maxrss / 1024, 3),
     }
     # solver diagnostics vary with BLAS round-off, so they stay here
+    if ground is not None:
+        out["ground"] = {"cluster_blocks": len(ground.rows), "gap": ground.gap}
     if ground is not None and ground.matvecs:
         out["lanczos"] = {"eigenvalues": list(ground.eigenvalues),
                           "residuals": list(ground.residuals),

@@ -50,9 +50,13 @@ carries its diagnostics: the eigenvalues reported, the residual of each
 vector, the parity of the block each came from, the block count,
 dimension and orbit count, the blocks closed by their floor and the
 matrix-vector products spent.
-Ground-space bases are made deterministic by re-orthogonalizing
-coordinate projections in a fixed pivot order, so reports do not depend
-on eigensolver gauge.
+A ground space is kept block-resident on both routes: each cluster
+vector lies in one Z-string block, so a `GroundSpace` holds one (rows,
+columns) pair per block that has any, and no array spans two blocks.
+Its bases are made deterministic by re-orthogonalizing coordinate
+projections in a fixed pivot order, block by block, so reports do not
+depend on eigensolver gauge; the blocks' columns keep the order of the
+whole cluster's canonical basis, by pivot coordinate.
 
 Thermal quantities always shift energies by E0 before exponentiating;
 beta can then be large without overflow.
@@ -118,8 +122,8 @@ class Spectrum:
     Block b holds the Fock states blocks[b] (ascending); its eigenvalues
     values[b] ascend, and column k of vectors[b] is the eigenvector of
     values[b, k] in the coordinates of blocks[b].  The flat index
-    b * s + k names one eigenpair (`embed`).  `label` and `pos` map each
-    Fock state to its block and to its place there.
+    b * s + k names one eigenpair.  `label` and `pos` map each Fock state
+    to its block and to its place there.
     """
     blocks: np.ndarray  # (count, s) Fock indices of each Z-string block
     values: np.ndarray  # (count, s) ascending within each block, real
@@ -148,20 +152,30 @@ class Spectrum:
         """The sorted union of the block spectra."""
         return np.sort(self.values, axis=None)
 
-    def embed(self, which: np.ndarray) -> np.ndarray:
-        """The eigenvectors of the flat indices `which` as (dim, len(which))
-        full-space columns, zero outside their block."""
-        b, k = np.divmod(which, self.blocks.shape[1])
-        out = np.zeros((self.dim, len(which)), dtype=np.complex128)
-        out[self.blocks[b].T, np.arange(len(which))] = self.vectors[b, :, k].T
-        return out
-
 
 @dataclass(frozen=True)
 class GroundSpace:
+    """The ground cluster {E : E - E0 <= gap_tol} on `dim` Fock states,
+    kept block by block.
+
+    Every cluster vector lies in one Z-string block, so the cluster is the
+    direct sum of its blocks' parts, and no array spans two blocks.
+    rows[i] are the Fock states (ascending) of the i-th block that holds
+    any, vectors[i] that part's orthonormal columns in those coordinates,
+    in the deterministic gauge of `canonical_subspace_basis`, and
+    columns[i] their places in the cluster's column order: ascending
+    pivot coordinate, the order of the canonical basis of the whole
+    cluster.  `label` and `pos` map each Fock state to its cluster block
+    (-1 off the cluster) and to its place there.  `gap` is the first
+    certified level above the cluster less e0, None when none lies above.
+    """
     e0: float
-    basis: np.ndarray  # dim x N orthonormal columns, deterministic gauge
+    dim: int
+    rows: tuple[np.ndarray, ...]
+    vectors: tuple[np.ndarray, ...]
+    columns: tuple[np.ndarray, ...]
     gap_tol: float
+    gap: float | None = None
     # Lanczos diagnostics, empty on the dense route: the certified
     # eigenvalues (ascending; the cluster is the first n, then the first
     # value above it, at least lanczos_ground's k in all), the residual of
@@ -190,7 +204,23 @@ class GroundSpace:
 
     @property
     def n(self) -> int:
-        return self.basis.shape[1]
+        return sum(v.shape[1] for v in self.vectors)
+
+    @cached_property
+    def label(self) -> np.ndarray:
+        """The cluster block of each Fock state, -1 off the cluster."""
+        out = np.full(self.dim, -1, dtype=np.int64)
+        for i, rows in enumerate(self.rows):
+            out[rows] = i
+        return out
+
+    @cached_property
+    def pos(self) -> np.ndarray:
+        """The place of each Fock state in its cluster block (0 off it)."""
+        out = np.zeros(self.dim, dtype=np.int64)
+        for rows in self.rows:
+            out[rows] = np.arange(len(rows))
+        return out
 
 
 def default_gap_tol(e0: float) -> float:
@@ -253,8 +283,9 @@ def _cluster_count(values: np.ndarray, gap_tol: float) -> int:
     return int((rel <= gap_tol).sum())
 
 
-def canonical_subspace_basis(basis: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the span of orthonormal columns.
+def canonical_subspace_basis(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal basis of the span of orthonormal columns,
+    and the pivot coordinate of each of its columns (ascending).
 
     The columns are checked, not trusted: their Gram matrix G = B^H B
     must lie within ORTHONORMALITY_TOL of the identity (SpectralError
@@ -270,7 +301,8 @@ def canonical_subspace_basis(basis: np.ndarray) -> np.ndarray:
     input columns.  A coordinate whose projection is already negligible
     cannot leave a larger residual, so those rows are dropped in one
     pass before the loop.  The pivot loop works on the n-dimensional
-    coefficients only; the basis is one product q @ C after it.
+    coefficients only; the basis is one product q @ C after it.  Column k
+    is the one pivoted at coordinate pivots[k].
     """
     gram = basis.conj().T @ basis
     defect = float(np.abs(gram - np.eye(len(gram))).max(initial=0.0))
@@ -281,6 +313,7 @@ def canonical_subspace_basis(basis: np.ndarray) -> np.ndarray:
     q = basis @ ((v / np.sqrt(w)) @ v.conj().T)
     n = q.shape[1]
     coeffs: list[np.ndarray] = []
+    pivots: list[int] = []
     for i in np.flatnonzero(np.linalg.norm(q, axis=1) > 1e-8):
         c = q[i, :].conj().copy()
         for a in coeffs:
@@ -289,6 +322,7 @@ def canonical_subspace_basis(basis: np.ndarray) -> np.ndarray:
         if nrm <= 1e-8:
             continue
         coeffs.append(c / nrm)
+        pivots.append(int(i))
         if len(coeffs) == n:
             break
     if len(coeffs) != n:
@@ -297,7 +331,28 @@ def canonical_subspace_basis(basis: np.ndarray) -> np.ndarray:
     j = np.argmax(np.abs(out) > 1e-10, axis=0)
     lead = out[j, np.arange(n)]
     out *= lead.conj() / np.abs(lead)
-    return out
+    return out, np.array(pivots, dtype=np.int64)
+
+
+def _block_cluster(parts) -> dict:
+    """The `rows`, `vectors` and `columns` of a GroundSpace from its raw
+    parts, one (rows, orthonormal columns) pair per Z-string block.
+
+    The projection of e_i onto the cluster lies in i's block, and parts of
+    different blocks are orthogonal, so the canonical basis of the whole
+    cluster is the union of the blocks' canonical bases, each with its own
+    orthonormality check, in the order of their pivot coordinates.
+    """
+    rows, vectors, pivots = [], [], []
+    for r, v in parts:
+        basis, piv = canonical_subspace_basis(v)
+        rows.append(r)
+        vectors.append(basis)
+        pivots.append(r[piv])
+    place = np.empty(sum(map(len, pivots)), dtype=np.int64)
+    place[np.argsort(np.concatenate(pivots))] = np.arange(len(place))
+    columns = np.split(place, np.cumsum([len(p) for p in pivots])[:-1])
+    return {"rows": tuple(rows), "vectors": tuple(vectors), "columns": tuple(columns)}
 
 
 def ground_space(op, gap_tol: float | None = None) -> GroundSpace:
@@ -305,7 +360,9 @@ def ground_space(op, gap_tol: float | None = None) -> GroundSpace:
 
     Accepts a SparseOperator or a precomputed Spectrum.  The cluster is
     {E : E - E0 <= gap_tol}; a spectrum with weight within a decade of
-    the cut raises IllSeparatedError rather than guessing.
+    the cut raises IllSeparatedError rather than guessing.  Its columns
+    are read block by block from the Spectrum's eigenvectors
+    (`_block_cluster`); the gap is the next value of the spectrum.
     """
     spec = op if isinstance(op, Spectrum) else dense_spectrum(op)
     order = np.argsort(spec.values, axis=None, kind="stable")
@@ -314,8 +371,12 @@ def ground_space(op, gap_tol: float | None = None) -> GroundSpace:
     if gap_tol is None:
         gap_tol = default_gap_tol(e0)
     n = _cluster_count(values, gap_tol)
-    basis = canonical_subspace_basis(spec.embed(order[:n]))
-    return GroundSpace(e0=e0, basis=basis, gap_tol=gap_tol)
+    b, k = np.divmod(order[:n], spec.blocks.shape[1])
+    parts = [(spec.blocks[c], spec.vectors[c][:, k[b == c]])
+             for c in sorted(set(b.tolist()))]
+    return GroundSpace(e0=e0, dim=spec.dim, gap_tol=gap_tol,
+                       gap=float(values[n] - e0) if n < len(values) else None,
+                       **_block_cluster(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +702,12 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
     and its operator is never built.  When a Z-string phase gauge makes
     the operator real (`op.gauge()`, solved once), every block is built
     in it and solved in float64, and its cluster vectors are multiplied
-    back by the gauge before they are embedded or carried.  One RNG and
+    back by the gauge before they are kept or carried.  One RNG and
     one matvec budget are shared in that fixed order, so results are
-    deterministic.  The
+    deterministic.  The cluster stays block-resident: each vector is kept
+    on its block's rows, a carried one sorted into their order
+    (SpectralError if the carried states are not exactly the block's),
+    and the canonical basis is formed per block (`_block_cluster`).  The
     reported eigenvalues are the shortest certified prefix that meets
     the rule, max(k, n + 1) of them for a cluster of n: the cluster and
     the first value above it.  They come with their true residuals,
@@ -709,18 +773,30 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
         gap_tol = default_gap_tol(e0)
     n = _cluster_count(np.array(certified), gap_tol)
     pairs = pairs[:max(k, n + 1)]
-    cluster = np.zeros((op.dim, n), dtype=np.complex128)
-    for col, (_, b, vec, _) in enumerate(pairs[:n]):
-        if y is not None:  # back from the real gauge to the block's basis
-            vec = _PHASES[_bit_parity(blocks[rep[b]] & y)] * vec
-        if rep[b] == b:
-            cluster[blocks[b], col] = vec
-        else:
-            states, sign = _signed_permutation(blocks[rep[b]], carry[b])
-            cluster[states, col] = sign * vec
-    basis = canonical_subspace_basis(cluster)
+    members: dict[int, list] = {}
+    for _, b, vec, _ in pairs[:n]:
+        members.setdefault(b, []).append(vec)
+
+    def parts():
+        # one block's cluster columns at a time, in the block's own basis
+        for b in sorted(members):
+            src = blocks[rep[b]]
+            vecs = np.column_stack(members.pop(b))
+            if y is not None:  # back from the real gauge
+                vecs = _PHASES[_bit_parity(src & y)][:, None] * vecs
+            if rep[b] != b:  # carried, then sorted into the block's row order
+                states, sign = _signed_permutation(src, carry[b])
+                order = np.argsort(states)
+                if not np.array_equal(states[order], blocks[b]):
+                    raise SpectralError(f"a cluster vector carried from block "
+                                        f"{rep[b]} onto block {b} leaks out of it")
+                vecs = (sign[:, None] * vecs)[order]
+            yield blocks[b], vecs
+
     parity = _bit_parity(blocks[:, 0])
-    return GroundSpace(e0=e0, basis=basis, gap_tol=gap_tol,
+    return GroundSpace(e0=e0, dim=op.dim, gap_tol=gap_tol,
+                       gap=float(pairs[n][0] - e0) if len(pairs) > n else None,
+                       **_block_cluster(parts()),
                        eigenvalues=tuple(float(val) for val, _, _, _ in pairs),
                        residuals=tuple(r for _, _, _, r in pairs),
                        parities=() if len(blocks) == 1 else

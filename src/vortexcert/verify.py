@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .clifford import MajoranaPolynomial, commutator
+from .fock import apply_monomial
 from .fock import to_matrix  # noqa: F401  (wrapped here by bench/tracing.py)
 from .lattice import IslandLattice, ReflectionData
 from .model import (
@@ -274,16 +275,48 @@ class TopoResult(NamedTuple):
     verdict: str
 
 
-def check_topological_order(ground: GroundSpace, wb: np.ndarray,
+def loop_product(ground: GroundSpace, w: MajoranaPolynomial) -> np.ndarray:
+    """B^dagger W B for a one-term loop W on the ground basis B, the n x n
+    matrix that both octagon checks read.
+
+    W = a i^c X^x Z^z sends each cluster block's rows onto rows ^ x
+    (`apply_monomial`), which must be exactly one cluster block, or lie
+    off the cluster, where W B has no overlap with B; any other image
+    raises SpectralError.  So B^dagger W B is one small product per block:
+    the image block's columns, gathered in the order of W's image, against
+    W times the block's own.  Entries land at the blocks' places in the
+    cluster's column order; no full-space array is formed.
+    """
+    n_modes = ground.dim.bit_length() - 1
+    label, pos = ground.label, ground.pos
+    out = np.zeros((ground.n, ground.n), dtype=np.complex128)
+    for b, (rows, columns) in enumerate(zip(ground.rows, ground.columns)):
+        image, wv = apply_monomial(w, n_modes, rows, ground.vectors[b])
+        onto = label[image]
+        d = int(onto[0])
+        if (onto != d).any() or (d >= 0 and len(ground.rows[d]) != len(rows)):
+            raise SpectralError(
+                f"the loop sends cluster block {b} onto states of cluster "
+                f"blocks {sorted(set(onto.tolist()))} (-1: off the cluster), "
+                f"not onto one whole block")
+        if d >= 0:
+            gathered = ground.vectors[d][pos[image]]
+            np.conjugate(gathered, out=gathered)
+            out[ground.columns[d][:, None], columns] = gathered.T @ wv
+            del gathered
+        del wv  # one block's columns at a time
+    return out
+
+
+def check_topological_order(m: np.ndarray,
                             tol: float = DEFAULT_TOPO_TOL) -> TopoResult:
     """Is P W P a scalar multiple of P on the ground projector?
 
-    `wb` is the loop product W B (`w.apply(ground.basis)`).  alpha is the
-    mean diagonal expectation; the deviation is the Frobenius norm of
+    `m` is B^dagger W B (`loop_product`).  alpha is the mean diagonal
+    expectation; the deviation is the Frobenius norm of
     B^dagger W B - alpha*I.
     """
-    m = ground.basis.conj().T @ wb
-    n = ground.n
+    n = len(m)
     alpha = float(np.trace(m).real) / n
     deviation = float(np.linalg.norm(m - alpha * np.eye(n)))
     return TopoResult(alpha=alpha, deviation=deviation,
@@ -297,10 +330,10 @@ class PositivityResult(NamedTuple):
     verdict: str
 
 
-def loop_expectations(ground: GroundSpace, wb: np.ndarray) -> np.ndarray:
-    """<Omega^mu, W Omega^mu> for every ground basis vector, from the loop
-    product W B (`check_topological_order`)."""
-    return np.einsum("ij,ij->j", ground.basis.conj(), wb)
+def loop_expectations(m: np.ndarray) -> np.ndarray:
+    """<Omega^mu, W Omega^mu> for every ground basis vector: the diagonal
+    of B^dagger W B (`loop_product`)."""
+    return m.diagonal().copy()
 
 
 def check_ground_positivity(diag: np.ndarray,

@@ -207,17 +207,46 @@ def torus_4x4():
     return build_lattice(4, 4, "periodic")
 
 
+def embed(spec, which: np.ndarray) -> np.ndarray:
+    """The eigenvectors of the flat indices `which` (b * s + k names column
+    k of block b) of a Spectrum as (dim, len(which)) full-space columns,
+    zero outside their block."""
+    b, k = np.divmod(which, spec.blocks.shape[1])
+    out = np.zeros((spec.dim, len(which)), dtype=np.complex128)
+    out[spec.blocks[b].T, np.arange(len(which))] = spec.vectors[b, :, k].T
+    return out
+
+
+def embedded_basis(ground) -> np.ndarray:
+    """The ground basis of a block-resident GroundSpace as (dim, n)
+    full-space columns in its column order, zero off each column's block:
+    the array the ground space held as `basis` before it kept the cluster
+    block by block."""
+    out = np.zeros((ground.dim, ground.n), dtype=np.complex128)
+    for rows, vectors, columns in zip(ground.rows, ground.vectors, ground.columns):
+        out[rows[:, None], columns] = vectors
+    return out
+
+
+def embedded_loop_product(ground, w: SparseOperator) -> np.ndarray:
+    """B^dagger W B through the full space: the operator W applied to the
+    embedded basis B, the route the octagon checks took before
+    `loop_product` read W as a Pauli string."""
+    b = embedded_basis(ground)
+    return b.conj().T @ w.apply(b)
+
+
 def reference_thermal_expectation(o, spec, beta: float, chunk: int = 512) -> complex:
     """<O> in e^{-beta H} / Z as `thermal_expectation` computed it before
     it ran in blocks: the eigenvectors embedded as full-space columns
-    (`Spectrum.embed`, `chunk` of them at a time, so the 4,096-state
-    lattices stay small) and the factors applied right to left to them."""
+    (`embed`, `chunk` of them at a time, so the 4,096-state lattices stay
+    small) and the factors applied right to left to them."""
     factors = o if isinstance(o, (list, tuple)) else (o,)
     values = spec.values.ravel()
     weights = np.exp(-beta * (values - values.min()))
     diag = np.empty(spec.dim, dtype=np.complex128)
     for start in range(0, spec.dim, chunk):
-        vecs = spec.embed(np.arange(start, min(start + chunk, spec.dim)))
+        vecs = embed(spec, np.arange(start, min(start + chunk, spec.dim)))
         ov = vecs
         for f in reversed(factors):
             ov = f.apply(ov)

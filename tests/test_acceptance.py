@@ -49,6 +49,8 @@ from vortexcert.verify import (
     vortex_map,
 )
 
+from conftest import embedded_loop_product
+
 
 @contextmanager
 def budget(seconds):
@@ -142,12 +144,12 @@ def test_criterion_06_topological_order_and_vortex_freedom():
         ground = ground_space(to_matrix(build_hamiltonian(lat, 0.1),
                                         lat.n_modes))
         w = to_matrix(vortex_operator(lat, (1, 2)).W, lat.n_modes)
-        wb = w.apply(ground.basis)
-        topo = check_topological_order(ground, wb, tol=1e-8)
+        m = embedded_loop_product(ground, w)
+        topo = check_topological_order(m, tol=1e-8)
         assert topo.verdict == "pass"
         assert topo.deviation <= 1e-8
         assert abs(topo.alpha - 1.0) <= 1e-8
-        pos = check_ground_positivity(loop_expectations(ground, wb), tol=1e-8)
+        pos = check_ground_positivity(loop_expectations(m), tol=1e-8)
         assert pos.minimum >= 1 - 1e-8
         assert pos.spread <= 1e-8
 
@@ -159,7 +161,7 @@ def test_criterion_07_negative_control_at_lambda_zero():
                                         lat.n_modes))
         assert ground.n == 16  # 2 states per island, 4 islands
         w = to_matrix(vortex_operator(lat, (1, 2)).W, lat.n_modes)
-        topo = check_topological_order(ground, w.apply(ground.basis), tol=1e-8)
+        topo = check_topological_order(embedded_loop_product(ground, w), tol=1e-8)
         assert topo.deviation >= 0.5
 
 
@@ -175,7 +177,7 @@ def test_criterion_08_thermal_limit():
             assert v.real >= 0.0, f"<W> negative at beta={b}: {v.real}"
             assert abs(v.imag) <= 1e-12
         ground = ground_space(spectrum)
-        alpha = check_topological_order(ground, w.apply(ground.basis)).alpha
+        alpha = check_topological_order(embedded_loop_product(ground, w)).alpha
         gap = spectrum.eigenvalues[8] - spectrum.eigenvalues[0]
         assert abs(vals[50].real - alpha) <= 1e-6, (
             f"<W>_50 = {vals[50].real:.3e} has not converged to "
@@ -193,7 +195,7 @@ def test_thermal_limit_far_tail_supplement():
                                             lat.n_modes))
         w = to_matrix(vortex_operator(lat, (1, 2)).W, lat.n_modes)
         ground = ground_space(spectrum)
-        alpha = check_topological_order(ground, w.apply(ground.basis)).alpha
+        alpha = check_topological_order(embedded_loop_product(ground, w)).alpha
         far = thermal_expectation(w, spectrum, 3e5)
         assert abs(far.real - alpha) <= 1e-6
         # and the approach is monotone from below along the sampled tail
@@ -212,8 +214,8 @@ def test_criterion_09_lanczos_scale_step():
         e0s = [ground.e0]
         e0s += [lanczos_ground(op, k=2, seed=s).e0 for s in range(1, 5)]
         assert max(e0s) - min(e0s) <= 1e-8
-        vmap = vortex_map({o.center: loop_expectations(ground, to_matrix(
-            vortex_operator(lat, o).W, lat.n_modes).apply(ground.basis))
+        vmap = vortex_map({o.center: loop_expectations(embedded_loop_product(
+            ground, to_matrix(vortex_operator(lat, o).W, lat.n_modes)))
             for o in lat.octagons}, tol=1e-6)
         assert len(vmap) == 8
         for center, rec in vmap.items():

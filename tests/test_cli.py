@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -357,6 +358,64 @@ def test_dense_route_reports_its_blocks_in_the_sidecar(tmp_path):
     assert payload["sidecar"]["dense"] == {"blocks": {"count": 256, "dim": 1}}
 
 
+def test_sidecar_reports_the_cluster_blocks_and_gap_on_both_routes(
+        tmp_path, monkeypatch, diamond):
+    # the 8-fold cluster lies in 8 of the dense route's 16 blocks of 16 and
+    # in one of Lanczos's two parity blocks; 16 one-state blocks at 0
+    values = {lam: dense_spectrum(to_matrix(build_hamiltonian(diamond, lam),
+                                            diamond.n_modes)).eigenvalues
+              for lam in (0, 0.1)}
+    gap = {0.1: values[0.1][8] - values[0.1][0], 0: values[0][16] - values[0][0]}
+    for argv, lam, blocks in [(["certify"] + FAST, 0.1, 8), (["vortex-map"], 0.1, 8),
+                              (["vortex-map", "--lambda", "0"], 0, 16)]:
+        code, payload = _run_json(tmp_path, argv)
+        assert code == 0
+        ground = payload["sidecar"]["ground"]
+        assert ground["cluster_blocks"] == blocks
+        assert abs(ground["gap"] - gap[lam]) <= 1e-12
+    # the payload's own ground record is unchanged
+    assert set(payload["ground"]) == {"e0", "degeneracy"}
+    code, payload = _run_json(tmp_path, ["spectrum"])
+    assert "ground" not in payload["sidecar"]  # no cluster on the dense route
+    monkeypatch.setattr(cli, "DENSE_DIM_CAP", 128)
+    for argv in (["certify"] + FAST, ["spectrum"]):
+        code, payload = _run_json(tmp_path, argv)
+        assert code == 0
+        ground, lz = payload["sidecar"]["ground"], payload["sidecar"]["lanczos"]
+        assert ground["cluster_blocks"] == 1
+        assert ground["gap"] == lz["eigenvalues"][8] - lz["eigenvalues"][0]
+        assert abs(ground["gap"] - gap[0.1]) <= 1e-9
+
+
+_NO_NUMPY_MA = """
+import sys
+from vortexcert import cli
+code = cli.main(sys.argv[1:])
+print("numpy.ma" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--lambda", "0.1", "--beta", "1"],
+    ["sweep", "--lambda.from", "0", "--lambda.to", "0.5", "--lambda.steps", "3",
+     "--beta", "0.5,5", "--samples", "20", "--format", "csv"]])
+def test_diamond_runs_do_not_import_numpy_ma(tmp_path, argv):
+    # the benchmark's diamond commands: numpy.ma, which np.unique without
+    # return_inverse imports lazily, adds about 1.4 MB to the peak resident
+    # set and 10 ms to a run
+    src = str(Path(vortexcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_MA, *argv, "--seed", "0",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, (res.stdout, res.stderr)
+    assert res.stdout.strip() == "False"
+
+
 def test_evaluate_builds_one_pauli_table_per_beta(monkeypatch, diamond):
     built = []
     real = cli.pauli_table
@@ -421,10 +480,10 @@ def test_torus_solve_stays_within_its_memory_budget(torus_4x4):
 
 def test_torus_octagon_stage_holds_one_loop_operator_at_a_time(
         torus_4x4, monkeypatch):
-    # each octagon's W (1.5 MB on 65,536 states) and its product with the
-    # one-column ground basis (1 MB, plus a 1 MB term) are dropped before
-    # the next octagon: about 3.5 MB at the peak, where keeping all eight
-    # W would hold 12 MB
+    # each octagon's loop is read as a Pauli string, so no W (1.5 MB on
+    # 65,536 states) is built: the stage holds the cluster's two state
+    # maps (0.5 MB each) and one block's gather at a time, about 1.3 MB,
+    # where one W and its product with the basis took about 3.5 MB
     cfg = _resolve(["certify", *TORUS])
     solved = cli._solve(torus_4x4, 0.1, cfg)
     assert solved[1].n == 1
@@ -437,11 +496,43 @@ def test_torus_octagon_stage_holds_one_loop_operator_at_a_time(
     finally:
         tracemalloc.stop()
     assert len(ev.octagons) == len(ev.expectations) == 8
-    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_degenerate_torus_certify_stays_block_resident(tmp_path, monkeypatch):
+    # lambda = 0: a 256-fold ground level in 4 blocks of 4,096 states; the
+    # full-space basis alone was 268 MB (65,536 x 256 complex), and the run
+    # took about 10 s and 1 GB
+    evaluate, measured = cli.evaluate, []
+
+    def measuring(*args, **kwargs):
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            return evaluate(*args, **kwargs)
+        finally:
+            measured.append((time.perf_counter() - t0,
+                             tracemalloc.get_traced_memory()[1]))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "evaluate", measuring)
+    code, bundle = _run_json(tmp_path, ["certify", *TORUS, "--lambda", "0"])
+    assert code == 1
+    assert bundle["ground"]["degeneracy"] == 256
+    reports = {r["check"]: r for r in bundle["reports"]}
+    assert reports["topological_order"]["verdict"] == "fail"
+    assert abs(reports["topological_order"]["worst"]["value_re"] - 16.0) <= 1e-12
+    assert reports["ground_positivity"]["verdict"] == "pass"
+    assert bundle["sidecar"]["ground"]["cluster_blocks"] == 4
+    assert abs(bundle["sidecar"]["ground"]["gap"] - 2.0) <= 1e-9
+    [(seconds, peak)] = measured
+    assert seconds < 30, f"evaluate took {seconds:.1f} s"
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_torus_certify_builds_no_full_space_hamiltonian(tmp_path, monkeypatch):
-    # the only operators on all 65,536 states are the one-slot loops
+    # no operator spans all 65,536 states: H is built block by block, and
+    # each octagon loop is read as a Pauli string
     shapes = []
     init = SparseOperator.__init__
 
@@ -452,8 +543,7 @@ def test_torus_certify_builds_no_full_space_hamiltonian(tmp_path, monkeypatch):
     monkeypatch.setattr(SparseOperator, "__init__", recording)
     code, _ = _run_json(tmp_path, ["certify", *TORUS])
     assert code == 0
-    full = [slots for slots, dim in shapes if dim == 1 << 16]
-    assert full and max(full) == 1
+    assert shapes and all(dim < 1 << 16 for _, dim in shapes)
 
 
 def test_torus_lanczos_solves_one_block_per_translation_orbit(torus_4x4):

@@ -37,12 +37,21 @@ from conftest import (
     dense_operator,
     diagonal_operator,
     diagonal_polynomial,
+    embed,
+    embedded_basis,
+    embedded_loop_product,
     operator_block,
     reference_gauge_string,
     reference_real_gauge,
     reference_thermal_expectation,
     row_floors,
 )
+
+
+def _max_angle(a, b) -> float:
+    """The largest principal angle between two ground spaces' spans."""
+    return scipy.linalg.subspace_angles(embedded_basis(a), embedded_basis(b)).max()
+
 
 # dense-oracle regression values for the diamond lattice
 E0_DIAMOND_01 = -4.010037405062517
@@ -81,13 +90,23 @@ def test_block_spectrum_is_the_full_spectrum_on_the_diamond(diamond, lam, blocks
     assert np.abs(spec.eigenvalues - full).max() <= 1e-12
 
 
-def test_block_spectrum_is_the_full_spectrum_on_the_open_3x4_lattice():
+@pytest.fixture(scope="module")
+def open_3x4():
+    """The open 3x4 lattice at the dense cap (dim 4,096) and, at lambda 0,
+    0.1 and 0.5, its operator and block spectrum, built once for the
+    module's tests."""
+    lat = build_lattice(3, 4, "open")
+    ops = {lam: to_matrix(build_hamiltonian(lat, lam), lat.n_modes)
+           for lam in (0, 0.1, 0.5)}
+    return lat, ops, {lam: dense_spectrum(op) for lam, op in ops.items()}
+
+
+def test_block_spectrum_is_the_full_spectrum_on_the_open_3x4_lattice(open_3x4):
     # dim 4096, the dense cap: 64 blocks of 64 against the spectrum of the
     # dense matrix, whose parity-coupling halves are exactly zero, so it is
     # that of its two 2,048-state parity halves
-    lat = build_lattice(3, 4, "open")
-    op = to_matrix(build_hamiltonian(lat, 0.1), lat.n_modes)
-    spec = dense_spectrum(op)
+    _, ops, spectra = open_3x4
+    op, spec = ops[0.1], spectra[0.1]
     assert spec.blocks.shape == (64, 64)
     m = op.to_dense()
     even = _parity(op.dim) == 0
@@ -108,13 +127,14 @@ def test_block_ground_projector_is_the_full_one(diamond, lam):
     # round-off turns the projector by about eps ||H|| / gap (Davis-Kahan);
     # the gap above the cluster is 6.2e-5 at lambda = 0.1
     tol = max(1e-12, 1e-13 / (w[n] - w[n - 1]))
-    assert np.abs(gs.basis @ gs.basis.conj().T - want).max() <= tol
+    b = embedded_basis(gs)
+    assert np.abs(b @ b.conj().T - want).max() <= tol
 
 
 def test_block_eigenvectors_solve_the_full_operator(diamond):
     op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
     spec = dense_spectrum(op)
-    vecs = spec.embed(np.arange(op.dim))
+    vecs = embed(spec, np.arange(op.dim))
     assert np.abs(vecs.conj().T @ vecs - np.eye(op.dim)).max() <= 1e-12
     residual = op.apply(vecs) - vecs * spec.values.ravel()
     assert np.abs(residual).max() <= 1e-12
@@ -205,28 +225,83 @@ def _canonical_per_pivot(basis):
 def test_canonical_basis_matches_the_per_pivot_products(diamond, lam):
     rng = np.random.default_rng(5)
     op = to_matrix(build_hamiltonian(diamond, lam), diamond.n_modes)
-    b = ground_space(op).basis
+    b = embedded_basis(ground_space(op))
     q, _ = np.linalg.qr(rng.normal(size=(b.shape[1],) * 2)
                         + 1j * rng.normal(size=(b.shape[1],) * 2))
     mixed = b @ q
-    assert np.abs(canonical_subspace_basis(mixed)
+    assert np.abs(canonical_subspace_basis(mixed)[0]
                   - _canonical_per_pivot(mixed)).max() <= 1e-13
 
 
 def test_canonical_basis_checks_its_columns_are_orthonormal(diamond):
-    b = ground_space(to_matrix(build_hamiltonian(diamond, 0.1),
-                               diamond.n_modes)).basis
+    b = embedded_basis(ground_space(to_matrix(build_hamiltonian(diamond, 0.1),
+                                              diamond.n_modes)))
     # round-off is taken and corrected; a Gram matrix further from the
     # identity than ORTHONORMALITY_TOL is refused
     near = b * (1 + 1e-12)
-    np.testing.assert_allclose(canonical_subspace_basis(near),
-                               canonical_subspace_basis(b), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(canonical_subspace_basis(near)[0],
+                               canonical_subspace_basis(b)[0], rtol=0, atol=1e-12)
     with pytest.raises(SpectralError, match="not orthonormal"):
         canonical_subspace_basis(b * (1 + 1e-9))
     skew = b.copy()
     skew[:, 1] += 1e-6 * b[:, 0]
     with pytest.raises(SpectralError, match="not orthonormal"):
         canonical_subspace_basis(skew)
+
+
+def _assert_the_global_canonical_basis(ground, rows, raw, tol=1e-12):
+    """The block-resident basis against the canonical basis of the whole
+    raw cluster, as it was formed before it ran per block: one
+    `canonical_subspace_basis` of the (len(rows), n) columns `raw` on the
+    ascending Fock states `rows`, which hold every cluster block (rows off
+    them are exactly zero, and its pivot pass drops them)."""
+    want, _ = canonical_subspace_basis(raw)
+    got = np.zeros_like(want)
+    for r, v, cols in zip(ground.rows, ground.vectors, ground.columns):
+        got[np.searchsorted(rows, r)[:, None], cols] = v
+    assert np.abs(got - want).max() <= tol
+
+
+@pytest.mark.parametrize("lam", [0, 0.1, 0.5])
+@pytest.mark.parametrize("name", ["diamond", "open-3x4"])
+def test_per_block_canonical_basis_is_the_global_one(diamond, open_3x4, name, lam):
+    # the dense route: the raw cluster is the embedded eigenvectors of the
+    # lowest values, as ground_space formed it before
+    spec = (dense_spectrum(to_matrix(build_hamiltonian(diamond, lam),
+                                     diamond.n_modes))
+            if name == "diamond" else open_3x4[2][lam])
+    ground = ground_space(spec)
+    order = np.argsort(spec.values, axis=None, kind="stable")[:ground.n]
+    assert len(ground.rows) > 1
+    _assert_the_global_canonical_basis(ground, np.arange(spec.dim),
+                                       embed(spec, order))
+
+
+@pytest.mark.parametrize("lam,n,blocks", [(0, 256, 4), (0.1, 1, 1), (0.5, 1, 1)])
+def test_per_block_canonical_basis_is_the_global_one_on_the_torus(
+        monkeypatch, torus_4x4, lam, n, blocks):
+    # the Lanczos route: the raw parts handed to the per-block step, as one
+    # cluster on the union of their rows (16,384 at lambda = 0, where the
+    # 256-fold level lies in 4 of the 16 blocks)
+    parts = []
+    cluster = spectral._block_cluster
+
+    def recording(raw):
+        parts.extend(raw)
+        return cluster(parts)
+
+    monkeypatch.setattr(spectral, "_block_cluster", recording)
+    ground = lanczos_ground(PauliSum(build_hamiltonian(torus_4x4, lam),
+                                     torus_4x4.n_modes),
+                            seed=0, symmetries=translations(torus_4x4))
+    assert (ground.n, len(ground.rows)) == (n, blocks)
+    rows = np.sort(np.concatenate([r for r, _ in parts]))
+    raw = np.zeros((len(rows), n), dtype=np.complex128)
+    col = 0
+    for r, v in parts:
+        raw[np.searchsorted(rows, r), col:col + v.shape[1]] = v
+        col += v.shape[1]
+    _assert_the_global_canonical_basis(ground, rows, raw)
 
 
 def test_ground_space_regression_lambda_01(diamond):
@@ -245,7 +320,7 @@ def test_ground_space_lambda_zero_tensor_degeneracy(diamond):
 
 def test_ground_projector_invariants(diamond):
     op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
-    b = ground_space(op).basis
+    b = embedded_basis(ground_space(op))
     p = b @ b.conj().T
     assert np.abs(p @ p - p).max() <= 1e-10
     assert np.abs(p - p.conj().T).max() <= 1e-10
@@ -254,11 +329,12 @@ def test_ground_projector_invariants(diamond):
 def test_canonical_basis_is_gauge_independent(diamond):
     rng = np.random.default_rng(2)
     op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
-    b = ground_space(op).basis
+    b = embedded_basis(ground_space(op))
     q, _ = np.linalg.qr(rng.normal(size=(b.shape[1],) * 2)
                         + 1j * rng.normal(size=(b.shape[1],) * 2))
-    again = canonical_subspace_basis(b @ q)
-    np.testing.assert_allclose(again, canonical_subspace_basis(b), atol=1e-10)
+    again, pivots = canonical_subspace_basis(b @ q)
+    np.testing.assert_allclose(again, canonical_subspace_basis(b)[0], atol=1e-10)
+    np.testing.assert_array_equal(pivots, canonical_subspace_basis(b)[1])
 
 
 def test_default_gap_tol_floor():
@@ -284,8 +360,7 @@ def test_lanczos_matches_dense_on_diamond(diamond):
     lz = lanczos_ground(PauliSum(h, diamond.n_modes), k=dense.n + 1, seed=0)
     assert abs(lz.e0 - dense.e0) <= 1e-8
     assert lz.n == dense.n
-    angles = scipy.linalg.subspace_angles(lz.basis, dense.basis)
-    assert angles.max() <= 1e-6
+    assert _max_angle(lz, dense) <= 1e-6
 
 
 def test_lanczos_refuses_a_sparse_operator(diamond):
@@ -342,7 +417,7 @@ def test_lanczos_degenerate_pair_through_the_invariant_subspace_branch(
     assert max(gs.residuals) <= 1e-12
     cluster = np.zeros((16, 2))
     cluster[0, 0] = cluster[1, 1] = 1.0
-    assert scipy.linalg.subspace_angles(gs.basis, cluster).max() <= 1e-8
+    assert scipy.linalg.subspace_angles(embedded_basis(gs), cluster).max() <= 1e-8
     # the merge: even -1, odd -1, even 0, then odd 0 (until then the odd
     # block's last value -1 lies below the third smallest, 0)
     blocks = [block for block, _ in found]
@@ -402,7 +477,7 @@ def test_lanczos_takes_one_block_when_the_operator_couples_parities(
     assert lz.parities == ()
     ref = ground_space(dense)
     assert lz.n == ref.n == 8
-    assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-6
+    assert _max_angle(lz, ref) <= 1e-6
     # the even Hamiltonian alone splits into the two blocks
     even = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
     blocks = spectral._symmetry_blocks(even)
@@ -422,8 +497,9 @@ def test_lanczos_cluster_split_over_both_blocks():
     assert lz.n == 8
     assert sorted(lz.parities[:8]) == [0] * 4 + [1] * 4
     ref = ground_space(dense)
-    assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-6
-    assert sorted(_assert_definite_parity(lz.basis)) == [0] * 4 + [1] * 4
+    assert _max_angle(lz, ref) <= 1e-6
+    parities = _assert_definite_parity(embedded_basis(lz))
+    assert sorted(parities) == [0] * 4 + [1] * 4
     for e, r in zip(lz.eigenvalues, lz.residuals):
         assert r <= 100 * 1e-9 * max(1.0, abs(e))
 
@@ -444,7 +520,7 @@ def test_lanczos_vectors_have_definite_parity(diamond, monkeypatch):
     assert {len(y) for y in found} == {128}
     # the reported cluster carries its block parities, and each basis
     # column lies in one parity sector
-    parities = _assert_definite_parity(lz.basis)
+    parities = _assert_definite_parity(embedded_basis(lz))
     assert sorted(parities) == sorted(lz.parities[:lz.n])
 
 
@@ -641,7 +717,7 @@ def test_torus_orbit_route_matches_the_block_route(torus_4x4, lam):
     assert len(orbit.eigenvalues) == len(plain.eigenvalues)
     np.testing.assert_allclose(orbit.eigenvalues, plain.eigenvalues,
                                rtol=0, atol=1e-9)
-    assert scipy.linalg.subspace_angles(orbit.basis, plain.basis).max() <= 1e-6
+    assert _max_angle(orbit, plain) <= 1e-6
     assert orbit.matvecs < plain.matvecs
 
 
@@ -724,7 +800,27 @@ def test_cluster_vectors_carried_into_a_mate_block(monkeypatch):
     ref = ground_space(dense_spectrum(to_matrix(h, lat.n_modes)))
     assert lz.blocks == (4, 64) and lz.orbits == 3
     assert lz.n == ref.n == 8 and abs(lz.e0 - ref.e0) <= 1e-10
-    assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-6
+    assert _max_angle(lz, ref) <= 1e-6
+
+
+def test_a_carried_cluster_vector_that_leaks_out_of_its_block_is_refused(
+        monkeypatch):
+    # the same carried half of the cluster, through a signed permutation
+    # off by the lowest mode: its states lie in the other parity, so the
+    # vector cannot be kept on the rows of the block it was carried onto
+    monkeypatch.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 1)
+    signed = spectral._signed_permutation
+
+    def shifted(states, pi):
+        moved, sign = signed(states, pi)
+        return moved ^ 1, sign
+
+    monkeypatch.setattr(spectral, "_signed_permutation", shifted)
+    lat = build_lattice(4, 2, "periodic")
+    h = build_hamiltonian(lat, 1.0) + parity_operator(lat) * 2
+    with pytest.raises(SpectralError, match="onto block 3 leaks out of it"):
+        lanczos_ground(PauliSum(h, lat.n_modes), seed=0,
+                       symmetries=translations(lat))
 
 
 def test_a_symmetry_claim_is_checked_not_trusted():
@@ -867,7 +963,7 @@ def test_lanczos_without_a_gauge_matches_the_dense_route():
         ref = ground_space(to_matrix(h, 3))
         assert lz.real_blocks == real
         assert lz.n == ref.n and abs(lz.e0 - ref.e0) <= 1e-10
-        assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-8
+        assert _max_angle(lz, ref) <= 1e-8
 
 
 def test_the_4x2_torus_in_its_real_gauge_is_the_dense_route():
@@ -878,7 +974,7 @@ def test_the_4x2_torus_in_its_real_gauge_is_the_dense_route():
     ref = ground_space(to_matrix(h, lat.n_modes))
     assert lz.real_blocks > 0
     assert lz.n == ref.n and abs(lz.e0 - ref.e0) <= 1e-10
-    assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-8
+    assert _max_angle(lz, ref) <= 1e-8
 
 
 @pytest.mark.parametrize("lam,real", [(0.1, 4), (0.5, 6)])
@@ -890,7 +986,7 @@ def test_ungauged_cluster_vectors_solve_the_complex_block(torus_4x4, lam, real):
     lz = lanczos_ground(op, seed=0, symmetries=translations(torus_4x4))
     assert lz.real_blocks == real
     blocks = spectral._symmetry_blocks(op)
-    for v in lz.basis.T:
+    for v in embedded_basis(lz).T:
         rows = next(b for b in blocks if np.linalg.norm(v[b]) > 0.5)
         assert np.iscomplexobj(op.block(rows).values)
         y = v[rows]
@@ -941,7 +1037,7 @@ def test_lanczos_with_loose_floors_visits_every_block(monkeypatch, diamond):
                                rtol=0, atol=1e-9)
     ref = ground_space(dense)
     assert lz.n == ref.n
-    assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-6
+    assert _max_angle(lz, ref) <= 1e-6
 
 
 def test_lanczos_k_1_closes_the_ground_cluster(diamond):
@@ -955,8 +1051,8 @@ def test_lanczos_k_1_closes_the_ground_cluster(diamond):
     assert len(lz.eigenvalues) == 9  # the cluster and the first level above
     np.testing.assert_allclose(lz.eigenvalues, dense.eigenvalues[:9],
                                rtol=0, atol=1e-9)
-    assert np.abs(lz.basis @ lz.basis.conj().T
-                  - ref.basis @ ref.basis.conj().T).max() <= 1e-6
+    b, b_ref = embedded_basis(lz), embedded_basis(ref)
+    assert np.abs(b @ b.conj().T - b_ref @ b_ref.conj().T).max() <= 1e-6
 
 
 def test_lanczos_closes_a_cluster_that_fills_whole_blocks(diamond):
@@ -966,7 +1062,7 @@ def test_lanczos_closes_a_cluster_that_fills_whole_blocks(diamond):
     lz = lanczos_ground(PauliSum(h, diamond.n_modes), seed=0)
     assert lz.n == ref.n == 16
     assert abs(lz.e0 - ref.e0) <= 1e-9
-    assert scipy.linalg.subspace_angles(lz.basis, ref.basis).max() <= 1e-6
+    assert _max_angle(lz, ref) <= 1e-6
 
 
 def test_lanczos_k_beyond_the_cluster_is_a_floor(diamond):
@@ -994,8 +1090,7 @@ def test_thermal_expectation_limits(diamond):
     assert abs(thermal_expectation(w, spec, 0.0)) <= 1e-12
     gs = ground_space(spec)
     beta_large = thermal_expectation(w, spec, 4e5).real
-    ground_avg = np.mean(np.einsum("ij,ij->j", gs.basis.conj(),
-                                   w.apply(gs.basis))).real
+    ground_avg = np.mean(embedded_loop_product(gs, w).diagonal()).real
     assert abs(beta_large - ground_avg) <= 1e-6
 
 
@@ -1048,11 +1143,11 @@ def test_block_thermal_expectation_is_the_embedding_route(diamond, lam, plane):
                                                        spec, betas)
 
 
-def test_block_thermal_expectation_on_the_open_3x4_lattice():
+def test_block_thermal_expectation_on_the_open_3x4_lattice(open_3x4):
     # 64 blocks of 64 at the dense cap; the mirror x = 1 cuts islands
-    lat = build_lattice(3, 4, "open")
+    lat, _, spectra = open_3x4
     r = reflection_data(lat, "x", 1)
-    spec = dense_spectrum(to_matrix(build_hamiltonian(lat, 0.1), lat.n_modes))
+    spec = spectra[0.1]
     a = MajoranaPolynomial.monomial(tuple(r.left[:4]))
     fa = (to_matrix(a, lat.n_modes), to_matrix(reflect(a, r.sigma), lat.n_modes))
     _assert_block_route_is_the_embedding_route(fa, spec, (1,))

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from vortexcert.clifford import MajoranaPolynomial, multiply, reflect
-from vortexcert.fock import monomial_pauli, to_matrix
-from vortexcert.lattice import build_lattice, reflection_data
+from vortexcert.fock import PauliSum, monomial_pauli, to_matrix
+from vortexcert.lattice import build_lattice, reflection_data, translations
 from vortexcert.model import build_hamiltonian, parity_operator, vortex_operator
 from vortexcert.spectral import (
+    GroundSpace,
     SpectralError,
     dense_spectrum,
     ground_space,
+    lanczos_ground,
     pauli_table,
     rp_functional,
     rp_gram,
@@ -23,6 +25,7 @@ from vortexcert.verify import (
     check_rp,
     check_topological_order,
     loop_expectations,
+    loop_product,
     rp_sample_polynomials,
     theorem_chain_violations,
     vortex_map,
@@ -34,7 +37,7 @@ from vortexcert.verify import (
     _sample_witness,
 )
 
-from conftest import dense_operator, oracle_matrix
+from conftest import dense_operator, embedded_loop_product, oracle_matrix
 
 
 @pytest.fixture(scope="module")
@@ -428,12 +431,12 @@ def test_diamond_certify_never_densifies_the_full_operator(tmp_path, monkeypatch
 def test_topological_order_verdicts(diamond, diamond_spectra):
     w = to_matrix(vortex_operator(diamond, (1, 2)).W, diamond.n_modes)
     ground = ground_space(diamond_spectra[0.1])
-    ordered = check_topological_order(ground, w.apply(ground.basis))
+    ordered = check_topological_order(embedded_loop_product(ground, w))
     assert ordered.verdict == "pass"
     assert abs(ordered.alpha - 1.0) <= 1e-8
     assert ordered.deviation <= 1e-8
     ground = ground_space(diamond_spectra[0])
-    degenerate = check_topological_order(ground, w.apply(ground.basis))
+    degenerate = check_topological_order(embedded_loop_product(ground, w))
     assert degenerate.verdict == "fail"
     assert abs(degenerate.alpha) <= 1e-12
     assert abs(degenerate.deviation - 4.0) <= 1e-10
@@ -443,16 +446,75 @@ def test_ground_positivity(diamond, diamond_mirror, diamond_spectra):
     v = vortex_operator(diamond, (1, 2), r=diamond_mirror)
     w = to_matrix(v.W, diamond.n_modes)
     ground = ground_space(diamond_spectra[0.1])
-    res = check_ground_positivity(loop_expectations(ground, w.apply(ground.basis)))
+    res = check_ground_positivity(loop_expectations(embedded_loop_product(ground, w)))
     assert res.verdict == "pass"
     assert res.minimum >= 1 - 1e-8  # all eight states sit at +1
     assert res.spread <= 1e-8 and res.max_imag <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [0, 0.1])
+def test_loop_product_is_the_full_space_product(diamond, diamond_spectra, lam):
+    # the gather against W applied to the embedded basis: the 8 and 16
+    # cluster vectors lie in 8 blocks of 16 and in 16 one-state blocks
+    ground = ground_space(diamond_spectra[lam])
+    assert len(ground.rows) == {0: 16, 0.1: 8}[lam]
+    for mirror in (None, reflection_data(diamond, "x", 1)):
+        w = vortex_operator(diamond, (1, 2), mirror).W
+        m = loop_product(ground, w)
+        want = embedded_loop_product(ground, to_matrix(w, diamond.n_modes))
+        assert np.abs(m - want).max() <= 1e-14
+
+
+def test_loop_product_on_the_torus_is_the_full_space_product(torus_4x4):
+    ground = lanczos_ground(PauliSum(build_hamiltonian(torus_4x4, 0.1),
+                                     torus_4x4.n_modes),
+                            seed=0, symmetries=translations(torus_4x4))
+    for o in torus_4x4.octagons:
+        w = vortex_operator(torus_4x4, o).W
+        want = embedded_loop_product(ground, to_matrix(w, torus_4x4.n_modes))
+        assert np.abs(loop_product(ground, w) - want).max() <= 1e-14
+
+
+def _hand_ground(rows):
+    """A GroundSpace on 8 states with one unit vector per state of the
+    blocks `rows`, columns in block order."""
+    rows = tuple(np.array(r) for r in rows)
+    ends = np.cumsum([len(r) for r in rows])
+    return GroundSpace(e0=0.0, dim=8, rows=rows,
+                       vectors=tuple(np.eye(len(r), dtype=complex) for r in rows),
+                       columns=tuple(np.arange(end - len(r), end)
+                                     for r, end in zip(rows, ends)),
+                       gap_tol=1e-8)
+
+
+def test_a_loop_image_off_one_block_is_refused():
+    # c_2 = X_1 Z_0 flips bit 1: it sends the block {0, 1} onto {2, 3};
+    # so does 1j c_3 = -X_1 Z_1 Z_0, whose Z string meets the flipped bit,
+    # so its sign must be read on the source state, not on the image
+    flip = MajoranaPolynomial.monomial((2,))
+    ground = _hand_ground([[0, 1], [2, 3]])
+    for w in (flip, MajoranaPolynomial.monomial((3,), 1j)):
+        assert np.array_equal(loop_product(ground, w),
+                              embedded_loop_product(ground, to_matrix(w, 3)))
+    # {2, 3} is half of the block {2, 4} and half off the cluster
+    with pytest.raises(SpectralError, match="not onto one whole block"):
+        loop_product(_hand_ground([[0, 1], [2, 4]]), flip)
+    # {2, 3} inside the larger block {2, 3, 5, 6}
+    with pytest.raises(SpectralError, match=r"blocks \[1\] .* not onto one"):
+        loop_product(_hand_ground([[0, 1], [2, 3, 5, 6]]), flip)
+    # wholly off the cluster: W B has no overlap with B
+    off = _hand_ground([[0, 1], [4, 5]])
+    assert not loop_product(off, flip)[:2].any()
+    assert np.array_equal(loop_product(off, flip),
+                          embedded_loop_product(off, to_matrix(flip, 3)))
+    with pytest.raises(ValueError, match="one term, not 2"):
+        loop_product(ground, flip + MajoranaPolynomial.monomial((0,)))
+
+
 def _expectations(lat, ground):
     """Each octagon's `loop_expectations` in the ground space."""
-    return {o.center: loop_expectations(ground, to_matrix(
-        vortex_operator(lat, o).W, lat.n_modes).apply(ground.basis))
+    return {o.center: loop_expectations(embedded_loop_product(ground, to_matrix(
+        vortex_operator(lat, o).W, lat.n_modes)))
         for o in lat.octagons}
 
 
