@@ -198,7 +198,8 @@ FIELDS = (
     Field("tolerances.gap", None, ("--gap-tol", "--tolerances.gap"), float,
           _rule(lambda v: _is_number(v) and v > 0,
                 "must be > 0 (or null for the default rule)")),
-    Field("samples.count", 100, ("--samples", "--samples.count"), int, _at_least(0)),
+    Field("samples.count", 100, ("--samples", "--samples.count"), int, _at_least(0),
+          help="accepted and ignored"),
     Field("samples.max_degree", 4, ("--max-degree", "--samples.max_degree"), int,
           _at_least(0)),
     Field("output.path", None, ("--out", "--output.path"), Path, _string),
@@ -471,9 +472,8 @@ def evaluate(lat: IslandLattice, refl, lam: float, cfg: dict,
             try:
                 rp[beta, parity] = check_rp(
                     lat, refl, lam, beta, spectrum=spectrum, table=table,
-                    parity=parity, max_degree=smp["max_degree"],
-                    count=smp["count"], seed=seed, tol=tol["rp"],
-                    name=RP_CHECKS[parity])
+                    parity=parity, max_degree=smp["max_degree"], seed=seed,
+                    tol=tol["rp"], name=RP_CHECKS[parity])
             except _ROW_ERRORS as e:
                 rp[beta, parity] = e
     if rp:

@@ -890,6 +890,7 @@ def thermal_expectation(o, h, beta: float) -> complex:
                 term = u[own[:, None], src[j, dest]]
                 term *= weight[j, dest, :, None]
                 part += term
+            del term  # only `part` goes on down
             carry(depth + 1, dest, part)
 
     if slots:

@@ -10,14 +10,13 @@ witness) or a small result tuple the frontend wraps into one.
 
 Reflection positivity is decided on a Gram matrix.  The trial span of
 one parity is every monomial of degree <= max_degree (default 4) on
-Lambda_minus plus `count` (default 100) seeded random polynomials with
-unit-disk coefficients, held as one (samples x monomials) coefficient
-array: identity rows for the monomials, one RNG draw for all random
-samples.  Every sample is evaluated as y^dagger G y over the span's
-monomials, and the verdict also demands lambda_min(G) >= -tol, which
-certifies every element of that span, not just the samples.  Only the
-reported witness becomes a polynomial again; its value is re-checked on
-a second route, the Fock operators of theta(A) and A applied in turn.
+Lambda_minus, and the form A -> Tr(A theta(A) rho) on it is y^dagger G y
+with G_ij = Tr(m_i theta(m_j) rho).  It is positive on the span iff G is
+Hermitian and positive semidefinite, so the check reads three things off
+G: each monomial's value G_ii, the Hermiticity defect max |G - G^dagger|
+and lambda_min of the Hermitian part.  No polynomial is sampled; only
+the reported witness becomes a polynomial, and its value is re-checked
+on a second route, the Fock operators of theta(A) and A applied in turn.
 Odd elements are measured in a separate report that is never asserted:
 the positivity literature is written for the even case and we refuse
 to hard-fail on a case left implicit.
@@ -68,44 +67,23 @@ def _degree_basis(indices: tuple[int, ...], max_degree: int, parity: str):
 
 
 def _sample_witness(key: str, a) -> str:
-    """Sample id plus a bounded rendering; the key and seed pin the
-    polynomial exactly, so huge renders add nothing."""
+    """Witness label plus a bounded rendering of A; the label and the
+    run's config pin A exactly, so huge renders add nothing."""
     text = a.render()
     if len(text) > 160:
         text = f"{text[:157]}... ({len(a)} terms)"
     return f"{key} A = {text}"
 
 
-def _sample_rows(indices, parity: str, max_degree: int, count: int, seed: int):
-    """Deterministic (labels, keys, coefficients) of the RP trial span.
-
-    coefficients[s, j] is sample s's coefficient of monomial keys[j].
-    The span is every monomial of `_degree_basis` (identity rows,
-    labelled "m:<indices>") plus `count` random polynomials (labelled
-    "r1:<n>") from one draw of shape (count, len(keys), 2): column 0 the
-    radius draw and column 1 the angle draw of a point uniform on the
-    complex unit disk, so the stream runs radius, angle per key in basis
-    order, key by key, sample by sample.  Columns are in sorted key order
-    and rows in label order.
-    """
+def _sample_rows(indices, parity: str, max_degree: int) -> list[tuple[str, tuple]]:
+    """The (label, key) rows of the RP trial span: every monomial of
+    `_degree_basis`, labelled "m:<indices>", in label order."""
     if parity not in ("even", "odd"):
         raise ValueError(f"unknown parity filter {parity!r}")
-    if max_degree < 0 or count < 0:
-        raise ValueError("max_degree and count must be >= 0")
-    basis = list(_degree_basis(tuple(sorted(indices)), max_degree, parity))
-    draws = np.random.default_rng(seed).uniform(size=(count, len(basis), 2))
-    radius = np.sqrt(draws[..., 0])
-    angle = 2 * np.pi * draws[..., 1]
-    coeffs = np.empty((len(basis) + count, len(basis)), dtype=np.complex128)
-    coeffs[:len(basis)] = np.eye(len(basis))
-    coeffs[len(basis):].real = radius * np.cos(angle)
-    coeffs[len(basis):].imag = radius * np.sin(angle)
-    labels = ["m:" + ",".join(map(str, key)) for key in basis]
-    labels += [f"r1:{n:04d}" for n in range(count)]
-    columns = sorted(range(len(basis)), key=basis.__getitem__)
-    rows = sorted(range(len(labels)), key=labels.__getitem__)
-    return ([labels[i] for i in rows], [basis[j] for j in columns],
-            coeffs[np.ix_(rows, columns)])
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    return sorted(("m:" + ",".join(map(str, key)), key)
+                  for key in _degree_basis(tuple(indices), max_degree, parity))
 
 
 def _polynomial(keys, row) -> MajoranaPolynomial:
@@ -113,18 +91,18 @@ def _polynomial(keys, row) -> MajoranaPolynomial:
     return MajoranaPolynomial({key: complex(c) for key, c in zip(keys, row)})
 
 
-def rp_sample_polynomials(indices, *, parity: str = "even", max_degree: int = 4,
-                          count: int = 100,
-                          seed: int = 0) -> list[tuple[str, MajoranaPolynomial]]:
-    """The (label, A) rows that `check_rp` evaluates, in its order."""
-    labels, keys, coeffs = _sample_rows(indices, parity, max_degree, count, seed)
-    return [(label, _polynomial(keys, row)) for label, row in zip(labels, coeffs)]
+def rp_sample_polynomials(indices, *, parity: str = "even",
+                          max_degree: int = 4) -> list[tuple[str, MajoranaPolynomial]]:
+    """The (label, A) monomial rows that `check_rp` evaluates, in its order."""
+    return [(label, MajoranaPolynomial.monomial(key))
+            for label, key in _sample_rows(indices, parity, max_degree)]
 
 
 def _gram_floor(gram: np.ndarray) -> tuple[float, int, int]:
     """(lambda_min, block count, largest block) of the Hermitian matrix
-    that `eigvalsh` reads from the lower triangle of `gram`, solved in the
-    connected blocks of that triangle's non-zero pattern.
+    that `eigvalsh` reads from the lower triangle of `gram` (`check_rp`
+    passes the Hermitian part of G), solved in the connected blocks of
+    that triangle's non-zero pattern.
 
     A permutation makes the matrix block-diagonal, so its spectrum is the
     union of the blocks' spectra (the Gram's selection-rule zeros are
@@ -184,38 +162,38 @@ class CheckReport:
 
 def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float, *,
              spectrum: Spectrum, table: PauliTable | None = None,
-             parity: str = "even", max_degree: int = 4, count: int = 100,
-             seed: int = 0, tol: float = DEFAULT_RP_TOL,
-             name: str = "rp") -> CheckReport:
+             parity: str = "even", max_degree: int = 4, seed: int = 0,
+             tol: float = DEFAULT_RP_TOL, name: str = "rp") -> CheckReport:
     """Tr(A theta(A) e^{-beta H})/Z over A in the Lambda_minus algebra.
 
     The trial span is every `parity` monomial of degree <= max_degree on
-    Lambda_minus plus `count` random polynomials drawn from `seed` (see
-    `_sample_rows`).  One Gram matrix G over those monomials gives every
-    sample's value as y^dagger G y (y = conj of its coefficients).  Pass
-    iff the minimum real part stays above -tol, every imaginary part
-    stays within tol, and lambda_min(G) >= -tol, so the whole span is
-    certified.  A failing sample is the witness; if only G fails, the
-    witness is its lowest eigenvector, keyed "g:min" (eigenvectors are
-    computed, by one `eigh` of the whole G, only then).  lambda_min(G)
-    itself is solved per block of G's exact zeros (`_gram_floor`).  G is
-    read from `table`, the `pauli_table` of the spectrum at this beta,
-    when the caller shares one between parities, else from the spectrum.
-    The samples are
-    rows of one coefficient array and never become polynomials; only the
-    witness does.  It is recomputed through `rp_functional` (the Fock
-    operators of theta(A), then A, applied to the thermal eigenvectors),
-    and a disagreement beyond round-off (GRAM_AGREEMENT_TOL, independent
-    of tol) raises SpectralError.  Witnesses are serialized in canonical
-    text, so a failure is a standalone regression case.  The report's
-    sidecar holds the Gram size, lambda_min(G) (measured on every run),
-    the count and the largest size of G's zero blocks, and the re-check's
-    deviation and wall time.  A trial span with no monomials (odd
-    elements at max_degree 0) is "skipped", its witness naming parity and
-    degree.
+    Lambda_minus (`_sample_rows`); the form on it is y^dagger G y, y the
+    conjugated coefficients of A and G the Gram matrix of `rp_gram`, read
+    from `table` (the `pauli_table` at this beta) when the caller shares
+    one between parities.  Pass iff, checked in this order, every
+    monomial's value G_ii has real part >= -tol and imaginary part within
+    tol (witness: the worst monomial, ties to the first label);
+    max |G - G^dagger| <= GRAM_AGREEMENT_TOL, a round-off bound
+    independent of tol (witness "g:skew": m_i + z m_j on the worst pair,
+    whose value has imaginary part |G_ij - conj(G_ji)| + Im(G_ii + G_jj));
+    and lambda_min((G + G^dagger)/2) >= -tol, solved per block of G's
+    exact zeros (`_gram_floor`; witness "g:min", the lowest eigenvector
+    of one `eigh`).  A passing report names the worst monomial.  Nothing
+    is drawn at random; `seed` is only echoed in the params.
+
+    Only the witness becomes a polynomial.  It is recomputed through
+    `rp_functional` (the Fock operators of theta(A), then A, applied to
+    the thermal eigenvectors), and a disagreement beyond round-off
+    (GRAM_AGREEMENT_TOL, independent of tol) raises SpectralError.  The
+    sidecar holds the Gram size, lambda_min of the Hermitian part, the
+    Hermiticity defect, the count and largest size of G's zero blocks,
+    and the re-check's deviation and wall time.  A span with no monomials
+    (odd elements at max_degree 0) is "skipped", its witness naming
+    parity and degree.
     """
     t0 = time.perf_counter()
-    labels, keys, coeffs = _sample_rows(r.left, parity, max_degree, count, seed)
+    rows = _sample_rows(r.left, parity, max_degree)
+    labels, keys = [label for label, _ in rows], [key for _, key in rows]
     params = {"lambda": float(lam), "beta": float(beta), "seed": seed}
     if not keys:
         return CheckReport(
@@ -227,27 +205,40 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float, *,
             timing_ms=1e3 * (time.perf_counter() - t0), version=__version__)
 
     gram = rp_gram(keys, r, spectrum if table is None else table, beta)
-    # F(A) = sum_ij a_i G_ij conj(a_j) = y^dagger G y with y = conj(a)
-    values = [complex(v) for v in ((coeffs @ gram) * coeffs.conj()).sum(axis=1)]
-
-    min_re = min(range(len(values)), key=lambda i: values[i].real)
-    max_im = max(range(len(values)), key=lambda i: abs(values[i].imag))
+    values = gram.diagonal()  # F(m_i) = G_ii
+    min_re = int(values.real.argmin())
+    max_im = int(np.abs(values.imag).argmax())
     im_ok = abs(values[max_im].imag) <= tol
     ok = values[min_re].real >= -tol and im_ok
     i = min_re if (values[min_re].real < -tol or im_ok) else max_im
-    worst = (labels[i], _polynomial(keys, coeffs[i]), values[i])
-    lam_min, blocks, largest = _gram_floor(gram)
-    if ok and lam_min < -tol:
+    label, y = labels[i], None
+    skew = np.abs(gram - gram.conj().T)
+    defect = float(skew.max())
+    hermitian = (gram + gram.conj().T) / 2
+    lam_min, blocks, largest = _gram_floor(hermitian)
+    if ok and defect > GRAM_AGREEMENT_TOL:
         ok = False
-        lams, vecs = np.linalg.eigh(gram)
-        worst = ("g:min", _polynomial(keys, vecs[:, 0].conj()), complex(lams[0]))
+        i, j = divmod(int(skew.argmax()), len(keys))
+        label, y = "g:skew", np.zeros(len(keys), dtype=np.complex128)
+        y[i] = 1
+        if j != i:
+            # Im F(m_i + z m_j) = Im(G_ii + G_jj) + Im(z d), and z d = i|d|
+            d = gram[i, j] - np.conj(gram[j, i])
+            y[j] = 1j * np.conj(d) / abs(d)
+    elif ok and lam_min < -tol:
+        ok = False
+        label, y = "g:min", np.linalg.eigh(hermitian)[1][:, 0]
+    if y is None:
+        a, value = MajoranaPolynomial.monomial(keys[i]), complex(values[i])
+    else:
+        a, value = _polynomial(keys, y.conj()), complex(np.vdot(y, gram @ y))
     t1 = time.perf_counter()
-    recheck = rp_functional(worst[1], r, spectrum, beta)
+    recheck = rp_functional(a, r, spectrum, beta)
     recheck_ms = 1e3 * (time.perf_counter() - t1)
-    deviation = abs(recheck - worst[2])
+    deviation = abs(recheck - value)
     if deviation > GRAM_AGREEMENT_TOL * (1 + abs(recheck)):
         raise SpectralError(
-            f"{name}: Gram value {worst[2]!r} of {worst[0]} disagrees with "
+            f"{name}: Gram value {value!r} of {label} disagrees with "
             f"the Fock-matrix route {recheck!r}"
         )
     return CheckReport(
@@ -257,13 +248,14 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float, *,
         tolerances={"rp": tol},
         verdict="pass" if ok else "fail",
         worst={
-            "value_re": float(worst[2].real),
-            "value_im": float(worst[2].imag),
-            "witness": _sample_witness(worst[0], worst[1]),
+            "value_re": float(value.real),
+            "value_im": float(value.imag),
+            "witness": _sample_witness(label, a),
         },
         timing_ms=1e3 * (time.perf_counter() - t0),
         version=__version__,
         sidecar={"gram_size": len(keys), "lambda_min": lam_min,
+                 "hermiticity_defect": defect,
                  "gram_blocks": {"count": blocks, "largest": largest},
                  "recheck_deviation": deviation, "recheck_ms": recheck_ms},
     )

@@ -19,6 +19,7 @@ from vortexcert.fock import (
     _echelon_insert,
     monomial_action,
 )
+from vortexcert.verify import _sample_rows
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -252,3 +253,15 @@ def reference_thermal_expectation(o, spec, beta: float, chunk: int = 512) -> com
             ov = f.apply(ov)
         diag[start:start + chunk] = np.einsum("ij,ij->j", vecs.conj(), ov)
     return complex((weights * diag).sum() / weights.sum())
+
+
+def random_span_polynomials(indices, parity: str, max_degree: int, count: int,
+                            seed: int) -> list[MajoranaPolynomial]:
+    """`count` polynomials with seeded random coefficients, uniform on the
+    complex unit disk, on every monomial of the RP trial span over
+    `indices`: many-term witnesses for the RP routes, which `check_rp`
+    itself never draws."""
+    keys = [key for _, key in _sample_rows(indices, parity, max_degree)]
+    draws = np.random.default_rng(seed).uniform(size=(count, len(keys), 2))
+    coeffs = np.sqrt(draws[..., 0]) * np.exp(2j * np.pi * draws[..., 1])
+    return [MajoranaPolynomial(dict(zip(keys, map(complex, row)))) for row in coeffs]

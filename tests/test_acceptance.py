@@ -224,11 +224,10 @@ def test_criterion_09_lanczos_scale_step():
 
 
 def test_criterion_10_byte_determinism(tmp_path):
-    fast = ["--samples", "3"]
     bundles = []
     for name in ("c1.json", "c2.json"):
         out = tmp_path / name
-        assert main(["certify"] + fast + ["--out", str(out)]) == 0
+        assert main(["certify", "--out", str(out)]) == 0
         d = json.loads(out.read_text())
         d.pop("sidecar")
         bundles.append(json.dumps(d, indent=2, sort_keys=True))
@@ -239,8 +238,7 @@ def test_criterion_10_byte_determinism(tmp_path):
         out = tmp_path / name
         code = main(["sweep", "--lambda.from", "0", "--lambda.to", "0.2",
                      "--lambda.steps", "3", "--beta", "1", "--format", "csv",
-                     "--samples", "3", "--max-degree", "2",
-                     "--out", str(out)])
+                     "--max-degree", "2", "--out", str(out)])
         assert code == 0
         sweeps.append(out.read_bytes())
     assert sweeps[0] == sweeps[1]

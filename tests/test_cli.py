@@ -33,8 +33,8 @@ from vortexcert.spectral import dense_spectrum
 
 E0_DIAMOND_01 = -4.010037405062517
 
-# small sampling plan so every certify in this file stays subsecond
-FAST = ["--samples", "2", "--max-degree", "2"]
+# a small trial span (degree <= 2) keeps every certify in this file subsecond
+FAST = ["--max-degree", "2"]
 
 
 def _resolve(argv):
@@ -340,6 +340,7 @@ def test_certify_sidecar_carries_the_rp_gram_diagnostics(tmp_path):
     assert rp["rp_odd_observed"]["gram_size"] == 8
     for diag in rp.values():
         assert diag["lambda_min"] >= -1e-9
+        assert 0 <= diag["hermiticity_defect"] <= 1e-10
         assert 0 <= diag["recheck_deviation"] <= 1e-10
         assert diag["recheck_ms"] > 0
         assert 1 <= diag["gram_blocks"]["largest"] <= diag["gram_size"]
@@ -391,7 +392,7 @@ _NO_NUMPY_MA = """
 import sys
 from vortexcert import cli
 code = cli.main(sys.argv[1:])
-print("numpy.ma" in sys.modules)
+print(sorted({"numpy.ma", "numpy.random"} & set(sys.modules)))
 sys.exit(code)
 """
 
@@ -403,7 +404,8 @@ sys.exit(code)
 def test_diamond_runs_do_not_import_numpy_ma(tmp_path, argv):
     # the benchmark's diamond commands: numpy.ma, which np.unique without
     # return_inverse imports lazily, adds about 1.4 MB to the peak resident
-    # set and 10 ms to a run
+    # set and 10 ms to a run; numpy.random, which only Lanczos draws from
+    # on these lattices, about 10 ms of imports and its extension pages
     src = str(Path(vortexcert.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -413,7 +415,7 @@ def test_diamond_runs_do_not_import_numpy_ma(tmp_path, argv):
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 0, (res.stdout, res.stderr)
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "[]"
 
 
 def test_evaluate_builds_one_pauli_table_per_beta(monkeypatch, diamond):
@@ -445,6 +447,22 @@ def test_certify_repeats_byte_identical(tmp_path):
         d.pop("sidecar")
         stripped.append(json.dumps(d, indent=2, sort_keys=True))
     assert stripped[0] == stripped[1]
+
+
+def test_samples_count_is_accepted_and_ignored(tmp_path):
+    # RP is decided on the monomial Gram alone: --samples changes only its
+    # own echo in the config
+    payloads = []
+    for extra in ([], ["--samples", "7"]):
+        code, bundle = _run_json(tmp_path, ["certify"] + extra)
+        assert code == 0
+        bundle.pop("sidecar")
+        payloads.append(bundle)
+    default, seven = payloads
+    assert (default["config"]["samples"]["count"],
+            seven["config"]["samples"]["count"]) == (100, 7)
+    seven["config"]["samples"]["count"] = 100
+    assert json.dumps(default, sort_keys=True) == json.dumps(seven, sort_keys=True)
 
 
 def test_every_json_sidecar_reports_the_peak_resident_set(tmp_path):

@@ -43,6 +43,7 @@ from conftest import (
     operator_block,
     reference_gauge_string,
     reference_real_gauge,
+    random_span_polynomials,
     reference_thermal_expectation,
     row_floors,
 )
@@ -103,16 +104,28 @@ def open_3x4():
 
 def test_block_spectrum_is_the_full_spectrum_on_the_open_3x4_lattice(open_3x4):
     # dim 4096, the dense cap: 64 blocks of 64 against the spectrum of the
-    # dense matrix, whose parity-coupling halves are exactly zero, so it is
-    # that of its two 2,048-state parity halves
+    # dense matrix.  No stored entry couples the parities, so that is the
+    # spectrum of its two 2,048-state parity halves, each filled straight
+    # from the operator's slots
     _, ops, spectra = open_3x4
     op, spec = ops[0.1], spectra[0.1]
     assert spec.blocks.shape == (64, 64)
-    m = op.to_dense()
-    even = _parity(op.dim) == 0
-    assert not m[np.ix_(even, ~even)].any() and not m[np.ix_(~even, even)].any()
-    full = np.sort(np.concatenate([np.linalg.eigvalsh(m[np.ix_(half, half)])
-                                   for half in (even, ~even)]))
+    rows = np.broadcast_to(np.arange(op.dim), op.cols.shape)
+    parity = _parity(op.dim)
+    stored = op.values != 0
+    assert (parity[rows[stored]] == parity[op.cols[stored]]).all()
+    pos = np.empty(op.dim, dtype=np.int64)  # each state's place in its half
+    halves = [np.flatnonzero(parity == p) for p in (0, 1)]
+    for half in halves:
+        pos[half] = np.arange(len(half))
+    full = []
+    for half in halves:
+        m = np.zeros((len(half), len(half)), dtype=np.complex128)
+        slots = stored[:, half]
+        np.add.at(m, (pos[rows[:, half][slots]], pos[op.cols[:, half][slots]]),
+                  op.values[:, half][slots])
+        full.append(np.linalg.eigvalsh(m))
+    full = np.sort(np.concatenate(full))
     assert np.abs(spec.eigenvalues - full).max() <= 1e-12
 
 
@@ -1131,12 +1144,12 @@ def test_block_thermal_expectation_is_the_embedding_route(diamond, lam, plane):
     w = to_matrix(vortex_operator(diamond, (1, 2)).W, n)
     _assert_block_route_is_the_embedding_route(w, spec, betas)
     for parity in ("even", "odd"):
-        rows = rp_sample_polynomials(r.left, parity=parity, max_degree=4,
-                                     count=2, seed=7)
-        # monomials sort before the random polynomials
-        witnesses = [rows[0], rows[(len(rows) - 2) // 2], rows[-3], *rows[-2:]]
-        assert [label[:2] for label, _ in witnesses] == ["m:"] * 3 + ["r1"] * 2
-        for _, a in witnesses:
+        rows = [a for _, a in rp_sample_polynomials(r.left, parity=parity,
+                                                    max_degree=4)]
+        witnesses = [rows[0], rows[len(rows) // 2], rows[-1],
+                     *random_span_polynomials(r.left, parity, 4, 2, seed=7)]
+        assert [len(a) for a in witnesses] == [1] * 3 + [len(rows)] * 2
+        for a in witnesses:
             fa = (to_matrix(a, n), to_matrix(reflect(a, r.sigma), n))
             _assert_block_route_is_the_embedding_route(fa, spec, betas)
             _assert_block_route_is_the_embedding_route((fa[0], w, fa[1]),
@@ -1151,6 +1164,28 @@ def test_block_thermal_expectation_on_the_open_3x4_lattice(open_3x4):
     a = MajoranaPolynomial.monomial(tuple(r.left[:4]))
     fa = (to_matrix(a, lat.n_modes), to_matrix(reflect(a, r.sigma), lat.n_modes))
     _assert_block_route_is_the_embedding_route(fa, spec, (1,))
+
+
+def test_block_thermal_expectation_holds_one_stack_per_factor(open_3x4):
+    # an even monomial's re-check on the open 3x4 lattice holds about four
+    # eigenvector stacks at its peak (the result, the part carried out of
+    # theta(A), a gathered term and the temporary of ov[b] += term); the
+    # term of theta(A), kept alive through the next factor, was a fifth
+    import tracemalloc
+
+    lat, _, spectra = open_3x4
+    r = reflection_data(lat, "x", 1)
+    spec = spectra[0.1]
+    stack = spec.vectors.size * 16  # bytes of one complex eigenvector stack
+    a = MajoranaPolynomial.monomial(tuple(r.left[:4]))
+    rp_functional(a, r, spec, 1.0)  # warm the imports
+    tracemalloc.start()
+    try:
+        rp_functional(a, r, spec, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * stack, peak / stack
 
 
 def test_thermal_expectation_rejects_blocks_that_are_not_cosets():

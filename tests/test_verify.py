@@ -8,6 +8,7 @@ from vortexcert.fock import PauliSum, monomial_pauli, to_matrix
 from vortexcert.lattice import build_lattice, reflection_data, translations
 from vortexcert.model import build_hamiltonian, parity_operator, vortex_operator
 from vortexcert.spectral import (
+    GRAM_AGREEMENT_TOL,
     GroundSpace,
     SpectralError,
     dense_spectrum,
@@ -31,13 +32,17 @@ from vortexcert.verify import (
     vortex_map,
 )
 from vortexcert.verify import (
-    _degree_basis,
     _gram_floor,
     _sample_rows,
     _sample_witness,
 )
 
-from conftest import dense_operator, embedded_loop_product, oracle_matrix
+from conftest import (
+    dense_operator,
+    embedded_loop_product,
+    oracle_matrix,
+    random_span_polynomials,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +60,6 @@ def test_sample_spec_validation(diamond, diamond_mirror, diamond_spectra):
     with pytest.raises(ValueError):
         rp_sample_polynomials((0, 1), parity="both")
     with pytest.raises(ValueError):
-        rp_sample_polynomials((0, 1), count=-1)
-    with pytest.raises(ValueError):
         rp_sample_polynomials((0, 1), max_degree=-1)
     with pytest.raises(ValueError):
         check_rp(diamond, diamond_mirror, 0.1, 1.0, parity="both",
@@ -64,30 +67,24 @@ def test_sample_spec_validation(diamond, diamond_mirror, diamond_spectra):
 
 
 def test_exhaustive_monomial_enumeration():
-    samples = rp_sample_polynomials((5, 0, 2), max_degree=2, count=0)
+    samples = rp_sample_polynomials((5, 0, 2), max_degree=2)
     keys = [k for k, _ in samples]
     assert keys == ["m:", "m:0,2", "m:0,5", "m:2,5"]
     for _, a in samples:
         assert len(a) == 1 and a.degree() in (0, 2)
-    odd = rp_sample_polynomials((5, 0, 2), parity="odd", max_degree=2, count=0)
+    odd = rp_sample_polynomials((5, 0, 2), parity="odd", max_degree=2)
     assert [k for k, _ in odd] == ["m:0", "m:2", "m:5"]
 
 
 def test_even_basis_size_on_half_lattice(diamond_mirror):
     # 8 indices: C(8,0) + C(8,2) + C(8,4) even monomials through degree 4
-    samples = rp_sample_polynomials(diamond_mirror.left, max_degree=4, count=0)
+    samples = rp_sample_polynomials(diamond_mirror.left, max_degree=4)
     assert len(samples) == 1 + 28 + 70
-
-
-def test_random_samples_deterministic_in_seed():
-    # the random rows follow the monomial rows
-    a = rp_sample_polynomials((0, 1, 2, 3), max_degree=2, count=3, seed=9)[-3:]
-    b = rp_sample_polynomials((0, 1, 2, 3), max_degree=2, count=3, seed=9)[-3:]
-    assert [k for k, _ in a] == ["r1:0000", "r1:0001", "r1:0002"]
-    for (ka, pa), (kb, pb) in zip(a, b):
-        assert ka == kb and pa.isclose(pb, tol=0.0)
-    other = rp_sample_polynomials((0, 1, 2, 3), max_degree=2, count=3, seed=10)[-3:]
-    assert not a[0][1].isclose(other[0][1], tol=1e-6)
+    # rows in label order, which is not key order: "m:0,1,2,11" sorts
+    # before "m:0,1,2,3"
+    labels = [label for label, _ in samples]
+    assert labels == sorted(labels)
+    assert labels[:4] == ["m:", "m:0,1", "m:0,1,2,11", "m:0,1,2,3"]
 
 
 def test_witness_rendering_is_bounded():
@@ -103,12 +100,12 @@ def test_witness_rendering_is_bounded():
 
 
 def test_check_rp_passes_on_diamond(diamond, diamond_mirror, diamond_spectra):
-    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, max_degree=2, count=3,
-                   seed=1, spectrum=diamond_spectra[0.1])
+    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, max_degree=2, seed=1,
+                   spectrum=diamond_spectra[0.1])
     assert rep.verdict == "pass" and rep.passed
     assert rep.worst["value_re"] >= -1e-9
     assert abs(rep.worst["value_im"]) <= 1e-9
-    assert rep.worst["witness"].split(" ")[0].startswith(("m:", "r1:"))
+    assert rep.worst["witness"].startswith("m:")
     assert rep.params == {"lambda": 0.1, "beta": 1.0, "seed": 1}
     assert rep.lattice == diamond.content_hash()
 
@@ -116,7 +113,7 @@ def test_check_rp_passes_on_diamond(diamond, diamond_mirror, diamond_spectra):
 def test_check_rp_fail_is_reported_not_raised(diamond, diamond_mirror,
                                               diamond_spectra):
     # an impossible tolerance forces the fail path without faking data
-    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, max_degree=0, count=0,
+    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, max_degree=0,
                    spectrum=diamond_spectra[0.1], tol=-2.0)
     assert rep.verdict == "fail"
     assert rep.worst["witness"].startswith("m: ")
@@ -124,6 +121,7 @@ def test_check_rp_fail_is_reported_not_raised(diamond, diamond_mirror,
     # out of the serialized report
     assert rep.sidecar["gram_size"] == 1
     assert abs(rep.sidecar["lambda_min"] - 1.0) <= 1e-12  # <1 theta(1)> = 1
+    assert rep.sidecar["hermiticity_defect"] <= 1e-15
     assert rep.sidecar["gram_blocks"] == {"count": 1, "largest": 1}
     assert rep.sidecar["recheck_deviation"] <= 1e-12
     assert rep.sidecar["recheck_ms"] > 0
@@ -133,9 +131,9 @@ def test_check_rp_fail_is_reported_not_raised(diamond, diamond_mirror,
 def test_check_rp_with_an_empty_trial_span_is_skipped(diamond, diamond_mirror,
                                                     diamond_spectra):
     # odd monomials start at degree 1, so degree 0 leaves no odd trial
-    # element even when random samples are asked for
+    # element
     rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, parity="odd",
-                   max_degree=0, count=5, seed=3, spectrum=diamond_spectra[0.1])
+                   max_degree=0, seed=3, spectrum=diamond_spectra[0.1])
     assert rep.verdict == "skipped" and not rep.passed
     assert rep.worst == {"value_re": 0.0, "value_im": 0.0,
                          "witness": "no odd monomials of degree <= 0 on Lambda_minus"}
@@ -148,7 +146,7 @@ def test_check_rp_strict_tolerance_gives_a_report(diamond, diamond_mirror,
                                                   diamond_spectra, tol):
     # round-off between the Gram and Fock-matrix routes is no verdict: a
     # strict tolerance still yields a report, never a SpectralError
-    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, max_degree=2, count=0,
+    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, max_degree=2,
                    spectrum=diamond_spectra[0.1], tol=tol)
     assert rep.verdict in ("pass", "fail")
     assert rep.worst["value_re"] >= -1e-12  # RP holds up to round-off
@@ -164,17 +162,16 @@ def test_check_rp_cross_check_ignores_a_loose_tolerance(
 
     monkeypatch.setattr(verify, "rp_functional", off_by_a_micro)
     with pytest.raises(SpectralError, match="disagrees"):
-        check_rp(diamond, diamond_mirror, 0.1, 1.0, max_degree=2, count=0,
+        check_rp(diamond, diamond_mirror, 0.1, 1.0, max_degree=2,
                  spectrum=diamond_spectra[0.1], tol=1.0)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_rp_gram_matches_rp_functional(diamond, diamond_mirror, parity):
-    exhaustive = rp_sample_polynomials(diamond_mirror.left, parity=parity,
-                                       max_degree=4, count=0)
-    random_ = rp_sample_polynomials(diamond_mirror.left, parity=parity,
-                                    max_degree=2, count=3, seed=4)[-3:]
-    keys = [next(iter(a.terms())) for _, a in exhaustive]
+    exhaustive = [a for _, a in rp_sample_polynomials(
+        diamond_mirror.left, parity=parity, max_degree=4)]
+    random_ = random_span_polynomials(diamond_mirror.left, parity, 2, 3, seed=4)
+    keys = [next(iter(a.terms())) for a in exhaustive]
     column = {key: j for j, key in enumerate(keys)}
     for lam in (0, 0.1, 0.5):
         spec = dense_spectrum(to_matrix(build_hamiltonian(diamond, lam),
@@ -182,7 +179,7 @@ def test_rp_gram_matches_rp_functional(diamond, diamond_mirror, parity):
         for beta in (0.5, 5):
             g = rp_gram(keys, diamond_mirror, spec, beta)
             assert np.abs(g - g.conj().T).max() <= 1e-12
-            for _, a in exhaustive + random_:
+            for a in exhaustive + random_:
                 y = np.zeros(len(keys), dtype=complex)
                 for key, c in a.terms().items():
                     y[column[key]] = np.conj(complex(c))
@@ -191,9 +188,8 @@ def test_rp_gram_matches_rp_functional(diamond, diamond_mirror, parity):
 
 
 def _monomial_keys(r, parity, max_degree):
-    return [next(iter(a.terms())) for _, a in
-            rp_sample_polynomials(r.left, parity=parity, max_degree=max_degree,
-                                  count=0)]
+    """The keys of the trial span, in `check_rp`'s order."""
+    return [key for _, key in _sample_rows(r.left, parity, max_degree)]
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -226,7 +222,8 @@ def test_rp_gram_matches_rp_functional_on_the_failing_mirror(diamond, parity):
     r = reflection_data(diamond, "y", 2)
     keys = _monomial_keys(r, parity, 4)
     samples = [a for _, a in rp_sample_polynomials(r.left, parity=parity,
-                                                   max_degree=4, count=3, seed=4)]
+                                                   max_degree=4)]
+    samples += random_span_polynomials(r.left, parity, 4, 3, seed=4)
     spec = dense_spectrum(to_matrix(build_hamiltonian(diamond, 0.1),
                                     diamond.n_modes))
     values = []
@@ -245,11 +242,9 @@ def test_check_rp_gram_failure_beyond_the_samples(diamond, diamond_mirror):
     # tolerance every monomial sample passes and only G exposes it
     spec = dense_spectrum(to_matrix(-build_hamiltonian(diamond, 0.5),
                                     diamond.n_modes))
-    rep = check_rp(diamond, diamond_mirror, 0.5, 5.0, max_degree=4, count=0,
+    rep = check_rp(diamond, diamond_mirror, 0.5, 5.0, max_degree=4,
                    spectrum=spec, tol=1.0)
-    keys = [next(iter(a.terms())) for _, a in
-            rp_sample_polynomials(diamond_mirror.left, max_degree=4, count=0)]
-    g = rp_gram(keys, diamond_mirror, spec, 5.0)
+    g = rp_gram(_monomial_keys(diamond_mirror, "even", 4), diamond_mirror, spec, 5.0)
     sample_min = g.diagonal().real.min()  # monomial samples are unit vectors
     lam_min = np.linalg.eigvalsh(g)[0]
     assert sample_min >= -1.0 > lam_min
@@ -257,6 +252,55 @@ def test_check_rp_gram_failure_beyond_the_samples(diamond, diamond_mirror):
     assert rep.worst["witness"].startswith("g:min A = ")
     assert abs(rep.worst["value_re"] - lam_min) <= 1e-12
     assert rep.worst["value_re"] < sample_min
+
+
+@pytest.mark.parametrize("lattice,plane,lam", [
+    *(pytest.param(None, plane, lam, id=f"diamond-{plane[0]}{plane[1]}-{lam}")
+      for plane in (("x", 1), ("y", 2)) for lam in (0, 0.1, 0.5)),
+    pytest.param((3, 4, "open"), ("x", 1), 0.1, id="open3x4-x1-0.1"),
+    pytest.param((4, 2, "periodic"), ("x", 1), 0.1, id="torus4x2-x1-0.1")])
+def test_rp_verdict_grid(diamond, lattice, plane, lam):
+    # 8 lattices and planes x 3 betas x 2 parities: only the even span on
+    # the diamond's y = 2 mirror fails.  G is Hermitian to round-off on x
+    # planes and on the mirror at lambda 0, not on the mirror at lambda > 0
+    lat = diamond if lattice is None else build_lattice(*lattice)
+    r = reflection_data(lat, *plane)
+    spec = dense_spectrum(to_matrix(build_hamiltonian(lat, lam), lat.n_modes))
+    for beta in (0.5, 1, 5):
+        table = pauli_table(spec, beta)
+        for parity in ("even", "odd"):
+            rep = check_rp(lat, r, lam, beta, spectrum=spec, table=table,
+                           parity=parity)
+            mirror = plane == ("y", 2) and parity == "even"
+            assert rep.verdict == ("fail" if mirror else "pass"), (beta, parity)
+            defect = rep.sidecar["hermiticity_defect"]
+            assert (defect > 0.05) == (mirror and lam > 0), defect
+            assert defect <= GRAM_AGREEMENT_TOL or (mirror and lam > 0)
+
+
+def test_check_rp_fails_a_non_hermitian_gram(diamond):
+    # on the y = 2 mirror at lambda 0.1 every monomial passes tol = 1, but
+    # G is not Hermitian: the form takes a non-real value on the worst pair
+    r = reflection_data(diamond, "y", 2)
+    spectra = {lam: dense_spectrum(to_matrix(build_hamiltonian(diamond, lam),
+                                             diamond.n_modes))
+               for lam in (0, 0.1)}
+    rep = check_rp(diamond, r, 0.1, 1.0, spectrum=spectra[0.1], tol=1.0)
+    defect = rep.sidecar["hermiticity_defect"]
+    assert rep.verdict == "fail" and abs(defect - 0.118) <= 1e-3
+    assert rep.worst["witness"].startswith("g:skew A = ")
+    assert abs(rep.worst["value_im"] - defect) <= 1e-14
+    assert rep.sidecar["recheck_deviation"] <= GRAM_AGREEMENT_TOL
+    g = rp_gram(_monomial_keys(r, "even", 4), r, spectra[0.1], 1.0)
+    assert defect == np.abs(g - g.conj().T).max()
+    # at lambda 0 G is Hermitian, and the same tolerance passes
+    rep = check_rp(diamond, r, 0, 1.0, spectrum=spectra[0], tol=1.0)
+    assert rep.verdict == "pass" and rep.worst["witness"].startswith("m:")
+    assert rep.sidecar["hermiticity_defect"] <= 1e-15
+
+
+def _hermitian_part(g):
+    return (g + g.conj().T) / 2
 
 
 def _full_space_gram(keys, r, op, beta):
@@ -335,14 +379,14 @@ def test_check_rp_computes_gram_eigenvectors_only_for_a_failing_gram(
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, count=0,
+    rep = check_rp(diamond, diamond_mirror, 0.1, 1.0,
                    spectrum=diamond_spectra[0.1])
     assert rep.verdict == "pass" and calls == []
     keys = _monomial_keys(diamond_mirror, "even", 4)
-    lam_min = np.linalg.eigvalsh(rp_gram(keys, diamond_mirror,
-                                         diamond_spectra[0.1], 1.0))[0]
+    lam_min = np.linalg.eigvalsh(_hermitian_part(rp_gram(
+        keys, diamond_mirror, diamond_spectra[0.1], 1.0)))[0]
     assert abs(rep.sidecar["lambda_min"] - lam_min) <= 1e-14
-    rep = check_rp(diamond, diamond_mirror, 0.5, 5.0, count=0,
+    rep = check_rp(diamond, diamond_mirror, 0.5, 5.0,
                    spectrum=failing, tol=1.0)
     assert rep.worst["witness"].startswith("g:min") and calls == [(99, 99)]
 
@@ -351,7 +395,7 @@ def test_check_rp_computes_gram_eigenvectors_only_for_a_failing_gram(
 def test_gram_floor_per_zero_block_is_the_full_eigvalsh(diamond, plane):
     # the criterion-05 grid, on the mirror that passes and the one that
     # fails; on the y = 2 mirror G is not Hermitian, and both routes read
-    # its lower triangle
+    # its Hermitian part, as check_rp does
     r = reflection_data(diamond, *plane)
     for lam in (0, 0.1, 0.5):
         spec = dense_spectrum(to_matrix(build_hamiltonian(diamond, lam),
@@ -359,7 +403,7 @@ def test_gram_floor_per_zero_block_is_the_full_eigvalsh(diamond, plane):
         for parity in ("even", "odd"):
             keys = _monomial_keys(r, parity, 4)
             for beta in (0.5, 1, 5):
-                gram = rp_gram(keys, r, spec, beta)
+                gram = _hermitian_part(rp_gram(keys, r, spec, beta))
                 floor, count, largest = _gram_floor(gram)
                 assert abs(floor - np.linalg.eigvalsh(gram)[0]) <= 1e-14
                 assert 1 < count and largest < len(keys)
@@ -394,12 +438,10 @@ def test_rp_recheck_forms_no_dense_eigenvector_array(diamond, diamond_mirror,
 
     spec = diamond_spectra[0.1]
     dense = spec.dim ** 2 * 16  # bytes of one dim x dim complex array
-    rows = {parity: rp_sample_polynomials(diamond_mirror.left, parity=parity,
-                                          max_degree=4, count=1, seed=1)
-            for parity in ("even", "odd")}
-    for (_, a), limit in [(rows["even"][1], dense / 2),
-                          (rows["even"][-1], 2 * dense),
-                          (rows["odd"][-1], 2 * dense)]:
+    monomial = rp_sample_polynomials(diamond_mirror.left, max_degree=4)[1][1]
+    [even], [odd] = (random_span_polynomials(diamond_mirror.left, parity, 4, 1,
+                                             seed=1) for parity in ("even", "odd"))
+    for a, limit in [(monomial, dense / 2), (even, 2 * dense), (odd, 2 * dense)]:
         rp_functional(a, diamond_mirror, spec, 1.0)  # warm the imports
         tracemalloc.start()
         try:
@@ -641,39 +683,3 @@ def test_rp_functional_matches_the_symbolic_product(diamond, diamond_mirror,
                 want = thermal_expectation(w, spec, beta)
                 got = rp_functional(a, diamond_mirror, spec, beta)
                 assert abs(got - want) <= 1e-12
-
-
-def _scalar_draws(indices, parity, max_degree, count, seed):
-    """The one-key-at-a-time sample loop that the array draw replaced."""
-    basis = list(_degree_basis(tuple(sorted(indices)), max_degree, parity))
-    rng = np.random.default_rng(seed)
-    out = []
-    for n in range(count):
-        terms = {}
-        for key in basis:
-            radius = np.sqrt(rng.uniform())
-            angle = 2 * np.pi * rng.uniform()
-            terms[key] = complex(radius * np.cos(angle), radius * np.sin(angle))
-        out.append((f"r1:{n:04d}", terms))
-    return out
-
-
-@pytest.mark.parametrize("seed", [0, 3, 12345])
-@pytest.mark.parametrize("parity", ["even", "odd"])
-@pytest.mark.parametrize("max_degree", [2, 4])
-def test_sample_rows_match_the_scalar_draws(diamond_mirror, seed, parity,
-                                            max_degree):
-    span = (diamond_mirror.left, parity, max_degree, 20, seed)
-    want = _scalar_draws(*span)
-    # the 20 random rows follow the monomial rows
-    labels, keys, coeffs = _sample_rows(*span)
-    labels, coeffs = labels[-20:], coeffs[-20:]
-    polys = rp_sample_polynomials(diamond_mirror.left, parity=parity,
-                                  max_degree=max_degree, count=20, seed=seed)[-20:]
-    assert labels == [label for label, _ in want] == [label for label, _ in polys]
-    for (_, terms), row, (_, a) in zip(want, coeffs, polys):
-        expect = np.array([terms[key] for key in keys])
-        assert row.tobytes() == expect.tobytes()
-        got = np.array([complex(a.terms()[key]) for key in keys])
-        assert got.tobytes() == expect.tobytes()
-        assert set(a.terms()) == set(terms)
