@@ -614,6 +614,7 @@ def _sidecar(timings: dict, ground=None, spectrum=None, **extra) -> dict:
                                      "real": ground.real_blocks},
                           "closed_by_bound": ground.closed_by_bound,
                           "matvecs": ground.matvecs,
+                          "builds": ground.builds,
                           "build_ms": round(ground.build_ms, 3),
                           "solve_ms": round(ground.solve_ms, 3)}
     if spectrum is not None:

@@ -173,9 +173,11 @@ class SparseOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """O x for a vector or a (dim, n) block of columns.  Every row's
-        sum starts from 0 and adds its entries in stored order."""
+        sum starts from 0 and adds its entries in stored order.  A vector's
+        products are summed as einsum forms them, so the one (k, dim)
+        temporary is the gather x[cols]."""
         if x.ndim == 1:
-            return (self.values * x[self.cols]).sum(axis=0, initial=0)
+            return np.einsum("ij,ij->j", self.values, x[self.cols])
         x = np.asarray(x, dtype=np.complex128)
         out = np.zeros_like(x)
         term = np.empty_like(x)

@@ -23,8 +23,9 @@ deflated vectors are stored row-major, one vector per row, so every
 Gram-Schmidt pass is a pair of contiguous matrix-vector products that
 conjugate only the new vector, never the basis.  It runs in the same
 Z-string blocks of a `PauliSum`, and builds the operator of a block, a
-`SparseOperator` of numpy gathers, from its strings only when it first
-solves there: the full-space operator is never built.  An operator
+`SparseOperator` of numpy gathers, from its strings only when it
+solves there, one block at a time (a block it comes back to is built
+again): the full-space operator is never built.  An operator
 whose bit-flip masks each carry only real or only imaginary entries is
 real up to a diagonal phase d_n = i^parity(n & y), for a Z-string y
 found once by GF(2) elimination of the masks (`gauge`); Lanczos then
@@ -48,8 +49,8 @@ over its stored entries, so a block whose floor lies above the values
 already certified is closed without a solve.  The Lanczos ground space
 carries its diagnostics: the eigenvalues reported, the residual of each
 vector, the parity of the block each came from, the block count,
-dimension and orbit count, the blocks closed by their floor and the
-matrix-vector products spent.
+dimension and orbit count, the blocks closed by their floor, the block
+builds and the matrix-vector products spent.
 A ground space is kept block-resident on both routes: each cluster
 vector lies in one Z-string block, so a `GroundSpace` holds one (rows,
 columns) pair per block that has any, and no array spans two blocks.
@@ -197,6 +198,9 @@ class GroundSpace:
     # solved representative blocks that a Z-string phase gauge made real,
     # so that Lanczos ran there in float64
     real_blocks: int = 0
+    # block operators built, counting each rebuild of a representative
+    # that the solver came back to (only one is held at a time)
+    builds: int = 0
     # wall time of the split, the floors and the block builds, and of the
     # eigenpair solves
     build_ms: float = 0.0
@@ -394,6 +398,45 @@ def _project_out(basis, w):
     return h
 
 
+# SplitMix64's counter increment (an odd 64-bit constant) and finalizer
+# multipliers
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_SPLITMIX_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _start_stream(seed: int):
+    """The Lanczos start-vector stream of `seed` (an integer >= 0, taken
+    mod 2^64): a function that returns the next n values of the stream,
+    in [-1, 1).
+
+    Value j is SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) at counter
+    j: the finalizer of seed + (j + 1) * gamma mod 2^64, whose top 53 bits
+    u give u / 2^52 - 1, exactly.  It depends only on the seed and j, in
+    numpy uint64 arithmetic, which wraps mod 2^64, so the values are
+    deterministic in the seed and in the count drawn before them.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, not {seed}")
+    state = np.uint64(seed % (1 << 64))
+    drawn = 0
+
+    def draw(n: int) -> np.ndarray:
+        nonlocal drawn
+        z = np.arange(drawn + 1, drawn + n + 1, dtype=np.uint64)
+        drawn += n
+        z *= _SPLITMIX_GAMMA
+        z += state
+        z ^= z >> 30
+        z *= _SPLITMIX_MIX1
+        z ^= z >> 27
+        z *= _SPLITMIX_MIX2
+        z ^= z >> 31
+        return (z >> 11).astype(np.float64) * 2.0 ** -52 - 1.0
+
+    return draw
+
+
 # the projected matrix is diagonalized (the Ritz check) only at every
 # RITZ_STRIDE-th Krylov dimension, and at every restart or invariant
 # subspace, where the Ritz pairs are needed anyway: a per-step eigh costs
@@ -401,7 +444,7 @@ def _project_out(basis, w):
 RITZ_STRIDE = 4
 
 
-def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window,
+def _lowest_eigenpair(apply, dim, draw, deflate, conv_tol, max_matvecs, window,
                       dtype=np.complex128):
     """One converged lowest eigenpair, orthogonal to the `deflate` vectors.
 
@@ -413,8 +456,11 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window,
     A second Gram-Schmidt pass against it runs only when the first left
     less than 1/sqrt(2) of the vector's norm (the DGKS rule): otherwise
     the first pass already reaches working precision.  The basis, the
-    projected matrix and the random start vectors are of `dtype`, the
-    operator's: a real block runs in real arithmetic throughout.
+    projected matrix and the start vectors are of `dtype`, the
+    operator's: a real block runs in real arithmetic throughout.  A start
+    vector is `draw(dim)`, the next dim values of a stream
+    (`_start_stream`), with a second draw for its imaginary part when
+    `dtype` is complex.
     Returns (eigenvalue, vector, residual, matvecs used); the vector is
     projected against the deflated ones and normalized, the eigenvalue
     is its Rayleigh quotient and the residual the true ||H y - E y||.
@@ -430,9 +476,9 @@ def _lowest_eigenpair(apply, dim, rng, deflate, conv_tol, max_matvecs, window,
         return w
 
     def start():
-        v = rng.standard_normal(dim)
+        v = draw(dim)
         if dtype == np.complex128:
-            v = v + 1j * rng.standard_normal(dim)
+            v = v + 1j * draw(dim)
         return dproj(v)
 
     def rayleigh(y):
@@ -699,12 +745,16 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
     cut (E0 + gap_tol, clustered exactly as ground_space does), or once
     every state is found; k is only a floor.  A representative whose
     floor lies above that certified prefix is closed without a solve,
-    and its operator is never built.  When a Z-string phase gauge makes
+    and its operator is never built.  Only the operator of the
+    representative being solved is held: it is released before the next
+    one is built, and a representative the search comes back to is built
+    again from the strings.  When a Z-string phase gauge makes
     the operator real (`op.gauge()`, solved once), every block is built
     in it and solved in float64, and its cluster vectors are multiplied
-    back by the gauge before they are kept or carried.  One RNG and
-    one matvec budget are shared in that fixed order, so results are
-    deterministic.  The cluster stays block-resident: each vector is kept
+    back by the gauge before they are kept or carried.  One start-vector
+    stream (`_start_stream` of `seed`) and one matvec budget are shared
+    in that fixed order, so results are deterministic.  The cluster
+    stays block-resident: each vector is kept
     on its block's rows, a carried one sorted into their order
     (SpectralError if the carried states are not exactly the block's),
     and the canonical basis is formed per block (`_block_cluster`).  The
@@ -714,8 +764,8 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
     their block parities (none with a single block), the block count,
     dimension and orbit count, the count of blocks closed by their
     floor, the count of solved blocks that ran real, the block-length
-    products spent, and the wall time of the split, floors and block
-    builds and that of the solves.
+    products spent, the block builds (rebuilds included), and the wall
+    time of the split, floors and block builds and that of the solves.
     """
     if not isinstance(op, PauliSum):
         raise TypeError(f"lanczos_ground reads a PauliSum, not {type(op).__name__}")
@@ -723,7 +773,7 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
         raise ValueError(f"k must be in 1..{op.dim}")
     _require_hermitian(op)
     perms = _mode_permutations(op, symmetries)
-    rng = np.random.default_rng(seed)
+    draw = _start_stream(seed)
     gens = _symmetry_generators(op)
     t0 = time.perf_counter()
     blocks = _split(op.dim, gens)
@@ -735,7 +785,10 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
     y = op.gauge()
     build = time.perf_counter() - t0
     solve = 0.0
-    ops: dict[int, SparseOperator] = {}
+    # the one resident block operator, of representative `resident`
+    resident, block = -1, None
+    built: set[int] = set()
+    builds = 0
     found: list[list[tuple[float, np.ndarray, float]]] = [[] for _ in reps]
     budget = max_matvecs
     while True:
@@ -753,17 +806,21 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
                 break
         i = open_[int(np.argmin(last))]
         t0 = time.perf_counter()
-        if i not in ops:
-            ops[i] = op.block(blocks[reps[i]], y)
+        if i != resident:
+            block = None  # released before the next block is built
+            resident, block = i, op.block(blocks[reps[i]], y)
+            built.add(i)
+            builds += 1
         t1 = time.perf_counter()
         val, vec, r, used = _lowest_eigenpair(
-            ops[i].apply, size, rng, [v for _, v, _ in found[i]],
-            conv_tol, budget, window, ops[i].values.dtype)
+            block.apply, size, draw, [v for _, v, _ in found[i]],
+            conv_tol, budget, window, block.values.dtype)
         build += t1 - t0
         solve += time.perf_counter() - t1
         budget -= used
         found[i].append((val, vec, r))
 
+    block = None  # the cluster's bases are formed without the last block
     # every block's values are its representative's, in block order
     pairs = sorted(((val, b, vec, r) for b in range(len(blocks))
                     for val, vec, r in found[reps.index(rep[b])]),
@@ -803,9 +860,9 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
                        tuple(int(parity[b]) for _, b, _, _ in pairs),
                        blocks=(len(blocks), size), orbits=len(reps),
                        closed_by_bound=sum(orbit[i] for i in range(len(reps))
-                                           if i not in ops),
-                       real_blocks=0 if y is None else len(ops),
-                       matvecs=max_matvecs - budget,
+                                           if i not in built),
+                       real_blocks=0 if y is None else len(built),
+                       matvecs=max_matvecs - budget, builds=builds,
                        build_ms=1e3 * build, solve_ms=1e3 * solve)
 
 

@@ -35,6 +35,7 @@ E0_DIAMOND_01 = -4.010037405062517
 
 # a small trial span (degree <= 2) keeps every certify in this file subsecond
 FAST = ["--max-degree", "2"]
+TORUS = ["--lx", "4", "--ly", "4", "--boundary", "periodic"]
 
 
 def _resolve(argv):
@@ -195,7 +196,7 @@ BAD_INPUTS = [
      None, "output.path: cannot write missing/x.json: "),
     (["spectrum"], b'{"cache": {"dir": "d"}, "solver": {"k": 9}}',
      "config: unknown keys ['cache', 'solver']"),
-    # a negative seed reached np.random.default_rng
+    # a negative seed reached the Lanczos start-vector stream
     (["certify", "--seed", "-1"], None, "seed: must be an integer >= 0"),
     (["sweep", "--lambda", "0.1", "--beta", "1", "--seed", "-2"], None,
      "seed: must be an integer >= 0"),
@@ -400,12 +401,13 @@ sys.exit(code)
 @pytest.mark.parametrize("argv", [
     ["certify", "--lambda", "0.1", "--beta", "1"],
     ["sweep", "--lambda.from", "0", "--lambda.to", "0.5", "--lambda.steps", "3",
-     "--beta", "0.5,5", "--samples", "20", "--format", "csv"]])
-def test_diamond_runs_do_not_import_numpy_ma(tmp_path, argv):
-    # the benchmark's diamond commands: numpy.ma, which np.unique without
+     "--beta", "0.5,5", "--samples", "20", "--format", "csv"],
+    ["certify", *TORUS]])
+def test_bench_runs_do_not_import_numpy_ma_or_random(tmp_path, argv):
+    # the benchmark's three commands: numpy.ma, which np.unique without
     # return_inverse imports lazily, adds about 1.4 MB to the peak resident
-    # set and 10 ms to a run; numpy.random, which only Lanczos draws from
-    # on these lattices, about 10 ms of imports and its extension pages
+    # set and 10 ms to a run; numpy.random about 10 ms of imports and 2 MB
+    # of extension pages, and Lanczos draws its start vectors without it
     src = str(Path(vortexcert.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -478,9 +480,6 @@ def test_every_json_sidecar_reports_the_peak_resident_set(tmp_path):
             stripped.append(json.dumps(payload, sort_keys=True))
         assert "peak_rss_mb" not in stripped[0]
         assert stripped[0] == stripped[1], argv
-
-
-TORUS = ["--lx", "4", "--ly", "4", "--boundary", "periodic"]
 
 
 def test_torus_solve_stays_within_its_memory_budget(torus_4x4):
@@ -574,6 +573,9 @@ def test_torus_lanczos_solves_one_block_per_translation_orbit(torus_4x4):
     # every solved representative ran in its real gauge
     assert lz["blocks"] == {"count": 16, "dim": 4096, "orbits": 6, "real": 4}
     assert lz["closed_by_bound"] == 8
+    # one block is held at a time: 5 solves in the 4 representatives
+    # build 4 operators, none of them twice
+    assert lz["builds"] == 4
 
 
 def test_dense_route_reads_no_translations(monkeypatch):
@@ -688,8 +690,10 @@ def test_lanczos_route_reports_cluster_values_and_diagnostics(
     # the diamond Hamiltonian is even, so Lanczos ran in the parity blocks
     assert len(lz["parities"]) == 9 and set(lz["parities"]) <= {0, 1}
     assert lz["blocks"] == {"count": 2, "dim": 128, "orbits": 2, "real": 1}
-    # the odd block's floor lies above the cluster: it is never solved
+    # the odd block's floor lies above the cluster: it is never solved,
+    # and the even one is built once
     assert lz["closed_by_bound"] == 1
+    assert lz["builds"] == 1
 
     # beyond the cap RP is skipped: a sweep row says so and claims no min_rp
     code, sweep = _run_json(tmp_path, ["sweep", "--beta", "1,2"] + FAST,

@@ -22,6 +22,7 @@ from vortexcert.fock import (
     to_matrix,
 )
 from vortexcert.model import build_hamiltonian, vortex_operator
+from vortexcert.spectral import _symmetry_blocks
 
 from conftest import (
     assert_same_operator,
@@ -138,6 +139,28 @@ def test_to_matrix_is_the_column_form_build(name, lam):
     h = build_hamiltonian(lat, lam)
     assert_same_operator(to_matrix(h, lat.n_modes),
                          column_form_to_matrix(h, lat.n_modes))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
+def test_vector_product_is_the_slot_sum_bit_for_bit(lam):
+    # a vector's product sums each row's slots in stored order from 0, as
+    # the (k, dim) product array summed down its slots did: on the diamond
+    # operator and on six torus blocks, built complex and in their real
+    # gauge, for a real and a complex vector
+    rng = np.random.default_rng(23)
+    diamond, torus = _LATTICES["diamond"], _LATTICES["torus-4x4"]
+    ops = [to_matrix(build_hamiltonian(diamond, lam), diamond.n_modes)]
+    h = PauliSum(build_hamiltonian(torus, lam), torus.n_modes)
+    blocks = _symmetry_blocks(h)
+    ops += [h.block(blocks[b], y) for b in (0, 3, 6, 9, 12, 15)
+            for y in (None, h.gauge())]
+    for op in ops:
+        x = rng.standard_normal(op.dim)
+        for v in (x, x + 1j * rng.standard_normal(op.dim)):
+            got = op.apply(v)
+            want = (op.values * v[op.cols]).sum(axis=0, initial=0)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", list(_LATTICES))

@@ -1,5 +1,7 @@
 """Spectra, ground spaces, the Lanczos path, and thermal functionals."""
 
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -404,6 +406,10 @@ def test_lanczos_eigenvalues_and_residuals_match_dense(diamond, window):
     assert gs.eigenvalues == () and gs.residuals == () and gs.matvecs == 0
 
 
+def _same_operator(a, b):
+    return np.array_equal(a.cols, b.cols) and np.array_equal(a.values, b.values)
+
+
 def test_lanczos_degenerate_pair_through_the_invariant_subspace_branch(
         monkeypatch):
     # a diagonal operator keeps parity, so Lanczos runs in the two 8-dim
@@ -432,11 +438,13 @@ def test_lanczos_degenerate_pair_through_the_invariant_subspace_branch(
     cluster[0, 0] = cluster[1, 1] = 1.0
     assert scipy.linalg.subspace_angles(embedded_basis(gs), cluster).max() <= 1e-8
     # the merge: even -1, odd -1, even 0, then odd 0 (until then the odd
-    # block's last value -1 lies below the third smallest, 0)
+    # block's last value -1 lies below the third smallest, 0); one block
+    # is held at a time, so each return to a block builds it again
     blocks = [block for block, _ in found]
-    assert len(found) == 4
-    assert blocks[0] is blocks[2] and blocks[1] is blocks[3]
-    assert blocks[0] is not blocks[1]
+    assert len(found) == 4 and gs.builds == 4
+    assert _same_operator(blocks[0], blocks[2])
+    assert _same_operator(blocks[1], blocks[3])
+    assert not _same_operator(blocks[0], blocks[1])
     assert all(block.dim == 8 for block in blocks)
     # every reported residual is the true one of its returned vector
     # against its block operator (a Lanczos estimate reads orders of
@@ -447,7 +455,8 @@ def test_lanczos_degenerate_pair_through_the_invariant_subspace_branch(
         assert abs(res - true_res) <= 1e-12
         assert res == pytest.approx(true_res, rel=1e-6, abs=1e-300)
     for block in blocks[:2]:
-        vecs = np.column_stack([y for b, (_, y, _, _) in found if b is block])
+        vecs = np.column_stack([y for b, (_, y, _, _) in found
+                                if _same_operator(b, block)])
         assert np.abs(vecs.conj().T @ vecs - np.eye(2)).max() <= 1e-12
     # the k smallest of the four are reported, with their own residuals
     merged = sorted(((val, res) for _, (val, _, res, _) in found),
@@ -734,6 +743,92 @@ def test_torus_orbit_route_matches_the_block_route(torus_4x4, lam):
     assert orbit.matvecs < plain.matvecs
 
 
+@pytest.mark.parametrize("lam, blocks", [(0.0, 12), (0.1, 4)])
+def test_lanczos_holds_one_block_operator_at_a_time(torus_4x4, monkeypatch,
+                                                    lam, blocks):
+    # a block the search leaves is released before the next is built, and
+    # one it comes back to is built again: at lambda = 0 (no orbits, a
+    # 256-fold level in 4 blocks) 12 blocks take about 24 builds, at 0.1
+    # the 4 even representatives are solved in turn and built once each
+    op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
+    arrays, alive, firsts = [], [], []
+    block = PauliSum.block
+
+    def recording(self, rows, y=None):
+        out = block(self, rows, y)
+        arrays.extend((weakref.ref(out.cols), weakref.ref(out.values)))
+        alive.append(sum(ref() is not None for ref in arrays) // 2)
+        firsts.append(int(rows[0]))
+        return out
+
+    monkeypatch.setattr(PauliSum, "block", recording)
+    lz = lanczos_ground(op, seed=0, symmetries=translations(torus_4x4))
+    assert len(set(firsts)) == blocks == lz.real_blocks
+    assert lz.builds == len(alive) >= blocks
+    assert (lz.builds > blocks) == (lam == 0.0)
+    assert alive == [1] * lz.builds
+
+
+def test_lanczos_traced_peak_on_the_torus(torus_4x4):
+    # one resident block (1.1 MB of slots), its gather (0.5 MB) and the
+    # 64-row real Krylov window (2 MB): about 4.5 MB, where the 4 built
+    # blocks held to the end and a (k, dim) product array took 7.6 MB
+    op = PauliSum(build_hamiltonian(torus_4x4, 0.1), torus_4x4.n_modes)
+    maps = translations(torus_4x4)
+    tracemalloc.start()
+    try:
+        lanczos_ground(op, seed=0, symmetries=maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+def _splitmix64(seed, n):
+    """The first n values of the start stream, in Python integers."""
+    out, state, mask = [], seed, (1 << 64) - 1
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ z >> 30) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ z >> 27) * 0x94D049BB133111EB) & mask
+        out.append((z ^ z >> 31) >> 11)
+    return np.array(out, dtype=np.float64) / 2.0 ** 52 - 1.0
+
+
+def test_start_stream_is_fixed_by_its_seed():
+    first = spectral._start_stream(3)(1000)
+    assert np.array_equal(first, spectral._start_stream(3)(1000))
+    # a stream continues where its last draw stopped
+    draw = spectral._start_stream(3)
+    assert np.array_equal(np.concatenate([draw(400), draw(0), draw(600)]), first)
+    for other in (0, 4, 3 + (1 << 32)):
+        assert not np.isin(spectral._start_stream(other)(1000), first).any()
+    for seed in (0, 3, (1 << 64) - 1):
+        assert np.array_equal(spectral._start_stream(seed)(64),
+                              _splitmix64(seed, 64))
+    with pytest.raises(ValueError, match="seed"):
+        spectral._start_stream(-1)
+
+
+def test_start_stream_values_lie_in_the_half_open_unit_interval():
+    values = spectral._start_stream(0)(1 << 16)
+    assert values.dtype == np.float64
+    assert values.min() >= -1.0 and values.max() < 1.0
+    # spread over the interval: every sixteenth of it is hit
+    assert len(np.unique(np.floor((values + 1) * 8))) == 16
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.5])
+def test_torus_ground_level_does_not_depend_on_the_seed(torus_4x4, lam):
+    op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
+    runs = [lanczos_ground(op, seed=s, symmetries=translations(torus_4x4))
+            for s in range(5)]
+    assert [lz.n for lz in runs] == [1] * 5
+    e0s = [lz.e0 for lz in runs]
+    assert max(e0s) - min(e0s) <= 1e-10
+
+
 def test_orbits_are_trivial_when_the_split_stops_part_way(torus_4x4):
     # at lambda = 0 the block floor stops the split at 3 single-mode
     # strings besides the parity; a translation moves them out of their
@@ -749,8 +844,8 @@ def test_a_carried_eigenvector_solves_the_mate_block(torus_4x4):
     # its mates 3, 5 and 9 with the same residual; unsigned it fails there
     op, blocks, rep, carry = _torus_orbits(torus_4x4, 0.1)
     val, vec, res, _ = spectral._lowest_eigenpair(
-        op.block(blocks[1]).apply, blocks.shape[1], np.random.default_rng(0),
-        [], 1e-9, 5000, 64)
+        op.block(blocks[1]).apply, blocks.shape[1],
+        np.random.default_rng(0).standard_normal, [], 1e-9, 5000, 64)
     assert [b for b in range(16) if rep[b] == 1] == [1, 3, 5, 9]
     for b in (3, 5, 9):
         states, sign = spectral._signed_permutation(blocks[1], carry[b])
