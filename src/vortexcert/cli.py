@@ -341,7 +341,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 # the evaluation pipeline
 
-# RP report of each sample parity; only the even one is asserted
+# RP report of each trial-span parity; only the even one is asserted
 RP_CHECKS = {"even": "rp_even", "odd": "rp_odd_observed"}
 
 # the errors a sweep reports in its rows instead of stopping
@@ -406,10 +406,10 @@ class Evaluation(NamedTuple):
 def evaluate(lat: IslandLattice, refl, lam: float, cfg: dict,
              betas=(), parities=()) -> Evaluation:
     """Ground space, octagon order and positivity, then RP at each beta
-    and sample parity, at one lambda (`refl` None: no RP).  Each octagon's
-    loop W is one Pauli string, so its B^dagger W B is formed once, block
-    by block through a gather (`loop_product`), for all three octagon
-    checks; no loop operator is built.  The parities of one beta share
+    and trial-span parity, at one lambda (`refl` None: no RP).  Each
+    octagon's loop W is one Pauli string, so its B^dagger W B is formed
+    once, block by block through a gather (`loop_product`), for all three
+    octagon checks; no loop operator is built.  The parities of one beta share
     its `pauli_table`.
 
     An error in the ground space or the octagon checks propagates; one in

@@ -17,6 +17,9 @@ mask and builds operators from them on any set of states every mask
 maps to itself (the whole space in `to_matrix`, or a symmetry block),
 row chunk by row chunk, never by generic sparse-sparse products, as
 numpy arrays of fixed-width rows, one slot per mask (`SparseOperator`).
+Where no operator is needed its strings are read straight, mask by mask
+(`_mask_values`): the thermal functionals of `spectral` carry eigenvector
+blocks through a polynomial that way.
 
 A phase gauge d_n = i^parity(n & y), for a Z-string y, turns an entry
 at (n, n ^ x) into conj(d_n) O_nm d_m, itself times i^(+-1) when
@@ -25,8 +28,9 @@ every mask x are all real (f(x) = 0) or all imaginary (f(x) = 1), the
 y with x . y = f(x) over GF(2) for every mask makes the operator real
 (`PauliSum.gauge`), and its blocks can be built and solved in float64.
 
-Dense arrays are only materialized up to ``DENSE_DIM_CAP``; beyond that
-callers get the gather product of `SparseOperator`.
+A `SparseOperator` keeps what the solvers read: its bit masks, for the
+symmetry split, and its vector product.  ``DENSE_DIM_CAP`` bounds the
+dimension of the dense route (`spectral.dense_spectrum`).
 """
 
 from __future__ import annotations
@@ -101,9 +105,9 @@ def apply_monomial(poly: MajoranaPolynomial, n_modes: int, rows: np.ndarray,
     W = a i^c X^x Z^z (`monomial_pauli`) sends |n> to
     a i^c (-1)^popcount(n & z) |n ^ x>, so W V vanishes off rows ^ x and
     is V scaled row by row there.  Returns (rows ^ x, those rows of W V),
-    with no full-space array.  Each entry is the product that
-    `to_matrix(W).apply` forms for it, in its operand order, so the two
-    agree entry for entry.
+    with no full-space array.  Each entry is the entry of V times W's one
+    slot value there, the product that the operator `to_matrix(W)` forms
+    for it, so the two agree entry for entry.
     """
     terms = poly.terms()
     if len(terms) != 1:
@@ -161,10 +165,6 @@ class SparseOperator:
         return self.dim.bit_length() - 1
 
     @property
-    def nnz(self) -> int:
-        return int(np.count_nonzero(self.values))
-
-    @property
     def masks(self) -> np.ndarray:
         """The distinct bit masks row ^ column of the non-zero entries,
         ascending; zero slots are padding and are not read."""
@@ -172,55 +172,10 @@ class SparseOperator:
         return np.flatnonzero(np.bincount(stored, minlength=self.dim))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """O x for a vector or a (dim, n) block of columns.  Every row's
-        sum starts from 0 and adds its entries in stored order.  A vector's
-        products are summed as einsum forms them, so the one (k, dim)
+        """O x for a vector x.  Every row's sum starts from 0 and adds its
+        entries in stored order, as einsum forms them, so the one (k, dim)
         temporary is the gather x[cols]."""
-        if x.ndim == 1:
-            return np.einsum("ij,ij->j", self.values, x[self.cols])
-        x = np.asarray(x, dtype=np.complex128)
-        out = np.zeros_like(x)
-        term = np.empty_like(x)
-        # slot row by slot row: gathering all k at once would hold k blocks
-        for cols, values in zip(self.cols, self.values):
-            np.take(x, cols, axis=0, out=term, mode="clip")
-            term *= values[:, None]
-            out += term
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        if self.dim > DENSE_DIM_CAP:
-            raise ValueError(
-                f"dense form refused: dim {self.dim} exceeds cap {DENSE_DIM_CAP}"
-            )
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        np.add.at(out, (np.arange(self.dim), self.cols), self.values)
-        return out
-
-    def by_mask(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stored entries grouped by bit mask s = row ^ column: the
-        distinct masks of the non-zero entries, ascending, and a complex
-        (masks, dim) table whose row j holds entry (i, i ^ masks[j]) at
-        index i, zero where row i has none.  Zero slots are padding and
-        are not read."""
-        rows = np.broadcast_to(np.arange(self.dim, dtype=np.int64), self.cols.shape)
-        stored = self.values != 0
-        masks, slot = np.unique((self.cols ^ rows)[stored], return_inverse=True)
-        table = np.zeros((len(masks), self.dim), dtype=np.complex128)
-        np.add.at(table, (slot, rows[stored]), self.values[stored])
-        return masks, table
-
-    def hermiticity_defect(self) -> float:
-        """max |O[i, c] - conj(O[c, i])| over the stored entries.
-
-        An entry (i, c) and its transpose partner (c, i) share the bit
-        mask s = i ^ c.  In the table of `by_mask` the partner of (s, i)
-        is (s, i ^ s).
-        """
-        masks, table = self.by_mask()
-        rows = np.arange(self.dim, dtype=np.int64)
-        partner = table[np.arange(len(masks))[:, None], rows ^ masks[:, None]]
-        return float(np.abs(table - partner.conj()).max(initial=0.0))
+        return np.einsum("ij,ij->j", self.values, x[self.cols])
 
 
 def _mask_values(col: np.ndarray, strings, real: bool) -> np.ndarray:

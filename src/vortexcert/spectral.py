@@ -6,15 +6,18 @@ found by GF(2) elimination of the bit masks of the stored entries.  The
 dense route splits by every such string, so each block is as small as
 the symmetry allows (16 blocks of 16 on the diamond, 256 blocks of one
 state at lambda = 0), fills one (blocks, s, s) stack straight from the
-stored entries and diagonalizes it with one batched `eigh`; the full
-dim x dim matrix is never built.  A `Spectrum` keeps the block index
-rows with each block's eigenvalues and eigenvectors.  The thermal state
-is block-diagonal too, so the Pauli table that the RP Gram reads has
-only the |span| = s columns x of the masks' span: every other column is
-exactly zero.  The blocks are the cosets of that span, so an operator's
-slots of one bit mask send a block onto one other block, and thermal
-expectations carry the eigenvectors through an operator in (blocks, s,
-s) stacks, never as dim x dim columns.
+stored entries, checks its Hermiticity there and diagonalizes it with
+one batched `eigh`; the full dim x dim matrix is never built.  A
+`Spectrum` keeps the block index rows with each block's eigenvalues and
+eigenvectors, and everything after the solver (the ground space, the
+Pauli table, the thermal functionals) reads a Spectrum only.  The
+thermal state is block-diagonal too, so the Pauli table that the RP
+Gram reads has only the |span| = s columns x of the masks' span: every
+other column is exactly zero.  The blocks are the cosets of that span,
+so a polynomial's Pauli strings of one bit mask send a block onto one
+other block, and thermal expectations carry the eigenvectors through
+the strings in (blocks, s, s) stacks: no dim x dim columns, and no
+operator on the full space.
 
 Above the cap a restarted, fully reorthogonalized Lanczos iteration
 with sequential deflation finds the low end of the spectrum, up to the
@@ -71,9 +74,10 @@ from functools import cached_property
 
 import numpy as np
 
-# multiply is imported for the benchmark tracer (bench/tracing.py), which
-# wraps it at this name
-from .clifford import MajoranaPolynomial, multiply, reflect  # noqa: F401
+from .clifford import MajoranaPolynomial, reflect
+# multiply and to_matrix are imported for the benchmark tracer
+# (bench/tracing.py), which wraps them at these names
+from .clifford import multiply  # noqa: F401
 from .fock import (
     _PHASES,
     DENSE_DIM_CAP,
@@ -81,10 +85,11 @@ from .fock import (
     SparseOperator,
     _bit_parity,
     _echelon_insert,
+    _mask_values,
     _reduce,
     monomial_pauli,
-    to_matrix,
 )
+from .fock import to_matrix  # noqa: F401
 from .lattice import ReflectionData
 
 HERMITICITY_TOL = 1e-12
@@ -231,8 +236,7 @@ def default_gap_tol(e0: float) -> float:
     return 1e-8 * max(1.0, abs(e0))
 
 
-def _require_hermitian(op) -> None:
-    defect = op.hermiticity_defect()
+def _require_hermitian(defect: float) -> None:
     if defect > HERMITICITY_TOL:
         raise NonHermitianError(f"hermiticity defect {defect:.3e}")
 
@@ -244,11 +248,15 @@ def dense_spectrum(op: SparseOperator) -> Spectrum:
     (`_symmetry_blocks` with no floor), and the (count, s, s) stack is
     filled from the stored entries.  A non-zero entry whose row and
     column lie in different blocks raises SpectralError: the split
-    would otherwise drop it.  DENSE_DIM_CAP bounds the full dimension.
+    would otherwise drop it.  Then, every stored entry and its transpose
+    partner lying in one block, the Hermiticity defect max |S - S^H| of
+    the filled stack is the operator's (NonHermitianError above
+    HERMITICITY_TOL); it is read at the stored places only, since a pair
+    of places that holds no stored entry is zero both ways.
+    DENSE_DIM_CAP bounds the full dimension.
     """
     if op.dim > DENSE_DIM_CAP:
         raise DenseCapError(f"dim {op.dim} exceeds the dense cap {DENSE_DIM_CAP}")
-    _require_hermitian(op)
     blocks = _symmetry_blocks(op, floor=1)
     count, size = blocks.shape
     # the stack is filled in the vectors' place, so the Spectrum keeps
@@ -264,8 +272,11 @@ def dense_spectrum(op: SparseOperator) -> Spectrum:
         r, c = int(rows[leaks][0]), int(cols[leaks][0])
         raise SpectralError(f"entry ({r}, {c}) couples symmetry blocks "
                             f"{label[r]} and {label[c]}")
-    np.add.at(spec.vectors, (label[rows], pos[rows], pos[cols]),
-              op.values[stored])
+    b, i, j = label[rows], pos[rows], pos[cols]
+    np.add.at(spec.vectors, (b, i, j), op.values[stored])
+    s = spec.vectors
+    defect = np.abs(s[b, i, j] - s[b, j, i].conj()).max(initial=0)
+    _require_hermitian(float(defect))
     spec.values[:], spec.vectors[:] = np.linalg.eigh(spec.vectors)
     return spec
 
@@ -359,16 +370,14 @@ def _block_cluster(parts) -> dict:
     return {"rows": tuple(rows), "vectors": tuple(vectors), "columns": tuple(columns)}
 
 
-def ground_space(op, gap_tol: float | None = None) -> GroundSpace:
-    """Ground cluster of a Hermitian operator (dense route).
+def ground_space(spec: Spectrum, gap_tol: float | None = None) -> GroundSpace:
+    """Ground cluster of a dense Spectrum.
 
-    Accepts a SparseOperator or a precomputed Spectrum.  The cluster is
-    {E : E - E0 <= gap_tol}; a spectrum with weight within a decade of
-    the cut raises IllSeparatedError rather than guessing.  Its columns
-    are read block by block from the Spectrum's eigenvectors
+    The cluster is {E : E - E0 <= gap_tol}; a spectrum with weight within
+    a decade of the cut raises IllSeparatedError rather than guessing.
+    Its columns are read block by block from the Spectrum's eigenvectors
     (`_block_cluster`); the gap is the next value of the spectrum.
     """
-    spec = op if isinstance(op, Spectrum) else dense_spectrum(op)
     order = np.argsort(spec.values, axis=None, kind="stable")
     values = spec.values.ravel()[order]
     e0 = float(values[0])
@@ -771,7 +780,7 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
         raise TypeError(f"lanczos_ground reads a PauliSum, not {type(op).__name__}")
     if k < 1 or k > op.dim:
         raise ValueError(f"k must be in 1..{op.dim}")
-    _require_hermitian(op)
+    _require_hermitian(op.hermiticity_defect())
     perms = _mode_permutations(op, symmetries)
     draw = _start_stream(seed)
     gens = _symmetry_generators(op)
@@ -869,23 +878,20 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
 # ---------------------------------------------------------------------------
 # Thermal functionals (dense only: positivity must be resolved to 1e-9,
 # which stochastic trace estimators cannot do at desk effort), block by
-# block over the Spectrum: an operator's slots of one bit mask send a
-# Z-string block onto one other block, so no dim x dim array is formed
+# block over the Spectrum: a polynomial's Pauli strings of one bit mask
+# send a Z-string block onto one other block, so no dim x dim array and
+# no full-space operator is formed
 
-def _as_spectrum(h) -> Spectrum:
-    if isinstance(h, Spectrum):
-        return h
-    return dense_spectrum(h)
-
-
-def _mask_slots(f: SparseOperator, spec: Spectrum):
-    """The slots of f on the blocks of `spec`, one row per bit mask m of f
-    (`SparseOperator.by_mask`): (onto, src, weight) with onto[j, c] the
-    block that m sends block c onto, src[j, c] the places of the rows of
-    c ^ m in that block, and weight[j, c] the entries (row, row ^ m) of
-    the rows of c.  SpectralError where the rows of a block ^ m are not
-    exactly one block."""
-    masks, table = f.by_mask()
+def _mask_slots(f: MajoranaPolynomial, spec: Spectrum):
+    """The slots of f on the blocks of `spec`, one row per bit mask m of
+    its Pauli strings (`PauliSum`), ascending: (onto, src, weight) with
+    onto[j, c] the block that m sends block c onto, src[j, c] the places
+    of the rows of c ^ m in that block, and weight[j, c] the entries
+    (row, row ^ m) of the rows of c, the strings of m read at the columns
+    c ^ m (`_mask_values`).  SpectralError where the rows of a block ^ m
+    are not exactly one block."""
+    terms = PauliSum(f, spec.dim.bit_length() - 1).terms
+    masks = np.array(sorted(terms), dtype=np.int64)
     moved = spec.blocks ^ masks[:, None, None]  # (masks, count, s)
     onto = spec.label[moved]
     split = (onto != onto[:, :, :1]).any(axis=2)
@@ -893,19 +899,26 @@ def _mask_slots(f: SparseOperator, spec: Spectrum):
         j, c = np.argwhere(split)[0]
         raise SpectralError(f"mask {masks[j]} splits block {c} over blocks "
                             f"{sorted(set(onto[j, c].tolist()))}")
-    return onto[:, :, 0], spec.pos[moved], table[:, spec.blocks]
+    weight = np.empty(moved.shape, dtype=np.complex128)
+    for out, col, m in zip(weight, moved, masks.tolist()):
+        out[:] = _mask_values(col, terms[m], False)
+    # a copy of the first column, so that the (masks, count, s) labels
+    # are not held through the whole product
+    return onto[:, :, 0].copy(), spec.pos[moved], weight
 
 
-def thermal_expectation(o, h, beta: float) -> complex:
-    """<O> in the thermal state e^{-beta H} / Z, energies shifted by E0.
+def thermal_expectation(o, spec: Spectrum, beta: float) -> complex:
+    """<O> in the thermal state e^{-beta H} / Z, energies shifted by E0,
+    for the Spectrum of H.
 
-    `o` is a SparseOperator, or a sequence of them standing for their
-    product (applied right to left, never multiplied out).
+    `o` is a MajoranaPolynomial, or a sequence of them standing for their
+    product (applied right to left, never multiplied out); a generator
+    beyond the spectrum's modes raises ValueError.
 
-    Runs in the blocks of the Spectrum.  The slots of one bit mask m send
-    the states of block c onto c's rows ^ m, which must be exactly one
-    block (`_mask_slots`; on the cosets of the span of H's masks, which
-    `dense_spectrum` splits by, it holds for every m).  The eigenvectors
+    Runs in the blocks of the Spectrum.  The Pauli strings of one bit
+    mask m send the states of block c onto c's rows ^ m, which must be
+    exactly one block (`_mask_slots`; on the cosets of the span of H's
+    masks, which `dense_spectrum` splits by, it holds for every m).  The eigenvectors
     pass through the factors, right to left, as (count, s, s) stacks of
     parts, part b lying in one block for each eigenvector block b.  A
     factor's masks that send every part to the same blocks add into one
@@ -916,10 +929,7 @@ def thermal_expectation(o, h, beta: float) -> complex:
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    spec = _as_spectrum(h)
     factors = o if isinstance(o, (list, tuple)) else (o,)
-    if any(f.dim != spec.dim for f in factors):
-        raise ValueError("operator and Hamiltonian dimensions differ")
     slots = [_mask_slots(f, spec) for f in reversed(factors)]
     own = np.arange(len(spec.blocks))
     ov = np.zeros(spec.vectors.shape, dtype=np.complex128) if slots else spec.vectors
@@ -967,26 +977,25 @@ def _check_left_support(indices, r: ReflectionData) -> None:
         )
 
 
-def rp_functional(a: MajoranaPolynomial, r: ReflectionData, h, beta: float) -> complex:
-    """Tr(A theta(A) e^{-beta H}) / Tr(e^{-beta H}).
+def rp_functional(a: MajoranaPolynomial, r: ReflectionData, spec: Spectrum,
+                  beta: float) -> complex:
+    """Tr(A theta(A) e^{-beta H}) / Tr(e^{-beta H}) for the Spectrum of H.
 
     A must be supported on Lambda_minus; the theorem under test says the
     real part is >= 0, and the imaginary part is returned for the caller
     to report rather than assumed to vanish.
 
-    theta(A) is formed symbolically (antilinear relabelling), then A and
-    theta(A) are mapped to Fock operators separately and applied in turn:
-    to_matrix is an algebra homomorphism, so this equals the operator of
-    the symbolic product A theta(A) while costing 2 * len(A) monomial
-    actions instead of len(A)**2.  It goes through the symbolic reflect
-    and the Fock map, not through the Pauli table of `rp_gram`, so it is
-    the second route that `check_rp` re-checks its witness on.
+    theta(A) is formed symbolically (antilinear relabelling), then the
+    Pauli strings of theta(A) and of A carry the eigenvectors in turn
+    (`thermal_expectation`): the string map is an algebra homomorphism,
+    so this is the expectation of the symbolic product A theta(A) at the
+    cost of 2 * len(A) strings instead of len(A)**2 products.  It goes
+    through the symbolic reflect and the eigenvectors, not through the
+    Pauli table of `rp_gram`, so it is the second route that `check_rp`
+    re-checks its witness on.
     """
     _check_left_support(a.support(), r)
-    spec = _as_spectrum(h)
-    n_modes = spec.dim.bit_length() - 1
-    w_a = (to_matrix(a, n_modes), to_matrix(reflect(a, r.sigma), n_modes))
-    return thermal_expectation(w_a, spec, beta)
+    return thermal_expectation((a, reflect(a, r.sigma)), spec, beta)
 
 
 def _walsh_hadamard(a: np.ndarray) -> None:
@@ -1018,7 +1027,7 @@ class PauliTable:
     column: np.ndarray  # (dim,) column of each x string, -1 off the span
 
 
-def pauli_table(h, beta: float) -> PauliTable:
+def pauli_table(spec: Spectrum, beta: float) -> PauliTable:
     """The Pauli table of rho = e^{-beta (H - E0)} / Z, built block by block.
 
     rho is V_b diag(w_b) V_b^dagger in each Z-string block, one batched
@@ -1032,7 +1041,6 @@ def pauli_table(h, beta: float) -> PauliTable:
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    spec = _as_spectrum(h)
     size = spec.blocks.shape[1]
     weights = np.exp(-beta * (spec.values - spec.values.min()))
     weights /= weights.sum()
@@ -1056,8 +1064,8 @@ def rp_gram(keys, r: ReflectionData, h, beta: float) -> np.ndarray:
     thermal state e^{-beta (H - E0)} / Z.  theta is antilinear, so for
     A = sum_i a_i m_i the functional of `rp_functional` is y^dagger G y
     with y = conj(a), and RP on the span of the keys is G >= 0.  `h` is
-    an operator, its Spectrum, or its `pauli_table` at this beta, which
-    one caller can share between spans.
+    the Spectrum of H or its `pauli_table` at this beta, which one caller
+    can share between spans.
 
     Every monomial is a Pauli string i^c X^x Z^z (`monomial_pauli`), and
     Tr(i^c X^x Z^z rho) = i^c P[x, z] reads the Pauli table of rho.  With

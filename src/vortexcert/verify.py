@@ -16,7 +16,8 @@ Hermitian and positive semidefinite, so the check reads three things off
 G: each monomial's value G_ii, the Hermiticity defect max |G - G^dagger|
 and lambda_min of the Hermitian part.  No polynomial is sampled; only
 the reported witness becomes a polynomial, and its value is re-checked
-on a second route, the Fock operators of theta(A) and A applied in turn.
+on a second route: the Pauli strings of theta(A), then of A, carry the
+thermal eigenvectors block by block.
 Odd elements are measured in a separate report that is never asserted:
 the positivity literature is written for the even case and we refuse
 to hard-fail on a case left implicit.
@@ -66,7 +67,7 @@ def _degree_basis(indices: tuple[int, ...], max_degree: int, parity: str):
         yield from itertools.combinations(sorted(indices), deg)
 
 
-def _sample_witness(key: str, a) -> str:
+def _witness_text(key: str, a) -> str:
     """Witness label plus a bounded rendering of A; the label and the
     run's config pin A exactly, so huge renders add nothing."""
     text = a.render()
@@ -75,7 +76,7 @@ def _sample_witness(key: str, a) -> str:
     return f"{key} A = {text}"
 
 
-def _sample_rows(indices, parity: str, max_degree: int) -> list[tuple[str, tuple]]:
+def _span_rows(indices, parity: str, max_degree: int) -> list[tuple[str, tuple]]:
     """The (label, key) rows of the RP trial span: every monomial of
     `_degree_basis`, labelled "m:<indices>", in label order."""
     if parity not in ("even", "odd"):
@@ -95,7 +96,7 @@ def rp_sample_polynomials(indices, *, parity: str = "even",
                           max_degree: int = 4) -> list[tuple[str, MajoranaPolynomial]]:
     """The (label, A) monomial rows that `check_rp` evaluates, in its order."""
     return [(label, MajoranaPolynomial.monomial(key))
-            for label, key in _sample_rows(indices, parity, max_degree)]
+            for label, key in _span_rows(indices, parity, max_degree)]
 
 
 def _gram_floor(gram: np.ndarray) -> tuple[float, int, int]:
@@ -167,7 +168,7 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float, *,
     """Tr(A theta(A) e^{-beta H})/Z over A in the Lambda_minus algebra.
 
     The trial span is every `parity` monomial of degree <= max_degree on
-    Lambda_minus (`_sample_rows`); the form on it is y^dagger G y, y the
+    Lambda_minus (`_span_rows`); the form on it is y^dagger G y, y the
     conjugated coefficients of A and G the Gram matrix of `rp_gram`, read
     from `table` (the `pauli_table` at this beta) when the caller shares
     one between parities.  Pass iff, checked in this order, every
@@ -182,8 +183,8 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float, *,
     is drawn at random; `seed` is only echoed in the params.
 
     Only the witness becomes a polynomial.  It is recomputed through
-    `rp_functional` (the Fock operators of theta(A), then A, applied to
-    the thermal eigenvectors), and a disagreement beyond round-off
+    `rp_functional` (the Pauli strings of theta(A), then A, carrying the
+    thermal eigenvectors), and a disagreement beyond round-off
     (GRAM_AGREEMENT_TOL, independent of tol) raises SpectralError.  The
     sidecar holds the Gram size, lambda_min of the Hermitian part, the
     Hermiticity defect, the count and largest size of G's zero blocks,
@@ -192,7 +193,7 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float, *,
     parity and degree.
     """
     t0 = time.perf_counter()
-    rows = _sample_rows(r.left, parity, max_degree)
+    rows = _span_rows(r.left, parity, max_degree)
     labels, keys = [label for label, _ in rows], [key for _, key in rows]
     params = {"lambda": float(lam), "beta": float(beta), "seed": seed}
     if not keys:
@@ -239,7 +240,7 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float, *,
     if deviation > GRAM_AGREEMENT_TOL * (1 + abs(recheck)):
         raise SpectralError(
             f"{name}: Gram value {value!r} of {label} disagrees with "
-            f"the Fock-matrix route {recheck!r}"
+            f"the eigenvector route {recheck!r}"
         )
     return CheckReport(
         check=name,
@@ -250,7 +251,7 @@ def check_rp(lat: IslandLattice, r: ReflectionData, lam: float, beta: float, *,
         worst={
             "value_re": float(value.real),
             "value_im": float(value.imag),
-            "witness": _sample_witness(label, a),
+            "witness": _witness_text(label, a),
         },
         timing_ms=1e3 * (time.perf_counter() - t0),
         version=__version__,

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from vortexcert import build_lattice, diamond_lattice, reflection_data
 from vortexcert.clifford import GaussianRational, MajoranaPolynomial
@@ -19,7 +20,7 @@ from vortexcert.fock import (
     _echelon_insert,
     monomial_action,
 )
-from vortexcert.verify import _sample_rows
+from vortexcert.verify import _span_rows
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -63,6 +64,32 @@ def oracle_matrix(poly, n_modes: int) -> np.ndarray:
             c = complex(float(coeff))
         acc += c * term
     return acc
+
+
+def to_dense(op: SparseOperator) -> np.ndarray:
+    """The dim x dim matrix of an ELL operator, its slots added in place
+    (a repeated column accumulates)."""
+    out = np.zeros((op.dim, op.dim), dtype=np.complex128)
+    np.add.at(out, (np.arange(op.dim), op.cols), op.values)
+    return out
+
+
+def nnz(op: SparseOperator) -> int:
+    """The count of non-zero slots of an ELL operator."""
+    return int(np.count_nonzero(op.values))
+
+
+def apply_columns(op: SparseOperator, x: np.ndarray) -> np.ndarray:
+    """O X for a (dim, n) block of columns, slot row by slot row, so that
+    only one block-sized term is held at a time."""
+    x = np.asarray(x, dtype=np.complex128)
+    out = np.zeros_like(x)
+    term = np.empty_like(x)
+    for cols, values in zip(op.cols, op.values):
+        np.take(x, cols, axis=0, out=term, mode="clip")
+        term *= values[:, None]
+        out += term
+    return out
 
 
 def column_form_to_matrix(poly, n_modes: int) -> SparseOperator:
@@ -234,24 +261,42 @@ def embedded_loop_product(ground, w: SparseOperator) -> np.ndarray:
     embedded basis B, the route the octagon checks took before
     `loop_product` read W as a Pauli string."""
     b = embedded_basis(ground)
-    return b.conj().T @ w.apply(b)
+    return b.conj().T @ apply_columns(w, b)
 
 
 def reference_thermal_expectation(o, spec, beta: float, chunk: int = 512) -> complex:
     """<O> in e^{-beta H} / Z as `thermal_expectation` computed it before
-    it ran in blocks: the eigenvectors embedded as full-space columns
-    (`embed`, `chunk` of them at a time, so the 4,096-state lattices stay
-    small) and the factors applied right to left to them."""
-    factors = o if isinstance(o, (list, tuple)) else (o,)
+    it ran in blocks and read Pauli strings: the full-space operator of
+    each polynomial factor (`column_form_to_matrix`, as a scipy CSR
+    matrix) and the eigenvectors embedded as full-space columns, `chunk`
+    of them at a time, so the 4,096-state lattices stay small.  For
+    O = F_1 ... F_k, <v|O|v> = <F_1^dagger v | F_2 ... F_k v>: every
+    product starts from the embedded columns, which are sparse, so a
+    562-term witness on 4,096 states takes about a second."""
+    n_modes = spec.dim.bit_length() - 1
+    factors = []
+    for f in (o if isinstance(o, (list, tuple)) else (o,)):
+        op = column_form_to_matrix(f, n_modes)
+        rows = np.broadcast_to(np.arange(op.dim), op.cols.shape)
+        factors.append(scipy.sparse.csr_matrix(
+            (op.values.ravel(), (rows.ravel(), op.cols.ravel())),
+            shape=(op.dim, op.dim)))
     values = spec.values.ravel()
     weights = np.exp(-beta * (values - values.min()))
+    b, k = np.divmod(np.arange(spec.dim), spec.blocks.shape[1])
     diag = np.empty(spec.dim, dtype=np.complex128)
     for start in range(0, spec.dim, chunk):
-        vecs = embed(spec, np.arange(start, min(start + chunk, spec.dim)))
-        ov = vecs
-        for f in reversed(factors):
-            ov = f.apply(ov)
-        diag[start:start + chunk] = np.einsum("ij,ij->j", vecs.conj(), ov)
+        part = slice(start, start + chunk)
+        vecs = scipy.sparse.csc_matrix(
+            (spec.vectors[b[part], :, k[part]].ravel(),
+             (spec.blocks[b[part]].ravel(),
+              np.repeat(np.arange(len(b[part])), spec.blocks.shape[1]))),
+            shape=(spec.dim, len(b[part])))
+        left = factors[0].conj().T @ vecs
+        right = vecs
+        for f in reversed(factors[1:]):
+            right = f @ right
+        diag[part] = np.asarray(left.conj().multiply(right).sum(axis=0)).ravel()
     return complex((weights * diag).sum() / weights.sum())
 
 
@@ -261,7 +306,7 @@ def random_span_polynomials(indices, parity: str, max_degree: int, count: int,
     complex unit disk, on every monomial of the RP trial span over
     `indices`: many-term witnesses for the RP routes, which `check_rp`
     itself never draws."""
-    keys = [key for _, key in _sample_rows(indices, parity, max_degree)]
+    keys = [key for _, key in _span_rows(indices, parity, max_degree)]
     draws = np.random.default_rng(seed).uniform(size=(count, len(keys), 2))
     coeffs = np.sqrt(draws[..., 0]) * np.exp(2j * np.pi * draws[..., 1])
     return [MajoranaPolynomial(dict(zip(keys, map(complex, row)))) for row in coeffs]

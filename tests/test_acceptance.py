@@ -49,7 +49,7 @@ from vortexcert.verify import (
     vortex_map,
 )
 
-from conftest import embedded_loop_product
+from conftest import embedded_loop_product, to_dense
 
 
 @contextmanager
@@ -76,8 +76,8 @@ def test_criterion_01_algebra_faithfulness():
         rng = np.random.default_rng(0)
         for _ in range(200):
             p, q = _random_poly(rng), _random_poly(rng)
-            symbolic = to_matrix(multiply(p, q), 2).to_dense()
-            numeric = to_matrix(p, 2).to_dense() @ to_matrix(q, 2).to_dense()
+            symbolic = to_dense(to_matrix(multiply(p, q), 2))
+            numeric = to_dense(to_matrix(p, 2)) @ to_dense(to_matrix(q, 2))
             assert np.abs(symbolic - numeric).max() <= 1e-12
         two = MajoranaPolynomial.monomial((), 2)
         for i in range(4):
@@ -118,7 +118,7 @@ def test_criterion_04_vortex_operator_structure():
         v = vortex_operator(lat, (1, 2), r=r)
         assert multiply(v.W, v.W).isclose(MajoranaPolynomial.monomial((), 1),
                                           tol=0.0)
-        eigs = np.linalg.eigvalsh(to_matrix(v.W, lat.n_modes).to_dense())
+        eigs = np.linalg.eigvalsh(to_dense(to_matrix(v.W, lat.n_modes)))
         assert np.abs(np.abs(eigs) - 1.0).max() <= 1e-10
         assert v.A_factor is not None
         rebuilt = multiply(v.A_factor, reflect(v.A_factor, r.sigma))
@@ -141,8 +141,8 @@ def test_criterion_05_reflection_positivity():
 def test_criterion_06_topological_order_and_vortex_freedom():
     with budget(30):
         lat = diamond_lattice()
-        ground = ground_space(to_matrix(build_hamiltonian(lat, 0.1),
-                                        lat.n_modes))
+        ground = ground_space(dense_spectrum(
+            to_matrix(build_hamiltonian(lat, 0.1), lat.n_modes)))
         w = to_matrix(vortex_operator(lat, (1, 2)).W, lat.n_modes)
         m = embedded_loop_product(ground, w)
         topo = check_topological_order(m, tol=1e-8)
@@ -157,8 +157,8 @@ def test_criterion_06_topological_order_and_vortex_freedom():
 def test_criterion_07_negative_control_at_lambda_zero():
     with budget(30):
         lat = diamond_lattice()
-        ground = ground_space(to_matrix(build_hamiltonian(lat, 0),
-                                        lat.n_modes))
+        ground = ground_space(dense_spectrum(
+            to_matrix(build_hamiltonian(lat, 0), lat.n_modes)))
         assert ground.n == 16  # 2 states per island, 4 islands
         w = to_matrix(vortex_operator(lat, (1, 2)).W, lat.n_modes)
         topo = check_topological_order(embedded_loop_product(ground, w), tol=1e-8)
@@ -170,8 +170,9 @@ def test_criterion_08_thermal_limit():
         lat = diamond_lattice()
         spectrum = dense_spectrum(to_matrix(build_hamiltonian(lat, 0.1),
                                             lat.n_modes))
-        w = to_matrix(vortex_operator(lat, (1, 2)).W, lat.n_modes)
-        vals = {b: thermal_expectation(w, spectrum, b) for b in
+        loop = vortex_operator(lat, (1, 2)).W
+        w = to_matrix(loop, lat.n_modes)
+        vals = {b: thermal_expectation(loop, spectrum, b) for b in
                 (0.5, 1, 5, 10, 50)}
         for b, v in vals.items():
             assert v.real >= 0.0, f"<W> negative at beta={b}: {v.real}"
@@ -193,13 +194,14 @@ def test_thermal_limit_far_tail_supplement():
         lat = diamond_lattice()
         spectrum = dense_spectrum(to_matrix(build_hamiltonian(lat, 0.1),
                                             lat.n_modes))
-        w = to_matrix(vortex_operator(lat, (1, 2)).W, lat.n_modes)
+        loop = vortex_operator(lat, (1, 2)).W
+        w = to_matrix(loop, lat.n_modes)
         ground = ground_space(spectrum)
         alpha = check_topological_order(embedded_loop_product(ground, w)).alpha
-        far = thermal_expectation(w, spectrum, 3e5)
+        far = thermal_expectation(loop, spectrum, 3e5)
         assert abs(far.real - alpha) <= 1e-6
         # and the approach is monotone from below along the sampled tail
-        tail = [thermal_expectation(w, spectrum, b).real
+        tail = [thermal_expectation(loop, spectrum, b).real
                 for b in (10, 50, 1e3, 1e4, 3e5)]
         assert all(a < b for a, b in zip(tail, tail[1:]))
         assert tail[-1] <= alpha + 1e-12

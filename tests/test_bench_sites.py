@@ -10,6 +10,7 @@ model's Hamiltonian term by term, so a change to its coefficient type
 shows up here.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -63,6 +64,30 @@ def test_the_cli_calls_every_traced_cli_site(tmp_path, monkeypatch):
     assert {name for name, _, _ in tracing.SITES} - recorded == set()
 
 
+def test_every_tracer_only_import_is_a_traced_site():
+    # an import that src/ keeps only for the tracer is marked
+    # `# noqa: F401`; every name on such a line must be a SITES path, so a
+    # tracer-only import cannot outlive its site
+    tracing = _load_tracing()
+    paths = {path for _, paths, _ in tracing.SITES for path in paths}
+    marked = []
+    for file in sorted((TRACING.parents[1] / "src" / "vortexcert").glob("*.py")):
+        text = file.read_text()
+        lines = text.splitlines()
+        names: dict[int, list] = {}
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    names.setdefault(alias.lineno, []).append(name)
+        for number, line in enumerate(lines, 1):
+            if "# noqa: F401" in line:
+                assert names.get(number), f"{file.name}:{number} imports nothing"
+                marked += [f"vortexcert.{file.stem}:{name}" for name in names[number]]
+    assert marked
+    assert [path for path in marked if path not in paths] == []
+
+
 @pytest.mark.parametrize("floor", [None, 16])
 def test_every_lanczos_product_is_a_traced_matvec(monkeypatch, diamond, floor):
     # fock.matvec wraps SparseOperator.apply; a block operator whose
@@ -91,13 +116,13 @@ def test_every_lanczos_product_is_a_traced_matvec(monkeypatch, diamond, floor):
 def test_reference_agrees_with_ground_space(monkeypatch, diamond):
     from vortexcert.fock import to_matrix
     from vortexcert.model import build_hamiltonian
-    from vortexcert.spectral import ground_space
+    from vortexcert.spectral import dense_spectrum, ground_space
 
     monkeypatch.syspath_prepend(str(TRACING.parent))
     reference = importlib.import_module("reference")
     out = reference.main({"argv": ["certify", "--lambda", "0.1"], "seed": 0})
     [(lam, e0, degeneracy, octagons)] = out["references"]
-    ground = ground_space(to_matrix(build_hamiltonian(diamond, 0.1),
-                                    diamond.n_modes))
+    ground = ground_space(dense_spectrum(
+        to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)))
     assert (lam, octagons) == (0.1, len(diamond.octagons))
     assert abs(e0 - ground.e0) <= 1e-9 and degeneracy == ground.n

@@ -14,30 +14,29 @@ from vortexcert.clifford import (
     MajoranaPolynomial,
 )
 from vortexcert.fock import (
-    DENSE_DIM_CAP,
     PauliSum,
-    SparseOperator,
     monomial_action,
     monomial_pauli,
     to_matrix,
 )
 from vortexcert.model import build_hamiltonian, vortex_operator
-from vortexcert.spectral import _symmetry_blocks
+from vortexcert.spectral import NonHermitianError, _symmetry_blocks, dense_spectrum
 
 from conftest import (
     assert_same_operator,
     column_form_to_matrix,
-    diagonal_operator,
     diagonal_polynomial,
+    nnz,
     oracle_majorana,
     oracle_matrix,
+    to_dense,
 )
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3])
 def test_generators_match_oracle(n_modes):
     for i in range(2 * n_modes):
-        got = to_matrix(MajoranaPolynomial.generator(i), n_modes).to_dense()
+        got = to_dense(to_matrix(MajoranaPolynomial.generator(i), n_modes))
         want = oracle_majorana(i, n_modes)
         np.testing.assert_allclose(got, want, atol=0)
 
@@ -46,7 +45,7 @@ def test_generator_algebra_at_matrix_level():
     n_modes = 3
     dim = 1 << n_modes
     eye = np.eye(dim)
-    mats = [to_matrix(MajoranaPolynomial.generator(i), n_modes).to_dense()
+    mats = [to_dense(to_matrix(MajoranaPolynomial.generator(i), n_modes))
             for i in range(2 * n_modes)]
     for i, mi in enumerate(mats):
         np.testing.assert_allclose(mi, mi.conj().T, atol=0)
@@ -111,7 +110,7 @@ def test_polynomial_matrix_matches_oracle():
     n_modes = 3
     for _ in range(25):
         p = _random_poly(rng, 2 * n_modes)
-        got = to_matrix(p, n_modes).to_dense()
+        got = to_dense(to_matrix(p, n_modes))
         np.testing.assert_allclose(got, oracle_matrix(p, n_modes), atol=1e-13)
 
 
@@ -119,12 +118,12 @@ def test_coincident_masks_accumulate():
     # c0*c1 and the identity share the zero bit-flip mask
     p = (MajoranaPolynomial.monomial((0, 1), EXACT_I)
          + MajoranaPolynomial.identity())
-    got = to_matrix(p, 2).to_dense()
+    got = to_dense(to_matrix(p, 2))
     np.testing.assert_allclose(got, oracle_matrix(p, 2), atol=0)
     # on one mode 1 + i c0 c1 = diag(0, 2): the cancelled entry is not stored
     one = to_matrix(p, 1)
-    assert one.nnz == 1
-    np.testing.assert_array_equal(one.to_dense(), np.diag([0, 2]))
+    assert nnz(one) == 1
+    np.testing.assert_array_equal(to_dense(one), np.diag([0, 2]))
 
 
 _LATTICES = {"diamond": diamond_lattice(),
@@ -177,7 +176,7 @@ def test_loop_operators_are_the_column_form_build(name):
 def test_diagonal_polynomial_is_the_diagonal_matrix(values):
     n_modes = len(values).bit_length() - 1
     np.testing.assert_array_equal(
-        to_matrix(diagonal_polynomial(values), n_modes).to_dense(),
+        to_dense(to_matrix(diagonal_polynomial(values), n_modes)),
         np.diag(np.array(values, dtype=complex)))
 
 
@@ -199,7 +198,7 @@ def test_block_refuses_rows_a_mask_leaves():
         PauliSum(MajoranaPolynomial.generator(0), 2).block(np.array([0, 2]))
     # the modes it does not flip close it
     op = PauliSum(MajoranaPolynomial.generator(2), 2).block(np.array([0, 2]))
-    np.testing.assert_array_equal(op.to_dense(), [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(to_dense(op), [[0, 1], [1, 0]])
 
 
 def test_to_matrix_rejects_out_of_range_generators():
@@ -208,17 +207,13 @@ def test_to_matrix_rejects_out_of_range_generators():
         to_matrix(p, 3)  # only generators 0..5 exist
 
 
-def test_dense_cap_refusal():
-    big = diagonal_operator(np.ones(2 * DENSE_DIM_CAP))
-    with pytest.raises(ValueError):
-        big.to_dense()
-
-
 def test_hermiticity_defect():
+    # i c0 c1 = -Z is Hermitian; c0 c1 = i Z has the defect |i - conj(i)| = 2
     h = to_matrix(MajoranaPolynomial.monomial((0, 1), EXACT_I), 1)
-    assert h.hermiticity_defect() == 0.0
+    np.testing.assert_array_equal(dense_spectrum(h).eigenvalues, [-1, 1])
     skew = to_matrix(MajoranaPolynomial.monomial((0, 1), EXACT_ONE), 1)
-    assert skew.hermiticity_defect() > 1.0
+    with pytest.raises(NonHermitianError, match="hermiticity defect 2.000e"):
+        dense_spectrum(skew)
 
 
 def _random_poly(rng, n_indices, n_terms=6):

@@ -8,6 +8,7 @@ exactly, which leaves only the matrix products to round-off.
 """
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -29,10 +30,12 @@ from vortexcert.fock import PauliSum, apply_monomial, to_matrix
 from vortexcert.model import build_hamiltonian
 
 from conftest import (
+    apply_columns,
     assert_same_operator,
     column_form_to_matrix,
     embedded_basis,
     oracle_matrix,
+    to_dense,
     reference_gauge_string,
     reference_real_gauge,
     row_floors,
@@ -77,10 +80,10 @@ def cases(draw):
 def test_to_matrix_is_a_homomorphism(case):
     n_modes, p, q, _, c = case
     mp, mq = oracle_matrix(p, n_modes), oracle_matrix(q, n_modes)
-    assert np.allclose(to_matrix(p, n_modes).to_dense(), mp, atol=1e-12)
-    product = to_matrix(multiply(p, q), n_modes).to_dense()
+    assert np.allclose(to_dense(to_matrix(p, n_modes)), mp, atol=1e-12)
+    product = to_dense(to_matrix(multiply(p, q), n_modes))
     assert np.allclose(product, mp @ mq, atol=1e-9)
-    total = to_matrix(c * p + q, n_modes).to_dense()
+    total = to_dense(to_matrix(c * p + q, n_modes))
     assert np.allclose(total, c * mp + mq, atol=1e-9)
 
 
@@ -121,7 +124,7 @@ def test_the_pauli_string_gather_is_the_operator_product(case):
         v = v + 1j * rng.standard_normal(v.shape)
     full = np.zeros((1 << n_modes, width), dtype=v.dtype)
     full[rows] = v
-    want = to_matrix(w, n_modes).apply(full)
+    want = apply_columns(to_matrix(w, n_modes), full)
     image, got = apply_monomial(w, n_modes, rows, v)
     assert np.array_equal(got, want[image])
     assert not np.delete(want, image, axis=0).any()
@@ -151,7 +154,7 @@ def test_multiply_is_associative(case, data):
     assert left == multiply(p, multiply(q, r))
     oracle = (oracle_matrix(p, n_modes) @ oracle_matrix(q, n_modes)
               @ oracle_matrix(r, n_modes))
-    assert np.allclose(to_matrix(left, n_modes).to_dense(), oracle, atol=1e-9)
+    assert np.allclose(to_dense(to_matrix(left, n_modes)), oracle, atol=1e-9)
 
 
 @PROPERTY_SETTINGS
@@ -162,7 +165,7 @@ def test_adjoint_is_the_anti_multiplicative_involution(case):
     assert adjoint(multiply(p, q)) == multiply(adjoint(q), adjoint(p))
     assert adjoint(c * p + q) == c.conjugate() * adjoint(p) + adjoint(q)
     mp = oracle_matrix(p, n_modes)
-    assert np.allclose(to_matrix(adjoint(p), n_modes).to_dense(),
+    assert np.allclose(to_dense(to_matrix(adjoint(p), n_modes)),
                        mp.conj().T, atol=1e-12)
 
 
@@ -208,10 +211,13 @@ def test_apply_is_the_oracle_product(case, n, seed):
     op, m = to_matrix(p, n_modes), oracle_matrix(p, n_modes)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((op.dim, n)) + 1j * rng.standard_normal((op.dim, n))
-    assert np.allclose(op.apply(x), m @ x, atol=1e-9)
+    # the product takes one vector: a block of columns goes column by column
+    columns = np.column_stack([op.apply(c) for c in x.T])
+    assert np.allclose(columns, m @ x, atol=1e-9)
     assert np.allclose(op.apply(x[:, 0]), m @ x[:, 0], atol=1e-9)
-    assert np.allclose(op.apply(x.real), m @ x.real, atol=1e-9)
-    assert np.allclose(op.apply(x), op.to_dense() @ x, atol=1e-9)
+    assert np.allclose(np.column_stack([op.apply(c) for c in x.real.T]),
+                       m @ x.real, atol=1e-9)
+    assert np.allclose(columns, to_dense(op) @ x, atol=1e-9)
 
 
 @PROPERTY_SETTINGS
@@ -224,21 +230,33 @@ def test_block_is_the_oracle_submatrix(case):
         blocks = spectral._symmetry_blocks(op)
     m = oracle_matrix(p, n_modes)
     for idx in blocks:
-        assert np.allclose(op.block(idx).to_dense(), m[np.ix_(idx, idx)],
+        assert np.allclose(to_dense(op.block(idx)), m[np.ix_(idx, idx)],
                            atol=1e-12)
 
 
 @PROPERTY_SETTINGS
 @given(cases())
 def test_hermiticity_defect_is_the_oracle_defect(case):
+    # dense_spectrum refuses an operator exactly when the oracle defect
+    # max |M - M^H| exceeds HERMITICITY_TOL, and names that defect; the
+    # Gaussian-integer coefficients make both defects exact
     n_modes, p, _, _, _ = case
-    m = oracle_matrix(p, n_modes)
-    want = np.abs(m - m.conj().T).max()
-    assert abs(to_matrix(p, n_modes).hermiticity_defect() - want) <= 1e-12
-    hermitian = p + adjoint(p)
-    assert to_matrix(hermitian, n_modes).hermiticity_defect() == 0.0
+
+    def refused(q):
+        m = oracle_matrix(q, n_modes)
+        want = np.abs(m - m.conj().T).max()
+        if want <= spectral.HERMITICITY_TOL:
+            spectral.dense_spectrum(to_matrix(q, n_modes))
+            return want, False
+        with pytest.raises(spectral.NonHermitianError,
+                           match=re.escape(f"hermiticity defect {want:.3e}")):
+            spectral.dense_spectrum(to_matrix(q, n_modes))
+        return want, True
+
+    refused(p)
+    assert refused(p + adjoint(p)) == (0.0, False)
     skew = p - adjoint(p)
-    assert (to_matrix(skew, n_modes).hermiticity_defect() > 0) == (not skew.is_zero)
+    assert refused(skew)[1] == (not skew.is_zero)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
@@ -251,7 +269,7 @@ def test_block_is_the_submatrix_on_the_diamond(monkeypatch, diamond, lam):
     assert blocks.shape == (16, 16)
     m = oracle_matrix(h, diamond.n_modes)
     for idx in blocks:
-        assert np.allclose(op.block(idx).to_dense(), m[np.ix_(idx, idx)],
+        assert np.allclose(to_dense(op.block(idx)), m[np.ix_(idx, idx)],
                            atol=1e-12)
 
 
@@ -294,7 +312,7 @@ def test_lanczos_matches_the_dense_route_with_or_without_a_real_gauge(
         c = MajoranaPolynomial.generator
         h = h + c(0) * c(2) * 1j + c(1) * c(2) * 1j
     try:
-        ref = spectral.ground_space(to_matrix(h, n_modes))
+        ref = spectral.ground_space(spectral.dense_spectrum(to_matrix(h, n_modes)))
     except spectral.IllSeparatedError:
         return
     lz = spectral.lanczos_ground(PauliSum(h, n_modes), seed=0)
@@ -346,7 +364,7 @@ def test_a_mask_mixing_real_and_imaginary_strings_has_no_gauge(case):
     assert reference_gauge_string(to_matrix(h, n_modes),
                                   np.arange(1 << n_modes)) is None
     try:
-        ref = spectral.ground_space(to_matrix(h, n_modes))
+        ref = spectral.ground_space(spectral.dense_spectrum(to_matrix(h, n_modes)))
     except spectral.IllSeparatedError:
         return
     lz = spectral.lanczos_ground(strings, seed=0)

@@ -1,5 +1,6 @@
 """Spectra, ground spaces, the Lanczos path, and thermal functionals."""
 
+import itertools
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -11,7 +12,7 @@ import scipy.sparse.linalg
 
 from vortexcert import build_lattice, fock, reflection_data, spectral
 from vortexcert.clifford import MajoranaPolynomial, reflect
-from vortexcert.fock import PauliSum, SparseOperator, to_matrix
+from vortexcert.fock import PauliSum, to_matrix
 from vortexcert.lattice import translations
 from vortexcert.model import (
     bond_term,
@@ -35,6 +36,7 @@ from vortexcert.spectral import (
 )
 
 from conftest import (
+    apply_columns,
     assert_same_operator,
     dense_operator,
     diagonal_operator,
@@ -48,6 +50,7 @@ from conftest import (
     random_span_polynomials,
     reference_thermal_expectation,
     row_floors,
+    to_dense,
 )
 
 
@@ -65,7 +68,7 @@ def test_dense_spectrum_sorted_and_trace_consistent(diamond):
     op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
     spec = dense_spectrum(op)
     assert np.all(np.diff(spec.eigenvalues) >= 0)
-    trace = op.to_dense().trace().real
+    trace = to_dense(op).trace().real
     assert abs(spec.eigenvalues.sum() - trace) <= 1e-8 * max(1.0, abs(trace))
 
 
@@ -89,7 +92,7 @@ def test_block_spectrum_is_the_full_spectrum_on_the_diamond(diamond, lam, blocks
     assert spec.blocks.shape == blocks
     np.testing.assert_array_equal(np.sort(spec.blocks, axis=None),
                                   np.arange(op.dim))
-    full = np.linalg.eigvalsh(op.to_dense())
+    full = np.linalg.eigvalsh(to_dense(op))
     assert np.abs(spec.eigenvalues - full).max() <= 1e-12
 
 
@@ -134,8 +137,8 @@ def test_block_spectrum_is_the_full_spectrum_on_the_open_3x4_lattice(open_3x4):
 @pytest.mark.parametrize("lam", [0, 0.1, 0.5])
 def test_block_ground_projector_is_the_full_one(diamond, lam):
     op = to_matrix(build_hamiltonian(diamond, lam), diamond.n_modes)
-    gs = ground_space(op)
-    w, v = np.linalg.eigh(op.to_dense())
+    gs = ground_space(dense_spectrum(op))
+    w, v = np.linalg.eigh(to_dense(op))
     n = int((w - w[0] <= gs.gap_tol).sum())
     assert gs.n == n
     want = v[:, :n] @ v[:, :n].conj().T
@@ -151,7 +154,7 @@ def test_block_eigenvectors_solve_the_full_operator(diamond):
     spec = dense_spectrum(op)
     vecs = embed(spec, np.arange(op.dim))
     assert np.abs(vecs.conj().T @ vecs - np.eye(op.dim)).max() <= 1e-12
-    residual = op.apply(vecs) - vecs * spec.values.ravel()
+    residual = apply_columns(op, vecs) - vecs * spec.values.ravel()
     assert np.abs(residual).max() <= 1e-12
 
 
@@ -193,7 +196,7 @@ def test_dense_spectrum_rejects_a_split_that_breaks_h(monkeypatch, diamond):
 
     monkeypatch.setattr(spectral, "_symmetry_blocks", lambda op, floor: split_by(gen))
     np.testing.assert_allclose(dense_spectrum(op).eigenvalues,
-                               np.linalg.eigvalsh(op.to_dense()), atol=1e-12)
+                               np.linalg.eigvalsh(to_dense(op)), atol=1e-12)
     monkeypatch.setattr(spectral, "_symmetry_blocks", lambda op, floor: split_by(bad))
     with pytest.raises(spectral.SpectralError, match="couples symmetry blocks"):
         dense_spectrum(op)
@@ -207,7 +210,7 @@ def test_dense_route_keeps_one_block_when_the_operator_couples_parities(diamond)
     assert spec.blocks.shape == (1, op.dim)
     np.testing.assert_array_equal(spec.blocks[0], np.arange(op.dim))
     assert np.abs(spec.eigenvalues
-                  - np.linalg.eigvalsh(op.to_dense())).max() <= 1e-12
+                  - np.linalg.eigvalsh(to_dense(op))).max() <= 1e-12
 
 
 def _canonical_per_pivot(basis):
@@ -240,7 +243,7 @@ def _canonical_per_pivot(basis):
 def test_canonical_basis_matches_the_per_pivot_products(diamond, lam):
     rng = np.random.default_rng(5)
     op = to_matrix(build_hamiltonian(diamond, lam), diamond.n_modes)
-    b = embedded_basis(ground_space(op))
+    b = embedded_basis(ground_space(dense_spectrum(op)))
     q, _ = np.linalg.qr(rng.normal(size=(b.shape[1],) * 2)
                         + 1j * rng.normal(size=(b.shape[1],) * 2))
     mixed = b @ q
@@ -249,8 +252,8 @@ def test_canonical_basis_matches_the_per_pivot_products(diamond, lam):
 
 
 def test_canonical_basis_checks_its_columns_are_orthonormal(diamond):
-    b = embedded_basis(ground_space(to_matrix(build_hamiltonian(diamond, 0.1),
-                                              diamond.n_modes)))
+    b = embedded_basis(ground_space(dense_spectrum(
+        to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes))))
     # round-off is taken and corrected; a Gram matrix further from the
     # identity than ORTHONORMALITY_TOL is refused
     near = b * (1 + 1e-12)
@@ -321,21 +324,21 @@ def test_per_block_canonical_basis_is_the_global_one_on_the_torus(
 
 def test_ground_space_regression_lambda_01(diamond):
     op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
-    gs = ground_space(op)
+    gs = ground_space(dense_spectrum(op))
     assert abs(gs.e0 - E0_DIAMOND_01) <= 1e-12
     assert gs.n == 8
 
 
 def test_ground_space_lambda_zero_tensor_degeneracy(diamond):
     op = to_matrix(build_hamiltonian(diamond, 0), diamond.n_modes)
-    gs = ground_space(op)
+    gs = ground_space(dense_spectrum(op))
     assert abs(gs.e0 + 4.0) <= 1e-12
     assert gs.n == 16  # 2 per island
 
 
 def test_ground_projector_invariants(diamond):
     op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
-    b = embedded_basis(ground_space(op))
+    b = embedded_basis(ground_space(dense_spectrum(op)))
     p = b @ b.conj().T
     assert np.abs(p @ p - p).max() <= 1e-10
     assert np.abs(p - p.conj().T).max() <= 1e-10
@@ -344,7 +347,7 @@ def test_ground_projector_invariants(diamond):
 def test_canonical_basis_is_gauge_independent(diamond):
     rng = np.random.default_rng(2)
     op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
-    b = embedded_basis(ground_space(op))
+    b = embedded_basis(ground_space(dense_spectrum(op)))
     q, _ = np.linalg.qr(rng.normal(size=(b.shape[1],) * 2)
                         + 1j * rng.normal(size=(b.shape[1],) * 2))
     again, pivots = canonical_subspace_basis(b @ q)
@@ -361,17 +364,17 @@ def test_ill_separated_cluster_raises():
     # second level sits inside the ambiguous decade around gap_tol
     vals = [0.0, 5e-8] + [1.0] * 14
     with pytest.raises(IllSeparatedError):
-        ground_space(diagonal_operator(vals), gap_tol=1e-8)
+        ground_space(dense_spectrum(diagonal_operator(vals)), gap_tol=1e-8)
     # clearly inside and clearly outside are both fine
     inside = diagonal_operator([0.0, 1e-10] + [1.0] * 14)
     outside = diagonal_operator([0.0, 1e-6] + [1.0] * 14)
-    assert ground_space(inside, gap_tol=1e-8).n == 2
-    assert ground_space(outside, gap_tol=1e-8).n == 1
+    assert ground_space(dense_spectrum(inside), gap_tol=1e-8).n == 2
+    assert ground_space(dense_spectrum(outside), gap_tol=1e-8).n == 1
 
 
 def test_lanczos_matches_dense_on_diamond(diamond):
     h = build_hamiltonian(diamond, 0.1)
-    dense = ground_space(to_matrix(h, diamond.n_modes))
+    dense = ground_space(dense_spectrum(to_matrix(h, diamond.n_modes)))
     lz = lanczos_ground(PauliSum(h, diamond.n_modes), k=dense.n + 1, seed=0)
     assert abs(lz.e0 - dense.e0) <= 1e-8
     assert lz.n == dense.n
@@ -402,7 +405,7 @@ def test_lanczos_eigenvalues_and_residuals_match_dense(diamond, window):
         assert r <= 100 * conv_tol * max(1.0, abs(e))
     assert lz.matvecs > 0
     # the dense route has no solver diagnostics
-    gs = ground_space(op)
+    gs = ground_space(dense_spectrum(op))
     assert gs.eigenvalues == () and gs.residuals == () and gs.matvecs == 0
 
 
@@ -489,9 +492,8 @@ def test_lanczos_takes_one_block_when_the_operator_couples_parities(
     odd = MajoranaPolynomial.monomial((0, 1, 2), 0.3j)
     h = build_hamiltonian(diamond, 0.1) + odd
     op = to_matrix(h, diamond.n_modes)
-    assert op.hermiticity_defect() <= 1e-12
     assert len(spectral._symmetry_blocks(op)) == 1
-    dense = dense_spectrum(op)
+    dense = dense_spectrum(op)  # refuses a Hermiticity defect above 1e-12
     k = 9  # an 8-fold ground level
     lz = lanczos_ground(PauliSum(h, diamond.n_modes), k=k, seed=0)
     np.testing.assert_allclose(lz.eigenvalues, dense.eigenvalues[:k],
@@ -865,9 +867,9 @@ def test_translation_unitaries_are_signed_permutations():
     lat = build_lattice(4, 2, "periodic")
     n = lat.n_modes
     states = np.arange(1 << n)
-    gens = [to_matrix(MajoranaPolynomial.generator(i), n).to_dense()
+    gens = [to_dense(to_matrix(MajoranaPolynomial.generator(i), n))
             for i in range(2 * n)]
-    h = to_matrix(build_hamiltonian(lat, 0.1), n).to_dense()
+    h = to_dense(to_matrix(build_hamiltonian(lat, 0.1), n))
     maps = translations(lat)
     assert len(maps) == 3
     for s in maps:
@@ -882,7 +884,7 @@ def test_translation_unitaries_are_signed_permutations():
 def test_the_sign_formula_holds_for_any_mode_permutation():
     n = 5
     states = np.arange(1 << n)
-    gens = [to_matrix(MajoranaPolynomial.generator(i), n).to_dense()
+    gens = [to_dense(to_matrix(MajoranaPolynomial.generator(i), n))
             for i in range(2 * n)]
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -1068,7 +1070,7 @@ def test_lanczos_without_a_gauge_matches_the_dense_route():
     complex_mask = c(0) * c(2) * 1j + c(1) * c(2) * 1j
     for h, real in ((gaugeable, 2), (gaugeable + complex_mask, 0)):
         lz = lanczos_ground(PauliSum(h, 3), seed=0)
-        ref = ground_space(to_matrix(h, 3))
+        ref = ground_space(dense_spectrum(to_matrix(h, 3)))
         assert lz.real_blocks == real
         assert lz.n == ref.n and abs(lz.e0 - ref.e0) <= 1e-10
         assert _max_angle(lz, ref) <= 1e-8
@@ -1079,7 +1081,7 @@ def test_the_4x2_torus_in_its_real_gauge_is_the_dense_route():
     h = build_hamiltonian(lat, 0.1)
     lz = lanczos_ground(PauliSum(h, lat.n_modes), seed=0,
                         symmetries=translations(lat))
-    ref = ground_space(to_matrix(h, lat.n_modes))
+    ref = ground_space(dense_spectrum(to_matrix(h, lat.n_modes)))
     assert lz.real_blocks > 0
     assert lz.n == ref.n and abs(lz.e0 - ref.e0) <= 1e-10
     assert _max_angle(lz, ref) <= 1e-8
@@ -1166,7 +1168,7 @@ def test_lanczos_k_1_closes_the_ground_cluster(diamond):
 def test_lanczos_closes_a_cluster_that_fills_whole_blocks(diamond):
     # at lambda = 0 the diamond's ground level is 16-fold
     h = build_hamiltonian(diamond, 0.0)
-    ref = ground_space(to_matrix(h, diamond.n_modes))
+    ref = ground_space(dense_spectrum(to_matrix(h, diamond.n_modes)))
     lz = lanczos_ground(PauliSum(h, diamond.n_modes), seed=0)
     assert lz.n == ref.n == 16
     assert abs(lz.e0 - ref.e0) <= 1e-9
@@ -1192,13 +1194,14 @@ def test_lanczos_stops_when_every_state_is_in_the_cluster():
 def test_thermal_expectation_limits(diamond):
     h = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
     spec = dense_spectrum(h)
-    w = to_matrix(vortex_operator(diamond, (1, 2)).W, diamond.n_modes)
+    w = vortex_operator(diamond, (1, 2)).W
     # beta = 0 is the flat average; tr W = 0 for a signed permutation
     # with no fixed points
     assert abs(thermal_expectation(w, spec, 0.0)) <= 1e-12
     gs = ground_space(spec)
     beta_large = thermal_expectation(w, spec, 4e5).real
-    ground_avg = np.mean(embedded_loop_product(gs, w).diagonal()).real
+    loop = embedded_loop_product(gs, to_matrix(w, diamond.n_modes))
+    ground_avg = np.mean(loop.diagonal()).real
     assert abs(beta_large - ground_avg) <= 1e-6
 
 
@@ -1206,19 +1209,27 @@ def test_thermal_tail_is_monotone(diamond):
     """<W>_beta grows toward the ground-state value along the tail."""
     h = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
     spec = dense_spectrum(h)
-    w = to_matrix(vortex_operator(diamond, (1, 2)).W, diamond.n_modes)
+    w = vortex_operator(diamond, (1, 2)).W
     vals = [thermal_expectation(w, spec, b).real for b in (5, 10, 20, 50)]
     assert all(b - a >= -1e-9 for a, b in zip(vals, vals[1:]))
 
 
-def _assert_block_route_is_the_embedding_route(o, spec, betas):
-    """thermal_expectation against the embedding route, to 1e-14 of the
-    product of the factors' normalized Frobenius norms ||F||_F / sqrt(dim),
-    the scale of <O> (|a|^2 for A theta(A), 1 for a loop operator), so
-    values that vanish in the thermal state are held to it too."""
+def _scale(o) -> float:
+    """The product of the polynomial factors' normalized Frobenius norms
+    ||F||_F / sqrt(dim), the scale of <O> (|a|^2 for A theta(A), 1 for a
+    loop operator): distinct monomials are orthonormal Pauli strings, so
+    ||F||_F^2 / dim is the sum of the squared coefficients."""
     factors = o if isinstance(o, tuple) else (o,)
-    scale = np.prod([np.sqrt((np.abs(f.values) ** 2).sum() / f.dim)
-                     for f in factors])
+    return float(np.prod([np.sqrt(sum(abs(complex(c)) ** 2
+                                      for c in f.terms().values()))
+                          for f in factors]))
+
+
+def _assert_block_route_is_the_embedding_route(o, spec, betas):
+    """thermal_expectation against the embedding route, to 1e-14 of
+    `_scale`, so values that vanish in the thermal state are held to it
+    too."""
+    scale = _scale(o)
     for beta in betas:
         want = reference_thermal_expectation(o, spec, beta)
         got = thermal_expectation(o, spec, beta)
@@ -1236,7 +1247,7 @@ def test_block_thermal_expectation_is_the_embedding_route(diamond, lam, plane):
     r = reflection_data(diamond, *plane)
     spec = dense_spectrum(to_matrix(build_hamiltonian(diamond, lam), n))
     betas = (0, 1, 5, 4e5)
-    w = to_matrix(vortex_operator(diamond, (1, 2)).W, n)
+    w = vortex_operator(diamond, (1, 2)).W
     _assert_block_route_is_the_embedding_route(w, spec, betas)
     for parity in ("even", "odd"):
         rows = [a for _, a in rp_sample_polynomials(r.left, parity=parity,
@@ -1245,7 +1256,7 @@ def test_block_thermal_expectation_is_the_embedding_route(diamond, lam, plane):
                      *random_span_polynomials(r.left, parity, 4, 2, seed=7)]
         assert [len(a) for a in witnesses] == [1] * 3 + [len(rows)] * 2
         for a in witnesses:
-            fa = (to_matrix(a, n), to_matrix(reflect(a, r.sigma), n))
+            fa = (a, reflect(a, r.sigma))
             _assert_block_route_is_the_embedding_route(fa, spec, betas)
             _assert_block_route_is_the_embedding_route((fa[0], w, fa[1]),
                                                        spec, betas)
@@ -1257,30 +1268,43 @@ def test_block_thermal_expectation_on_the_open_3x4_lattice(open_3x4):
     r = reflection_data(lat, "x", 1)
     spec = spectra[0.1]
     a = MajoranaPolynomial.monomial(tuple(r.left[:4]))
-    fa = (to_matrix(a, lat.n_modes), to_matrix(reflect(a, r.sigma), lat.n_modes))
-    _assert_block_route_is_the_embedding_route(fa, spec, (1,))
+    _assert_block_route_is_the_embedding_route((a, reflect(a, r.sigma)), spec,
+                                               (1,))
 
 
 def test_block_thermal_expectation_holds_one_stack_per_factor(open_3x4):
     # an even monomial's re-check on the open 3x4 lattice holds about four
     # eigenvector stacks at its peak (the result, the part carried out of
     # theta(A), a gathered term and the temporary of ov[b] += term); the
-    # term of theta(A), kept alive through the next factor, was a fifth
-    import tracemalloc
-
+    # term of theta(A), kept alive through the next factor, was a fifth.
+    # The full-span even witness (562 monomials, 99 masks per factor)
+    # adds each factor's slot tables, read straight from its Pauli
+    # strings: 35 MiB, where the full-space operators of A and theta(A)
+    # and their tables by mask took 59.5 MiB
     lat, _, spectra = open_3x4
     r = reflection_data(lat, "x", 1)
     spec = spectra[0.1]
     stack = spec.vectors.size * 16  # bytes of one complex eigenvector stack
     a = MajoranaPolynomial.monomial(tuple(r.left[:4]))
+    [witness] = random_span_polynomials(r.left, "even", 4, 1, seed=7)
+    assert len(witness) == 562
     rp_functional(a, r, spec, 1.0)  # warm the imports
-    tracemalloc.start()
-    try:
-        rp_functional(a, r, spec, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def traced(x):
+        tracemalloc.start()
+        try:
+            value = rp_functional(x, r, spec, 1.0)
+            return value, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, peak = traced(a)
     assert peak < 4.5 * stack, peak / stack
+    value, peak = traced(witness)
+    assert peak < 48 * 2**20, peak / 2**20
+    fa = (witness, reflect(witness, r.sigma))
+    want = reference_thermal_expectation(fa, spec, 1.0)
+    assert abs(value - want) <= 1e-14 * _scale(fa), (value, want)
 
 
 def test_thermal_expectation_rejects_blocks_that_are_not_cosets():
@@ -1289,11 +1313,11 @@ def test_thermal_expectation_rejects_blocks_that_are_not_cosets():
     spec = Spectrum(blocks=np.array([[0, 1], [2, 4], [3, 5], [6, 7]]),
                     values=np.zeros((4, 2)),
                     vectors=np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)))
-    flip = SparseOperator(np.arange(8)[None, :] ^ 2, np.ones((1, 8)))
+    flip = MajoranaPolynomial.generator(2)  # Z_0 X_1
     with pytest.raises(SpectralError, match="mask 2 splits block 0"):
         thermal_expectation(flip, spec, 1.0)
     # a mask that maps every block onto one block is applied
-    swap = SparseOperator(np.arange(8)[None, :] ^ 1, np.ones((1, 8)))
+    swap = MajoranaPolynomial.generator(0)  # X_0
     assert thermal_expectation(swap, spec, 1.0) == 0
 
 
@@ -1315,10 +1339,17 @@ def test_thermal_expectation_where_blocks_are_not_cosets(blocks, masks):
                            + 1j * rng.standard_normal((count, size, size)))[0]
     spec = Spectrum(blocks=blocks, values=rng.standard_normal((count, size)),
                     vectors=vectors)
-    cols = np.arange(blocks.size)[None, :] ^ np.array(masks)[:, None]
-    factors = tuple(SparseOperator(cols, rng.standard_normal(cols.shape)
-                                   + 1j * rng.standard_normal(cols.shape))
-                    for _ in range(3))
+    # every string X^x Z^z of the masks x with a random coefficient, so
+    # each mask's entries are random; scaled by 2^-n/2, each entry's real
+    # and imaginary parts have unit variance
+    n_modes = blocks.size.bit_length() - 1
+    keys = [key for d in range(2 * n_modes + 1)
+            for key in itertools.combinations(range(2 * n_modes), d)
+            if fock.monomial_pauli(key, n_modes)[0] in masks]
+    assert len(keys) == len(masks) << n_modes
+    factors = tuple(MajoranaPolynomial(
+        {key: complex(*rng.standard_normal(2)) / np.sqrt(blocks.size)
+         for key in keys}) for _ in range(3))
     for o in (factors[0], factors[:2], factors):
         for beta in (0, 1):
             want = reference_thermal_expectation(o, spec, beta)

@@ -33,15 +33,17 @@ from vortexcert.verify import (
 )
 from vortexcert.verify import (
     _gram_floor,
-    _sample_rows,
-    _sample_witness,
+    _span_rows,
+    _witness_text,
 )
 
 from conftest import (
+    apply_columns,
     dense_operator,
     embedded_loop_product,
     oracle_matrix,
     random_span_polynomials,
+    to_dense,
 )
 
 
@@ -89,12 +91,12 @@ def test_even_basis_size_on_half_lattice(diamond_mirror):
 
 def test_witness_rendering_is_bounded():
     small = MajoranaPolynomial.monomial((0, 1), 1.0)
-    w = _sample_witness("m:0,1", small)
+    w = _witness_text("m:0,1", small)
     assert w.startswith("m:0,1 A = ") and "c0*c1" in w
     big = MajoranaPolynomial.zero()
     for i in range(0, 24, 2):
         big = big + MajoranaPolynomial.monomial((i, i + 1), 0.123456789 + 0.5j)
-    text = _sample_witness("r:0000", big)
+    text = _witness_text("r:0000", big)
     assert len(text) <= 160 + len("r:0000 A = ") + 24
     assert "... (12 terms)" in text
 
@@ -144,7 +146,7 @@ def test_check_rp_with_an_empty_trial_span_is_skipped(diamond, diamond_mirror,
 @pytest.mark.parametrize("tol", [1e-16, 1e-18])
 def test_check_rp_strict_tolerance_gives_a_report(diamond, diamond_mirror,
                                                   diamond_spectra, tol):
-    # round-off between the Gram and Fock-matrix routes is no verdict: a
+    # round-off between the Gram and eigenvector routes is no verdict: a
     # strict tolerance still yields a report, never a SpectralError
     rep = check_rp(diamond, diamond_mirror, 0.1, 1.0, max_degree=2,
                    spectrum=diamond_spectra[0.1], tol=tol)
@@ -189,7 +191,7 @@ def test_rp_gram_matches_rp_functional(diamond, diamond_mirror, parity):
 
 def _monomial_keys(r, parity, max_degree):
     """The keys of the trial span, in `check_rp`'s order."""
-    return [key for _, key in _sample_rows(r.left, parity, max_degree)]
+    return [key for _, key in _span_rows(r.left, parity, max_degree)]
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -306,7 +308,7 @@ def _hermitian_part(g):
 def _full_space_gram(keys, r, op, beta):
     """G_ij = Tr(m_i theta(m_j) rho) with rho from one full-space eigh and
     both monomials as Fock operators: no blocks, no Pauli table."""
-    w, v = np.linalg.eigh(op.to_dense())
+    w, v = np.linalg.eigh(to_dense(op))
     weights = np.exp(-beta * (w - w[0]))
     rho = (v * (weights / weights.sum())) @ v.conj().T
     n_modes = op.n_modes
@@ -316,8 +318,8 @@ def _full_space_gram(keys, r, op, beta):
     for j, key in enumerate(keys):
         # theta(m_j) rho, then Tr(m_i X) over the one slot of the signed
         # permutation m_i
-        x = to_matrix(reflect(MajoranaPolynomial.monomial(key), r.sigma),
-                      n_modes).apply(rho)
+        x = apply_columns(to_matrix(reflect(MajoranaPolynomial.monomial(key),
+                                            r.sigma), n_modes), rho)
         gram[:, j] = [(m.values[0] * x[m.cols[0], rows]).sum() for m in left]
     return gram
 
@@ -454,20 +456,28 @@ def test_rp_recheck_forms_no_dense_eigenvector_array(diamond, diamond_mirror,
 
 def test_diamond_certify_never_densifies_the_full_operator(tmp_path, monkeypatch,
                                                            diamond):
+    # the operator on all 2^n states is built once per lambda, for its
+    # dense spectrum; the RP re-check reads the witness's Pauli strings
+    # and builds none (it built two per parity and beta before)
     from vortexcert import cli
-    from vortexcert.fock import SparseOperator
+    from vortexcert.fock import PauliSum
 
-    dims = []
-    to_dense = SparseOperator.to_dense
+    full = []
+    block = PauliSum.block
 
-    def recording(self):
-        dims.append(self.dim)
-        return to_dense(self)
+    def recording(self, rows, y=None):
+        full.append(len(rows) == self.dim)
+        return block(self, rows, y)
 
-    monkeypatch.setattr(SparseOperator, "to_dense", recording)
-    out = tmp_path / "c.json"
-    assert cli.main(["certify", "--out", str(out)]) == 0
-    assert 1 << diamond.n_modes not in dims
+    monkeypatch.setattr(PauliSum, "block", recording)
+    assert cli.main(["certify", "--out", str(tmp_path / "c.json")]) == 0
+    assert sum(full) == 1
+    full.clear()
+    # the benchmark's sweep: 3 lambdas x 2 betas x both parities
+    assert cli.main(["sweep", "--lambda.from", "0", "--lambda.to", "0.5",
+                     "--lambda.steps", "3", "--beta", "0.5,5", "--samples", "20",
+                     "--format", "csv", "--out", str(tmp_path / "s.csv")]) == 0
+    assert sum(full) == 3
 
 
 def test_topological_order_verdicts(diamond, diamond_spectra):
@@ -665,8 +675,9 @@ def _random_polynomial(rng, indices, parity, max_degree=4):
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_rp_functional_matches_the_symbolic_product(diamond, diamond_mirror,
                                                     diamond_spectra, parity):
-    # rp_functional multiplies the Fock matrices of A and theta(A); the
-    # symbolic product A theta(A) mapped once must give the same value.
+    # rp_functional carries the eigenvectors through the Pauli strings of
+    # theta(A) and then A; the symbolic product A theta(A) read as one
+    # polynomial must give the same value.
     # Odd values vanish to round-off in the diamond's thermal state, so a
     # generic Hermitian matrix stands in as a second "Hamiltonian".
     rng = np.random.default_rng(11)
@@ -676,8 +687,7 @@ def test_rp_functional_matches_the_symbolic_product(diamond, diamond_mirror,
     left = np.array(diamond_mirror.left)
     for _ in range(5):
         a = _random_polynomial(rng, left, parity)
-        w = to_matrix(multiply(a, reflect(a, diamond_mirror.sigma)),
-                      diamond.n_modes)
+        w = multiply(a, reflect(a, diamond_mirror.sigma))
         for spec in (diamond_spectra[0.1], generic):
             for beta in (0.5, 5):
                 want = thermal_expectation(w, spec, beta)
