@@ -11,6 +11,39 @@ with explicit tolerances and machine-readable reports.
 
 __version__ = "0.1.0"
 
+
+def _load_blas_with_short_spin() -> None:
+    """Import numpy with a short OpenBLAS idle-thread timeout.
+
+    OpenBLAS's idle workers busy-wait for 2**OPENBLAS_THREAD_TIMEOUT clock
+    ticks (default 28, about 0.13 s at 2 GHz) after the library loads and
+    after every threaded call, which costs more CPU than a short run's own
+    work.  18 (about 0.13 ms) still spans the gaps between the BLAS calls
+    of one LAPACK routine: at OpenBLAS's minimum, 4, the worker sleeps
+    between them and the dense eigh of a 4,096-state operator pays about
+    65,000 wake-ups (10% more wall time).  The library reads the timeout
+    once, when numpy loads it, so it is set for that import only and then
+    removed: the thread count and the arithmetic are unchanged, and
+    neither os.environ nor a child process sees it.  A timeout the user
+    set (OPENBLAS_THREAD_TIMEOUT or GOTO_THREAD_TIMEOUT), or numpy already
+    loaded, is left alone.
+    """
+    import os
+    import sys
+
+    names = ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")
+    if "numpy" in sys.modules or any(v in os.environ for v in names):
+        return
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "18"
+    try:
+        import numpy  # OpenBLAS reads the timeout here, once
+    finally:
+        del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+
+
+# before the first submodule import: numpy loads with .fock
+_load_blas_with_short_spin()
+
 from .clifford import (
     GaussianRational,
     MajoranaPolynomial,

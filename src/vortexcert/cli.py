@@ -588,18 +588,21 @@ def _round_ms(timings: dict) -> dict:
 
 def _sidecar(timings: dict, ground=None, spectrum=None, **extra) -> dict:
     """Timestamp, timings (ms, nested dicts allowed), the process's peak
-    resident set so far (MB), the cluster's block count and gap and the
+    resident set so far (MB) and its user + system CPU time so far (s, all
+    threads), the cluster's block count and gap and the
     Lanczos diagnostics of `ground`, if any, the symmetry blocks of a
     dense `spectrum`, if any, and every non-empty `extra` entry (RP
     diagnostics)."""
     # imported once the work is done, so that it adds nothing to the peak
     from resource import RUSAGE_SELF, getrusage
 
+    usage = getrusage(RUSAGE_SELF)
     out = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "timings_ms": _round_ms(timings),
         # ru_maxrss counts KB on Linux
-        "peak_rss_mb": round(getrusage(RUSAGE_SELF).ru_maxrss / 1024, 3),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 3),
+        "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
     }
     # solver diagnostics vary with BLAS round-off, so they stay here
     if ground is not None:

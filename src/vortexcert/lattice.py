@@ -27,13 +27,22 @@ columns never touch a Majorana and all geometry stays exact.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .clifford import ReflectionMap
+
+# CPython's built-in SHA-256, so that hashlib's OpenSSL binding (_hashlib and
+# libcrypto, about 3.6 MB of resident pages) is never loaded; same digests
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 CORNERS = "abcd"
 # doubled-coordinate corner offsets, in corner rank order a, b, c, d
@@ -132,7 +141,7 @@ class IslandLattice:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        return sha256(self.to_json().encode()).hexdigest()
 
 
 def _wrap(p: tuple[int, int], lx: int, ly: int, periodic: bool):

@@ -748,7 +748,11 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
     Gershgorin floor (`op.floors`, read on its rows only).  Each step
     finds one more eigenpair, deflated against the earlier ones of its
     block, in the representative whose bound is lowest (ties in block
-    order), and a value found is certified once it is <= the bound of
+    order), except that the representative solved last is kept while
+    its bound lies within the cluster tolerance (gap_tol, or
+    default_gap_tol of the lowest bound) of both the lowest bound and
+    the lowest value found, so a degenerate level is solved block by
+    block; a value found is certified once it is <= the bound of
     every representative with states left.  The search stops once at
     least k values are certified and one of them lies above the cluster
     cut (E0 + gap_tol, clustered exactly as ground_space does), or once
@@ -814,6 +818,15 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
             if certified[-1] - certified[0] > tol:
                 break
         i = open_[int(np.argmin(last))]
+        if resident in open_:
+            # stay while the resident's bound is both the lowest bound and
+            # the lowest value found, up to the cluster tolerance: a
+            # degenerate level is solved block by block, not hopping
+            # between blocks at round-off
+            near = default_gap_tol(bound) if gap_tol is None else gap_tol
+            lowest = min(bound, *(pairs[0][0] for pairs in found if pairs))
+            if last[open_.index(resident)] - lowest <= near:
+                i = resident
         t0 = time.perf_counter()
         if i != resident:
             block = None  # released before the next block is built

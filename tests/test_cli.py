@@ -393,7 +393,7 @@ _NO_NUMPY_MA = """
 import sys
 from vortexcert import cli
 code = cli.main(sys.argv[1:])
-print(sorted({"numpy.ma", "numpy.random"} & set(sys.modules)))
+print(sorted({"numpy.ma", "numpy.random", "_hashlib"} & set(sys.modules)))
 sys.exit(code)
 """
 
@@ -407,7 +407,9 @@ def test_bench_runs_do_not_import_numpy_ma_or_random(tmp_path, argv):
     # the benchmark's three commands: numpy.ma, which np.unique without
     # return_inverse imports lazily, adds about 1.4 MB to the peak resident
     # set and 10 ms to a run; numpy.random about 10 ms of imports and 2 MB
-    # of extension pages, and Lanczos draws its start vectors without it
+    # of extension pages, and Lanczos draws its start vectors without it;
+    # _hashlib, hashlib's OpenSSL binding, 3.6 MB with libcrypto, and the
+    # lattice hash takes CPython's built-in SHA-256 instead
     src = str(Path(vortexcert.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -468,17 +470,21 @@ def test_samples_count_is_accepted_and_ignored(tmp_path):
 
 
 def test_every_json_sidecar_reports_the_peak_resident_set(tmp_path):
-    # like the timings it varies from run to run, so it lives in the
-    # sidecar only and the stripped payload repeats byte for byte
+    # like the timings they vary from run to run (the process's peak
+    # resident set and its CPU time), so they live in the sidecar only and
+    # the stripped payload repeats byte for byte
     for argv in (["certify", *FAST], ["vortex-map"], ["spectrum"],
                  ["sweep", "--beta", "1", *FAST]):
         stripped = []
         for name in ("a.json", "b.json"):
             code, payload = _run_json(tmp_path, argv, name)
             assert code == 0
-            assert payload.pop("sidecar")["peak_rss_mb"] > 0
+            sidecar = payload.pop("sidecar")
+            assert sidecar["peak_rss_mb"] > 0
+            assert sidecar["cpu_s"] > 0
             stripped.append(json.dumps(payload, sort_keys=True))
         assert "peak_rss_mb" not in stripped[0]
+        assert "cpu_s" not in stripped[0]
         assert stripped[0] == stripped[1], argv
 
 

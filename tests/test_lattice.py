@@ -1,8 +1,15 @@
 """Island geometry, octagon enumeration, reflection side-splitting."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import vortexcert
 
 from vortexcert.lattice import (
     LatticeError,
@@ -109,6 +116,39 @@ def test_json_round_trip_and_hash_stability():
     assert doc["islands"] == [[0, 2], [1, 1], [1, 3], [2, 2]]
     assert lat.content_hash() == diamond_lattice().content_hash()
     assert lat.content_hash() != build_lattice(4, 4, "periodic").content_hash()
+
+
+_LATTICES = [diamond_lattice, lambda: build_lattice(4, 4, "periodic"),
+             lambda: build_lattice(3, 4, "open")]
+
+
+@pytest.mark.parametrize("make", _LATTICES, ids=["diamond", "torus", "open-3x4"])
+def test_content_hash_is_the_sha256_of_the_json(make):
+    # the digest comes from CPython's built-in SHA-256, not from hashlib's
+    # OpenSSL binding, and is the same
+    lat = make()
+    assert lat.content_hash() == hashlib.sha256(lat.to_json().encode()).hexdigest()
+
+
+_HIDDEN_SHA = """
+import hashlib, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None  # no built-in module
+from vortexcert import lattice
+lat = lattice.diamond_lattice()
+assert lattice.sha256 is hashlib.sha256
+print(lat.content_hash())
+"""
+
+
+def test_content_hash_falls_back_to_hashlib():
+    src = str(Path(vortexcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", _HIDDEN_SHA], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == diamond_lattice().content_hash()
 
 
 def test_lattices_are_hashable():

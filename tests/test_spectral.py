@@ -440,14 +440,14 @@ def test_lanczos_degenerate_pair_through_the_invariant_subspace_branch(
     cluster = np.zeros((16, 2))
     cluster[0, 0] = cluster[1, 1] = 1.0
     assert scipy.linalg.subspace_angles(embedded_basis(gs), cluster).max() <= 1e-8
-    # the merge: even -1, odd -1, even 0, then odd 0 (until then the odd
-    # block's last value -1 lies below the third smallest, 0); one block
-    # is held at a time, so each return to a block builds it again
+    # the merge: even -1, even 0, odd -1, then odd 0 (the odd floor, -1,
+    # lies below the third smallest, 0): the search stays in the even block
+    # while its bound -1 is the lowest up to round-off, and leaves it at 0,
+    # so each block is built once
     blocks = [block for block, _ in found]
-    assert len(found) == 4 and gs.builds == 4
-    assert _same_operator(blocks[0], blocks[2])
-    assert _same_operator(blocks[1], blocks[3])
-    assert not _same_operator(blocks[0], blocks[1])
+    assert len(found) == 4 and gs.builds == 2
+    assert blocks[0] is blocks[1] and blocks[2] is blocks[3]
+    assert not _same_operator(blocks[0], blocks[2])
     assert all(block.dim == 8 for block in blocks)
     # every reported residual is the true one of its returned vector
     # against its block operator (a Lanczos estimate reads orders of
@@ -457,7 +457,7 @@ def test_lanczos_degenerate_pair_through_the_invariant_subspace_branch(
         true_res = np.linalg.norm(block.apply(y) - val * y)
         assert abs(res - true_res) <= 1e-12
         assert res == pytest.approx(true_res, rel=1e-6, abs=1e-300)
-    for block in blocks[:2]:
+    for block in blocks[::2]:
         vecs = np.column_stack([y for b, (_, y, _, _) in found
                                 if _same_operator(b, block)])
         assert np.abs(vecs.conj().T @ vecs - np.eye(2)).max() <= 1e-12
@@ -749,9 +749,10 @@ def test_torus_orbit_route_matches_the_block_route(torus_4x4, lam):
 def test_lanczos_holds_one_block_operator_at_a_time(torus_4x4, monkeypatch,
                                                     lam, blocks):
     # a block the search leaves is released before the next is built, and
-    # one it comes back to is built again: at lambda = 0 (no orbits, a
-    # 256-fold level in 4 blocks) 12 blocks take about 24 builds, at 0.1
-    # the 4 even representatives are solved in turn and built once each
+    # one it comes back to would be built again; at lambda = 0 (no orbits,
+    # a 256-fold level in 4 blocks) each of the 12 blocks is solved in one
+    # stay, at 0.1 the 4 even representatives are solved in turn, so
+    # every block is built once
     op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
     arrays, alive, firsts = [], [], []
     block = PauliSum.block
@@ -766,9 +767,22 @@ def test_lanczos_holds_one_block_operator_at_a_time(torus_4x4, monkeypatch,
     monkeypatch.setattr(PauliSum, "block", recording)
     lz = lanczos_ground(op, seed=0, symmetries=translations(torus_4x4))
     assert len(set(firsts)) == blocks == lz.real_blocks
-    assert lz.builds == len(alive) >= blocks
-    assert (lz.builds > blocks) == (lam == 0.0)
+    assert lz.builds == len(alive) == blocks
     assert alive == [1] * lz.builds
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lanczos_solves_a_degenerate_level_block_by_block(torus_4x4, seed):
+    # the 256-fold level -8 at lambda = 0 comes back from -8 - 4e-15 to
+    # -8 + 2e-15; the search stays in a block while its bound is the lowest
+    # up to the cluster tolerance, so it does not hop between the 4 cluster
+    # blocks at round-off: each of the 12 blocks solved is built once
+    op = PauliSum(build_hamiltonian(torus_4x4, 0.0), torus_4x4.n_modes)
+    lz = lanczos_ground(op, seed=seed, symmetries=translations(torus_4x4))
+    assert lz.builds == lz.real_blocks == 12
+    assert lz.closed_by_bound == 4
+    assert lz.matvecs == 1336
+    assert lz.n == 256 and abs(lz.e0 + 8) <= 1e-12
 
 
 def test_lanczos_traced_peak_on_the_torus(torus_4x4):
