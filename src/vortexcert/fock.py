@@ -97,28 +97,6 @@ def monomial_pauli(indices, n_modes: int) -> tuple[int, int, int]:
     return x, z, c & 3
 
 
-def apply_monomial(poly: MajoranaPolynomial, n_modes: int, rows: np.ndarray,
-                   vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W V for a one-term polynomial W and the columns V, which vanish off
-    the Fock states `rows`, row k of `vectors` standing on state rows[k].
-
-    W = a i^c X^x Z^z (`monomial_pauli`) sends |n> to
-    a i^c (-1)^popcount(n & z) |n ^ x>, so W V vanishes off rows ^ x and
-    is V scaled row by row there.  Returns (rows ^ x, those rows of W V),
-    with no full-space array.  Each entry is the entry of V times W's one
-    slot value there, the product that the operator `to_matrix(W)` forms
-    for it, so the two agree entry for entry.
-    """
-    terms = poly.terms()
-    if len(terms) != 1:
-        raise ValueError(f"a monomial has one term, not {len(terms)}")
-    [(key, coeff)] = terms.items()
-    x, z, c = monomial_pauli(key, n_modes)
-    rows = np.asarray(rows, dtype=np.int64)
-    phase = complex(coeff) * _PHASES[(c + 2 * _bit_parity(rows & z)) & 3]
-    return rows ^ x, vectors * phase[:, None]
-
-
 def monomial_action(indices, n_modes: int):
     """Column action of the ordered product of generators `indices`.
 

@@ -55,8 +55,9 @@ vector, the parity of the block each came from, the block count,
 dimension and orbit count, the blocks closed by their floor, the block
 builds and the matrix-vector products spent.
 A ground space is kept block-resident on both routes: each cluster
-vector lies in one Z-string block, so a `GroundSpace` holds one (rows,
-columns) pair per block that has any, and no array spans two blocks.
+vector lies in one whole Z-string block of the solver's split, so a
+`GroundSpace` holds those blocks' states as one (count, s) array, one
+(vectors, columns) pair per block, and no array spans two blocks.
 Its bases are made deterministic by re-orthogonalizing coordinate
 projections in a fixed pivot order, block by block, so reports do not
 depend on eigensolver gauge; the blocks' columns keep the order of the
@@ -121,8 +122,28 @@ class ConvergenceError(SpectralError):
     pass
 
 
+class _BlockMap:
+    """Each of the `dim` Fock states' block in `rows`, a (count, s) array
+    of the blocks' states (ascending), and its place there: the one map
+    that `Spectrum` and `GroundSpace` share."""
+
+    @cached_property
+    def label(self) -> np.ndarray:
+        """The block of each Fock state, -1 off every block."""
+        out = np.full(self.dim, -1, dtype=np.int64)
+        out[self.rows] = np.arange(len(self.rows))[:, None]
+        return out
+
+    @cached_property
+    def pos(self) -> np.ndarray:
+        """The place of each Fock state in its block, 0 off every block."""
+        out = np.zeros(self.dim, dtype=np.int64)
+        out[self.rows] = np.arange(self.rows.shape[1])
+        return out
+
+
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_BlockMap):
     """Every eigenpair of a Hermitian operator, block by block.
 
     Block b holds the Fock states blocks[b] (ascending); its eigenvalues
@@ -136,22 +157,13 @@ class Spectrum:
     vectors: np.ndarray  # (count, s, s) orthonormal columns per block
 
     @property
+    def rows(self) -> np.ndarray:
+        """The blocks, as `_BlockMap` reads them."""
+        return self.blocks
+
+    @property
     def dim(self) -> int:
         return self.blocks.size
-
-    @cached_property
-    def label(self) -> np.ndarray:
-        """The block of each Fock state."""
-        out = np.empty(self.dim, dtype=np.int64)
-        out[self.blocks] = np.arange(len(self.blocks))[:, None]
-        return out
-
-    @cached_property
-    def pos(self) -> np.ndarray:
-        """The place of each Fock state in its block."""
-        out = np.empty(self.dim, dtype=np.int64)
-        out[self.blocks] = np.arange(self.blocks.shape[1])
-        return out
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -160,12 +172,13 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class GroundSpace:
+class GroundSpace(_BlockMap):
     """The ground cluster {E : E - E0 <= gap_tol} on `dim` Fock states,
     kept block by block.
 
     Every cluster vector lies in one Z-string block, so the cluster is the
-    direct sum of its blocks' parts, and no array spans two blocks.
+    direct sum of its blocks' parts, and no array spans two blocks.  The
+    blocks are whole ones of the solver's split, all of one size:
     rows[i] are the Fock states (ascending) of the i-th block that holds
     any, vectors[i] that part's orthonormal columns in those coordinates,
     in the deterministic gauge of `canonical_subspace_basis`, and
@@ -177,7 +190,7 @@ class GroundSpace:
     """
     e0: float
     dim: int
-    rows: tuple[np.ndarray, ...]
+    rows: np.ndarray  # (count, s) Fock states of each cluster block
     vectors: tuple[np.ndarray, ...]
     columns: tuple[np.ndarray, ...]
     gap_tol: float
@@ -214,22 +227,6 @@ class GroundSpace:
     @property
     def n(self) -> int:
         return sum(v.shape[1] for v in self.vectors)
-
-    @cached_property
-    def label(self) -> np.ndarray:
-        """The cluster block of each Fock state, -1 off the cluster."""
-        out = np.full(self.dim, -1, dtype=np.int64)
-        for i, rows in enumerate(self.rows):
-            out[rows] = i
-        return out
-
-    @cached_property
-    def pos(self) -> np.ndarray:
-        """The place of each Fock state in its cluster block (0 off it)."""
-        out = np.zeros(self.dim, dtype=np.int64)
-        for rows in self.rows:
-            out[rows] = np.arange(len(rows))
-        return out
 
 
 def default_gap_tol(e0: float) -> float:
@@ -351,7 +348,9 @@ def canonical_subspace_basis(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _block_cluster(parts) -> dict:
     """The `rows`, `vectors` and `columns` of a GroundSpace from its raw
-    parts, one (rows, orthonormal columns) pair per Z-string block.
+    parts, one (rows, orthonormal columns) pair per Z-string block, each
+    block a whole one of the solver's split, so that the rows stack into
+    one (count, s) array.
 
     The projection of e_i onto the cluster lies in i's block, and parts of
     different blocks are orthogonal, so the canonical basis of the whole
@@ -367,7 +366,7 @@ def _block_cluster(parts) -> dict:
     place = np.empty(sum(map(len, pivots)), dtype=np.int64)
     place[np.argsort(np.concatenate(pivots))] = np.arange(len(place))
     columns = np.split(place, np.cumsum([len(p) for p in pivots])[:-1])
-    return {"rows": tuple(rows), "vectors": tuple(vectors), "columns": tuple(columns)}
+    return {"rows": np.stack(rows), "vectors": tuple(vectors), "columns": tuple(columns)}
 
 
 def ground_space(spec: Spectrum, gap_tol: float | None = None) -> GroundSpace:
@@ -895,29 +894,39 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
 # send a Z-string block onto one other block, so no dim x dim array and
 # no full-space operator is formed
 
-def _mask_slots(f: MajoranaPolynomial, spec: Spectrum):
-    """The slots of f on the blocks of `spec`, one row per bit mask m of
+def _boltzmann(values: np.ndarray, beta: float) -> np.ndarray:
+    """e^{-beta (E - E0)} for the energies `values`, E0 the least of them.
+    Where beta (E - E0) overflows to +inf the weight e^-inf is exactly 0,
+    the double nearest the true weight, so the overflow is not reported."""
+    with np.errstate(over="ignore"):
+        return np.exp(-beta * (values - values.min()))
+
+
+def _mask_slots(f: MajoranaPolynomial, space: Spectrum | GroundSpace):
+    """The slots of f on the blocks of `space`, one row per bit mask m of
     its Pauli strings (`PauliSum`), ascending: (onto, src, weight) with
-    onto[j, c] the block that m sends block c onto, src[j, c] the places
-    of the rows of c ^ m in that block, and weight[j, c] the entries
-    (row, row ^ m) of the rows of c, the strings of m read at the columns
-    c ^ m (`_mask_values`).  SpectralError where the rows of a block ^ m
-    are not exactly one block."""
-    terms = PauliSum(f, spec.dim.bit_length() - 1).terms
+    onto[j, c] the block that m sends block c onto (-1 off every block),
+    src[j, c] the places of the rows of c ^ m in that block, and
+    weight[j, c] the entries (row, row ^ m) of the rows of c, the strings
+    of m read at the columns c ^ m (`_mask_values`).  SpectralError where
+    the rows of a block ^ m are not exactly one block or wholly off them
+    (the blocks are of one size, so rows in one block are all of it)."""
+    terms = PauliSum(f, space.dim.bit_length() - 1).terms
     masks = np.array(sorted(terms), dtype=np.int64)
-    moved = spec.blocks ^ masks[:, None, None]  # (masks, count, s)
-    onto = spec.label[moved]
+    moved = space.rows ^ masks[:, None, None]  # (masks, count, s)
+    onto = space.label[moved]
     split = (onto != onto[:, :, :1]).any(axis=2)
     if split.any():
         j, c = np.argwhere(split)[0]
         raise SpectralError(f"mask {masks[j]} splits block {c} over blocks "
-                            f"{sorted(set(onto[j, c].tolist()))}")
+                            f"{sorted(set(onto[j, c].tolist()))} (-1: off "
+                            f"every block), not onto one whole block")
     weight = np.empty(moved.shape, dtype=np.complex128)
     for out, col, m in zip(weight, moved, masks.tolist()):
         out[:] = _mask_values(col, terms[m], False)
     # a copy of the first column, so that the (masks, count, s) labels
     # are not held through the whole product
-    return onto[:, :, 0].copy(), spec.pos[moved], weight
+    return onto[:, :, 0].copy(), space.pos[moved], weight
 
 
 def thermal_expectation(o, spec: Spectrum, beta: float) -> complex:
@@ -976,8 +985,7 @@ def thermal_expectation(o, spec: Spectrum, beta: float) -> complex:
     if slots:
         carry(0, own, spec.vectors.astype(np.complex128, copy=False))
     diag = np.einsum("bpk,bpk->bk", spec.vectors.conj(), ov)
-    values = spec.values.ravel()
-    weights = np.exp(-beta * (values - values.min()))
+    weights = _boltzmann(spec.values.ravel(), beta)
     return complex((weights * diag.ravel()).sum() / weights.sum())
 
 
@@ -1055,7 +1063,7 @@ def pauli_table(spec: Spectrum, beta: float) -> PauliTable:
     if beta < 0:
         raise ValueError("beta must be >= 0")
     size = spec.blocks.shape[1]
-    weights = np.exp(-beta * (spec.values - spec.values.min()))
+    weights = _boltzmann(spec.values, beta)
     weights /= weights.sum()
     v = spec.vectors
     rho = (v * weights[:, None, :]) @ v.conj().transpose(0, 2, 1)

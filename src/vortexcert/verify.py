@@ -34,7 +34,6 @@ import numpy as np
 
 from . import __version__
 from .clifford import MajoranaPolynomial, commutator
-from .fock import apply_monomial
 from .fock import to_matrix  # noqa: F401  (wrapped here by bench/tracing.py)
 from .lattice import IslandLattice, ReflectionData
 from .model import (
@@ -48,6 +47,7 @@ from .spectral import (
     PauliTable,
     SpectralError,
     Spectrum,
+    _mask_slots,
     # imported for the benchmark tracer (bench/tracing.py), which wraps
     # it at this name
     dense_spectrum,  # noqa: F401
@@ -272,32 +272,31 @@ def loop_product(ground: GroundSpace, w: MajoranaPolynomial) -> np.ndarray:
     """B^dagger W B for a one-term loop W on the ground basis B, the n x n
     matrix that both octagon checks read.
 
-    W = a i^c X^x Z^z sends each cluster block's rows onto rows ^ x
-    (`apply_monomial`), which must be exactly one cluster block, or lie
-    off the cluster, where W B has no overlap with B; any other image
-    raises SpectralError.  So B^dagger W B is one small product per block:
-    the image block's columns, gathered in the order of W's image, against
-    W times the block's own.  Entries land at the blocks' places in the
-    cluster's column order; no full-space array is formed.
+    W = a i^c X^x Z^z sends each cluster block onto rows ^ x, which must
+    be exactly one cluster block, or lie off the cluster, where W B has no
+    overlap with B; any other image raises SpectralError.  The slots
+    (onto, src, weight) of W on the cluster blocks are the ones that carry
+    the thermal eigenvectors (`_mask_slots`), so B^dagger W B is one small
+    product per block c that W reaches: c's own columns against the
+    columns of the block e that W sends onto c, gathered at the places
+    src and scaled by W's entries there.  Entries land at the blocks'
+    places in the cluster's column order; no full-space array is formed.
     """
-    n_modes = ground.dim.bit_length() - 1
-    label, pos = ground.label, ground.pos
+    terms = w.terms()
+    if len(terms) != 1:
+        raise ValueError(f"a loop has one term, not {len(terms)}")
+    [onto], [src], [weight] = _mask_slots(w, ground)
+    vectors, columns = ground.vectors, ground.columns
     out = np.zeros((ground.n, ground.n), dtype=np.complex128)
-    for b, (rows, columns) in enumerate(zip(ground.rows, ground.columns)):
-        image, wv = apply_monomial(w, n_modes, rows, ground.vectors[b])
-        onto = label[image]
-        d = int(onto[0])
-        if (onto != d).any() or (d >= 0 and len(ground.rows[d]) != len(rows)):
-            raise SpectralError(
-                f"the loop sends cluster block {b} onto states of cluster "
-                f"blocks {sorted(set(onto.tolist()))} (-1: off the cluster), "
-                f"not onto one whole block")
-        if d >= 0:
-            gathered = ground.vectors[d][pos[image]]
-            np.conjugate(gathered, out=gathered)
-            out[ground.columns[d][:, None], columns] = gathered.T @ wv
-            del gathered
-        del wv  # one block's columns at a time
+    for c, e in enumerate(onto.tolist()):
+        if e >= 0:  # W sends block e onto block c, and c onto e
+            wv = vectors[e][src[c]]
+            wv *= weight[c, :, None]
+            # V_c^dagger (W V_e) as conj(V_c^T conj(W V_e)): the conjugate
+            # is taken in place, with no copy of V_c
+            np.conjugate(wv, out=wv)
+            out[columns[c][:, None], columns[e]] = (vectors[c].T @ wv).conj()
+            del wv  # one block's columns at a time
     return out
 
 

@@ -772,6 +772,20 @@ def test_python_dash_m_runs_the_cli():
     assert res.stdout.strip() == vortexcert.__version__
 
 
+def test_certify_at_an_overflowing_beta_writes_nothing_to_stderr(tmp_path):
+    # beta (E - E0) overflows to inf above the ground level, and its
+    # weight e^-inf = 0 is exact: the thermal weights of the Pauli table
+    # and of the witness re-check must not warn about it
+    src = str(Path(vortexcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-m", "vortexcert", "certify",
+                          "--beta", "1e308", "--out", str(tmp_path / "c.json")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert (res.returncode, res.stderr) == (0, "")
+
+
 def test_every_exported_name_resolves():
     assert len(set(vortexcert.__all__)) == len(vortexcert.__all__)
     for name in vortexcert.__all__:

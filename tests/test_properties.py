@@ -26,7 +26,7 @@ from vortexcert.clifford import (
     multiply,
     reflect,
 )
-from vortexcert.fock import PauliSum, apply_monomial, to_matrix
+from vortexcert.fock import PauliSum, _echelon_insert, to_matrix
 from vortexcert.model import build_hamiltonian
 
 from conftest import (
@@ -96,38 +96,67 @@ def test_to_matrix_is_the_column_form_build(case):
 
 
 @st.composite
-def monomials_on_states(draw):
-    """A one-term polynomial (its key may repeat an index or come
-    unsorted), a set of Fock states in any order, and a seed, width and
-    kind (real or complex) of columns on them."""
+def polynomials_on_z_blocks(draw):
+    """A polynomial with several Pauli strings on a bit mask (each drawn
+    key, which may repeat an index or come unsorted, can come with its
+    product by a mode's pair c_2k c_2k+1, which flips no bit but changes
+    the Z string), independent Z-strings whose
+    blocks (`spectral._split`) lay out the states, the blocks kept, and a
+    seed, width and kind (real or complex) of columns on them."""
     n_modes = draw(st.integers(1, 5))
-    key = tuple(draw(st.lists(st.integers(0, 2 * n_modes - 1), max_size=6)))
-    coeff = draw(st.one_of(_coefficients.filter(bool),
-                           st.sampled_from([0.3, -1.7j, 0.6 - 0.8j])))
-    rows = draw(st.lists(st.integers(0, (1 << n_modes) - 1), min_size=1,
-                         max_size=1 << n_modes, unique=True))
-    return (n_modes, MajoranaPolynomial({key: coeff}), np.array(rows),
+    index = st.integers(0, 2 * n_modes - 1)
+    pair = st.one_of(st.none(), st.integers(0, n_modes - 1))
+    coeff = st.one_of(_coefficients.filter(bool),
+                      st.sampled_from([0.3, -1.7j, 0.6 - 0.8j]))
+    terms = {}
+    for key, k in draw(st.lists(st.tuples(st.lists(index, max_size=4).map(tuple),
+                                          pair), min_size=1, max_size=4)):
+        terms[key] = draw(coeff)
+        if k is not None:
+            terms[key + (2 * k, 2 * k + 1)] = draw(coeff)
+    span: dict = {}
+    gens = [g for g in draw(st.lists(st.integers(1, (1 << n_modes) - 1),
+                                     max_size=n_modes))
+            if _echelon_insert(span, g)]
+    kept = draw(st.sets(st.integers(0, (1 << len(gens)) - 1), min_size=1))
+    return (n_modes, MajoranaPolynomial(terms), gens, sorted(kept),
             draw(st.integers(1, 3)), draw(st.booleans()), draw(st.integers(0, 99)))
 
 
 @PROPERTY_SETTINGS
-@given(monomials_on_states())
+@given(polynomials_on_z_blocks())
 def test_the_pauli_string_gather_is_the_operator_product(case):
-    # W V read as a Pauli string on the states of V against W's operator
-    # applied to V on the whole space: equal entry for entry, so bit for
-    # bit wherever the entry is non-zero (IEEE equality lets a zero differ
-    # only in its sign, which the operator's 0 + term drops)
-    n_modes, w, rows, width, real, seed = case
+    # W V carried through W's slots on the kept Z-string blocks
+    # (`_mask_slots`), summed in the operator's mask order, against W's
+    # operator applied to V on the whole space: equal entry for entry, so
+    # bit for bit wherever the entry is non-zero (IEEE equality lets a zero
+    # differ only in its sign; a mask that sends a block off the kept ones
+    # adds only zeros, as V vanishes there)
+    n_modes, w, gens, kept, width, real, seed = case
+    dim = 1 << n_modes
+    ground = spectral.GroundSpace(e0=0.0, dim=dim,
+                                  rows=spectral._split(dim, gens)[kept],
+                                  vectors=(), columns=(), gap_tol=1e-8)
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((len(rows), width))
+    v = rng.standard_normal((dim, width))
     if not real:
         v = v + 1j * rng.standard_normal(v.shape)
-    full = np.zeros((1 << n_modes, width), dtype=v.dtype)
-    full[rows] = v
-    want = apply_columns(to_matrix(w, n_modes), full)
-    image, got = apply_monomial(w, n_modes, rows, v)
-    assert np.array_equal(got, want[image])
-    assert not np.delete(want, image, axis=0).any()
+    v[ground.label < 0] = 0
+    want = apply_columns(to_matrix(w, n_modes), v)
+    onto, src, weight = spectral._mask_slots(w, ground)
+    masks = sorted(PauliSum(w, n_modes).terms)
+    assert len(onto) == len(masks)
+    for c, rows in enumerate(ground.rows):
+        got = np.zeros((len(rows), width), dtype=np.complex128)
+        for m in PauliSum(w, n_modes).terms:  # the operator's slot order
+            j = masks.index(m)
+            e = onto[j, c]
+            if e < 0:
+                assert (ground.label[rows ^ m] < 0).all()
+                continue
+            assert np.array_equal(ground.rows[e][src[j, c]], rows ^ m)
+            got += v[ground.rows[e][src[j, c]]] * weight[j, c, :, None]
+        assert np.array_equal(got, want[rows])
 
 
 @PROPERTY_SETTINGS

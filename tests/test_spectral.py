@@ -322,6 +322,33 @@ def test_per_block_canonical_basis_is_the_global_one_on_the_torus(
     _assert_the_global_canonical_basis(ground, rows, raw)
 
 
+def _assert_whole_z_blocks(ground, blocks):
+    """Each cluster block of `ground` is one whole block of the solver's
+    split `blocks`, a distinct one, so all are of its one size, and each
+    block's part stands on that block's states."""
+    assert ground.rows.ndim == 2 and ground.rows.shape[1] == blocks.shape[1]
+    whole = {tuple(b) for b in blocks.tolist()}
+    held = [tuple(r) for r in ground.rows.tolist()]
+    assert set(held) <= whole and len(set(held)) == len(held)
+    assert [len(v) for v in ground.vectors] == [blocks.shape[1]] * len(held)
+
+
+@pytest.mark.parametrize("lam", [0, 0.1])
+def test_every_cluster_block_is_a_whole_z_block(diamond, torus_4x4, lam):
+    # the dense route: 16 blocks of 16 states at lambda = 0.1, 256 of one
+    # at lambda = 0
+    spec = dense_spectrum(to_matrix(build_hamiltonian(diamond, lam),
+                                    diamond.n_modes))
+    _assert_whole_z_blocks(ground_space(spec), spec.blocks)
+    # Lanczos with translations: 16 blocks of 4,096 states, the carried
+    # ones included
+    op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
+    ground = lanczos_ground(op, seed=0, symmetries=translations(torus_4x4))
+    _assert_whole_z_blocks(
+        ground, spectral._split(op.dim, spectral._symmetry_generators(op)))
+    assert ground.blocks == (16, 4096)
+
+
 def test_ground_space_regression_lambda_01(diamond):
     op = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
     gs = ground_space(dense_spectrum(op))
