@@ -124,7 +124,7 @@ def _islands(path, islands):
 
 def _lambda(path, lam):
     """A number, or a sweep range: every piece present, an integer step
-    count >= 1, then numeric ends in order."""
+    count >= 1, then numeric ends in order, equal for a single step."""
     if not isinstance(lam, dict):
         return _require(_is_number(lam), path, "must be a number")
     for key in ("from", "to", "steps"):
@@ -133,6 +133,8 @@ def _lambda(path, lam):
     for key in ("from", "to"):
         _require(_is_number(lam[key]), f"lambda.{key}", "must be a number")
     _require(lam["to"] >= lam["from"], "lambda.to", "must be >= lambda.from")
+    _require(lam["steps"] > 1 or lam["to"] == lam["from"], "lambda.steps",
+             "1 step needs lambda.to == lambda.from")
 
 
 def _beta(path, beta):

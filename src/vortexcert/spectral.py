@@ -14,10 +14,10 @@ Pauli table, the thermal functionals) reads a Spectrum only.  The
 thermal state is block-diagonal too, so the Pauli table that the RP
 Gram reads has only the |span| = s columns x of the masks' span: every
 other column is exactly zero.  The blocks are the cosets of that span,
-so a polynomial's Pauli strings of one bit mask send a block onto one
-other block, and thermal expectations carry the eigenvectors through
-the strings in (blocks, s, s) stacks: no dim x dim columns, and no
-operator on the full space.
+so a state's block and place are bit arithmetic (`_labels`, `_places`),
+and a polynomial's Pauli strings of one bit mask send a block onto one
+other block: thermal expectations carry the eigenvectors through them in
+(blocks, s, s) stacks, with no dim x dim array and no full-space map.
 
 Above the cap a restarted, fully reorthogonalized Lanczos iteration
 with sequential deflation finds the low end of the spectrum, up to the
@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -122,44 +121,73 @@ class ConvergenceError(SpectralError):
     pass
 
 
-class _BlockMap:
-    """Each of the `dim` Fock states' block in `rows`, a (count, s) array
-    of the blocks' states (ascending), and its place there: the one map
-    that `Spectrum` and `GroundSpace` share."""
+def _labels(n, gens, dtype=np.int64) -> np.ndarray:
+    """The block label of each state n (an int or an int64 array) under
+    the Z-strings `gens`: bit i is popcount(n & gens[i]) mod 2, in
+    `dtype`.  Linear over XOR: the label of n ^ m is label(n) ^ label(m)."""
+    out = np.zeros(np.shape(n), dtype=dtype)
+    for i, g in enumerate(gens):
+        out |= (np.bitwise_count(n & g) & 1).astype(dtype) << i
+    return out
 
-    @cached_property
-    def label(self) -> np.ndarray:
-        """The block of each Fock state, -1 off every block."""
-        out = np.full(self.dim, -1, dtype=np.int64)
-        out[self.rows] = np.arange(len(self.rows))[:, None]
-        return out
 
-    @cached_property
-    def pos(self) -> np.ndarray:
-        """The place of each Fock state in its block, 0 off every block."""
-        out = np.zeros(self.dim, dtype=np.int64)
-        out[self.rows] = np.arange(self.rows.shape[1])
-        return out
+def _places(n, gens, n_modes: int) -> np.ndarray:
+    """The place of each state n (an int or an int64 array) in its block
+    of `gens`: its bits at the pivots of the reduced echelon basis of W,
+    the block of state 0 (`_annihilator` of gens), in pivot order.  States
+    of one block differ by elements of W, whose highest bits are pivots,
+    so this orders each block ascending; linear over XOR."""
+    w: dict = {}
+    for a in _annihilator(gens, n_modes):
+        _echelon_insert(w, a)
+    out = np.zeros(np.shape(n), dtype=np.int64)
+    for j, p in enumerate(sorted(w)):
+        out |= (n >> p & 1) << j
+    return out
+
+
+def _annihilator(vectors, n_modes: int) -> list[int]:
+    """Generators of {g : popcount(g & v) even for every v in `vectors`}:
+    per free bit f of the vectors' reduced echelon basis, lowest first, e_f
+    plus the pivots of the rows that hold f (two bits of each row or none)."""
+    span: dict = {}
+    for v in vectors:
+        _echelon_insert(span, int(v))
+    return [(1 << f) | sum(1 << p for p, r in span.items() if r >> f & 1)
+            for f in range(n_modes) if f not in span]
+
+
+def _require_blocks(rows: np.ndarray, gens, dim: int, every: bool) -> None:
+    """ValueError unless `rows` are whole blocks of `gens` on `dim` states,
+    each ascending, in ascending label order (every block when `every`): a
+    block's size of ascending states, all of one label, is that block."""
+    labels = _labels(rows, gens, np.min_scalar_type((1 << len(gens)) - 1))
+    if not (rows.ndim == 2 and rows.shape[1] == dim >> len(gens)
+            and (rows[:, 0] >= 0).all() and (rows[:, -1] < dim).all()
+            and (rows[:, 1:] > rows[:, :-1]).all() and (labels == labels[:, :1]).all()
+            and (labels[1:, 0] > labels[:-1, 0]).all()
+            and (len(rows) == 1 << len(gens) or not every)):
+        raise ValueError(f"rows are not {'every block' if every else 'whole blocks'}"
+                         f" of the Z-strings {list(gens)} in label order")
 
 
 @dataclass(frozen=True)
-class Spectrum(_BlockMap):
+class Spectrum:
     """Every eigenpair of a Hermitian operator, block by block.
 
-    Block b holds the Fock states blocks[b] (ascending); its eigenvalues
-    values[b] ascend, and column k of vectors[b] is the eigenvector of
-    values[b, k] in the coordinates of blocks[b].  The flat index
-    b * s + k names one eigenpair.  `label` and `pos` map each Fock state
-    to its block and to its place there.
+    Block b holds the Fock states blocks[b] (ascending) of label b under
+    the Z-strings `gens` (ValueError otherwise); its eigenvalues values[b]
+    ascend, and column k of vectors[b] is the eigenvector of values[b, k]
+    in the coordinates of blocks[b].  The flat index b * s + k names one
+    eigenpair.
     """
     blocks: np.ndarray  # (count, s) Fock indices of each Z-string block
+    gens: tuple[int, ...]  # the Z-strings of the split
     values: np.ndarray  # (count, s) ascending within each block, real
     vectors: np.ndarray  # (count, s, s) orthonormal columns per block
 
-    @property
-    def rows(self) -> np.ndarray:
-        """The blocks, as `_BlockMap` reads them."""
-        return self.blocks
+    def __post_init__(self):
+        _require_blocks(self.blocks, self.gens, self.dim, every=True)
 
     @property
     def dim(self) -> int:
@@ -172,25 +200,25 @@ class Spectrum(_BlockMap):
 
 
 @dataclass(frozen=True)
-class GroundSpace(_BlockMap):
+class GroundSpace:
     """The ground cluster {E : E - E0 <= gap_tol} on `dim` Fock states,
     kept block by block.
 
     Every cluster vector lies in one Z-string block, so the cluster is the
     direct sum of its blocks' parts, and no array spans two blocks.  The
-    blocks are whole ones of the solver's split, all of one size:
-    rows[i] are the Fock states (ascending) of the i-th block that holds
-    any, vectors[i] that part's orthonormal columns in those coordinates,
-    in the deterministic gauge of `canonical_subspace_basis`, and
-    columns[i] their places in the cluster's column order: ascending
-    pivot coordinate, the order of the canonical basis of the whole
-    cluster.  `label` and `pos` map each Fock state to its cluster block
-    (-1 off the cluster) and to its place there.  `gap` is the first
-    certified level above the cluster less e0, None when none lies above.
+    blocks are whole ones of the solver's split by `gens`, all of one size
+    and in label order (ValueError otherwise): rows[i] are the Fock states
+    (ascending) of the i-th block that holds any, vectors[i] that part's
+    orthonormal columns in those coordinates, in the deterministic gauge
+    of `canonical_subspace_basis`, and columns[i] their places in the
+    cluster's column order: ascending pivot coordinate, the order of the
+    canonical basis of the whole cluster.  `gap` is the first certified
+    level above the cluster less e0, None when none lies above.
     """
     e0: float
     dim: int
     rows: np.ndarray  # (count, s) Fock states of each cluster block
+    gens: tuple[int, ...]  # the Z-strings of the solver's split
     vectors: tuple[np.ndarray, ...]
     columns: tuple[np.ndarray, ...]
     gap_tol: float
@@ -224,6 +252,9 @@ class GroundSpace(_BlockMap):
     build_ms: float = 0.0
     solve_ms: float = 0.0
 
+    def __post_init__(self):
+        _require_blocks(self.rows, self.gens, self.dim, every=False)
+
     @property
     def n(self) -> int:
         return sum(v.shape[1] for v in self.vectors)
@@ -242,34 +273,29 @@ def dense_spectrum(op: SparseOperator) -> Spectrum:
     """Every eigenpair, from one batched `eigh` of the Z-string blocks.
 
     The split uses every diagonal Z-string that commutes with H
-    (`_symmetry_blocks` with no floor), and the (count, s, s) stack is
-    filled from the stored entries.  A non-zero entry whose row and
-    column lie in different blocks raises SpectralError: the split
-    would otherwise drop it.  Then, every stored entry and its transpose
-    partner lying in one block, the Hermiticity defect max |S - S^H| of
-    the filled stack is the operator's (NonHermitianError above
-    HERMITICITY_TOL); it is read at the stored places only, since a pair
-    of places that holds no stored entry is zero both ways.
-    DENSE_DIM_CAP bounds the full dimension.
+    (`_symmetry_generators` with no floor), and the (count, s, s) stack is
+    filled from the stored entries, placed by `_labels` and `_places`.  A
+    stored mask of label other than 0 raises SpectralError: its entries
+    couple blocks, and the split would drop them.  Then, every stored
+    entry and its transpose partner lying in one block, the Hermiticity
+    defect max |S - S^H| of the filled stack is the operator's
+    (NonHermitianError above HERMITICITY_TOL); it is read at the stored
+    places only, since a pair of places that holds no stored entry is zero
+    both ways.  DENSE_DIM_CAP bounds the full dimension.
     """
     if op.dim > DENSE_DIM_CAP:
         raise DenseCapError(f"dim {op.dim} exceeds the dense cap {DENSE_DIM_CAP}")
-    blocks = _symmetry_blocks(op, floor=1)
-    count, size = blocks.shape
-    # the stack is filled in the vectors' place, so the Spectrum keeps
-    # the block maps that place the stored entries
-    spec = Spectrum(blocks=blocks, values=np.empty(blocks.shape),
-                    vectors=np.zeros((count, size, size), dtype=np.complex128))
-    label, pos = spec.label, spec.pos
+    masks, gens = op.masks, tuple(_symmetry_generators(op, floor=1))
+    leaks = masks[_labels(masks, gens) != 0]
+    if len(leaks):
+        raise SpectralError(f"mask {leaks[0]} couples symmetry blocks")
+    blocks = _split(op.dim, gens)
+    spec = Spectrum(blocks=blocks, gens=gens, values=np.empty(blocks.shape),
+                    vectors=np.zeros(blocks.shape + blocks.shape[1:], complex))
     stored = op.values != 0
     rows = np.broadcast_to(np.arange(op.dim), op.cols.shape)[stored]
-    cols = op.cols[stored]
-    leaks = label[rows] != label[cols]
-    if leaks.any():
-        r, c = int(rows[leaks][0]), int(cols[leaks][0])
-        raise SpectralError(f"entry ({r}, {c}) couples symmetry blocks "
-                            f"{label[r]} and {label[c]}")
-    b, i, j = label[rows], pos[rows], pos[cols]
+    b = _labels(rows, gens)
+    i, j = (_places(n, gens, op.n_modes) for n in (rows, op.cols[stored]))
     np.add.at(spec.vectors, (b, i, j), op.values[stored])
     s = spec.vectors
     defect = np.abs(s[b, i, j] - s[b, j, i].conj()).max(initial=0)
@@ -282,8 +308,16 @@ def _cluster_count(values: np.ndarray, gap_tol: float) -> int:
     """Size of the ground cluster; rejects a cut with nearby weight.
 
     An eigenvalue whose offset from E0 lies within a decade of gap_tol
-    on either side makes the cluster boundary ambiguous.
+    on either side makes the cluster boundary ambiguous, and a gap_tol
+    below the round-off floor would split a degenerate level.
     """
+    # the round-off floor, 20 times the 3 eps |E0| spread of the diamond's
+    # 8-fold level at lambda = 0.1 (up to 2.7e-15 above E0 = -4.01) and of
+    # the 4x4 torus's 256-fold level at lambda = 0
+    floor = 64 * np.finfo(float).eps * max(1.0, abs(float(values[0])))
+    if gap_tol < floor:
+        raise IllSeparatedError(f"gap_tol = {gap_tol:.3e} is below the round-off "
+                                f"floor {floor:.3e}; choose a larger tolerance")
     rel = values - values[0]
     ambiguous = (rel > gap_tol / 10) & (rel <= 10 * gap_tol)
     if ambiguous.any():
@@ -386,7 +420,7 @@ def ground_space(spec: Spectrum, gap_tol: float | None = None) -> GroundSpace:
     b, k = np.divmod(order[:n], spec.blocks.shape[1])
     parts = [(spec.blocks[c], spec.vectors[c][:, k[b == c]])
              for c in sorted(set(b.tolist()))]
-    return GroundSpace(e0=e0, dim=spec.dim, gap_tol=gap_tol,
+    return GroundSpace(e0=e0, dim=spec.dim, gens=spec.gens, gap_tol=gap_tol,
                        gap=float(values[n] - e0) if n < len(values) else None,
                        **_block_cluster(parts))
 
@@ -569,23 +603,13 @@ def _lowest_eigenpair(apply, dim, draw, deflate, conv_tol, max_matvecs, window,
 SYMMETRY_BLOCK_FLOOR = 4096
 
 
-def _symmetry_blocks(op: SparseOperator | PauliSum,
-                     floor: int | None = None) -> np.ndarray:
-    """Basis indices of the diagonal symmetry blocks of `op`, one row per
-    block: the split by `_symmetry_generators` (`_split`)."""
-    return _split(op.dim, _symmetry_generators(op, floor))
-
-
-def _split(dim: int, gens: list[int]) -> np.ndarray:
+def _split(dim: int, gens) -> np.ndarray:
     """The Fock states 0..dim-1 split by the independent Z-strings `gens`:
-    row b holds, ascending, the states of label b, whose bit i is
-    popcount(n & gens[i]) mod 2.  The labels are kept in the narrowest
-    unsigned type (uint8 up to 8 strings), where the stable sort is a
-    radix sort."""
-    states = np.arange(dim, dtype=np.int64)
-    labels = np.zeros(dim, dtype=np.min_scalar_type((1 << len(gens)) - 1))
-    for i, g in enumerate(gens):
-        labels |= (np.bitwise_count(states & g) & 1).astype(labels.dtype) << i
+    row b holds, ascending, the states of label b (`_labels`).  The labels
+    are kept in the narrowest unsigned type (uint8 up to 8 strings), where
+    the stable sort is a radix sort."""
+    labels = _labels(np.arange(dim, dtype=np.int64), gens,
+                     np.min_scalar_type((1 << len(gens)) - 1))
     return np.argsort(labels, kind="stable").reshape(1 << len(gens), -1)
 
 
@@ -611,20 +635,12 @@ def _symmetry_generators(op: SparseOperator | PauliSum,
     masks = op.masks
     if op.n_modes < 1 or _bit_parity(masks).any():
         return []
-    span: dict = {}
-    for s in masks.tolist():
-        _echelon_insert(span, s)
-    # one annihilator generator per free bit f: e_f plus the pivots of
-    # the rows that hold f, so it meets every row in two bits or none
-    free = [f for f in range(op.n_modes) if f not in span]
-    annihilator = [(1 << f) | sum(1 << p for p, r in span.items() if r >> f & 1)
-                   for f in free]
     if floor is None:
         floor = SYMMETRY_BLOCK_FLOOR
     gens = [op.dim - 1]  # the parity string: every mode
     chosen: dict = {}
     _echelon_insert(chosen, gens[0])
-    for g in annihilator:
+    for g in _annihilator(masks.tolist(), op.n_modes):
         if op.dim >> (len(gens) + 1) < floor:
             break
         if _echelon_insert(chosen, g):
@@ -709,9 +725,7 @@ def _block_orbits(blocks: np.ndarray, gens: list[int], perms: list[np.ndarray]):
             a = reached.pop()
             n = int(blocks[a, 0])
             for pi in usable:
-                moved = _moved(n, pi)
-                c = sum(((moved & g).bit_count() & 1) << i
-                        for i, g in enumerate(gens))
+                c = int(_labels(_moved(n, pi), gens))
                 if rep[c] < 0:
                     rep[c], carry[c] = b, pi[carry[a]]
                     reached.append(c)
@@ -727,7 +741,7 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
     Reads only the `dim`, `masks`, row `floors`, Hermiticity defect
     (NonHermitianError above HERMITICITY_TOL), phase `gauge` and block
     operators (`block`) of `op`, a PauliSum (TypeError otherwise).  Runs
-    inside the Z-string symmetry blocks of `_symmetry_blocks`: the two
+    inside the Z-string symmetry blocks of `_symmetry_generators`: the two
     fermion-parity blocks, split further while the blocks stay at least
     SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the 4x4 torus), or
     one block if the operator couples the parities.
@@ -767,9 +781,9 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
     stream (`_start_stream` of `seed`) and one matvec budget are shared
     in that fixed order, so results are deterministic.  The cluster
     stays block-resident: each vector is kept
-    on its block's rows, a carried one sorted into their order
-    (SpectralError if the carried states are not exactly the block's),
-    and the canonical basis is formed per block (`_block_cluster`).  The
+    on its block's rows, a carried one scattered to its places there
+    (SpectralError if a carried state's label is not the block's), and
+    the canonical basis is formed per block (`_block_cluster`).  The
     reported eigenvalues are the shortest certified prefix that meets
     the rule, max(k, n + 1) of them for a cluster of n: the cluster and
     the first value above it.  They come with their true residuals,
@@ -862,23 +876,21 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
             vecs = np.column_stack(members.pop(b))
             if y is not None:  # back from the real gauge
                 vecs = _PHASES[_bit_parity(src & y)][:, None] * vecs
-            if rep[b] != b:  # carried, then sorted into the block's row order
+            if rep[b] != b:  # carried, then scattered to the block's places
                 states, sign = _signed_permutation(src, carry[b])
-                order = np.argsort(states)
-                if not np.array_equal(states[order], blocks[b]):
+                if (_labels(states, gens) != b).any():
                     raise SpectralError(f"a cluster vector carried from block "
                                         f"{rep[b]} onto block {b} leaks out of it")
-                vecs = (sign[:, None] * vecs)[order]
+                vecs[_places(states, gens, op.n_modes)] = sign[:, None] * vecs
             yield blocks[b], vecs
 
-    parity = _bit_parity(blocks[:, 0])
-    return GroundSpace(e0=e0, dim=op.dim, gap_tol=gap_tol,
+    return GroundSpace(e0=e0, dim=op.dim, gens=tuple(gens), gap_tol=gap_tol,
                        gap=float(pairs[n][0] - e0) if len(pairs) > n else None,
                        **_block_cluster(parts()),
                        eigenvalues=tuple(float(val) for val, _, _, _ in pairs),
                        residuals=tuple(r for _, _, _, r in pairs),
-                       parities=() if len(blocks) == 1 else
-                       tuple(int(parity[b]) for _, b, _, _ in pairs),
+                       parities=() if len(blocks) == 1 else  # label bit 0
+                       tuple(b & 1 for _, b, _, _ in pairs),
                        blocks=(len(blocks), size), orbits=len(reps),
                        closed_by_bound=sum(orbit[i] for i in range(len(reps))
                                            if i not in built),
@@ -902,31 +914,21 @@ def _boltzmann(values: np.ndarray, beta: float) -> np.ndarray:
         return np.exp(-beta * (values - values.min()))
 
 
-def _mask_slots(f: MajoranaPolynomial, space: Spectrum | GroundSpace):
-    """The slots of f on the blocks of `space`, one row per bit mask m of
-    its Pauli strings (`PauliSum`), ascending: (onto, src, weight) with
-    onto[j, c] the block that m sends block c onto (-1 off every block),
-    src[j, c] the places of the rows of c ^ m in that block, and
-    weight[j, c] the entries (row, row ^ m) of the rows of c, the strings
-    of m read at the columns c ^ m (`_mask_values`).  SpectralError where
-    the rows of a block ^ m are not exactly one block or wholly off them
-    (the blocks are of one size, so rows in one block are all of it)."""
-    terms = PauliSum(f, space.dim.bit_length() - 1).terms
+def _mask_slots(f: MajoranaPolynomial, rows: np.ndarray, gens):
+    """The slots of f on the blocks `rows` of the Z-strings `gens`, one row
+    per bit mask m of its Pauli strings (`PauliSum`), ascending: (moves,
+    src, weight).  m sends the block of label l onto that of l ^ moves[j]
+    = l ^ label(m), whose row p reads the place src[j, p] = p ^ place(m)
+    of the block it comes from; weight[j, c] are the entries (row, row ^ m)
+    of the rows of block c, m's strings at the columns row ^ m."""
+    n_modes = (rows.shape[1] << len(gens)).bit_length() - 1
+    terms = PauliSum(f, n_modes).terms
     masks = np.array(sorted(terms), dtype=np.int64)
-    moved = space.rows ^ masks[:, None, None]  # (masks, count, s)
-    onto = space.label[moved]
-    split = (onto != onto[:, :, :1]).any(axis=2)
-    if split.any():
-        j, c = np.argwhere(split)[0]
-        raise SpectralError(f"mask {masks[j]} splits block {c} over blocks "
-                            f"{sorted(set(onto[j, c].tolist()))} (-1: off "
-                            f"every block), not onto one whole block")
-    weight = np.empty(moved.shape, dtype=np.complex128)
-    for out, col, m in zip(weight, moved, masks.tolist()):
-        out[:] = _mask_values(col, terms[m], False)
-    # a copy of the first column, so that the (masks, count, s) labels
-    # are not held through the whole product
-    return onto[:, :, 0].copy(), space.pos[moved], weight
+    src = np.arange(rows.shape[1]) ^ _places(masks, gens, n_modes)[:, None]
+    weight = np.empty((len(masks), *rows.shape), dtype=np.complex128)
+    for out, m in zip(weight, masks.tolist()):
+        out[:] = _mask_values(rows ^ m, terms[m], False)
+    return _labels(masks, gens), src, weight
 
 
 def thermal_expectation(o, spec: Spectrum, beta: float) -> complex:
@@ -937,53 +939,46 @@ def thermal_expectation(o, spec: Spectrum, beta: float) -> complex:
     product (applied right to left, never multiplied out); a generator
     beyond the spectrum's modes raises ValueError.
 
-    Runs in the blocks of the Spectrum.  The Pauli strings of one bit
-    mask m send the states of block c onto c's rows ^ m, which must be
-    exactly one block (`_mask_slots`; on the cosets of the span of H's
-    masks, which `dense_spectrum` splits by, it holds for every m).  The eigenvectors
-    pass through the factors, right to left, as (count, s, s) stacks of
-    parts, part b lying in one block for each eigenvector block b.  A
-    factor's masks that send every part to the same blocks add into one
-    stack, which passes on to the next factor before the next stack is
-    formed, so only one stack per factor is held.  At the last factor
-    only the masks that return part b to block b are applied, and
-    <v|O|v> is one einsum against the eigenvectors.
+    Runs in the blocks of the Spectrum, the cosets of its block of state 0
+    in label order.  The Pauli strings of one bit mask m send block b onto
+    block b ^ move, move the label of m, and each row there reads the
+    place p ^ place(m) (`_mask_slots`).  The eigenvectors pass through the
+    factors, right to left, as (count, s, s) stacks of parts, the part of
+    every eigenvector block b lying in block b ^ lies for one label lies.
+    A factor's masks of one label add into one stack, which passes on to
+    the next factor before the next stack is formed, so only one stack per
+    factor is held.  At the last factor only the masks that return every
+    part to its own block (label lies) are applied, and <v|O|v> is one
+    einsum against the eigenvectors.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
     factors = o if isinstance(o, (list, tuple)) else (o,)
-    slots = [_mask_slots(f, spec) for f in reversed(factors)]
+    slots = [_mask_slots(f, spec.blocks, spec.gens) for f in reversed(factors)]
     own = np.arange(len(spec.blocks))
     ov = np.zeros(spec.vectors.shape, dtype=np.complex128) if slots else spec.vectors
 
     def carry(depth, lies, u):
-        # u[b] is the part of block b's eigenvectors on the rows of lies[b]
-        onto, src, weight = slots[depth]
-        dests = onto[:, lies]  # the block each mask sends each part onto
+        # u[b] is the part of block b's eigenvectors on the rows of b ^ lies
+        moves, src, weight = slots[depth]
         if depth == len(slots) - 1:
-            back = dests == own
-            for j in np.flatnonzero(back.any(axis=1)):
-                b = np.flatnonzero(back[j])
-                term = u[b[:, None], src[j, b]]
-                term *= weight[j, b, :, None]
-                ov[b] += term
+            for j in np.flatnonzero(moves == lies):
+                term = u[:, src[j]]
+                term *= weight[j, :, :, None]
+                np.add(ov, term, out=ov)
             return
-        groups: dict = {}
-        for j, dest in enumerate(dests):
-            groups.setdefault(dest.tobytes(), []).append(j)
-        for js in groups.values():
-            dest = dests[js[0]]
+        for move in dict.fromkeys(moves.tolist()):  # in order of first mask
             part = np.zeros(u.shape, dtype=np.complex128)
-            for j in js:
-                # the rows of blocks dest, read from blocks lies of u
-                term = u[own[:, None], src[j, dest]]
-                term *= weight[j, dest, :, None]
+            for j in np.flatnonzero(moves == move):
+                # the rows of blocks own ^ lies ^ move, read from u
+                term = u[:, src[j]]
+                term *= weight[j, own ^ lies ^ move, :, None]
                 part += term
             del term  # only `part` goes on down
-            carry(depth + 1, dest, part)
+            carry(depth + 1, lies ^ move, part)
 
     if slots:
-        carry(0, own, spec.vectors.astype(np.complex128, copy=False))
+        carry(0, 0, spec.vectors.astype(np.complex128, copy=False))
     diag = np.einsum("bpk,bpk->bk", spec.vectors.conj(), ov)
     weights = _boltzmann(spec.values.ravel(), beta)
     return complex((weights * diag.ravel()).sum() / weights.sum())
@@ -1039,13 +1034,13 @@ def _walsh_hadamard(a: np.ndarray) -> None:
 class PauliTable:
     """Pauli table of a thermal state on the span of H's masks.
 
-    table[z, column[x]] = P[x, z] = sum_q (-1)^popcount(q & z) rho[q, q ^ x]
-    for the s strings x of the span; column[x] is -1 off the span, where
-    P[x, z] is exactly zero.
+    table[z, place(x)] = P[x, z] = sum_q (-1)^popcount(q & z) rho[q, q ^ x]
+    for the s strings x of the span, the block of label 0 of `gens`; off
+    the span P[x, z] is exactly zero.
     """
     beta: float
     table: np.ndarray  # (dim, s) complex
-    column: np.ndarray  # (dim,) column of each x string, -1 off the span
+    gens: tuple[int, ...]  # the Z-strings of the spectrum's split
 
 
 def pauli_table(spec: Spectrum, beta: float) -> PauliTable:
@@ -1053,29 +1048,24 @@ def pauli_table(spec: Spectrum, beta: float) -> PauliTable:
 
     rho is V_b diag(w_b) V_b^dagger in each Z-string block, one batched
     product.  It is block-diagonal, so rho[q, q ^ x] vanishes unless q and
-    q ^ x share a block.  The blocks are the cosets of the block of state
-    0, so that holds for every q exactly when x lies in the block of
-    state 0, which `dense_spectrum`'s full split makes the span of H's
-    masks.  Only those s columns are gathered, each row from its own
-    block, and transformed (Walsh-Hadamard over q): a dim x s table
-    instead of dim x dim.
+    q ^ x share a block.  The blocks are the cosets of blocks[0], the
+    block of label 0, so that holds for every q exactly when x lies in
+    blocks[0], which `dense_spectrum`'s full split makes the span of H's
+    masks.  Only those s columns are gathered, row q at place i reading
+    place i ^ c of its block for the string of place c, and transformed
+    (Walsh-Hadamard over q): a dim x s table instead of dim x dim.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    size = spec.blocks.shape[1]
     weights = _boltzmann(spec.values, beta)
     weights /= weights.sum()
     v = spec.vectors
     rho = (v * weights[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    span = spec.blocks[0]
-    # table[q, c] = rho[q, q ^ span[c]], gathered within q's block
-    table = np.empty((spec.dim, size), dtype=np.complex128)
-    table[spec.blocks] = np.take_along_axis(
-        rho, spec.pos[spec.blocks[:, :, None] ^ span], axis=2)
+    place = np.arange(spec.blocks.shape[1])
+    table = np.empty((spec.dim, len(place)), dtype=np.complex128)
+    table[spec.blocks] = rho[:, place[:, None], place[:, None] ^ place]
     _walsh_hadamard(table)
-    column = np.full(spec.dim, -1, dtype=np.int64)
-    column[span] = np.arange(size)
-    return PauliTable(beta=beta, table=table, column=column)
+    return PauliTable(beta=beta, table=table, gens=spec.gens)
 
 
 def rp_gram(keys, r: ReflectionData, h, beta: float) -> np.ndarray:
@@ -1103,7 +1093,7 @@ def rp_gram(keys, r: ReflectionData, h, beta: float) -> np.ndarray:
     tab = h if isinstance(h, PauliTable) else pauli_table(h, beta)
     if tab.beta != beta:
         raise ValueError(f"Pauli table built at beta {tab.beta}, not {beta}")
-    n_modes = len(tab.column).bit_length() - 1
+    n_modes = len(tab.table).bit_length() - 1
 
     # theta(m_j) is the mirrored product in the original order; its
     # coefficient conj(1) = 1, so it needs no recanonicalization here
@@ -1114,5 +1104,6 @@ def rp_gram(keys, r: ReflectionData, h, beta: float) -> np.ndarray:
     x, z, c = m.T[:, :, None]  # m_i down the rows
     x_t, z_t, c_t = t.T[:, None, :]  # theta(m_j) across the columns
     phase = _PHASES[(c + c_t + 2 * _bit_parity(z & x_t)) & 3]
-    column = tab.column[x ^ x_t]
-    return np.where(column >= 0, phase * tab.table[z ^ z_t, column], 0)
+    x = x ^ x_t
+    column = _places(x, tab.gens, n_modes)
+    return np.where(_labels(x, tab.gens) == 0, phase * tab.table[z ^ z_t, column], 0)

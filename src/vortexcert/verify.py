@@ -47,6 +47,7 @@ from .spectral import (
     PauliTable,
     SpectralError,
     Spectrum,
+    _labels,
     _mask_slots,
     # imported for the benchmark tracer (bench/tracing.py), which wraps
     # it at this name
@@ -272,10 +273,9 @@ def loop_product(ground: GroundSpace, w: MajoranaPolynomial) -> np.ndarray:
     """B^dagger W B for a one-term loop W on the ground basis B, the n x n
     matrix that both octagon checks read.
 
-    W = a i^c X^x Z^z sends each cluster block onto rows ^ x, which must
-    be exactly one cluster block, or lie off the cluster, where W B has no
-    overlap with B; any other image raises SpectralError.  The slots
-    (onto, src, weight) of W on the cluster blocks are the ones that carry
+    W = a i^c X^x Z^z moves each block's label by that of x, found in the
+    cluster through a 2^k index, or off it, where W B has no overlap
+    with B.  The slots (move, src, weight) of W are the ones that carry
     the thermal eigenvectors (`_mask_slots`), so B^dagger W B is one small
     product per block c that W reaches: c's own columns against the
     columns of the block e that W sends onto c, gathered at the places
@@ -285,12 +285,15 @@ def loop_product(ground: GroundSpace, w: MajoranaPolynomial) -> np.ndarray:
     terms = w.terms()
     if len(terms) != 1:
         raise ValueError(f"a loop has one term, not {len(terms)}")
-    [onto], [src], [weight] = _mask_slots(w, ground)
+    [move], [src], [weight] = _mask_slots(w, ground.rows, ground.gens)
     vectors, columns = ground.vectors, ground.columns
+    labels = _labels(ground.rows[:, 0], ground.gens)
+    index = np.full(1 << len(ground.gens), -1)  # the cluster block of a label
+    index[labels] = np.arange(len(labels))
     out = np.zeros((ground.n, ground.n), dtype=np.complex128)
-    for c, e in enumerate(onto.tolist()):
+    for c, e in enumerate(index[labels ^ move].tolist()):
         if e >= 0:  # W sends block e onto block c, and c onto e
-            wv = vectors[e][src[c]]
+            wv = vectors[e][src]
             wv *= weight[c, :, None]
             # V_c^dagger (W V_e) as conj(V_c^T conj(W V_e)): the conjugate
             # is taken in place, with no copy of V_c

@@ -20,6 +20,7 @@ from vortexcert.fock import (
     _echelon_insert,
     monomial_action,
 )
+from vortexcert.spectral import _split, _symmetry_generators
 from vortexcert.verify import _span_rows
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -127,6 +128,23 @@ def row_floors(cols: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.nda
     radius = np.where(diag, 0, np.abs(values)).sum(axis=0)
     slack = (len(cols) + 2) * np.finfo(float).eps * (np.abs(centre) + radius)
     return centre - radius - slack
+
+
+def symmetry_blocks(op, floor=None) -> np.ndarray:
+    """The Z-string blocks of `op` that the solvers split by, one row per
+    block in label order: `_split` by `_symmetry_generators`."""
+    return _split(op.dim, _symmetry_generators(op, floor))
+
+
+def split_oracle(dim: int, gens) -> np.ndarray:
+    """The states 0..dim-1 split by the Z-strings `gens`, from Python
+    integers: each state's label (bit i the parity of its bits in
+    gens[i]), then a stable argsort, so row b holds the states of label b
+    in ascending order.  The reference `_split`, `_labels` and `_places`
+    must match."""
+    labels = [sum((bin(n & g).count("1") % 2) << i for i, g in enumerate(gens))
+              for n in range(dim)]
+    return np.argsort(labels, kind="stable").reshape(1 << len(gens), -1)
 
 
 def operator_block(op: SparseOperator, idx: np.ndarray) -> SparseOperator:

@@ -169,6 +169,9 @@ CONFIG_ERRORS = [
     ("plane.coordinate-35", {"plane": {"coordinate": float("nan")}},
      "plane.coordinate: must be a number"),
     ("lattice-36", {"lattice": 5}, "lattice: must be an object"),
+    # one step ran lambda.from only and dropped lambda.to
+    ("lambda.steps-37", {"lambda": {"from": 0, "to": 1, "steps": 1}},
+     "lambda.steps: 1 step needs lambda.to == lambda.from"),
 ]
 
 
@@ -640,6 +643,27 @@ def test_sweep_rows_survive_row_errors(tmp_path):
     assert len(rows) == 2
     assert rows[1][8].startswith("error:")
     assert rows[1][2] == ""  # no e0 claimed for a failed row
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_gap_tol_below_round_off_is_refused(tmp_path, capsys, seed):
+    # the diamond's 8-fold level at lambda = 0.1 spreads over 2.7e-15; a
+    # cut at 1e-17 split it into 2 without an error, 1e-13 keeps all 8
+    base = ["--lambda", "0.1", "--beta", "1", "--seed", str(seed)] + FAST
+    assert main(["certify", "--gap-tol", "1e-17"] + base
+                + ["--out", str(tmp_path / "c.json")]) == 1
+    assert "below the round-off floor" in capsys.readouterr().err
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--gap-tol", "1e-17", "--format", "csv"] + base
+                + ["--out", str(out)])
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert len(rows) == 2 and rows[1][8].startswith("error:")
+    assert "round-off floor" in rows[1][8]
+    for gap in (["--gap-tol", "1e-13"], []):  # and the default rule
+        code, bundle = _run_json(tmp_path, ["certify"] + gap + base)
+        assert code == 0
+        assert bundle["ground"]["degeneracy"] == 8
 
 
 def test_sweep_sidecar_carries_rp_diagnostics_and_timings(tmp_path):

@@ -20,7 +20,7 @@ from vortexcert.fock import (
     to_matrix,
 )
 from vortexcert.model import build_hamiltonian, vortex_operator
-from vortexcert.spectral import NonHermitianError, _symmetry_blocks, dense_spectrum
+from vortexcert.spectral import NonHermitianError, dense_spectrum
 
 from conftest import (
     assert_same_operator,
@@ -29,6 +29,7 @@ from conftest import (
     nnz,
     oracle_majorana,
     oracle_matrix,
+    symmetry_blocks,
     to_dense,
 )
 
@@ -150,7 +151,7 @@ def test_vector_product_is_the_slot_sum_bit_for_bit(lam):
     diamond, torus = _LATTICES["diamond"], _LATTICES["torus-4x4"]
     ops = [to_matrix(build_hamiltonian(diamond, lam), diamond.n_modes)]
     h = PauliSum(build_hamiltonian(torus, lam), torus.n_modes)
-    blocks = _symmetry_blocks(h)
+    blocks = symmetry_blocks(h)
     ops += [h.block(blocks[b], y) for b in (0, 3, 6, 9, 12, 15)
             for y in (None, h.gauge())]
     for op in ops:

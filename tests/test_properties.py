@@ -39,6 +39,8 @@ from conftest import (
     reference_gauge_string,
     reference_real_gauge,
     row_floors,
+    split_oracle,
+    symmetry_blocks,
 )
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
@@ -101,7 +103,7 @@ def polynomials_on_z_blocks(draw):
     key, which may repeat an index or come unsorted, can come with its
     product by a mode's pair c_2k c_2k+1, which flips no bit but changes
     the Z string), independent Z-strings whose
-    blocks (`spectral._split`) lay out the states, the blocks kept, and a
+    blocks (`split_oracle`) lay out the states, the blocks kept, and a
     seed, width and kind (real or complex) of columns on them."""
     n_modes = draw(st.integers(1, 5))
     index = st.integers(0, 2 * n_modes - 1)
@@ -123,6 +125,39 @@ def polynomials_on_z_blocks(draw):
             draw(st.integers(1, 3)), draw(st.booleans()), draw(st.integers(0, 99)))
 
 
+@st.composite
+def z_splits(draw):
+    """1-8 modes, independent Z-strings on them, and a bit mask."""
+    n_modes = draw(st.integers(1, 8))
+    span: dict = {}
+    gens = [g for g in draw(st.lists(st.integers(1, (1 << n_modes) - 1),
+                                     max_size=n_modes))
+            if _echelon_insert(span, g)]
+    return n_modes, gens, draw(st.integers(0, (1 << n_modes) - 1))
+
+
+@PROPERTY_SETTINGS
+@given(z_splits())
+def test_z_string_blocks_are_cosets_placed_by_bit_arithmetic(case):
+    # the split is the stable-argsort oracle's; row b holds the states of
+    # label b at places 0..s-1, and the label and place of n ^ m are those
+    # of n XOR those of m
+    n_modes, gens, m = case
+    dim = 1 << n_modes
+    rows = spectral._split(dim, gens)
+    np.testing.assert_array_equal(rows, split_oracle(dim, gens))
+    count, size = rows.shape
+    np.testing.assert_array_equal(spectral._labels(rows, gens),
+                                  np.repeat(np.arange(count)[:, None], size, axis=1))
+    np.testing.assert_array_equal(spectral._places(rows, gens, n_modes),
+                                  np.broadcast_to(np.arange(size), rows.shape))
+    states = np.arange(dim)
+    for coordinate in (lambda n: spectral._labels(n, gens),
+                       lambda n: spectral._places(n, gens, n_modes)):
+        np.testing.assert_array_equal(coordinate(states ^ m),
+                                      coordinate(states) ^ coordinate(m))
+
+
 @PROPERTY_SETTINGS
 @given(polynomials_on_z_blocks())
 def test_the_pauli_string_gather_is_the_operator_product(case):
@@ -135,27 +170,31 @@ def test_the_pauli_string_gather_is_the_operator_product(case):
     n_modes, w, gens, kept, width, real, seed = case
     dim = 1 << n_modes
     ground = spectral.GroundSpace(e0=0.0, dim=dim,
-                                  rows=spectral._split(dim, gens)[kept],
-                                  vectors=(), columns=(), gap_tol=1e-8)
+                                  rows=split_oracle(dim, gens)[kept],
+                                  gens=tuple(gens), vectors=(), columns=(),
+                                  gap_tol=1e-8)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((dim, width))
     if not real:
         v = v + 1j * rng.standard_normal(v.shape)
-    v[ground.label < 0] = 0
+    held = np.zeros(dim, dtype=bool)
+    held[ground.rows] = True
+    v[~held] = 0
     want = apply_columns(to_matrix(w, n_modes), v)
-    onto, src, weight = spectral._mask_slots(w, ground)
+    moves, src, weight = spectral._mask_slots(w, ground.rows, ground.gens)
     masks = sorted(PauliSum(w, n_modes).terms)
-    assert len(onto) == len(masks)
+    assert len(moves) == len(masks)
     for c, rows in enumerate(ground.rows):
         got = np.zeros((len(rows), width), dtype=np.complex128)
         for m in PauliSum(w, n_modes).terms:  # the operator's slot order
             j = masks.index(m)
-            e = onto[j, c]
-            if e < 0:
-                assert (ground.label[rows ^ m] < 0).all()
+            onto = kept[c] ^ int(moves[j])  # the label of rows ^ m
+            if onto not in kept:
+                assert not held[rows ^ m].any()
                 continue
-            assert np.array_equal(ground.rows[e][src[j, c]], rows ^ m)
-            got += v[ground.rows[e][src[j, c]]] * weight[j, c, :, None]
+            image = ground.rows[kept.index(onto)][src[j]]
+            assert np.array_equal(image, rows ^ m)
+            got += v[image] * weight[j, c, :, None]
         assert np.array_equal(got, want[rows])
 
 
@@ -218,7 +257,7 @@ def test_symmetry_blocks_split_fully_and_are_invariant(case):
     # without the floor every commuting Z-string splits the blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 1)
-        blocks = spectral._symmetry_blocks(to_matrix(p, n_modes))
+        blocks = symmetry_blocks(to_matrix(p, n_modes))
     np.testing.assert_array_equal(np.sort(blocks.ravel()), np.arange(dim))
     label = np.empty(dim, dtype=np.int64)
     label[blocks] = np.arange(len(blocks))[:, None]
@@ -256,7 +295,7 @@ def test_block_is_the_oracle_submatrix(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 1)
         op = PauliSum(p, n_modes)
-        blocks = spectral._symmetry_blocks(op)
+        blocks = symmetry_blocks(op)
     m = oracle_matrix(p, n_modes)
     for idx in blocks:
         assert np.allclose(to_dense(op.block(idx)), m[np.ix_(idx, idx)],
@@ -294,7 +333,7 @@ def test_block_is_the_submatrix_on_the_diamond(monkeypatch, diamond, lam):
     h = build_hamiltonian(diamond, lam)
     op = PauliSum(h, diamond.n_modes)
     assert op.hermiticity_defect() == 0.0
-    blocks = spectral._symmetry_blocks(op)
+    blocks = symmetry_blocks(op)
     assert blocks.shape == (16, 16)
     m = oracle_matrix(h, diamond.n_modes)
     for idx in blocks:
@@ -313,7 +352,7 @@ def _floors_bound_the_blocks(floors, h, n_modes):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 1)
         op = to_matrix(h, n_modes)
-        blocks = spectral._symmetry_blocks(op)
+        blocks = symmetry_blocks(op)
     m = oracle_matrix(h, n_modes)
     lowest = [np.linalg.eigvalsh(m[np.ix_(idx, idx)])[0] for idx in blocks]
     return bool((floors(op)[blocks].min(axis=1) <= lowest).all())
@@ -365,7 +404,7 @@ def test_blocks_built_in_the_operator_gauge_are_the_reference(case):
         return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 1)
-        blocks = spectral._symmetry_blocks(strings)
+        blocks = symmetry_blocks(strings)
     for rows in blocks:
         ref, d = reference_real_gauge(strings.block(rows), rows, y)
         assert d is not None

@@ -50,6 +50,8 @@ from conftest import (
     random_span_polynomials,
     reference_thermal_expectation,
     row_floors,
+    split_oracle,
+    symmetry_blocks,
     to_dense,
 )
 
@@ -111,7 +113,9 @@ def test_block_spectrum_is_the_full_spectrum_on_the_open_3x4_lattice(open_3x4):
     # dim 4096, the dense cap: 64 blocks of 64 against the spectrum of the
     # dense matrix.  No stored entry couples the parities, so that is the
     # spectrum of its two 2,048-state parity halves, each filled straight
-    # from the operator's slots
+    # from the operator's slots in a phase gauge d_n = i^parity(n & y)
+    # solved from that half's own entries (`reference_gauge_string`):
+    # D^dagger M D is exactly real, so a real eigvalsh takes it
     _, ops, spectra = open_3x4
     op, spec = ops[0.1], spectra[0.1]
     assert spec.blocks.shape == (64, 64)
@@ -125,10 +129,16 @@ def test_block_spectrum_is_the_full_spectrum_on_the_open_3x4_lattice(open_3x4):
         pos[half] = np.arange(len(half))
     full = []
     for half in halves:
-        m = np.zeros((len(half), len(half)), dtype=np.complex128)
-        slots = stored[:, half]
-        np.add.at(m, (pos[rows[:, half][slots]], pos[op.cols[:, half][slots]]),
-                  op.values[:, half][slots])
+        block = fock.SparseOperator(pos[op.cols[:, half]], op.values[:, half])
+        y = reference_gauge_string(block, half)
+        assert y is not None
+        d = np.where(parity[half & y], 1j, 1)
+        gauged = block.values * d.conj() * d[block.cols]
+        assert not gauged.imag.any()
+        m = np.zeros((len(half), len(half)))
+        slots = gauged != 0
+        np.add.at(m, (np.broadcast_to(np.arange(len(half)), slots.shape)[slots],
+                      block.cols[slots]), gauged.real[slots])
         full.append(np.linalg.eigvalsh(m))
     full = np.sort(np.concatenate(full))
     assert np.abs(spec.eigenvalues - full).max() <= 1e-12
@@ -162,17 +172,20 @@ def test_block_eigenvectors_solve_the_full_operator(diamond):
 def test_a_spectrum_maps_each_state_to_its_block_and_place(diamond, lam):
     spec = dense_spectrum(to_matrix(build_hamiltonian(diamond, lam),
                                     diamond.n_modes))
-    # the maps that placed the stored entries are kept, not rebuilt
-    assert {"label", "pos"} <= vars(spec).keys()
-    np.testing.assert_array_equal(spec.blocks[spec.label, spec.pos],
-                                  np.arange(spec.dim))
-    # a spectrum built by hand forms them once, on first use
-    hand = Spectrum(blocks=spec.blocks[::-1], values=spec.values[::-1],
-                    vectors=spec.vectors[::-1])
-    assert "label" not in vars(hand)
-    assert hand.label is hand.label and hand.pos is hand.pos
-    np.testing.assert_array_equal(hand.label, len(spec.blocks) - 1 - spec.label)
-    np.testing.assert_array_equal(hand.pos, spec.pos)
+    # row b is the block of label b, its states at their places, read by
+    # bit arithmetic on the split's Z-strings
+    count, size = spec.blocks.shape
+    np.testing.assert_array_equal(spec.blocks, split_oracle(spec.dim, spec.gens))
+    np.testing.assert_array_equal(spectral._labels(spec.blocks, spec.gens),
+                                  np.repeat(np.arange(count)[:, None], size, axis=1))
+    np.testing.assert_array_equal(
+        spectral._places(spec.blocks, spec.gens, diamond.n_modes),
+        np.broadcast_to(np.arange(size), spec.blocks.shape))
+    # a spectrum built by hand with its blocks out of label order is
+    # refused at construction
+    with pytest.raises(ValueError, match="not every block"):
+        Spectrum(blocks=spec.blocks[::-1], gens=spec.gens,
+                 values=spec.values[::-1], vectors=spec.vectors[::-1])
 
 
 def test_dense_spectrum_rejects_a_split_that_breaks_h(monkeypatch, diamond):
@@ -189,15 +202,12 @@ def test_dense_spectrum_rejects_a_split_that_breaks_h(monkeypatch, diamond):
                and not spectral._bit_parity(masks & g).any())
     bad = gen ^ 1 << next(p for p in sorted(span) if gen >> p & 1)
 
-    def split_by(g):
-        labels = spectral._bit_parity(full & parity) | spectral._bit_parity(
-            full & g) << 1
-        return np.argsort(labels, kind="stable").reshape(4, -1)
-
-    monkeypatch.setattr(spectral, "_symmetry_blocks", lambda op, floor: split_by(gen))
+    monkeypatch.setattr(spectral, "_symmetry_generators",
+                        lambda op, floor: [parity, gen])
     np.testing.assert_allclose(dense_spectrum(op).eigenvalues,
                                np.linalg.eigvalsh(to_dense(op)), atol=1e-12)
-    monkeypatch.setattr(spectral, "_symmetry_blocks", lambda op, floor: split_by(bad))
+    monkeypatch.setattr(spectral, "_symmetry_generators",
+                        lambda op, floor: [parity, bad])
     with pytest.raises(spectral.SpectralError, match="couples symmetry blocks"):
         dense_spectrum(op)
 
@@ -519,7 +529,7 @@ def test_lanczos_takes_one_block_when_the_operator_couples_parities(
     odd = MajoranaPolynomial.monomial((0, 1, 2), 0.3j)
     h = build_hamiltonian(diamond, 0.1) + odd
     op = to_matrix(h, diamond.n_modes)
-    assert len(spectral._symmetry_blocks(op)) == 1
+    assert len(symmetry_blocks(op)) == 1
     dense = dense_spectrum(op)  # refuses a Hermiticity defect above 1e-12
     k = 9  # an 8-fold ground level
     lz = lanczos_ground(PauliSum(h, diamond.n_modes), k=k, seed=0)
@@ -531,7 +541,7 @@ def test_lanczos_takes_one_block_when_the_operator_couples_parities(
     assert _max_angle(lz, ref) <= 1e-6
     # the even Hamiltonian alone splits into the two blocks
     even = to_matrix(build_hamiltonian(diamond, 0.1), diamond.n_modes)
-    blocks = spectral._symmetry_blocks(even)
+    blocks = symmetry_blocks(even)
     assert [len(b) for b in blocks] == [128, 128]
     np.testing.assert_array_equal(_parity(256)[blocks[1]], 1)
 
@@ -596,7 +606,7 @@ def test_lanczos_k_equal_to_a_block_dimension(k):
 def test_symmetry_blocks_are_invariant_and_floored(boundary, lam, count):
     lat = build_lattice(4, 4, boundary)
     op = to_matrix(build_hamiltonian(lat, lam), lat.n_modes)
-    blocks = spectral._symmetry_blocks(op)
+    blocks = symmetry_blocks(op)
     assert len(blocks) == count
     # the blocks partition the index set
     np.testing.assert_array_equal(np.sort(blocks.ravel()), np.arange(op.dim))
@@ -1000,7 +1010,7 @@ def test_pauli_sum_floors_are_the_slot_floors_bit_for_bit(torus_4x4, lam):
     # those of the complex (masks, rows) slots in mask order
     op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
     assert op.gauge() is not None
-    rows = spectral._symmetry_blocks(op)[[0, 1, 7]].ravel()
+    rows = symmetry_blocks(op)[[0, 1, 7]].ravel()
     cols = rows ^ np.array(list(op.terms)).reshape(-1, 1)
     values = np.array([fock._mask_values(col, strings, False)
                        for col, strings in zip(cols, op._strings(None))])
@@ -1029,8 +1039,8 @@ def test_pauli_sum_blocks_are_the_operator_blocks_on_the_torus(torus_4x4, lam):
     h = build_hamiltonian(torus_4x4, lam)
     strings, op = PauliSum(h, torus_4x4.n_modes), to_matrix(h, torus_4x4.n_modes)
     np.testing.assert_array_equal(strings.masks, op.masks)
-    blocks = spectral._symmetry_blocks(strings)
-    np.testing.assert_array_equal(blocks, spectral._symmetry_blocks(op))
+    blocks = symmetry_blocks(strings)
+    np.testing.assert_array_equal(blocks, symmetry_blocks(op))
     for idx in blocks:
         assert_same_operator(strings.block(idx), operator_block(op, idx))
 
@@ -1043,7 +1053,7 @@ def _assert_blocks_built_in_the_reference_gauge(h, n_modes):
     strings = PauliSum(h, n_modes)
     y = strings.gauge()
     assert y is not None
-    for rows in spectral._symmetry_blocks(strings):
+    for rows in symmetry_blocks(strings):
         plain = strings.block(rows)
         assert reference_gauge_string(plain, rows) == y
         ref, d = reference_real_gauge(plain, rows, y)
@@ -1068,7 +1078,7 @@ def test_every_torus_block_has_an_exact_real_gauge(torus_4x4, lam):
 def test_diamond_lanczos_blocks_are_built_in_the_reference_gauge(
         diamond, monkeypatch):
     # the blocks of the lowered-cap Lanczos route: the two parities
-    assert spectral._symmetry_blocks(PauliSum(
+    assert symmetry_blocks(PauliSum(
         build_hamiltonian(diamond, 0.1), diamond.n_modes)).shape == (2, 128)
     _assert_blocks_built_in_the_reference_gauge(
         build_hamiltonian(diamond, 0.1), diamond.n_modes)
@@ -1076,7 +1086,7 @@ def test_diamond_lanczos_blocks_are_built_in_the_reference_gauge(
 
 def test_a_flipped_gauge_bit_is_refused_by_the_exact_check(torus_4x4):
     strings = PauliSum(build_hamiltonian(torus_4x4, 0.1), torus_4x4.n_modes)
-    rows = spectral._symmetry_blocks(strings)[0]
+    rows = symmetry_blocks(strings)[0]
     block = strings.block(rows)
     y = strings.gauge()
     for bit in range(strings.n_modes):
@@ -1136,7 +1146,7 @@ def test_ungauged_cluster_vectors_solve_the_complex_block(torus_4x4, lam, real):
     op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
     lz = lanczos_ground(op, seed=0, symmetries=translations(torus_4x4))
     assert lz.real_blocks == real
-    blocks = spectral._symmetry_blocks(op)
+    blocks = symmetry_blocks(op)
     for v in embedded_basis(lz).T:
         rows = next(b for b in blocks if np.linalg.norm(v[b]) > 0.5)
         assert np.iscomplexobj(op.block(rows).values)
@@ -1348,38 +1358,69 @@ def test_block_thermal_expectation_holds_one_stack_per_factor(open_3x4):
     assert abs(value - want) <= 1e-14 * _scale(fa), (value, want)
 
 
+@pytest.mark.parametrize("rows", [
+    [[2, 3], [0, 1]],  # out of label order
+    [[0, 1], [0, 1]],  # one block twice
+    [[1, 0], [2, 3]],  # a block not ascending
+    [[0, 1], [2, 4]],  # no coset of {0, 1}
+    [[0, 1, 2, 3]],  # not of the blocks' size
+    [[8, 9]],  # off the 8 states
+])
+def test_a_ground_space_refuses_rows_that_are_not_its_blocks(rows):
+    # the Z-strings 2 and 4 split 8 states into the cosets of {0, 1}: each
+    # row must be one of them, ascending, the rows in ascending label order
+    def ground(rows):
+        return spectral.GroundSpace(e0=0.0, dim=8, rows=np.array(rows),
+                                    gens=(2, 4), vectors=(), columns=(),
+                                    gap_tol=1e-8)
+
+    assert ground([[0, 1], [6, 7]]).rows.shape == (2, 2)
+    with pytest.raises(ValueError, match="not whole blocks"):
+        ground(rows)
+
+
 def test_thermal_expectation_rejects_blocks_that_are_not_cosets():
-    # {2, 4} is no coset of {0, 1}: bit mask 2 sends the block {0, 1} onto
-    # {2, 3}, half of block 1 and half of block 2
-    spec = Spectrum(blocks=np.array([[0, 1], [2, 4], [3, 5], [6, 7]]),
-                    values=np.zeros((4, 2)),
-                    vectors=np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)))
-    flip = MajoranaPolynomial.generator(2)  # Z_0 X_1
-    with pytest.raises(SpectralError, match="mask 2 splits block 0"):
-        thermal_expectation(flip, spec, 1.0)
-    # a mask that maps every block onto one block is applied
+    # {2, 4} is no coset of {0, 1}: bit mask 2 would send the block {0, 1}
+    # onto {2, 3}, half of block 1 and half of block 2.  A Spectrum refuses
+    # the layout when it is built, under the Z-strings whose block of
+    # state 0 is {0, 1}
+    values = np.zeros((4, 2))
+    vectors = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2))
+    with pytest.raises(ValueError, match="not every block"):
+        Spectrum(blocks=np.array([[0, 1], [2, 4], [3, 5], [6, 7]]), gens=(2, 4),
+                 values=values, vectors=vectors)
+    # on the cosets a mask that maps every block onto one block is applied
+    spec = Spectrum(blocks=split_oracle(8, (2, 4)), gens=(2, 4), values=values,
+                    vectors=vectors)
     swap = MajoranaPolynomial.generator(0)  # X_0
     assert thermal_expectation(swap, spec, 1.0) == 0
 
 
 @pytest.mark.parametrize("blocks,masks", [
     # masks 2 and 3 both send block 0 onto block 1, but block 2 onto
-    # blocks 2 and 3 in turn: each part is carried with its own block's map
+    # blocks 2 and 3 in turn: each part would be carried with its own
+    # block's map
     ([[0, 1], [2, 3], [4, 6], [5, 7]], [1, 2, 3]),
     # mask 14 sends the places 0, 1, 2, 3 of block 0 to 2, 3, 1, 0 of block
-    # 3, no involution: a row is read from the place of row ^ 14
+    # 3, no involution: a row would be read from the place of row ^ 14
     ([[0, 1, 2, 4], [3, 5, 6, 7], [8, 9, 11, 13], [10, 12, 14, 15]], [0, 14]),
 ])
 def test_thermal_expectation_where_blocks_are_not_cosets(blocks, masks):
     # every mask sends each block onto one block, as on cosets, but the
-    # blocks are none, so the embedding route is the only oracle
+    # blocks are none: a Spectrum refuses them when it is built.  On the
+    # cosets of the low bits (the Z-strings of the bits above them) the
+    # embedding route is the oracle
     rng = np.random.default_rng(5)
     blocks = np.array(blocks)
     count, size = blocks.shape
+    gens = tuple(size << i for i in range(count.bit_length() - 1))
     vectors = np.linalg.qr(rng.standard_normal((count, size, size))
                            + 1j * rng.standard_normal((count, size, size)))[0]
-    spec = Spectrum(blocks=blocks, values=rng.standard_normal((count, size)),
-                    vectors=vectors)
+    values = rng.standard_normal((count, size))
+    with pytest.raises(ValueError, match="not every block"):
+        Spectrum(blocks=blocks, gens=gens, values=values, vectors=vectors)
+    spec = Spectrum(blocks=split_oracle(blocks.size, gens), gens=gens,
+                    values=values, vectors=vectors)
     # every string X^x Z^z of the masks x with a random coefficient, so
     # each mask's entries are random; scaled by 2^-n/2, each entry's real
     # and imaginary parts have unit variance

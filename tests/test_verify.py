@@ -527,12 +527,35 @@ def test_loop_product_on_the_torus_is_the_full_space_product(torus_4x4):
         assert np.abs(loop_product(ground, w) - want).max() <= 1e-14
 
 
+def test_loop_product_holds_no_map_over_every_state(torus_4x4):
+    # the cluster block of each label and each state's place there are bit
+    # arithmetic on the split's Z-strings: a loop product on the torus
+    # ground space (one block of 4,096 states at lambda = 0.1) holds about
+    # 0.25 MiB (W's entries, its places and the gathered columns), where the
+    # first product also built two dim-long int64 maps, 1.2 MiB in all
+    import tracemalloc
+
+    ground = lanczos_ground(PauliSum(build_hamiltonian(torus_4x4, 0.1),
+                                     torus_4x4.n_modes),
+                            seed=0, symmetries=translations(torus_4x4))
+    for o in torus_4x4.octagons:
+        w = vortex_operator(torus_4x4, o).W
+        tracemalloc.start()
+        try:
+            loop_product(ground, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19, (o.center, peak)
+
+
 def _hand_ground(rows):
     """A GroundSpace on 8 states with one unit vector per state of the
-    equal-size blocks `rows`, columns in block order."""
+    equal-size blocks `rows`, columns in block order; the Z-strings 2 and
+    4 split the states into the cosets of {0, 1}."""
     rows = np.array(rows)
     count, size = rows.shape
-    return GroundSpace(e0=0.0, dim=8, rows=rows,
+    return GroundSpace(e0=0.0, dim=8, rows=rows, gens=(2, 4),
                        vectors=(np.eye(size, dtype=complex),) * count,
                        columns=tuple(np.arange(count * size).reshape(count, size)),
                        gap_tol=1e-8)
@@ -547,9 +570,10 @@ def test_a_loop_image_off_one_block_is_refused():
     for w in (flip, MajoranaPolynomial.monomial((3,), 1j)):
         assert np.array_equal(loop_product(ground, w),
                               embedded_loop_product(ground, to_matrix(w, 3)))
-    # {2, 3} is half of the block {2, 4} and half off the cluster
-    with pytest.raises(SpectralError, match="not onto one whole block"):
-        loop_product(_hand_ground([[0, 1], [2, 4]]), flip)
+    # {2, 4} is no block, so the image {2, 3} of {0, 1} would be half of
+    # it and half off the cluster: the ground space is refused when built
+    with pytest.raises(ValueError, match="not whole blocks"):
+        _hand_ground([[0, 1], [2, 4]])
     # wholly off the cluster: W B has no overlap with B
     off = _hand_ground([[0, 1], [4, 5]])
     assert not loop_product(off, flip)[:2].any()
