@@ -13,10 +13,11 @@ so every monomial is a Pauli string i^c X^x Z^z, kept as the integers
 amplitude i^c (-1)^popcount(n & z), a signed permutation with exactly
 one entry per row and column, values in {+-1, +-i} times the
 coefficient.  A `PauliSum` groups a polynomial's strings by bit-flip
-mask and builds operators from them on any set of states every mask
-maps to itself (the whole space in `to_matrix`, or a symmetry block),
-row chunk by row chunk, never by generic sparse-sparse products, as
-numpy arrays of fixed-width rows, one slot per mask (`SparseOperator`).
+mask and builds operators from them on any coset of states that every
+mask maps to itself (the whole space in `to_matrix`, or a symmetry
+block), row chunk by row chunk, with no array of the whole space and
+never by generic sparse-sparse products, as numpy arrays of fixed-width
+rows, one slot per mask (`SparseOperator`).
 Where no operator is needed its strings are read straight, mask by mask
 (`_mask_values`): the thermal functionals of `spectral` carry eigenvector
 blocks through a polynomial that way.
@@ -150,10 +151,16 @@ class SparseOperator:
         return np.flatnonzero(np.bincount(stored, minlength=self.dim))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """O x for a vector x.  Every row's sum starts from 0 and adds its
-        entries in stored order, as einsum forms them, so the one (k, dim)
-        temporary is the gather x[cols]."""
-        return np.einsum("ij,ij->j", self.values, x[self.cols])
+        """O x for a vector x, ROW_CHUNK rows at a time into one output.
+        Every row's sum starts from 0 and adds its entries in stored order,
+        as einsum forms them, so the one temporary is a chunk's (k,
+        ROW_CHUNK) gather of x."""
+        out = np.empty(self.dim, dtype=np.result_type(self.values, x))
+        for start in range(0, self.dim, ROW_CHUNK):
+            part = slice(start, start + ROW_CHUNK)
+            np.einsum("ij,ij->j", self.values[:, part], x[self.cols[:, part]],
+                      out=out[part])
+        return out
 
 
 def _mask_values(col: np.ndarray, strings, real: bool) -> np.ndarray:
@@ -282,33 +289,44 @@ class PauliSum:
         return out
 
     def block(self, rows: np.ndarray, y: int | None = None) -> SparseOperator:
-        """The operator on the Fock states `rows` (ascending, 2**m of them)
-        in their own coordinates, each row's slots in mask (`terms`)
-        order, built ROW_CHUNK rows at a time: complex, or with a gauge y
-        (`gauge`) D^dagger H D in float64, written straight from the
-        strings.  An entry leaving `rows` raises ValueError."""
+        """The operator on the Fock states `rows`, 2**m of them, in their
+        own coordinates, each row's slots in mask (`terms`) order, built
+        ROW_CHUNK rows at a time: complex, or with a gauge y (`gauge`)
+        D^dagger H D in float64, written straight from the strings.
+
+        Rows that are a coset of a subspace W, ascending (a Z-string block,
+        or every state), hold n ^ x at place i ^ p_x for a mask x in W,
+        p_x the place of rows[0] ^ x (one `searchsorted` per mask), so the
+        columns are i ^ p_x with no map of the whole space; they are
+        checked, rows[i ^ p_x] == rows[i] ^ x, a chunk at a time.  An
+        entry leaving `rows`, or rows that are not such a coset, raises
+        ValueError."""
         rows = np.asarray(rows, dtype=np.int64)
+        if not len(rows) or len(rows) & (len(rows) - 1):
+            raise ValueError(f"{len(rows)} rows are not 2**m states")
         strings = self._strings(y)
         masks = np.array(list(self.terms), dtype=np.int64).reshape(-1, 1)
+        # a mask whose rows[0] ^ x lies past the last row gets any place:
+        # the check below refuses it at row 0
+        places = np.minimum(np.searchsorted(rows, rows[0] ^ masks), len(rows) - 1)
         cols = np.empty((len(masks), len(rows)), dtype=np.int64)
         values = np.empty(cols.shape,
                           dtype=np.complex128 if y is None else np.float64)
-        if len(rows) < self.dim:  # on every state a column is its own place
-            place = np.full(self.dim, -1, dtype=np.int64)
-            place[rows] = np.arange(len(rows))
         for start in range(0, len(rows), ROW_CHUNK):
             part = slice(start, start + ROW_CHUNK)
             c = rows[part] ^ masks
             for out, col, s in zip(values[:, part], c, strings):
                 out[:] = _mask_values(col, s, y is not None)
-            if len(rows) < self.dim:
-                local = place[c]
-                if (local < 0).any():
-                    j, i = np.argwhere(local < 0)[0]
-                    raise ValueError(f"entry ({rows[part][i]}, {c[j, i]}) leaves "
-                                     f"the {len(rows)} rows of the block")
-                c = local
-            cols[:, part] = c
+            local = cols[:, part]
+            np.bitwise_xor(np.arange(start, start + local.shape[1]), places, out=local)
+            bad = rows[local] != c
+            if bad.any():
+                j, i = np.argwhere(bad)[0]
+                entry = f"entry ({rows[part][i]}, {c[j, i]})"
+                raise ValueError(f"{entry} leaves the {len(rows)} rows of the block"
+                                 if c[j, i] not in rows else
+                                 f"the {len(rows)} rows are not a coset: {entry} "
+                                 f"is not at place {start + i} ^ {places[j, 0]}")
         return SparseOperator(cols, values)
 
 

@@ -15,6 +15,8 @@ thermal state is block-diagonal too, so the Pauli table that the RP
 Gram reads has only the |span| = s columns x of the masks' span: every
 other column is exactly zero.  The blocks are the cosets of that span,
 so a state's block and place are bit arithmetic (`_labels`, `_places`),
+a block's states are its least state XOR the block of label 0
+(`_cosets`), enumerated from the strings with no sort of all 2^n states,
 and a polynomial's Pauli strings of one bit mask send a block onto one
 other block: thermal expectations carry the eigenvectors through them in
 (blocks, s, s) stacks, with no dim x dim array and no full-space map.
@@ -28,7 +30,10 @@ conjugate only the new vector, never the basis.  It runs in the same
 Z-string blocks of a `PauliSum`, and builds the operator of a block, a
 `SparseOperator` of numpy gathers, from its strings only when it
 solves there, one block at a time (a block it comes back to is built
-again): the full-space operator is never built.  An operator
+again): the full-space operator is never built, and no array of all
+2^n states is made.  It keeps each block as its least state and the
+block of label 0, and forms a block's rows only where they are read (its
+floors, its build, its cluster part).  An operator
 whose bit-flip masks each carry only real or only imaginary entries is
 real up to a diagonal phase d_n = i^parity(n & y), for a Z-string y
 found once by GF(2) elimination of the masks (`gauge`); Lanczos then
@@ -131,19 +136,50 @@ def _labels(n, gens, dtype=np.int64) -> np.ndarray:
     return out
 
 
-def _places(n, gens, n_modes: int) -> np.ndarray:
-    """The place of each state n (an int or an int64 array) in its block
-    of `gens`: its bits at the pivots of the reduced echelon basis of W,
-    the block of state 0 (`_annihilator` of gens), in pivot order.  States
-    of one block differ by elements of W, whose highest bits are pivots,
-    so this orders each block ascending; linear over XOR."""
+def _coset_basis(gens, n_modes: int) -> dict:
+    """The reduced echelon basis (pivot -> row) of W, the block of state 0
+    under the Z-strings `gens` (`_annihilator` of gens).  Each row's
+    highest bit is its pivot, and every row is clear at the others."""
     w: dict = {}
     for a in _annihilator(gens, n_modes):
         _echelon_insert(w, a)
+    return w
+
+
+def _places(n, gens, n_modes: int) -> np.ndarray:
+    """The place of each state n (an int or an int64 array) in its block
+    of `gens`: its bits at the pivots of `_coset_basis`, in pivot order.
+    States of one block differ by elements of W, whose highest bits are
+    pivots, so this orders each block ascending; linear over XOR."""
     out = np.zeros(np.shape(n), dtype=np.int64)
-    for j, p in enumerate(sorted(w)):
+    for j, p in enumerate(sorted(_coset_basis(gens, n_modes))):
         out |= (n >> p & 1) << j
     return out
+
+
+def _combinations(vectors) -> np.ndarray:
+    """Every XOR combination of `vectors`, by doubling: entry j combines
+    the vectors at the set bits of j."""
+    out = np.zeros(1 << len(vectors), dtype=np.int64)
+    for i, v in enumerate(vectors):
+        np.bitwise_xor(out[:1 << i], v, out=out[1 << i:2 << i])
+    return out
+
+
+def _cosets(gens, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of the Z-strings `gens` on n_modes as cosets (starts, w):
+    block b is starts[b] ^ w, ascending, with no array of all 2**n_modes
+    states.  w is W, the block of label 0, ascending, so that w[j] is the
+    state of place j (`_places`): the combinations of `_coset_basis` in
+    pivot order, each row clear above its own pivot and at the other
+    pivots.  starts[b], the least state of label b, is the one clear at
+    every pivot: the combinations of the free bits, placed by `_labels`."""
+    basis = _coset_basis(gens, n_modes)
+    w = _combinations([basis[p] for p in sorted(basis)])
+    free = _combinations([1 << f for f in range(n_modes) if f not in basis])
+    starts = np.empty_like(free)
+    starts[_labels(free, gens)] = free
+    return starts, w
 
 
 def _annihilator(vectors, n_modes: int) -> list[int]:
@@ -247,7 +283,7 @@ class GroundSpace:
     # block operators built, counting each rebuild of a representative
     # that the solver came back to (only one is held at a time)
     builds: int = 0
-    # wall time of the split, the floors and the block builds, and of the
+    # wall time of the cosets, the floors and the block builds, and of the
     # eigenpair solves
     build_ms: float = 0.0
     solve_ms: float = 0.0
@@ -272,8 +308,9 @@ def _require_hermitian(defect: float) -> None:
 def dense_spectrum(op: SparseOperator) -> Spectrum:
     """Every eigenpair, from one batched `eigh` of the Z-string blocks.
 
-    The split uses every diagonal Z-string that commutes with H
-    (`_symmetry_generators` with no floor), and the (count, s, s) stack is
+    The blocks are the cosets (`_cosets`) of every diagonal Z-string that
+    commutes with H (`_symmetry_generators` with no floor), and the
+    (count, s, s) stack is
     filled from the stored entries, placed by `_labels` and `_places`.  A
     stored mask of label other than 0 raises SpectralError: its entries
     couple blocks, and the split would drop them.  Then, every stored
@@ -289,7 +326,8 @@ def dense_spectrum(op: SparseOperator) -> Spectrum:
     leaks = masks[_labels(masks, gens) != 0]
     if len(leaks):
         raise SpectralError(f"mask {leaks[0]} couples symmetry blocks")
-    blocks = _split(op.dim, gens)
+    starts, w = _cosets(gens, op.n_modes)
+    blocks = starts[:, None] ^ w
     spec = Spectrum(blocks=blocks, gens=gens, values=np.empty(blocks.shape),
                     vectors=np.zeros(blocks.shape + blocks.shape[1:], complex))
     stored = op.values != 0
@@ -603,16 +641,6 @@ def _lowest_eigenpair(apply, dim, draw, deflate, conv_tol, max_matvecs, window,
 SYMMETRY_BLOCK_FLOOR = 4096
 
 
-def _split(dim: int, gens) -> np.ndarray:
-    """The Fock states 0..dim-1 split by the independent Z-strings `gens`:
-    row b holds, ascending, the states of label b (`_labels`).  The labels
-    are kept in the narrowest unsigned type (uint8 up to 8 strings), where
-    the stable sort is a radix sort."""
-    labels = _labels(np.arange(dim, dtype=np.int64), gens,
-                     np.min_scalar_type((1 << len(gens)) - 1))
-    return np.argsort(labels, kind="stable").reshape(1 << len(gens), -1)
-
-
 def _symmetry_generators(op: SparseOperator | PauliSum,
                          floor: int | None = None) -> list[int]:
     """The Z-strings that split `op` into its diagonal symmetry blocks.
@@ -696,36 +724,40 @@ def _signed_permutation(states: np.ndarray, pi: np.ndarray):
     return _moved(states, pi), 1 - 2 * inversions
 
 
-def _block_orbits(blocks: np.ndarray, gens: list[int], perms: list[np.ndarray]):
-    """Orbits of the blocks of `_split(dim, gens)` under the symmetry mode
-    permutations `perms`.
+def _block_orbits(starts: np.ndarray, n_modes: int, gens: list[int],
+                  perms: list[np.ndarray]):
+    """Orbits of the blocks of `gens` on n_modes, block b the coset of its
+    least state starts[b] (`_cosets`), under the symmetry mode permutations
+    `perms`.
 
     A mode permutation pi sends the Z-string g to pi(g).  When pi(g) lies
     in the span of `gens` for every generator, it sends each block onto
     one block, the one of pi(n) for any state n of it, and the two have
     the same spectrum.  A pi that moves some generator out of the span
     (the split stopped at the block floor part-way) mixes blocks and is
-    skipped.  Returns, for each block, its orbit's representative (the
-    least block of the orbit) and the mode permutation that carries the
-    representative onto it (the identity for a representative).
+    skipped.  A moved start is labelled in Python integers.  Returns, for
+    each block, its orbit's representative (the least block of the orbit)
+    and the mode permutation that carries the representative onto it (the
+    identity for a representative).
     """
     span: dict = {}
     for g in gens:
         _echelon_insert(span, g)
     usable = [pi for pi in perms
               if not any(_reduce(span, _moved(g, pi)) for g in gens)]
-    rep = [-1] * len(blocks)
-    carry: list = [None] * len(blocks)
-    for b in range(len(blocks)):
+    starts = starts.tolist()
+    rep = [-1] * len(starts)
+    carry: list = [None] * len(starts)
+    for b in range(len(starts)):
         if rep[b] >= 0:
             continue
-        rep[b], carry[b] = b, np.arange(blocks.size.bit_length() - 1)
+        rep[b], carry[b] = b, np.arange(n_modes)
         reached = [b]
         while reached:
             a = reached.pop()
-            n = int(blocks[a, 0])
             for pi in usable:
-                c = int(_labels(_moved(n, pi), gens))
+                n = _moved(starts[a], pi)
+                c = sum(((n & g).bit_count() & 1) << i for i, g in enumerate(gens))
                 if rep[c] < 0:
                     rep[c], carry[c] = b, pi[carry[a]]
                     reached.append(c)
@@ -744,7 +776,9 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
     inside the Z-string symmetry blocks of `_symmetry_generators`: the two
     fermion-parity blocks, split further while the blocks stay at least
     SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the 4x4 torus), or
-    one block if the operator couples the parities.
+    one block if the operator couples the parities.  Each block is kept as
+    its coset starts[b] ^ w (`_cosets`), and its rows are formed only for
+    its floors, its build and its cluster part.
 
     `symmetries` are Majorana maps (`lattice.translations`) claimed to
     leave H unchanged; each is checked exactly on the polynomial of
@@ -758,7 +792,8 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
 
     Each representative has a lower bound: its last-found eigenvalue,
     since its later ones lie above it, or before its first solve its
-    Gershgorin floor (`op.floors`, read on its rows only).  Each step
+    Gershgorin floor (`op.floors`, read on its rows only, one
+    representative at a time).  Each step
     finds one more eigenpair, deflated against the earlier ones of its
     block, in the representative whose bound is lowest (ties in block
     order), except that the representative solved last is kept while
@@ -783,7 +818,8 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
     stays block-resident: each vector is kept
     on its block's rows, a carried one scattered to its places there
     (SpectralError if a carried state's label is not the block's), and
-    the canonical basis is formed per block (`_block_cluster`).  The
+    the canonical basis is formed per block (`_block_cluster`), each
+    raw Lanczos vector released once its block's columns are taken.  The
     reported eigenvalues are the shortest certified prefix that meets
     the rule, max(k, n + 1) of them for a cluster of n: the cluster and
     the first value above it.  They come with their true residuals,
@@ -791,7 +827,7 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
     dimension and orbit count, the count of blocks closed by their
     floor, the count of solved blocks that ran real, the block-length
     products spent, the block builds (rebuilds included), and the wall
-    time of the split, floors and block builds and that of the solves.
+    time of the cosets, floors and block builds and that of the solves.
     """
     if not isinstance(op, PauliSum):
         raise TypeError(f"lanczos_ground reads a PauliSum, not {type(op).__name__}")
@@ -802,12 +838,12 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
     draw = _start_stream(seed)
     gens = _symmetry_generators(op)
     t0 = time.perf_counter()
-    blocks = _split(op.dim, gens)
-    size = blocks.shape[1]
-    rep, carry = _block_orbits(blocks, gens, perms)
+    starts, w = _cosets(gens, op.n_modes)  # block b is starts[b] ^ w
+    size = len(w)
+    rep, carry = _block_orbits(starts, op.n_modes, gens, perms)
     reps = sorted(set(rep))
     orbit = [rep.count(b) for b in reps]  # blocks in each representative's orbit
-    floors = op.floors(blocks[reps].ravel()).reshape(len(reps), size).min(axis=1)
+    floors = [op.floors(starts[r] ^ w).min() for r in reps]
     y = op.gauge()
     build = time.perf_counter() - t0
     solve = 0.0
@@ -843,7 +879,7 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
         t0 = time.perf_counter()
         if i != resident:
             block = None  # released before the next block is built
-            resident, block = i, op.block(blocks[reps[i]], y)
+            resident, block = i, op.block(starts[reps[i]] ^ w, y)
             built.add(i)
             builds += 1
         t1 = time.perf_counter()
@@ -856,23 +892,26 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
         found[i].append((val, vec, r))
 
     block = None  # the cluster's bases are formed without the last block
-    # every block's values are its representative's, in block order
-    pairs = sorted(((val, b, vec, r) for b in range(len(blocks))
-                    for val, vec, r in found[reps.index(rep[b])]),
-                   key=lambda p: p[0])
     e0 = certified[0]
     if gap_tol is None:
         gap_tol = default_gap_tol(e0)
     n = _cluster_count(np.array(certified), gap_tol)
-    pairs = pairs[:max(k, n + 1)]
+    # every block's values are its representative's, in block order
+    pairs = sorted(((val, b, vec, r) for b in range(len(starts))
+                    for val, vec, r in found[reps.index(rep[b])]),
+                   key=lambda p: p[0])[:max(k, n + 1)]
     members: dict[int, list] = {}
     for _, b, vec, _ in pairs[:n]:
         members.setdefault(b, []).append(vec)
+    # the raw vectors live on in `members` only, which parts() empties
+    # block by block as the bases are formed
+    pairs = [(val, b, r) for val, b, _, r in pairs]
+    del found, vec
 
     def parts():
         # one block's cluster columns at a time, in the block's own basis
         for b in sorted(members):
-            src = blocks[rep[b]]
+            src = starts[rep[b]] ^ w
             vecs = np.column_stack(members.pop(b))
             if y is not None:  # back from the real gauge
                 vecs = _PHASES[_bit_parity(src & y)][:, None] * vecs
@@ -882,16 +921,16 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
                     raise SpectralError(f"a cluster vector carried from block "
                                         f"{rep[b]} onto block {b} leaks out of it")
                 vecs[_places(states, gens, op.n_modes)] = sign[:, None] * vecs
-            yield blocks[b], vecs
+            yield starts[b] ^ w, vecs
 
     return GroundSpace(e0=e0, dim=op.dim, gens=tuple(gens), gap_tol=gap_tol,
                        gap=float(pairs[n][0] - e0) if len(pairs) > n else None,
                        **_block_cluster(parts()),
-                       eigenvalues=tuple(float(val) for val, _, _, _ in pairs),
-                       residuals=tuple(r for _, _, _, r in pairs),
-                       parities=() if len(blocks) == 1 else  # label bit 0
-                       tuple(b & 1 for _, b, _, _ in pairs),
-                       blocks=(len(blocks), size), orbits=len(reps),
+                       eigenvalues=tuple(float(val) for val, _, _ in pairs),
+                       residuals=tuple(r for _, _, r in pairs),
+                       parities=() if len(starts) == 1 else  # label bit 0
+                       tuple(b & 1 for _, b, _ in pairs),
+                       blocks=(len(starts), size), orbits=len(reps),
                        closed_by_bound=sum(orbit[i] for i in range(len(reps))
                                            if i not in built),
                        real_blocks=0 if y is None else len(built),

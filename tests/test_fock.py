@@ -13,6 +13,7 @@ from vortexcert.clifford import (
     GaussianRational,
     MajoranaPolynomial,
 )
+from vortexcert import fock
 from vortexcert.fock import (
     PauliSum,
     monomial_action,
@@ -161,6 +162,40 @@ def test_vector_product_is_the_slot_sum_bit_for_bit(lam):
             want = (op.values * v[op.cols]).sum(axis=0, initial=0)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gauged", [False, True])
+def test_a_chunked_product_is_the_one_einsum_product_bit_for_bit(gauged):
+    # a torus block of 4 ROW_CHUNKs (the parity and one more string) is
+    # summed chunk by chunk into one output, each row exactly as the one
+    # einsum over all its rows sums it
+    torus = _LATTICES["torus-4x4"]
+    h = PauliSum(build_hamiltonian(torus, 0.1), torus.n_modes)
+    rows = symmetry_blocks(h, floor=4 * fock.ROW_CHUNK)[1]
+    op = h.block(rows, h.gauge() if gauged else None)
+    assert op.dim == 4 * fock.ROW_CHUNK
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal(op.dim)
+    for v in (x, x + 1j * rng.standard_normal(op.dim)):
+        got = op.apply(v)
+        want = np.einsum("ij,ij->j", op.values, v[op.cols])
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_block_refuses_rows_that_are_not_a_coset(monkeypatch):
+    # c2 flips mode 1 (mask 2); the rows hold every entry of it, but row 4
+    # reaches 6 at place 5, not at place 4 ^ 2, in the second chunk of 4
+    monkeypatch.setattr(fock, "ROW_CHUNK", 4)
+    flip = PauliSum(MajoranaPolynomial.generator(2), 4)
+    with pytest.raises(ValueError, match=r"the 8 rows are not a coset: "
+                                         r"entry \(4, 6\) is not at place 4 \^ 2"):
+        flip.block(np.array([0, 1, 2, 3, 4, 6, 9, 11]))
+    with pytest.raises(ValueError, match="3 rows are not 2\\*\\*m states"):
+        flip.block(np.array([0, 1, 2]))
+    # a mask past the last row leaves at once
+    with pytest.raises(ValueError, match=r"entry \(0, 4\) leaves the 2 rows"):
+        PauliSum(MajoranaPolynomial.generator(4), 3).block(np.array([0, 1]))
 
 
 @pytest.mark.parametrize("name", list(_LATTICES))

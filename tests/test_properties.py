@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg as scipy_linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vortexcert import spectral
@@ -138,13 +138,16 @@ def z_splits(draw):
 
 @PROPERTY_SETTINGS
 @given(z_splits())
+@example((3, [], 5))  # no strings: one block of every state
+@example((3, [7, 3, 5], 6))  # full rank: one state per block
 def test_z_string_blocks_are_cosets_placed_by_bit_arithmetic(case):
-    # the split is the stable-argsort oracle's; row b holds the states of
-    # label b at places 0..s-1, and the label and place of n ^ m are those
-    # of n XOR those of m
+    # the cosets starts[b] ^ w are the stable-argsort oracle's split, row
+    # by row; row b holds the states of label b at places 0..s-1, and the
+    # label and place of n ^ m are those of n XOR those of m
     n_modes, gens, m = case
     dim = 1 << n_modes
-    rows = spectral._split(dim, gens)
+    starts, w = spectral._cosets(gens, n_modes)
+    rows = starts[:, None] ^ w
     np.testing.assert_array_equal(rows, split_oracle(dim, gens))
     count, size = rows.shape
     np.testing.assert_array_equal(spectral._labels(rows, gens),

@@ -354,8 +354,7 @@ def test_every_cluster_block_is_a_whole_z_block(diamond, torus_4x4, lam):
     # ones included
     op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
     ground = lanczos_ground(op, seed=0, symmetries=translations(torus_4x4))
-    _assert_whole_z_blocks(
-        ground, spectral._split(op.dim, spectral._symmetry_generators(op)))
+    _assert_whole_z_blocks(ground, symmetry_blocks(op))
     assert ground.blocks == (16, 4096)
 
 
@@ -728,16 +727,17 @@ def _torus_orbits(lat, lam):
     permutation of each block) under the lattice translations."""
     op = PauliSum(build_hamiltonian(lat, lam), lat.n_modes)
     gens = spectral._symmetry_generators(op)
-    blocks = spectral._split(op.dim, gens)
+    starts, w = spectral._cosets(gens, op.n_modes)
     perms = spectral._mode_permutations(op, translations(lat))
-    return (op, blocks, *spectral._block_orbits(blocks, gens, perms))
+    return (op, starts[:, None] ^ w,
+            *spectral._block_orbits(starts, op.n_modes, gens, perms))
 
 
 def test_torus_translations_solve_one_block_per_orbit(torus_4x4, monkeypatch):
     """At lambda = 0.1 the translations group the 16 blocks into 6 orbits:
     only the 4 even representatives (0, 2, 4, 14) are built, and 5 solves
     replace the 9 of `_only_even_torus_blocks_are_built`; the Gershgorin
-    floors are read on the 6 representatives' rows only."""
+    floors are read on the 6 representatives' rows only, one at a time."""
     op, blocks, rep, _ = _torus_orbits(torus_4x4, 0.1)
     assert rep == [0, 1, 2, 1, 4, 1, 2, 7, 2, 1, 4, 7, 2, 7, 14, 7]
     built, solved, read = [], [], []
@@ -764,7 +764,7 @@ def test_torus_translations_solve_one_block_per_orbit(torus_4x4, monkeypatch):
     assert sorted(built) == [0, 2, 4, 14] and len(solved) == 5
     # the odd orbits {1, 3, 5, 9} and {7, 11, 13, 15} close by their floor
     assert lz.closed_by_bound == 8
-    assert read == [6 * 4096]
+    assert read == [4096] * 6
     assert lz.matvecs <= 300
 
 
@@ -823,9 +823,10 @@ def test_lanczos_solves_a_degenerate_level_block_by_block(torus_4x4, seed):
 
 
 def test_lanczos_traced_peak_on_the_torus(torus_4x4):
-    # one resident block (1.1 MB of slots), its gather (0.5 MB) and the
-    # 64-row real Krylov window (2 MB): about 4.5 MB, where the 4 built
-    # blocks held to the end and a (k, dim) product array took 7.6 MB
+    # one resident block (1.1 MiB of slots), its gather (0.5 MiB) and the
+    # 64-row real Krylov window (2 MiB): 3.98 MiB, where the full-space
+    # split (0.5 MiB, live through every solve) made 4.45 MiB, and the 4
+    # built blocks held to the end and a (k, dim) product array 7.6 MiB
     op = PauliSum(build_hamiltonian(torus_4x4, 0.1), torus_4x4.n_modes)
     maps = translations(torus_4x4)
     tracemalloc.start()
@@ -834,7 +835,7 @@ def test_lanczos_traced_peak_on_the_torus(torus_4x4):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 2**20, f"peak {peak / 2**20:.2f} MB"
+    assert peak <= 4.1 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def _splitmix64(seed, n):
