@@ -12,15 +12,22 @@ so every monomial is a Pauli string i^c X^x Z^z, kept as the integers
 (x, z, c) of `monomial_pauli`: it sends basis state n to n ^ x with
 amplitude i^c (-1)^popcount(n & z), a signed permutation with exactly
 one entry per row and column, values in {+-1, +-i} times the
-coefficient.  A `PauliSum` groups a polynomial's strings by bit-flip
-mask and builds operators from them on any coset of states that every
-mask maps to itself (the whole space in `to_matrix`, or a symmetry
-block), row chunk by row chunk, with no array of the whole space and
-never by generic sparse-sparse products, as numpy arrays of fixed-width
-rows, one slot per mask (`SparseOperator`).
-Where no operator is needed its strings are read straight, mask by mask
-(`_mask_values`): the thermal functionals of `spectral` carry eigenvector
-blocks through a polynomial that way.
+coefficient.
+
+Diagonal Z-strings g, (-1)^popcount(n & g), split the states into
+blocks: a state's label has bit i the parity of n & gens[i].  A block is
+a coset of W, the block of label 0, so it is named by its least state
+and the strings: block b is starts[b] ^ w (`_cosets`, w ascending), and
+a state's label and place in its block are bit arithmetic (`_labels`,
+`_places`), both linear over XOR.  A `PauliSum` groups a polynomial's
+strings by bit-flip mask and turns them into slots on such cosets, one
+per mask, in one place (`PauliSum.slots`): mask x sends block b onto
+block b ^ label(x), place p onto place p ^ place(x), so its slots are
+read by XOR with no array of the whole space and no search.  The
+operator of one block (`PauliSum.block`; the whole space, no strings, in
+`to_matrix`) is a `SparseOperator` of numpy arrays of fixed-width rows;
+its Gershgorin floors (`PauliSum.floors`) and the thermal and loop
+carries of `spectral` and `verify` read the same slots.
 
 A phase gauge d_n = i^parity(n & y), for a Z-string y, turns an entry
 at (n, n ^ x) into conj(d_n) O_nm d_m, itself times i^(+-1) when
@@ -41,7 +48,8 @@ import numpy as np
 from .clifford import MajoranaPolynomial
 
 DENSE_DIM_CAP = 4096
-# rows a PauliSum builds at once: its slot arrays are (masks, ROW_CHUNK)
+# rows a SparseOperator product sums at once: its gather of the vector is
+# (masks, ROW_CHUNK)
 ROW_CHUNK = 4096
 
 _PHASES = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
@@ -75,6 +83,78 @@ def _echelon_insert(rows: dict, v: int) -> bool:
             rows[q] ^= v
     rows[p] = v
     return True
+
+
+def _annihilator(vectors, n_modes: int) -> list[int]:
+    """Generators of {g : popcount(g & v) even for every v in `vectors`}:
+    per free bit f of the vectors' reduced echelon basis, lowest first, e_f
+    plus the pivots of the rows that hold f (two bits of each row or none)."""
+    span: dict = {}
+    for v in vectors:
+        _echelon_insert(span, int(v))
+    return [(1 << f) | sum(1 << p for p, r in span.items() if r >> f & 1)
+            for f in range(n_modes) if f not in span]
+
+
+def _labels(n, gens, dtype=np.int64) -> np.ndarray:
+    """The block label of each state n (an int or an int64 array) under
+    the Z-strings `gens`: bit i is popcount(n & gens[i]) mod 2, in
+    `dtype`.  Linear over XOR: the label of n ^ m is label(n) ^ label(m)."""
+    out = np.zeros(np.shape(n), dtype=dtype)
+    for i, g in enumerate(gens):
+        out |= (np.bitwise_count(n & g) & 1).astype(dtype) << i
+    return out
+
+
+def _coset_basis(gens, n_modes: int) -> dict:
+    """The reduced echelon basis (pivot -> row) of W, the block of state 0
+    under the Z-strings `gens` (`_annihilator` of gens).  Each row's
+    highest bit is its pivot, and every row is clear at the others.
+    Dependent strings, whose labels would not name 2**len(gens) blocks,
+    raise ValueError."""
+    w: dict = {}
+    for a in _annihilator(gens, n_modes):
+        _echelon_insert(w, a)
+    if len(w) + len(gens) != n_modes:
+        raise ValueError(f"the Z-strings {list(gens)} on {n_modes} modes "
+                         f"are not independent")
+    return w
+
+
+def _places(n, gens, n_modes: int) -> np.ndarray:
+    """The place of each state n (an int or an int64 array) in its block
+    of `gens`: its bits at the pivots of `_coset_basis`, in pivot order.
+    States of one block differ by elements of W, whose highest bits are
+    pivots, so this orders each block ascending; linear over XOR."""
+    out = np.zeros(np.shape(n), dtype=np.int64)
+    for j, p in enumerate(sorted(_coset_basis(gens, n_modes))):
+        out |= (n >> p & 1) << j
+    return out
+
+
+def _combinations(vectors) -> np.ndarray:
+    """Every XOR combination of `vectors`, by doubling: entry j combines
+    the vectors at the set bits of j."""
+    out = np.zeros(1 << len(vectors), dtype=np.int64)
+    for i, v in enumerate(vectors):
+        np.bitwise_xor(out[:1 << i], v, out=out[1 << i:2 << i])
+    return out
+
+
+def _cosets(gens, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of the Z-strings `gens` on n_modes as cosets (starts, w):
+    block b is starts[b] ^ w, ascending, with no array of all 2**n_modes
+    states.  w is W, the block of label 0, ascending, so that w[j] is the
+    state of place j (`_places`): the combinations of `_coset_basis` in
+    pivot order, each row clear above its own pivot and at the other
+    pivots.  starts[b], the least state of label b, is the one clear at
+    every pivot: the combinations of the free bits, placed by `_labels`."""
+    basis = _coset_basis(gens, n_modes)
+    w = _combinations([basis[p] for p in sorted(basis)])
+    free = _combinations([1 << f for f in range(n_modes) if f not in basis])
+    starts = np.empty_like(free)
+    starts[_labels(free, gens)] = free
+    return starts, w
 
 
 def monomial_pauli(indices, n_modes: int) -> tuple[int, int, int]:
@@ -185,12 +265,13 @@ def _mask_values(col: np.ndarray, strings, real: bool) -> np.ndarray:
 class PauliSum:
     """A polynomial's Pauli strings grouped by bit-flip mask: `terms` maps
     each mask x to the (z, c, coefficient) of its strings i^c X^x Z^z
-    (`monomial_pauli`), in term order.  Row i of an operator built from
-    them has one slot per mask, in column i ^ x.  The strings of a mask
-    have distinct Z characters, which cannot cancel everywhere, so a mask
-    has a slot unless all its coefficients round to zero.  A block is
-    built complex, or straight in float64 in a phase gauge (`gauge`) that
-    makes it real.
+    (`monomial_pauli`), in term order.  The strings of a mask have
+    distinct Z characters, which cannot cancel everywhere, so a mask has a
+    slot unless all its coefficients round to zero.  Every operator read
+    from them comes from `slots`, their slots on Z-string cosets named by
+    (starts, gens): one block's operator (`block`), its Gershgorin floors
+    (`floors`), and the carries of `spectral` and `verify`, complex, or
+    straight in float64 in a phase gauge (`gauge`) that makes them real.
     """
 
     __slots__ = ("poly", "n_modes", "dim", "terms")
@@ -258,80 +339,66 @@ class PauliSum:
             out.append(gauged)
         return out
 
-    def floors(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """The Gershgorin floor Re H_nn - sum_{m != n} |H_nm| of each of the
-        states `rows`, in their order (default every state), ROW_CHUNK rows
-        at a time, summed mask by mask in `terms` order.  Every eigenvalue
-        of a Hermitian block lies in the union of its rows' discs, so the
-        least floor over an invariant block's rows bounds its spectrum
-        from below.  Each floor is lowered by (masks + 2) eps times its
-        row's absolute sum, which covers the round-off of the sums.  Where
-        a gauge exists the slots are computed real; the gauge changes no
-        |H_nm| and no diagonal."""
-        rows = (np.arange(self.dim, dtype=np.int64) if rows is None
-                else np.asarray(rows, dtype=np.int64))
-        y = self.gauge()
-        strings = self._strings(y)
-        slack = (len(self.terms) + 2) * np.finfo(float).eps
-        out = np.empty(len(rows))
-        for start in range(0, len(rows), ROW_CHUNK):
-            part = rows[start:start + ROW_CHUNK]
-            centre = np.zeros(len(part))
-            radius = np.zeros(len(part))
-            for x, s in zip(self.terms, strings):
-                v = _mask_values(part ^ x, s, y is not None)
-                if x:
-                    radius += np.abs(v)
-                else:
-                    centre += v.real
-            out[start:start + ROW_CHUNK] = (
-                centre - radius - slack * (np.abs(centre) + radius))
-        return out
-
-    def block(self, rows: np.ndarray, y: int | None = None) -> SparseOperator:
-        """The operator on the Fock states `rows`, 2**m of them, in their
-        own coordinates, each row's slots in mask (`terms`) order, built
-        ROW_CHUNK rows at a time: complex, or with a gauge y (`gauge`)
-        D^dagger H D in float64, written straight from the strings.
-
-        Rows that are a coset of a subspace W, ascending (a Z-string block,
-        or every state), hold n ^ x at place i ^ p_x for a mask x in W,
-        p_x the place of rows[0] ^ x (one `searchsorted` per mask), so the
-        columns are i ^ p_x with no map of the whole space; they are
-        checked, rows[i ^ p_x] == rows[i] ^ x, a chunk at a time.  An
-        entry leaving `rows`, or rows that are not such a coset, raises
+    def slots(self, starts, gens, y: int | None = None):
+        """The strings' slots on the blocks starts[b] ^ w of the Z-strings
+        `gens` (`_cosets`), one row per mask x in `terms` order: (moves,
+        src, values).  x sends the block of label l onto that of
+        l ^ moves[j] = l ^ label(x), and row p there reads the place
+        src[j, p] = p ^ place(x) of the block it comes from; values[j, b, p]
+        is x's entry at (n, n ^ x) for the state n = starts[b] ^ w[p], its
+        strings (`_strings`) summed in term order, complex, or in the gauge
+        y (`gauge`) float64.  The masks are walked one at a time, so no
+        (masks, s) array is made but these.  Dependent `gens` raise
         ValueError."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if not len(rows) or len(rows) & (len(rows) - 1):
-            raise ValueError(f"{len(rows)} rows are not 2**m states")
-        strings = self._strings(y)
-        masks = np.array(list(self.terms), dtype=np.int64).reshape(-1, 1)
-        # a mask whose rows[0] ^ x lies past the last row gets any place:
-        # the check below refuses it at row 0
-        places = np.minimum(np.searchsorted(rows, rows[0] ^ masks), len(rows) - 1)
-        cols = np.empty((len(masks), len(rows)), dtype=np.int64)
-        values = np.empty(cols.shape,
+        _, w = _cosets(gens, self.n_modes)
+        rows = np.asarray(starts, dtype=np.int64)[:, None] ^ w
+        masks = np.array(list(self.terms), dtype=np.int64)
+        values = np.empty((len(masks), *rows.shape),
                           dtype=np.complex128 if y is None else np.float64)
-        for start in range(0, len(rows), ROW_CHUNK):
-            part = slice(start, start + ROW_CHUNK)
-            c = rows[part] ^ masks
-            for out, col, s in zip(values[:, part], c, strings):
-                out[:] = _mask_values(col, s, y is not None)
-            local = cols[:, part]
-            np.bitwise_xor(np.arange(start, start + local.shape[1]), places, out=local)
-            bad = rows[local] != c
-            if bad.any():
-                j, i = np.argwhere(bad)[0]
-                entry = f"entry ({rows[part][i]}, {c[j, i]})"
-                raise ValueError(f"{entry} leaves the {len(rows)} rows of the block"
-                                 if c[j, i] not in rows else
-                                 f"the {len(rows)} rows are not a coset: {entry} "
-                                 f"is not at place {start + i} ^ {places[j, 0]}")
-        return SparseOperator(cols, values)
+        for out, x, strings in zip(values, self.terms, self._strings(y)):
+            out[:] = _mask_values(rows ^ x, strings, y is not None)
+        src = np.arange(len(w)) ^ _places(masks, gens, self.n_modes)[:, None]
+        return _labels(masks, gens), src, values
+
+    def floors(self, start: int, gens, y: int | None = None) -> np.ndarray:
+        """The Gershgorin floor Re H_nn - sum_{m != n} |H_nm| of each state
+        of the block start ^ w of the Z-strings `gens`, at its place, summed
+        mask by mask in `terms` order from the block's slots (`slots`, in
+        the gauge y when one is passed: it changes no |H_nm| and no
+        diagonal).  Every eigenvalue of a Hermitian block lies in the union
+        of its rows' discs, so the least floor over an invariant block's
+        rows bounds its spectrum from below.  Each floor is lowered by
+        (masks + 2) eps times its row's absolute sum, which covers the
+        round-off of the sums."""
+        _, _, values = self.slots([start], gens, y)
+        slack = (len(self.terms) + 2) * np.finfo(float).eps
+        centre = np.zeros(values.shape[2])
+        radius = np.zeros(values.shape[2])
+        for x, v in zip(self.terms, values[:, 0]):
+            if x:
+                radius += np.abs(v)
+            else:
+                centre += v.real
+        return centre - radius - slack * (np.abs(centre) + radius)
+
+    def block(self, start: int, gens, y: int | None = None) -> SparseOperator:
+        """The operator on the block start ^ w of the Z-strings `gens`
+        (`_cosets`), in its own coordinates, each row's slots in mask
+        (`terms`) order (`slots`): complex, or with a gauge y (`gauge`)
+        D^dagger H D in float64, written straight from the strings.  A mask
+        that moves the label sends the block off itself, and raises
+        ValueError naming it; every other mask x reads place p ^ place(x)."""
+        moves, src, values = self.slots([start], gens, y)
+        moving = np.flatnonzero(moves)
+        if len(moving):
+            x = list(self.terms)[moving[0]]
+            raise ValueError(f"mask {x} sends the block of state {start} off "
+                             f"itself under the Z-strings {list(gens)}")
+        return SparseOperator(src, values[:, 0])
 
 
 def to_matrix(poly: MajoranaPolynomial, n_modes: int) -> SparseOperator:
-    """ELL operator of a polynomial on the whole Fock space: one slot per
-    bit-flip mask, in mask order, the terms of a mask summed once
-    (`PauliSum.block`)."""
-    return PauliSum(poly, n_modes).block(np.arange(1 << n_modes, dtype=np.int64))
+    """ELL operator of a polynomial on the whole Fock space, the one block
+    of no Z-strings: one slot per bit-flip mask, in mask order, the terms
+    of a mask summed once (`PauliSum.block`)."""
+    return PauliSum(poly, n_modes).block(0, ())

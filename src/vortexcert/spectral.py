@@ -13,13 +13,15 @@ eigenvectors, and everything after the solver (the ground space, the
 Pauli table, the thermal functionals) reads a Spectrum only.  The
 thermal state is block-diagonal too, so the Pauli table that the RP
 Gram reads has only the |span| = s columns x of the masks' span: every
-other column is exactly zero.  The blocks are the cosets of that span,
-so a state's block and place are bit arithmetic (`_labels`, `_places`),
-a block's states are its least state XOR the block of label 0
-(`_cosets`), enumerated from the strings with no sort of all 2^n states,
-and a polynomial's Pauli strings of one bit mask send a block onto one
-other block: thermal expectations carry the eigenvectors through them in
-(blocks, s, s) stacks, with no dim x dim array and no full-space map.
+other column is exactly zero.  The blocks are the cosets of that span;
+the coset arithmetic lives in `fock` with the strings: a state's block
+and place are bit arithmetic (`_labels`, `_places`), a block's states
+are its least state XOR the block of label 0 (`_cosets`), enumerated
+from the strings with no sort of all 2^n states, and a polynomial's
+Pauli strings of one bit mask send a block onto one other block
+(`PauliSum.slots`): thermal expectations carry the eigenvectors through
+them in (blocks, s, s) stacks, with no dim x dim array and no
+full-space map.
 
 Above the cap a restarted, fully reorthogonalized Lanczos iteration
 with sequential deflation finds the low end of the spectrum, up to the
@@ -32,8 +34,10 @@ Z-string blocks of a `PauliSum`, and builds the operator of a block, a
 solves there, one block at a time (a block it comes back to is built
 again): the full-space operator is never built, and no array of all
 2^n states is made.  It keeps each block as its least state and the
-block of label 0, and forms a block's rows only where they are read (its
-floors, its build, its cluster part).  An operator
+block of label 0; the strings' slots on a block, which its floors and
+its build read, are named by its least state and the Z-strings
+(`PauliSum.slots`), and its rows are formed only for its cluster part.
+An operator
 whose bit-flip masks each carry only real or only imaginary entries is
 real up to a diagonal phase d_n = i^parity(n & y), for a Z-string y
 found once by GF(2) elimination of the masks (`gauge`); Lanczos then
@@ -88,9 +92,12 @@ from .fock import (
     DENSE_DIM_CAP,
     PauliSum,
     SparseOperator,
+    _annihilator,
     _bit_parity,
+    _cosets,
     _echelon_insert,
-    _mask_values,
+    _labels,
+    _places,
     _reduce,
     monomial_pauli,
 )
@@ -124,73 +131,6 @@ class IllSeparatedError(SpectralError):
 
 class ConvergenceError(SpectralError):
     pass
-
-
-def _labels(n, gens, dtype=np.int64) -> np.ndarray:
-    """The block label of each state n (an int or an int64 array) under
-    the Z-strings `gens`: bit i is popcount(n & gens[i]) mod 2, in
-    `dtype`.  Linear over XOR: the label of n ^ m is label(n) ^ label(m)."""
-    out = np.zeros(np.shape(n), dtype=dtype)
-    for i, g in enumerate(gens):
-        out |= (np.bitwise_count(n & g) & 1).astype(dtype) << i
-    return out
-
-
-def _coset_basis(gens, n_modes: int) -> dict:
-    """The reduced echelon basis (pivot -> row) of W, the block of state 0
-    under the Z-strings `gens` (`_annihilator` of gens).  Each row's
-    highest bit is its pivot, and every row is clear at the others."""
-    w: dict = {}
-    for a in _annihilator(gens, n_modes):
-        _echelon_insert(w, a)
-    return w
-
-
-def _places(n, gens, n_modes: int) -> np.ndarray:
-    """The place of each state n (an int or an int64 array) in its block
-    of `gens`: its bits at the pivots of `_coset_basis`, in pivot order.
-    States of one block differ by elements of W, whose highest bits are
-    pivots, so this orders each block ascending; linear over XOR."""
-    out = np.zeros(np.shape(n), dtype=np.int64)
-    for j, p in enumerate(sorted(_coset_basis(gens, n_modes))):
-        out |= (n >> p & 1) << j
-    return out
-
-
-def _combinations(vectors) -> np.ndarray:
-    """Every XOR combination of `vectors`, by doubling: entry j combines
-    the vectors at the set bits of j."""
-    out = np.zeros(1 << len(vectors), dtype=np.int64)
-    for i, v in enumerate(vectors):
-        np.bitwise_xor(out[:1 << i], v, out=out[1 << i:2 << i])
-    return out
-
-
-def _cosets(gens, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of the Z-strings `gens` on n_modes as cosets (starts, w):
-    block b is starts[b] ^ w, ascending, with no array of all 2**n_modes
-    states.  w is W, the block of label 0, ascending, so that w[j] is the
-    state of place j (`_places`): the combinations of `_coset_basis` in
-    pivot order, each row clear above its own pivot and at the other
-    pivots.  starts[b], the least state of label b, is the one clear at
-    every pivot: the combinations of the free bits, placed by `_labels`."""
-    basis = _coset_basis(gens, n_modes)
-    w = _combinations([basis[p] for p in sorted(basis)])
-    free = _combinations([1 << f for f in range(n_modes) if f not in basis])
-    starts = np.empty_like(free)
-    starts[_labels(free, gens)] = free
-    return starts, w
-
-
-def _annihilator(vectors, n_modes: int) -> list[int]:
-    """Generators of {g : popcount(g & v) even for every v in `vectors`}:
-    per free bit f of the vectors' reduced echelon basis, lowest first, e_f
-    plus the pivots of the rows that hold f (two bits of each row or none)."""
-    span: dict = {}
-    for v in vectors:
-        _echelon_insert(span, int(v))
-    return [(1 << f) | sum(1 << p for p, r in span.items() if r >> f & 1)
-            for f in range(n_modes) if f not in span]
 
 
 def _require_blocks(rows: np.ndarray, gens, dim: int, every: bool) -> None:
@@ -777,8 +717,10 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
     fermion-parity blocks, split further while the blocks stay at least
     SYMMETRY_BLOCK_FLOOR states (16 blocks of 4,096 on the 4x4 torus), or
     one block if the operator couples the parities.  Each block is kept as
-    its coset starts[b] ^ w (`_cosets`), and its rows are formed only for
-    its floors, its build and its cluster part.
+    its coset starts[b] ^ w (`_cosets`): its floors and its operator are
+    asked for by (starts[b], gens, y), both read from the same slots
+    (`PauliSum.slots`), and its rows are formed only for its cluster
+    part.
 
     `symmetries` are Majorana maps (`lattice.translations`) claimed to
     leave H unchanged; each is checked exactly on the polynomial of
@@ -792,8 +734,8 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
 
     Each representative has a lower bound: its last-found eigenvalue,
     since its later ones lie above it, or before its first solve its
-    Gershgorin floor (`op.floors`, read on its rows only, one
-    representative at a time).  Each step
+    Gershgorin floor (`op.floors` of its block only, in the gauge y,
+    one representative at a time).  Each step
     finds one more eigenpair, deflated against the earlier ones of its
     block, in the representative whose bound is lowest (ties in block
     order), except that the representative solved last is kept while
@@ -810,8 +752,8 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
     representative being solved is held: it is released before the next
     one is built, and a representative the search comes back to is built
     again from the strings.  When a Z-string phase gauge makes
-    the operator real (`op.gauge()`, solved once), every block is built
-    in it and solved in float64, and its cluster vectors are multiplied
+    the operator real (`op.gauge()`, solved once, before the floors),
+    every block is built in it and solved in float64, and its cluster vectors are multiplied
     back by the gauge before they are kept or carried.  One start-vector
     stream (`_start_stream` of `seed`) and one matvec budget are shared
     in that fixed order, so results are deterministic.  The cluster
@@ -843,8 +785,8 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
     rep, carry = _block_orbits(starts, op.n_modes, gens, perms)
     reps = sorted(set(rep))
     orbit = [rep.count(b) for b in reps]  # blocks in each representative's orbit
-    floors = [op.floors(starts[r] ^ w).min() for r in reps]
     y = op.gauge()
+    floors = [op.floors(starts[r], gens, y).min() for r in reps]
     build = time.perf_counter() - t0
     solve = 0.0
     # the one resident block operator, of representative `resident`
@@ -879,7 +821,7 @@ def lanczos_ground(op: PauliSum, k: int = 1, seed: int = 0,
         t0 = time.perf_counter()
         if i != resident:
             block = None  # released before the next block is built
-            resident, block = i, op.block(starts[reps[i]] ^ w, y)
+            resident, block = i, op.block(starts[reps[i]], gens, y)
             built.add(i)
             builds += 1
         t1 = time.perf_counter()
@@ -953,23 +895,6 @@ def _boltzmann(values: np.ndarray, beta: float) -> np.ndarray:
         return np.exp(-beta * (values - values.min()))
 
 
-def _mask_slots(f: MajoranaPolynomial, rows: np.ndarray, gens):
-    """The slots of f on the blocks `rows` of the Z-strings `gens`, one row
-    per bit mask m of its Pauli strings (`PauliSum`), ascending: (moves,
-    src, weight).  m sends the block of label l onto that of l ^ moves[j]
-    = l ^ label(m), whose row p reads the place src[j, p] = p ^ place(m)
-    of the block it comes from; weight[j, c] are the entries (row, row ^ m)
-    of the rows of block c, m's strings at the columns row ^ m."""
-    n_modes = (rows.shape[1] << len(gens)).bit_length() - 1
-    terms = PauliSum(f, n_modes).terms
-    masks = np.array(sorted(terms), dtype=np.int64)
-    src = np.arange(rows.shape[1]) ^ _places(masks, gens, n_modes)[:, None]
-    weight = np.empty((len(masks), *rows.shape), dtype=np.complex128)
-    for out, m in zip(weight, masks.tolist()):
-        out[:] = _mask_values(rows ^ m, terms[m], False)
-    return _labels(masks, gens), src, weight
-
-
 def thermal_expectation(o, spec: Spectrum, beta: float) -> complex:
     """<O> in the thermal state e^{-beta H} / Z, energies shifted by E0,
     for the Spectrum of H.
@@ -979,21 +904,25 @@ def thermal_expectation(o, spec: Spectrum, beta: float) -> complex:
     beyond the spectrum's modes raises ValueError.
 
     Runs in the blocks of the Spectrum, the cosets of its block of state 0
-    in label order.  The Pauli strings of one bit mask m send block b onto
-    block b ^ move, move the label of m, and each row there reads the
-    place p ^ place(m) (`_mask_slots`).  The eigenvectors pass through the
-    factors, right to left, as (count, s, s) stacks of parts, the part of
-    every eigenvector block b lying in block b ^ lies for one label lies.
-    A factor's masks of one label add into one stack, which passes on to
-    the next factor before the next stack is formed, so only one stack per
-    factor is held.  At the last factor only the masks that return every
-    part to its own block (label lies) are applied, and <v|O|v> is one
-    einsum against the eigenvectors.
+    in label order, each named by its least state.  The Pauli strings of
+    one bit mask m send block b onto block b ^ move, move the label of m,
+    and each row there reads the place p ^ place(m) (`PauliSum.slots` of
+    each factor on the blocks' least states).  The eigenvectors pass
+    through the factors, right to left, as (count, s, s) stacks of parts,
+    the part of every eigenvector block b lying in block b ^ lies for one
+    label lies.  A factor's masks of one label, in `terms` order, add
+    into one stack, which passes on to the next factor before the next
+    stack is formed, so only one stack per factor is held.  At the last
+    factor only the masks that return every part to its own block (label
+    lies) are applied, and <v|O|v> is one einsum against the
+    eigenvectors.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
     factors = o if isinstance(o, (list, tuple)) else (o,)
-    slots = [_mask_slots(f, spec.blocks, spec.gens) for f in reversed(factors)]
+    n_modes = spec.dim.bit_length() - 1
+    slots = [PauliSum(f, n_modes).slots(spec.blocks[:, 0], spec.gens)
+             for f in reversed(factors)]
     own = np.arange(len(spec.blocks))
     ov = np.zeros(spec.vectors.shape, dtype=np.complex128) if slots else spec.vectors
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .clifford import MajoranaPolynomial, commutator
+from .fock import PauliSum, _labels
 from .fock import to_matrix  # noqa: F401  (wrapped here by bench/tracing.py)
 from .lattice import IslandLattice, ReflectionData
 from .model import (
@@ -47,8 +48,6 @@ from .spectral import (
     PauliTable,
     SpectralError,
     Spectrum,
-    _labels,
-    _mask_slots,
     # imported for the benchmark tracer (bench/tracing.py), which wraps
     # it at this name
     dense_spectrum,  # noqa: F401
@@ -275,8 +274,9 @@ def loop_product(ground: GroundSpace, w: MajoranaPolynomial) -> np.ndarray:
 
     W = a i^c X^x Z^z moves each block's label by that of x, found in the
     cluster through a 2^k index, or off it, where W B has no overlap
-    with B.  The slots (move, src, weight) of W are the ones that carry
-    the thermal eigenvectors (`_mask_slots`), so B^dagger W B is one small
+    with B.  The slots (move, src, weight) of W on the cluster blocks,
+    named by their least states (`PauliSum.slots`), are the ones that
+    carry the thermal eigenvectors, so B^dagger W B is one small
     product per block c that W reaches: c's own columns against the
     columns of the block e that W sends onto c, gathered at the places
     src and scaled by W's entries there.  Entries land at the blocks'
@@ -285,7 +285,9 @@ def loop_product(ground: GroundSpace, w: MajoranaPolynomial) -> np.ndarray:
     terms = w.terms()
     if len(terms) != 1:
         raise ValueError(f"a loop has one term, not {len(terms)}")
-    [move], [src], [weight] = _mask_slots(w, ground.rows, ground.gens)
+    n_modes = ground.dim.bit_length() - 1
+    [move], [src], [weight] = PauliSum(w, n_modes).slots(ground.rows[:, 0],
+                                                         ground.gens)
     vectors, columns = ground.vectors, ground.columns
     labels = _labels(ground.rows[:, 0], ground.gens)
     index = np.full(1 << len(ground.gens), -1)  # the cluster block of a label

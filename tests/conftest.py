@@ -17,10 +17,11 @@ from vortexcert.fock import (
     _PHASES,
     SparseOperator,
     _bit_parity,
+    _cosets,
     _echelon_insert,
     monomial_action,
 )
-from vortexcert.spectral import _cosets, _symmetry_generators
+from vortexcert.spectral import _symmetry_generators
 from vortexcert.verify import _span_rows
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -130,11 +131,20 @@ def row_floors(cols: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.nda
     return centre - radius - slack
 
 
+def symmetry_split(op, floor=None) -> tuple[list, np.ndarray]:
+    """(gens, blocks): the Z-strings `_symmetry_generators` that the
+    solvers split `op` by, and its blocks, one row per block in label
+    order, the `_cosets` of those strings.  Row b's first state names its
+    block to `PauliSum.block` and `PauliSum.floors` with gens."""
+    gens = _symmetry_generators(op, floor)
+    starts, w = _cosets(gens, op.n_modes)
+    return gens, starts[:, None] ^ w
+
+
 def symmetry_blocks(op, floor=None) -> np.ndarray:
     """The Z-string blocks of `op` that the solvers split by, one row per
-    block in label order: the `_cosets` of `_symmetry_generators`."""
-    starts, w = _cosets(_symmetry_generators(op, floor), op.n_modes)
-    return starts[:, None] ^ w
+    block in label order (`symmetry_split`)."""
+    return symmetry_split(op, floor)[1]
 
 
 def split_oracle(dim: int, gens) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Fock-space representation against the independent Kronecker oracle."""
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from conftest import (
     nnz,
     oracle_majorana,
     oracle_matrix,
-    symmetry_blocks,
+    symmetry_split,
     to_dense,
 )
 
@@ -152,8 +154,8 @@ def test_vector_product_is_the_slot_sum_bit_for_bit(lam):
     diamond, torus = _LATTICES["diamond"], _LATTICES["torus-4x4"]
     ops = [to_matrix(build_hamiltonian(diamond, lam), diamond.n_modes)]
     h = PauliSum(build_hamiltonian(torus, lam), torus.n_modes)
-    blocks = symmetry_blocks(h)
-    ops += [h.block(blocks[b], y) for b in (0, 3, 6, 9, 12, 15)
+    gens, blocks = symmetry_split(h)
+    ops += [h.block(blocks[b, 0], gens, y) for b in (0, 3, 6, 9, 12, 15)
             for y in (None, h.gauge())]
     for op in ops:
         x = rng.standard_normal(op.dim)
@@ -171,8 +173,8 @@ def test_a_chunked_product_is_the_one_einsum_product_bit_for_bit(gauged):
     # einsum over all its rows sums it
     torus = _LATTICES["torus-4x4"]
     h = PauliSum(build_hamiltonian(torus, 0.1), torus.n_modes)
-    rows = symmetry_blocks(h, floor=4 * fock.ROW_CHUNK)[1]
-    op = h.block(rows, h.gauge() if gauged else None)
+    gens, blocks = symmetry_split(h, floor=4 * fock.ROW_CHUNK)
+    op = h.block(blocks[1, 0], gens, h.gauge() if gauged else None)
     assert op.dim == 4 * fock.ROW_CHUNK
     rng = np.random.default_rng(30)
     x = rng.standard_normal(op.dim)
@@ -183,19 +185,60 @@ def test_a_chunked_product_is_the_one_einsum_product_bit_for_bit(gauged):
         assert got.tobytes() == want.tobytes()
 
 
-def test_block_refuses_rows_that_are_not_a_coset(monkeypatch):
-    # c2 flips mode 1 (mask 2); the rows hold every entry of it, but row 4
-    # reaches 6 at place 5, not at place 4 ^ 2, in the second chunk of 4
-    monkeypatch.setattr(fock, "ROW_CHUNK", 4)
+def test_block_refuses_a_mask_that_moves_the_label():
+    # under the Z-string of mode 1 (gens (2,)) c2 flips mode 1, mask 2 of
+    # label 1: it sends each block onto the other, so neither is closed;
+    # the label is read off the mask, not off the block's entries
     flip = PauliSum(MajoranaPolynomial.generator(2), 4)
-    with pytest.raises(ValueError, match=r"the 8 rows are not a coset: "
-                                         r"entry \(4, 6\) is not at place 4 \^ 2"):
-        flip.block(np.array([0, 1, 2, 3, 4, 6, 9, 11]))
-    with pytest.raises(ValueError, match="3 rows are not 2\\*\\*m states"):
-        flip.block(np.array([0, 1, 2]))
-    # a mask past the last row leaves at once
-    with pytest.raises(ValueError, match=r"entry \(0, 4\) leaves the 2 rows"):
-        PauliSum(MajoranaPolynomial.generator(4), 3).block(np.array([0, 1]))
+    for start in (0, 2):
+        with pytest.raises(ValueError, match=r"mask 2 sends the block of state "
+                                             rf"{start} off itself"):
+            flip.block(start, (2,))
+    # the first mask of `terms` order that moves names the refusal
+    c = MajoranaPolynomial.generator
+    both = PauliSum(c(0) * c(1) * 1j + c(4) + c(2), 4)
+    assert list(both.terms) == [0, 4, 2]
+    with pytest.raises(ValueError, match="mask 4 sends"):
+        both.block(0, (6,))
+    # the strings of the other modes close it
+    op = PauliSum(c(0) * c(1) * 1j + c(6), 4).block(0, (2,))
+    assert op.dim == 8
+
+
+def test_dependent_z_strings_name_no_cosets():
+    op = PauliSum(MajoranaPolynomial.generator(0), 3)
+    for gens in ((3, 5, 6), (1, 1), (0,)):
+        with pytest.raises(ValueError, match="are not independent"):
+            op.slots([0], gens)
+        with pytest.raises(ValueError, match="are not independent"):
+            op.block(0, gens)
+    # independent strings, however written, are accepted
+    assert op.slots([0], (3, 5))[2].shape == (1, 1, 2)
+
+
+def test_slots_are_built_only_inside_pauli_sum():
+    # every slot value is made by PauliSum.slots; a second builder of
+    # slots from Pauli strings (_mask_values, PauliSum._strings) anywhere
+    # else in the package would be a parallel copy of the one path
+    src = Path(fock.__file__).parent
+    callers = set()
+    for file in sorted(src.glob("*.py")):
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    inner = (*scope, child.name)
+                if isinstance(child, ast.Call):
+                    f = child.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+                    if name in ("_mask_values", "_strings"):
+                        callers.add((file.stem, ".".join(scope), name))
+                visit(child, inner)
+
+        visit(ast.parse(file.read_text()), ())
+    assert callers == {("fock", "PauliSum.slots", "_mask_values"),
+                       ("fock", "PauliSum.slots", "_strings")}
 
 
 @pytest.mark.parametrize("name", list(_LATTICES))
@@ -229,11 +272,12 @@ def test_a_mask_whose_coefficients_round_to_zero_has_no_slot_row():
 
 
 def test_block_refuses_rows_a_mask_leaves():
-    # c0 flips mode 0, so {0, 2} is not closed: state 0 reaches state 1
-    with pytest.raises(ValueError, match=r"entry \(0, 1\) leaves the 2 rows"):
-        PauliSum(MajoranaPolynomial.generator(0), 2).block(np.array([0, 2]))
+    # c0 flips mode 0, so {0, 2}, the block of state 0 under the Z-string
+    # of mode 0, is not closed: state 0 reaches state 1
+    with pytest.raises(ValueError, match="mask 1 sends the block of state 0"):
+        PauliSum(MajoranaPolynomial.generator(0), 2).block(0, (1,))
     # the modes it does not flip close it
-    op = PauliSum(MajoranaPolynomial.generator(2), 2).block(np.array([0, 2]))
+    op = PauliSum(MajoranaPolynomial.generator(2), 2).block(0, (1,))
     np.testing.assert_array_equal(to_dense(op), [[0, 1], [1, 0]])
 
 

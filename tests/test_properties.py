@@ -17,7 +17,7 @@ import scipy.linalg as scipy_linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vortexcert import spectral
+from vortexcert import fock, spectral
 from vortexcert.clifford import (
     GaussianRational,
     MajoranaPolynomial,
@@ -41,6 +41,7 @@ from conftest import (
     row_floors,
     split_oracle,
     symmetry_blocks,
+    symmetry_split,
 )
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
@@ -146,17 +147,17 @@ def test_z_string_blocks_are_cosets_placed_by_bit_arithmetic(case):
     # label and place of n ^ m are those of n XOR those of m
     n_modes, gens, m = case
     dim = 1 << n_modes
-    starts, w = spectral._cosets(gens, n_modes)
+    starts, w = fock._cosets(gens, n_modes)
     rows = starts[:, None] ^ w
     np.testing.assert_array_equal(rows, split_oracle(dim, gens))
     count, size = rows.shape
-    np.testing.assert_array_equal(spectral._labels(rows, gens),
+    np.testing.assert_array_equal(fock._labels(rows, gens),
                                   np.repeat(np.arange(count)[:, None], size, axis=1))
-    np.testing.assert_array_equal(spectral._places(rows, gens, n_modes),
+    np.testing.assert_array_equal(fock._places(rows, gens, n_modes),
                                   np.broadcast_to(np.arange(size), rows.shape))
     states = np.arange(dim)
-    for coordinate in (lambda n: spectral._labels(n, gens),
-                       lambda n: spectral._places(n, gens, n_modes)):
+    for coordinate in (lambda n: fock._labels(n, gens),
+                       lambda n: fock._places(n, gens, n_modes)):
         np.testing.assert_array_equal(coordinate(states ^ m),
                                       coordinate(states) ^ coordinate(m))
 
@@ -165,7 +166,7 @@ def test_z_string_blocks_are_cosets_placed_by_bit_arithmetic(case):
 @given(polynomials_on_z_blocks())
 def test_the_pauli_string_gather_is_the_operator_product(case):
     # W V carried through W's slots on the kept Z-string blocks
-    # (`_mask_slots`), summed in the operator's mask order, against W's
+    # (`PauliSum.slots`), summed in the operator's mask order, against W's
     # operator applied to V on the whole space: equal entry for entry, so
     # bit for bit wherever the entry is non-zero (IEEE equality lets a zero
     # differ only in its sign; a mask that sends a block off the kept ones
@@ -184,13 +185,12 @@ def test_the_pauli_string_gather_is_the_operator_product(case):
     held[ground.rows] = True
     v[~held] = 0
     want = apply_columns(to_matrix(w, n_modes), v)
-    moves, src, weight = spectral._mask_slots(w, ground.rows, ground.gens)
-    masks = sorted(PauliSum(w, n_modes).terms)
-    assert len(moves) == len(masks)
+    strings = PauliSum(w, n_modes)
+    moves, src, weight = strings.slots(ground.rows[:, 0], ground.gens)
+    assert len(moves) == len(strings.terms)
     for c, rows in enumerate(ground.rows):
         got = np.zeros((len(rows), width), dtype=np.complex128)
-        for m in PauliSum(w, n_modes).terms:  # the operator's slot order
-            j = masks.index(m)
+        for j, m in enumerate(strings.terms):  # the operator's slot order
             onto = kept[c] ^ int(moves[j])  # the label of rows ^ m
             if onto not in kept:
                 assert not held[rows ^ m].any()
@@ -199,6 +199,73 @@ def test_the_pauli_string_gather_is_the_operator_product(case):
             assert np.array_equal(image, rows ^ m)
             got += v[image] * weight[j, c, :, None]
         assert np.array_equal(got, want[rows])
+
+
+def _gauged(key, r, y: int, n_modes: int) -> complex:
+    """The coefficient a of the monomial `key`, string i^c a X^x Z^z, with
+    i^c a = r where popcount(x & y) is even and i r where it is odd: real
+    in the phase gauge y."""
+    x, _, c = fock.monomial_pauli(key, n_modes)
+    return complex(r * 1j ** ((x & y).bit_count() % 2 - c))
+
+
+@st.composite
+def strings_on_z_splits(draw):
+    """A polynomial's Pauli strings, independent Z-strings, the labels of
+    the blocks kept, and a gauge: None, or a Z-string y that makes every
+    mask real (each coefficient set by `_gauged`)."""
+    n_modes = draw(st.integers(1, 5))
+    span: dict = {}
+    gens = [g for g in draw(st.lists(st.integers(1, (1 << n_modes) - 1),
+                                     max_size=n_modes))
+            if _echelon_insert(span, g)]
+    kept = sorted(draw(st.sets(st.integers(0, (1 << len(gens)) - 1), min_size=1)))
+    y = draw(st.one_of(st.none(), st.integers(0, (1 << n_modes) - 1)))
+    keys = draw(st.lists(st.sets(st.integers(0, 2 * n_modes - 1), max_size=4)
+                         .map(lambda k: tuple(sorted(k))),
+                         min_size=1, max_size=5, unique=True))
+    terms = {}
+    for key in keys:
+        a = draw(_coefficients.filter(bool))
+        terms[key] = a if y is None else _gauged(key, a.real or a.imag, y, n_modes)
+    return n_modes, MajoranaPolynomial(terms), gens, kept, y
+
+
+# c0 (mask 1) moves the label of the strings (1, 6); i c2 c3 and c1 c4 stay
+_MOVING = {(0,): 1, (2, 3): 1j, (1, 4): 2}
+
+
+@PROPERTY_SETTINGS
+@given(strings_on_z_splits())
+@example((3, MajoranaPolynomial(_MOVING), [1, 6], [0, 3], None))
+@example((3, MajoranaPolynomial({k: _gauged(k, 1, 5, 3) for k in _MOVING}),
+          [1, 6], [1, 2], 5))
+def test_slots_are_the_oracle_entries_on_z_string_cosets(case):
+    # on the blocks kept of a stable-argsort split, mask x's row moves the
+    # label by x's, its src reads row ^ x in the block it lands on, and
+    # its values are the Kronecker oracle's entries (n, n ^ x), or those of
+    # D^dagger M D (d_n = i^parity(n & y)) in float64 in the gauge y
+    n_modes, p, gens, kept, y = case
+    dim = 1 << n_modes
+    blocks = split_oracle(dim, gens)
+    strings = PauliSum(p, n_modes)
+    moves, src, values = strings.slots(blocks[kept, 0], gens, y)
+    m = oracle_matrix(p, n_modes)
+    if y is not None:
+        d = np.array([1j ** ((n & y).bit_count() & 1) for n in range(dim)])
+        m = d.conj()[:, None] * m * d
+        assert np.abs(m.imag).max() <= 1e-12
+    assert values.dtype == (np.complex128 if y is None else np.float64)
+    assert values.shape == (len(strings.terms), len(kept), blocks.shape[1])
+    assert src.shape == (len(strings.terms), blocks.shape[1])
+    for j, x in enumerate(strings.terms):
+        label = sum(((x & g).bit_count() & 1) << i for i, g in enumerate(gens))
+        assert moves[j] == label
+        for c, b in enumerate(kept):
+            rows = blocks[b]
+            np.testing.assert_array_equal(blocks[b ^ label][src[j]], rows ^ x)
+            np.testing.assert_allclose(values[j, c], m[rows, rows ^ x],
+                                       rtol=0, atol=1e-12)
 
 
 @PROPERTY_SETTINGS
@@ -298,10 +365,10 @@ def test_block_is_the_oracle_submatrix(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 1)
         op = PauliSum(p, n_modes)
-        blocks = symmetry_blocks(op)
+        gens, blocks = symmetry_split(op)
     m = oracle_matrix(p, n_modes)
     for idx in blocks:
-        assert np.allclose(to_dense(op.block(idx)), m[np.ix_(idx, idx)],
+        assert np.allclose(to_dense(op.block(idx[0], gens)), m[np.ix_(idx, idx)],
                            atol=1e-12)
 
 
@@ -336,11 +403,11 @@ def test_block_is_the_submatrix_on_the_diamond(monkeypatch, diamond, lam):
     h = build_hamiltonian(diamond, lam)
     op = PauliSum(h, diamond.n_modes)
     assert op.hermiticity_defect() == 0.0
-    blocks = symmetry_blocks(op)
+    gens, blocks = symmetry_split(op)
     assert blocks.shape == (16, 16)
     m = oracle_matrix(h, diamond.n_modes)
     for idx in blocks:
-        assert np.allclose(to_dense(op.block(idx)), m[np.ix_(idx, idx)],
+        assert np.allclose(to_dense(op.block(idx[0], gens)), m[np.ix_(idx, idx)],
                            atol=1e-12)
 
 
@@ -368,7 +435,7 @@ def test_gershgorin_floors_bound_every_block(case):
     h = p + adjoint(p)
     assert _floors_bound_the_blocks(_slot_floors, h, n_modes)
     assert _floors_bound_the_blocks(
-        lambda op: PauliSum(h, n_modes).floors(), h, n_modes)
+        lambda op: PauliSum(h, n_modes).floors(0, ()), h, n_modes)
 
 
 @PROPERTY_SETTINGS
@@ -407,16 +474,16 @@ def test_blocks_built_in_the_operator_gauge_are_the_reference(case):
         return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "SYMMETRY_BLOCK_FLOOR", 1)
-        blocks = symmetry_blocks(strings)
+        gens, blocks = symmetry_split(strings)
     for rows in blocks:
-        ref, d = reference_real_gauge(strings.block(rows), rows, y)
+        ref, d = reference_real_gauge(strings.block(rows[0], gens), rows, y)
         assert d is not None
-        built = strings.block(rows, y)
+        built = strings.block(rows[0], gens, y)
         assert built.values.dtype == np.float64
         assert np.array_equal(built.cols, ref.cols)
         assert np.array_equal(built.values, ref.values)
         # the gauge on the operator solves the system of every block
-        plain = strings.block(rows)
+        plain = strings.block(rows[0], gens)
         if plain.values.any():
             assert reference_gauge_string(plain, rows) is not None
 
@@ -451,7 +518,7 @@ def test_gershgorin_floors_bound_the_diamond_blocks(diamond, lam):
     h, n_modes = build_hamiltonian(diamond, lam), diamond.n_modes
     assert _floors_bound_the_blocks(_slot_floors, h, n_modes)
     assert _floors_bound_the_blocks(
-        lambda op: PauliSum(h, n_modes).floors(), h, n_modes)
+        lambda op: PauliSum(h, n_modes).floors(0, ()), h, n_modes)
 
 
 def test_a_floor_without_the_off_diagonal_sum_fails(diamond):

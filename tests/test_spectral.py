@@ -52,6 +52,7 @@ from conftest import (
     row_floors,
     split_oracle,
     symmetry_blocks,
+    symmetry_split,
     to_dense,
 )
 
@@ -176,10 +177,10 @@ def test_a_spectrum_maps_each_state_to_its_block_and_place(diamond, lam):
     # bit arithmetic on the split's Z-strings
     count, size = spec.blocks.shape
     np.testing.assert_array_equal(spec.blocks, split_oracle(spec.dim, spec.gens))
-    np.testing.assert_array_equal(spectral._labels(spec.blocks, spec.gens),
+    np.testing.assert_array_equal(fock._labels(spec.blocks, spec.gens),
                                   np.repeat(np.arange(count)[:, None], size, axis=1))
     np.testing.assert_array_equal(
-        spectral._places(spec.blocks, spec.gens, diamond.n_modes),
+        fock._places(spec.blocks, spec.gens, diamond.n_modes),
         np.broadcast_to(np.arange(size), spec.blocks.shape))
     # a spectrum built by hand with its blocks out of label order is
     # refused at construction
@@ -661,9 +662,9 @@ def _only_even_torus_blocks_are_built(monkeypatch, op):
     built = []
     block = PauliSum.block
 
-    def recording_block(self, idx, y=None):
-        out = block(self, idx, y)
-        built.append((out, idx))
+    def recording_block(self, start, gens, y=None):
+        out = block(self, start, gens, y)
+        built.append((out, start ^ fock._cosets(gens, self.n_modes)[1], gens))
         return out
 
     solved = []
@@ -678,14 +679,14 @@ def _only_even_torus_blocks_are_built(monkeypatch, op):
     lz = lanczos_ground(op, seed=0)
     assert lz.blocks == (16, 4096)
     assert len(built) == 8 and lz.closed_by_bound == 8
-    assert _parity(op.dim)[[idx[0] for _, idx in built]].tolist() == [0] * 8
+    assert _parity(op.dim)[[idx[0] for _, idx, _ in built]].tolist() == [0] * 8
     assert len(solved) == 9
     # each solved operator is a built block, built in its real gauge: the
     # complex block's cols, and its values times d_n = i^parity(n & y) on
     # both sides
-    assert all(any(b is out for out, _ in built) for b in solved)
-    for out, idx in built:
-        plain = block(op, idx)
+    assert all(any(b is out for out, _, _ in built) for b in solved)
+    for out, idx, gens in built:
+        plain = block(op, idx[0], gens)
         d = _gauge(idx, reference_gauge_string(plain, idx))
         assert np.array_equal(out.cols, plain.cols)
         assert np.array_equal(out.values,
@@ -707,13 +708,13 @@ def test_torus_odd_blocks_close_by_their_floors_from_pauli_strings(
         torus_4x4, monkeypatch):
     # from the Hamiltonian's Pauli strings only the eight solved blocks
     # are ever built, never the operator on all 65,536 states: every
-    # PauliSum.block call inside lanczos_ground gets one block's rows
+    # PauliSum.block call inside lanczos_ground names one block of 4,096
     rows = []
     block = PauliSum.block
 
-    def recording(self, idx, y=None):
-        rows.append(len(idx))
-        return block(self, idx, y)
+    def recording(self, start, gens, y=None):
+        rows.append(self.dim >> len(gens))
+        return block(self, start, gens, y)
 
     monkeypatch.setattr(PauliSum, "block", recording)
     lz = lanczos_ground(PauliSum(build_hamiltonian(torus_4x4, 0.1),
@@ -727,7 +728,7 @@ def _torus_orbits(lat, lam):
     permutation of each block) under the lattice translations."""
     op = PauliSum(build_hamiltonian(lat, lam), lat.n_modes)
     gens = spectral._symmetry_generators(op)
-    starts, w = spectral._cosets(gens, op.n_modes)
+    starts, w = fock._cosets(gens, op.n_modes)
     perms = spectral._mode_permutations(op, translations(lat))
     return (op, starts[:, None] ^ w,
             *spectral._block_orbits(starts, op.n_modes, gens, perms))
@@ -744,13 +745,13 @@ def test_torus_translations_solve_one_block_per_orbit(torus_4x4, monkeypatch):
     block, floors = PauliSum.block, PauliSum.floors
     lowest = spectral._lowest_eigenpair
 
-    def recording_block(self, idx, y=None):
-        built.append(int(np.flatnonzero(blocks[:, 0] == idx[0])[0]))
-        return block(self, idx, y)
+    def recording_block(self, start, gens, y=None):
+        built.append(int(np.flatnonzero(blocks[:, 0] == start)[0]))
+        return block(self, start, gens, y)
 
-    def recording_floors(self, rows=None):
-        read.append(len(rows))
-        return floors(self, rows)
+    def recording_floors(self, start, gens, y=None):
+        read.append(self.dim >> len(gens))
+        return floors(self, start, gens, y)
 
     def recording(apply, *args):
         solved.append(apply.__self__)
@@ -794,11 +795,11 @@ def test_lanczos_holds_one_block_operator_at_a_time(torus_4x4, monkeypatch,
     arrays, alive, firsts = [], [], []
     block = PauliSum.block
 
-    def recording(self, rows, y=None):
-        out = block(self, rows, y)
+    def recording(self, start, gens, y=None):
+        out = block(self, start, gens, y)
         arrays.extend((weakref.ref(out.cols), weakref.ref(out.values)))
         alive.append(sum(ref() is not None for ref in arrays) // 2)
-        firsts.append(int(rows[0]))
+        firsts.append(int(start))
         return out
 
     monkeypatch.setattr(PauliSum, "block", recording)
@@ -897,8 +898,9 @@ def test_a_carried_eigenvector_solves_the_mate_block(torus_4x4):
     # U|n> = eps(n)|pi(n)> takes the lowest vector of block 1 into each of
     # its mates 3, 5 and 9 with the same residual; unsigned it fails there
     op, blocks, rep, carry = _torus_orbits(torus_4x4, 0.1)
+    gens = spectral._symmetry_generators(op)
     val, vec, res, _ = spectral._lowest_eigenpair(
-        op.block(blocks[1]).apply, blocks.shape[1],
+        op.block(blocks[1, 0], gens).apply, blocks.shape[1],
         np.random.default_rng(0).standard_normal, [], 1e-9, 5000, 64)
     assert [b for b in range(16) if rep[b] == 1] == [1, 3, 5, 9]
     for b in (3, 5, 9):
@@ -907,7 +909,7 @@ def test_a_carried_eigenvector_solves_the_mate_block(torus_4x4):
         place = np.searchsorted(blocks[b], states)
         moved = np.empty_like(vec)
         moved[place] = sign * vec
-        mate = op.block(blocks[b])
+        mate = op.block(blocks[b, 0], gens)
         assert abs(np.linalg.norm(mate.apply(moved) - val * moved) - res) <= 1e-12
         moved[place] = vec
         assert np.linalg.norm(mate.apply(moved) - val * moved) > 0.1
@@ -1007,32 +1009,42 @@ def test_a_symmetry_claim_is_checked_not_trusted():
 
 @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
 def test_pauli_sum_floors_are_the_slot_floors_bit_for_bit(torus_4x4, lam):
-    # summed mask by mask, in the gauge's real arithmetic, the floors are
-    # those of the complex (masks, rows) slots in mask order
+    # summed mask by mask, in the gauge's real arithmetic, the floors of
+    # every representative that Lanczos reads are those of its complex
+    # block's slots in mask order, through the reference floors
     op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
-    assert op.gauge() is not None
-    rows = symmetry_blocks(op)[[0, 1, 7]].ravel()
-    cols = rows ^ np.array(list(op.terms)).reshape(-1, 1)
-    values = np.array([fock._mask_values(col, strings, False)
-                       for col, strings in zip(cols, op._strings(None))])
-    np.testing.assert_array_equal(op.floors(rows), row_floors(cols, values, rows))
+    y = op.gauge()
+    assert y is not None
+    gens, blocks = symmetry_split(op)
+    perms = spectral._mode_permutations(op, translations(torus_4x4))
+    reps = sorted(set(spectral._block_orbits(blocks[:, 0], op.n_modes, gens,
+                                             perms)[0]))
+    assert len(reps) == (16 if lam == 0 else 6)
+    place = np.arange(blocks.shape[1])
+    for r in reps:
+        block = op.block(blocks[r, 0], gens)
+        np.testing.assert_array_equal(op.floors(blocks[r, 0], gens, y),
+                                      row_floors(block.cols, block.values, place))
 
 
 @pytest.mark.parametrize("strings", [False, True])
-def test_floors_of_given_rows_are_those_rows_of_every_floor(
-        diamond, strings, monkeypatch):
-    # chunks of 32 rows, so a PauliSum reads the rows in four chunks
-    monkeypatch.setattr(fock, "ROW_CHUNK", 32)
+def test_floors_of_given_rows_are_those_rows_of_every_floor(diamond, strings):
+    # each of the diamond's 16 blocks of 16 reads, at its places, the
+    # floors of the whole space at its states
     h = build_hamiltonian(diamond, 0.1)
+    n = diamond.n_modes
+    gens, blocks = symmetry_split(PauliSum(h, n), 16)
     if strings:
-        floors = PauliSum(h, diamond.n_modes).floors
+        floors = PauliSum(h, n).floors
     else:  # the slots of the operator, through the reference floors
-        op = to_matrix(h, diamond.n_modes)
+        op = to_matrix(h, n)
 
-        def floors(rows=np.arange(op.dim)):
+        def floors(start, gens):
+            rows = start ^ fock._cosets(gens, n)[1]
             return row_floors(op.cols[:, rows], op.values[:, rows], rows)
-    rows = np.random.default_rng(4).permutation(1 << diamond.n_modes)[:100]
-    np.testing.assert_array_equal(floors(rows), floors()[rows])
+    everything = floors(0, ())
+    for rows in blocks:
+        np.testing.assert_array_equal(floors(rows[0], gens), everything[rows])
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
@@ -1040,10 +1052,10 @@ def test_pauli_sum_blocks_are_the_operator_blocks_on_the_torus(torus_4x4, lam):
     h = build_hamiltonian(torus_4x4, lam)
     strings, op = PauliSum(h, torus_4x4.n_modes), to_matrix(h, torus_4x4.n_modes)
     np.testing.assert_array_equal(strings.masks, op.masks)
-    blocks = symmetry_blocks(strings)
+    gens, blocks = symmetry_split(strings)
     np.testing.assert_array_equal(blocks, symmetry_blocks(op))
     for idx in blocks:
-        assert_same_operator(strings.block(idx), operator_block(op, idx))
+        assert_same_operator(strings.block(idx[0], gens), operator_block(op, idx))
 
 
 def _assert_blocks_built_in_the_reference_gauge(h, n_modes):
@@ -1054,8 +1066,9 @@ def _assert_blocks_built_in_the_reference_gauge(h, n_modes):
     strings = PauliSum(h, n_modes)
     y = strings.gauge()
     assert y is not None
-    for rows in symmetry_blocks(strings):
-        plain = strings.block(rows)
+    gens, blocks = symmetry_split(strings)
+    for rows in blocks:
+        plain = strings.block(rows[0], gens)
         assert reference_gauge_string(plain, rows) == y
         ref, d = reference_real_gauge(plain, rows, y)
         assert d is not None
@@ -1064,7 +1077,7 @@ def _assert_blocks_built_in_the_reference_gauge(h, n_modes):
         expected = plain.values * d[plain.cols] * d.conj()
         assert not expected.imag.any()
         np.testing.assert_array_equal(ref.values, expected.real)
-        built = strings.block(rows, y)
+        built = strings.block(rows[0], gens, y)
         assert built.values.dtype == np.float64
         assert np.array_equal(built.cols, ref.cols)
         assert np.array_equal(built.values, ref.values)
@@ -1087,14 +1100,15 @@ def test_diamond_lanczos_blocks_are_built_in_the_reference_gauge(
 
 def test_a_flipped_gauge_bit_is_refused_by_the_exact_check(torus_4x4):
     strings = PauliSum(build_hamiltonian(torus_4x4, 0.1), torus_4x4.n_modes)
-    rows = symmetry_blocks(strings)[0]
-    block = strings.block(rows)
+    gens, blocks = symmetry_split(strings)
+    rows = blocks[0]
+    block = strings.block(rows[0], gens)
     y = strings.gauge()
     for bit in range(strings.n_modes):
         wrong, d = reference_real_gauge(block, rows, y ^ 1 << bit)
         assert wrong is block and d is None
         with pytest.raises(ValueError, match="complex"):
-            strings.block(rows, y ^ 1 << bit)
+            strings.block(rows[0], gens, y ^ 1 << bit)
 
 
 def test_a_mask_with_complex_entries_has_no_gauge():
@@ -1103,7 +1117,7 @@ def test_a_mask_with_complex_entries_has_no_gauge():
     h = c(0) * c(2) * 1j + c(1) * c(2) * 1j
     op = PauliSum(h, 2)
     rows = np.arange(4)
-    block = op.block(rows)
+    block = op.block(0, ())
     assert set(block.values[block.values != 0].tolist()) == {-1 + 1j, -1 - 1j}
     assert op.gauge() is None
     assert reference_gauge_string(block, rows) is None
@@ -1147,12 +1161,12 @@ def test_ungauged_cluster_vectors_solve_the_complex_block(torus_4x4, lam, real):
     op = PauliSum(build_hamiltonian(torus_4x4, lam), torus_4x4.n_modes)
     lz = lanczos_ground(op, seed=0, symmetries=translations(torus_4x4))
     assert lz.real_blocks == real
-    blocks = symmetry_blocks(op)
+    gens, blocks = symmetry_split(op)
     for v in embedded_basis(lz).T:
         rows = next(b for b in blocks if np.linalg.norm(v[b]) > 0.5)
-        assert np.iscomplexobj(op.block(rows).values)
+        assert np.iscomplexobj(op.block(rows[0], gens).values)
         y = v[rows]
-        r = np.linalg.norm(op.block(rows).apply(y) - lz.e0 * y)
+        r = np.linalg.norm(op.block(rows[0], gens).apply(y) - lz.e0 * y)
         assert r <= 100 * 1e-9 * max(1.0, abs(lz.e0))
 
 

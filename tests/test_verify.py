@@ -465,9 +465,9 @@ def test_diamond_certify_never_densifies_the_full_operator(tmp_path, monkeypatch
     full = []
     block = PauliSum.block
 
-    def recording(self, rows, y=None):
-        full.append(len(rows) == self.dim)
-        return block(self, rows, y)
+    def recording(self, start, gens, y=None):
+        full.append(not gens)  # no Z-strings: the block of every state
+        return block(self, start, gens, y)
 
     monkeypatch.setattr(PauliSum, "block", recording)
     assert cli.main(["certify", "--out", str(tmp_path / "c.json")]) == 0
